@@ -32,9 +32,9 @@ from fractions import Fraction
 
 from .epsilon import EpsLaurent
 from .expansion import ExpansionSet
-from .klocal import KLocal
+from .klocal import KLocal, linear_combination
 from .laurent import Exp, LaurentPoly3
-from .polyj import PolyJ
+from .polyj import JExp, PolyJ
 from .series import TruncSeries3
 from .table import FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
@@ -172,7 +172,8 @@ def weighted_sum_eps(p: PolyJ, sign: str, upto: int = 2) -> EpsLaurent:
     """sum_J p(J) * weight(j1) * lambda^{j2+j3} at lambda = kappa(1-eps).
 
     sign '-' uses weight kappa^{j1+1} - kappa^{-j1-1}; sign '+' uses
-    (j1+1)(kappa^{j1+1} + kappa^{-j1-1}).
+    (j1+1)(kappa^{j1+1} + kappa^{-j1-1}).  This per-polynomial route is kept
+    as the independent reference for ``leading_pole_coefficient``.
     """
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
@@ -190,23 +191,59 @@ def weighted_sum_eps(p: PolyJ, sign: str, upto: int = 2) -> EpsLaurent:
 POLE_BOUND = {"-": 2, "+": 3}
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_poles(exp: tuple[int, int, int]) -> dict[int, KLocal]:
+    """Principal part in eps of the label monomial j^exp at L1 = 1/kappa.
+
+    Only this branch has a pole: at L1 = kappa^{-1} the factors (1 - L1 L2)
+    and (1 - L1 L3) both become eps, while at L1 = kappa every denominator
+    factor is a unit at eps = 0 and the branch is a power series.
+    """
+    series = specialize_master(_monomial_master(exp), -1, upto=-1)
+    return {d: c for d, c in series.coeffs.items() if d < 0}
+
+
 def leading_pole_coefficient(p: PolyJ, sign: str, shift: int) -> tuple[RatFun1, int]:
     """Pole data of one Xt-monomial coefficient of the weighted sum.
 
     ``shift`` is the total Xt-degree |m|; the coefficient equals
     eps^shift * (weighted sum) and must have a pole of order at most 2 ('-')
     or 3 ('+').  Returns (leading coefficient at that bound, actual order).
+
+    The pole part is linear in ``p``: the minus-type sum is
+    -kappa^{-1} sum_e c_e P_e and the plus-type sum, whose weight carries the
+    extra factor (j1 + 1), is kappa^{-1} sum_e c_e (P_{e + (1,0,0)} + P_e),
+    where P_e is the principal part of the monomial j^e, computed once per
+    process (``_monomial_poles``).  The pole order is read off the combined
+    series, because single monomials have higher poles than the fitted
+    families (j2 alone has order 3 for '-' and 4 for '+').
+    ``weighted_sum_eps`` is the independent per-polynomial route.
     """
     bound = POLE_BOUND[sign]
-    series = weighted_sum_eps(p, sign, upto=0).shift(shift)
-    low = series.min_degree()
-    order = 0 if low is None else max(0, -low)
+    weights: dict[JExp, Fraction] = {}
+    for (a, b, c), coeff in p.terms.items():
+        if sign == "-":
+            weights[(a, b, c)] = weights.get((a, b, c), 0) - coeff
+        else:
+            for e in ((a, b, c), (a + 1, b, c)):
+                weights[e] = weights.get(e, 0) + coeff
+    weights = {e: w for e, w in weights.items() if w}
+    poles = [(w, _monomial_poles(e)) for e, w in weights.items()]
+    for d in sorted({d for _, pole in poles for d in pole}):
+        value = linear_combination((w, pole[d]) for w, pole in poles if d in pole)
+        if value:
+            value = value * KLocal.kappa_power(-1)
+            break
+    else:
+        return RatFun1.zero(), 0
+    order = max(0, -(d + shift))
     if order > bound:
         raise FalsificationError(
             f"pole order {order} exceeds bound {bound} for sign '{sign}'",
-            witness=series.coeffs.get(low))
-    value = series.coefficient(-bound)
-    return (RatFun1.zero() if value is None else value.to_ratfun()), order
+            witness=value)
+    if d + shift == -bound:
+        return value.to_ratfun(), order
+    return RatFun1.zero(), order
 
 
 # ---------------------------------------------------------------------------

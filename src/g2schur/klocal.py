@@ -3,14 +3,23 @@
 Every coefficient met while expanding the specialized generating sums around
 lambda = kappa lives in this ring: numerators are Laurent polynomials in
 kappa and denominators are powers of (1 - kappa^2).  Staying inside the
-localization makes products plain convolutions, with no gcd reduction on the
-hot path; conversion to a reduced rational function happens once per
-extracted value.
+localization makes products plain convolutions; no polynomial gcd is taken,
+and conversion to a reduced rational function happens once per extracted
+value.
+
+Sums and products come back canonical in the one sense that needs no gcd:
+while ``denpow > 0`` and the numerator is divisible by (1 - kappa^2), that
+factor is cancelled (``_reduced``).  Without this the unit-inverse recursion
+of ``EpsLaurent.inverse`` lets ``denpow`` and the numerator grow with every
+step, although the values they represent stay small.  ``linear_combination``
+sums many weighted values at one common power, as the residue extraction
+does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .univariate import RatFun1
 
@@ -58,6 +67,37 @@ def _divide_unit(terms: dict[int, Fraction]) -> dict[int, Fraction] | None:
     quotient.pop(hi - 1, None)
     quotient.pop(hi, None)
     return quotient
+
+
+def _reduced(terms: dict[int, Fraction], denpow: int) -> "KLocal":
+    """terms / (1 - kappa^2)^denpow with every cancellable unit factor removed."""
+    while denpow > 0 and terms:
+        q = _divide_unit(terms)
+        if q is None:
+            break
+        terms, denpow = q, denpow - 1
+    return KLocal(terms, denpow)
+
+
+def linear_combination(pairs: Iterable[tuple[Fraction, "KLocal"]]) -> "KLocal":
+    """sum_i w_i x_i over (w_i, x_i) pairs, at one common (1 - kappa^2)-power.
+
+    Values sharing a power are combined by a plain Fraction dot product; each
+    group is lifted once to the largest power and the sum is reduced once.
+    """
+    groups: dict[int, dict[int, Fraction]] = {}
+    for w, x in pairs:
+        acc = groups.setdefault(x.denpow, {})
+        for e, c in x.terms.items():
+            acc[e] = acc.get(e, 0) + w * c
+    top = max(groups, default=0)
+    total: dict[int, Fraction] = {}
+    for denpow, acc in groups.items():
+        if denpow < top:
+            acc = _convolve(acc, _unit_power(top - denpow))
+        for e, c in acc.items():
+            total[e] = total.get(e, 0) + c
+    return _reduced({e: c for e, c in total.items() if c}, top)
 
 
 class KLocal:
@@ -114,7 +154,7 @@ class KLocal:
                 a[e] = s
             else:
                 a.pop(e, None)
-        return KLocal(a, denpow)
+        return _reduced(a, denpow)
 
     def __neg__(self) -> "KLocal":
         out = KLocal.__new__(KLocal)
@@ -129,8 +169,8 @@ class KLocal:
 
     def __mul__(self, other) -> "KLocal":
         if isinstance(other, KLocal):
-            return KLocal(_convolve(self.terms, other.terms),
-                          self.denpow + other.denpow)
+            return _reduced(_convolve(self.terms, other.terms),
+                            self.denpow + other.denpow)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return KLocal()

@@ -2,11 +2,14 @@
 
 Everything here works on lists of Fraction rows.  It backs the polynomial
 interpolation of series-coefficient families and the kernel computations of
-the degree-graded differential operators.
+the degree-graded differential operators.  ``rref``/``nullspace`` eliminate
+over Fraction; ``invert_matrix``, which inverts the integer fit matrices,
+uses fraction-free (Bareiss) Gauss-Jordan elimination on integers instead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,14 +81,43 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row | 
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """Inverse of a square matrix; raises on singular input."""
+    """Inverse of a square matrix; raises ValueError on singular input.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) on
+    integers.  Rows with fractional entries are first scaled by the lcm of
+    their denominators; the right-hand block then starts as that diagonal
+    instead of the identity, so the result is still the inverse of the
+    original matrix.  Every step divides exactly by the previous pivot, the
+    left block ends as det * I, and the only Fraction division is the final
+    one by det.
+    """
     n = len(rows)
-    aug = [list(map(Fraction, r)) + [Fraction(i == j) for j in range(n)]
-           for i, r in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in reduced]
+    mat: list[list[int]] = []
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError("matrix is not square")
+        r = [Fraction(v) for v in r]
+        scale = math.lcm(*(v.denominator for v in r))
+        mat.append([int(v * scale) for v in r] + [scale if j == i else 0 for j in range(n)])
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if mat[i][k]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+        prow = mat[k]
+        pivot = prow[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = mat[i]
+            f = row[k]
+            if f:
+                mat[i] = [(pivot * a - f * b) // prev for a, b in zip(row, prow)]
+            elif pivot != prev:
+                mat[i] = [pivot * a // prev for a in row]
+        prev = pivot
+    return [[Fraction(v, prev) for v in row[n:]] for row in mat]
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Row:

@@ -1,18 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from g2schur.cauchy import (KAPPA_PREFACTOR, cauchy_truncation,
-                            check_H1_relation, closedform_omega_minus,
-                            closedform_omega_plus, leading_pole_coefficient,
-                            master_sum, omega_from_sums, omega_initial_minus,
+from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, _exponents_upto,
+                            cauchy_truncation, check_H1_relation,
+                            closedform_omega_minus, closedform_omega_plus,
+                            leading_pole_coefficient, master_sum,
+                            omega_from_sums, omega_initial_minus,
                             omega_initial_plus, omega_plus_from_minus,
                             pde_check, specialization_phi,
-                            specialized_sum_check)
+                            specialized_sum_check, weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.polyj import PolyJ
 from g2schur.series import TruncSeries3
-from g2schur.table import enumerate_level
+from g2schur.table import FalsificationError, enumerate_level
+from g2schur.univariate import RatFun1
 
 
 def brute_sum(p: PolyJ, order: int) -> TruncSeries3:
@@ -65,6 +68,71 @@ class TestPoleData:
             for sign, bound in (("-", 2), ("+", 3)):
                 _, order = leading_pole_coefficient(fam.polynomial, sign, sum(mvec))
                 assert order <= bound
+
+
+def per_polynomial_pole_data(p: PolyJ, sign: str, shifts) -> dict:
+    """Pole data by the independent per-polynomial route (weighted_sum_eps).
+
+    Maps each shift to (value, order), or to None when the pole order
+    exceeds the bound.
+    """
+    bound = POLE_BOUND[sign]
+    full = weighted_sum_eps(p, sign, upto=0)
+    out = {}
+    for shift in shifts:
+        series = full.shift(shift)
+        low = series.min_degree()
+        order = 0 if low is None else max(0, -low)
+        if order > bound:
+            out[shift] = None
+            continue
+        value = series.coefficient(-bound)
+        out[shift] = (RatFun1.zero() if value is None else value.to_ratfun(), order)
+    return out
+
+
+def random_polyj(rng: random.Random, degree: int) -> PolyJ:
+    exps = _exponents_upto(degree)
+    return PolyJ({rng.choice(exps): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 5))})
+
+
+class TestLinearExtraction:
+    """leading_pole_coefficient against the per-polynomial route."""
+
+    @staticmethod
+    def assert_routes_agree(p: PolyJ):
+        shifts = range(5)
+        for sign in "-+":
+            expected = per_polynomial_pole_data(p, sign, shifts)
+            for shift in shifts:
+                if expected[shift] is None:
+                    with pytest.raises(FalsificationError):
+                        leading_pole_coefficient(p, sign, shift)
+                else:
+                    got = leading_pole_coefficient(p, sign, shift)
+                    assert got == expected[shift], (p, sign, shift)
+
+    def test_fitted_families(self, expansions12):
+        for mvec in _exponents_upto(4):
+            self.assert_routes_agree(expansions12.fit_family(mvec).polynomial)
+
+    def test_random_polynomials(self):
+        rng = random.Random(20250617)
+        for _ in range(12):
+            self.assert_routes_agree(random_polyj(rng, 4))
+
+    def test_zero_polynomial(self):
+        self.assert_routes_agree(PolyJ.zero())
+
+    def test_single_monomial_pole_too_high(self):
+        # j2 alone has a pole of order 3 ('-') or 4 ('+'); fitted families
+        # cancel it, a lone monomial must be rejected on both routes
+        p = PolyJ.variable(1)
+        for sign in "-+":
+            assert per_polynomial_pole_data(p, sign, [0])[0] is None
+            with pytest.raises(FalsificationError):
+                leading_pole_coefficient(p, sign, 0)
 
 
 class TestCauchyTruncation:

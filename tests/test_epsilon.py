@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2schur.epsilon import EpsLaurent
-from g2schur.klocal import KLocal
+from g2schur.klocal import KLocal, linear_combination
 from g2schur.univariate import RatFun1
 
 
@@ -41,6 +41,60 @@ class TestKLocal:
         a = 1 / kl({0: 1}, 2)  # (1-k^2)^2
         assert a.to_ratfun() == RatFun1.from_kappa_laurent(
             {0: Fraction(1), 2: Fraction(-2), 4: Fraction(1)})
+
+
+UNIT = {0: 1, 2: -1}  # 1 - k^2
+
+
+class TestCanonicalKLocal:
+    def test_product_cancels_unit_factors(self):
+        # k (1-k^2)^2 / (1-k^2)^3  times  (1-k^2) / (1-k^2)^2  =  k / (1-k^2)^2
+        a = kl({1: 1}, 3) * kl(UNIT) * kl(UNIT)
+        assert (a.terms, a.denpow) == ({1: 1}, 1)
+        b = kl(UNIT, 2)
+        assert (b * KLocal.one()).denpow == 1
+        prod = a * b
+        assert (prod.terms, prod.denpow) == ({1: 1}, 2)
+
+    def test_cancellation_stops_at_denpow_zero(self):
+        # (1-k^2)^3 / (1-k^2): one factor cancels, two stay in the numerator
+        c = kl({0: 1, 2: -3, 4: 3, 6: -1}, 1) * KLocal.one()
+        assert (c.terms, c.denpow) == ({0: 1, 2: -2, 4: 1}, 0)
+
+    def test_sum_cancels_unit_factors(self):
+        # 1/(1-k^2) - k^2/(1-k^2) = 1
+        s = kl({0: 1}, 1) - kl({2: 1}, 1)
+        assert (s.terms, s.denpow) == ({0: 1}, 0)
+
+    def test_non_divisible_keeps_denpow(self):
+        a = kl({0: 1, 1: 1, 3: -2}, 3)
+        p = a * kl({-1: 2}, 1)
+        assert p.denpow == 4
+        assert (a + kl({5: 1}, 3)).denpow == 3
+
+    def test_reduction_keeps_value(self):
+        a = kl({1: 3, 3: -3}, 2)          # 3k (1-k^2) / (1-k^2)^2
+        b = kl({0: 1, 2: -2, 4: 1}, 1)    # (1-k^2)^2 / (1-k^2)
+        assert (a * b).to_ratfun() == a.to_ratfun() * b.to_ratfun()
+        assert (a + b).to_ratfun() == a.to_ratfun() + b.to_ratfun()
+        assert (a * b).denpow == 0 and (a + b).denpow == 1
+
+    def test_linear_combination_mixed_powers(self):
+        xs = [kl({1: 2, -1: 1}, 3), kl({0: 1}, 1), kl({2: -1}, 0), kl({3: 5}, -1)]
+        ws = [Fraction(1, 2), Fraction(-3), Fraction(7, 4), Fraction(2)]
+        expected = KLocal.zero()
+        for w, x in zip(ws, xs):
+            expected = expected + x * w
+        got = linear_combination(zip(ws, xs))
+        assert got == expected
+        assert got.to_ratfun() == expected.to_ratfun()
+
+    def test_linear_combination_reduces(self):
+        # 1/(1-k^2) - k^2/(1-k^2) = 1, combined at one common power
+        got = linear_combination([(Fraction(1), kl({0: 1}, 1)),
+                                  (Fraction(-1), kl({2: 1}, 1))])
+        assert (got.terms, got.denpow) == ({0: 1}, 0)
+        assert not linear_combination([])
 
 
 class TestEpsLaurent:
