@@ -275,16 +275,22 @@ def verify_kernel(cfg: RunConfig, table: SchurTable | None, report: Report) -> N
 
     max_degree = max(cfg.order, 12)
     for m in range(max_degree + 1):
-        info = kernel_H1(m)
-        ok = info["dim"] == m // 2 + 1
-        report.checks.append({
-            "check": "kernel-H1", "degree": m, "dim": info["dim"],
-            "status": "pass" if ok else "fail"})
-        pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
-        for pair in ((1, 2), (1, 3)):
-            res = common_kernel(pair, m)
-            pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = res["dim"]
-        pair_rec["dim_triple"] = triple_kernel(m)
+        # a falsified degree gets its witness; the later degrees still run
+        try:
+            info = kernel_H1(m)
+            ok = info["dim"] == m // 2 + 1
+            report.checks.append({
+                "check": "kernel-H1", "degree": m, "dim": info["dim"],
+                "status": "pass" if ok else "fail"})
+            pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
+            for pair in ((1, 2), (1, 3)):
+                res = common_kernel(pair, m)
+                pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = res["dim"]
+            pair_rec["dim_triple"] = triple_kernel(m)
+        except FalsificationError as exc:
+            report.checks.append({"check": "falsification", "degree": m,
+                                  "status": "fail", "witness": str(exc)})
+            continue
         ok = (pair_rec["dim_pair_12"] == pair_rec["dim_pair_13"] == 1 - m % 2
               and pair_rec["dim_triple"] == int(m == 0))
         pair_rec["status"] = "pass" if ok else "fail"

@@ -15,8 +15,9 @@ The remaining two operators act on the diagonal elements by an explicit
 three-term formula; stacked exact nullspaces give the pairwise common
 kernels (one-dimensional in even degree, trivial in odd degree) and the
 triviality of the triple kernel in every positive degree.  Nullspaces are
-computed by exact Gaussian elimination in the monomial basis; the product
-basis route serves as the independent cross-check.
+computed by exact sparse Gauss-Jordan elimination (``linalg.rref``) on the
+integer operator matrices in the monomial basis, which are only a few percent
+nonzero; the product basis route serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
 
 
 def _span_contains(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    if not any(vec):
-        return True
-    if not basis:
-        return False
-    rows = [list(r) for r in basis]
-    before, _ = rref(rows)
-    after, _ = rref(rows + [list(vec)])
-    return len(after) == len(before)
+    """Whether vec lies in the row span of basis: reduce it against the RREF."""
+    reduced, pivots = rref(basis)
+    for prow, pcol in zip(reduced, pivots):
+        f = vec[pcol]
+        if f:
+            vec = [a - f * b for a, b in zip(vec, prow)]
+    return not any(vec)
 
 
 def kernel_H1(m: int) -> dict:

@@ -1,10 +1,14 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the rationals.
 
-Everything here works on lists of Fraction rows.  It backs the polynomial
-interpolation of series-coefficient families and the kernel computations of
-the degree-graded differential operators.  ``rref``/``nullspace`` eliminate
-over Fraction; ``invert_matrix``, which inverts the integer fit matrices,
-uses fraction-free (Bareiss) Gauss-Jordan elimination on integers instead.
+Matrices come in and go out as lists of Fraction rows.  This module backs the
+polynomial interpolation of series-coefficient families and the kernel
+computations of the degree-graded differential operators.  ``rref`` (and
+``nullspace`` on top of it) is sparse Gauss-Jordan elimination over Fraction
+on dict rows, for the kernel operator matrices, which are integer and only a
+few percent nonzero; its test oracle, plain dense Gauss-Jordan elimination, is
+``dense_rref`` in ``tests/test_linalg.py``.  ``invert_matrix``, which inverts
+the small dense integer fit matrices, uses fraction-free (Bareiss)
+Gauss-Jordan elimination on integers instead.
 """
 
 from __future__ import annotations
@@ -17,33 +21,53 @@ Row = list[Fraction]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Sparse Gauss-Jordan elimination on dict rows ``{column: value}``.  Columns
+    are taken left to right; the pivot is the sparsest remaining row with a
+    nonzero entry in the column, and only the remaining rows holding that
+    column are eliminated.  Back-substitution then clears each pivot column
+    above its pivot.  The reduced rows are returned dense.  The RREF is
+    unique, so the result equals that of dense Gauss-Jordan elimination
+    (the oracle ``dense_rref`` in ``tests/test_linalg.py``).
+    """
+    if not rows:
         return [], []
-    ncols = len(mat[0])
+    ncols = len(rows[0])
+    pending = [d for d in ({c: Fraction(v) for c, v in enumerate(r) if v} for r in rows) if d]
+    reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        holders = [d for d in pending if c in d]
+        if not holders:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        best = min(holders, key=len)
+        inv = 1 / best[c]
+        prow = {k: v * inv for k, v in best.items()}
+        for d in holders:
+            if d is not best:
+                _eliminate(d, c, prow)
+        pending = [d for d in pending if d and d is not best]
+        reduced.append(prow)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    for j in range(len(reduced) - 1, 0, -1):
+        c, prow = pivots[j], reduced[j]
+        for d in reduced[:j]:
+            if c in d:
+                _eliminate(d, c, prow)
+    zero = Fraction(0)
+    return [[d.get(c, zero) for c in range(ncols)] for d in reduced], pivots
+
+
+def _eliminate(row: dict[int, Fraction], c: int, prow: dict[int, Fraction]) -> None:
+    """row -= row[c] * prow in place, for a pivot row with prow[c] == 1."""
+    f = row[c]
+    for k, v in prow.items():
+        new = row.get(k, 0) - f * v
+        if new:
+            row[k] = new
+        else:
+            row.pop(k, None)
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
@@ -60,24 +84,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
             vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
-
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Row | None:
-    """Solve A x = b exactly; None when the system is inconsistent.
-
-    For underdetermined consistent systems the free variables are set to 0.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for prow, pcol in zip(reduced, pivots):
-        if pcol == ncols:
-            return None  # pivot in the augmented column
-        x[pcol] = prow[ncols]
-    return x
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Row]:

@@ -1,5 +1,6 @@
 import json
 
+from g2schur import kernels
 from g2schur.cli import main
 
 
@@ -71,6 +72,45 @@ class TestVerifyCommands:
         dims = next(c for c in report["checks"]
                     if c["check"] == "kernel-dims" and c["degree"] == 2)
         assert dims["dim_pair_12"] == 1 and dims["dim_triple"] == 0
+
+    def test_kernel_falsification_keeps_later_checks(self, capsys, monkeypatch):
+        # drop one kernel vector at degree 6 only (28 monomials)
+        real = kernels.nullspace
+
+        def drop_one(rows, ncols):
+            basis = real(rows, ncols)
+            return basis[:-1] if ncols == 28 else basis
+
+        monkeypatch.setattr(kernels, "nullspace", drop_one)
+        code, report = run(capsys, "verify", "kernel", "--order", "12")
+        assert code == 1
+        (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
+        assert witness["check"] == "falsification" and witness["degree"] == 6
+        assert "degree 6" in witness["witness"]
+        checks = report["checks"]
+        assert {c["degree"] for c in checks if c["check"] == "kernel-H1"} == (
+            set(range(13)) - {6})
+        assert {c["degree"] for c in checks if c["check"] == "kernel-dims"} >= {7, 12}
+        assert any(c["check"] == "H2-action" for c in checks)
+        assert any(c["check"] == "H3-leading" for c in checks)
+
+    def test_kernel_wrong_operator_entry_fails(self, capsys, monkeypatch):
+        # one wrong entry in the first operator's matrix at degree 4
+        real = kernels._operator_rows
+
+        def seeded(ops, m, monomials):
+            rows = real(ops, m, monomials)
+            if m == 4 and len(ops) == 1:
+                rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(kernels, "_operator_rows", seeded)
+        code, report = run(capsys, "verify", "kernel", "--order", "12")
+        assert code == 1
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [(c["check"], c["degree"]) for c in failed] == [("falsification", 4)]
+        assert any(c["check"] == "kernel-H1" and c["degree"] == 12
+                   for c in report["checks"])
 
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")

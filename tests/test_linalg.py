@@ -3,7 +3,45 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.linalg import invert_matrix, rref
+from g2schur.diffops import homogeneous_component
+from g2schur.kernels import _monomials, _operator_rows, _span_contains
+from g2schur.linalg import invert_matrix, mat_vec, nullspace, rref
+
+OPERATOR_SETS = ((1,), (1, 2), (1, 3), (1, 2, 3))
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by plain dense Gauss-Jordan elimination.
+
+    Shares no code with the sparse ``rref``; the small-size oracle for it and
+    for ``invert_matrix``.
+    """
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 def rref_inverse(rows):
@@ -11,7 +49,7 @@ def rref_inverse(rows):
     n = len(rows)
     aug = [list(map(Fraction, r)) + [Fraction(i == j) for j in range(n)]
            for i, r in enumerate(rows)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = dense_rref(aug)
     assert pivots[:n] == list(range(n))
     return [r[n:] for r in reduced]
 
@@ -20,8 +58,103 @@ def random_invertible(rng: random.Random, n: int) -> list[list[int]]:
     while True:
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         aug = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-        if rref(aug)[1][:n] == list(range(n)):
+        if dense_rref(aug)[1][:n] == list(range(n)):
             return rows
+
+
+def random_matrix(rng: random.Random, nrows: int, ncols: int, density: float,
+                  fractional: bool) -> list[list[Fraction]]:
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        num = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        return Fraction(num, rng.randint(1, 7)) if fractional else Fraction(num)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def kernel_operator_matrices(max_degree: int):
+    for m in range(max_degree + 1):
+        monomials = _monomials(m)
+        for ks in OPERATOR_SETS:
+            ops = [homogeneous_component(k, -2) for k in ks]
+            yield m, ks, _operator_rows(ops, m, monomials), len(monomials)
+
+
+class TestSparseRref:
+    def test_random_matches_dense_oracle(self):
+        rng = random.Random(1990)
+        for nrows in range(1, 16):
+            for ncols in range(1, 13):
+                for density in (0.05, 0.2, 0.5, 1.0):
+                    for fractional in (False, True):
+                        rows = random_matrix(rng, nrows, ncols, density, fractional)
+                        assert rref(rows) == dense_rref(rows), rows
+
+    def test_integer_input_gives_fraction_rows(self):
+        rows = [[2, 4, 0], [0, 3, 1], [1, 0, 5]]
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == dense_rref(rows)
+        assert all(type(v) is Fraction for row in reduced for v in row)
+
+    def test_zero_rows_and_columns(self):
+        cases = [
+            [[0, 0, 0], [0, 0, 0]],                        # all-zero matrix
+            [[0]],
+            [[0, 1, 0, 2], [0, 0, 0, 0], [0, 2, 0, 4]],    # zero columns, zero row
+            [[0, 0, 3], [0, 0, 0], [0, 0, -1]],
+            [[1, 2, 3, 4, 5, 6, 7], [2, 4, 6, 8, 10, 12, 15]],  # wider than tall
+            [[0, 0, 0, 0, 1, 0, 0, 0, 0, 2]],
+            [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 0, 0], [Fraction(1, 3), 0, 1]],
+        ]
+        for rows in cases:
+            assert rref(rows) == dense_rref(rows), rows
+        assert rref([[0, 0, 0], [0, 0, 0]]) == ([], [])
+        assert rref([]) == ([], [])
+
+    def test_kernel_operator_matrices(self):
+        for m, ks, rows, _ in kernel_operator_matrices(8):
+            assert rref(rows) == dense_rref(rows), (m, ks)
+
+
+class TestNullspace:
+    def test_vectors_are_annihilated(self):
+        rng = random.Random(90)
+        cases = [(rows, ncols) for _, _, rows, ncols in kernel_operator_matrices(8)]
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 12)
+            cases.append((random_matrix(rng, nrows, ncols, rng.choice((0.1, 0.4, 1.0)),
+                                        rng.random() < 0.5), ncols))
+        for rows, ncols in cases:
+            basis = nullspace(rows, ncols)
+            assert len(basis) == ncols - len(dense_rref(rows)[1])
+            for vec in basis:
+                assert not any(mat_vec(rows, vec))
+
+    def test_empty_matrix_gives_unit_vectors(self):
+        for n in (1, 4):
+            assert nullspace([], n) == [[Fraction(i == j) for j in range(n)]
+                                        for i in range(n)]
+
+
+class TestSpanContains:
+    basis = [[Fraction(1), Fraction(2), Fraction(0)],
+             [Fraction(0), Fraction(1), Fraction(-1)]]
+
+    def test_inside_span(self):
+        vec = [Fraction(2), Fraction(1), Fraction(3)]       # 2*b0 - 3*b1
+        assert _span_contains(self.basis, vec)
+        assert _span_contains(self.basis, [Fraction(1, 2), Fraction(1), Fraction(0)])
+
+    def test_outside_span(self):
+        assert not _span_contains(self.basis, [Fraction(0), Fraction(0), Fraction(1)])
+        assert not _span_contains([[Fraction(1), Fraction(1)]], [Fraction(1), Fraction(-1)])
+
+    def test_zero_vector(self):
+        assert _span_contains(self.basis, [Fraction(0)] * 3)
+        assert _span_contains([], [Fraction(0)] * 3)
+
+    def test_empty_basis(self):
+        assert not _span_contains([], [Fraction(1), Fraction(0)])
 
 
 class TestInvertMatrix:
