@@ -14,12 +14,10 @@ from .cauchy import (CauchyTruncation, MasterSum, OmegaSeries,
                      omega_plus_from_minus, pde_check, specialization_phi,
                      specialized_sum_check)
 from .conjecture import ConjectureReport, conjecture_check, conjecture_coeff
-from .diffops import (HomogeneousOp, apply_H_cleared, apply_homogeneous,
-                      homogeneous_component, verify_eigen,
-                      verify_recursion_by_components)
+from .diffops import (HomogeneousOp, apply_H_cleared, homogeneous_component,
+                      verify_eigen, verify_recursion_by_components)
 from .epsilon import EpsLaurent
-from .expansion import (CoeffFamily, ExpansionSet, PhiExpansion, expand_entry,
-                        expand_phi, fit_coeff_family)
+from .expansion import CoeffFamily, ExpansionSet, PhiExpansion, expand_entry
 from .kernels import (action_check, common_kernel, kernel_H1,
                       leading_term_check, pair_kernel_vector, pbasis,
                       triple_kernel)

@@ -35,7 +35,7 @@ from .expansion import ExpansionSet
 from .klocal import KLocal, linear_combination
 from .laurent import Exp, LaurentPoly3
 from .polyj import JExp, PolyJ
-from .series import TruncSeries3
+from .series import TruncSeries3, exponents_upto
 from .table import FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
 from .diffops import homogeneous_component
@@ -380,22 +380,13 @@ class OmegaSeries:
         }
 
 
-def _exponents_upto(order: int) -> list[Exp]:
-    out = []
-    for a in range(order + 1):
-        for b in range(order - a + 1):
-            for c in range(order - a - b + 1):
-                out.append((a, b, c))
-    return sorted(out)
-
-
 def omega_from_sums(table: SchurTable, sign: str, order: int,
                     expansions: ExpansionSet | None = None) -> OmegaSeries:
     """Leading pole coefficients of the weighted sum, monomial by monomial."""
     if expansions is None:
         expansions = ExpansionSet(table, order)
     coeffs: dict[Exp, RatFun1] = {}
-    for mvec in _exponents_upto(order):
+    for mvec in exponents_upto(order):
         family = expansions.fit_family(mvec)
         value, _ = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
         if value:

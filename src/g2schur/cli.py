@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .report import Report, Stopwatch
+from .series import exponents_upto
 from .table import (FalsificationError, SchurTable, TableError, leading_term,
                     s3_check, solve_table)
 
@@ -152,7 +153,7 @@ def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
         report.checks.append({
             "check": "expansion-normalization", "triple": list(triple),
             "status": "pass" if ok else "fail"})
-    for mvec in sorted(_exponents_upto(min(order, 4))):
+    for mvec in exponents_upto(min(order, 4)):
         fam = es.fit_family(mvec)
         report.checks.append({
             "check": "family-fit", "mvec": list(mvec),
@@ -170,11 +171,6 @@ def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
     L = min(order, 4) - 2
     if L >= 0:
         report.extend(verify_recursion_by_components(table, L, expansions))
-
-
-def _exponents_upto(order: int):
-    from .cauchy import _exponents_upto as impl
-    return impl(order)
 
 
 def _reference_families() -> dict:
@@ -200,7 +196,7 @@ def verify_cauchy(cfg: RunConfig, table: SchurTable, report: Report) -> None:
     order = cfg.order
     es = ExpansionSet(table, order)
     for sign in ("-", "+"):
-        for mvec in _exponents_upto(order):
+        for mvec in exponents_upto(order):
             fam = es.fit_family(mvec)
             # an order above the bound raises FalsificationError, which
             # surfaces as the suite's "falsification" record

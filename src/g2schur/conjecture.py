@@ -30,6 +30,7 @@ from .cauchy import leading_pole_coefficient
 from .expansion import ExpansionSet
 from .laurent import Exp
 from .polyj import PolyJ
+from .series import exponents_upto
 from .table import SchurTable
 from .univariate import RatFun1
 
@@ -73,14 +74,8 @@ def conjecture_coeff(vectors: list[IndexVec]) -> Fraction:
 
 def _index_tuples(copies: int, max_total: int) -> list[tuple[IndexVec, ...]]:
     """All tuples of per-copy index vectors with combined weight <= max_total."""
-    singles: list[IndexVec] = [
-        (a, b, c)
-        for a in range(max_total + 1)
-        for b in range(max_total - a + 1)
-        for c in range(max_total - a - b + 1)
-    ]
     out = []
-    for combo in itertools.product(singles, repeat=copies):
+    for combo in itertools.product(exponents_upto(max_total), repeat=copies):
         if sum(sum(v) for v in combo) <= max_total:
             out.append(combo)
     return sorted(out)

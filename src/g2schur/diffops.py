@@ -121,10 +121,6 @@ class HomogeneousOp:
         return out
 
 
-def apply_homogeneous(op: HomogeneousOp, p: LaurentPoly3) -> LaurentPoly3:
-    return op.apply(p)
-
-
 def _poly1(var: int, coeffs: list[int]) -> LaurentPoly3:
     """Univariate polynomial sum coeffs[e] * X_var^e as a trivariate container."""
     out = {}

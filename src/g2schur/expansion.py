@@ -1,27 +1,29 @@
 """Expansions of table entries around x = 1 and their coefficient families.
 
 Substituting x_ij = 1 + X_ij turns every table entry into a power series
-whose constant term is 1 and whose linear part vanishes.  For a fixed
-monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across all labels
-(j1, j2, j3), is a polynomial of total degree at most m12 + m13 + m23; this
-module reconstructs those polynomials by exact interpolation over table
-labels and validates them out of sample.
+whose constant term is 1 and whose linear part vanishes.  The substitution
+is a ring map, so the series obey the table's own Pieri recursion with
+x + 1/x replaced by 2 + X^2 - X^3 + ...; ``ExpansionSet`` computes them that
+way.  ``expand_entry`` expands a single Laurent polynomial term by term and
+is kept as the independent cross-check of that route.
+
+For a fixed monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across
+all labels (j1, j2, j3), is a polynomial of total degree at most
+m12 + m13 + m23; this module reconstructs those polynomials by exact
+interpolation over table labels and validates them out of sample.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import Exp, LaurentPoly3
 from .linalg import RankTracker, invert_matrix, mat_vec
-from .polyj import JExp, PolyJ
-from .series import TruncSeries3
-from .table import FalsificationError, SchurTable, Triple
-
-CACHE_ENV = "G2SCHUR_CACHE_DIR"
+from .polyj import PolyJ
+from .series import TruncSeries3, exponents_upto
+from .table import (FalsificationError, SchurTable, Triple, enumerate_through,
+                    predecessor_equations, solve_entry)
 
 #: minimum number of out-of-sample labels before a family counts as validated
 VALIDATION_MARGIN = 10
@@ -84,18 +86,14 @@ class PhiExpansion:
                 f"expansion of {self.triple} has a nonvanishing linear part")
 
 
-def expand_phi(table: SchurTable, triple: Triple, order: int) -> PhiExpansion:
-    return PhiExpansion(triple, expand_entry(table.entries[triple], order))
-
-
-def _monomials_upto(degree: int) -> list[JExp]:
-    out = []
-    for a in range(degree + 1):
-        for b in range(degree - a + 1):
-            for c in range(degree - a - b + 1):
-                out.append((a, b, c))
-    out.sort()
-    return out
+def _x_plus_inv_series(i: int, order: int) -> TruncSeries3:
+    """x_i + 1/x_i at x_i = 1 + X_i, i.e. 2 + X_i^2 - X_i^3 + X_i^4 - ..."""
+    terms = {(0, 0, 0): Fraction(2)}
+    for k in range(2, order + 1):
+        exp = [0, 0, 0]
+        exp[i] = k
+        terms[tuple(exp)] = Fraction((-1) ** k)
+    return TruncSeries3(order, terms)
 
 
 @dataclass
@@ -121,60 +119,37 @@ class CoeffFamily:
 class ExpansionSet:
     """Expansions of every table entry at a fixed order, with family fitting.
 
+    The table is not trusted: its (0,0,0) entry must be 1 and every entry
+    must satisfy its solving equation, or ``FalsificationError`` names the
+    first triple that does not.  By induction over the levels the series
+    of the recursion are then exactly the expansions of the entries.
+
     Interpolation labels are chosen greedily in enumeration order until the
     monomial-evaluation matrix reaches full rank; every remaining table label
-    is then used for out-of-sample validation.  Expansions can be cached on
-    disk (keyed by table checksum and order) via the G2SCHUR_CACHE_DIR
-    environment variable.
+    is then used for out-of-sample validation.
     """
 
     def __init__(self, table: SchurTable, order: int):
         self.table = table
         self.order = order
-        self.expansions: dict[Triple, TruncSeries3] = self._load_or_expand()
+        unit = table.entry((0, 0, 0))
+        if unit != LaurentPoly3.one():
+            raise FalsificationError(
+                "table entry (0, 0, 0) is not the constant 1", witness=unit)
+        generators = [_x_plus_inv_series(i, order) for i in range(3)]
+        series = {(0, 0, 0): TruncSeries3.one(order)}
+        for t in enumerate_through(table.max_level)[1:]:
+            eq, pred = predecessor_equations(t)[0]
+            residual = table.pieri_residual(eq, pred)
+            if residual:
+                raise FalsificationError(
+                    f"table entry {t} fails its solving equation {eq + 1} "
+                    f"based at {pred}", witness=residual)
+            series[t] = solve_entry(t, series, generators)
+        self.expansions: dict[Triple, TruncSeries3] = {
+            t: PhiExpansion(t, s).series for t, s in series.items()}
         self._fit_data: dict[int, tuple[list[Triple], list[list[Fraction]]]] = {}
         self._families: dict[Exp, CoeffFamily] = {}
-
-    # -- expansion cache --------------------------------------------------
-
-    def _cache_path(self) -> str | None:
-        root = os.environ.get(CACHE_ENV)
-        if not root:
-            return None
-        os.makedirs(root, exist_ok=True)
-        return os.path.join(
-            root, f"expansions-{self.table.checksum()[:16]}-N{self.order}.json")
-
-    def _load_or_expand(self) -> dict[Triple, TruncSeries3]:
-        path = self._cache_path()
-        if path and os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-                out = {}
-                for rec in raw:
-                    series = TruncSeries3(self.order, {
-                        tuple(e): Fraction(c) for e, c in rec["terms"]})
-                    out[tuple(rec["triple"])] = series
-                if set(out) == set(self.table.entries):
-                    return out
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                pass  # fall through and recompute
-        out = {
-            t: expand_phi(self.table, t, self.order).series
-            for t in self.table.triples()
-        }
-        if path:
-            payload = [
-                {"triple": list(t),
-                 "terms": [[list(e), str(c)] for e, c in sorted(s.terms.items())]}
-                for t, s in sorted(out.items())
-            ]
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        return out
 
     # -- family fitting -----------------------------------------------------
 
@@ -185,7 +160,7 @@ class ExpansionSet:
         """Greedily selected labels and the inverted fit matrix for one degree."""
         if degree in self._fit_data:
             return self._fit_data[degree]
-        monomials = _monomials_upto(degree)
+        monomials = exponents_upto(degree)
         tracker = RankTracker(len(monomials))
         chosen: list[Triple] = []
         rows: list[list[Fraction]] = []
@@ -210,7 +185,7 @@ class ExpansionSet:
         degree = sum(mvec)
         if self.order < degree:
             raise ValueError(f"expansions of order {self.order} cannot reach {mvec}")
-        monomials = _monomials_upto(degree)
+        monomials = exponents_upto(degree)
         chosen, inverse = self._fit_basis(degree)
         rhs = [self.coefficient(t, mvec) for t in chosen]
         coeffs = mat_vec(inverse, rhs)
@@ -236,10 +211,3 @@ class ExpansionSet:
         self._families[mvec] = family
         return family
 
-
-def fit_coeff_family(mvec: Exp, table: SchurTable,
-                     expansions: ExpansionSet | None = None) -> CoeffFamily:
-    """Convenience wrapper fitting a single family from a table."""
-    if expansions is None:
-        expansions = ExpansionSet(table, sum(mvec))
-    return expansions.fit_family(mvec)

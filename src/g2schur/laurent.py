@@ -13,7 +13,7 @@ construction, so instances may be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Exp = tuple[int, int, int]
 
@@ -253,11 +253,3 @@ def x_plus_inv(i: int) -> LaurentPoly3:
     minus[i] = -1
     return LaurentPoly3({tuple(plus): Fraction(1), tuple(minus): Fraction(1)})
 
-
-def poly_from_pairs(pairs: Iterable[tuple[Exp, object]]) -> LaurentPoly3:
-    acc: dict[Exp, object] = {}
-    for e, c in pairs:
-        key = tuple(e)
-        s = acc.get(key)
-        acc[key] = c if s is None else s + c
-    return LaurentPoly3(acc)

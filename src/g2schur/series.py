@@ -14,6 +14,14 @@ from typing import Mapping
 from .laurent import Exp, LaurentPoly3
 
 
+def exponents_upto(degree: int) -> list[Exp]:
+    """All exponent triples of total degree <= ``degree``, in sorted order."""
+    return [(a, b, c)
+            for a in range(degree + 1)
+            for b in range(degree - a + 1)
+            for c in range(degree - a - b + 1)]
+
+
 class SingularSeriesError(ZeroDivisionError):
     """Inversion of a series whose constant term vanishes."""
 

@@ -107,17 +107,56 @@ def _pieri_terms(eq: int, base: Triple) -> list[tuple[Triple, Fraction]]:
     return out
 
 
-_EQ_VAR = {0: 0, 1: 1, 2: 2}  # equation index -> variable position
+def predecessor_equations(triple: Triple) -> list[tuple[int, Triple]]:
+    """The recursions that reach ``triple`` from the level below, as (eq, base).
+
+    Bases are tried in the order (j1-1,j2-1,j3), (j1-1,j2,j3-1),
+    (j1,j2-1,j3-1); only admissible ones are kept.  The first pair is the
+    solving equation of ``triple``: its right-hand side holds ``triple``
+    itself and otherwise only entries of strictly lower levels.  The others
+    hold as consequences.
+    """
+    j1, j2, j3 = triple
+    candidates = [
+        (0, (j1 - 1, j2 - 1, j3)),
+        (1, (j1 - 1, j2, j3 - 1)),
+        (2, (j1, j2 - 1, j3 - 1)),
+    ]
+    usable = [(eq, p) for eq, p in candidates if is_admissible(*p)]
+    if not usable:
+        raise TableError(f"no admissible predecessor for {triple}")
+    return usable
+
+
+def solve_entry(triple: Triple, entries: dict, generators):
+    """Solve ``triple`` from its solving equation, in any ring.
+
+    ``entries`` holds the values of the lower levels and ``generators[i]``
+    the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  The
+    table runs this on Laurent polynomials and the expansions around x = 1
+    run it on truncated power series.
+    """
+    eq, pred = predecessor_equations(triple)[0]
+    rest = generators[eq] * entries[pred]
+    lead_coeff = None
+    for target, coeff in _pieri_terms(eq, pred):
+        if not coeff or not is_admissible(*target):
+            continue
+        if target == triple:
+            lead_coeff = coeff
+        else:
+            rest = rest - entries[target].scale(coeff)
+    if not lead_coeff:
+        raise TableError(f"vanishing leading coefficient solving {triple}")
+    return rest.scale(1 / lead_coeff)
 
 
 class SchurTable:
     """Immutable map from admissible triples to their Laurent polynomials."""
 
-    def __init__(self, max_level: int, entries: dict[Triple, LaurentPoly3],
-                 provenance: dict[Triple, str] | None = None):
+    def __init__(self, max_level: int, entries: dict[Triple, LaurentPoly3]):
         self.max_level = max_level
         self.entries = entries
-        self.provenance = provenance or {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SchurTable):
@@ -138,7 +177,7 @@ class SchurTable:
 
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
         """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds)."""
-        lhs = x_plus_inv(_EQ_VAR[eq]) * self.entry(base)
+        lhs = x_plus_inv(eq) * self.entry(base)
         rhs = LaurentPoly3.zero()
         for target, coeff in _pieri_terms(eq, base):
             if coeff and is_admissible(*target):
@@ -231,42 +270,19 @@ class SchurTable:
 def solve_table(max_level: int) -> SchurTable:
     """Build the table through ``max_level`` by level induction.
 
-    Each new entry at level N+2 is solved from the first admissible
-    predecessor among (j1-1,j2-1,j3), (j1-1,j2,j3-1), (j1,j2-1,j3-1) and the
-    remaining applicable predecessor equations are asserted exactly.
+    Each new entry is solved from its solving equation (see
+    ``predecessor_equations``) and the remaining applicable predecessor
+    equations are asserted exactly.
     """
     if max_level < 0 or max_level % 2:
         raise ValueError("max_level must be a nonnegative even integer")
     entries: dict[Triple, LaurentPoly3] = {(0, 0, 0): LaurentPoly3.one()}
-    provenance: dict[Triple, str] = {(0, 0, 0): "initial"}
-    table = SchurTable(max_level, entries, provenance)
+    table = SchurTable(max_level, entries)
+    generators = [x_plus_inv(i) for i in range(3)]
     for level in range(2, max_level + 1, 2):
         for triple in enumerate_level(level):
-            j1, j2, j3 = triple
-            candidates = [
-                (0, (j1 - 1, j2 - 1, j3)),
-                (1, (j1 - 1, j2, j3 - 1)),
-                (2, (j1, j2 - 1, j3 - 1)),
-            ]
-            usable = [(eq, p) for eq, p in candidates if is_admissible(*p)]
-            if not usable:
-                raise TableError(f"no admissible predecessor for {triple}")
-            eq, pred = usable[0]
-            lhs = x_plus_inv(_EQ_VAR[eq]) * entries[pred]
-            known = LaurentPoly3.zero()
-            lead_coeff = None
-            for target, coeff in _pieri_terms(eq, pred):
-                if not coeff or not is_admissible(*target):
-                    continue
-                if target == triple:
-                    lead_coeff = coeff
-                else:
-                    known = known + entries[target].scale(coeff)
-            if not lead_coeff:
-                raise TableError(f"vanishing leading coefficient solving {triple}")
-            entries[triple] = (lhs - known).scale(1 / lead_coeff)
-            provenance[triple] = f"eq{eq + 1}@{pred}"
-            for other_eq, other_pred in usable[1:]:
+            entries[triple] = solve_entry(triple, entries, generators)
+            for other_eq, other_pred in predecessor_equations(triple)[1:]:
                 residual = table.pieri_residual(other_eq, other_pred)
                 if residual:
                     raise FalsificationError(

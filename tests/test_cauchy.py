@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, _exponents_upto,
-                            cauchy_truncation, check_H1_relation,
-                            closedform_omega_minus, closedform_omega_plus,
-                            leading_pole_coefficient, master_sum,
-                            omega_from_sums, omega_initial_minus,
+from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
+                            check_H1_relation, closedform_omega_minus,
+                            closedform_omega_plus, leading_pole_coefficient,
+                            master_sum, omega_from_sums, omega_initial_minus,
                             omega_initial_plus, omega_plus_from_minus,
                             pde_check, specialization_phi,
                             specialized_sum_check, weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.polyj import PolyJ
-from g2schur.series import TruncSeries3
+from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level
 from g2schur.univariate import RatFun1
 
@@ -92,7 +91,7 @@ def per_polynomial_pole_data(p: PolyJ, sign: str, shifts) -> dict:
 
 
 def random_polyj(rng: random.Random, degree: int) -> PolyJ:
-    exps = _exponents_upto(degree)
+    exps = exponents_upto(degree)
     return PolyJ({rng.choice(exps): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                   for _ in range(rng.randint(1, 5))})
 
@@ -114,7 +113,7 @@ class TestLinearExtraction:
                     assert got == expected[shift], (p, sign, shift)
 
     def test_fitted_families(self, expansions12):
-        for mvec in _exponents_upto(4):
+        for mvec in exponents_upto(4):
             self.assert_routes_agree(expansions12.fit_family(mvec).polynomial)
 
     def test_random_polynomials(self):

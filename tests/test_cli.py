@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 from g2schur import kernels
 from g2schur.cli import main
+from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.table import SchurTable
 
 
 def run(capsys, *argv):
@@ -120,6 +123,23 @@ class TestVerifyCommands:
         _, first = run(capsys, "verify", "pieri", "--max-level", "4")
         _, second = run(capsys, "verify", "pieri", "--max-level", "4")
         assert strip_timing(first) == strip_timing(second)
+
+    def test_series_rejects_entry_off_its_recursion(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        args = ["verify", "series", "--max-level", "8", "--order", "2",
+                "--table", str(path)]
+        assert run(capsys, *args)[0] == 0
+        # value at ones and normalization unchanged, so the file still loads
+        table = SchurTable.load(path)
+        bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
+        table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
+        table.save(path)
+        code, report = run(capsys, *args)
+        assert code == 1
+        (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
+        assert witness["check"] == "falsification"
+        assert "(2, 1, 1)" in witness["witness"]
 
     def test_insufficient_table_is_operational_error(self, tmp_path, capsys):
         path = tmp_path / "t.json"

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.expansion import ExpansionSet, expand_entry, expand_phi
+from g2schur.expansion import ExpansionSet, PhiExpansion, expand_entry
+from g2schur.laurent import LaurentPoly3
 from g2schur.polyj import PolyJ
 from g2schur.series import TruncSeries3
-from g2schur.table import FalsificationError, enumerate_level
+from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
+                           solve_table)
 
 
 def jpoly(groups):
@@ -58,14 +60,11 @@ class TestExpandEntry:
         for triple in table12.triples():
             if sum(triple) > 6:
                 continue
-            exp = expand_phi(table12, triple, 3)
+            exp = PhiExpansion(triple, expand_entry(table12.entries[triple], 3))
             assert exp.series.coefficient((0, 0, 0)) == 1
             assert not exp.series.homogeneous_part(1)
 
     def test_rejects_wrong_constant_term(self):
-        from g2schur.laurent import LaurentPoly3
-        from g2schur.expansion import PhiExpansion
-
         bad = expand_entry(LaurentPoly3.constant(Fraction(2)), 2)
         with pytest.raises(FalsificationError):
             PhiExpansion((0, 0, 0), bad)
@@ -114,11 +113,20 @@ class TestFamilies:
             expansions12.fit_family((5, 0, 0))
 
 
-class TestExpansionCache:
-    def test_disk_roundtrip(self, table8, tmp_path, monkeypatch):
-        monkeypatch.setenv("G2SCHUR_CACHE_DIR", str(tmp_path))
-        first = ExpansionSet(table8, 3)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        second = ExpansionSet(table8, 3)
-        assert first.expansions == second.expansions
+class TestRecursionRoute:
+    """ExpansionSet runs the Pieri recursion; expand_entry is its oracle."""
+
+    @pytest.mark.parametrize("level, order", [(12, 6), (16, 4)])
+    def test_matches_binomial_expansion(self, level, order):
+        table = solve_table(level)
+        es = ExpansionSet(table, order)
+        assert set(es.expansions) == set(table.entries)
+        for t, poly in table.entries.items():
+            assert es.expansions[t] == expand_entry(poly, order), t
+
+    def test_unit_entry_checked(self, table8):
+        # doubling every entry keeps each recursion equation, so only the
+        # unit check can tell this table from the true one
+        entries = {t: p.scale(2) for t, p in table8.entries.items()}
+        with pytest.raises(FalsificationError, match=r"entry \(0, 0, 0\) is not"):
+            ExpansionSet(SchurTable(table8.max_level, entries), 2)
