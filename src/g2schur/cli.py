@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .report import Report, Stopwatch
 from .series import exponents_upto
-from .table import (FalsificationError, SchurTable, TableError, leading_term,
-                    s3_check, solve_table)
+from .table import (FalsificationError, SchurTable, TableError,
+                    enumerate_through, leading_term, s3_check, solve_table,
+                    text_checksum)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -65,12 +66,11 @@ def _emit(report: Report, cfg: RunConfig) -> None:
 def run_table(cfg: RunConfig) -> tuple[int, Report]:
     with Stopwatch() as sw:
         table = solve_table(cfg.max_level)
-        if cfg.out_path:
-            table.save(cfg.out_path)
+        text = table.save(cfg.out_path) if cfg.out_path else table.canonical_json()
     report = Report(
         suite="table",
         config={"max_level": cfg.max_level, "out": cfg.out_path},
-        table_checksum=table.checksum(),
+        table_checksum=text_checksum(text),
         checks=[{"check": "construct", "entries": len(table.entries),
                  "status": "pass"}],
         elapsed_ms=sw.elapsed_ms,
@@ -84,18 +84,20 @@ def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     with open(cfg.table_path, "r", encoding="utf-8") as fh:
         original = fh.read()
     table = SchurTable.load(cfg.table_path)
-    ok = table.canonical_json() == original
+    text = table.canonical_json()
+    ok = text == original
     report = Report(
         suite="roundtrip",
         config={"table": cfg.table_path},
-        table_checksum=table.checksum(),
+        table_checksum=text_checksum(text),
         checks=[{"check": "byte-roundtrip", "status": "pass" if ok else "fail"}],
     )
     return (EXIT_OK if ok else EXIT_ERROR), report
 
 
 def verify_pieri(cfg: RunConfig, table: SchurTable, report: Report) -> None:
-    for triple in table.triples():
+    triples = enumerate_through(table.max_level)
+    for triple in triples:
         if sum(triple) > table.max_level - 2:
             continue
         for eq in (0, 1, 2):
@@ -105,13 +107,13 @@ def verify_pieri(cfg: RunConfig, table: SchurTable, report: Report) -> None:
             if residual:
                 rec["witness"] = repr(residual)
             report.checks.append(rec)
-    for triple in table.triples():
+    for triple in triples:
         value = table.entries[triple].eval_ones()
         report.checks.append({
             "check": "unit-value", "triple": list(triple),
             "status": "pass" if value == 1 else "fail"})
     seen_per_level: dict[int, set] = {}
-    for triple in table.triples():
+    for triple in triples:
         try:
             _, exps = leading_term(table.entries[triple], triple)
             status = "pass"
@@ -147,7 +149,8 @@ def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
 
     order = cfg.order
     es = ExpansionSet(table, max(order, 4))
-    for triple in table.triples():
+    triples = enumerate_through(table.max_level)
+    for triple in triples:
         series = es.expansions[triple]
         ok = series.coefficient((0, 0, 0)) == 1 and not series.homogeneous_part(1)
         report.checks.append({
@@ -166,8 +169,7 @@ def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
             "check": "family-reference", "mvec": list(mvec),
             "status": "pass" if fam.polynomial == poly else "fail"})
     comp_level = min(table.max_level, 6)
-    expansions = {
-        t: es.expansions[t] for t in table.triples() if sum(t) <= comp_level}
+    expansions = {t: es.expansions[t] for t in triples if sum(t) <= comp_level}
     L = min(order, 4) - 2
     if L >= 0:
         report.extend(verify_recursion_by_components(table, L, expansions))
@@ -343,6 +345,7 @@ def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
         checks=[],
         elapsed_ms=sw.elapsed_ms,
         extra={"conjecture": result.serialize()},
+        counts=result.summary(),
     )
     return EXIT_OK, report
 

@@ -11,7 +11,9 @@ spectator:
 
 with (v, w, u) = (x12, x13, x23), (x12, x23, x13), (x13, x23, x12) for
 k = 1, 2, 3.  Eigenvalue checks multiply through by (v - 1/v)(w - 1/w), so
-all arithmetic stays inside Laurent polynomials.
+all arithmetic stays inside Laurent polynomials; ``apply_H_cleared`` maps
+each monomial to six shifted monomials with integer weights and accumulates
+the integer numerators over one common denominator.
 
 After the shift x = 1 + X the operator decomposes into homogeneous graded
 components of degree m >= -2 (a coefficient monomial of degree d with an
@@ -25,44 +27,61 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .laurent import LaurentPoly3, x_plus_inv
+from .laurent import LaurentPoly3
 from .series import TruncSeries3
-from .table import SchurTable, Triple
+from .table import SchurTable, Triple, enumerate_through
 
 # operator index -> (v, w, u) variable positions (0=x12, 1=x13, 2=x23)
 OP_VARS = {1: (0, 1, 2), 2: (0, 2, 1), 3: (1, 2, 0)}
 
 
-def _unit(i: int, e: int) -> LaurentPoly3:
-    exp = [0, 0, 0]
-    exp[i] = e
-    return LaurentPoly3.monomial(tuple(exp))
+def _shift(k: int, dv: int, dw: int, du: int) -> tuple[int, int, int]:
+    """Exponent shift by v^dv w^dw u^du for operator ``k``."""
+    out = [0, 0, 0]
+    for pos, d in zip(OP_VARS[k], (dv, dw, du)):
+        out[pos] = d
+    return tuple(out)
+
+
+#: operator index -> shifts by v w, v/w, w/v, 1/(v w), u, 1/u
+_H_SHIFTS = {k: [_shift(k, *d) for d in ((1, 1, 0), (1, -1, 0), (-1, 1, 0),
+                                          (-1, -1, 0), (0, 0, 1), (0, 0, -1))]
+             for k in OP_VARS}
 
 
 def apply_H_cleared(k: int, p: LaurentPoly3, mu: Fraction) -> LaurentPoly3:
     """(v - 1/v)(w - 1/w) * (H_k p - mu p), exactly.
 
-    Zero iff p is a mu-eigenfunction of H_k.
-    """
-    v, w, u = OP_VARS[k]
-    one = Fraction(1)
-    sv = _unit(v, 1) - _unit(v, -1)           # v - 1/v
-    sw = _unit(w, 1) - _unit(w, -1)
-    d = sv * sw
-    v2 = _unit(v, 2)
-    w2 = _unit(w, 2)
-    cross_num = (
-        (v2 + LaurentPoly3.one()) * (w2 + LaurentPoly3.one())
-    ).scale(2) - (_unit(v, 1) * _unit(w, 1) * x_plus_inv(u)).scale(4)
+    Zero iff p is a mu-eigenfunction of H_k.  The cleared operator maps a
+    monomial v^a w^b u^c to six shifted monomials,
 
-    pv = p.diff(v)
-    pw = p.diff(w)
-    out = d * (v2 * pv.diff(v) + w2 * pw.diff(w))
-    out = out + cross_num * pv.diff(w)
-    out = out + sw * (v2.scale(3) + LaurentPoly3.one()) * pv
-    out = out + sv * (w2.scale(3) + LaurentPoly3.one()) * pw
-    out = out + (d * p).scale(one - mu)
-    return out
+        [A + 2ab + 3a + 3b] v w + [-A + 2ab - 3a + b] v/w
+      + [-A + 2ab + a - 3b] w/v + [A + 2ab - a - b] / (v w) - 4ab (u + 1/u)
+
+    times v^a w^b u^c, with A = a(a-1) + b(b-1) + 1 - mu.  The images are
+    accumulated as integer numerators over den(p) * den(mu).
+    """
+    v, w, _ = OP_VARS[k]
+    shifts = _H_SHIFTS[k]
+    nums, den = p.cleared()
+    mu_num, mu_den = mu.numerator, mu.denominator
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for e, n in nums.items():
+        a, b = e[v], e[w]
+        diag = ((a * (a - 1) + b * (b - 1) + 1) * mu_den - mu_num) * n
+        n *= mu_den
+        ab = 2 * a * b
+        cross = -2 * ab * n
+        weights = (diag + (ab + 3 * a + 3 * b) * n, (ab - 3 * a + b) * n - diag,
+                   (ab + a - 3 * b) * n - diag, diag + (ab - a - b) * n,
+                   cross, cross)
+        e1, e2, e3 = e
+        for (s1, s2, s3), wt in zip(shifts, weights):
+            if wt:
+                key = (e1 + s1, e2 + s2, e3 + s3)
+                acc[key] = get(key, 0) + wt
+    return LaurentPoly3.from_cleared(acc, den * mu_den)
 
 
 def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
@@ -70,7 +89,7 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
     if max_level is None:
         max_level = table.max_level
     checks = []
-    for triple in table.triples():
+    for triple in enumerate_through(table.max_level):
         if sum(triple) > max_level:
             continue
         phi = table.entries[triple]

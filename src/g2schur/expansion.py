@@ -164,7 +164,7 @@ class ExpansionSet:
         tracker = RankTracker(len(monomials))
         chosen: list[Triple] = []
         rows: list[list[Fraction]] = []
-        for t in self.table.triples():
+        for t in enumerate_through(self.table.max_level):
             row = [Fraction(t[0]**a * t[1]**b * t[2]**c) for (a, b, c) in monomials]
             if tracker.try_add(row):
                 chosen.append(t)
@@ -193,7 +193,7 @@ class ExpansionSet:
 
         chosen_set = set(chosen)
         validated = 0
-        for t in self.table.triples():
+        for t in enumerate_through(self.table.max_level):
             if t in chosen_set:
                 continue
             if poly.evaluate(t) != self.coefficient(t, mvec):

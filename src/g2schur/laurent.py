@@ -6,6 +6,12 @@ table machinery; any exact field element supporting ``+ - * ==`` and
 truthiness (e.g. univariate rational functions in kappa) works as well, so
 the same container carries residue-extraction data.
 
+A polynomial with rational coefficients also has an integer form:
+``cleared()`` gives integer numerators over one common denominator and
+``from_cleared`` turns such a pair back into a polynomial.  The exact checks
+on table entries (Pieri and eigenvalue residuals, the unit value) accumulate
+in that form and build ``Fraction`` coefficients only for a nonzero result.
+
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so instances may be shared freely.
 """
@@ -13,6 +19,7 @@ construction, so instances may be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 Exp = tuple[int, int, int]
@@ -48,6 +55,13 @@ class LaurentPoly3:
     @staticmethod
     def monomial(exp: Exp, coeff=Fraction(1)) -> "LaurentPoly3":
         return LaurentPoly3({tuple(exp): coeff})
+
+    @staticmethod
+    def from_cleared(nums: Mapping[Exp, int], den: int) -> "LaurentPoly3":
+        """The polynomial sum nums[e] / den * x^e; zero numerators are dropped."""
+        out = LaurentPoly3.__new__(LaurentPoly3)
+        out.terms = {e: Fraction(n, den) for e, n in nums.items() if n}
+        return out
 
     @staticmethod
     def variable(i: int) -> "LaurentPoly3":
@@ -213,6 +227,22 @@ class LaurentPoly3:
         for c in self.terms.values():
             total = total + c
         return total
+
+    def cleared(self) -> tuple[dict[Exp, int], int]:
+        """Integer numerators over the lcm of the coefficient denominators.
+
+        Returns ``(nums, den)`` with ``self == from_cleared(nums, den)``; the
+        zero polynomial gives ``({}, 1)``.  Only ``Fraction`` and ``int``
+        coefficients have this form: anything else raises ``TypeError``.
+        """
+        terms = self.terms
+        for c in terms.values():
+            if not isinstance(c, (Fraction, int)):
+                raise TypeError(
+                    f"cleared() needs rational coefficients, got {type(c).__name__}")
+        den = lcm(*[c.denominator for c in terms.values()]) if terms else 1
+        return {e: c.numerator * (den // c.denominator)
+                for e, c in terms.items()}, den
 
     # -- structure inspection -------------------------------------------
 

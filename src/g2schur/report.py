@@ -1,8 +1,10 @@
 """Report assembly shared by the verification suites and the CLI.
 
 A report is a deterministic JSON document: suite name, configuration echo,
-table checksum, one record per check, and summary counts.  Timing lives in a
-single top-level field so reports stay byte-comparable after dropping it.
+table checksum, one record per check, and summary counts (of the checks, or
+the evidence table's own counts for a report without checks, such as the
+conjecture comparison).  Timing lives in a single top-level field so reports
+stay byte-comparable after dropping it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ class Report:
     checks: list[dict] = field(default_factory=list)
     elapsed_ms: int | None = None
     extra: dict = field(default_factory=dict)
+    #: summary counts to report instead of counting ``checks``
+    counts: dict | None = None
 
     def extend(self, checks: list[dict]) -> None:
         self.checks.extend(checks)
@@ -29,6 +33,8 @@ class Report:
         return [c for c in self.checks if c.get("status") == "fail"]
 
     def summary(self) -> dict:
+        if self.counts is not None:
+            return self.counts
         return {
             "total": len(self.checks),
             "passed": sum(c.get("status") == "pass" for c in self.checks),

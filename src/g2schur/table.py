@@ -14,6 +14,13 @@ with phi_{0,0,0} = 1 and phi = 0 on non-admissible triples.  Each new entry is
 solved from one predecessor equation and every other applicable predecessor
 equation is then asserted exactly, so an inconsistent system cannot slip
 through construction.
+
+Residuals of the recursions (``SchurTable.pieri_residual``) and the unit-value
+check of a loaded file run on integer numerators over one common denominator
+(``LaurentPoly3.cleared``); a nonzero residual comes back as the exact Laurent
+polynomial.  The table file is the ``json.dumps(..., indent=1)`` layout of the
+entries, written directly by ``canonical_json``; the ``json.dumps`` route is
+the test oracle for it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
 
 from .laurent import Exp, LaurentPoly3, x_plus_inv
 
@@ -107,6 +114,10 @@ def _pieri_terms(eq: int, base: Triple) -> list[tuple[Triple, Fraction]]:
     return out
 
 
+#: exponent shift of the generator x + 1/x of each recursion
+_SHIFT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def predecessor_equations(triple: Triple) -> list[tuple[int, Triple]]:
     """The recursions that reach ``triple`` from the level below, as (eq, base).
 
@@ -151,12 +162,26 @@ def solve_entry(triple: Triple, entries: dict, generators):
     return rest.scale(1 / lead_coeff)
 
 
+# layout of json.dumps(..., indent=1) for one entry and one term
+_TRIPLE = '  {\n   "triple": [\n    %d,\n    %d,\n    %d\n   ],\n   "poly": '
+_ENTRY = _TRIPLE + '[\n%s\n   ]\n  }'
+_EMPTY_ENTRY = _TRIPLE + '[]\n  }'
+_TERM = ('    {\n     "exp": [\n      %d,\n      %d,\n      %d\n     ],\n'
+         '     "coeff": "%s"\n    }')
+
+
+def text_checksum(text: str) -> str:
+    """SHA-256 of a table file text, the ``table_checksum`` of the reports."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class SchurTable:
     """Immutable map from admissible triples to their Laurent polynomials."""
 
     def __init__(self, max_level: int, entries: dict[Triple, LaurentPoly3]):
         self.max_level = max_level
         self.entries = entries
+        self._cleared: dict[Triple, tuple] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SchurTable):
@@ -170,45 +195,80 @@ class SchurTable:
         """Table entry; the zero polynomial for non-admissible or out-of-range triples."""
         return self.entries.get(triple, LaurentPoly3.zero())
 
-    def triples(self) -> Iterable[Triple]:
-        return enumerate_through(self.max_level)
-
     # -- verification helpers -------------------------------------------
 
+    def _cleared_entry(self, triple: Triple) -> tuple[dict[Exp, int], int]:
+        """``entry(triple).cleared()``, computed once per stored entry."""
+        poly = self.entries.get(triple)
+        if poly is None:
+            return {}, 1
+        hit = self._cleared.get(triple)
+        if hit is None or hit[0] is not poly:
+            hit = self._cleared[triple] = (poly, *poly.cleared())
+        return hit[1], hit[2]
+
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
-        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds)."""
-        lhs = x_plus_inv(eq) * self.entry(base)
-        rhs = LaurentPoly3.zero()
+        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds).
+
+        Accumulates integer numerators at the lcm of the entry and ``K``
+        denominators; multiplying by x + 1/x is two exponent shifts.
+        """
+        rhs = []
+        den = 1
         for target, coeff in _pieri_terms(eq, base):
             if coeff and is_admissible(*target):
-                rhs = rhs + self.entry(target).scale(coeff)
-        return lhs - rhs
+                nums, d = self._cleared_entry(target)
+                d *= coeff.denominator
+                rhs.append((nums, coeff.numerator, d))
+                den = lcm(den, d)
+        base_nums, base_den = self._cleared_entry(base)
+        den = lcm(den, base_den)
+        acc: dict[Exp, int] = {}
+        get = acc.get
+        w = den // base_den
+        s1, s2, s3 = _SHIFT[eq]
+        for (e1, e2, e3), n in base_nums.items():
+            n *= w
+            key = (e1 + s1, e2 + s2, e3 + s3)
+            acc[key] = get(key, 0) + n
+            key = (e1 - s1, e2 - s2, e3 - s3)
+            acc[key] = get(key, 0) + n
+        for nums, num, d in rhs:
+            w = num * (den // d)
+            for key, n in nums.items():
+                acc[key] = get(key, 0) - w * n
+        return LaurentPoly3.from_cleared(acc, den)
 
     # -- persistence -----------------------------------------------------
 
     def canonical_json(self) -> str:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "max_level": self.max_level,
-            "entries": [
-                {
-                    "triple": list(t),
-                    "poly": [
-                        {"exp": list(e), "coeff": str(c)}
-                        for e, c in self.entries[t].sorted_terms()
-                    ],
-                }
-                for t in sorted(self.entries)
-            ],
-        }
-        return json.dumps(payload, indent=1) + "\n"
+        """The table file text: ``json.dumps(payload, indent=1)`` plus a newline.
+
+        The payload holds the format version, the level and one record per
+        entry, ``{"triple": [...], "poly": [{"exp": [...], "coeff": "p/q"}]}``,
+        triples and exponents sorted.  The text is written directly in that
+        layout, one template per entry and per term.
+        """
+        records = []
+        for t in sorted(self.entries):
+            terms = ",\n".join([_TERM % (*e, c)
+                                for e, c in self.entries[t].sorted_terms()])
+            records.append(_ENTRY % (*t, terms) if terms else _EMPTY_ENTRY % t)
+        body = ",\n".join(records)
+        entries = f'[\n{body}\n ]' if body else "[]"
+        return (f'{{\n "format_version": {FORMAT_VERSION},\n'
+                f' "max_level": {self.max_level},\n'
+                f' "entries": {entries}\n}}\n')
 
     def checksum(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return text_checksum(self.canonical_json())
 
-    def save(self, path) -> None:
+    def save(self, path) -> str:
+        """Write the table file; returns its text."""
+        text = self.canonical_json()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.canonical_json())
+            fh.write(text)
+        return text
 
     @staticmethod
     def load(path) -> "SchurTable":
@@ -261,10 +321,12 @@ class SchurTable:
         unit = entries[(0, 0, 0)]
         if unit != LaurentPoly3.one():
             raise TableError("entry (0,0,0) is not the constant 1")
-        for t, poly in entries.items():
-            if poly.eval_ones() != 1:
+        table = SchurTable(max_level, entries)
+        for t in entries:
+            nums, den = table._cleared_entry(t)
+            if sum(nums.values()) != den:
                 raise TableError(f"entry {t} does not evaluate to 1 at (1,1,1)")
-        return SchurTable(max_level, entries)
+        return table
 
 
 def solve_table(max_level: int) -> SchurTable:
@@ -329,7 +391,7 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
         i, j = _POS_PAIR[k]
         pos_map.append(_PAIR_POS[frozenset({sigma[i - 1], sigma[j - 1]})])
     pos_map = tuple(pos_map)
-    for triple in table.triples():
+    for triple in enumerate_through(table.max_level):
         permuted_labels = tuple(triple[sigma[i] - 1] for i in range(3))
         candidate = table.entry(permuted_labels).permute(pos_map)
         if candidate != table.entries[triple]:

@@ -23,7 +23,8 @@ from g2schur.kernels import (action_check, common_kernel, kernel_H1,
                              leading_term_check, pair_kernel_vector,
                              triple_kernel)
 from g2schur.series import TruncSeries3
-from g2schur.table import enumerate_level, leading_term, solve_table
+from g2schur.table import (enumerate_level, enumerate_through, leading_term,
+                           solve_table)
 
 from tests.test_expansion import C200, C220, C400
 
@@ -62,7 +63,7 @@ def test_criterion_01_table_and_pieri(timed_table16, tmp_path):
     table.save(path)
     checked = 0
     ok = elapsed < 120.0
-    for triple in table.triples():
+    for triple in enumerate_through(table.max_level):
         if sum(triple) > 14:
             continue
         for eq in (0, 1, 2):

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from g2schur import kernels
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
@@ -15,6 +17,18 @@ def run(capsys, *argv):
 
 def strip_timing(report):
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+
+def bump_saved_entry(path):
+    """Add (x12 + 1/x12 - 2)/5 to entry (2, 1, 1) of a saved table.
+
+    The value at ones and the (0,0,0) entry are unchanged, so the file still
+    loads, but the entry leaves its recursions and its eigenspaces.
+    """
+    table = SchurTable.load(path)
+    bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
+    table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
+    table.save(path)
 
 
 class TestTableCommand:
@@ -130,16 +144,30 @@ class TestVerifyCommands:
         args = ["verify", "series", "--max-level", "8", "--order", "2",
                 "--table", str(path)]
         assert run(capsys, *args)[0] == 0
-        # value at ones and normalization unchanged, so the file still loads
-        table = SchurTable.load(path)
-        bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
-        table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
-        table.save(path)
+        bump_saved_entry(path)
         code, report = run(capsys, *args)
         assert code == 1
         (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
         assert witness["check"] == "falsification"
         assert "(2, 1, 1)" in witness["witness"]
+
+    @pytest.mark.parametrize("suite, check", [("pieri", "pieri"), ("eigen", "eigen")])
+    def test_saved_entry_off_its_recursion_fails(self, tmp_path, capsys, suite, check):
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        args = ["verify", suite, "--max-level", "8", "--table", str(path)]
+        assert run(capsys, *args)[0] == 0
+        bump_saved_entry(path)
+        SchurTable.load(path)
+        code, report = run(capsys, *args)
+        assert code == 1
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        witnesses = [c for c in failed if c["check"] == check]
+        assert witnesses and all(c["witness"] for c in witnesses)
+        if suite == "eigen":
+            assert {tuple(c["triple"]) for c in witnesses} == {(2, 1, 1)}
+        else:
+            assert [2, 1, 1] in [c["triple"] for c in witnesses]
 
     def test_insufficient_table_is_operational_error(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -156,6 +184,15 @@ class TestReportOnlyCommands:
         summary = report["conjecture"]["summary"]
         assert summary["literal"]["mismatches"] > 0  # mismatches do not fail the run
         assert summary["doubled"]["mismatches"] == 0
+
+    def test_conjecture_summary_counts_the_evidence(self, capsys):
+        code, report = run(capsys, "conjecture", "--copies", "1", "--order", "2",
+                           "--max-level", "8")
+        assert code == 0
+        assert report["checks"] == []
+        assert report["summary"] == report["conjecture"]["summary"]
+        assert report["summary"]["literal"]["compared"] > 0
+        assert report["summary"]["doubled"]["compared"] > 0
 
     def test_omega_emission(self, capsys):
         code, report = run(capsys, "omega", "--order", "2")

@@ -3,12 +3,45 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.diffops import (apply_H_cleared, homogeneous_component,
+from g2schur.diffops import (OP_VARS, apply_H_cleared, homogeneous_component,
                              verify_eigen, verify_recursion_by_components)
 from g2schur.expansion import expand_entry
-from g2schur.laurent import LaurentPoly3
+from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.table import enumerate_through
+from tests.test_table import perturbed
 
 mono = LaurentPoly3.monomial
+
+
+def _unit(i, e):
+    exp = [0, 0, 0]
+    exp[i] = e
+    return mono(tuple(exp))
+
+
+def fraction_apply_H_cleared(k, p, mu):
+    """(v - 1/v)(w - 1/w) (H_k p - mu p) by Laurent-polynomial products.
+
+    The former body of ``apply_H_cleared``, term for term from the operator
+    in the ``diffops`` docstring; the small-size oracle for the monomial map.
+    """
+    v, w, u = OP_VARS[k]
+    one = LaurentPoly3.one()
+    sv = _unit(v, 1) - _unit(v, -1)
+    sw = _unit(w, 1) - _unit(w, -1)
+    d = sv * sw
+    v2 = _unit(v, 2)
+    w2 = _unit(w, 2)
+    cross_num = ((v2 + one) * (w2 + one)).scale(2) \
+        - (_unit(v, 1) * _unit(w, 1) * x_plus_inv(u)).scale(4)
+    pv = p.diff(v)
+    pw = p.diff(w)
+    out = d * (v2 * pv.diff(v) + w2 * pw.diff(w))
+    out = out + cross_num * pv.diff(w)
+    out = out + sw * (v2.scale(3) + one) * pv
+    out = out + sv * (w2.scale(3) + one) * pw
+    out = out + (d * p).scale(Fraction(1) - mu)
+    return out
 
 
 class TestEigen:
@@ -28,6 +61,27 @@ class TestEigen:
         assert checks and all(c["status"] == "pass" for c in checks)
         eigenvals = {(tuple(c["triple"]), c["k"]) for c in checks}
         assert ((1, 1, 0), 3) in eigenvals
+
+    def test_matches_fraction_oracle(self, table12):
+        # every entry at its eigenvalue and a wrong one, then perturbed entries
+        broken = perturbed(table12).entries
+        cases = [(table12.entries[t], t, dmu, bool(dmu))
+                 for t in enumerate_through(12) for dmu in (0, Fraction(-1, 3))]
+        cases += [(broken[t], t, 0, None)
+                  for t in broken if broken[t] != table12.entries[t]]
+        perturbed_nonzero = 0
+        for phi, triple, dmu, expect_nonzero in cases:
+            for k in (1, 2, 3):
+                mu = Fraction((triple[k - 1] + 1) ** 2) + dmu
+                got = apply_H_cleared(k, phi, mu)
+                want = fraction_apply_H_cleared(k, phi, mu)
+                assert got == want, (triple, k, mu)
+                assert repr(got) == repr(want)
+                if expect_nonzero is None:
+                    perturbed_nonzero += bool(got)
+                else:
+                    assert bool(got) == expect_nonzero, (triple, k, mu)
+        assert perturbed_nonzero >= 3
 
     def test_scaling_invariance(self, table8):
         # eigen equations are linear: a rescaled entry still passes
@@ -106,7 +160,7 @@ class TestComponentRecursion:
         # component recursion and the direct eigen check agree on the same entries
         expansions = {
             t: expand_entry(table8.entries[t], 4)
-            for t in table8.triples() if sum(t) <= 4}
+            for t in enumerate_through(table8.max_level) if sum(t) <= 4}
         checks = verify_recursion_by_components(table8, 2, expansions)
         assert all(c["status"] == "pass" for c in checks)
         assert all(c["status"] == "pass" for c in verify_eigen(table8, 4))

@@ -7,7 +7,7 @@ from g2schur.laurent import LaurentPoly3
 from g2schur.polyj import PolyJ
 from g2schur.series import TruncSeries3
 from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
-                           solve_table)
+                           enumerate_through, solve_table)
 
 
 def jpoly(groups):
@@ -57,7 +57,7 @@ class TestExpandEntry:
             (3, 0, 0): Fraction(-1, 2)})
 
     def test_normalization_structure(self, table12):
-        for triple in table12.triples():
+        for triple in enumerate_through(table12.max_level):
             if sum(triple) > 6:
                 continue
             exp = PhiExpansion(triple, expand_entry(table12.entries[triple], 3))

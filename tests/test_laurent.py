@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.univariate import RatFun1
 
 
 def mono(e, c=1):
@@ -61,6 +63,37 @@ def test_eval_ones():
     assert x_plus_inv(1).eval_ones() == 2
 
 
+class TestCleared:
+    def test_common_denominator(self):
+        p = mono((1, 0, 0), Fraction(-1, 6)) + mono((0, -2, 1), Fraction(3, 4)) \
+            + mono((0, 0, 0), -5)
+        nums, den = p.cleared()
+        assert den == 12
+        assert nums == {(1, 0, 0): -2, (0, -2, 1): 9, (0, 0, 0): -60}
+        assert all(type(n) is int for n in nums.values())
+        assert LaurentPoly3.from_cleared(nums, den) == p
+
+    def test_zero_polynomial(self):
+        assert LaurentPoly3.zero().cleared() == ({}, 1)
+        assert LaurentPoly3.from_cleared({}, 7) == LaurentPoly3.zero()
+        # zero numerators are dropped, so the result stays canonical
+        assert LaurentPoly3.from_cleared({(1, 0, 0): 0}, 3).terms == {}
+
+    def test_integer_coefficients(self):
+        p = LaurentPoly3({(0, 1, 0): 3, (0, 0, -1): -2})
+        assert p.cleared() == ({(0, 1, 0): 3, (0, 0, -1): -2}, 1)
+
+    def test_from_cleared_reduces(self):
+        q = LaurentPoly3.from_cleared({(2, 0, 0): 4, (0, 0, 0): -6}, 8)
+        assert q.terms == {(2, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(-3, 4)}
+
+    def test_non_rational_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly3({(0, 0, 0): 0.5}).cleared()
+        with pytest.raises(TypeError):
+            LaurentPoly3({(1, 0, 0): RatFun1.from_fraction(Fraction(2))}).cleared()
+
+
 coeffs = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
 exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -83,3 +116,13 @@ def test_involutions(p):
     assert p.flip(0).flip(0) == p
     assert p.permute((1, 0, 2)).permute((1, 0, 2)) == p
     assert -(-p) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(exps, st.fractions(max_denominator=40), max_size=8))
+def test_cleared_round_trip(terms):
+    p = LaurentPoly3(terms)
+    nums, den = p.cleared()
+    assert den >= 1
+    assert all(Fraction(n, den) == p.terms[e] for e, n in nums.items())
+    assert LaurentPoly3.from_cleared(nums, den) == p

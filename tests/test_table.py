@@ -4,9 +4,58 @@ from fractions import Fraction
 import pytest
 
 from g2schur.laurent import LaurentPoly3, x_plus_inv
-from g2schur.table import (FalsificationError, SchurTable, TableError,
-                           enumerate_level, is_admissible, leading_term,
+from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
+                           TableError, _pieri_terms, enumerate_level,
+                           enumerate_through, is_admissible, leading_term,
                            pieri_coeff, s3_check, solve_table)
+
+
+def fraction_pieri_residual(table, eq, base):
+    """LHS minus RHS of one recursion in plain ``Fraction`` arithmetic.
+
+    The former body of ``SchurTable.pieri_residual``; the small-size oracle
+    for its integer accumulation.
+    """
+    lhs = x_plus_inv(eq) * table.entry(base)
+    rhs = LaurentPoly3.zero()
+    for target, coeff in _pieri_terms(eq, base):
+        if coeff and is_admissible(*target):
+            rhs = rhs + table.entry(target).scale(coeff)
+    return lhs - rhs
+
+
+def json_dumps_table(table):
+    """The table file text through ``json.dumps(indent=1)``.
+
+    The former body of ``SchurTable.canonical_json``; the oracle for its
+    direct writer.
+    """
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "max_level": table.max_level,
+        "entries": [
+            {
+                "triple": list(t),
+                "poly": [
+                    {"exp": list(e), "coeff": str(c)}
+                    for e, c in table.entries[t].sorted_terms()
+                ],
+            }
+            for t in sorted(table.entries)
+        ],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def perturbed(table):
+    """A copy of ``table`` with a few entries off their recursions."""
+    entries = dict(table.entries)
+    bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
+    entries[(2, 1, 1)] = entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
+    entries[(1, 2, 3)] = entries[(1, 2, 3)].scale(Fraction(-3, 7))
+    entries[(4, 4, 0)] = entries[(4, 4, 0)] + LaurentPoly3.monomial(
+        (0, 2, -1), Fraction(-7, 3))
+    return SchurTable(table.max_level, entries)
 
 
 class TestAdmissibility:
@@ -78,11 +127,32 @@ class TestSolveTable:
                 assert phi.flip(i) == phi
 
     def test_pieri_residuals(self, table8):
-        for triple in table8.triples():
+        for triple in enumerate_through(table8.max_level):
             if sum(triple) > table8.max_level - 2:
                 continue
             for eq in (0, 1, 2):
                 assert not table8.pieri_residual(eq, triple), (triple, eq)
+
+    def test_matches_fraction_oracle(self, table12):
+        # every base through the top level: the top level's residuals are
+        # nonzero, since their level-14 targets lie outside the table
+        nonzero = 0
+        for table in (table12, perturbed(table12)):
+            for triple in enumerate_through(table.max_level):
+                for eq in (0, 1, 2):
+                    got = table.pieri_residual(eq, triple)
+                    want = fraction_pieri_residual(table, eq, triple)
+                    assert got == want, (triple, eq)
+                    assert repr(got) == repr(want)
+                    nonzero += bool(got)
+        assert nonzero > 100
+
+    def test_replaced_entry_is_recleared(self, table8):
+        table = SchurTable(8, dict(table8.entries))
+        assert not table.pieri_residual(0, (1, 0, 1))
+        table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)].scale(Fraction(2))
+        residual = table.pieri_residual(0, (1, 0, 1))
+        assert residual and residual == fraction_pieri_residual(table, 0, (1, 0, 1))
 
     def test_completeness(self, table8):
         levels = {t: sum(t) for t in table8.entries}
@@ -150,6 +220,26 @@ class TestPersistence:
         # canonical bytes are reproducible
         loaded.save(tmp_path / "t2.json")
         assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
+    def test_canonical_json_matches_json_dumps(self, table4, table12):
+        for table in (solve_table(0), table4, table12, perturbed(table12),
+                      SchurTable(0, {}), SchurTable(2, {(0, 0, 0): LaurentPoly3()})):
+            assert table.canonical_json() == json_dumps_table(table)
+
+    def test_save_returns_file_text(self, table4, tmp_path):
+        path = tmp_path / "t.json"
+        assert table4.save(path) == path.read_text() == table4.canonical_json()
+
+    def test_rejects_entry_not_one_at_ones(self, table4, tmp_path):
+        # every coefficient of (1, 2, 1) doubled: the values at ones sum to 2
+        payload = self._payload(table4)
+        (rec,) = [r for r in payload["entries"] if r["triple"] == [1, 2, 1]]
+        for term in rec["poly"]:
+            term["coeff"] = str(2 * Fraction(term["coeff"]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TableError, match=r"entry \(1, 2, 1\) does not evaluate to 1"):
+            SchurTable.load(path)
 
     def _payload(self, table):
         return json.loads(table.canonical_json())

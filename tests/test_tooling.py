@@ -7,13 +7,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_run_finds_every_target(tmp_path):
-    # traced.py stops when a callable it traces is renamed or deleted
+def traced(tmp_path, *argv):
     trace = tmp_path / "t.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace),
-         "omega", "--order", "1"],
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())["exit_code"] == 0
+    return json.loads(trace.read_text())
+
+
+def test_traced_run_finds_every_target(tmp_path):
+    # traced.py stops when a callable it traces is renamed or deleted
+    assert traced(tmp_path, "omega", "--order", "1")["exit_code"] == 0
+
+
+def test_table_checks_reach_their_traced_layers(tmp_path):
+    # the integer residuals and the direct writer run under the traced names
+    seen = set()
+    for suite in ("pieri", "eigen"):
+        trace = traced(tmp_path, "verify", suite, "--max-level", "4")
+        assert trace["exit_code"] == 0
+        seen |= {span[0] for span in trace["spans"]}
+        seen |= {name for name, agg in trace["kernels"].items() if agg["calls"]}
+    assert {"table.pieri_residual", "diffops.apply_H_cleared",
+            "table.canonical_json"} <= seen
