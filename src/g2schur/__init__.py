@@ -22,7 +22,6 @@ from .kernels import (action_check, common_kernel, kernel_H1,
                       leading_term_check, pair_kernel_vector, pbasis,
                       triple_kernel)
 from .laurent import LaurentPoly3, x_plus_inv
-from .polyj import PolyJ
 from .series import SingularSeriesError, TruncSeries3
 from .table import (FalsificationError, SchurTable, TableError, enumerate_level,
                     is_admissible, leading_term, pieri_coeff, s3_check,

@@ -16,7 +16,9 @@ and the label sum collapses through the closed form
     sum_J p(J) L1^{j1} L2^{j2} L3^{j3}
         = p(theta) [ 1 / ((1-L1L2)(1-L1L3)(1-L2L3)) ],
 
-where theta_i = L_i d/dL_i and the denominators stay factored.  Specializing
+where theta_i = L_i d/dL_i and the denominators stay factored.  The label
+polynomials p and c_m are ``LaurentPoly3`` values in (j1, j2, j3); a
+negative exponent has no theta form and raises ``ValueError``.  Specializing
 L1 = kappa^{+-1}, L2 = L3 = kappa(1-eps) and expanding in eps exposes the
 pole at lambda = kappa: order at most 2 for minus-type coefficients, at most
 3 for plus-type.  Omega_- / Omega_+ collect the coefficients of eps^-2 /
@@ -34,7 +36,6 @@ from .epsilon import EpsLaurent
 from .expansion import ExpansionSet
 from .klocal import KLocal, linear_combination
 from .laurent import Exp, LaurentPoly3
-from .polyj import JExp, PolyJ
 from .series import TruncSeries3, exponents_upto
 from .table import FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
@@ -112,8 +113,10 @@ def _monomial_master(exp: tuple[int, int, int]) -> MasterSum:
     return MasterSum(LaurentPoly3.one(), (1, 1, 1))
 
 
-def master_sum(p: PolyJ) -> MasterSum:
+def master_sum(p: LaurentPoly3) -> MasterSum:
     """Closed form of sum_J p(J) L1^{j1} L2^{j2} L3^{j3} over admissible labels."""
+    if not p.is_polynomial():
+        raise ValueError("label polynomial has a negative exponent")
     total: MasterSum | None = None
     for exp, coeff in sorted(p.terms.items()):
         ms = _monomial_master(exp)
@@ -168,7 +171,7 @@ def specialize_master(ms: MasterSum, s1: int, upto: int = 2) -> EpsLaurent:
     return num * den.inverse(upto)
 
 
-def weighted_sum_eps(p: PolyJ, sign: str, upto: int = 2) -> EpsLaurent:
+def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
     """sum_J p(J) * weight(j1) * lambda^{j2+j3} at lambda = kappa(1-eps).
 
     sign '-' uses weight kappa^{j1+1} - kappa^{-j1-1}; sign '+' uses
@@ -178,7 +181,7 @@ def weighted_sum_eps(p: PolyJ, sign: str, upto: int = 2) -> EpsLaurent:
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
     if sign == "+":
-        p = p * (PolyJ.variable(0) + PolyJ.constant(1))
+        p = p * (LaurentPoly3.variable(0) + LaurentPoly3.constant(1))
     ms = master_sum(p)
     plus_branch = specialize_master(ms, +1, upto).scale(KLocal.kappa_power(1))
     minus_branch = specialize_master(ms, -1, upto).scale(KLocal.kappa_power(-1))
@@ -203,7 +206,8 @@ def _monomial_poles(exp: tuple[int, int, int]) -> dict[int, KLocal]:
     return {d: c for d, c in series.coeffs.items() if d < 0}
 
 
-def leading_pole_coefficient(p: PolyJ, sign: str, shift: int) -> tuple[RatFun1, int]:
+def leading_pole_coefficient(p: LaurentPoly3, sign: str,
+                             shift: int) -> tuple[RatFun1, int]:
     """Pole data of one Xt-monomial coefficient of the weighted sum.
 
     ``shift`` is the total Xt-degree |m|; the coefficient equals
@@ -219,8 +223,10 @@ def leading_pole_coefficient(p: PolyJ, sign: str, shift: int) -> tuple[RatFun1, 
     families (j2 alone has order 3 for '-' and 4 for '+').
     ``weighted_sum_eps`` is the independent per-polynomial route.
     """
+    if not p.is_polynomial():
+        raise ValueError("label polynomial has a negative exponent")
     bound = POLE_BOUND[sign]
-    weights: dict[JExp, Fraction] = {}
+    weights: dict[Exp, Fraction] = {}
     for (a, b, c), coeff in p.terms.items():
         if sign == "-":
             weights[(a, b, c)] = weights.get((a, b, c), 0) - coeff
@@ -350,7 +356,6 @@ class OmegaSeries:
     sign: str
     order: int
     coeffs: dict[Exp, RatFun1]
-    normalization: RatFun1 | None = None
 
     def coefficient(self, e: Exp) -> RatFun1:
         if sum(e) > self.order:
@@ -359,11 +364,6 @@ class OmegaSeries:
 
     def homogeneous_part(self, d: int) -> LaurentPoly3:
         return LaurentPoly3({e: c for e, c in self.coeffs.items() if sum(e) == d})
-
-    def scaled(self, r: RatFun1) -> "OmegaSeries":
-        return OmegaSeries(self.sign, self.order,
-                           {e: r * c for e, c in self.coeffs.items() if r * c},
-                           self.normalization)
 
     def all_even(self) -> bool:
         return all(e1 % 2 == 0 and e2 % 2 == 0 and e3 % 2 == 0
@@ -507,7 +507,7 @@ def omega_plus_from_minus(omega_minus: OmegaSeries) -> OmegaSeries:
         val = c * Fraction(-2 - sum(e))
         if val:
             coeffs[e] = val
-    return OmegaSeries("+", omega_minus.order, coeffs, omega_minus.normalization)
+    return OmegaSeries("+", omega_minus.order, coeffs)
 
 
 def pde_check(omega: OmegaSeries) -> list[dict]:

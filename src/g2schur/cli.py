@@ -145,7 +145,6 @@ def verify_eigen(cfg: RunConfig, table: SchurTable, report: Report) -> None:
 def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
     from .diffops import verify_recursion_by_components
     from .expansion import ExpansionSet
-    from .polyj import PolyJ
 
     order = cfg.order
     es = ExpansionSet(table, max(order, 4))
@@ -177,15 +176,16 @@ def verify_series(cfg: RunConfig, table: SchurTable, report: Report) -> None:
 
 def _reference_families() -> dict:
     """Known closed-form families used as fixed cross-checks."""
-    from .polyj import PolyJ
+    from .laurent import LaurentPoly3
 
     sixth = Fraction(1, 6)
     twelfth = Fraction(1, 12)
-    c200 = PolyJ({
+    c200 = LaurentPoly3({
         (2, 0, 0): twelfth, (0, 2, 0): twelfth, (0, 0, 2): -twelfth,
         (1, 0, 0): sixth, (0, 1, 0): sixth, (0, 0, 1): -sixth,
     })
-    return {(2, 0, 0): c200, (3, 0, 0): c200.scale(-1), (1, 0, 0): PolyJ.zero()}
+    return {(2, 0, 0): c200, (3, 0, 0): c200.scale(-1),
+            (1, 0, 0): LaurentPoly3.zero()}
 
 
 def verify_cauchy(cfg: RunConfig, table: SchurTable, report: Report) -> None:
@@ -197,29 +197,37 @@ def verify_cauchy(cfg: RunConfig, table: SchurTable, report: Report) -> None:
     report.extend(check_H1_relation(table, cfg.lambda_order))
     order = cfg.order
     es = ExpansionSet(table, order)
+    # an over-bound pole fails its own record; later monomials and checks run
     for sign in ("-", "+"):
         for mvec in exponents_upto(order):
             fam = es.fit_family(mvec)
-            # an order above the bound raises FalsificationError, which
-            # surfaces as the suite's "falsification" record
-            _, pole = leading_pole_coefficient(fam.polynomial, sign, sum(mvec))
-            report.checks.append({
-                "check": "pole-order", "sign": sign, "mvec": list(mvec),
-                "order": pole, "bound": POLE_BOUND[sign],
-                "status": "pass" if pole <= POLE_BOUND[sign] else "fail"})
-    om = omega_from_sums(table, "-", order, es)
-    cf = closedform_omega_minus(order)
-    ratio = None
-    base = cf.coefficient((0, 0, 0))
-    if base:
-        ratio = om.coefficient((0, 0, 0)) / base
-    ok = ratio is not None and all(
-        om.coefficient(e) == ratio * cf.coefficient(e)
-        for e in set(om.coeffs) | set(cf.coeffs))
-    report.checks.append({
-        "check": "omega-minus-vs-closedform", "order": order,
-        "normalization": ratio.serialize() if ratio else None,
-        "status": "pass" if ok else "fail"})
+            rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
+            try:
+                _, pole = leading_pole_coefficient(fam.polynomial, sign, sum(mvec))
+                rec.update(order=pole, bound=POLE_BOUND[sign],
+                           status="pass" if pole <= POLE_BOUND[sign] else "fail")
+            except FalsificationError as exc:
+                rec.update(bound=POLE_BOUND[sign], status="fail", witness={
+                    "message": str(exc),
+                    "coefficient": exc.witness.to_ratfun().serialize()})
+            report.checks.append(rec)
+    try:
+        om = omega_from_sums(table, "-", order, es)
+    except FalsificationError as exc:
+        report.checks.append({"check": "falsification",
+                              "stage": "omega-minus-vs-closedform",
+                              "status": "fail", "witness": str(exc)})
+    else:
+        cf = closedform_omega_minus(order)
+        base = cf.coefficient((0, 0, 0))
+        ratio = om.coefficient((0, 0, 0)) / base if base else None
+        ok = ratio is not None and all(
+            om.coefficient(e) == ratio * cf.coefficient(e)
+            for e in set(om.coeffs) | set(cf.coeffs))
+        report.checks.append({
+            "check": "omega-minus-vs-closedform", "order": order,
+            "normalization": ratio.serialize() if ratio else None,
+            "status": "pass" if ok else "fail"})
     pde_order = max(order, 6)
     report.extend(pde_check(closedform_omega_minus(pde_order)))
     report.extend(pde_check(closedform_omega_plus(pde_order)))

@@ -28,8 +28,7 @@ from fractions import Fraction
 
 from .cauchy import leading_pole_coefficient
 from .expansion import ExpansionSet
-from .laurent import Exp
-from .polyj import PolyJ
+from .laurent import Exp, LaurentPoly3
 from .series import exponents_upto
 from .table import SchurTable
 from .univariate import RatFun1
@@ -115,19 +114,20 @@ def conjecture_check(copies: int, order: int, table: SchurTable,
     """Compare extracted leading-pole coefficients against the candidate.
 
     ``order`` bounds the total degree of the compared monomials.  The per-copy
-    coefficient families multiply into one label polynomial per exponent
-    tuple; extraction then follows the single-sum machinery.  Extracted values
-    are normalized by the degree-0 kappa-profile (recorded in the report) and
-    must be kappa-free afterwards to count as comparable.
+    coefficient families (``LaurentPoly3`` values in the labels) multiply into
+    one label polynomial per exponent tuple; extraction then follows the
+    single-sum machinery.  Extracted values are normalized by the degree-0
+    kappa-profile (recorded in the report) and must be kappa-free afterwards
+    to count as comparable.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
     if expansions is None:
         expansions = ExpansionSet(table, order)
 
-    families: dict[Exp, PolyJ] = {}
+    families: dict[Exp, LaurentPoly3] = {}
 
-    def family(mvec: Exp) -> PolyJ:
+    def family(mvec: Exp) -> LaurentPoly3:
         if mvec not in families:
             families[mvec] = expansions.fit_family(mvec).polynomial
         return families[mvec]
@@ -136,7 +136,7 @@ def conjecture_check(copies: int, order: int, table: SchurTable,
 
     def extract(mvecs: tuple[IndexVec, ...]) -> RatFun1:
         if mvecs not in extracted:
-            p = PolyJ.constant(1)
+            p = LaurentPoly3.one()
             for mvec in mvecs:
                 p = p * family(mvec)
             shift = sum(sum(v) for v in mvecs)

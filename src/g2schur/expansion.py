@@ -9,8 +9,9 @@ is kept as the independent cross-check of that route.
 
 For a fixed monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across
 all labels (j1, j2, j3), is a polynomial of total degree at most
-m12 + m13 + m23; this module reconstructs those polynomials by exact
-interpolation over table labels and validates them out of sample.
+m12 + m13 + m23; this module reconstructs those polynomials (as
+``LaurentPoly3`` values in the labels) by exact interpolation over table
+labels and validates them out of sample.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 from .laurent import Exp, LaurentPoly3
 from .linalg import RankTracker, invert_matrix, mat_vec
-from .polyj import PolyJ
 from .series import TruncSeries3, exponents_upto
 from .table import (FalsificationError, SchurTable, Triple, enumerate_through,
                     predecessor_equations, solve_entry)
@@ -101,8 +101,7 @@ class CoeffFamily:
     """Closed-form coefficient of one series monomial as a polynomial in labels."""
 
     mvec: Exp
-    polynomial: PolyJ
-    fit_triples: list[Triple]
+    polynomial: LaurentPoly3
     validated_on: int
     unvalidated: bool = False
 
@@ -189,7 +188,7 @@ class ExpansionSet:
         chosen, inverse = self._fit_basis(degree)
         rhs = [self.coefficient(t, mvec) for t in chosen]
         coeffs = mat_vec(inverse, rhs)
-        poly = PolyJ({m: c for m, c in zip(monomials, coeffs) if c})
+        poly = LaurentPoly3(dict(zip(monomials, coeffs)))
 
         chosen_set = set(chosen)
         validated = 0
@@ -204,7 +203,6 @@ class ExpansionSet:
         family = CoeffFamily(
             mvec=mvec,
             polynomial=poly,
-            fit_triples=chosen,
             validated_on=validated,
             unvalidated=validated < VALIDATION_MARGIN,
         )

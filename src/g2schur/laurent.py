@@ -6,6 +6,11 @@ table machinery; any exact field element supporting ``+ - * ==`` and
 truthiness (e.g. univariate rational functions in kappa) works as well, so
 the same container carries residue-extraction data.
 
+The same class carries polynomials in the integer labels (j1, j2, j3): the
+coefficient families of the series expansions and the label weights of the
+generating sums.  These have non-negative exponents, and ``evaluate`` gives
+their exact value at a label.
+
 A polynomial with rational coefficients also has an integer form:
 ``cleared()`` gives integer numerators over one common denominator and
 ``from_cleared`` turns such a pair back into a polynomial.  The exact checks
@@ -78,10 +83,6 @@ class LaurentPoly3:
         if not isinstance(other, LaurentPoly3):
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -226,6 +227,20 @@ class LaurentPoly3:
         total = Fraction(0)
         for c in self.terms.values():
             total = total + c
+        return total
+
+    def evaluate(self, point: Exp) -> Fraction:
+        """Exact value at the integer label ``point``; polynomials only.
+
+        A negative exponent raises ``ValueError``: it would give a float, or
+        divide by zero at a label with a zero entry.
+        """
+        j1, j2, j3 = point
+        total = Fraction(0)
+        for (a, b, c), coeff in self.terms.items():
+            if a < 0 or b < 0 or c < 0:
+                raise ValueError(f"negative exponent {(a, b, c)} has no label value")
+            total += coeff * (j1**a * j2**b * j3**c)
         return total
 
     def cleared(self) -> tuple[dict[Exp, int], int]:

@@ -173,13 +173,6 @@ class TruncSeries3:
     def homogeneous_part(self, d: int) -> LaurentPoly3:
         return LaurentPoly3({e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def truncate(self, order: int) -> "TruncSeries3":
-        if order >= self.order:
-            if order == self.order:
-                return self
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries3(order, self.terms)
-
     def set_var_zero(self, i: int) -> "TruncSeries3":
         out = TruncSeries3(self.order)
         out.terms = {e: c for e, c in self.terms.items() if e[i] == 0}

@@ -11,13 +11,12 @@ from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
                             pde_check, specialization_phi,
                             specialized_sum_check, weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
-from g2schur.polyj import PolyJ
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level
 from g2schur.univariate import RatFun1
 
 
-def brute_sum(p: PolyJ, order: int) -> TruncSeries3:
+def brute_sum(p: LaurentPoly3, order: int) -> TruncSeries3:
     """Brute-force label sum as a power series in (L1, L2, L3)."""
     acc = TruncSeries3(order)
     for level in range(0, 2 * order + 1, 2):
@@ -30,34 +29,34 @@ def brute_sum(p: PolyJ, order: int) -> TruncSeries3:
 
 class TestMasterSum:
     def test_constant_weight_closed_form(self):
-        ms = master_sum(PolyJ.constant(1))
+        ms = master_sum(LaurentPoly3.constant(1))
         assert ms.powers == (1, 1, 1)
         assert ms.numer == LaurentPoly3.one()
 
     @pytest.mark.parametrize("p,order", [
-        (PolyJ.constant(1), 5),
-        (PolyJ.variable(0), 4),
-        (PolyJ.variable(1) * PolyJ.variable(2), 6),
-        (PolyJ({(1, 1, 1): Fraction(1), (0, 0, 1): Fraction(-2)}), 5),
+        (LaurentPoly3.constant(1), 5),
+        (LaurentPoly3.variable(0), 4),
+        (LaurentPoly3.variable(1) * LaurentPoly3.variable(2), 6),
+        (LaurentPoly3({(1, 1, 1): Fraction(1), (0, 0, 1): Fraction(-2)}), 5),
     ])
     def test_against_brute_force(self, p, order):
         assert master_sum(p).taylor(order) == brute_sum(p, order)
 
     def test_power_bounds(self):
         # denominator powers stay within 1 + operator order
-        p = PolyJ({(2, 1, 1): Fraction(1)})
+        p = LaurentPoly3({(2, 1, 1): Fraction(1)})
         ms = master_sum(p)
         assert all(pw <= 1 + 4 for pw in ms.powers)
 
 
 class TestPoleData:
     def test_degree_zero_minus(self):
-        value, order = leading_pole_coefficient(PolyJ.constant(1), "-", 0)
+        value, order = leading_pole_coefficient(LaurentPoly3.constant(1), "-", 0)
         assert value == KAPPA_PREFACTOR
         assert order == 2
 
     def test_degree_zero_plus(self):
-        value, order = leading_pole_coefficient(PolyJ.constant(1), "+", 0)
+        value, order = leading_pole_coefficient(LaurentPoly3.constant(1), "+", 0)
         assert value == KAPPA_PREFACTOR * Fraction(-2)
         assert order == 3
 
@@ -69,7 +68,7 @@ class TestPoleData:
                 assert order <= bound
 
 
-def per_polynomial_pole_data(p: PolyJ, sign: str, shifts) -> dict:
+def per_polynomial_pole_data(p: LaurentPoly3, sign: str, shifts) -> dict:
     """Pole data by the independent per-polynomial route (weighted_sum_eps).
 
     Maps each shift to (value, order), or to None when the pole order
@@ -90,17 +89,18 @@ def per_polynomial_pole_data(p: PolyJ, sign: str, shifts) -> dict:
     return out
 
 
-def random_polyj(rng: random.Random, degree: int) -> PolyJ:
+def random_label_poly(rng: random.Random, degree: int) -> LaurentPoly3:
     exps = exponents_upto(degree)
-    return PolyJ({rng.choice(exps): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                  for _ in range(rng.randint(1, 5))})
+    return LaurentPoly3({
+        rng.choice(exps): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 5))})
 
 
 class TestLinearExtraction:
     """leading_pole_coefficient against the per-polynomial route."""
 
     @staticmethod
-    def assert_routes_agree(p: PolyJ):
+    def assert_routes_agree(p: LaurentPoly3):
         shifts = range(5)
         for sign in "-+":
             expected = per_polynomial_pole_data(p, sign, shifts)
@@ -119,19 +119,33 @@ class TestLinearExtraction:
     def test_random_polynomials(self):
         rng = random.Random(20250617)
         for _ in range(12):
-            self.assert_routes_agree(random_polyj(rng, 4))
+            self.assert_routes_agree(random_label_poly(rng, 4))
 
     def test_zero_polynomial(self):
-        self.assert_routes_agree(PolyJ.zero())
+        self.assert_routes_agree(LaurentPoly3.zero())
 
     def test_single_monomial_pole_too_high(self):
         # j2 alone has a pole of order 3 ('-') or 4 ('+'); fitted families
         # cancel it, a lone monomial must be rejected on both routes
-        p = PolyJ.variable(1)
+        p = LaurentPoly3.variable(1)
         for sign in "-+":
             assert per_polynomial_pole_data(p, sign, [0])[0] is None
             with pytest.raises(FalsificationError):
                 leading_pole_coefficient(p, sign, 0)
+
+
+@pytest.mark.parametrize("extract", [
+    master_sum,
+    lambda p: leading_pole_coefficient(p, "-", 0),
+    lambda p: leading_pole_coefficient(p, "+", 2),
+    lambda p: weighted_sum_eps(p, "-"),
+    lambda p: weighted_sum_eps(p, "+"),
+])
+def test_negative_label_exponent_rejected(extract):
+    # the theta recursion of a negative exponent would never terminate
+    p = LaurentPoly3({(0, -1, 0): Fraction(1)}) + LaurentPoly3.one()
+    with pytest.raises(ValueError, match="negative exponent"):
+        extract(p)
 
 
 class TestCauchyTruncation:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur import kernels
+from g2schur import cauchy, kernels
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.series import exponents_upto
 from g2schur.table import SchurTable
 
 
@@ -128,6 +129,28 @@ class TestVerifyCommands:
         assert [(c["check"], c["degree"]) for c in failed] == [("falsification", 4)]
         assert any(c["check"] == "kernel-H1" and c["degree"] == 12
                    for c in report["checks"])
+
+    def test_cauchy_pole_falsification_keeps_later_checks(self, capsys, monkeypatch):
+        # a minus-type bound of 1 is below the true order 2 of the sums
+        monkeypatch.setattr(cauchy, "POLE_BOUND", {"-": 1, "+": 3})
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2", "--lambda-order", "2")
+        assert code == 1
+        checks = report["checks"]
+        poles = [c for c in checks if c["check"] == "pole-order"]
+        assert len(poles) == 2 * len(exponents_upto(2))
+        failed = [c for c in poles if c["status"] == "fail"]
+        assert failed and {c["sign"] for c in failed} == {"-"}
+        for rec in failed:
+            assert "exceeds bound 1" in rec["witness"]["message"]
+            assert rec["witness"]["coefficient"]["num"]
+        assert all(c["status"] == "pass" for c in poles if c["sign"] == "+")
+        assert [c["stage"] for c in checks if c["check"] == "falsification"] == [
+            "omega-minus-vs-closedform"]
+        assert {c["check"] for c in checks} >= {
+            "pde-omega-", "pde-omega+", "omega-plus-euler-relation"}
+        assert {c["sign"] for c in checks if c["check"] == "initial-condition"} == {
+            "-", "+"}
 
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")

@@ -94,10 +94,57 @@ class TestCleared:
             LaurentPoly3({(1, 0, 0): RatFun1.from_fraction(Fraction(2))}).cleared()
 
 
+class TestEvaluate:
+    """Label polynomials in (j1, j2, j3) and their exact values."""
+
+    def test_eval_example_family(self):
+        # (j1^2 + j2^2 - j3^2)/12 + (j1 + j2 - j3)/6 at (1,1,0)
+        p = LaurentPoly3({
+            (2, 0, 0): Fraction(1, 12), (0, 2, 0): Fraction(1, 12),
+            (0, 0, 2): Fraction(-1, 12), (1, 0, 0): Fraction(1, 6),
+            (0, 1, 0): Fraction(1, 6), (0, 0, 1): Fraction(-1, 6),
+        })
+        assert p.evaluate((1, 1, 0)) == Fraction(1, 2)
+        assert p.evaluate((0, 0, 0)) == 0
+
+    def test_eval_trivial(self):
+        assert LaurentPoly3.zero().evaluate((7, 8, 9)) == 0
+        assert LaurentPoly3.constant(1).evaluate((5, 3, 2)) == 1
+
+    def test_ring_ops_and_degree(self):
+        j1 = LaurentPoly3.variable(0)
+        j2 = LaurentPoly3.variable(1)
+        p = (j1 + j2) * (j1 - j2)
+        assert p == LaurentPoly3({(2, 0, 0): 1, (0, 2, 0): -1})
+        assert p.total_degree() == 2
+        with pytest.raises(ValueError):
+            LaurentPoly3.zero().total_degree()
+        assert (p - p) == LaurentPoly3.zero()
+        assert p.scale(Fraction(1, 2)).evaluate((3, 1, 0)) == 4
+
+    def test_value_is_a_fraction(self):
+        # integer coefficients and the empty sum still give an exact Fraction
+        for p in (LaurentPoly3({(1, 2, 0): 3, (0, 0, 0): -1}), LaurentPoly3.zero(),
+                  mono((0, 0, 3), Fraction(1, 7))):
+            for point in ((0, 0, 0), (2, 1, 1), (5, 3, 4)):
+                assert type(p.evaluate(point)) is Fraction
+
+    def test_negative_exponent_rejected(self):
+        # 2**-1 would be a float and 0**-1 would divide by zero
+        p = mono((1, 0, 0)) + mono((0, -1, 0))
+        for point in ((1, 2, 1), (1, 0, 1)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                p.evaluate(point)
+
+
 coeffs = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
 exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 polys = st.dictionaries(exps, coeffs, max_size=5).map(LaurentPoly3)
+label_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    coeffs, max_size=5).map(LaurentPoly3)
+labels = st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,3 +173,10 @@ def test_cleared_round_trip(terms):
     assert den >= 1
     assert all(Fraction(n, den) == p.terms[e] for e, n in nums.items())
     assert LaurentPoly3.from_cleared(nums, den) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(label_polys, label_polys, labels)
+def test_evaluate_is_a_ring_map(p, q, t):
+    assert (p * q).evaluate(t) == p.evaluate(t) * q.evaluate(t)
+    assert (p + q).evaluate(t) == p.evaluate(t) + q.evaluate(t)

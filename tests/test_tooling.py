@@ -32,3 +32,14 @@ def test_table_checks_reach_their_traced_layers(tmp_path):
         seen |= {name for name, agg in trace["kernels"].items() if agg["calls"]}
     assert {"table.pieri_residual", "diffops.apply_H_cleared",
             "table.canonical_json"} <= seen
+
+
+def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
+    # the conjecture stages run under their traced names; the products of
+    # the per-copy families are LaurentPoly3 products, counted in laurent.mul
+    trace = traced(tmp_path, "conjecture", "--copies", "2", "--order", "2",
+                   "--max-level", "8")
+    assert trace["exit_code"] == 0
+    assert {"cauchy.leading_pole_coefficient", "expansion.fit_family",
+            "conjecture.conjecture_check"} <= {span[0] for span in trace["spans"]}
+    assert trace["kernels"]["laurent.mul"]["calls"] > 0
