@@ -19,13 +19,15 @@ After the shift x = 1 + X the operator decomposes into homogeneous graded
 components of degree m >= -2 (a coefficient monomial of degree d with an
 order-r derivative has degree d - r).  Components are assembled once per
 (k, m) by expanding each rational coefficient as a Laurent series in X and
-are then reusable sparse linear maps.
+are then reusable sparse linear maps, held as integer numerators over one
+denominator (see ``HomogeneousOp``).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from .laurent import LaurentPoly3
 from .series import TruncSeries3
@@ -115,29 +117,66 @@ class HomogeneousOp:
     multi-index (n12, n13, n23)); every coefficient monomial has total degree
     ``degree + n12 + n13 + n23``.  Mixed partials are canonicalized with the
     x12-derivative order first.
+
+    ``apply`` is one ring-generic accumulation over integer operator
+    numerators.  At construction every coefficient is cleared to integers over
+    one common operator denominator, and the operator monomials num x^f paired
+    with a derivative n are grouped by their exponent shift f - n.  A term
+    c x^e of the argument then contributes, for each shift s, c times the
+    integer sum of weight * num over the group at x^(e + s), where weight is
+    the falling factorial e(e-1)...(e-n+1) in each variable; the sums are
+    divided by the denominator once.  Only the operator is cleared, so the
+    argument may carry any exact coefficients (``RatFun1`` ones in
+    ``cauchy.pde_check``).
     """
 
-    __slots__ = ("k", "degree", "terms")
+    __slots__ = ("k", "degree", "terms", "_shifts", "_order", "_inv_den")
 
     def __init__(self, k: int, degree: int,
                  terms: list[tuple[LaurentPoly3, tuple[int, int, int]]]):
         self.k = k
         self.degree = degree
         self.terms = terms
+        cleared = [(coeff.cleared(), deriv) for coeff, deriv in terms]
+        den = lcm(*[d for (_, d), _ in cleared])
+        shifts: dict[tuple[int, int, int], list] = {}
+        for (nums, d), deriv in cleared:
+            for f, num in nums.items():
+                shift = (f[0] - deriv[0], f[1] - deriv[1], f[2] - deriv[2])
+                shifts.setdefault(shift, []).append((deriv, num * (den // d)))
+        self._shifts = list(shifts.items())
+        self._order = max((max(deriv) for _, deriv in terms), default=0)
+        self._inv_den = Fraction(1, den)
 
     def apply(self, p: LaurentPoly3) -> LaurentPoly3:
-        out = LaurentPoly3.zero()
-        for coeff, (n1, n2, n3) in self.terms:
-            q = p
-            for _ in range(n1):
-                q = q.diff(0)
-            for _ in range(n2):
-                q = q.diff(1)
-            for _ in range(n3):
-                q = q.diff(2)
-            if q:
-                out = out + coeff * q
+        acc: dict[tuple[int, int, int], object] = {}
+        get = acc.get
+        order = self._order
+        for (e1, e2, e3), c in p.terms.items():
+            w1 = _falling_factorials(e1, order)
+            w2 = _falling_factorials(e2, order)
+            w3 = _falling_factorials(e3, order)
+            for (s1, s2, s3), group in self._shifts:
+                total = 0
+                for (n1, n2, n3), num in group:
+                    total += w1[n1] * w2[n2] * w3[n3] * num
+                if total:
+                    key = (e1 + s1, e2 + s2, e3 + s3)
+                    v = c * total
+                    s = get(key)
+                    acc[key] = v if s is None else s + v
+        inv_den = self._inv_den
+        out = LaurentPoly3.__new__(LaurentPoly3)
+        out.terms = {e: v * inv_den for e, v in acc.items() if v}
         return out
+
+
+def _falling_factorials(e: int, order: int) -> list[int]:
+    """[1, e, e(e-1), ...]: d^n/dx^n x^e = out[n] x^(e-n) for n <= order."""
+    out = [1]
+    for i in range(order):
+        out.append(out[-1] * (e - i))
+    return out
 
 
 def _poly1(var: int, coeffs: list[int]) -> LaurentPoly3:

@@ -18,10 +18,18 @@ triviality of the triple kernel in every positive degree.  Nullspaces are
 computed by exact sparse Gauss-Jordan elimination (``linalg.rref``) on the
 integer operator matrices in the monomial basis, which are only a few percent
 nonzero; the product basis route serves as the independent cross-check.
+
+Both routes are built once and shared by every check.  Each basis element is
+summed in integers from binomial-pair coefficients over one common
+denominator and cached per (m, k, l).  Each operator's image block on the
+degree-m monomials is cached per operator and degree, so the four stacked
+operator sets of a degree share three blocks; ``_operator_rows`` hands out
+copies of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -31,31 +39,45 @@ from .linalg import nullspace, rref
 from .table import FalsificationError
 from .univariate import legendre
 
-
-def _binomial_pm(k: int, sign: int) -> LaurentPoly3:
-    """(X12 + sign*X13)^k as a trivariate polynomial."""
-    out = {}
-    for i in range(k + 1):
-        out[(k - i, i, 0)] = Fraction(math.comb(k, i) * (sign ** i))
-    return LaurentPoly3(out)
+_ZERO = Fraction(0)
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """(X12 - X13)^i (X12 + X13)^j as integer terms (a, b, coeff) of X12^a X13^b."""
+    acc: dict[int, int] = {}
+    for s in range(i + 1):
+        left = math.comb(i, s) * (-1) ** s
+        for t in range(j + 1):
+            acc[s + t] = acc.get(s + t, 0) + left * math.comb(j, t)
+    return tuple((i + j - b, b, c) for b, c in sorted(acc.items()) if c)
+
+
+@functools.lru_cache(maxsize=None)
 def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
-    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general."""
-    pk = legendre(k)
-    pl = legendre(l)
-    acc = LaurentPoly3.zero()
-    for i, ci in enumerate(pk.coeffs):
+    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general.
+
+    Summed in integers: the Legendre coefficients are cleared over the lcm
+    of their denominators, so the sum sits over that lcm squared.
+    """
+    pk = legendre(k).coeffs
+    pl = legendre(l).coeffs
+    den = math.lcm(*[c.denominator for c in pk + pl])
+    ck = [c.numerator * (den // c.denominator) for c in pk]
+    cl = [c.numerator * (den // c.denominator) for c in pl]
+    acc: dict[Exp, int] = {}
+    for i, ci in enumerate(ck):
         if not ci:
             continue
-        left = _binomial_pm(i, -1)
-        for j, cj in enumerate(pl.coeffs):
+        for j, cj in enumerate(cl):
             if not cj:
                 continue
-            term = (left * _binomial_pm(j, +1)).mul_monomial(
-                (0, 0, m - i - j), ci * cj)
-            acc = acc + term
-    return acc
+            w = ci * cj
+            z = m - i - j
+            for a, b, c in _binomial_pair(i, j):
+                key = (a, b, z)
+                acc[key] = acc.get(key, 0) + w * c
+    return LaurentPoly3.from_cleared(acc, den * den)
 
 
 def pbasis(m: int, k: int, l: int) -> LaurentPoly3:
@@ -75,20 +97,29 @@ def _monomials(m: int) -> list[Exp]:
         (a, b, m - a - b) for a in range(m + 1) for b in range(m - a + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _image_block(op: HomogeneousOp,
+                 columns: tuple[Exp, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of one operator on the monomial ``columns``, cached.
+
+    One row per image monomial, in sorted order.  The cache builds each block
+    once per operator and degree; ``_operator_rows`` hands out copies.
+    """
+    images = [op.apply(LaurentPoly3.monomial(e)).terms for e in columns]
+    targets = sorted({e for img in images for e in img})
+    return tuple(tuple(img.get(t, _ZERO) for img in images) for t in targets)
+
+
 def _operator_rows(ops: list[HomogeneousOp], m: int,
                    monomials: list[Exp]) -> list[list[Fraction]]:
     """Stacked matrix rows of the operators on degree-m monomials.
 
     Columns follow ``monomials``; rows are indexed by the Laurent monomials
-    appearing in any image, one block per operator.
+    appearing in any image, one block per operator.  The rows are fresh
+    lists, so a caller may change them without touching the cached blocks.
     """
-    images = [[op.apply(LaurentPoly3.monomial(e)) for e in monomials] for op in ops]
-    rows: list[list[Fraction]] = []
-    for block in images:
-        targets = sorted({e for img in block for e in img.terms})
-        for tgt in targets:
-            rows.append([img.terms.get(tgt, Fraction(0)) for img in block])
-    return rows
+    columns = tuple(monomials)
+    return [list(row) for op in ops for row in _image_block(op, columns)]
 
 
 def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
@@ -99,14 +130,20 @@ def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
     return vec
 
 
-def _span_contains(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    """Whether vec lies in the row span of basis: reduce it against the RREF."""
+def _span_contains(basis: list[list[Fraction]], *vecs: list[Fraction]) -> bool:
+    """Whether every vec lies in the row span of basis.
+
+    The basis is reduced once; each vec is then reduced against the RREF.
+    """
     reduced, pivots = rref(basis)
-    for prow, pcol in zip(reduced, pivots):
-        f = vec[pcol]
-        if f:
-            vec = [a - f * b for a, b in zip(vec, prow)]
-    return not any(vec)
+    for vec in vecs:
+        for prow, pcol in zip(reduced, pivots):
+            f = vec[pcol]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, prow)]
+        if any(vec):
+            return False
+    return True
 
 
 def kernel_H1(m: int) -> dict:
@@ -130,10 +167,9 @@ def kernel_H1(m: int) -> dict:
             raise FalsificationError(
                 f"claimed kernel element P_({m},l,l) not annihilated", witness=vec)
     claimed_rows = [_vector_of(v, monomials) for v in claimed]
-    for vec in null:
-        if not _span_contains(claimed_rows, vec):
-            raise FalsificationError(
-                f"computed kernel vector outside the claimed span at degree {m}")
+    if not _span_contains(claimed_rows, *null):
+        raise FalsificationError(
+            f"computed kernel vector outside the claimed span at degree {m}")
     x12x13 = LaurentPoly3.monomial((1, 1, 0))
     for k in range(m + 1):
         for l in range(m - k + 1):

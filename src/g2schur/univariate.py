@@ -12,6 +12,7 @@ P_k(1) = 1 via the three-term recurrence
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -319,8 +320,12 @@ class RatFun1:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def legendre(k: int) -> DensePoly1:
-    """Legendre polynomial P_k with P_k(1) = 1, by the three-term recurrence."""
+    """Legendre polynomial P_k with P_k(1) = 1, by the three-term recurrence.
+
+    Cached per k; values are immutable.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     p_prev = DensePoly1.constant(1)

@@ -8,6 +8,7 @@ from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import exponents_upto
 from g2schur.table import SchurTable
+from g2schur.univariate import DensePoly1
 
 
 def run(capsys, *argv):
@@ -129,6 +130,33 @@ class TestVerifyCommands:
         assert [(c["check"], c["degree"]) for c in failed] == [("falsification", 4)]
         assert any(c["check"] == "kernel-H1" and c["degree"] == 12
                    for c in report["checks"])
+
+    def test_kernel_wrong_legendre_coefficient_fails(self, capsys, monkeypatch):
+        # P_2 = (3x^2 - 1)/2 with the x^2 coefficient bumped to 5/2; the
+        # cached product basis and operator blocks are dropped on both sides
+        # so no earlier value can mask the defect and none can leak from it
+        real = kernels.legendre
+
+        def seeded(k):
+            p = real(k)
+            return DensePoly1((p.coeffs[0], 0, Fraction(5, 2))) if k == 2 else p
+
+        def clear_caches():
+            kernels.pbasis_laurent.cache_clear()
+            kernels._image_block.cache_clear()
+
+        clear_caches()
+        monkeypatch.setattr(kernels, "legendre", seeded)
+        try:
+            code, report = run(capsys, "verify", "kernel", "--order", "6")
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert code == 1
+        witnesses = [c for c in report["checks"] if c["check"] == "falsification"]
+        assert witnesses and all(c["status"] == "fail" for c in witnesses)
+        assert witnesses[0]["degree"] == 2
+        assert "P_(2," in witnesses[0]["witness"]
 
     def test_cauchy_pole_falsification_keeps_later_checks(self, capsys, monkeypatch):
         # a minus-type bound of 1 is below the true order 2 of the sums

@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2schur.diffops import (OP_VARS, apply_H_cleared, homogeneous_component,
                              verify_eigen, verify_recursion_by_components)
 from g2schur.expansion import expand_entry
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import enumerate_through
+from g2schur.univariate import DensePoly1, RatFun1
 from tests.test_table import perturbed
 
 mono = LaurentPoly3.monomial
@@ -42,6 +45,40 @@ def fraction_apply_H_cleared(k, p, mu):
     out = out + sv * (w2.scale(3) + one) * pw
     out = out + (d * p).scale(Fraction(1) - mu)
     return out
+
+
+def derivative_apply(op, p):
+    """Sum of coeff * d^n p over the operator terms, by repeated ``diff``.
+
+    The former body of ``HomogeneousOp.apply``, one intermediate polynomial
+    per derivative, product and sum; the small-size oracle for the integer
+    accumulation.
+    """
+    out = LaurentPoly3.zero()
+    for coeff, (n1, n2, n3) in op.terms:
+        q = p
+        for _ in range(n1):
+            q = q.diff(0)
+        for _ in range(n2):
+            q = q.diff(1)
+        for _ in range(n3):
+            q = q.diff(2)
+        if q:
+            out = out + coeff * q
+    return out
+
+
+exps = st.tuples(st.integers(-3, 4), st.integers(-3, 4), st.integers(-3, 4))
+fraction_polys = st.dictionaries(
+    exps, st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    max_size=6).map(LaurentPoly3)
+ratfuns = st.builds(
+    RatFun1,
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(DensePoly1),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(DensePoly1)
+    .filter(bool))
+ratfun_polys = st.dictionaries(exps, ratfuns, max_size=4).map(LaurentPoly3)
+operators = st.tuples(st.integers(1, 3), st.integers(-2, 4))
 
 
 class TestEigen:
@@ -136,6 +173,21 @@ class TestHomogeneousComponents:
                 continue
             p = mono(e)
             assert op2.apply(p.permute((1, 0, 2))).permute((1, 0, 2)) == op3.apply(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(operators, fraction_polys)
+    def test_apply_matches_derivative_oracle(self, km, p):
+        op = homogeneous_component(*km)
+        got = op.apply(p)
+        assert got == derivative_apply(op, p)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(operators, ratfun_polys)
+    def test_apply_matches_oracle_on_ratfun_coefficients(self, km, p):
+        # the coefficient ring of cauchy.pde_check
+        op = homogeneous_component(*km)
+        assert op.apply(p) == derivative_apply(op, p)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,44 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from g2schur.diffops import homogeneous_component
-from g2schur.kernels import (action_check, common_kernel, kernel_H1,
-                             leading_term_check, pair_kernel_vector, pbasis,
-                             pbasis_laurent, triple_kernel)
+from g2schur.kernels import (_monomials, _operator_rows, action_check,
+                             common_kernel, kernel_H1, leading_term_check,
+                             pair_kernel_vector, pbasis, pbasis_laurent,
+                             triple_kernel)
 from g2schur.laurent import LaurentPoly3
+from g2schur.univariate import legendre
 
 mono = LaurentPoly3.monomial
+
+
+def _binomial_pm(k, sign):
+    """(X12 + sign*X13)^k as a trivariate polynomial."""
+    return LaurentPoly3({(k - i, i, 0): Fraction(math.comb(k, i) * sign ** i)
+                         for i in range(k + 1)})
+
+
+def binomial_pbasis_laurent(m, k, l):
+    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23) by polynomial products.
+
+    The former body of ``pbasis_laurent``, one ``Fraction`` product of the
+    two binomial powers per pair of Legendre terms; the small-size oracle for
+    the integer sum.
+    """
+    acc = LaurentPoly3.zero()
+    for i, ci in enumerate(legendre(k).coeffs):
+        if not ci:
+            continue
+        left = _binomial_pm(i, -1)
+        for j, cj in enumerate(legendre(l).coeffs):
+            if not cj:
+                continue
+            term = (left * _binomial_pm(j, +1)).mul_monomial(
+                (0, 0, m - i - j), ci * cj)
+            acc = acc + term
+    return acc
 
 
 class TestProductBasis:
@@ -26,6 +56,14 @@ class TestProductBasis:
                     assert p.is_polynomial()
                     assert all(sum(e) == m for e in p.terms)
 
+    def test_matches_binomial_oracle(self):
+        # every element and every raised (Laurent) index action_check uses
+        for m in range(11):
+            for k in range(m + 2):
+                for l in range(m + 2 - k):
+                    assert pbasis_laurent(m, k, l) == \
+                        binomial_pbasis_laurent(m, k, l), (m, k, l)
+
     def test_raised_indices_are_laurent(self):
         p = pbasis_laurent(2, 2, 1)  # k + l > m
         assert not p.is_polynomial()
@@ -38,6 +76,18 @@ class TestProductBasis:
         for m in range(7):
             count = sum(1 for k in range(m + 1) for l in range(m - k + 1))
             assert count == (m + 1) * (m + 2) // 2
+
+
+class TestOperatorRows:
+    def test_returned_rows_do_not_alias_the_cache(self):
+        ops = [homogeneous_component(k, -2) for k in (1, 2)]
+        monomials = _monomials(4)
+        first = _operator_rows(ops, 4, monomials)
+        expected = [list(row) for row in first]
+        first[0][0] += 1
+        first[-1].append(Fraction(7))
+        del first[1]
+        assert _operator_rows(ops, 4, monomials) == expected
 
 
 class TestKernelH1:
