@@ -23,6 +23,14 @@ L1 = kappa^{+-1}, L2 = L3 = kappa(1-eps) and expanding in eps exposes the
 pole at lambda = kappa: order at most 2 for minus-type coefficients, at most
 3 for plus-type.  Omega_- / Omega_+ collect the coefficients of eps^-2 /
 eps^-3, and the arctanh closed form reproduces Omega_- exactly.
+
+Each closed form has one algorithm: one arctanh series loop serves Omega_-
+and its X23 = 0 boundary form, and one series of 1/((1-X12^2)(1-X13^2))
+serves the plus-type closed form and its boundary form.  Omega_+ is the
+displayed two-term closed form; the (-2 - d) map from Omega_- is its
+independent cross-check, compared in a record of ``closedform_checks``.
+``verify_cauchy`` and ``verify_specialized`` are the ``verify`` suites of
+this module and return their check records.
 """
 
 from __future__ import annotations
@@ -410,25 +418,37 @@ def quadratic_D() -> LaurentPoly3:
     })
 
 
-def _arctanh_core(order: int) -> TruncSeries3:
-    """sum_{k>=0} Q^k / ((2k+1) D^{2k+1}) as a truncated series.
+def _arctanh_series(num: LaurentPoly3, den: LaurentPoly3,
+                    order: int) -> TruncSeries3:
+    """sum_{k>=0} num^k / ((2k+1) den^{2k+1}) as a truncated series.
 
-    arctanh(sqrt(Q)/D)/sqrt(Q) contains only integer powers of Q, so no square
-    root is ever formed; Q has minimal degree 2, bounding k by order/2.
+    This is arctanh(sqrt(num)/den)/sqrt(num) with only integer powers of num,
+    so no square root is ever formed.  ``num`` has positive lowest degree, so
+    the terms vanish in the truncation past ``order`` and the loop stops at
+    the first zero term.
     """
-    inv_d = TruncSeries3.from_poly(quadratic_D(), order).invert()
-    q = TruncSeries3.from_poly(quartic_Q(), order)
-    inv_d2 = inv_d * inv_d
+    inv = TruncSeries3.from_poly(den, order).invert()
+    step = TruncSeries3.from_poly(num, order) * inv * inv
     acc = TruncSeries3(order)
-    term = inv_d  # Q^k * D^{-(2k+1)}
+    term = inv  # num^k * den^{-(2k+1)}
     k = 0
-    while True:
+    while term:
         acc = acc + term.scale(Fraction(1, 2 * k + 1))
         k += 1
-        if 2 * k > order:
-            break
-        term = term * q * inv_d2
+        term = term * step
     return acc
+
+
+def _arctanh_core(order: int) -> TruncSeries3:
+    """arctanh(sqrt(Q)/D)/sqrt(Q) as a truncated series."""
+    return _arctanh_series(quartic_Q(), quadratic_D(), order)
+
+
+def _inverse_uv(order: int) -> TruncSeries3:
+    """1 / ((1 - X12^2)(1 - X13^2)) as a truncated series."""
+    u = LaurentPoly3({(0, 0, 0): Fraction(1), (2, 0, 0): Fraction(-1)})
+    v = LaurentPoly3({(0, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
+    return (TruncSeries3.from_poly(u, order) * TruncSeries3.from_poly(v, order)).invert()
 
 
 def _series_to_omega(sign: str, series: TruncSeries3) -> OmegaSeries:
@@ -460,10 +480,7 @@ def _omega_plus_direct(order: int) -> TruncSeries3:
         (2, 2, 0): Fraction(-2), (2, 0, 2): Fraction(-1), (0, 2, 2): Fraction(-1),
         (0, 0, 2): Fraction(2),
     })
-    u = LaurentPoly3({(0, 0, 0): Fraction(1), (2, 0, 0): Fraction(-1)})
-    v = LaurentPoly3({(0, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
-    rational = TruncSeries3.from_poly(p_num, work) * \
-        (TruncSeries3.from_poly(u, work) * TruncSeries3.from_poly(v, work)).invert()
+    rational = TruncSeries3.from_poly(p_num, work) * _inverse_uv(work)
     bracket = (x23sq * a).scale(Fraction(8)) - rational.scale(Fraction(2))
 
     q4 = quartic_Q() - LaurentPoly3({(0, 0, 2): Fraction(4)})
@@ -486,18 +503,14 @@ def _omega_plus_direct(order: int) -> TruncSeries3:
 
 
 def closedform_omega_plus(order: int) -> OmegaSeries:
-    """Plus-type leading term; the two independent routes must agree.
+    """Plus-type leading term from the displayed two-term closed form.
 
-    Route one expands the displayed two-term closed form; route two applies
-    (-2 - d) per homogeneous degree d to the minus-type closed form.
+    The (-2 - d) route from the minus-type closed form
+    (``omega_plus_from_minus``) is the independent cross-check; the
+    ``omega-plus-euler-relation`` record of ``closedform_checks`` compares
+    the two.
     """
-    direct = _omega_plus_direct(order)
-    via_euler = _arctanh_core(order).scale(Fraction(-2)).euler_weighted(
-        lambda d: Fraction(-2 - d))
-    if direct != via_euler:
-        raise FalsificationError(
-            "plus-type closed form: direct expansion disagrees with (-2 - d) route")
-    return _series_to_omega("+", direct)
+    return _series_to_omega("+", _omega_plus_direct(order))
 
 
 def omega_plus_from_minus(omega_minus: OmegaSeries) -> OmegaSeries:
@@ -541,27 +554,90 @@ def omega_initial_minus(order: int) -> TruncSeries3:
     a = LaurentPoly3({(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
     b = LaurentPoly3({(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1),
                       (0, 0, 0): Fraction(-2)})
-    inv_b = TruncSeries3.from_poly(b, order).invert()
-    a2 = TruncSeries3.from_poly(a * a, order)
-    inv_b2 = inv_b * inv_b
-    acc = TruncSeries3(order)
-    term = inv_b
-    k = 0
-    while True:
-        acc = acc + term.scale(Fraction(1, 2 * k + 1))
-        k += 1
-        if 4 * k > order:
-            break
-        term = term * a2 * inv_b2
-    return acc.scale(Fraction(-2))
+    return _arctanh_series(a * a, b, order).scale(Fraction(-2))
 
 
 def omega_initial_plus(order: int) -> TruncSeries3:
     """-2 / ((X12^2 - 1)(X13^2 - 1)) as a truncated series (X23 = 0 profile)."""
-    u = LaurentPoly3({(0, 0, 0): Fraction(1), (2, 0, 0): Fraction(-1)})
-    v = LaurentPoly3({(0, 0, 0): Fraction(1), (0, 2, 0): Fraction(-1)})
-    inv = (TruncSeries3.from_poly(u, order) * TruncSeries3.from_poly(v, order)).invert()
-    return inv.scale(Fraction(-2))
+    return _inverse_uv(order).scale(Fraction(-2))
+
+
+def omega_vs_closedform(om: OmegaSeries) -> dict:
+    """Omega_- from the sums against the arctanh closed form, up to one factor.
+
+    The normalization is the ratio of the (0,0,0) coefficients and must be
+    nonzero; every other coefficient must then match with the same factor.
+    """
+    cf = closedform_omega_minus(om.order)
+    base = cf.coefficient((0, 0, 0))
+    ratio = om.coefficient((0, 0, 0)) / base if base else None
+    ok = bool(ratio) and all(
+        om.coefficient(e) == ratio * cf.coefficient(e)
+        for e in set(om.coeffs) | set(cf.coeffs))
+    return {"check": "omega-minus-vs-closedform", "order": om.order,
+            "normalization": ratio.serialize() if ratio else None,
+            "status": "pass" if ok else "fail"}
+
+
+def closedform_checks(order: int) -> list[dict]:
+    """PDEs, the (-2 - d) relation and the X23 = 0 data of both closed forms.
+
+    Each closed form is built once.  The boundary data divide out the
+    kappa-profile and keep the X23-free terms.
+    """
+    cm = closedform_omega_minus(order)
+    cp = closedform_omega_plus(order)
+    checks = pde_check(cm) + pde_check(cp)
+    euler_ok = cp.coeffs == omega_plus_from_minus(cm).coeffs
+    checks.append({"check": "omega-plus-euler-relation", "order": order,
+                   "status": "pass" if euler_ok else "fail"})
+    for sign, closed, initial in (("-", cm, omega_initial_minus(order)),
+                                  ("+", cp, omega_initial_plus(order))):
+        sliced = TruncSeries3(order, {
+            e: (c / KAPPA_PREFACTOR).as_fraction()
+            for e, c in closed.coeffs.items() if e[2] == 0})
+        checks.append({"check": "initial-condition", "sign": sign, "order": order,
+                       "status": "pass" if sliced == initial else "fail"})
+    return checks
+
+
+def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict]:
+    """The ``verify cauchy`` suite: H1 relations, pole orders, Omega_- against
+    the closed form, then ``closedform_checks`` at max(order, 6).
+
+    A table the expansions reject, an over-bound pole or a failed Omega_-
+    extraction fails its own record and the later checks still run.
+    """
+    checks = check_H1_relation(table, lambda_order)
+    try:
+        es = ExpansionSet(table, order)
+    except FalsificationError as exc:
+        checks.append({"check": "falsification", "stage": "expansions",
+                       "status": "fail", "witness": str(exc)})
+        return checks + closedform_checks(max(order, 6))
+    for sign in ("-", "+"):
+        for mvec in exponents_upto(order):
+            fam = es.fit_family(mvec)
+            rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
+            try:
+                _, pole = leading_pole_coefficient(fam.polynomial, sign, sum(mvec))
+                rec.update(order=pole, bound=POLE_BOUND[sign],
+                           status="pass" if pole <= POLE_BOUND[sign] else "fail")
+            except FalsificationError as exc:
+                rec.update(bound=POLE_BOUND[sign], status="fail", witness={
+                    "message": str(exc),
+                    "coefficient": exc.witness.to_ratfun().serialize()})
+            checks.append(rec)
+    try:
+        om = omega_from_sums(table, "-", order, es)
+    except FalsificationError as exc:
+        checks.append({"check": "falsification",
+                       "stage": "omega-minus-vs-closedform",
+                       "status": "fail", "witness": str(exc)})
+    else:
+        checks.append(omega_vs_closedform(om))
+    checks.extend(closedform_checks(max(order, 6)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +712,20 @@ def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
     if rec["status"] == "fail":
         rec["witness"] = repr(lhs - rhs)
     return rec
+
+
+def verify_specialized(table: SchurTable) -> list[dict]:
+    """The ``verify specialized`` suite: the x23 = 1 closed forms with j1 <= 8,
+    then the row sums for j1 <= 8 and J <= 12, within the table level."""
+    j1_max = min(8, table.max_level // 2)
+    checks = []
+    for j1 in range(j1_max + 1):
+        for j2 in range(j1 + 1):
+            closed = specialization_phi(j1, j2)
+            actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
+            checks.append({"check": "specialization-formula", "j1": j1, "j2": j2,
+                           "status": "pass" if closed == actual else "fail"})
+    for j1 in range(j1_max + 1):
+        for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):
+            checks.append(specialized_sum_check(j1, J, table))
+    return checks

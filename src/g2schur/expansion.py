@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
 from .linalg import RankTracker, invert_matrix, mat_vec
 from .series import TruncSeries3, exponents_upto
@@ -209,3 +210,42 @@ class ExpansionSet:
         self._families[mvec] = family
         return family
 
+
+def _reference_families() -> dict[Exp, LaurentPoly3]:
+    """Known closed-form families used as fixed cross-checks."""
+    sixth = Fraction(1, 6)
+    twelfth = Fraction(1, 12)
+    c200 = LaurentPoly3({
+        (2, 0, 0): twelfth, (0, 2, 0): twelfth, (0, 0, 2): -twelfth,
+        (1, 0, 0): sixth, (0, 1, 0): sixth, (0, 0, 1): -sixth,
+    })
+    return {(2, 0, 0): c200, (3, 0, 0): c200.scale(-1),
+            (1, 0, 0): LaurentPoly3.zero()}
+
+
+def verify_series(table: SchurTable, order: int) -> list[dict]:
+    """The ``verify series`` suite: expansion normalization, validated and
+    reference families, and the graded recursions through level 6."""
+    es = ExpansionSet(table, max(order, 4))
+    triples = enumerate_through(table.max_level)
+    checks = []
+    for triple in triples:
+        series = es.expansions[triple]
+        ok = series.coefficient((0, 0, 0)) == 1 and not series.homogeneous_part(1)
+        checks.append({"check": "expansion-normalization", "triple": list(triple),
+                       "status": "pass" if ok else "fail"})
+    for mvec in exponents_upto(min(order, 4)):
+        fam = es.fit_family(mvec)
+        checks.append({"check": "family-fit", "mvec": list(mvec),
+                       "validated_on": fam.validated_on,
+                       "status": "fail" if fam.unvalidated else "pass"})
+    for mvec, poly in _reference_families().items():
+        checks.append({"check": "family-reference", "mvec": list(mvec),
+                       "status": "pass" if es.fit_family(mvec).polynomial == poly
+                       else "fail"})
+    comp_level = min(table.max_level, 6)
+    expansions = {t: es.expansions[t] for t in triples if sum(t) <= comp_level}
+    L = min(order, 4) - 2
+    if L >= 0:
+        checks.extend(verify_recursion_by_components(table, L, expansions))
+    return checks

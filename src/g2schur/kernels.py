@@ -162,20 +162,18 @@ def kernel_H1(m: int) -> dict:
         raise FalsificationError(
             f"kernel dimension at degree {m}: got {len(null)}, "
             f"expected {m // 2 + 1}")
-    for vec in claimed:
-        if op.apply(vec):
-            raise FalsificationError(
-                f"claimed kernel element P_({m},l,l) not annihilated", witness=vec)
+    # equal dimension and null within span(claimed) make the spans equal, so
+    # every claimed element is annihilated; the k = l passes below apply H1t
+    # to each of them once more
     claimed_rows = [_vector_of(v, monomials) for v in claimed]
     if not _span_contains(claimed_rows, *null):
         raise FalsificationError(
             f"computed kernel vector outside the claimed span at degree {m}")
-    x12x13 = LaurentPoly3.monomial((1, 1, 0))
     for k in range(m + 1):
         for l in range(m - k + 1):
             p = pbasis(m, k, l)
             expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
-            if x12x13 * op.apply(p) != expect:
+            if op.apply(p).mul_monomial((1, 1, 0)) != expect:
                 raise FalsificationError(
                     f"diagonalization failed on P_({m},{k},{l})")
     return {
@@ -332,3 +330,35 @@ def triple_kernel(m: int) -> int:
         raise FalsificationError(
             f"triple kernel at degree {m}: dim {dim}, expected {expected}")
     return dim
+
+
+def verify_kernel(max_degree: int) -> list[dict]:
+    """The ``verify kernel`` suite: kernel dimensions per degree, then the
+    action and leading-term formulas through degree min(max_degree, 8).
+
+    A falsified degree gets one ``falsification`` record with its witness
+    and the later degrees still run.
+    """
+    checks = []
+    for m in range(max_degree + 1):
+        try:
+            info = kernel_H1(m)
+            checks.append({"check": "kernel-H1", "degree": m, "dim": info["dim"],
+                           "status": "pass" if info["dim"] == m // 2 + 1 else "fail"})
+            pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
+            for pair in ((1, 2), (1, 3)):
+                pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(pair, m)["dim"]
+            pair_rec["dim_triple"] = triple_kernel(m)
+        except FalsificationError as exc:
+            checks.append({"check": "falsification", "degree": m,
+                           "status": "fail", "witness": str(exc)})
+            continue
+        ok = (pair_rec["dim_pair_12"] == pair_rec["dim_pair_13"] == 1 - m % 2
+              and pair_rec["dim_triple"] == int(m == 0))
+        pair_rec["status"] = "pass" if ok else "fail"
+        checks.append(pair_rec)
+    for m in range(min(max_degree, 8) + 1):
+        for l in range(m // 2 + 1):
+            checks.extend(action_check(m, l))
+            checks.extend(leading_term_check(m, l))
+    return checks

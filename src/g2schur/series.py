@@ -172,18 +172,3 @@ class TruncSeries3:
 
     def homogeneous_part(self, d: int) -> LaurentPoly3:
         return LaurentPoly3({e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def set_var_zero(self, i: int) -> "TruncSeries3":
-        out = TruncSeries3(self.order)
-        out.terms = {e: c for e, c in self.terms.items() if e[i] == 0}
-        return out
-
-    def euler_weighted(self, weight) -> "TruncSeries3":
-        """Apply a per-degree weight: term of total degree d is scaled by weight(d)."""
-        out = TruncSeries3(self.order)
-        for e, c in self.terms.items():
-            w = weight(sum(e))
-            c2 = c * w
-            if c2:
-                out.terms[e] = c2
-        return out

@@ -397,3 +397,46 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
         if candidate != table.entries[triple]:
             return False, triple
     return True, None
+
+
+def verify_pieri(table: SchurTable) -> list[dict]:
+    """The ``verify pieri`` suite: recursion identities, unit values, leading
+    terms and their distinctness per level, and S3 equivariance."""
+    triples = enumerate_through(table.max_level)
+    checks = []
+    for triple in triples:
+        if sum(triple) > table.max_level - 2:
+            continue
+        for eq in (0, 1, 2):
+            residual = table.pieri_residual(eq, triple)
+            rec = {"check": "pieri", "triple": list(triple), "equation": eq + 1,
+                   "status": "pass" if not residual else "fail"}
+            if residual:
+                rec["witness"] = repr(residual)
+            checks.append(rec)
+    for triple in triples:
+        value = table.entries[triple].eval_ones()
+        checks.append({"check": "unit-value", "triple": list(triple),
+                       "status": "pass" if value == 1 else "fail"})
+    seen_per_level: dict[int, set] = {}
+    for triple in triples:
+        try:
+            _, exps = leading_term(table.entries[triple], triple)
+            status = "pass"
+        except FalsificationError:
+            status, exps = "fail", None
+        checks.append({"check": "leading-term", "triple": list(triple),
+                       "status": status})
+        if exps is not None:
+            bucket = seen_per_level.setdefault(sum(triple), set())
+            checks.append({"check": "leading-distinct", "triple": list(triple),
+                           "status": "pass" if exps not in bucket else "fail"})
+            bucket.add(exps)
+    for sigma in ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2)):
+        ok, witness = s3_check(table, sigma)
+        rec = {"check": "s3-symmetry", "sigma": list(sigma),
+               "status": "pass" if ok else "fail"}
+        if witness:
+            rec["witness"] = list(witness)
+        checks.append(rec)
+    return checks

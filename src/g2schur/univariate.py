@@ -293,10 +293,6 @@ class RatFun1:
             return NotImplemented
         return o / self
 
-    def cross_equal(self, other: "RatFun1") -> bool:
-        """Equality by cross-multiplication, independent of normalization."""
-        return self.num * other.den == other.num * self.den
-
     def is_constant(self) -> bool:
         return self.den.degree() == 0 and self.num.degree() <= 0
 

@@ -10,21 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, check_H1_relation,
-                            closedform_omega_minus, closedform_omega_plus,
-                            leading_pole_coefficient, omega_from_sums,
-                            omega_initial_minus, omega_initial_plus,
-                            omega_plus_from_minus, pde_check,
-                            specialization_phi, specialized_sum_check)
+from g2schur.cauchy import (KAPPA_PREFACTOR, closedform_checks,
+                            closedform_omega_minus, verify_cauchy,
+                            verify_specialized)
 from g2schur.conjecture import conjecture_check
-from g2schur.diffops import homogeneous_component, verify_eigen
+from g2schur.diffops import verify_eigen
 from g2schur.expansion import ExpansionSet
-from g2schur.kernels import (action_check, common_kernel, kernel_H1,
-                             leading_term_check, pair_kernel_vector,
-                             triple_kernel)
-from g2schur.series import TruncSeries3
-from g2schur.table import (enumerate_level, enumerate_through, leading_term,
-                           solve_table)
+from g2schur.kernels import verify_kernel
+from g2schur.series import exponents_upto
+from g2schur.table import solve_table, verify_pieri
 
 from tests.test_expansion import C200, C220, C400
 
@@ -33,6 +27,15 @@ def record(criterion: int, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion:02d}: {status}" + (f" ({detail})" if detail else ""))
     assert ok, f"criterion {criterion} failed: {detail}"
+
+
+def of_kind(checks: list[dict], *kinds: str) -> list[dict]:
+    return [c for c in checks if c["check"] in kinds]
+
+
+def all_pass(checks: list[dict]) -> bool:
+    """A nonempty record list without a failure."""
+    return bool(checks) and all(c["status"] == "pass" for c in checks)
 
 
 @pytest.fixture(scope="module")
@@ -57,36 +60,33 @@ def expansions16(table16):
     return ExpansionSet(table16, 6)
 
 
-def test_criterion_01_table_and_pieri(timed_table16, tmp_path):
+@pytest.fixture(scope="module")
+def pieri16(table16):
+    return verify_pieri(table16)
+
+
+@pytest.fixture(scope="module")
+def cauchy16(table16):
+    return verify_cauchy(table16, 4, 8)
+
+
+def test_criterion_01_table_and_pieri(timed_table16, pieri16, tmp_path):
     table, elapsed = timed_table16
     path = tmp_path / "table16.json"
     table.save(path)
-    checked = 0
-    ok = elapsed < 120.0
-    for triple in enumerate_through(table.max_level):
-        if sum(triple) > 14:
-            continue
-        for eq in (0, 1, 2):
-            if table.pieri_residual(eq, triple):
-                ok = False
-            checked += 1
-    record(1, ok, f"built level 16 in {elapsed:.2f}s, {checked} recursion identities")
+    pieri = of_kind(pieri16, "pieri")
+    ok = elapsed < 120.0 and all_pass(pieri)
+    record(1, ok, f"built level 16 in {elapsed:.2f}s, {len(pieri)} recursion identities")
 
 
-def test_criterion_02_unit_normalization(table16):
-    bad = [t for t, phi in table16.entries.items() if phi.eval_ones() != 1]
-    record(2, not bad, f"{len(table16.entries)} entries at value 1")
+def test_criterion_02_unit_normalization(table16, pieri16):
+    units = of_kind(pieri16, "unit-value")
+    ok = all_pass(units) and len(units) == len(table16.entries)
+    record(2, ok, f"{len(units)} entries at value 1")
 
 
-def test_criterion_03_leading_terms(table16):
-    ok = True
-    for level in range(0, 18, 2):
-        seen = set()
-        for triple in enumerate_level(level):
-            _, exps = leading_term(table16.entries[triple], triple)
-            if exps in seen:
-                ok = False
-            seen.add(exps)
+def test_criterion_03_leading_terms(pieri16):
+    ok = all_pass(of_kind(pieri16, "leading-term", "leading-distinct"))
     record(3, ok, "single-monomial tops, distinct per level")
 
 
@@ -113,71 +113,36 @@ def test_criterion_05_series_families(expansions16):
 
 
 def test_criterion_06_specialization(table20):
-    ok = True
-    for j1 in range(9):
-        for j2 in range(j1 + 1):
-            if specialization_phi(j1, j2) != \
-                    table20.entries[(j1, j2, j1 - j2)].subs_unit(2):
-                ok = False
-    identity = empty = 0
-    for j1 in range(9):
-        for J in range(j1 % 2, 13, 2):
-            rec = specialized_sum_check(j1, J, table20)
-            if rec["status"] != "pass":
-                ok = False
-            if rec["mode"] == "identity":
-                identity += 1
-            else:
-                empty += 1
-    record(6, ok, f"{identity} row-sum identities (J-independent), {empty} empty rows")
+    checks = verify_specialized(table20)
+    sums = of_kind(checks, "specialized-sum")
+    identity = sum(c["mode"] == "identity" for c in sums)
+    ok = all_pass(checks) and {(c["j1"], c["J"]) for c in sums} == {
+        (j1, J) for j1 in range(9) for J in range(j1 % 2, 13, 2)}
+    record(6, ok, f"{identity} row-sum identities (J-independent), "
+                  f"{len(sums) - identity} empty rows")
 
 
-def test_criterion_07_cauchy_relations(table16):
-    checks = check_H1_relation(table16, 8)
-    failed = [c for c in checks if c["status"] != "pass"]
-    record(7, not failed, f"{len(checks)} coefficient relations through order 8")
+def test_criterion_07_cauchy_relations(cauchy16):
+    checks = of_kind(cauchy16, "H1-log-derivative", "second-order-log-derivative")
+    ok = all_pass(checks) and max(c["lambda_power"] for c in checks) == 8
+    record(7, ok, f"{len(checks)} coefficient relations through order 8")
 
 
-def test_criterion_08_pole_orders(expansions16):
-    ok = True
-    worst = {"-": 0, "+": 0}
-    for a in range(5):
-        for b in range(5 - a):
-            for c in range(5 - a - b):
-                fam = expansions16.fit_family((a, b, c))
-                for sign in "-+":
-                    _, order = leading_pole_coefficient(
-                        fam.polynomial, sign, a + b + c)
-                    worst[sign] = max(worst[sign], order)
-                    if order > POLE_BOUND[sign]:
-                        ok = False
+def test_criterion_08_pole_orders(cauchy16):
+    poles = of_kind(cauchy16, "pole-order")
+    worst = {sign: max(c["order"] for c in poles if c["sign"] == sign)
+             for sign in "-+"}
+    ok = all_pass(poles) and len(poles) == 2 * len(exponents_upto(4))
     record(8, ok, f"max pole orders: minus {worst['-']} <= 2, plus {worst['+']} <= 3")
 
 
-def test_criterion_09_leading_term_theorem(table16, expansions16):
-    om = omega_from_sums(table16, "-", 4, expansions16)
-    cf4 = closedform_omega_minus(4)
-    base = cf4.coefficient((0, 0, 0))
-    ratio = om.coefficient((0, 0, 0)) / base
-    ok = all(om.coefficient(e) == ratio * cf4.coefficient(e)
-             for e in set(om.coeffs) | set(cf4.coeffs))
-
-    cm = closedform_omega_minus(10)
-    cp = closedform_omega_plus(10)
-    ok &= all(c["status"] == "pass" for c in pde_check(cm))
-    ok &= all(c["status"] == "pass" for c in pde_check(cp))
-    via = omega_plus_from_minus(cm)
-    ok &= all(cp.coefficient(e) == via.coefficient(e)
-              for e in set(cp.coeffs) | set(via.coeffs))
-    for closed, initial in ((cm, omega_initial_minus(10)),
-                            (cp, omega_initial_plus(10))):
-        sliced = TruncSeries3(10, {
-            e: (c / KAPPA_PREFACTOR).as_fraction()
-            for e, c in closed.coeffs.items() if e[2] == 0})
-        ok &= sliced == initial
+def test_criterion_09_leading_term_theorem(cauchy16):
+    (omega,) = of_kind(cauchy16, "omega-minus-vs-closedform")
+    ok = all_pass([omega]) and all_pass(closedform_checks(10))
     record(9, ok,
            f"residue route = closed form at order 4 (normalization "
-           f"{ratio.serialize()['num']}), PDEs and boundary data through degree 10")
+           f"{omega['normalization']['num']}), PDEs and boundary data through "
+           f"degree 10")
 
 
 def test_criterion_10_conjecture_reports(table16, expansions16):
@@ -212,29 +177,11 @@ def test_criterion_10_conjecture_reports(table16, expansions16):
 
 
 def test_criterion_11_kernel_structure():
-    ok = True
-    for m in range(13):
-        if kernel_H1(m)["dim"] != m // 2 + 1:
-            ok = False
-        for pair in ((1, 2), (1, 3)):
-            if common_kernel(pair, m)["dim"] != (1 if m % 2 == 0 else 0):
-                ok = False
-        if triple_kernel(m) != (1 if m == 0 else 0):
-            ok = False
-    for pair in ((1, 2), (1, 3)):
-        for n in range(1, 6):
-            vec = pair_kernel_vector(pair, n)
-            for k in (1, pair[1]):
-                if homogeneous_component(k, -2).apply(vec):
-                    ok = False
-    formulas = 0
-    for m in range(9):
-        for l in range(m // 2 + 1):
-            for c in action_check(m, l) + leading_term_check(m, l):
-                if c["status"] != "pass":
-                    ok = False
-                formulas += 1
-    record(11, ok, f"degrees 0..12, {formulas} action/leading-term identities")
+    checks = verify_kernel(12)
+    formulas = of_kind(checks, "H2-action", "H3-action", "H2-leading", "H3-leading")
+    ok = (all_pass(checks)
+          and [c["degree"] for c in of_kind(checks, "kernel-dims")] == list(range(13)))
+    record(11, ok, f"degrees 0..12, {len(formulas)} action/leading-term identities")
 
 
 def test_criterion_12_determinism(tmp_path):

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
-                            check_H1_relation, closedform_omega_minus,
-                            closedform_omega_plus, leading_pole_coefficient,
-                            master_sum, omega_from_sums, omega_initial_minus,
-                            omega_initial_plus, omega_plus_from_minus,
-                            pde_check, specialization_phi,
+                            check_H1_relation, closedform_checks,
+                            closedform_omega_minus, closedform_omega_plus,
+                            leading_pole_coefficient, master_sum,
+                            omega_from_sums, pde_check, specialization_phi,
                             specialized_sum_check, weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
@@ -190,27 +189,16 @@ class TestClosedForms:
         assert cp.coefficient((2, 0, 0)) == KAPPA_PREFACTOR * Fraction(-2)
         assert cp.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(2, 3)
 
-    def test_euler_relation(self):
-        cm = closedform_omega_minus(8)
-        cp = closedform_omega_plus(8)
-        via = omega_plus_from_minus(cm)
-        keys = set(cp.coeffs) | set(via.coeffs)
-        assert all(cp.coefficient(e) == via.coefficient(e) for e in keys)
+    def test_closedform_checks_pass(self):
+        # PDEs, the (-2 - d) relation and both X23 = 0 boundary conditions
+        checks = closedform_checks(8)
+        assert [c["check"] for c in checks[-3:]] == [
+            "omega-plus-euler-relation", "initial-condition", "initial-condition"]
+        assert all(c["status"] == "pass" for c in checks)
 
     def test_even_in_each_variable(self):
         assert closedform_omega_minus(7).all_even()
         assert closedform_omega_plus(7).all_even()
-
-    def test_initial_conditions(self):
-        order = 8
-        for closed, initial in (
-            (closedform_omega_minus(order), omega_initial_minus(order)),
-            (closedform_omega_plus(order), omega_initial_plus(order)),
-        ):
-            sliced = TruncSeries3(order, {
-                e: (c / KAPPA_PREFACTOR).as_fraction()
-                for e, c in closed.coeffs.items() if e[2] == 0})
-            assert sliced == initial
 
 
 class TestPde:

@@ -21,6 +21,18 @@ def strip_timing(report):
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
 
 
+def bump_omega_plus_direct(monkeypatch):
+    """Add 1 to the X12^2 coefficient of the plus-type direct closed form."""
+    real = cauchy._omega_plus_direct
+
+    def seeded(order):
+        out = real(order)
+        out.terms[(2, 0, 0)] = out.coefficient((2, 0, 0)) + 1
+        return out
+
+    monkeypatch.setattr(cauchy, "_omega_plus_direct", seeded)
+
+
 def bump_saved_entry(path):
     """Add (x12 + 1/x12 - 2)/5 to entry (2, 1, 1) of a saved table.
 
@@ -180,6 +192,49 @@ class TestVerifyCommands:
         assert {c["sign"] for c in checks if c["check"] == "initial-condition"} == {
             "-", "+"}
 
+    def test_cauchy_zero_omega_minus_fails(self, capsys, monkeypatch):
+        # a zero Omega_- gives normalization 0, which must not pass
+        monkeypatch.setattr(cauchy, "omega_from_sums",
+                            lambda table, sign, order, es: cauchy.OmegaSeries(
+                                sign, order, {}))
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2")
+        assert code == 1
+        (rec,) = [c for c in report["checks"]
+                  if c["check"] == "omega-minus-vs-closedform"]
+        assert rec["status"] == "fail" and rec["normalization"] is None
+        assert [c for c in report["checks"] if c["status"] == "fail"] == [rec]
+
+    def test_cauchy_wrong_plus_closed_form_keeps_later_checks(self, capsys,
+                                                             monkeypatch):
+        bump_omega_plus_direct(monkeypatch)
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2", "--lambda-order", "2")
+        assert code == 1
+        checks = report["checks"]
+        failed = {c["check"] for c in checks if c["status"] == "fail"}
+        assert {"pde-omega+", "omega-plus-euler-relation"} <= failed
+        assert "pde-omega-" not in failed
+        assert any(c["check"] == "pde-omega-" for c in checks)
+        assert {c["sign"] for c in checks if c["check"] == "initial-condition"} == {
+            "-", "+"}
+        assert not any(c["check"] == "falsification" for c in checks)
+
+    def test_cauchy_rejected_table_keeps_other_checks(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        bump_saved_entry(path)
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2", "--lambda-order", "2", "--table", str(path))
+        assert code == 1
+        checks = report["checks"]
+        (witness,) = [c for c in checks if c["check"] == "falsification"]
+        assert witness["stage"] == "expansions" and "(2, 1, 1)" in witness["witness"]
+        assert any(c["check"] == "H1-log-derivative" for c in checks)
+        assert {c["check"] for c in checks} >= {
+            "pde-omega-", "pde-omega+", "omega-plus-euler-relation",
+            "initial-condition"}
+
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")
         assert code == 0 and report["summary"]["failed"] == 0
@@ -254,8 +309,21 @@ class TestReportOnlyCommands:
         plus = report["omega_plus"]["coefficients"]
         assert plus["0,0,0"]["num"] == ["-2"]
 
+    def test_omega_wrong_plus_closed_form_fails(self, capsys, monkeypatch):
+        bump_omega_plus_direct(monkeypatch)
+        assert main(["omega", "--order", "2"]) == 1
+        assert "(-2 - d) route" in capsys.readouterr().err
+
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "omega.json"
         code = main(["omega", "--order", "2", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["suite"] == "omega"
+
+
+@pytest.mark.parametrize("argv", [["omega", "--copies", "2"],
+                                  ["table", "--order", "3"]])
+def test_flag_a_subcommand_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

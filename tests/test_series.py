@@ -47,17 +47,10 @@ def test_truncation_consistency():
     assert (a + b).order == 2
 
 
-def test_homogeneous_part_and_var_zero():
+def test_homogeneous_part():
     a = s3(3, {(0, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): 3})
     assert a.homogeneous_part(2) == LaurentPoly3(
         {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(3)})
-    assert a.set_var_zero(2) == s3(3, {(0, 0, 0): 1, (1, 1, 0): 2})
-
-
-def test_euler_weighted():
-    a = s3(2, {(0, 0, 0): 1, (2, 0, 0): 1})
-    w = a.euler_weighted(lambda d: Fraction(-2 - d))
-    assert w == s3(2, {(0, 0, 0): -2, (2, 0, 0): -4})
 
 
 unit_series = st.dictionaries(

@@ -43,3 +43,13 @@ def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
     assert {"cauchy.leading_pole_coefficient", "expansion.fit_family",
             "conjecture.conjecture_check"} <= {span[0] for span in trace["spans"]}
     assert trace["kernels"]["laurent.mul"]["calls"] > 0
+
+
+def test_cauchy_suite_reaches_its_traced_stages(tmp_path):
+    # the suite lives in cauchy.py; each stage still runs under its traced name
+    trace = traced(tmp_path, "verify", "cauchy", "--max-level", "8", "--order", "2",
+                   "--lambda-order", "2")
+    assert trace["exit_code"] == 0
+    assert {"cauchy.check_H1_relation", "cauchy.leading_pole_coefficient",
+            "cauchy.omega_from_sums", "cauchy.closedform", "cauchy.pde_check",
+            "expansion.fit_family"} <= {span[0] for span in trace["spans"]}
