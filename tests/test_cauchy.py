@@ -189,12 +189,25 @@ class TestClosedForms:
         assert cp.coefficient((2, 0, 0)) == KAPPA_PREFACTOR * Fraction(-2)
         assert cp.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(2, 3)
 
-    def test_closedform_checks_pass(self):
+    @pytest.fixture(scope="class")
+    def checks8(self):
+        return closedform_checks(8)
+
+    def test_closedform_checks_pass(self, checks8):
         # PDEs, the (-2 - d) relation and both X23 = 0 boundary conditions
-        checks = closedform_checks(8)
-        assert [c["check"] for c in checks[-3:]] == [
+        assert [c["check"] for c in checks8[-3:]] == [
             "omega-plus-euler-relation", "initial-condition", "initial-condition"]
-        assert all(c["status"] == "pass" for c in checks)
+        assert all(c["status"] == "pass" for c in checks8)
+
+    def test_euler_relation(self, checks8):
+        euler = [c for c in checks8 if c["check"] == "omega-plus-euler-relation"]
+        assert euler == [{"check": "omega-plus-euler-relation", "order": 8,
+                          "status": "pass"}]
+
+    def test_initial_conditions(self, checks8):
+        initial = [c for c in checks8 if c["check"] == "initial-condition"]
+        assert [(c["sign"], c["order"], c["status"]) for c in initial] == [
+            ("-", 8, "pass"), ("+", 8, "pass")]
 
     def test_even_in_each_variable(self):
         assert closedform_omega_minus(7).all_even()
