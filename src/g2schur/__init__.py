@@ -18,8 +18,7 @@ from .conjecture import ConjectureReport, conjecture_check, conjecture_coeff
 from .diffops import (HomogeneousOp, apply_H_cleared, homogeneous_component,
                       verify_eigen, verify_recursion_by_components)
 from .epsilon import EpsLaurent
-from .expansion import (CoeffFamily, ExpansionSet, PhiExpansion, expand_entry,
-                        verify_series)
+from .expansion import CoeffFamily, ExpansionSet, expand_entry, verify_series
 from .kernels import (action_check, common_kernel, kernel_H1,
                       leading_term_check, pair_kernel_vector, pbasis,
                       triple_kernel, verify_kernel)

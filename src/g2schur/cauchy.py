@@ -723,8 +723,11 @@ def verify_specialized(table: SchurTable) -> list[dict]:
         for j2 in range(j1 + 1):
             closed = specialization_phi(j1, j2)
             actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
-            checks.append({"check": "specialization-formula", "j1": j1, "j2": j2,
-                           "status": "pass" if closed == actual else "fail"})
+            rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
+                   "status": "pass" if closed == actual else "fail"}
+            if rec["status"] == "fail":
+                rec["witness"] = repr(closed - actual)
+            checks.append(rec)
     for j1 in range(j1_max + 1):
         for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):
             checks.append(specialized_sum_check(j1, J, table))

@@ -28,21 +28,13 @@ from fractions import Fraction
 
 from .cauchy import leading_pole_coefficient
 from .expansion import ExpansionSet
-from .laurent import Exp, LaurentPoly3
+from .kernels import _odd_double_factorial
+from .laurent import LaurentPoly3
 from .series import exponents_upto
 from .table import SchurTable
 from .univariate import RatFun1
 
 IndexVec = tuple[int, int, int]
-
-
-def _double_factorial_odd(n: int) -> int:
-    """(2s+1)!! for n = 2s+1 >= -1; the empty product is 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def conjecture_coeff(vectors: list[IndexVec]) -> Fraction:
@@ -64,7 +56,7 @@ def conjecture_coeff(vectors: list[IndexVec]) -> Fraction:
     for v in vectors:
         s = sum(v)
         # Gamma(3/2) / Gamma(s + 3/2) = 2^s / (2s+1)!!
-        value *= Fraction(2 ** s, _double_factorial_odd(2 * s + 1))
+        value *= Fraction(2 ** s, _odd_double_factorial(2 * s + 1))
     value *= Fraction(math.factorial(sum_12_23) * math.factorial(sum_13_23))
     for v in vectors:
         value /= math.factorial(v[0]) * math.factorial(v[1]) * math.factorial(v[2])
@@ -125,20 +117,13 @@ def conjecture_check(copies: int, order: int, table: SchurTable,
     if expansions is None:
         expansions = ExpansionSet(table, order)
 
-    families: dict[Exp, LaurentPoly3] = {}
-
-    def family(mvec: Exp) -> LaurentPoly3:
-        if mvec not in families:
-            families[mvec] = expansions.fit_family(mvec).polynomial
-        return families[mvec]
-
     extracted: dict[tuple[IndexVec, ...], RatFun1] = {}
 
     def extract(mvecs: tuple[IndexVec, ...]) -> RatFun1:
         if mvecs not in extracted:
             p = LaurentPoly3.one()
             for mvec in mvecs:
-                p = p * family(mvec)
+                p = p * expansions.fit_family(mvec).polynomial
             shift = sum(sum(v) for v in mvecs)
             value, _ = leading_pole_coefficient(p, "-", shift)
             extracted[mvecs] = value

@@ -125,9 +125,9 @@ class HomogeneousOp:
     c x^e of the argument then contributes, for each shift s, c times the
     integer sum of weight * num over the group at x^(e + s), where weight is
     the falling factorial e(e-1)...(e-n+1) in each variable; the sums are
-    divided by the denominator once.  Only the operator is cleared, so the
-    argument may carry any exact coefficients (``RatFun1`` ones in
-    ``cauchy.pde_check``).
+    divided by the denominator once, unless it is 1, as it is for every
+    degree -2 component.  Only the operator is cleared, so the argument may
+    carry any exact coefficients (``RatFun1`` ones in ``cauchy.pde_check``).
     """
 
     __slots__ = ("k", "degree", "terms", "_shifts", "_order", "_inv_den")
@@ -146,7 +146,7 @@ class HomogeneousOp:
                 shifts.setdefault(shift, []).append((deriv, num * (den // d)))
         self._shifts = list(shifts.items())
         self._order = max((max(deriv) for _, deriv in terms), default=0)
-        self._inv_den = Fraction(1, den)
+        self._inv_den = None if den == 1 else Fraction(1, den)
 
     def apply(self, p: LaurentPoly3) -> LaurentPoly3:
         acc: dict[tuple[int, int, int], object] = {}
@@ -167,7 +167,10 @@ class HomogeneousOp:
                     acc[key] = v if s is None else s + v
         inv_den = self._inv_den
         out = LaurentPoly3.__new__(LaurentPoly3)
-        out.terms = {e: v * inv_den for e, v in acc.items() if v}
+        if inv_den is None:
+            out.terms = {e: v for e, v in acc.items() if v}
+        else:
+            out.terms = {e: v * inv_den for e, v in acc.items() if v}
         return out
 
 

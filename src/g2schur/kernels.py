@@ -12,19 +12,22 @@ P_{m,k,l} is an eigenvector with eigenvalue l(l+1) - k(k+1).  The kernel of
 H1t at degree m is therefore spanned by the diagonal elements P_{m,l,l}.
 
 The remaining two operators act on the diagonal elements by an explicit
-three-term formula; stacked exact nullspaces give the pairwise common
-kernels (one-dimensional in even degree, trivial in odd degree) and the
-triviality of the triple kernel in every positive degree.  Nullspaces are
-computed by exact sparse Gauss-Jordan elimination (``linalg.rref``) on the
-integer operator matrices in the monomial basis, which are only a few percent
-nonzero; the product basis route serves as the independent cross-check.
+three-term formula.  Exact nullspaces give the pairwise common kernels
+(one-dimensional in even degree, trivial in odd degree) and the triviality of
+the triple kernel in every positive degree.  The kernel of H1t comes from its
+integer matrix on the degree-m monomials, which is only a few percent
+nonzero; the common kernels are the kernels of the other operators on that
+kernel, since v lies in the kernel of [H1t; H2t] exactly when v is in the
+kernel of H1t and H2t v = 0.  Every nullspace is computed by exact sparse
+Gauss-Jordan elimination (``linalg.rref``); the product basis route serves as
+the independent cross-check.
 
-Both routes are built once and shared by every check.  Each basis element is
-summed in integers from binomial-pair coefficients over one common
-denominator and cached per (m, k, l).  Each operator's image block on the
-degree-m monomials is cached per operator and degree, so the four stacked
-operator sets of a degree share three blocks; ``_operator_rows`` hands out
-copies of them.
+Each check computes what it needs for its degree and keeps none of it: the
+kernel of H1t is recomputed by each of ``kernel_H1``, ``common_kernel`` and
+``triple_kernel``.  Only the small inputs every degree shares stay cached:
+the binomial pairs, the Legendre polynomials and the operator components.
+Basis elements are summed in integers from binomial-pair coefficients over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i + j - b, b, c) for b, c in sorted(acc.items()) if c)
 
 
-@functools.lru_cache(maxsize=None)
 def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
     """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general.
 
@@ -97,29 +99,37 @@ def _monomials(m: int) -> list[Exp]:
         (a, b, m - a - b) for a in range(m + 1) for b in range(m - a + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _image_block(op: HomogeneousOp,
-                 columns: tuple[Exp, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of one operator on the monomial ``columns``, cached.
+def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
+    """The combination sum vec[i] * polys[i]."""
+    acc: dict[Exp, Fraction] = {}
+    for c, p in zip(vec, polys):
+        if c:
+            for e, v in p.terms.items():
+                acc[e] = acc.get(e, _ZERO) + c * v
+    return LaurentPoly3(acc)
 
-    One row per image monomial, in sorted order.  The cache builds each block
-    once per operator and degree; ``_operator_rows`` hands out copies.
+
+def _kernel_on(ops: list[HomogeneousOp],
+               polys: list[LaurentPoly3]) -> list[LaurentPoly3]:
+    """Basis of the common kernel of ``ops`` on the span of ``polys``.
+
+    One column per polynomial and, for each operator, one row per image
+    monomial in sorted order; each nullspace vector names the combination of
+    ``polys`` it stands for.  ``polys`` must be linearly independent for the
+    basis to be one.
     """
-    images = [op.apply(LaurentPoly3.monomial(e)).terms for e in columns]
-    targets = sorted({e for img in images for e in img})
-    return tuple(tuple(img.get(t, _ZERO) for img in images) for t in targets)
+    rows: list[list[Fraction]] = []
+    for op in ops:
+        images = [op.apply(p).terms for p in polys]
+        targets = sorted({e for img in images for e in img})
+        rows.extend([img.get(t, _ZERO) for img in images] for t in targets)
+    return [_combine(vec, polys) for vec in nullspace(rows, len(polys))]
 
 
-def _operator_rows(ops: list[HomogeneousOp], m: int,
-                   monomials: list[Exp]) -> list[list[Fraction]]:
-    """Stacked matrix rows of the operators on degree-m monomials.
-
-    Columns follow ``monomials``; rows are indexed by the Laurent monomials
-    appearing in any image, one block per operator.  The rows are fresh
-    lists, so a caller may change them without touching the cached blocks.
-    """
-    columns = tuple(monomials)
-    return [list(row) for op in ops for row in _image_block(op, columns)]
+def _h1_kernel(m: int) -> list[LaurentPoly3]:
+    """Kernel of H1t on the degree-m monomials."""
+    monomials = [LaurentPoly3.monomial(e) for e in _monomials(m)]
+    return _kernel_on([homogeneous_component(1, -2)], monomials)
 
 
 def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
@@ -155,8 +165,7 @@ def kernel_H1(m: int) -> dict:
     """
     op = homogeneous_component(1, -2)
     monomials = _monomials(m)
-    rows = _operator_rows([op], m, monomials)
-    null = nullspace(rows, len(monomials))
+    null = _h1_kernel(m)
     claimed = [pbasis(m, l, l) for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(
@@ -166,12 +175,12 @@ def kernel_H1(m: int) -> dict:
     # every claimed element is annihilated; the k = l passes below apply H1t
     # to each of them once more
     claimed_rows = [_vector_of(v, monomials) for v in claimed]
-    if not _span_contains(claimed_rows, *null):
+    if not _span_contains(claimed_rows, *[_vector_of(v, monomials) for v in null]):
         raise FalsificationError(
             f"computed kernel vector outside the claimed span at degree {m}")
     for k in range(m + 1):
         for l in range(m - k + 1):
-            p = pbasis(m, k, l)
+            p = claimed[l] if k == l else pbasis(m, k, l)
             expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
             if op.apply(p).mul_monomial((1, 1, 0)) != expect:
                 raise FalsificationError(
@@ -215,6 +224,7 @@ def action_check(m: int, l: int) -> list[dict]:
 
 
 def _odd_double_factorial(n: int) -> int:
+    """(2s+1)!! for n = 2s+1 >= -1; the empty product is 1."""
     out = 1
     while n > 1:
         out *= n
@@ -290,14 +300,13 @@ def common_kernel(pair: tuple[int, int], m: int) -> dict:
     """Exact common kernel of the first operator with the second or third.
 
     Dimension 1 at even degree (spanned by the displayed vector), 0 at odd
-    degree; stacked-matrix nullspace cross-checked against membership.
+    degree.  Computed as the kernel of the pair's second operator on the
+    kernel of the first, and cross-checked against the displayed vector.
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
     ops = [homogeneous_component(1, -2), homogeneous_component(pair[1], -2)]
-    monomials = _monomials(m)
-    rows = _operator_rows(ops, m, monomials)
-    null = nullspace(rows, len(monomials))
+    null = _kernel_on(ops[1:], _h1_kernel(m))
     expected_dim = 1 if m % 2 == 0 else 0
     if len(null) != expected_dim:
         raise FalsificationError(
@@ -309,7 +318,9 @@ def common_kernel(pair: tuple[int, int], m: int) -> dict:
             if op.apply(vec):
                 raise FalsificationError(
                     f"displayed vector not annihilated for pair {pair}, degree {m}")
-        if not _span_contains([_vector_of(vec, monomials)], null[0]):
+        monomials = _monomials(m)
+        if not _span_contains([_vector_of(vec, monomials)],
+                              _vector_of(null[0], monomials)):
             raise FalsificationError(
                 f"kernel at degree {m} not spanned by the displayed vector")
         result["spanned_by_displayed_vector"] = True
@@ -319,12 +330,12 @@ def common_kernel(pair: tuple[int, int], m: int) -> dict:
 def triple_kernel(m: int) -> int:
     """Dimension of the common kernel of all three operators at degree m.
 
-    Must be 1 for m = 0 (constants) and 0 for every m >= 1.
+    Must be 1 for m = 0 (constants) and 0 for every m >= 1.  Computed as
+    the common kernel of the second and third operators on the kernel of the
+    first.
     """
-    ops = [homogeneous_component(k, -2) for k in (1, 2, 3)]
-    monomials = _monomials(m)
-    rows = _operator_rows(ops, m, monomials)
-    dim = len(nullspace(rows, len(monomials)))
+    ops = [homogeneous_component(k, -2) for k in (2, 3)]
+    dim = len(_kernel_on(ops, _h1_kernel(m)))
     expected = 1 if m == 0 else 0
     if dim != expected:
         raise FalsificationError(

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur import cauchy, kernels
+from g2schur import cauchy, expansion, kernels
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import exponents_upto
-from g2schur.table import SchurTable
+from g2schur.table import SchurTable, enumerate_through
 from g2schur.univariate import DensePoly1
 
 
@@ -126,16 +126,17 @@ class TestVerifyCommands:
         assert any(c["check"] == "H3-leading" for c in checks)
 
     def test_kernel_wrong_operator_entry_fails(self, capsys, monkeypatch):
-        # one wrong entry in the first operator's matrix at degree 4
-        real = kernels._operator_rows
+        # one wrong entry in the first operator's matrix at degree 4, the
+        # only matrix with one column per degree-4 monomial (15)
+        real = kernels.nullspace
 
-        def seeded(ops, m, monomials):
-            rows = real(ops, m, monomials)
-            if m == 4 and len(ops) == 1:
+        def seeded(rows, ncols):
+            if ncols == 15:
+                rows = [list(row) for row in rows]
                 rows[0][0] += 1
-            return rows
+            return real(rows, ncols)
 
-        monkeypatch.setattr(kernels, "_operator_rows", seeded)
+        monkeypatch.setattr(kernels, "nullspace", seeded)
         code, report = run(capsys, "verify", "kernel", "--order", "12")
         assert code == 1
         failed = [c for c in report["checks"] if c["status"] == "fail"]
@@ -144,26 +145,15 @@ class TestVerifyCommands:
                    for c in report["checks"])
 
     def test_kernel_wrong_legendre_coefficient_fails(self, capsys, monkeypatch):
-        # P_2 = (3x^2 - 1)/2 with the x^2 coefficient bumped to 5/2; the
-        # cached product basis and operator blocks are dropped on both sides
-        # so no earlier value can mask the defect and none can leak from it
+        # P_2 = (3x^2 - 1)/2 with the x^2 coefficient bumped to 5/2
         real = kernels.legendre
 
         def seeded(k):
             p = real(k)
             return DensePoly1((p.coeffs[0], 0, Fraction(5, 2))) if k == 2 else p
 
-        def clear_caches():
-            kernels.pbasis_laurent.cache_clear()
-            kernels._image_block.cache_clear()
-
-        clear_caches()
         monkeypatch.setattr(kernels, "legendre", seeded)
-        try:
-            code, report = run(capsys, "verify", "kernel", "--order", "6")
-        finally:
-            monkeypatch.undo()
-            clear_caches()
+        code, report = run(capsys, "verify", "kernel", "--order", "6")
         assert code == 1
         witnesses = [c for c in report["checks"] if c["check"] == "falsification"]
         assert witnesses and all(c["status"] == "fail" for c in witnesses)
@@ -238,6 +228,20 @@ class TestVerifyCommands:
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")
         assert code == 0 and report["summary"]["failed"] == 0
+        assert not any("witness" in c for c in report["checks"])
+
+    def test_specialized_rejects_entry_off_its_closed_form(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        bump_saved_entry(path)
+        code, report = run(capsys, "verify", "specialized", "--max-level", "8",
+                           "--table", str(path))
+        assert code == 1
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        (formula,) = [c for c in failed if c["check"] == "specialization-formula"]
+        assert (formula["j1"], formula["j2"]) == (2, 1) and formula["witness"]
+        assert ("specialized-sum", 2, 2) in [
+            (c["check"], c["j1"], c.get("J")) for c in failed]
 
     def test_determinism_modulo_timing(self, capsys):
         _, first = run(capsys, "verify", "pieri", "--max-level", "4")
@@ -256,6 +260,29 @@ class TestVerifyCommands:
         (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
         assert witness["check"] == "falsification"
         assert "(2, 1, 1)" in witness["witness"]
+
+    def test_series_wrong_generator_fails_normalization(self, capsys, monkeypatch):
+        # x + 1/x at x = 1 + X with a linear term X added: every expansion
+        # but the unit's then has a linear part
+        real = expansion._x_plus_inv_series
+
+        def seeded(i, order):
+            out = real(i, order)
+            exp = [0, 0, 0]
+            exp[i] = 1
+            out.terms[tuple(exp)] = Fraction(1)
+            return out
+
+        monkeypatch.setattr(expansion, "_x_plus_inv_series", seeded)
+        code, report = run(capsys, "verify", "series", "--max-level", "8",
+                           "--order", "2")
+        assert code == 1
+        checks = report["checks"]
+        norms = [c for c in checks if c["check"] == "expansion-normalization"]
+        assert len(norms) == len(enumerate_through(8))
+        assert {tuple(c["triple"]) for c in norms if c["status"] == "pass"} == {
+            (0, 0, 0)}
+        assert not any(c["check"] == "falsification" for c in checks)
 
     @pytest.mark.parametrize("suite, check", [("pieri", "pieri"), ("eigen", "eigen")])
     def test_saved_entry_off_its_recursion_fails(self, tmp_path, capsys, suite, check):

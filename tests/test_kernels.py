@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from g2schur.diffops import homogeneous_component
-from g2schur.kernels import (_monomials, _operator_rows, action_check,
-                             common_kernel, kernel_H1, leading_term_check,
-                             pair_kernel_vector, pbasis, pbasis_laurent,
-                             triple_kernel)
+from g2schur.kernels import (action_check, common_kernel, kernel_H1,
+                             leading_term_check, pair_kernel_vector, pbasis,
+                             pbasis_laurent, triple_kernel)
 from g2schur.laurent import LaurentPoly3
 from g2schur.univariate import legendre
 
@@ -76,18 +75,6 @@ class TestProductBasis:
         for m in range(7):
             count = sum(1 for k in range(m + 1) for l in range(m - k + 1))
             assert count == (m + 1) * (m + 2) // 2
-
-
-class TestOperatorRows:
-    def test_returned_rows_do_not_alias_the_cache(self):
-        ops = [homogeneous_component(k, -2) for k in (1, 2)]
-        monomials = _monomials(4)
-        first = _operator_rows(ops, 4, monomials)
-        expected = [list(row) for row in first]
-        first[0][0] += 1
-        first[-1].append(Fraction(7))
-        del first[1]
-        assert _operator_rows(ops, 4, monomials) == expected
 
 
 class TestKernelH1:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from g2schur.diffops import homogeneous_component
-from g2schur.kernels import _monomials, _operator_rows, _span_contains
+from g2schur.kernels import _monomials, _span_contains
+from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import invert_matrix, mat_vec, nullspace, rref
 
 OPERATOR_SETS = ((1,), (1, 2), (1, 3), (1, 2, 3))
@@ -73,11 +74,22 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int, density: float,
 
 
 def kernel_operator_matrices(max_degree: int):
+    """Stacked matrices of each operator set on the degree-m monomials.
+
+    One column per monomial and, for each operator, one row per image
+    monomial in sorted order.
+    """
     for m in range(max_degree + 1):
         monomials = _monomials(m)
         for ks in OPERATOR_SETS:
-            ops = [homogeneous_component(k, -2) for k in ks]
-            yield m, ks, _operator_rows(ops, m, monomials), len(monomials)
+            rows = []
+            for k in ks:
+                op = homogeneous_component(k, -2)
+                images = [op.apply(LaurentPoly3.monomial(e)).terms for e in monomials]
+                targets = sorted({e for img in images for e in img})
+                rows.extend([img.get(t, Fraction(0)) for img in images]
+                            for t in targets)
+            yield m, ks, rows, len(monomials)
 
 
 class TestSparseRref:

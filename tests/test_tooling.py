@@ -53,3 +53,13 @@ def test_cauchy_suite_reaches_its_traced_stages(tmp_path):
     assert {"cauchy.check_H1_relation", "cauchy.leading_pole_coefficient",
             "cauchy.omega_from_sums", "cauchy.closedform", "cauchy.pde_check",
             "expansion.fit_family"} <= {span[0] for span in trace["spans"]}
+
+
+def test_kernel_suite_reaches_its_traced_stages(tmp_path):
+    # the pair and triple kernels are taken inside ker H1t; each stage and
+    # every elimination still runs under its traced name
+    trace = traced(tmp_path, "verify", "kernel", "--order", "4")
+    assert trace["exit_code"] == 0
+    assert {"kernels.kernel_H1", "kernels.common_kernel", "kernels.triple_kernel",
+            "kernels.formula_checks", "linalg.rref"} <= {
+        span[0] for span in trace["spans"]}
