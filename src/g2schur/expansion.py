@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
@@ -110,7 +111,9 @@ class ExpansionSet:
 
     Interpolation labels are chosen greedily in enumeration order until the
     monomial-evaluation matrix reaches full rank; every remaining table label
-    is then used for out-of-sample validation.
+    is then used for out-of-sample validation, in integers: its monomial row
+    against the family's cleared numerators (``LaurentPoly3.evaluate`` is the
+    test oracle).
     """
 
     def __init__(self, table: SchurTable, order: int):
@@ -131,7 +134,7 @@ class ExpansionSet:
                     f"based at {pred}", witness=residual)
             series[t] = solve_entry(t, series, generators)
         self.expansions: dict[Triple, TruncSeries3] = series
-        self._fit_data: dict[int, tuple[list[Triple], list[list[Fraction]]]] = {}
+        self._fit_data: dict[int, tuple] = {}
         self._families: dict[Exp, CoeffFamily] = {}
 
     # -- family fitting -----------------------------------------------------
@@ -139,26 +142,29 @@ class ExpansionSet:
     def coefficient(self, triple: Triple, mvec: Exp) -> Fraction:
         return self.expansions[triple].coefficient(mvec)
 
-    def _fit_basis(self, degree: int) -> tuple[list[Triple], list[list[Fraction]]]:
-        """Greedily selected labels and the inverted fit matrix for one degree."""
+    def _fit_basis(self, degree: int) -> tuple[list[Triple], list[list[Fraction]],
+                                               list[tuple[Triple, list[int]]]]:
+        """Greedily selected labels, the inverted fit matrix and the remaining
+        labels with their integer monomial rows, for one degree."""
         if degree in self._fit_data:
             return self._fit_data[degree]
         monomials = exponents_upto(degree)
         tracker = RankTracker(len(monomials))
         chosen: list[Triple] = []
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
+        rest: list[tuple[Triple, list[int]]] = []
         for t in enumerate_through(self.table.max_level):
-            row = [Fraction(t[0]**a * t[1]**b * t[2]**c) for (a, b, c) in monomials]
-            if tracker.try_add(row):
+            row = [t[0]**a * t[1]**b * t[2]**c for (a, b, c) in monomials]
+            if tracker.rank < len(monomials) and tracker.try_add(row):
                 chosen.append(t)
                 rows.append(row)
-                if tracker.rank == len(monomials):
-                    break
+            else:
+                rest.append((t, row))
         if tracker.rank < len(monomials):
             raise ValueError(
                 f"table level {self.table.max_level} provides only rank "
                 f"{tracker.rank} of {len(monomials)} for degree {degree}")
-        self._fit_data[degree] = (chosen, invert_matrix(rows))
+        self._fit_data[degree] = (chosen, invert_matrix(rows), rest)
         return self._fit_data[degree]
 
     def fit_family(self, mvec: Exp) -> CoeffFamily:
@@ -169,26 +175,24 @@ class ExpansionSet:
         if self.order < degree:
             raise ValueError(f"expansions of order {self.order} cannot reach {mvec}")
         monomials = exponents_upto(degree)
-        chosen, inverse = self._fit_basis(degree)
+        chosen, inverse, rest = self._fit_basis(degree)
         rhs = [self.coefficient(t, mvec) for t in chosen]
-        coeffs = mat_vec(inverse, rhs)
-        poly = LaurentPoly3(dict(zip(monomials, coeffs)))
+        poly = LaurentPoly3(dict(zip(monomials, mat_vec(inverse, rhs))))
 
-        chosen_set = set(chosen)
-        validated = 0
-        for t in enumerate_through(self.table.max_level):
-            if t in chosen_set:
-                continue
-            if poly.evaluate(t) != self.coefficient(t, mvec):
+        # out of sample, in integers: row . nums / den against each coefficient
+        nums, den = poly.cleared()
+        vec = [nums.get(m, 0) for m in monomials]
+        for t, row in rest:
+            c = self.coefficient(t, mvec)
+            if sum(map(mul, row, vec)) * c.denominator != den * c.numerator:
                 raise FalsificationError(
                     f"degree bound violated for {mvec}: no polynomial of degree "
                     f"<= {degree} matches the coefficients (label {t})")
-            validated += 1
         family = CoeffFamily(
             mvec=mvec,
             polynomial=poly,
-            validated_on=validated,
-            unvalidated=validated < VALIDATION_MARGIN,
+            validated_on=len(rest),
+            unvalidated=len(rest) < VALIDATION_MARGIN,
         )
         self._families[mvec] = family
         return family

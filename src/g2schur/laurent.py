@@ -13,9 +13,10 @@ their exact value at a label.
 
 A polynomial with rational coefficients also has an integer form:
 ``cleared()`` gives integer numerators over one common denominator and
-``from_cleared`` turns such a pair back into a polynomial.  The exact checks
-on table entries (Pieri and eigenvalue residuals, the unit value) accumulate
-in that form and build ``Fraction`` coefficients only for a nonzero result.
+``from_cleared`` turns such a pair back into a polynomial.  The table layer
+works in that form (the table solve and load, the Pieri, eigenvalue, unit-value
+and S3 checks) and builds ``Fraction`` coefficients only for stored entries and
+nonzero residuals.
 
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so instances may be shared freely.
@@ -221,13 +222,6 @@ class LaurentPoly3:
         out = LaurentPoly3.__new__(LaurentPoly3)
         out.terms = terms
         return out
-
-    def eval_ones(self):
-        """Value at x12 = x13 = x23 = 1, i.e. the sum of all coefficients."""
-        total = Fraction(0)
-        for c in self.terms.values():
-            total = total + c
-        return total
 
     def evaluate(self, point: Exp) -> Fraction:
         """Exact value at the integer label ``point``; polynomials only.

@@ -15,10 +15,15 @@ solved from one predecessor equation and every other applicable predecessor
 equation is then asserted exactly, so an inconsistent system cannot slip
 through construction.
 
-Residuals of the recursions (``SchurTable.pieri_residual``) and the unit-value
-check of a loaded file run on integer numerators over one common denominator
-(``LaurentPoly3.cleared``); a nonzero residual comes back as the exact Laurent
-polynomial.  The table file is the ``json.dumps(..., indent=1)`` layout of the
+The table layer works in the integer form of an entry: integer numerators
+over one common denominator, reduced so that the denominator is positive and
+coprime to the content (``LaurentPoly3.cleared``).  ``solve_table`` solves each
+entry in that form, ``SchurTable.load`` reads it straight from the ``"p/q"``
+coefficient texts, and the recursion residuals (``SchurTable.pieri_residual``),
+the unit-value checks and the S3 checks compare numerators and denominators;
+a nonzero residual comes back as the exact Laurent polynomial.  The entries
+themselves stay ``Fraction``-coefficient Laurent polynomials for every
+consumer.  The table file is the ``json.dumps(..., indent=1)`` layout of the
 entries, written directly by ``canonical_json``; the ``json.dumps`` route is
 the test oracle for it.
 """
@@ -28,9 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .laurent import Exp, LaurentPoly3, x_plus_inv
+from .laurent import Exp, LaurentPoly3
 
 Triple = tuple[int, int, int]
 
@@ -144,8 +149,9 @@ def solve_entry(triple: Triple, entries: dict, generators):
 
     ``entries`` holds the values of the lower levels and ``generators[i]``
     the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  The
-    table runs this on Laurent polynomials and the expansions around x = 1
-    run it on truncated power series.
+    expansions around x = 1 run this on truncated power series.  Run on
+    Laurent polynomials it is the test oracle of ``solve_table``, which
+    solves in the integer form instead.
     """
     eq, pred = predecessor_equations(triple)[0]
     rest = generators[eq] * entries[pred]
@@ -195,10 +201,14 @@ class SchurTable:
         """Table entry; the zero polynomial for non-admissible or out-of-range triples."""
         return self.entries.get(triple, LaurentPoly3.zero())
 
-    # -- verification helpers -------------------------------------------
+    # -- integer form: solve and verification helpers -------------------
 
     def _cleared_entry(self, triple: Triple) -> tuple[dict[Exp, int], int]:
-        """``entry(triple).cleared()``, computed once per stored entry."""
+        """``entry(triple).cleared()``, computed once per stored entry.
+
+        ``solve_table`` and ``load`` store the integer form with each entry;
+        an entry replaced since is cleared again.
+        """
         poly = self.entries.get(triple)
         if poly is None:
             return {}, 1
@@ -207,16 +217,19 @@ class SchurTable:
             hit = self._cleared[triple] = (poly, *poly.cleared())
         return hit[1], hit[2]
 
-    def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
-        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds).
+    def _recursion_sum(self, eq: int, base: Triple,
+                       skip: Triple | None = None) -> tuple[dict[Exp, int], int]:
+        """(x + 1/x) phi_base - sum K phi_target of recursion ``eq`` at ``base``,
+        the target ``skip`` left out, as integer numerators over one denominator.
 
-        Accumulates integer numerators at the lcm of the entry and ``K``
-        denominators; multiplying by x + 1/x is two exponent shifts.
+        Accumulates at the lcm of the entry and ``K`` denominators, without
+        reducing; cancelled numerators stay in the dict as zeros.  Multiplying
+        by x + 1/x is two exponent shifts.
         """
         rhs = []
         den = 1
         for target, coeff in _pieri_terms(eq, base):
-            if coeff and is_admissible(*target):
+            if coeff and target != skip and is_admissible(*target):
                 nums, d = self._cleared_entry(target)
                 d *= coeff.denominator
                 rhs.append((nums, coeff.numerator, d))
@@ -237,7 +250,39 @@ class SchurTable:
             w = num * (den // d)
             for key, n in nums.items():
                 acc[key] = get(key, 0) - w * n
-        return LaurentPoly3.from_cleared(acc, den)
+        return acc, den
+
+    def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
+        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds)."""
+        return LaurentPoly3.from_cleared(*self._recursion_sum(eq, base))
+
+    def _solve(self, triple: Triple) -> None:
+        """Solve and store ``triple`` from its solving equation.
+
+        The recursion sum without ``triple`` is divided once by the lead
+        ``K``; the result is reduced to the form ``cleared()`` returns.  The
+        lead is ``K_{1,1}`` of an admissible base, which is positive, so the
+        denominator stays positive.
+        """
+        eq, pred = predecessor_equations(triple)[0]
+        lead = dict(_pieri_terms(eq, pred)).get(triple)
+        if not lead:
+            raise TableError(f"vanishing leading coefficient solving {triple}")
+        acc, den = self._recursion_sum(eq, pred, skip=triple)
+        q = lead.denominator
+        nums = {e: n * q for e, n in acc.items() if n}
+        den *= lead.numerator
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+        self._store(triple, nums, den)
+
+    def _store(self, triple: Triple, nums: dict[Exp, int], den: int) -> None:
+        """Store an entry given in its reduced integer form (den > 0, content
+        coprime to den), the form ``cleared()`` returns."""
+        poly = self.entries[triple] = LaurentPoly3.from_cleared(nums, den)
+        self._cleared[triple] = (poly, nums, den)
 
     # -- persistence -----------------------------------------------------
 
@@ -272,6 +317,13 @@ class SchurTable:
 
     @staticmethod
     def load(path) -> "SchurTable":
+        """Read and check a table file; the file is not trusted.
+
+        Every coefficient must be the canonical text of a nonzero rational,
+        ``str(p)`` or ``"p/q"`` with q > 1 coprime to p, and every entry must
+        take the value 1 at x12 = x13 = x23 = 1.  The integer form of each
+        entry is read from those texts and stored with it.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -284,7 +336,8 @@ class SchurTable:
         max_level = payload.get("max_level")
         if not isinstance(max_level, int) or max_level < 0 or max_level % 2:
             raise TableError(f"invalid max_level: {max_level!r}")
-        entries: dict[Triple, LaurentPoly3] = {}
+        table = SchurTable(max_level, {})
+        entries = table.entries
         for rec in payload.get("entries", []):
             t = tuple(rec["triple"])
             if len(t) != 3 or not all(isinstance(v, int) for v in t):
@@ -295,21 +348,19 @@ class SchurTable:
                 raise TableError(f"triple {t} beyond declared max_level {max_level}")
             if t in entries:
                 raise TableError(f"duplicate triple {t}")
-            terms: dict[Exp, Fraction] = {}
+            terms: dict[Exp, tuple[int, int]] = {}
             for term in rec["poly"]:
                 e = tuple(term["exp"])
                 if len(e) != 3 or not all(isinstance(v, int) for v in e):
                     raise TableError(f"malformed exponent {term['exp']!r}")
-                try:
-                    c = Fraction(term["coeff"])
-                except (ValueError, ZeroDivisionError, TypeError) as exc:
-                    raise TableError(f"malformed rational {term['coeff']!r}") from exc
-                if not c:
+                p, q = _parse_coeff(term["coeff"])
+                if not p:
                     raise TableError(f"stored zero coefficient at {t}, {e}")
                 if e in terms:
                     raise TableError(f"duplicate exponent {e} in entry {t}")
-                terms[e] = c
-            entries[t] = LaurentPoly3(terms)
+                terms[e] = p, q
+            den = lcm(*[q for _, q in terms.values()])
+            table._store(t, {e: p * (den // q) for e, (p, q) in terms.items()}, den)
         expected = set(enumerate_through(max_level))
         missing = expected - set(entries)
         if missing:
@@ -321,7 +372,6 @@ class SchurTable:
         unit = entries[(0, 0, 0)]
         if unit != LaurentPoly3.one():
             raise TableError("entry (0,0,0) is not the constant 1")
-        table = SchurTable(max_level, entries)
         for t in entries:
             nums, den = table._cleared_entry(t)
             if sum(nums.values()) != den:
@@ -329,21 +379,39 @@ class SchurTable:
         return table
 
 
+def _parse_coeff(text) -> tuple[int, int]:
+    """``(p, q)`` of a coefficient text, which must read exactly as
+    ``str(Fraction(p, q))``: ``str(p)``, or ``"p/q"`` with q > 1 coprime to p.
+
+    Any other text that ``Fraction`` or ``int`` would accept (``"2/4"``,
+    ``"1/1"``, ``"+1/2"``, ``" 1/2"``, ``"1_0/20"``, ``"0.5"``) raises
+    ``TableError``.
+    """
+    try:
+        num, slash, den = text.partition("/")
+        p = int(num)
+        q = int(den) if slash else 1
+    except (AttributeError, ValueError):
+        raise TableError(f"malformed rational {text!r}") from None
+    if str(p) != num or slash and (q < 2 or str(q) != den or gcd(p, q) != 1):
+        raise TableError(f"malformed rational {text!r}")
+    return p, q
+
+
 def solve_table(max_level: int) -> SchurTable:
     """Build the table through ``max_level`` by level induction.
 
-    Each new entry is solved from its solving equation (see
-    ``predecessor_equations``) and the remaining applicable predecessor
+    Each new entry is solved in the integer form from its solving equation
+    (see ``predecessor_equations``) and the remaining applicable predecessor
     equations are asserted exactly.
     """
     if max_level < 0 or max_level % 2:
         raise ValueError("max_level must be a nonnegative even integer")
-    entries: dict[Triple, LaurentPoly3] = {(0, 0, 0): LaurentPoly3.one()}
-    table = SchurTable(max_level, entries)
-    generators = [x_plus_inv(i) for i in range(3)]
+    table = SchurTable(max_level, {})
+    table._store((0, 0, 0), {(0, 0, 0): 1}, 1)
     for level in range(2, max_level + 1, 2):
         for triple in enumerate_level(level):
-            entries[triple] = solve_entry(triple, entries, generators)
+            table._solve(triple)
             for other_eq, other_pred in predecessor_equations(triple)[1:]:
                 residual = table.pieri_residual(other_eq, other_pred)
                 if residual:
@@ -385,16 +453,20 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
     """Check equivariance under a simultaneous permutation of labels and variables.
 
     ``sigma`` maps index i to sigma[i-1].  Returns (ok, witness_triple).
+    Entries are compared in their integer forms: the same denominator and,
+    with the variables permuted, the same numerators.
     """
-    pos_map = []
+    # the permuted exponent at position p is the entry's exponent at src[p]
+    src = [0, 0, 0]
     for k in range(3):
         i, j = _POS_PAIR[k]
-        pos_map.append(_PAIR_POS[frozenset({sigma[i - 1], sigma[j - 1]})])
-    pos_map = tuple(pos_map)
+        src[_PAIR_POS[frozenset({sigma[i - 1], sigma[j - 1]})]] = k
+    a, b, c = src
     for triple in enumerate_through(table.max_level):
+        nums, den = table._cleared_entry(triple)
         permuted_labels = tuple(triple[sigma[i] - 1] for i in range(3))
-        candidate = table.entry(permuted_labels).permute(pos_map)
-        if candidate != table.entries[triple]:
+        cand_nums, cand_den = table._cleared_entry(permuted_labels)
+        if cand_den != den or {(e[a], e[b], e[c]): n for e, n in cand_nums.items()} != nums:
             return False, triple
     return True, None
 
@@ -415,9 +487,9 @@ def verify_pieri(table: SchurTable) -> list[dict]:
                 rec["witness"] = repr(residual)
             checks.append(rec)
     for triple in triples:
-        value = table.entries[triple].eval_ones()
+        nums, den = table._cleared_entry(triple)
         checks.append({"check": "unit-value", "triple": list(triple),
-                       "status": "pass" if value == 1 else "fail"})
+                       "status": "pass" if sum(nums.values()) == den else "fail"})
     seen_per_level: dict[int, set] = {}
     for triple in triples:
         try:

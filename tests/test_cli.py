@@ -82,6 +82,13 @@ class TestTableCommand:
         # value-at-ones validation rejects the edit at load time
         assert main(["roundtrip", "--table", str(path)]) == 2
 
+    def test_noncanonical_coefficient_is_operational_error(self, tmp_path, capsys):
+        # "2/4" has the right value but is not the canonical text of 1/2
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        path.write_text(path.read_text().replace('"1/2"', '"2/4"', 1))
+        assert main(["verify", "pieri", "--max-level", "4", "--table", str(path)]) == 2
+
 
 class TestVerifyCommands:
     def test_eigen_from_saved_table(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from g2schur.expansion import ExpansionSet, expand_entry
 from g2schur.laurent import LaurentPoly3
-from g2schur.series import TruncSeries3
+from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
                            enumerate_through, solve_table)
 
@@ -96,6 +97,25 @@ class TestFamilies:
             for t in enumerate_level(level):
                 assert fam.polynomial.evaluate(t) == \
                     expansions12.coefficient(t, (2, 2, 0))
+
+    def test_integer_validation_matches_evaluate(self, expansions12):
+        # every fitted family passes the integer out-of-sample check, and
+        # its Fraction value at every label agrees with the expansions
+        labels = enumerate_through(12)
+        for mvec in exponents_upto(4):
+            poly = expansions12.fit_family(mvec).polynomial
+            for t in labels:
+                assert poly.evaluate(t) == expansions12.coefficient(t, mvec)
+
+    def test_off_family_label_named(self, table12):
+        # one coefficient moved off its family at the last label, which is
+        # never an interpolation label: the integer check names that label
+        es = ExpansionSet(table12, 2)
+        last = enumerate_through(12)[-1]
+        series = es.expansions[last]
+        series.terms[(2, 0, 0)] = series.coefficient((2, 0, 0)) + Fraction(1, 3)
+        with pytest.raises(FalsificationError, match=re.escape(f"(label {last})")):
+            es.fit_family((2, 0, 0))
 
     def test_insufficient_table_rejected(self, table8):
         es = ExpansionSet(table8, 6)

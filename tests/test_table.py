@@ -7,7 +7,8 @@ from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
                            TableError, _pieri_terms, enumerate_level,
                            enumerate_through, is_admissible, leading_term,
-                           pieri_coeff, s3_check, solve_table)
+                           pieri_coeff, s3_check, solve_entry, solve_table,
+                           verify_pieri)
 
 
 def fraction_pieri_residual(table, eq, base):
@@ -22,6 +23,26 @@ def fraction_pieri_residual(table, eq, base):
         if coeff and is_admissible(*target):
             rhs = rhs + table.entry(target).scale(coeff)
     return lhs - rhs
+
+
+def fraction_solve_table(max_level):
+    """The table entries through ``solve_entry`` on ``LaurentPoly3`` values.
+
+    The former body of ``solve_table``; the oracle for its integer solve.
+    """
+    entries = {(0, 0, 0): LaurentPoly3.one()}
+    generators = [x_plus_inv(i) for i in range(3)]
+    for triple in enumerate_through(max_level)[1:]:
+        entries[triple] = solve_entry(triple, entries, generators)
+    return entries
+
+
+def assert_cleared_stored(table):
+    """Each entry carries its integer form, equal to ``cleared()``."""
+    assert set(table._cleared) == set(table.entries)
+    for t, poly in table.entries.items():
+        assert table._cleared[t][0] is poly
+        assert table._cleared[t][1:] == poly.cleared(), t
 
 
 def json_dumps_table(table):
@@ -119,7 +140,15 @@ class TestSolveTable:
 
     def test_unit_values(self, table8):
         for phi in table8.entries.values():
-            assert phi.eval_ones() == 1
+            assert sum(phi.terms.values()) == 1
+
+    def test_unit_value_record_can_fail(self, table4):
+        # halving one entry doubles its denominator and keeps its numerators
+        entries = dict(table4.entries)
+        entries[(1, 2, 1)] = entries[(1, 2, 1)].scale(Fraction(1, 2))
+        records = verify_pieri(SchurTable(4, entries))
+        assert [r["triple"] for r in records if r["check"] == "unit-value"
+                and r["status"] == "fail"] == [[1, 2, 1]]
 
     def test_invariance_under_inversion(self, table8):
         for phi in table8.entries.values():
@@ -153,6 +182,15 @@ class TestSolveTable:
         table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)].scale(Fraction(2))
         residual = table.pieri_residual(0, (1, 0, 1))
         assert residual and residual == fraction_pieri_residual(table, 0, (1, 0, 1))
+
+    def test_matches_solve_entry_oracle(self, table12):
+        oracle = fraction_solve_table(12)
+        assert set(table12.entries) == set(oracle)
+        for t, poly in oracle.items():
+            assert table12.entries[t] == poly, t
+
+    def test_solved_entries_carry_integer_form(self, table12):
+        assert_cleared_stored(table12)
 
     def test_completeness(self, table8):
         levels = {t: sum(t) for t in table8.entries}
@@ -209,6 +247,16 @@ class TestS3:
         ok, witness = s3_check(broken, (3, 2, 1))
         assert not ok and witness is not None
 
+    def test_violation_in_denominator_only(self, table4):
+        # halving (1, 1, 0) keeps its numerators; only the denominator differs
+        entries = dict(table4.entries)
+        entries[(1, 1, 0)] = entries[(1, 1, 0)].scale(Fraction(1, 2))
+        broken = SchurTable(4, entries)
+        nums, den = broken._cleared_entry((1, 1, 0))
+        assert (nums, den) == (table4._cleared[(1, 1, 0)][1], 4)
+        ok, witness = s3_check(broken, (3, 2, 1))
+        assert not ok and witness in {(0, 1, 1), (1, 1, 0)}
+
 
 class TestPersistence:
     def test_roundtrip(self, table4, tmp_path):
@@ -220,6 +268,11 @@ class TestPersistence:
         # canonical bytes are reproducible
         loaded.save(tmp_path / "t2.json")
         assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
+    def test_loaded_entries_carry_integer_form(self, table12, tmp_path):
+        path = tmp_path / "t.json"
+        table12.save(path)
+        assert_cleared_stored(SchurTable.load(path))
 
     def test_canonical_json_matches_json_dumps(self, table4, table12):
         for table in (solve_table(0), table4, table12, perturbed(table12),
@@ -265,6 +318,21 @@ class TestPersistence:
     def test_rejects_malformed_rational(self, table4, tmp_path):
         payload = self._payload(table4)
         payload["entries"][0]["poly"][0]["coeff"] = "1/0"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TableError, match="malformed rational"):
+            SchurTable.load(path)
+
+    @pytest.mark.parametrize("triple, coeff", [
+        ((1, 1, 0), "0.5"), ((1, 1, 0), "5e-1"), ((1, 1, 0), "2/4"),
+        ((1, 1, 0), "+1/2"), ((1, 1, 0), " 1/2"), ((1, 1, 0), "1_0/20"),
+        ((0, 0, 0), "1/1"), ((0, 0, 0), 1)])
+    def test_rejects_noncanonical_rational(self, table4, tmp_path, triple, coeff):
+        # each text denotes the stored value, so only its form is at fault
+        payload = self._payload(table4)
+        (rec,) = [r for r in payload["entries"] if tuple(r["triple"]) == triple]
+        assert Fraction(rec["poly"][0]["coeff"]) == Fraction(coeff)
+        rec["poly"][0]["coeff"] = coeff
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(TableError, match="malformed rational"):

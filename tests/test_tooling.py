@@ -34,6 +34,17 @@ def test_table_checks_reach_their_traced_layers(tmp_path):
             "table.canonical_json"} <= seen
 
 
+def test_table_solve_load_and_s3_reach_their_traced_spans(tmp_path):
+    # the integer-form solve, load and symmetry checks run under their names
+    seen = set()
+    for argv in (("table", "--max-level", "4", "--out", "t4.json"),
+                 ("verify", "pieri", "--max-level", "4", "--table", "t4.json")):
+        trace = traced(tmp_path, *argv)
+        assert trace["exit_code"] == 0
+        seen |= {span[0] for span in trace["spans"]}
+    assert {"table.solve_table", "table.load", "table.s3_check"} <= seen
+
+
 def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
     # the conjecture stages run under their traced names; the products of
     # the per-copy families are LaurentPoly3 products, counted in laurent.mul
