@@ -43,11 +43,11 @@ from fractions import Fraction
 from .epsilon import EpsLaurent
 from .expansion import ExpansionSet
 from .klocal import KLocal, linear_combination
-from .laurent import Exp, LaurentPoly3
+from .laurent import Exp, LaurentPoly3, x_plus_inv
 from .series import TruncSeries3, exponents_upto
 from .table import FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
-from .diffops import homogeneous_component
+from .diffops import apply_H_cleared, homogeneous_component
 
 # ---------------------------------------------------------------------------
 # master generating sum with factored denominators
@@ -314,9 +314,6 @@ def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
     and both signs satisfy H_1 C(n, e) = e^2 C(n, e).  All comparisons are
     cleared by (x12 - 1/x12)(x13 - 1/x13).
     """
-    from .diffops import apply_H_cleared
-    from .laurent import x_plus_inv
-
     cm = cauchy_truncation(table, "-", order)
     cp = cauchy_truncation(table, "+", order)
     d1 = (LaurentPoly3.variable(0) - LaurentPoly3.monomial((-1, 0, 0))) * \
@@ -388,18 +385,37 @@ class OmegaSeries:
         }
 
 
-def omega_from_sums(table: SchurTable, sign: str, order: int,
-                    expansions: ExpansionSet | None = None) -> OmegaSeries:
-    """Leading pole coefficients of the weighted sum, monomial by monomial."""
-    if expansions is None:
-        expansions = ExpansionSet(table, order)
+def omega_from_sums(expansions: ExpansionSet, sign: str,
+                    order: int) -> tuple[OmegaSeries | None, list[dict]]:
+    """Leading pole coefficients of the weighted sum, monomial by monomial.
+
+    One pass through ``order``: each family is fitted once and its leading
+    pole coefficient taken once, giving the monomial's ``pole-order`` record
+    and its Omega coefficient.  A failed fit or an over-bound pole fails its
+    record with a witness and the pass goes on; the series is then None.
+    """
+    bound = POLE_BOUND[sign]
     coeffs: dict[Exp, RatFun1] = {}
+    records = []
     for mvec in exponents_upto(order):
-        family = expansions.fit_family(mvec)
-        value, _ = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
-        if value:
-            coeffs[mvec] = value
-    return OmegaSeries(sign, order, coeffs)
+        rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
+        try:
+            family = expansions.fit_family(mvec)
+            value, pole = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
+        except FalsificationError as exc:
+            witness = {"message": str(exc)}
+            if exc.witness is not None:  # the over-bound leading coefficient
+                witness["coefficient"] = exc.witness.to_ratfun().serialize()
+            rec.update(bound=bound, status="fail", witness=witness)
+        else:
+            rec.update(order=pole, bound=bound,
+                       status="pass" if pole <= bound else "fail")
+            if value:
+                coeffs[mvec] = value
+        records.append(rec)
+    if any("witness" in rec for rec in records):
+        return None, records
+    return OmegaSeries(sign, order, coeffs), records
 
 
 # quartic under the arctanh, and the shifted quadratic denominator
@@ -605,8 +621,8 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
     """The ``verify cauchy`` suite: H1 relations, pole orders, Omega_- against
     the closed form, then ``closedform_checks`` at max(order, 6).
 
-    A table the expansions reject, an over-bound pole or a failed Omega_-
-    extraction fails its own record and the later checks still run.
+    A table the expansions reject, a failed family fit or an over-bound pole
+    fails its own record and the later checks still run.
     """
     checks = check_H1_relation(table, lambda_order)
     try:
@@ -615,25 +631,13 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
         checks.append({"check": "falsification", "stage": "expansions",
                        "status": "fail", "witness": str(exc)})
         return checks + closedform_checks(max(order, 6))
-    for sign in ("-", "+"):
-        for mvec in exponents_upto(order):
-            fam = es.fit_family(mvec)
-            rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
-            try:
-                _, pole = leading_pole_coefficient(fam.polynomial, sign, sum(mvec))
-                rec.update(order=pole, bound=POLE_BOUND[sign],
-                           status="pass" if pole <= POLE_BOUND[sign] else "fail")
-            except FalsificationError as exc:
-                rec.update(bound=POLE_BOUND[sign], status="fail", witness={
-                    "message": str(exc),
-                    "coefficient": exc.witness.to_ratfun().serialize()})
-            checks.append(rec)
-    try:
-        om = omega_from_sums(table, "-", order, es)
-    except FalsificationError as exc:
-        checks.append({"check": "falsification",
-                       "stage": "omega-minus-vs-closedform",
-                       "status": "fail", "witness": str(exc)})
+    om, minus = omega_from_sums(es, "-", order)
+    _, plus = omega_from_sums(es, "+", order)
+    checks += minus + plus
+    if om is None:
+        message = next(rec["witness"]["message"] for rec in minus if "witness" in rec)
+        checks.append({"check": "falsification", "stage": "omega-minus-vs-closedform",
+                       "status": "fail", "witness": message})
     else:
         checks.append(omega_vs_closedform(om))
     checks.extend(closedform_checks(max(order, 6)))
@@ -655,8 +659,6 @@ def specialization_phi(j1: int, j2: int) -> LaurentPoly3:
     """
     if not 0 <= j2 <= j1:
         raise ValueError("need 0 <= j2 <= j1")
-    from .laurent import x_plus_inv
-
     y12 = x_plus_inv(0)
     y13 = x_plus_inv(1)
     out = LaurentPoly3.zero()

@@ -29,7 +29,7 @@ from .cauchy import (closedform_omega_minus, closedform_omega_plus,
                      omega_plus_from_minus, verify_cauchy, verify_specialized)
 from .conjecture import conjecture_check
 from .diffops import verify_eigen
-from .expansion import verify_series
+from .expansion import ExpansionSet, verify_series
 from .kernels import verify_kernel
 from .report import Report, Stopwatch
 from .table import (FalsificationError, SchurTable, TableError, solve_table,
@@ -141,7 +141,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
 def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
     with Stopwatch() as sw:
         table = _load_or_build(cfg)
-        result = conjecture_check(cfg.copies, cfg.order, table)
+        result = conjecture_check(cfg.copies, cfg.order, ExpansionSet(table, cfg.order))
     report = Report(
         suite="conjecture",
         config={"copies": cfg.copies, "order": cfg.order,

@@ -31,7 +31,6 @@ from .expansion import ExpansionSet
 from .kernels import _odd_double_factorial
 from .laurent import LaurentPoly3
 from .series import exponents_upto
-from .table import SchurTable
 from .univariate import RatFun1
 
 IndexVec = tuple[int, int, int]
@@ -101,21 +100,20 @@ class ConjectureReport:
         }
 
 
-def conjecture_check(copies: int, order: int, table: SchurTable,
-                     expansions: ExpansionSet | None = None) -> ConjectureReport:
+def conjecture_check(copies: int, order: int,
+                     expansions: ExpansionSet) -> ConjectureReport:
     """Compare extracted leading-pole coefficients against the candidate.
 
-    ``order`` bounds the total degree of the compared monomials.  The per-copy
-    coefficient families (``LaurentPoly3`` values in the labels) multiply into
-    one label polynomial per exponent tuple; extraction then follows the
+    ``order`` bounds the total degree of the compared monomials, so
+    ``expansions`` must reach it.  The per-copy coefficient families
+    (``LaurentPoly3`` values in the labels, fitted by ``expansions``) multiply
+    into one label polynomial per exponent tuple; extraction then follows the
     single-sum machinery.  Extracted values are normalized by the degree-0
     kappa-profile (recorded in the report) and must be kappa-free afterwards
     to count as comparable.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
-    if expansions is None:
-        expansions = ExpansionSet(table, order)
 
     extracted: dict[tuple[IndexVec, ...], RatFun1] = {}
 

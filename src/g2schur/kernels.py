@@ -22,12 +22,12 @@ kernel of H1t and H2t v = 0.  Every nullspace is computed by exact sparse
 Gauss-Jordan elimination (``linalg.rref``); the product basis route serves as
 the independent cross-check.
 
-Each check computes what it needs for its degree and keeps none of it: the
-kernel of H1t is recomputed by each of ``kernel_H1``, ``common_kernel`` and
-``triple_kernel``.  Only the small inputs every degree shares stay cached:
-the binomial pairs, the Legendre polynomials and the operator components.
-Basis elements are summed in integers from binomial-pair coefficients over
-one common denominator.
+``verify_kernel`` eliminates H1t once per degree: ``kernel_H1`` returns the
+kernel it has matched against the diagonal elements, and ``common_kernel``
+and ``triple_kernel`` take the other operators on it.  Only the small inputs
+every degree shares stay cached: the binomial pairs, the Legendre polynomials
+and the operator components.  Basis elements are summed in integers from
+binomial-pair coefficients over one common denominator.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ def _kernel_on(ops: list[HomogeneousOp],
     return [_combine(vec, polys) for vec in nullspace(rows, len(polys))]
 
 
-def _h1_kernel(m: int) -> list[LaurentPoly3]:
-    """Kernel of H1t on the degree-m monomials."""
-    monomials = [LaurentPoly3.monomial(e) for e in _monomials(m)]
-    return _kernel_on([homogeneous_component(1, -2)], monomials)
-
-
 def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
     vec = [poly.terms.get(e, Fraction(0)) for e in monomials]
     leftover = set(poly.terms) - set(monomials)
@@ -161,11 +155,12 @@ def kernel_H1(m: int) -> dict:
 
     Computes the monomial-basis nullspace, asserts it matches the span of the
     diagonal product-basis elements, and verifies the diagonalization of
-    X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).
+    X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).  The
+    verified nullspace basis is returned under ``"kernel"``.
     """
     op = homogeneous_component(1, -2)
     monomials = _monomials(m)
-    null = _h1_kernel(m)
+    null = _kernel_on([op], [LaurentPoly3.monomial(e) for e in monomials])
     claimed = [pbasis(m, l, l) for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(
@@ -189,6 +184,7 @@ def kernel_H1(m: int) -> dict:
         "degree": m,
         "dim": len(null),
         "basis": [f"P_({m},{l},{l})" for l in range(m // 2 + 1)],
+        "kernel": null,
     }
 
 
@@ -296,17 +292,19 @@ def pair_kernel_vector(pair: tuple[int, int], n: int) -> LaurentPoly3:
     return acc
 
 
-def common_kernel(pair: tuple[int, int], m: int) -> dict:
+def common_kernel(pair: tuple[int, int], m: int,
+                  h1_kernel: list[LaurentPoly3]) -> dict:
     """Exact common kernel of the first operator with the second or third.
 
     Dimension 1 at even degree (spanned by the displayed vector), 0 at odd
-    degree.  Computed as the kernel of the pair's second operator on the
-    kernel of the first, and cross-checked against the displayed vector.
+    degree.  Computed as the kernel of the pair's second operator on
+    ``h1_kernel`` (``kernel_H1(m)["kernel"]``), and cross-checked against the
+    displayed vector.
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
     ops = [homogeneous_component(1, -2), homogeneous_component(pair[1], -2)]
-    null = _kernel_on(ops[1:], _h1_kernel(m))
+    null = _kernel_on(ops[1:], h1_kernel)
     expected_dim = 1 if m % 2 == 0 else 0
     if len(null) != expected_dim:
         raise FalsificationError(
@@ -327,15 +325,15 @@ def common_kernel(pair: tuple[int, int], m: int) -> dict:
     return result
 
 
-def triple_kernel(m: int) -> int:
+def triple_kernel(m: int, h1_kernel: list[LaurentPoly3]) -> int:
     """Dimension of the common kernel of all three operators at degree m.
 
     Must be 1 for m = 0 (constants) and 0 for every m >= 1.  Computed as
-    the common kernel of the second and third operators on the kernel of the
-    first.
+    the common kernel of the second and third operators on ``h1_kernel``,
+    a basis of the first operator's kernel at degree m.
     """
     ops = [homogeneous_component(k, -2) for k in (2, 3)]
-    dim = len(_kernel_on(ops, _h1_kernel(m)))
+    dim = len(_kernel_on(ops, h1_kernel))
     expected = 1 if m == 0 else 0
     if dim != expected:
         raise FalsificationError(
@@ -358,8 +356,9 @@ def verify_kernel(max_degree: int) -> list[dict]:
                            "status": "pass" if info["dim"] == m // 2 + 1 else "fail"})
             pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
             for pair in ((1, 2), (1, 3)):
-                pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(pair, m)["dim"]
-            pair_rec["dim_triple"] = triple_kernel(m)
+                pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(
+                    pair, m, info["kernel"])["dim"]
+            pair_rec["dim_triple"] = triple_kernel(m, info["kernel"])
         except FalsificationError as exc:
             checks.append({"check": "falsification", "degree": m,
                            "status": "fail", "witness": str(exc)})

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .laurent import Exp, LaurentPoly3
 
@@ -329,46 +329,55 @@ class SchurTable:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise TableError(f"unreadable table file: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
+        if not isinstance(payload, dict):
+            raise TableError("table file does not hold a JSON object")
+        if payload.get("format_version") != FORMAT_VERSION:
             raise TableError(
                 f"format version mismatch: expected {FORMAT_VERSION}, "
                 f"got {payload.get('format_version')!r}")
         max_level = payload.get("max_level")
-        if not isinstance(max_level, int) or max_level < 0 or max_level % 2:
+        if type(max_level) is not int or max_level < 0 or max_level % 2:
             raise TableError(f"invalid max_level: {max_level!r}")
         table = SchurTable(max_level, {})
         entries = table.entries
-        for rec in payload.get("entries", []):
-            t = tuple(rec["triple"])
-            if len(t) != 3 or not all(isinstance(v, int) for v in t):
-                raise TableError(f"malformed triple {rec['triple']!r}")
-            if not is_admissible(*t):
-                raise TableError(f"non-admissible triple {t} in table file")
-            if sum(t) > max_level:
-                raise TableError(f"triple {t} beyond declared max_level {max_level}")
-            if t in entries:
-                raise TableError(f"duplicate triple {t}")
-            terms: dict[Exp, tuple[int, int]] = {}
-            for term in rec["poly"]:
-                e = tuple(term["exp"])
-                if len(e) != 3 or not all(isinstance(v, int) for v in e):
-                    raise TableError(f"malformed exponent {term['exp']!r}")
-                p, q = _parse_coeff(term["coeff"])
-                if not p:
-                    raise TableError(f"stored zero coefficient at {t}, {e}")
-                if e in terms:
-                    raise TableError(f"duplicate exponent {e} in entry {t}")
-                terms[e] = p, q
-            den = lcm(*[q for _, q in terms.values()])
-            table._store(t, {e: p * (den // q) for e, (p, q) in terms.items()}, den)
-        expected = set(enumerate_through(max_level))
-        missing = expected - set(entries)
+        # a record, "poly" list or term of the wrong shape is a TableError too
+        try:
+            for rec in payload.get("entries", []):
+                t = tuple(rec["triple"])
+                if len(t) != 3 or not all(type(v) is int for v in t):
+                    raise TableError(f"malformed triple {rec['triple']!r}")
+                if not is_admissible(*t):
+                    raise TableError(f"non-admissible triple {t} in table file")
+                if sum(t) > max_level:
+                    raise TableError(
+                        f"triple {t} beyond declared max_level {max_level}")
+                if t in entries:
+                    raise TableError(f"duplicate triple {t}")
+                terms: dict[Exp, tuple[int, int]] = {}
+                for term in rec["poly"]:
+                    e = tuple(term["exp"])
+                    if len(e) != 3 or not all(type(v) is int for v in e):
+                        raise TableError(f"malformed exponent {term['exp']!r}")
+                    p, q = _parse_coeff(term["coeff"])
+                    if not p:
+                        raise TableError(f"stored zero coefficient at {t}, {e}")
+                    if e in terms:
+                        raise TableError(f"duplicate exponent {e} in entry {t}")
+                    terms[e] = p, q
+                den = lcm(*[q for _, q in terms.values()])
+                table._store(t, {e: p * (den // q) for e, (p, q) in terms.items()}, den)
+        except (KeyError, TypeError) as exc:
+            raise TableError(f"malformed entry record: {exc!r}") from None
+        # every entry is an admissible label within max_level and none repeats,
+        # so the table is complete exactly when it holds all C(max_level/2 + 3, 3)
+        # labels; counting first keeps the work bounded by the file, not by the
+        # level it declares
+        missing = comb(max_level // 2 + 3, 3) - len(entries)
         if missing:
-            raise TableError(f"incomplete table: missing {sorted(missing)[0]} "
-                             f"and {len(missing) - 1} more")
-        extra = set(entries) - expected
-        if extra:
-            raise TableError(f"unexpected triples present: {sorted(extra)[:3]}")
+            first = next(t for level in range(0, max_level + 1, 2)
+                         for t in enumerate_level(level) if t not in entries)
+            raise TableError(f"incomplete table: missing {first} "
+                             f"and {missing - 1} more")
         unit = entries[(0, 0, 0)]
         if unit != LaurentPoly3.one():
             raise TableError("entry (0,0,0) is not the constant 1")

@@ -145,8 +145,8 @@ def test_criterion_09_leading_term_theorem(cauchy16):
            f"degree 10")
 
 
-def test_criterion_10_conjecture_reports(table16, expansions16):
-    rep1 = conjecture_check(1, 6, table16, expansions16)
+def test_criterion_10_conjecture_reports(expansions16):
+    rep1 = conjecture_check(1, 6, expansions16)
     doubled = [r for r in rep1.records if r["reading"] == "doubled"]
     ok = bool(doubled) and all(r["match"] for r in doubled)
 
@@ -165,7 +165,7 @@ def test_criterion_10_conjecture_reports(table16, expansions16):
            and literal["extracted"] == "1/2")
 
     start = time.monotonic()
-    rep2 = conjecture_check(2, 4, table16, expansions16)
+    rep2 = conjecture_check(2, 4, expansions16)
     elapsed = time.monotonic() - start
     ok &= elapsed < 1800.0
     summary = rep2.summary()

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from g2schur import cauchy
 from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
                             check_H1_relation, closedform_checks,
                             closedform_omega_minus, closedform_omega_plus,
                             leading_pole_coefficient, master_sum,
                             omega_from_sums, pde_check, specialization_phi,
-                            specialized_sum_check, weighted_sum_eps)
+                            specialized_sum_check, verify_cauchy,
+                            weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level
@@ -228,15 +231,29 @@ class TestPde:
 
 
 class TestOmegaFromSums:
-    def test_matches_closed_form(self, table12, expansions12):
-        om = omega_from_sums(table12, "-", 4, expansions12)
+    def test_one_pole_coefficient_per_sign_and_monomial(self, table12, monkeypatch):
+        # the pole-order records and Omega_- come from one pass per sign
+        real = cauchy.leading_pole_coefficient
+        signs = []
+
+        def counted(p, sign, shift):
+            signs.append(sign)
+            return real(p, sign, shift)
+
+        monkeypatch.setattr(cauchy, "leading_pole_coefficient", counted)
+        checks = verify_cauchy(table12, 4, 0)
+        assert all(c["status"] == "pass" for c in checks)
+        assert Counter(signs) == {"-": 35, "+": 35} and len(exponents_upto(4)) == 35
+
+    def test_matches_closed_form(self, expansions12):
+        om, _ = omega_from_sums(expansions12, "-", 4)
         cf = closedform_omega_minus(4)
         keys = set(om.coeffs) | set(cf.coeffs)
         assert all(om.coefficient(e) == cf.coefficient(e) for e in keys)
         assert om.all_even()
 
-    def test_plus_matches_closed_form(self, table12, expansions12):
-        om = omega_from_sums(table12, "+", 3, expansions12)
+    def test_plus_matches_closed_form(self, expansions12):
+        om, _ = omega_from_sums(expansions12, "+", 3)
         cf = closedform_omega_plus(3)
         keys = set(om.coeffs) | set(cf.coeffs)
         assert all(om.coefficient(e) == cf.coefficient(e) for e in keys)

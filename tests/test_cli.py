@@ -1,14 +1,23 @@
+import contextlib
+import importlib.util
+import io
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2schur import cauchy, expansion, kernels
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import exponents_upto
-from g2schur.table import SchurTable, enumerate_through
+from g2schur.table import FalsificationError, SchurTable, enumerate_through
 from g2schur.univariate import DensePoly1
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -88,6 +97,31 @@ class TestTableCommand:
         run(capsys, "table", "--max-level", "4", "--out", str(path))
         path.write_text(path.read_text().replace('"1/2"', '"2/4"', 1))
         assert main(["verify", "pieri", "--max-level", "4", "--table", str(path)]) == 2
+
+    @pytest.mark.parametrize("where", ["triple", "exp"])
+    def test_boolean_for_integer_is_operational_error(self, tmp_path, capsys, where):
+        # JSON true is not the integer 1, though Python compares them equal
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        doc = json.loads(path.read_text())
+        (rec,) = [r for r in doc["entries"] if r["triple"] == [1, 1, 0]]
+        node = rec["triple"] if where == "triple" else next(
+            term["exp"] for term in rec["poly"] if 1 in term["exp"])
+        node[node.index(1)] = True
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "pieri", "--max-level", "4", "--table", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: {**doc, "entries": [{"triple": [0, 0, 0]}]},
+        lambda doc: {**doc, "entries": [5]},
+    ], ids=["list-file", "record-without-poly", "number-record"])
+    def test_wrong_shape_is_operational_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["roundtrip", "--table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyCommands:
@@ -191,9 +225,10 @@ class TestVerifyCommands:
 
     def test_cauchy_zero_omega_minus_fails(self, capsys, monkeypatch):
         # a zero Omega_- gives normalization 0, which must not pass
+        real = cauchy.omega_from_sums
         monkeypatch.setattr(cauchy, "omega_from_sums",
-                            lambda table, sign, order, es: cauchy.OmegaSeries(
-                                sign, order, {}))
+                            lambda es, sign, order: (cauchy.OmegaSeries(
+                                sign, order, {}), real(es, sign, order)[1]))
         code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
                            "--order", "2")
         assert code == 1
@@ -231,6 +266,33 @@ class TestVerifyCommands:
         assert {c["check"] for c in checks} >= {
             "pde-omega-", "pde-omega+", "omega-plus-euler-relation",
             "initial-condition"}
+
+    def test_cauchy_failed_family_fit_keeps_other_checks(self, capsys, monkeypatch):
+        # a family no polynomial fits fails its pole-order records, not the suite
+        real = expansion.ExpansionSet.fit_family
+
+        def seeded(self, mvec):
+            if tuple(mvec) == (2, 0, 0):
+                raise FalsificationError("degree bound violated for (2, 0, 0)")
+            return real(self, mvec)
+
+        monkeypatch.setattr(expansion.ExpansionSet, "fit_family", seeded)
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2", "--lambda-order", "2")
+        assert code == 1
+        checks = report["checks"]
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert [(c["check"], c.get("sign"), c.get("mvec")) for c in failed] == [
+            ("pole-order", "-", [2, 0, 0]), ("pole-order", "+", [2, 0, 0]),
+            ("falsification", None, None)]
+        assert all("(2, 0, 0)" in c["witness"]["message"] for c in failed[:2])
+        assert failed[2]["stage"] == "omega-minus-vs-closedform"
+        assert "(2, 0, 0)" in failed[2]["witness"]
+        assert len([c for c in checks if c["check"] == "pole-order"]) == 2 * len(
+            exponents_upto(2))
+        assert {c["check"] for c in checks} >= {
+            "H1-log-derivative", "pde-omega-", "pde-omega+",
+            "omega-plus-euler-relation", "initial-condition"}
 
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")
@@ -361,3 +423,92 @@ def test_flag_a_subcommand_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _json_paths(child, path + (key,))
+
+
+def _mutate(doc, path, kind, value):
+    """``doc`` with the node at ``path`` deleted, nested in a list or replaced."""
+    if not path:
+        return [doc] if kind == "nest" else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if kind == "nest" else value
+    return doc
+
+
+#: replacement values: every JSON type, integers near the file's own labels
+#: (a declared level far above the entries has its own test in test_table.py)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.text(max_size=4),
+    st.lists(st.integers(-3, 30), max_size=4),
+    st.dictionaries(st.sampled_from(["triple", "poly", "exp", "coeff"]),
+                    st.integers(-3, 30), max_size=2))
+
+
+class TestMalformedTableFiles:
+    @pytest.fixture(scope="class")
+    def canonical(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("canonical") / "t4.json"
+        assert main(["table", "--max-level", "4", "--out", str(path)]) == 0
+        return path
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_file_exits_with_a_code(self, canonical, data):
+        # delete keys, change types, nest lists: every outcome is an exit
+        # code of the contract, never an uncaught exception
+        doc = json.loads(canonical.read_text())
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+            kind = data.draw(st.sampled_from(
+                ["delete", "retype", "nest"] if path else ["retype", "nest"]))
+            value = data.draw(JSON_VALUES) if kind == "retype" else None
+            doc = _mutate(doc, path, kind, value)
+        mutated = canonical.with_name("mutated.json")
+        mutated.write_text(json.dumps(doc))
+        for argv in (["roundtrip"], ["verify", "pieri", "--max-level", "4"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([*argv, "--table", str(mutated)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """``perfbench/run.py`` as a module, for its command list and digest."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports traced.py
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)  # for its dataclasses
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("label", ["verify-cauchy", "conjecture-1", "conjecture-2",
+                                   "omega", "verify-kernel"])
+def test_payload_matches_the_benchmark_reference(label, perfbench_run, tmp_path,
+                                                 monkeypatch, capsys):
+    # the benchmark's residue and kernel commands, in-process, byte for byte
+    argv, report_file = perfbench_run.COMMANDS[label]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / report_file).read_text() if report_file else out
+    reference = json.loads(perfbench_run.REFERENCE.read_text())
+    assert perfbench_run.payload_digest(json.loads(text)) == reference[label]

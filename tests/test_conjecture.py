@@ -32,8 +32,8 @@ class TestCoefficient:
 
 
 @pytest.fixture(scope="module")
-def report(table12, expansions12):
-    return conjecture_check(1, 4, table12, expansions12)
+def report(expansions12):
+    return conjecture_check(1, 4, expansions12)
 
 
 class TestSingleCopyReport:
@@ -74,8 +74,8 @@ class TestSingleCopyReport:
 
 
 class TestTwoCopyReport:
-    def test_small_order(self, table12, expansions12):
-        report = conjecture_check(2, 2, table12, expansions12)
+    def test_small_order(self, expansions12):
+        report = conjecture_check(2, 2, expansions12)
         doubled = [r for r in report.records if r["reading"] == "doubled"]
         assert doubled and all(r["match"] for r in doubled)
         zero = next(r for r in report.records
@@ -83,6 +83,6 @@ class TestTwoCopyReport:
                     and r["reading"] == "literal")
         assert zero["match"] and zero["extracted"] == "1"
 
-    def test_copy_guard(self, table12, expansions12):
+    def test_copy_guard(self, expansions12):
         with pytest.raises(ValueError):
-            conjecture_check(0, 2, table12, expansions12)
+            conjecture_check(0, 2, expansions12)

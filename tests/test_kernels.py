@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from g2schur import kernels
 from g2schur.diffops import homogeneous_component
 from g2schur.kernels import (action_check, common_kernel, kernel_H1,
                              leading_term_check, pair_kernel_vector, pbasis,
-                             pbasis_laurent, triple_kernel)
+                             pbasis_laurent, triple_kernel, verify_kernel)
 from g2schur.laurent import LaurentPoly3
 from g2schur.univariate import legendre
 
@@ -151,7 +152,7 @@ class TestCommonKernels:
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3)])
     @pytest.mark.parametrize("m", range(7))
     def test_dimension_pattern(self, pair, m):
-        res = common_kernel(pair, m)
+        res = common_kernel(pair, m, kernel_H1(m)["kernel"])
         assert res["dim"] == (1 if m % 2 == 0 else 0)
         if m % 2 == 0:
             assert res["spanned_by_displayed_vector"]
@@ -169,10 +170,28 @@ class TestCommonKernels:
 class TestTripleKernel:
     @pytest.mark.parametrize("m,dim", [(0, 1), (1, 0), (2, 0), (3, 0), (7, 0)])
     def test_dimensions(self, m, dim):
-        assert triple_kernel(m) == dim
+        assert triple_kernel(m, kernel_H1(m)["kernel"]) == dim
 
     def test_degree_two_witness(self):
         # the pair-(1,2) vector escapes the third operator's kernel
         vec = pair_kernel_vector((1, 2), 1)
         image = homogeneous_component(3, -2).apply(vec)
         assert image == LaurentPoly3.constant(Fraction(-12))
+
+
+class TestVerifyKernel:
+    def test_h1_eliminated_once_per_degree(self, monkeypatch):
+        # the pair and triple kernels reuse the kernel kernel_H1 verified
+        h1 = homogeneous_component(1, -2)
+        real = kernels._kernel_on
+        degrees = []
+
+        def counted(ops, polys):
+            if ops == [h1]:
+                degrees.append(sum(next(iter(polys[0].terms))))
+            return real(ops, polys)
+
+        monkeypatch.setattr(kernels, "_kernel_on", counted)
+        checks = verify_kernel(12)
+        assert all(c["status"] == "pass" for c in checks)
+        assert degrees == list(range(13))

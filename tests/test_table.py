@@ -315,6 +315,15 @@ class TestPersistence:
         with pytest.raises(TableError, match="incomplete"):
             SchurTable.load(path)
 
+    def test_rejects_declared_level_above_its_entries(self, table4, tmp_path):
+        # a huge declared level is rejected by counting, without enumerating it
+        payload = self._payload(table4)
+        payload["max_level"] = 10 ** 9
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TableError, match=r"missing \(0, 3, 3\)"):
+            SchurTable.load(path)
+
     def test_rejects_malformed_rational(self, table4, tmp_path):
         payload = self._payload(table4)
         payload["entries"][0]["poly"][0]["coeff"] = "1/0"
