@@ -59,7 +59,7 @@ _FACTOR_MONO = {0: (1, 1, 0), 1: (1, 0, 1), 2: (0, 1, 1)}
 
 
 def _factor_poly(idx: int) -> LaurentPoly3:
-    return LaurentPoly3.one() - LaurentPoly3.monomial(_FACTOR_MONO[idx])
+    return LaurentPoly3({(0, 0, 0): 1, _FACTOR_MONO[idx]: -1})
 
 
 @dataclass
@@ -94,10 +94,10 @@ class MasterSum:
         dn = LaurentPoly3({e: c * e[i] for e, c in self.numer.terms.items() if e[i]})
         num = dn * _factor_poly(f) * _factor_poly(g)
         # -theta_i (1 - L_aL_b) = L_aL_b for each factor containing L_i
-        num = num + self.numer * LaurentPoly3.monomial(_FACTOR_MONO[f]).scale(
-            Fraction(self.powers[f])) * _factor_poly(g)
-        num = num + self.numer * LaurentPoly3.monomial(_FACTOR_MONO[g]).scale(
-            Fraction(self.powers[g])) * _factor_poly(f)
+        num = num + self.numer * LaurentPoly3.monomial(
+            _FACTOR_MONO[f], self.powers[f]) * _factor_poly(g)
+        num = num + self.numer * LaurentPoly3.monomial(
+            _FACTOR_MONO[g], self.powers[g]) * _factor_poly(f)
         return MasterSum(num, tuple(powers))
 
     def taylor(self, order: int) -> TruncSeries3:
@@ -112,13 +112,17 @@ class MasterSum:
 
 @functools.lru_cache(maxsize=None)
 def _monomial_master(exp: tuple[int, int, int]) -> MasterSum:
-    """Cached closed form for the label monomial j1^a j2^b j3^c."""
+    """Cached closed form for the label monomial j1^a j2^b j3^c.
+
+    Built from the integer constant 1 by ``theta``, whose factors and
+    multipliers are integers too, so the numerator has ``int`` coefficients.
+    """
     for i in (2, 1, 0):
         if exp[i]:
             prev = list(exp)
             prev[i] -= 1
             return _monomial_master(tuple(prev)).theta(i)
-    return MasterSum(LaurentPoly3.one(), (1, 1, 1))
+    return MasterSum(LaurentPoly3.constant(1), (1, 1, 1))
 
 
 def master_sum(p: LaurentPoly3) -> MasterSum:
@@ -141,14 +145,14 @@ def master_sum(p: LaurentPoly3) -> MasterSum:
 
 def _kappa_eps_poly(poly: LaurentPoly3, s1: int) -> EpsLaurent:
     """Specialize a polynomial in (L1, L2, L3); exact Laurent data in eps."""
-    per_degree: dict[int, dict[int, Fraction]] = {}
+    per_degree: dict[int, dict] = {}
     for (a, b, c), coeff in poly.terms.items():
         kexp = s1 * a + b + c
         n = b + c
         sign = 1
         for t in range(n + 1):
             slot = per_degree.setdefault(t, {})
-            slot[kexp] = slot.get(kexp, Fraction(0)) + coeff * sign * math.comb(n, t)
+            slot[kexp] = slot.get(kexp, 0) + coeff * sign * math.comb(n, t)
             sign = -sign
     return EpsLaurent({d: KLocal(terms) for d, terms in per_degree.items()}, None)
 
@@ -157,14 +161,14 @@ def _factor_eps(idx: int, s1: int) -> EpsLaurent:
     """One denominator factor under the specialization, exact in eps."""
     if idx in (0, 1):  # 1 - L1 L2  or  1 - L1 L3  ->  1 - kappa^{s1+1}(1 - eps)
         e = s1 + 1
-        const = {0: Fraction(1)}
-        const[e] = const.get(e, Fraction(0)) - 1
+        const = {0: 1}
+        const[e] = const.get(e, 0) - 1
         return EpsLaurent({0: KLocal(const), 1: KLocal.kappa_power(e)}, None)
     # 1 - L2 L3 -> 1 - kappa^2 (1-eps)^2
     return EpsLaurent({
-        0: KLocal({0: Fraction(1), 2: Fraction(-1)}),
-        1: KLocal({2: Fraction(2)}),
-        2: KLocal({2: Fraction(-1)}),
+        0: KLocal({0: 1, 2: -1}),
+        1: KLocal({2: 2}),
+        2: KLocal({2: -1}),
     }, None)
 
 
@@ -209,6 +213,11 @@ def _monomial_poles(exp: tuple[int, int, int]) -> dict[int, KLocal]:
     Only this branch has a pole: at L1 = kappa^{-1} the factors (1 - L1 L2)
     and (1 - L1 L3) both become eps, while at L1 = kappa every denominator
     factor is a unit at eps = 0 and the branch is a power series.
+
+    Every input is an integer (the ``int`` numerator of ``_monomial_master``
+    and the specialized denominator factors) and the lead of the inverted
+    denominator is kappa^n (1 - kappa^2)^b, whose reciprocal is exact, so
+    the principal part has ``int`` coefficients throughout.
     """
     series = specialize_master(_monomial_master(exp), -1, upto=-1)
     return {d: c for d, c in series.coeffs.items() if d < 0}

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
-from .linalg import RankTracker, invert_matrix, mat_vec
+from .linalg import RankTracker, clear_denominators, invert_matrix
 from .series import TruncSeries3, exponents_upto
 from .table import (FalsificationError, SchurTable, Triple, enumerate_through,
                     predecessor_equations, solve_entry)
@@ -110,10 +111,14 @@ class ExpansionSet:
     of the recursion are then exactly the expansions of the entries.
 
     Interpolation labels are chosen greedily in enumeration order until the
-    monomial-evaluation matrix reaches full rank; every remaining table label
-    is then used for out-of-sample validation, in integers: its monomial row
-    against the family's cleared numerators (``LaurentPoly3.evaluate`` is the
-    test oracle).
+    monomial-evaluation matrix reaches full rank (``RankTracker``, on
+    integers); every remaining table label is then used for out-of-sample
+    validation.  The fit runs on integers too: the inverse of the fit matrix
+    is kept once per degree as integer numerators over one denominator, each
+    family's right-hand side is cleared to integers, and the only Fractions
+    built are the family's coefficients.  Validation takes each remaining
+    label's monomial row against the family's cleared numerators
+    (``LaurentPoly3.evaluate`` is the test oracle).
     """
 
     def __init__(self, table: SchurTable, order: int):
@@ -142,10 +147,11 @@ class ExpansionSet:
     def coefficient(self, triple: Triple, mvec: Exp) -> Fraction:
         return self.expansions[triple].coefficient(mvec)
 
-    def _fit_basis(self, degree: int) -> tuple[list[Triple], list[list[Fraction]],
+    def _fit_basis(self, degree: int) -> tuple[list[Triple], list[list[int]], int,
                                                list[tuple[Triple, list[int]]]]:
-        """Greedily selected labels, the inverted fit matrix and the remaining
-        labels with their integer monomial rows, for one degree."""
+        """Greedily selected labels, the inverted fit matrix as integer
+        numerators over one denominator, and the remaining labels with their
+        integer monomial rows, for one degree."""
         if degree in self._fit_data:
             return self._fit_data[degree]
         monomials = exponents_upto(degree)
@@ -164,7 +170,10 @@ class ExpansionSet:
             raise ValueError(
                 f"table level {self.table.max_level} provides only rank "
                 f"{tracker.rank} of {len(monomials)} for degree {degree}")
-        self._fit_data[degree] = (chosen, invert_matrix(rows), rest)
+        n = len(monomials)
+        flat, den = clear_denominators([v for r in invert_matrix(rows) for v in r])
+        nums = [flat[i:i + n] for i in range(0, n * n, n)]
+        self._fit_data[degree] = (chosen, nums, den, rest)
         return self._fit_data[degree]
 
     def fit_family(self, mvec: Exp) -> CoeffFamily:
@@ -175,13 +184,17 @@ class ExpansionSet:
         if self.order < degree:
             raise ValueError(f"expansions of order {self.order} cannot reach {mvec}")
         monomials = exponents_upto(degree)
-        chosen, inverse, rest = self._fit_basis(degree)
+        chosen, inv_nums, inv_den, rest = self._fit_basis(degree)
         rhs = [self.coefficient(t, mvec) for t in chosen]
-        poly = LaurentPoly3(dict(zip(monomials, mat_vec(inverse, rhs))))
+        rhs_nums, rhs_den = clear_denominators(rhs)
+        # coefficients vec / den, reduced to the cleared form of the family
+        vec = [sum(map(mul, r, rhs_nums)) for r in inv_nums]
+        den = inv_den * rhs_den
+        g = gcd(den, *vec)
+        vec, den = [v // g for v in vec], den // g
+        poly = LaurentPoly3.from_cleared(dict(zip(monomials, vec)), den)
 
-        # out of sample, in integers: row . nums / den against each coefficient
-        nums, den = poly.cleared()
-        vec = [nums.get(m, 0) for m in monomials]
+        # out of sample, in integers: row . vec / den against each coefficient
         for t, row in rest:
             c = self.coefficient(t, mvec)
             if sum(map(mul, row, vec)) * c.denominator != den * c.numerator:

@@ -7,6 +7,15 @@ localization makes products plain convolutions; no polynomial gcd is taken,
 and conversion to a reduced rational function happens once per extracted
 value.
 
+Coefficients are Python ``int`` where the value is integral and ``Fraction``
+elsewhere; the arithmetic is the same generic code for both.  The constants
+here (1, kappa^n, the unit 1 - kappa^2 and its powers) are ``int``, and an
+exact reciprocal (``__rtruediv__``) returns an ``int`` coefficient, so values
+built from integer data, such as the principal parts of the label monomials,
+stay integers: an ``int`` product or sum costs a fraction of a ``Fraction``
+one, which normalizes by a gcd every time.  Fractions enter only with
+fractional inputs, such as the family weights of ``linear_combination``.
+
 Sums and products come back canonical in the one sense that needs no gcd:
 while ``denpow > 0`` and the numerator is divisible by (1 - kappa^2), that
 factor is cancelled (``_reduced``).  Without this the unit-inverse recursion
@@ -23,11 +32,13 @@ from typing import Iterable
 
 from .univariate import RatFun1
 
-_UNIT = {0: Fraction(1), 2: Fraction(-1)}  # 1 - kappa^2
+Coeff = int | Fraction
+
+_UNIT = {0: 1, 2: -1}  # 1 - kappa^2
 
 
-def _convolve(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _convolve(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    out: dict[int, Coeff] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
@@ -40,26 +51,26 @@ def _convolve(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
     return out
 
 
-_unit_powers: list[dict[int, Fraction]] = [{0: Fraction(1)}]
+_unit_powers: list[dict[int, int]] = [{0: 1}]
 
 
-def _unit_power(n: int) -> dict[int, Fraction]:
+def _unit_power(n: int) -> dict[int, int]:
     """(1 - kappa^2)^n as a coefficient dict."""
     while len(_unit_powers) <= n:
         _unit_powers.append(_convolve(_unit_powers[-1], _UNIT))
     return _unit_powers[n]
 
 
-def _divide_unit(terms: dict[int, Fraction]) -> dict[int, Fraction] | None:
+def _divide_unit(terms: dict[int, Coeff]) -> dict[int, Coeff] | None:
     """Exact quotient terms / (1 - kappa^2), or None when not divisible."""
     if not terms:
         return {}
     lo = min(terms)
     hi = max(terms)
-    quotient: dict[int, Fraction] = {}
+    quotient: dict[int, Coeff] = {}
     # p = (1 - k^2) q  =>  q_e = p_e + q_{e-2}, ascending in e
     for e in range(lo, hi + 1):
-        q = terms.get(e, Fraction(0)) + quotient.get(e - 2, Fraction(0))
+        q = terms.get(e, 0) + quotient.get(e - 2, 0)
         if q:
             quotient[e] = q
     if quotient.get(hi - 1) or quotient.get(hi):
@@ -69,7 +80,7 @@ def _divide_unit(terms: dict[int, Fraction]) -> dict[int, Fraction] | None:
     return quotient
 
 
-def _reduced(terms: dict[int, Fraction], denpow: int) -> "KLocal":
+def _reduced(terms: dict[int, Coeff], denpow: int) -> "KLocal":
     """terms / (1 - kappa^2)^denpow with every cancellable unit factor removed."""
     while denpow > 0 and terms:
         q = _divide_unit(terms)
@@ -79,19 +90,19 @@ def _reduced(terms: dict[int, Fraction], denpow: int) -> "KLocal":
     return KLocal(terms, denpow)
 
 
-def linear_combination(pairs: Iterable[tuple[Fraction, "KLocal"]]) -> "KLocal":
+def linear_combination(pairs: Iterable[tuple[Coeff, "KLocal"]]) -> "KLocal":
     """sum_i w_i x_i over (w_i, x_i) pairs, at one common (1 - kappa^2)-power.
 
-    Values sharing a power are combined by a plain Fraction dot product; each
+    Values sharing a power are combined by a plain dot product; each
     group is lifted once to the largest power and the sum is reduced once.
     """
-    groups: dict[int, dict[int, Fraction]] = {}
+    groups: dict[int, dict[int, Coeff]] = {}
     for w, x in pairs:
         acc = groups.setdefault(x.denpow, {})
         for e, c in x.terms.items():
             acc[e] = acc.get(e, 0) + w * c
     top = max(groups, default=0)
-    total: dict[int, Fraction] = {}
+    total: dict[int, Coeff] = {}
     for denpow, acc in groups.items():
         if denpow < top:
             acc = _convolve(acc, _unit_power(top - denpow))
@@ -105,8 +116,8 @@ class KLocal:
 
     __slots__ = ("terms", "denpow")
 
-    def __init__(self, terms: dict[int, Fraction] | None = None, denpow: int = 0):
-        self.terms: dict[int, Fraction] = {} if not terms else {
+    def __init__(self, terms: dict[int, Coeff] | None = None, denpow: int = 0):
+        self.terms: dict[int, Coeff] = {} if not terms else {
             e: c for e, c in terms.items() if c}
         self.denpow = 0 if not self.terms else denpow
 
@@ -116,11 +127,11 @@ class KLocal:
 
     @staticmethod
     def one() -> "KLocal":
-        return KLocal({0: Fraction(1)})
+        return KLocal({0: 1})
 
     @staticmethod
     def kappa_power(n: int) -> "KLocal":
-        return KLocal({n: Fraction(1)})
+        return KLocal({n: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -133,7 +144,7 @@ class KLocal:
             return NotImplemented
         return not (self - other)
 
-    def _lifted(self, denpow: int) -> dict[int, Fraction]:
+    def _lifted(self, denpow: int) -> dict[int, Coeff]:
         if denpow == self.denpow:
             return self.terms
         return _convolve(self.terms, _unit_power(denpow - self.denpow))
@@ -180,7 +191,10 @@ class KLocal:
     __rmul__ = __mul__
 
     def __rtruediv__(self, other) -> "KLocal":
-        """other / self when the numerator is (monomial) * (1 - kappa^2)^b."""
+        """other / self when the numerator is (monomial) * (1 - kappa^2)^b.
+
+        The coefficient is an ``int`` when the quotient is integral.
+        """
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not self.terms:
@@ -193,7 +207,8 @@ class KLocal:
                     "reciprocal leaves the localization (numerator not a monomial)")
             terms, b = q, b + 1
         (e, c), = terms.items()
-        return KLocal({-e: Fraction(other) / c}, b - self.denpow)
+        q = Fraction(other) / c
+        return KLocal({-e: q.numerator if q.denominator == 1 else q}, b - self.denpow)
 
     def to_ratfun(self) -> RatFun1:
         num = RatFun1.from_kappa_laurent(self.terms)

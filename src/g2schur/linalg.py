@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices come in and go out as lists of Fraction rows.  This module backs the
-polynomial interpolation of series-coefficient families and the kernel
-computations of the degree-graded differential operators.  ``rref`` (and
-``nullspace`` on top of it) is sparse Gauss-Jordan elimination over Fraction
-on dict rows, for the kernel operator matrices, which are integer and only a
-few percent nonzero; its test oracle, plain dense Gauss-Jordan elimination, is
-``dense_rref`` in ``tests/test_linalg.py``.  ``invert_matrix``, which inverts
-the small dense integer fit matrices, uses fraction-free (Bareiss)
-Gauss-Jordan elimination on integers instead.
+Matrices come in as rows of ``int`` or ``Fraction`` values and go out as
+lists of Fraction rows.  This module backs the polynomial interpolation of
+series-coefficient families and the kernel computations of the degree-graded
+differential operators.  ``rref`` (and ``nullspace`` on top of it) is sparse
+Gauss-Jordan elimination over Fraction on dict rows, for the kernel operator
+matrices, which are integer and only a few percent nonzero; its test oracle,
+plain dense Gauss-Jordan elimination, is ``dense_rref`` in
+``tests/test_linalg.py``.  The family fit works on small dense integer
+matrices without any Fraction arithmetic until the end: ``RankTracker``
+selects independent rows by fraction-free elimination and ``invert_matrix``
+inverts the fit matrix by fraction-free (Bareiss) Gauss-Jordan elimination.
+Rows with fractional entries are first scaled by the lcm of their
+denominators (``clear_denominators``), which changes neither rank nor row
+space.
 """
 
 from __future__ import annotations
@@ -86,6 +91,17 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     return basis
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den): integer numerators over the lcm of the denominators.
+
+    ``values[i] == nums[i] / den``; ``int`` and ``Fraction`` entries only.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
     """Inverse of a square matrix; raises ValueError on singular input.
 
@@ -102,9 +118,8 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
     for i, r in enumerate(rows):
         if len(r) != n:
             raise ValueError("matrix is not square")
-        r = [Fraction(v) for v in r]
-        scale = math.lcm(*(v.denominator for v in r))
-        mat.append([int(v * scale) for v in r] + [scale if j == i else 0 for j in range(n)])
+        ints, scale = clear_denominators(r)
+        mat.append(ints + [scale if j == i else 0 for j in range(n)])
     prev = 1
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if mat[i][k]), None)
@@ -126,17 +141,21 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
     return [[Fraction(v, prev) for v in row[n:]] for row in mat]
 
 
-def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Row:
-    return [sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0))
-            for row in rows]
-
-
 class RankTracker:
-    """Incremental rank bookkeeping for greedy row selection."""
+    """Incremental rank bookkeeping for greedy row selection.
+
+    Fraction-free: each row is scaled to integers (``clear_denominators``) and
+    reduced against the kept rows by cross-multiplication, ``v <- p*v - f*r``
+    for a kept row ``r`` with pivot ``p`` and ``f = v[pivot column]``, then
+    divided by its content.  Every reduced row is a nonzero multiple of the
+    one that Fraction elimination with unit pivots gives, so the same rows
+    are accepted, with the same pivots and rank; the Fraction version is the
+    oracle ``FractionRankTracker`` in ``tests/test_linalg.py``.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: list[Row] = []     # eliminated rows
+        self._rows: list[list[int]] = []     # eliminated integer rows
         self._pivots: list[int] = []
 
     @property
@@ -145,15 +164,19 @@ class RankTracker:
 
     def try_add(self, row: Sequence[Fraction]) -> bool:
         """Reduce the row against selected pivots; keep it if independent."""
-        v = list(map(Fraction, row))
+        v = clear_denominators(row)[0]
         for prow, pcol in zip(self._rows, self._pivots):
-            if v[pcol]:
-                f = v[pcol]
-                v = [a - f * b for a, b in zip(v, prow)]
+            f = v[pcol]
+            if f:
+                p = prow[pcol]
+                v = [p * a - f * b for a, b in zip(v, prow)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
         pcol = next((c for c in range(self.ncols) if v[c]), None)
         if pcol is None:
             return False
-        inv = 1 / v[pcol]
-        self._rows.append([a * inv for a in v])
+        self._rows.append(v)
         self._pivots.append(pcol)
         return True
+

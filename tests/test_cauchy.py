@@ -10,8 +10,8 @@ from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
                             closedform_omega_minus, closedform_omega_plus,
                             leading_pole_coefficient, master_sum,
                             omega_from_sums, pde_check, specialization_phi,
-                            specialized_sum_check, verify_cauchy,
-                            weighted_sum_eps)
+                            specialize_master, specialized_sum_check,
+                            verify_cauchy, weighted_sum_eps)
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level
@@ -134,6 +134,26 @@ class TestLinearExtraction:
             assert per_polynomial_pole_data(p, sign, [0])[0] is None
             with pytest.raises(FalsificationError):
                 leading_pole_coefficient(p, sign, 0)
+
+
+class TestMonomialPoles:
+    """The cached principal parts P_e of the label monomials, on integers."""
+
+    def test_coefficients_are_int(self):
+        for e in exponents_upto(5):
+            for d, value in cauchy._monomial_poles(e).items():
+                assert all(type(c) is int for c in value.terms.values()), (e, d)
+
+    def test_match_the_fraction_route(self):
+        # j^e / 3 forces Fraction coefficients through the whole extraction
+        for e in exponents_upto(5):
+            series = specialize_master(
+                master_sum(LaurentPoly3.monomial(e, Fraction(1, 3))), -1, upto=-1)
+            third = {d: c for d, c in series.coeffs.items() if d < 0}
+            poles = cauchy._monomial_poles(e)
+            assert poles.keys() == third.keys(), e
+            for d, value in poles.items():
+                assert value == third[d] * 3, (e, d)
 
 
 @pytest.mark.parametrize("extract", [

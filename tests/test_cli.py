@@ -500,15 +500,19 @@ def perfbench_run():
     return module
 
 
-@pytest.mark.parametrize("label", ["verify-cauchy", "conjecture-1", "conjecture-2",
-                                   "omega", "verify-kernel"])
-def test_payload_matches_the_benchmark_reference(label, perfbench_run, tmp_path,
+@pytest.mark.parametrize("labels", [
+    pytest.param(labels, id=labels[-1]) for labels in (
+        ["verify-cauchy"], ["conjecture-1"], ["conjecture-2"], ["omega"],
+        ["verify-kernel"], ["table", "verify-series"])])
+def test_payload_matches_the_benchmark_reference(labels, perfbench_run, tmp_path,
                                                  monkeypatch, capsys):
-    # the benchmark's residue and kernel commands, in-process, byte for byte
-    argv, report_file = perfbench_run.COMMANDS[label]
+    # benchmark commands, in-process and in order in one directory (verify
+    # series reads the table that table writes), byte for byte
     monkeypatch.chdir(tmp_path)
-    assert main(list(argv)) == 0
-    out = capsys.readouterr().out
-    text = (tmp_path / report_file).read_text() if report_file else out
     reference = json.loads(perfbench_run.REFERENCE.read_text())
-    assert perfbench_run.payload_digest(json.loads(text)) == reference[label]
+    for label in labels:
+        argv, report_file = perfbench_run.COMMANDS[label]
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        text = (tmp_path / report_file).read_text() if report_file else out
+        assert perfbench_run.payload_digest(json.loads(text)) == reference[label]

@@ -37,6 +37,16 @@ class TestKLocal:
         with pytest.raises(ZeroDivisionError):
             1 / kl({0: 1, 1: 1})  # 1 + k is not a unit here
 
+    def test_reciprocal_coefficient_type(self):
+        half = 1 / KLocal({0: 2})
+        assert half.terms == {0: Fraction(1, 2)}
+        assert type(half.terms[0]) is Fraction
+        # -k^2 (1 - k^2) / (1 - k^2)^3 = -k^2 / (1 - k^2)^2: an exact reciprocal
+        r = 1 / KLocal({2: -1, 4: 1}, 3)
+        assert (r.terms, r.denpow) == ({-2: -1}, -2)
+        assert type(r.terms[-2]) is int
+        assert type((2 / KLocal({0: 2})).terms[0]) is int
+
     def test_negative_denpow(self):
         a = 1 / kl({0: 1}, 2)  # (1-k^2)^2
         assert a.to_ratfun() == RatFun1.from_kappa_laurent(

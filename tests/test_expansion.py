@@ -78,6 +78,15 @@ class TestFamilies:
         assert fam.validated_on >= 10
         assert not fam.unvalidated
 
+    def test_fit_labels_are_the_labels_through_level_2d(self, expansions12):
+        # the greedy choice is the simplex of labels through level 2d, the
+        # rest validates (tests/test_linalg.py checks the choice up to L20)
+        labels = enumerate_through(12)
+        for degree in range(5):
+            chosen, _, _, rest = expansions12._fit_basis(degree)
+            assert chosen == enumerate_through(2 * degree)
+            assert [t for t, _ in rest] == labels[len(chosen):]
+
     def test_family_serialization(self, expansions12):
         blob = expansions12.fit_family((2, 0, 0)).serialize()
         assert blob["mvec"] == [2, 0, 0]

@@ -6,7 +6,10 @@ import pytest
 from g2schur.diffops import homogeneous_component
 from g2schur.kernels import _monomials, _span_contains
 from g2schur.laurent import LaurentPoly3
-from g2schur.linalg import invert_matrix, mat_vec, nullspace, rref
+from g2schur.linalg import (RankTracker, clear_denominators, invert_matrix,
+                            nullspace, rref)
+from g2schur.series import exponents_upto
+from g2schur.table import enumerate_through
 
 OPERATOR_SETS = ((1,), (1, 2), (1, 3), (1, 2, 3))
 
@@ -43,6 +46,41 @@ def dense_rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def mat_vec(rows, vec):
+    return [sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0))
+            for row in rows]
+
+
+class FractionRankTracker:
+    """Greedy row selection by Fraction elimination against unit-pivot rows.
+
+    The oracle for the fraction-free ``RankTracker``.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._rows = []
+        self._pivots = []
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def try_add(self, row):
+        v = list(map(Fraction, row))
+        for prow, pcol in zip(self._rows, self._pivots):
+            if v[pcol]:
+                f = v[pcol]
+                v = [a - f * b for a, b in zip(v, prow)]
+        pcol = next((c for c in range(self.ncols) if v[c]), None)
+        if pcol is None:
+            return False
+        inv = 1 / v[pcol]
+        self._rows.append([a * inv for a in v])
+        self._pivots.append(pcol)
+        return True
 
 
 def rref_inverse(rows):
@@ -210,3 +248,69 @@ class TestInvertMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             invert_matrix([[1, 2, 3], [4, 5, 6]])
+
+
+class TestRankTracker:
+    @staticmethod
+    def assert_matches_oracle(rows, ncols):
+        tracker, oracle = RankTracker(ncols), FractionRankTracker(ncols)
+        accepted = [tracker.try_add(r) for r in rows]
+        assert accepted == [oracle.try_add(r) for r in rows], rows
+        assert tracker.rank == oracle.rank == sum(accepted)
+        assert tracker._pivots == oracle._pivots
+
+    def test_random_rows_match_fraction_oracle(self):
+        rng = random.Random(1972)
+        for ncols in range(1, 10):
+            for fractional in (False, True):
+                for _ in range(4):
+                    rows = random_matrix(rng, rng.randint(1, 12), ncols,
+                                         rng.choice((0.2, 0.6, 1.0)), fractional)
+                    # dependent rows: combinations of earlier ones, and zero rows
+                    for _ in range(rng.randint(1, 4)):
+                        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+                        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        b = rng.randint(-3, 3)
+                        rows.insert(rng.randint(0, len(rows)),
+                                    [a * x + b * y for x, y in zip(rows[i], rows[j])])
+                    rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+                    self.assert_matches_oracle(rows, ncols)
+
+    def test_fractional_row_is_not_truncated(self):
+        tracker = RankTracker(2)
+        assert tracker.try_add([Fraction(1, 2), 0])
+        assert tracker.rank == 1
+        assert not tracker.try_add([3, 0])
+        assert tracker.try_add([Fraction(1, 3), Fraction(-1, 7)])
+        assert tracker.rank == 2
+
+    def test_zero_and_dependent_rows(self):
+        self.assert_matches_oracle(
+            [[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 0], [0, 5, 1], [2, 9, 7],
+             [Fraction(1, 2), 0, Fraction(3, 2)]], 3)
+
+    def test_monomial_rows_of_the_fit(self):
+        for degree in range(5):
+            rows = [[t[0]**a * t[1]**b * t[2]**c for a, b, c in exponents_upto(degree)]
+                    for t in enumerate_through(12)]
+            self.assert_matches_oracle(rows, len(rows[0]))
+
+
+@pytest.mark.parametrize("max_level", [12, 20])
+def test_greedy_fit_labels_are_the_labels_through_level_2d(max_level):
+    # the selection loop of ExpansionSet._fit_basis, for every degree the level
+    # allows up to 8: the labels through level 2d are the lattice points of
+    # the simplex of the degree-d polynomials, and they come first
+    for degree in range(min(max_level // 2, 8) + 1):
+        monomials = exponents_upto(degree)
+        tracker = RankTracker(len(monomials))
+        chosen = [t for t in enumerate_through(max_level)
+                  if tracker.rank < len(monomials) and tracker.try_add(
+                      [t[0]**a * t[1]**b * t[2]**c for a, b, c in monomials])]
+        assert chosen == enumerate_through(2 * degree), degree
+
+
+def test_clear_denominators():
+    assert clear_denominators([3, -2, 0]) == ([3, -2, 0], 1)
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == ([3, -4, 30], 6)
+    assert clear_denominators([]) == ([], 1)
