@@ -183,25 +183,6 @@ def specialize_master(ms: MasterSum, s1: int, upto: int = 2) -> EpsLaurent:
     return num * den.inverse(upto)
 
 
-def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
-    """sum_J p(J) * weight(j1) * lambda^{j2+j3} at lambda = kappa(1-eps).
-
-    sign '-' uses weight kappa^{j1+1} - kappa^{-j1-1}; sign '+' uses
-    (j1+1)(kappa^{j1+1} + kappa^{-j1-1}).  This per-polynomial route is kept
-    as the independent reference for ``leading_pole_coefficient``.
-    """
-    if sign not in "+-":
-        raise ValueError("sign must be '+' or '-'")
-    if sign == "+":
-        p = p * (LaurentPoly3.variable(0) + LaurentPoly3.constant(1))
-    ms = master_sum(p)
-    plus_branch = specialize_master(ms, +1, upto).scale(KLocal.kappa_power(1))
-    minus_branch = specialize_master(ms, -1, upto).scale(KLocal.kappa_power(-1))
-    if sign == "-":
-        return plus_branch - minus_branch
-    return plus_branch + minus_branch
-
-
 #: pole order bound at lambda = kappa per sign
 POLE_BOUND = {"-": 2, "+": 3}
 
@@ -238,7 +219,8 @@ def leading_pole_coefficient(p: LaurentPoly3, sign: str,
     process (``_monomial_poles``).  The pole order is read off the combined
     series, because single monomials have higher poles than the fitted
     families (j2 alone has order 3 for '-' and 4 for '+').
-    ``weighted_sum_eps`` is the independent per-polynomial route.
+    ``weighted_sum_eps`` in ``tests/test_cauchy.py`` is the independent
+    per-polynomial route.
     """
     if not p.is_polynomial():
         raise ValueError("label polynomial has a negative exponent")

@@ -127,7 +127,8 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
             table = _load_or_build(cfg)
             report.table_checksum = table.checksum()
         # a suite records its own failures; this catches the ones that stop
-        # it early, such as an ExpansionSet rejecting a loaded table
+        # it early, such as a kernel product basis element that is not a
+        # polynomial
         try:
             report.extend(SUITES[suite](cfg, table))
         except FalsificationError as exc:

@@ -9,21 +9,22 @@ is kept as the independent cross-check of that route.
 
 For a fixed monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across
 all labels (j1, j2, j3), is a polynomial of total degree at most
-m12 + m13 + m23; this module reconstructs those polynomials (as
-``LaurentPoly3`` values in the labels) by exact interpolation over table
-labels and validates them out of sample.
+m12 + m13 + m23.  This module reconstructs those polynomials (as
+``LaurentPoly3`` values in the labels) by integer forward differences on the
+labels through level 2d, which form a simplex that fixes a polynomial of
+degree d, and validates them on every label above that level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
-from .linalg import RankTracker, clear_denominators, invert_matrix
+from .linalg import clear_denominators
 from .series import TruncSeries3, exponents_upto
 from .table import (FalsificationError, SchurTable, Triple, enumerate_through,
                     predecessor_equations, solve_entry)
@@ -110,15 +111,20 @@ class ExpansionSet:
     first triple that does not.  By induction over the levels the series
     of the recursion are then exactly the expansions of the entries.
 
-    Interpolation labels are chosen greedily in enumeration order until the
-    monomial-evaluation matrix reaches full rank (``RankTracker``, on
-    integers); every remaining table label is then used for out-of-sample
-    validation.  The fit runs on integers too: the inverse of the fit matrix
-    is kept once per degree as integer numerators over one denominator, each
-    family's right-hand side is cleared to integers, and the only Fractions
-    built are the family's coefficients.  Validation takes each remaining
-    label's monomial row against the family's cleared numerators
-    (``LaurentPoly3.evaluate`` is the test oracle).
+    A family of degree d is fitted on the labels through level 2d and
+    validated on every label above it.  Those labels are the lattice points
+    of the simplex a + b + c <= d, with (j1, j2, j3) = (b+c, a+c, a+b); the
+    simplex is unisolvent for degree d, so the family is its Newton
+    expansion sum_alpha Delta^alpha c(0) C(a,alpha1) C(b,alpha2) C(c,alpha3)
+    and no linear system is built.  ``_fit_plan`` fixes, once per degree,
+    the order of the difference steps, the binomial basis as integer
+    numerators over one denominator and the monomial rows of the validation
+    labels.  Each family's values are cleared to integers and differenced
+    in place; the only Fractions built are the family's coefficients.
+    Validation takes each remaining label's monomial row against the
+    family's cleared numerators (``LaurentPoly3.evaluate`` is the test
+    oracle, and the matrix route through ``linalg.RankTracker`` and
+    ``linalg.invert_matrix`` is the fit's oracle in the tests).
     """
 
     def __init__(self, table: SchurTable, order: int):
@@ -147,33 +153,55 @@ class ExpansionSet:
     def coefficient(self, triple: Triple, mvec: Exp) -> Fraction:
         return self.expansions[triple].coefficient(mvec)
 
-    def _fit_basis(self, degree: int) -> tuple[list[Triple], list[list[int]], int,
-                                               list[tuple[Triple, list[int]]]]:
-        """Greedily selected labels, the inverted fit matrix as integer
-        numerators over one denominator, and the remaining labels with their
-        integer monomial rows, for one degree."""
+    def _fit_plan(self, degree: int) -> tuple[list[Triple], list[tuple[int, int]],
+                                              list[list[int]], int,
+                                              list[tuple[Triple, list[int]]]]:
+        """For one degree: the simplex labels, the forward-difference steps
+        (i, j) meaning v[i] -= v[j], the Newton basis as one integer column
+        per monomial over one denominator, and the remaining labels with
+        their integer monomial rows."""
         if degree in self._fit_data:
             return self._fit_data[degree]
+        labels = enumerate_through(self.table.max_level)
         monomials = exponents_upto(degree)
-        tracker = RankTracker(len(monomials))
-        chosen: list[Triple] = []
-        rows: list[list[int]] = []
-        rest: list[tuple[Triple, list[int]]] = []
-        for t in enumerate_through(self.table.max_level):
-            row = [t[0]**a * t[1]**b * t[2]**c for (a, b, c) in monomials]
-            if tracker.rank < len(monomials) and tracker.try_add(row):
-                chosen.append(t)
-                rows.append(row)
-            else:
-                rest.append((t, row))
-        if tracker.rank < len(monomials):
+        if self.table.max_level < 2 * degree:
+            # the labels through a level below 2d are all independent
             raise ValueError(
                 f"table level {self.table.max_level} provides only rank "
-                f"{tracker.rank} of {len(monomials)} for degree {degree}")
-        n = len(monomials)
-        flat, den = clear_denominators([v for r in invert_matrix(rows) for v in r])
-        nums = [flat[i:i + n] for i in range(0, n * n, n)]
-        self._fit_data[degree] = (chosen, nums, den, rest)
+                f"{len(labels)} of {len(monomials)} for degree {degree}")
+        # the label (j1, j2, j3) at level 2n is the point (n-j1, n-j2, n-j3)
+        simplex = enumerate_through(2 * degree)
+        points = [tuple(sum(t) // 2 - j for j in t) for t in simplex]
+        index = {p: i for i, p in enumerate(points)}
+        # difference along a, then b, then c; each line in place, from its end
+        steps = []
+        for axis in range(3):
+            for p in points:
+                if p[axis]:
+                    continue
+                line = [index[p[:axis] + (k,) + p[axis + 1:]]
+                        for k in range(degree - sum(p) + 1)]
+                for k in range(1, len(line)):
+                    steps.extend((line[i], line[i - 1])
+                                 for i in range(len(line) - 1, k - 1, -1))
+        # C(x, k) = prod_{i<k} (2x - 2i) / (2^k k!) for x = a, b, c, and
+        # every basis element over the one denominator 2^d d!
+        j1, j2, j3 = (LaurentPoly3.monomial(e, 1)
+                      for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        falling = []
+        for twice in (j2 + j3 - j1, j1 + j3 - j2, j1 + j2 - j3):
+            row = [LaurentPoly3.constant(1)]
+            for k in range(degree):
+                row.append(row[-1] * (twice - LaurentPoly3.constant(2 * k)))
+            falling.append(row)
+        den = 2**degree * factorial(degree)
+        basis = [(falling[0][a] * falling[1][b] * falling[2][c]).scale(
+                     den // (2**(a + b + c) * factorial(a) * factorial(b) * factorial(c)))
+                 for a, b, c in points]
+        cols = [[p.terms.get(e, 0) for p in basis] for e in monomials]
+        rest = [(t, [t[0]**a * t[1]**b * t[2]**c for (a, b, c) in monomials])
+                for t in labels[len(simplex):]]
+        self._fit_data[degree] = (simplex, steps, cols, den, rest)
         return self._fit_data[degree]
 
     def fit_family(self, mvec: Exp) -> CoeffFamily:
@@ -183,16 +211,16 @@ class ExpansionSet:
         degree = sum(mvec)
         if self.order < degree:
             raise ValueError(f"expansions of order {self.order} cannot reach {mvec}")
-        monomials = exponents_upto(degree)
-        chosen, inv_nums, inv_den, rest = self._fit_basis(degree)
-        rhs = [self.coefficient(t, mvec) for t in chosen]
-        rhs_nums, rhs_den = clear_denominators(rhs)
+        simplex, steps, cols, basis_den, rest = self._fit_plan(degree)
+        diffs, den = clear_denominators([self.coefficient(t, mvec) for t in simplex])
+        for i, j in steps:
+            diffs[i] -= diffs[j]
         # coefficients vec / den, reduced to the cleared form of the family
-        vec = [sum(map(mul, r, rhs_nums)) for r in inv_nums]
-        den = inv_den * rhs_den
+        vec = [sum(map(mul, col, diffs)) for col in cols]
+        den *= basis_den
         g = gcd(den, *vec)
         vec, den = [v // g for v in vec], den // g
-        poly = LaurentPoly3.from_cleared(dict(zip(monomials, vec)), den)
+        poly = LaurentPoly3.from_cleared(dict(zip(exponents_upto(degree), vec)), den)
 
         # out of sample, in integers: row . vec / den against each coefficient
         for t, row in rest:
@@ -227,10 +255,16 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     """The ``verify series`` suite: expansion normalization, validated and
     reference families, and the graded recursions through level 6.
 
-    A family that no polynomial of its degree bound fits gets a failing
-    record with the fit's witness, and the later checks still run.
+    A table the expansions reject gets one failing record, as in
+    ``verify_cauchy``.  A family that no polynomial of its degree bound fits
+    gets a failing record with the fit's witness, and the later checks still
+    run.
     """
-    es = ExpansionSet(table, max(order, 4))
+    try:
+        es = ExpansionSet(table, max(order, 4))
+    except FalsificationError as exc:
+        return [{"check": "falsification", "stage": "expansions",
+                 "status": "fail", "witness": str(exc)}]
     triples = enumerate_through(table.max_level)
     checks = []
     for triple in triples:

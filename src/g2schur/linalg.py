@@ -1,18 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Matrices come in as rows of ``int`` or ``Fraction`` values and go out as
-lists of Fraction rows.  This module backs the polynomial interpolation of
-series-coefficient families and the kernel computations of the degree-graded
-differential operators.  ``rref`` (and ``nullspace`` on top of it) is sparse
-Gauss-Jordan elimination over Fraction on dict rows, for the kernel operator
-matrices, which are integer and only a few percent nonzero; its test oracle,
-plain dense Gauss-Jordan elimination, is ``dense_rref`` in
-``tests/test_linalg.py``.  The family fit works on small dense integer
-matrices without any Fraction arithmetic until the end: ``RankTracker``
-selects independent rows by fraction-free elimination and ``invert_matrix``
-inverts the fit matrix by fraction-free (Bareiss) Gauss-Jordan elimination.
-Rows with fractional entries are first scaled by the lcm of their
-denominators (``clear_denominators``), which changes neither rank nor row
+lists of Fraction rows.  This module backs the kernel computations of the
+degree-graded differential operators.  ``rref`` (and ``nullspace`` on top of
+it) is sparse Gauss-Jordan elimination over Fraction on dict rows, for the
+kernel operator matrices, which are integer and only a few percent nonzero;
+its test oracle, plain dense Gauss-Jordan elimination, is ``dense_rref`` in
+``tests/test_linalg.py``.  ``clear_denominators`` gives integer numerators
+over one denominator; the family fit of ``expansion.ExpansionSet`` clears
+its label values with it.
+
+``RankTracker`` and ``invert_matrix`` are the matrix route of the family
+fit, which no production path calls any more: greedy selection of
+independent monomial rows by fraction-free elimination, and the inverse of
+the fit matrix by fraction-free (Bareiss) Gauss-Jordan elimination.  They
+are the test oracle for the forward-difference fit
+(``tests/test_expansion.py``).  Rows with fractional entries are first
+scaled by the lcm of their denominators, which changes neither rank nor row
 space.
 """
 

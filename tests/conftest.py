@@ -17,3 +17,8 @@ def table12():
 @pytest.fixture(scope="session")
 def expansions12(table12):
     return ExpansionSet(table12, 4)
+
+
+@pytest.fixture(scope="session")
+def expansions16():
+    return ExpansionSet(solve_table(16), 6)

@@ -11,11 +11,32 @@ from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
                             leading_pole_coefficient, master_sum,
                             omega_from_sums, pde_check, specialization_phi,
                             specialize_master, specialized_sum_check,
-                            verify_cauchy, weighted_sum_eps)
+                            verify_cauchy)
+from g2schur.epsilon import EpsLaurent
+from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level
 from g2schur.univariate import RatFun1
+
+
+def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
+    """sum_J p(J) * weight(j1) * lambda^{j2+j3} at lambda = kappa(1-eps).
+
+    sign '-' uses weight kappa^{j1+1} - kappa^{-j1-1}; sign '+' uses
+    (j1+1)(kappa^{j1+1} + kappa^{-j1-1}).  This per-polynomial route is the
+    independent reference for ``leading_pole_coefficient``.
+    """
+    if sign not in "+-":
+        raise ValueError("sign must be '+' or '-'")
+    if sign == "+":
+        p = p * (LaurentPoly3.variable(0) + LaurentPoly3.constant(1))
+    ms = master_sum(p)
+    plus_branch = specialize_master(ms, +1, upto).scale(KLocal.kappa_power(1))
+    minus_branch = specialize_master(ms, -1, upto).scale(KLocal.kappa_power(-1))
+    if sign == "-":
+        return plus_branch - minus_branch
+    return plus_branch + minus_branch
 
 
 def brute_sum(p: LaurentPoly3, order: int) -> TruncSeries3:

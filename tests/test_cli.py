@@ -328,6 +328,7 @@ class TestVerifyCommands:
         assert code == 1
         (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
         assert witness["check"] == "falsification"
+        assert witness["stage"] == "expansions"
         assert "(2, 1, 1)" in witness["witness"]
 
     def test_series_wrong_generator_fails_normalization(self, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from g2schur.expansion import ExpansionSet, expand_entry
 from g2schur.laurent import LaurentPoly3
+from g2schur.linalg import RankTracker, invert_matrix
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
                            enumerate_through, solve_table)
@@ -46,6 +48,29 @@ C220 = jpoly([
 ])
 
 
+def matrix_route(es, mvec, inverses):
+    """The family fit as a linear system: labels taken greedily in
+    enumeration order while their monomial rows raise the rank, the fit
+    matrix inverted (once per degree, in ``inverses``), and the number of
+    labels left over for validation."""
+    monomials = exponents_upto(sum(mvec))
+    labels = enumerate_through(es.table.max_level)
+    if sum(mvec) not in inverses:
+        tracker = RankTracker(len(monomials))
+        chosen, rows = [], []
+        for t in labels:
+            row = [t[0]**a * t[1]**b * t[2]**c for a, b, c in monomials]
+            if tracker.rank < len(monomials) and tracker.try_add(row):
+                chosen.append(t)
+                rows.append(row)
+        assert tracker.rank == len(monomials)
+        inverses[sum(mvec)] = chosen, invert_matrix(rows)
+    chosen, inverse = inverses[sum(mvec)]
+    rhs = [es.coefficient(t, mvec) for t in chosen]
+    coeffs = [sum(map(mul, r, rhs)) for r in inverse]
+    return LaurentPoly3(dict(zip(monomials, coeffs))), len(labels) - len(chosen)
+
+
 class TestExpandEntry:
     def test_constant_entry(self, table12):
         assert expand_entry(table12.entries[(0, 0, 0)], 5) == TruncSeries3.one(5)
@@ -78,14 +103,19 @@ class TestFamilies:
         assert fam.validated_on >= 10
         assert not fam.unvalidated
 
-    def test_fit_labels_are_the_labels_through_level_2d(self, expansions12):
-        # the greedy choice is the simplex of labels through level 2d, the
-        # rest validates (tests/test_linalg.py checks the choice up to L20)
-        labels = enumerate_through(12)
-        for degree in range(5):
-            chosen, _, _, rest = expansions12._fit_basis(degree)
-            assert chosen == enumerate_through(2 * degree)
-            assert [t for t, _ in rest] == labels[len(chosen):]
+    @pytest.mark.parametrize("fixture, order", [("expansions12", 4),
+                                                ("expansions16", 6)])
+    def test_matches_the_matrix_route(self, request, fixture, order):
+        # the forward-difference fit against greedy selection plus a matrix
+        # inverse (tests/test_linalg.py checks that the greedy choice is the
+        # labels through level 2d, so both routes fit on the same labels)
+        es = request.getfixturevalue(fixture)
+        inverses = {}
+        for mvec in exponents_upto(order):
+            poly, validated_on = matrix_route(es, mvec, inverses)
+            fam = es.fit_family(mvec)
+            assert fam.polynomial == poly, mvec
+            assert fam.validated_on == validated_on, mvec
 
     def test_family_serialization(self, expansions12):
         blob = expansions12.fit_family((2, 0, 0)).serialize()
@@ -125,6 +155,17 @@ class TestFamilies:
         series.terms[(2, 0, 0)] = series.coefficient((2, 0, 0)) + Fraction(1, 3)
         with pytest.raises(FalsificationError, match=re.escape(f"(label {last})")):
             es.fit_family((2, 0, 0))
+
+    def test_off_family_interpolation_label_caught(self, table12):
+        # one coefficient moved off its family at a label the fit
+        # interpolates: validation on the labels above level 4 names one
+        es = ExpansionSet(table12, 2)
+        series = es.expansions[(1, 1, 0)]
+        series.terms[(2, 0, 0)] = series.coefficient((2, 0, 0)) + Fraction(1, 3)
+        with pytest.raises(FalsificationError) as exc:
+            es.fit_family((2, 0, 0))
+        label = re.search(r"\(label \((\d+), (\d+), (\d+)\)\)", str(exc.value))
+        assert sum(map(int, label.groups())) > 4
 
     def test_insufficient_table_rejected(self, table8):
         es = ExpansionSet(table8, 6)

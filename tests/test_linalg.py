@@ -298,9 +298,10 @@ class TestRankTracker:
 
 @pytest.mark.parametrize("max_level", [12, 20])
 def test_greedy_fit_labels_are_the_labels_through_level_2d(max_level):
-    # the selection loop of ExpansionSet._fit_basis, for every degree the level
-    # allows up to 8: the labels through level 2d are the lattice points of
-    # the simplex of the degree-d polynomials, and they come first
+    # the greedy selection of the matrix-route fit oracle (matrix_route in
+    # tests/test_expansion.py), for every degree the level allows up to 8:
+    # it picks the labels through level 2d, the simplex that
+    # ExpansionSet.fit_family interpolates on, because they come first
     for degree in range(min(max_level // 2, 8) + 1):
         monomials = exponents_upto(degree)
         tracker = RankTracker(len(monomials))

@@ -57,13 +57,17 @@ def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
 
 
 def test_cauchy_suite_reaches_its_traced_stages(tmp_path):
-    # the suite lives in cauchy.py; each stage still runs under its traced name
+    # the suite lives in cauchy.py; each stage still runs under its traced
+    # name, and the family fit (forward differences) runs no elimination
     trace = traced(tmp_path, "verify", "cauchy", "--max-level", "8", "--order", "2",
                    "--lambda-order", "2")
     assert trace["exit_code"] == 0
+    spans = {span[0] for span in trace["spans"]}
     assert {"cauchy.check_H1_relation", "cauchy.leading_pole_coefficient",
             "cauchy.omega_from_sums", "cauchy.closedform", "cauchy.pde_check",
-            "expansion.fit_family"} <= {span[0] for span in trace["spans"]}
+            "expansion.fit_family"} <= spans
+    assert "linalg.invert_matrix" not in spans
+    assert trace["kernels"]["linalg.try_add"]["calls"] == 0
 
 
 def test_kernel_suite_reaches_its_traced_stages(tmp_path):
