@@ -256,9 +256,10 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     reference families, and the graded recursions through level 6.
 
     A table the expansions reject gets one failing record, as in
-    ``verify_cauchy``.  A family that no polynomial of its degree bound fits
-    gets a failing record with the fit's witness, and the later checks still
-    run.
+    ``verify_cauchy``.  Every family through ``order`` is fitted; a table
+    too low for the top degree raises the fit's ``ValueError``.  A family
+    that no polynomial of its degree bound fits gets a failing record with
+    the fit's witness, and the later checks still run.
     """
     try:
         es = ExpansionSet(table, max(order, 4))
@@ -272,7 +273,7 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
         ok = series.coefficient((0, 0, 0)) == 1 and not series.homogeneous_part(1)
         checks.append({"check": "expansion-normalization", "triple": list(triple),
                        "status": "pass" if ok else "fail"})
-    for mvec in exponents_upto(min(order, 4)):
+    for mvec in exponents_upto(order):
         try:
             fam = es.fit_family(mvec)
         except FalsificationError as exc:

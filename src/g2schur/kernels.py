@@ -26,8 +26,20 @@ the independent cross-check.
 kernel it has matched against the diagonal elements, and ``common_kernel``
 and ``triple_kernel`` take the other operators on it.  Only the small inputs
 every degree shares stay cached: the binomial pairs, the Legendre polynomials
-and the operator components.  Basis elements are summed in integers from
-binomial-pair coefficients over one common denominator.
+and the operator components.
+
+The kernel suite works on integer numerators, in the integer form of
+``table.py`` and ``klocal.py``.  ``_pbasis_cleared`` sums a basis element in
+integers from binomial-pair coefficients over one common denominator.
+``kernel_H1`` never divides by it: a span and an eigenvalue equation are
+unchanged by a common factor, and the degree -2 components have integer
+coefficients, so H1t maps integer polynomials to integer polynomials.  Each
+nullspace vector is turned into its integer multiple over the lcm of its
+denominators, so the kernel bases, and the images of H2t and H3t on them,
+stay integer too.  The span test compares ranks under ``linalg.rref``.  The
+``Fraction`` routes these replace are the test oracles in
+``tests/test_kernels.py``.  The action, leading-term and displayed-vector
+checks keep their ``Fraction`` API.
 """
 
 from __future__ import annotations
@@ -38,11 +50,9 @@ from fractions import Fraction
 
 from .diffops import HomogeneousOp, homogeneous_component
 from .laurent import Exp, LaurentPoly3
-from .linalg import nullspace, rref
+from .linalg import clear_denominators, nullspace, rref
 from .table import FalsificationError
 from .univariate import legendre
-
-_ZERO = Fraction(0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,11 +66,12 @@ def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i + j - b, b, c) for b, c in sorted(acc.items()) if c)
 
 
-def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
-    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general.
+def _pbasis_cleared(m: int, k: int, l: int) -> tuple[dict[Exp, int], int]:
+    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23) as (nums, den).
 
     Summed in integers: the Legendre coefficients are cleared over the lcm
-    of their denominators, so the sum sits over that lcm squared.
+    of their denominators, so the sum sits over that lcm squared.  ``nums``
+    may hold zero numerators where terms cancel.
     """
     pk = legendre(k).coeffs
     pl = legendre(l).coeffs
@@ -79,19 +90,32 @@ def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
             for a, b, c in _binomial_pair(i, j):
                 key = (a, b, z)
                 acc[key] = acc.get(key, 0) + w * c
-    return LaurentPoly3.from_cleared(acc, den * den)
+    return acc, den * den
 
 
-def pbasis(m: int, k: int, l: int) -> LaurentPoly3:
-    """Product-basis element; negative powers of X23 must cancel."""
+def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
+    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general."""
+    return LaurentPoly3.from_cleared(*_pbasis_cleared(m, k, l))
+
+
+def _pbasis_numerators(m: int, k: int, l: int) -> tuple[LaurentPoly3, int]:
+    """``_pbasis_cleared`` of a basis element, the numerators as an integer
+    polynomial; negative powers of X23 must cancel."""
     if k + l > m:
         raise ValueError("need k + l <= m")
-    out = pbasis_laurent(m, k, l)
+    nums, den = _pbasis_cleared(m, k, l)
+    out = LaurentPoly3(nums)
     if not out.is_polynomial():
         raise FalsificationError(
             f"product basis element ({m},{k},{l}) failed to be polynomial",
-            witness=out)
-    return out
+            witness=LaurentPoly3.from_cleared(nums, den))
+    return out, den
+
+
+def pbasis(m: int, k: int, l: int) -> LaurentPoly3:
+    """Product-basis element P_{m,k,l}, k + l <= m."""
+    nums, den = _pbasis_numerators(m, k, l)
+    return LaurentPoly3.from_cleared(nums.terms, den)
 
 
 def _monomials(m: int) -> list[Exp]:
@@ -100,12 +124,13 @@ def _monomials(m: int) -> list[Exp]:
 
 
 def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
-    """The combination sum vec[i] * polys[i]."""
-    acc: dict[Exp, Fraction] = {}
-    for c, p in zip(vec, polys):
+    """The combination sum vec[i] * polys[i], times the lcm of the
+    denominators of vec: integer for integer ``polys``."""
+    acc: dict[Exp, int] = {}
+    for c, p in zip(clear_denominators(vec)[0], polys):
         if c:
             for e, v in p.terms.items():
-                acc[e] = acc.get(e, _ZERO) + c * v
+                acc[e] = acc.get(e, 0) + c * v
     return LaurentPoly3(acc)
 
 
@@ -115,39 +140,29 @@ def _kernel_on(ops: list[HomogeneousOp],
 
     One column per polynomial and, for each operator, one row per image
     monomial in sorted order; each nullspace vector names the combination of
-    ``polys`` it stands for.  ``polys`` must be linearly independent for the
-    basis to be one.
+    ``polys`` it stands for, with its denominators cleared.  ``polys`` must
+    be linearly independent for the basis to be one.
     """
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for op in ops:
         images = [op.apply(p).terms for p in polys]
         targets = sorted({e for img in images for e in img})
-        rows.extend([img.get(t, _ZERO) for img in images] for t in targets)
+        rows.extend([img.get(t, 0) for img in images] for t in targets)
     return [_combine(vec, polys) for vec in nullspace(rows, len(polys))]
 
 
-def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list[Fraction]:
-    vec = [poly.terms.get(e, Fraction(0)) for e in monomials]
+def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list:
+    vec = [poly.terms.get(e, 0) for e in monomials]
     leftover = set(poly.terms) - set(monomials)
     if leftover:
         raise ValueError(f"polynomial leaves the degree space: {sorted(leftover)}")
     return vec
 
 
-def _span_contains(basis: list[list[Fraction]], *vecs: list[Fraction]) -> bool:
-    """Whether every vec lies in the row span of basis.
-
-    The basis is reduced once; each vec is then reduced against the RREF.
-    """
-    reduced, pivots = rref(basis)
-    for vec in vecs:
-        for prow, pcol in zip(reduced, pivots):
-            f = vec[pcol]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, prow)]
-        if any(vec):
-            return False
-    return True
+def _span_contains(basis: list[list], *vecs: list) -> bool:
+    """Whether every vec lies in the row span of basis: adding the vecs
+    leaves the rank unchanged."""
+    return len(rref([*basis, *vecs])[0]) == len(rref(basis)[0])
 
 
 def kernel_H1(m: int) -> dict:
@@ -155,13 +170,17 @@ def kernel_H1(m: int) -> dict:
 
     Computes the monomial-basis nullspace, asserts it matches the span of the
     diagonal product-basis elements, and verifies the diagonalization of
-    X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).  The
-    verified nullspace basis is returned under ``"kernel"``.
+    X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).  All of
+    it runs on integers: the monomials have coefficient 1, and each basis
+    element enters as its numerators over the common denominator of
+    ``_pbasis_cleared``, which changes neither its span nor its eigenvalue
+    equation.  The verified nullspace basis, with integer coefficients, is
+    returned under ``"kernel"``.
     """
     op = homogeneous_component(1, -2)
     monomials = _monomials(m)
-    null = _kernel_on([op], [LaurentPoly3.monomial(e) for e in monomials])
-    claimed = [pbasis(m, l, l) for l in range(m // 2 + 1)]
+    null = _kernel_on([op], [LaurentPoly3({e: 1}) for e in monomials])
+    claimed = [_pbasis_numerators(m, l, l)[0] for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(
             f"kernel dimension at degree {m}: got {len(null)}, "
@@ -175,9 +194,9 @@ def kernel_H1(m: int) -> dict:
             f"computed kernel vector outside the claimed span at degree {m}")
     for k in range(m + 1):
         for l in range(m - k + 1):
-            p = claimed[l] if k == l else pbasis(m, k, l)
-            expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
-            if op.apply(p).mul_monomial((1, 1, 0)) != expect:
+            p = claimed[l] if k == l else _pbasis_numerators(m, k, l)[0]
+            expect = p.scale(l * (l + 1) - k * (k + 1))
+            if op.apply(p).mul_monomial((1, 1, 0), 1) != expect:
                 raise FalsificationError(
                     f"diagonalization failed on P_({m},{k},{l})")
     return {
@@ -204,7 +223,7 @@ def action_check(m: int, l: int) -> list[dict]:
     p_up_right = pbasis_laurent(m, l, l + 1)
     checks = []
     for k, front in ((2, (1, 0, 1)), (3, (0, 1, 1))):
-        lhs = LaurentPoly3.monomial(front) * homogeneous_component(k, -2).apply(p)
+        lhs = homogeneous_component(k, -2).apply(p).mul_monomial(front)
         shifted = p.mul_monomial((front[0], front[1], -1), Fraction(m + 2 * l + 2))
         sign_left = Fraction(-(l + 1)) if k == 2 else Fraction(l + 1)
         rhs = (shifted

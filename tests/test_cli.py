@@ -201,6 +201,33 @@ class TestVerifyCommands:
         assert witnesses[0]["degree"] == 2
         assert "P_(2," in witnesses[0]["witness"]
 
+    def test_kernel_wrong_cubic_legendre_coefficient_fails(self, capsys, monkeypatch):
+        # P_3 = (5x^3 - 3x)/2 with the x^3 coefficient bumped to 7/2: the
+        # first element that holds it, P_(m,0,3), is no eigenvector, and
+        # from degree 6 on the claimed span holds P_(m,3,3); the suite runs
+        # through degree 12 whatever the order
+        real = kernels.legendre
+
+        def seeded(k):
+            p = real(k)
+            return DensePoly1(p.coeffs[:3] + (Fraction(7, 2),)) if k == 3 else p
+
+        monkeypatch.setattr(kernels, "legendre", seeded)
+        code, report = run(capsys, "verify", "kernel", "--order", "6")
+        assert code == 1
+        checks = report["checks"]
+        witnesses = {c["degree"]: c["witness"] for c in checks
+                     if c["check"] == "falsification"}
+        assert witnesses == {
+            **{m: f"diagonalization failed on P_({m},0,3)" for m in (3, 4, 5)},
+            **{m: f"computed kernel vector outside the claimed span at degree {m}"
+               for m in range(6, 13)}}
+        assert all(c["status"] == "fail" for c in checks
+                   if c["check"] == "falsification")
+        assert [(c["degree"], c["status"]) for c in checks
+                if c["check"] == "kernel-H1"] == [(0, "pass"), (1, "pass"),
+                                                  (2, "pass")]
+
     def test_cauchy_pole_falsification_keeps_later_checks(self, capsys, monkeypatch):
         # a minus-type bound of 1 is below the true order 2 of the sums
         monkeypatch.setattr(cauchy, "POLE_BOUND", {"-": 1, "+": 3})
@@ -353,6 +380,22 @@ class TestVerifyCommands:
         assert {tuple(c["triple"]) for c in norms if c["status"] == "pass"} == {
             (0, 0, 0)}
         assert not any(c["check"] == "falsification" for c in checks)
+
+    def test_series_fits_through_order(self, capsys):
+        code, report = run(capsys, "verify", "series", "--max-level", "16",
+                           "--order", "6")
+        assert code == 0
+        fits = [c for c in report["checks"] if c["check"] == "family-fit"]
+        assert [tuple(c["mvec"]) for c in fits] == exponents_upto(6)
+        assert len(fits) == 84 and all(c["status"] == "pass" for c in fits)
+
+    def test_series_table_too_low_for_order_is_operational_error(self, capsys):
+        # degree 5 families need the labels through level 10
+        assert main(["verify", "series", "--max-level", "8", "--order", "6"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert ("table level 8 provides only rank 35 of 56 for degree 5"
+                in captured.err)
 
     @pytest.mark.parametrize("suite, check", [("pieri", "pieri"), ("eigen", "eigen")])
     def test_saved_entry_off_its_recursion_fails(self, tmp_path, capsys, suite, check):

@@ -5,11 +5,14 @@ import pytest
 
 from g2schur import kernels
 from g2schur.diffops import homogeneous_component
-from g2schur.kernels import (action_check, common_kernel, kernel_H1,
+from g2schur.kernels import (_monomials, _span_contains, _vector_of,
+                             action_check, common_kernel, kernel_H1,
                              leading_term_check, pair_kernel_vector, pbasis,
                              pbasis_laurent, triple_kernel, verify_kernel)
 from g2schur.laurent import LaurentPoly3
-from g2schur.univariate import legendre
+from g2schur.linalg import nullspace, rref
+from g2schur.table import FalsificationError
+from g2schur.univariate import DensePoly1, legendre
 
 mono = LaurentPoly3.monomial
 
@@ -39,6 +42,57 @@ def binomial_pbasis_laurent(m, k, l):
                 (0, 0, m - i - j), ci * cj)
             acc = acc + term
     return acc
+
+
+def dense_span_contains(basis, *vecs):
+    """Whether every vec lies in the row span of basis, by dense reduction.
+
+    The former body of ``kernels._span_contains``: the basis is reduced once
+    and each vec is reduced against the RREF in ``Fraction``; the oracle for
+    the rank comparison.
+    """
+    reduced, pivots = rref(basis)
+    for vec in vecs:
+        for prow, pcol in zip(reduced, pivots):
+            f = vec[pcol]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, prow)]
+        if any(vec):
+            return False
+    return True
+
+
+def fraction_kernel_H1(m):
+    """The former route of ``kernel_H1``, in ``Fraction`` arithmetic.
+
+    The nullspace of H1t on the degree-m monomials with coefficient
+    ``Fraction(1)``, matched against span{P_(m,l,l)} by dense reduction,
+    then the diagonalization of X12 X13 H1t on every ``Fraction`` element
+    P_(m,k,l).  Raises ``FalsificationError`` as ``kernel_H1`` does and
+    returns the nullspace basis; the small-size oracle for the integer route.
+    """
+    op = homogeneous_component(1, -2)
+    monomials = _monomials(m)
+    images = [op.apply(mono(e)).terms for e in monomials]
+    targets = sorted({e for img in images for e in img})
+    rows = [[img.get(t, Fraction(0)) for img in images] for t in targets]
+    null = [LaurentPoly3(dict(zip(monomials, vec)))
+            for vec in nullspace(rows, len(monomials))]
+    claimed = [pbasis(m, l, l) for l in range(m // 2 + 1)]
+    if len(null) != len(claimed):
+        raise FalsificationError(f"kernel dimension at degree {m}")
+    if not dense_span_contains([_vector_of(v, monomials) for v in claimed],
+                               *[_vector_of(v, monomials) for v in null]):
+        raise FalsificationError(
+            f"computed kernel vector outside the claimed span at degree {m}")
+    for k in range(m + 1):
+        for l in range(m - k + 1):
+            p = claimed[l] if k == l else pbasis(m, k, l)
+            expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
+            if op.apply(p).mul_monomial((1, 1, 0)) != expect:
+                raise FalsificationError(
+                    f"diagonalization failed on P_({m},{k},{l})")
+    return null
 
 
 class TestProductBasis:
@@ -97,6 +151,51 @@ class TestKernelH1:
         assert mono((1, 1, 0)) * op.apply(p) == p.scale(Fraction(-2))
         q = pbasis(1, 0, 1)
         assert mono((1, 1, 0)) * op.apply(q) == q.scale(Fraction(2))
+
+
+class TestIntegerRoute:
+    @pytest.mark.parametrize("m", range(9))
+    def test_kernel_matches_fraction_route(self, m):
+        # both routes accept, and their kernels span one space
+        theirs = fraction_kernel_H1(m)
+        ours = kernel_H1(m)["kernel"]
+        assert all(type(c) is int for v in ours for c in v.terms.values())
+        monomials = _monomials(m)
+        ours = [_vector_of(v, monomials) for v in ours]
+        theirs = [_vector_of(v, monomials) for v in theirs]
+        assert len(ours) == len(theirs) == m // 2 + 1
+        assert dense_span_contains(theirs, *ours)
+        assert dense_span_contains(ours, *theirs)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_span_contains_matches_dense(self, m):
+        monomials = _monomials(m)
+        claimed = [_vector_of(pbasis(m, l, l), monomials) for l in range(m // 2 + 1)]
+        inside = [_vector_of(v, monomials) for v in kernel_H1(m)["kernel"]]
+        inside += [[sum(col) for col in zip(*claimed)], [0] * len(monomials)]
+        # P_(m,k,l) with k != l has eigenvalue l(l+1) - k(k+1) != 0
+        outside = [_vector_of(pbasis(m, k, l), monomials)
+                   for k in range(m + 1) for l in range(m - k + 1) if k != l]
+        for vec in inside:
+            assert _span_contains(claimed, vec)
+            assert dense_span_contains(claimed, vec)
+        for vec in outside:
+            assert not _span_contains(claimed, vec)
+            assert not dense_span_contains(claimed, vec)
+        assert _span_contains(claimed, *inside)
+        if outside:
+            assert not _span_contains(claimed, *inside, outside[-1])
+
+    def test_polynomiality_witness_kept(self, monkeypatch):
+        # P_1 replaced by x^2: P_(1,0,1) = (X12 + X13)^2 / X23 is Laurent
+        real = kernels.legendre
+        monkeypatch.setattr(kernels, "legendre",
+                            lambda k: DensePoly1((0, 0, 1)) if k == 1 else real(k))
+        with pytest.raises(FalsificationError,
+                           match=r"product basis element \(1,0,1\) failed") as exc:
+            kernel_H1(1)
+        assert exc.value.witness == pbasis_laurent(1, 0, 1)
+        assert not exc.value.witness.is_polynomial()
 
 
 class TestActionFormulas:
