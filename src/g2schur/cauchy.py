@@ -30,7 +30,10 @@ serves the plus-type closed form and its boundary form.  Omega_+ is the
 displayed two-term closed form; the (-2 - d) map from Omega_- is its
 independent cross-check, compared in a record of ``closedform_checks``.
 ``verify_cauchy`` and ``verify_specialized`` are the ``verify`` suites of
-this module and return their check records.
+this module and return their check records.  The specialized suite reads the
+entries in their integer form: the x23 = 1 sums and both sides of the row-sum
+identity are integer numerators over one denominator, and a ``Fraction``
+polynomial is built only for a witness.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .expansion import ExpansionSet
 from .klocal import KLocal, linear_combination
 from .laurent import Exp, LaurentPoly3, x_plus_inv
 from .series import TruncSeries3, exponents_upto
-from .table import FalsificationError, SchurTable, is_admissible
+from .table import Cleared, FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
 from .diffops import apply_H_cleared, homogeneous_component
 
@@ -669,6 +672,20 @@ def specialization_phi(j1: int, j2: int) -> LaurentPoly3:
     return out
 
 
+def _at_x23_one(forms: list[Cleared]) -> Cleared:
+    """The sum of integer forms with x23 set to 1, as numerators over the lcm
+    of their denominators; cancelled numerators stay as zeros."""
+    den = math.lcm(*[d for _, d in forms])
+    acc: dict[Exp, int] = {}
+    get = acc.get
+    for nums, d in forms:
+        w = den // d
+        for (e1, e2, _), n in nums.items():
+            key = (e1, e2, 0)
+            acc[key] = get(key, 0) + w * n
+    return acc, den
+
+
 def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
     """Check the x23 = 1 row sum against its product closed form.
 
@@ -678,48 +695,60 @@ def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
         = (1 - x13^{j1+1}/x12^{j1+1}) (1 - x13^{j1+1} x12^{j1+1})
 
     holds; for J < j1 or mismatched parity every label in the row violates
-    admissibility and the sum is zero.
+    admissibility and the sum is zero.  Both sides are compared as integer
+    numerators over the denominator of the row sum.
     """
     if table.max_level < j1 + J:
         raise ValueError(f"table level {table.max_level} < {j1 + J}")
-    total = LaurentPoly3.zero()
-    labels = 0
-    for j2 in range(J + 1):
-        j3 = J - j2
-        if is_admissible(j1, j2, j3):
-            total = total + table.entries[(j1, j2, j3)].subs_unit(2)
-            labels += 1
-    rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": labels}
+    row = [table.cleared_entry((j1, j2, J - j2)) for j2 in range(J + 1)
+           if is_admissible(j1, j2, J - j2)]
+    total, den = _at_x23_one(row)
+    rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": len(row)}
     if J < j1 or (J - j1) % 2:
         rec["mode"] = "empty"
-        rec["status"] = "pass" if not total else "fail"
+        rec["status"] = "pass" if not any(total.values()) else "fail"
         return rec
-    lhs = total.scale(Fraction(j1 + 1))
-    lhs = lhs.mul_monomial((0, j1, 0))
-    lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((-1, 1, 0)))
-    lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((1, 1, 0)))
-    rhs = (LaurentPoly3.one() - LaurentPoly3.monomial((-(j1 + 1), j1 + 1, 0))) * \
-          (LaurentPoly3.one() - LaurentPoly3.monomial((j1 + 1, j1 + 1, 0)))
+    # left side minus right side: the product by the two binomials puts each
+    # term at e, e - x12 + x13, e + x12 + x13 and e + 2 x13
+    diff: dict[Exp, int] = {}
+    get = diff.get
+    for (e1, e2, e3), n in total.items():
+        n *= j1 + 1
+        e2 += j1
+        for (s1, s2), sign in (((0, 0), 1), ((-1, 1), -1), ((1, 1), -1), ((0, 2), 1)):
+            key = (e1 + s1, e2 + s2, e3)
+            diff[key] = get(key, 0) + sign * n
+    a = j1 + 1
+    for key, sign in (((0, 0, 0), 1), ((-a, a, 0), -1), ((a, a, 0), -1),
+                      ((0, 2 * a, 0), 1)):
+        diff[key] = get(key, 0) - sign * den
     rec["mode"] = "identity"
-    rec["status"] = "pass" if lhs == rhs else "fail"
+    rec["status"] = "pass" if not any(diff.values()) else "fail"
     if rec["status"] == "fail":
-        rec["witness"] = repr(lhs - rhs)
+        rec["witness"] = repr(LaurentPoly3.from_cleared(diff, den))
     return rec
 
 
 def verify_specialized(table: SchurTable) -> list[dict]:
     """The ``verify specialized`` suite: the x23 = 1 closed forms with j1 <= 8,
-    then the row sums for j1 <= 8 and J <= 12, within the table level."""
+    then the row sums for j1 <= 8 and J <= 12, within the table level.
+
+    Each entry at x23 = 1 is compared with its closed form by
+    cross-multiplying the two integer forms.
+    """
     j1_max = min(8, table.max_level // 2)
     checks = []
     for j1 in range(j1_max + 1):
         for j2 in range(j1 + 1):
             closed = specialization_phi(j1, j2)
-            actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
+            nums, den = _at_x23_one([table.cleared_entry((j1, j2, j1 - j2))])
+            closed_nums, closed_den = closed.cleared()
+            same = {e: n * closed_den for e, n in nums.items() if n} == {
+                e: c * den for e, c in closed_nums.items()}
             rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
-                   "status": "pass" if closed == actual else "fail"}
-            if rec["status"] == "fail":
-                rec["witness"] = repr(closed - actual)
+                   "status": "pass" if same else "fail"}
+            if not same:
+                rec["witness"] = repr(closed - LaurentPoly3.from_cleared(nums, den))
             checks.append(rec)
     for j1 in range(j1_max + 1):
         for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):

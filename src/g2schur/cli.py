@@ -78,7 +78,7 @@ def run_table(cfg: RunConfig) -> tuple[int, Report]:
         suite="table",
         config={"max_level": cfg.max_level, "out": cfg.out_path},
         table_checksum=text_checksum(text),
-        checks=[{"check": "construct", "entries": len(table.entries),
+        checks=[{"check": "construct", "entries": len(table),
                  "status": "pass"}],
         elapsed_ms=sw.elapsed_ms,
     )
@@ -88,16 +88,18 @@ def run_table(cfg: RunConfig) -> tuple[int, Report]:
 def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     if not cfg.table_path:
         raise TableError("roundtrip requires --table")
-    with open(cfg.table_path, "r", encoding="utf-8") as fh:
-        original = fh.read()
-    table = SchurTable.load(cfg.table_path)
-    text = table.canonical_json()
-    ok = text == original
+    with Stopwatch() as sw:
+        with open(cfg.table_path, "r", encoding="utf-8") as fh:
+            original = fh.read()
+        table = SchurTable.load(cfg.table_path)
+        text = table.canonical_json()
+        ok = text == original
     report = Report(
         suite="roundtrip",
         config={"table": cfg.table_path},
         table_checksum=text_checksum(text),
         checks=[{"check": "byte-roundtrip", "status": "pass" if ok else "fail"}],
+        elapsed_ms=sw.elapsed_ms,
     )
     return (EXIT_OK if ok else EXIT_ERROR), report
 

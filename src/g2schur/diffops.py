@@ -52,7 +52,8 @@ _H_SHIFTS = {k: [_shift(k, *d) for d in ((1, 1, 0), (1, -1, 0), (-1, 1, 0),
 
 
 def apply_H_cleared(k: int, p: LaurentPoly3, mu: Fraction) -> LaurentPoly3:
-    """(v - 1/v)(w - 1/w) * (H_k p - mu p), exactly.
+    """(v - 1/v)(w - 1/w) * (H_k p - mu p), exactly; p has rational
+    (``Fraction`` or ``int``) coefficients.
 
     Zero iff p is a mu-eigenfunction of H_k.  The cleared operator maps a
     monomial v^a w^b u^c to six shifted monomials,
@@ -87,17 +88,23 @@ def apply_H_cleared(k: int, p: LaurentPoly3, mu: Fraction) -> LaurentPoly3:
 
 
 def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
-    """Eigenvalue check H_k phi = (j_k + 1)^2 phi for every entry, all k."""
+    """Eigenvalue check H_k phi = (j_k + 1)^2 phi for every entry, all k.
+
+    Each entry is read in its integer form; the witness of a failed check is
+    the residual of the entry itself.
+    """
     if max_level is None:
         max_level = table.max_level
     checks = []
     for triple in enumerate_through(table.max_level):
         if sum(triple) > max_level:
             continue
-        phi = table.entries[triple]
+        # den * phi has integer coefficients; the residual is linear in phi
+        nums, den = table.cleared_entry(triple)
+        scaled = LaurentPoly3(nums)
         for k in (1, 2, 3):
             mu = Fraction((triple[k - 1] + 1) ** 2)
-            residual = apply_H_cleared(k, phi, mu)
+            residual = apply_H_cleared(k, scaled, mu)
             rec = {
                 "check": "eigen",
                 "triple": list(triple),
@@ -105,7 +112,7 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
                 "status": "pass" if not residual else "fail",
             }
             if residual:
-                rec["witness"] = repr(residual)
+                rec["witness"] = repr(residual.scale(Fraction(1, den)))
             checks.append(rec)
     return checks
 
@@ -124,9 +131,9 @@ class HomogeneousOp:
     with a derivative n are grouped by their exponent shift f - n.  A term
     c x^e of the argument then contributes, for each shift s, c times the
     integer sum of weight * num over the group at x^(e + s), where weight is
-    the falling factorial e(e-1)...(e-n+1) in each variable; the sums are
-    divided by the denominator once, unless it is 1, as it is for every
-    degree -2 component.  Only the operator is cleared, so the argument may
+    the falling factorial e(e-1)...(e-n+1) in each variable, one row of them
+    per distinct exponent of the argument; the sums are divided by the
+    denominator once, unless it is 1, as it is for every degree -2 component.  Only the operator is cleared, so the argument may
     carry any exact coefficients (``RatFun1`` ones in ``cauchy.pde_check``).
     """
 
@@ -152,10 +159,9 @@ class HomogeneousOp:
         acc: dict[tuple[int, int, int], object] = {}
         get = acc.get
         order = self._order
+        rows = {x: _falling_factorials(x, order) for e in p.terms for x in e}
         for (e1, e2, e3), c in p.terms.items():
-            w1 = _falling_factorials(e1, order)
-            w2 = _falling_factorials(e2, order)
-            w3 = _falling_factorials(e3, order)
+            w1, w2, w3 = rows[e1], rows[e2], rows[e3]
             for (s1, s2, s3), group in self._shifts:
                 total = 0
                 for (n1, n2, n3), num in group:

@@ -3,9 +3,12 @@
 Substituting x_ij = 1 + X_ij turns every table entry into a power series
 whose constant term is 1 and whose linear part vanishes.  The substitution
 is a ring map, so the series obey the table's own Pieri recursion with
-x + 1/x replaced by 2 + X^2 - X^3 + ...; ``ExpansionSet`` computes them that
-way.  ``expand_entry`` expands a single Laurent polynomial term by term and
-is kept as the independent cross-check of that route.
+x + 1/x replaced by 2 + X^2 - X^3 + ...; ``ExpansionSet`` solves that
+recursion on integer numerators over one denominator per label, the table's
+own integer solve (``table.solve_cleared``).  ``solve_entry`` on ``Fraction``
+``TruncSeries3`` values is its test oracle, and ``expand_entry``, which
+expands a single Laurent polynomial term by term, is kept as the
+independent cross-check of the route.
 
 For a fixed monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across
 all labels (j1, j2, j3), is a polynomial of total degree at most
@@ -19,15 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
-from .linalg import clear_denominators
 from .series import TruncSeries3, exponents_upto
-from .table import (FalsificationError, SchurTable, Triple, enumerate_through,
-                    predecessor_equations, solve_entry)
+from .table import (Cleared, FalsificationError, SchurTable, Triple,
+                    enumerate_through, predecessor_equations, solve_cleared)
 
 #: minimum number of out-of-sample labels before a family counts as validated
 VALIDATION_MARGIN = 10
@@ -75,13 +77,39 @@ def expand_entry(poly: LaurentPoly3, order: int) -> TruncSeries3:
 
 
 def _x_plus_inv_series(i: int, order: int) -> TruncSeries3:
-    """x_i + 1/x_i at x_i = 1 + X_i, i.e. 2 + X_i^2 - X_i^3 + X_i^4 - ..."""
-    terms = {(0, 0, 0): Fraction(2)}
+    """x_i + 1/x_i at x_i = 1 + X_i, i.e. 2 + X_i^2 - X_i^3 + X_i^4 - ...,
+    with ``int`` coefficients."""
+    terms = {(0, 0, 0): 2}
     for k in range(2, order + 1):
         exp = [0, 0, 0]
         exp[i] = k
-        terms[tuple(exp)] = Fraction((-1) ** k)
+        terms[tuple(exp)] = (-1) ** k
     return TruncSeries3(order, terms)
+
+
+def _times_series(generators: list[TruncSeries3]):
+    """``times_generator`` of ``table.recursion_sum`` for the series: w g
+    sum nums[e] X^e truncated at the generators' order, g = generators[eq]
+    with integer coefficients."""
+    order = generators[0].order
+    # each generator's terms with their degrees, lowest degree first
+    rows = [sorted((sum(e), e, c) for e, c in g.terms.items()) for g in generators]
+
+    def times(eq: int, nums: dict[Exp, int], w: int) -> dict[Exp, int]:
+        acc: dict[Exp, int] = {}
+        get = acc.get
+        terms = rows[eq]
+        for (e1, e2, e3), n in nums.items():
+            n *= w
+            room = order - e1 - e2 - e3
+            for deg, (s1, s2, s3), c in terms:
+                if deg > room:
+                    break
+                key = (e1 + s1, e2 + s2, e3 + s3)
+                acc[key] = get(key, 0) + c * n
+        return acc
+
+    return times
 
 
 @dataclass
@@ -109,7 +137,10 @@ class ExpansionSet:
     The table is not trusted: its (0,0,0) entry must be 1 and every entry
     must satisfy its solving equation, or ``FalsificationError`` names the
     first triple that does not.  By induction over the levels the series
-    of the recursion are then exactly the expansions of the entries.
+    of the recursion are then exactly the expansions of the entries.  Each
+    series is kept in ``forms`` as integer numerators over one denominator
+    (reduced as the table's entries are); ``expansion`` builds its
+    ``Fraction`` ``TruncSeries3``.
 
     A family of degree d is fitted on the labels through level 2d and
     validated on every label above it.  Those labels are the lattice points
@@ -119,23 +150,25 @@ class ExpansionSet:
     and no linear system is built.  ``_fit_plan`` fixes, once per degree,
     the order of the difference steps, the binomial basis as integer
     numerators over one denominator and the monomial rows of the validation
-    labels.  Each family's values are cleared to integers and differenced
-    in place; the only Fractions built are the family's coefficients.
-    Validation takes each remaining label's monomial row against the
-    family's cleared numerators (``LaurentPoly3.evaluate`` is the test
-    oracle, and the matrix route through ``linalg.RankTracker`` and
-    ``linalg.invert_matrix`` is the fit's oracle in the tests).
+    labels.  Each family's values are read from the series numerators,
+    brought to one denominator and differenced in place; the only Fractions
+    built are the family's coefficients.  Validation takes each remaining
+    label's monomial row against the family's cleared numerators
+    (``LaurentPoly3.evaluate`` is the test oracle, and the matrix route
+    through ``linalg.RankTracker`` and ``linalg.invert_matrix`` is the fit's
+    oracle in the tests).
     """
 
     def __init__(self, table: SchurTable, order: int):
         self.table = table
         self.order = order
-        unit = table.entry((0, 0, 0))
-        if unit != LaurentPoly3.one():
+        one: Cleared = ({(0, 0, 0): 1}, 1)
+        if table.cleared_entry((0, 0, 0)) != one:
             raise FalsificationError(
-                "table entry (0, 0, 0) is not the constant 1", witness=unit)
-        generators = [_x_plus_inv_series(i, order) for i in range(3)]
-        series = {(0, 0, 0): TruncSeries3.one(order)}
+                "table entry (0, 0, 0) is not the constant 1",
+                witness=table.entry((0, 0, 0)))
+        times = _times_series([_x_plus_inv_series(i, order) for i in range(3)])
+        forms = {(0, 0, 0): one}
         for t in enumerate_through(table.max_level)[1:]:
             eq, pred = predecessor_equations(t)[0]
             residual = table.pieri_residual(eq, pred)
@@ -143,15 +176,23 @@ class ExpansionSet:
                 raise FalsificationError(
                     f"table entry {t} fails its solving equation {eq + 1} "
                     f"based at {pred}", witness=residual)
-            series[t] = solve_entry(t, series, generators)
-        self.expansions: dict[Triple, TruncSeries3] = series
+            forms[t] = solve_cleared(t, forms.__getitem__, times)
+        self.forms: dict[Triple, Cleared] = forms
         self._fit_data: dict[int, tuple] = {}
         self._families: dict[Exp, CoeffFamily] = {}
+
+    def expansion(self, triple: Triple) -> TruncSeries3:
+        """The series of ``triple`` with ``Fraction`` coefficients."""
+        nums, den = self.forms[triple]
+        return TruncSeries3(self.order, {e: Fraction(n, den) for e, n in nums.items()})
 
     # -- family fitting -----------------------------------------------------
 
     def coefficient(self, triple: Triple, mvec: Exp) -> Fraction:
-        return self.expansions[triple].coefficient(mvec)
+        if sum(mvec) > self.order:
+            raise ValueError(f"degree {sum(mvec)} exceeds truncation order {self.order}")
+        nums, den = self.forms[triple]
+        return Fraction(nums.get(tuple(mvec), 0), den)
 
     def _fit_plan(self, degree: int) -> tuple[list[Triple], list[tuple[int, int]],
                                               list[list[int]], int,
@@ -212,7 +253,9 @@ class ExpansionSet:
         if self.order < degree:
             raise ValueError(f"expansions of order {self.order} cannot reach {mvec}")
         simplex, steps, cols, basis_den, rest = self._fit_plan(degree)
-        diffs, den = clear_denominators([self.coefficient(t, mvec) for t in simplex])
+        values = [self.forms[t] for t in simplex]
+        den = lcm(*[d for _, d in values])
+        diffs = [nums.get(mvec, 0) * (den // d) for nums, d in values]
         for i, j in steps:
             diffs[i] -= diffs[j]
         # coefficients vec / den, reduced to the cleared form of the family
@@ -223,9 +266,10 @@ class ExpansionSet:
         poly = LaurentPoly3.from_cleared(dict(zip(exponents_upto(degree), vec)), den)
 
         # out of sample, in integers: row . vec / den against each coefficient
+        forms = self.forms
         for t, row in rest:
-            c = self.coefficient(t, mvec)
-            if sum(map(mul, row, vec)) * c.denominator != den * c.numerator:
+            nums, d = forms[t]
+            if sum(map(mul, row, vec)) * d != den * nums.get(mvec, 0):
                 raise FalsificationError(
                     f"degree bound violated for {mvec}: no polynomial of degree "
                     f"<= {degree} matches the coefficients (label {t})")
@@ -269,8 +313,8 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     triples = enumerate_through(table.max_level)
     checks = []
     for triple in triples:
-        series = es.expansions[triple]
-        ok = series.coefficient((0, 0, 0)) == 1 and not series.homogeneous_part(1)
+        nums, den = es.forms[triple]
+        ok = nums.get((0, 0, 0)) == den and not any(sum(e) == 1 for e in nums)
         checks.append({"check": "expansion-normalization", "triple": list(triple),
                        "status": "pass" if ok else "fail"})
     for mvec in exponents_upto(order):
@@ -291,7 +335,7 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
             rec.update(status="fail", witness=str(exc))
         checks.append(rec)
     comp_level = min(table.max_level, 6)
-    expansions = {t: es.expansions[t] for t in triples if sum(t) <= comp_level}
+    expansions = {t: es.expansion(t) for t in triples if sum(t) <= comp_level}
     L = min(order, 4) - 2
     if L >= 0:
         checks.extend(verify_recursion_by_components(table, L, expansions))

@@ -1,10 +1,10 @@
 """Sparse Laurent polynomials in the three variables x12, x13, x23.
 
 Exponent triples live in Z^3 (negative exponents allowed) and map to nonzero
-exact coefficients.  Coefficients are ``fractions.Fraction`` throughout the
-table machinery; any exact field element supporting ``+ - * ==`` and
-truthiness (e.g. univariate rational functions in kappa) works as well, so
-the same container carries residue-extraction data.
+exact coefficients: ``fractions.Fraction`` or ``int`` for table entries,
+residuals and label polynomials, and any exact field element supporting
+``+ - * ==`` and truthiness (e.g. univariate rational functions in kappa)
+as well, so the same container carries residue-extraction data.
 
 The same class carries polynomials in the integer labels (j1, j2, j3): the
 coefficient families of the series expansions and the label weights of the
@@ -13,10 +13,12 @@ their exact value at a label.
 
 A polynomial with rational coefficients also has an integer form:
 ``cleared()`` gives integer numerators over one common denominator and
-``from_cleared`` turns such a pair back into a polynomial.  The table layer
-works in that form (the table solve and load, the Pieri, eigenvalue, unit-value
-and S3 checks) and builds ``Fraction`` coefficients only for stored entries and
-nonzero residuals.
+``from_cleared`` turns such a pair back into a polynomial.  A table stores
+its entries only in that form, and the table suites (solve, load and save,
+the Pieri, eigenvalue, unit-value, S3 and specialization checks, and the
+series expansions around x = 1) work on it; ``Fraction`` coefficients are
+built for an entry read through ``SchurTable.entries`` and for a nonzero
+residual.
 
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so instances may be shared freely.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Exp = tuple[int, int, int]
 
@@ -278,10 +280,6 @@ class LaurentPoly3:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms)
         return e, self.terms[e]
-
-    def sorted_terms(self) -> Iterator[tuple[Exp, object]]:
-        for e in sorted(self.terms):
-            yield e, self.terms[e]
 
 
 def x_plus_inv(i: int) -> LaurentPoly3:

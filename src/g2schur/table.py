@@ -15,23 +15,26 @@ solved from one predecessor equation and every other applicable predecessor
 equation is then asserted exactly, so an inconsistent system cannot slip
 through construction.
 
-The table layer works in the integer form of an entry: integer numerators
+The table stores each entry in its integer form only: integer numerators
 over one common denominator, reduced so that the denominator is positive and
-coprime to the content (``LaurentPoly3.cleared``).  ``solve_table`` solves each
-entry in that form, ``SchurTable.load`` reads it straight from the ``"p/q"``
-coefficient texts, and the recursion residuals (``SchurTable.pieri_residual``),
-the unit-value checks and the S3 checks compare numerators and denominators;
-a nonzero residual comes back as the exact Laurent polynomial.  The entries
-themselves stay ``Fraction``-coefficient Laurent polynomials for every
-consumer.  The table file is the ``json.dumps(..., indent=1)`` layout of the
-entries, written directly by ``canonical_json``; the ``json.dumps`` route is
-the test oracle for it.
+coprime to the content (``LaurentPoly3.cleared``).  ``solve_table`` solves
+each entry in that form, ``SchurTable.load`` reads it straight from the
+``"p/q"`` coefficient texts and ``canonical_json`` writes the texts back from
+it; the recursion residuals (``SchurTable.pieri_residual``), the unit-value,
+leading-term and S3 checks compare numerators and denominators, and a nonzero
+residual comes back as the exact Laurent polynomial.  The ``Fraction``
+Laurent polynomial of an entry is built on demand, by ``entry`` or through
+the ``entries`` mapping, which keeps what it builds and clears what is
+assigned to it.  The table file is the ``json.dumps(..., indent=1)`` layout
+of the entries; the ``json.dumps`` route is the test oracle for
+``canonical_json``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -148,10 +151,10 @@ def solve_entry(triple: Triple, entries: dict, generators):
     """Solve ``triple`` from its solving equation, in any ring.
 
     ``entries`` holds the values of the lower levels and ``generators[i]``
-    the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  The
-    expansions around x = 1 run this on truncated power series.  Run on
-    Laurent polynomials it is the test oracle of ``solve_table``, which
-    solves in the integer form instead.
+    the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  It is
+    the test oracle of the integer solve (``solve_cleared``): on Laurent
+    polynomials for ``solve_table``, on truncated power series for the
+    expansions around x = 1.
     """
     eq, pred = predecessor_equations(triple)[0]
     rest = generators[eq] * entries[pred]
@@ -168,6 +171,82 @@ def solve_entry(triple: Triple, entries: dict, generators):
     return rest.scale(1 / lead_coeff)
 
 
+#: integer form of an entry: numerators by exponent over one denominator
+Cleared = tuple[dict[Exp, int], int]
+
+_ZERO: Cleared = ({}, 1)
+
+
+def _times_x_plus_inv(eq: int, nums: dict[Exp, int], w: int) -> dict[Exp, int]:
+    """w (x + 1/x) sum nums[e] x^e for the variable of recursion ``eq``: two
+    exponent shifts per term."""
+    acc: dict[Exp, int] = {}
+    get = acc.get
+    s1, s2, s3 = _SHIFT[eq]
+    for (e1, e2, e3), n in nums.items():
+        n *= w
+        key = (e1 + s1, e2 + s2, e3 + s3)
+        acc[key] = get(key, 0) + n
+        key = (e1 - s1, e2 - s2, e3 - s3)
+        acc[key] = get(key, 0) + n
+    return acc
+
+
+def recursion_sum(eq: int, base: Triple, form, times_generator,
+                  skip: Triple | None = None) -> Cleared:
+    """g phi_base - sum K phi_target of recursion ``eq`` at ``base``, the
+    target ``skip`` left out, as integer numerators over one denominator.
+
+    ``form(t)`` is the integer form of phi_t and ``times_generator(eq, nums,
+    w)`` returns the numerators of w g sum nums[e] x^e, g the generator of the
+    recursion in the ring at hand (x + 1/x for the table entries, its
+    truncated series for the expansions around x = 1).  Accumulates at the
+    lcm of the form and ``K`` denominators, without reducing; cancelled
+    numerators stay in the dict as zeros.
+    """
+    rhs = []
+    den = 1
+    for target, coeff in _pieri_terms(eq, base):
+        if coeff and target != skip and is_admissible(*target):
+            nums, d = form(target)
+            d *= coeff.denominator
+            rhs.append((nums, coeff.numerator, d))
+            den = lcm(den, d)
+    base_nums, base_den = form(base)
+    den = lcm(den, base_den)
+    acc = times_generator(eq, base_nums, den // base_den)
+    get = acc.get
+    for nums, num, d in rhs:
+        w = num * (den // d)
+        for key, n in nums.items():
+            acc[key] = get(key, 0) - w * n
+    return acc, den
+
+
+def solve_cleared(triple: Triple, form, times_generator) -> Cleared:
+    """The integer form of ``triple`` from its solving equation, the lower
+    levels read through ``form`` (see ``recursion_sum``).
+
+    The recursion sum without ``triple`` is divided once by the lead ``K``;
+    the result is reduced to the form ``cleared()`` returns.  The lead is
+    ``K_{1,1}`` of an admissible base, which is positive, so the denominator
+    stays positive.
+    """
+    eq, pred = predecessor_equations(triple)[0]
+    lead = dict(_pieri_terms(eq, pred)).get(triple)
+    if not lead:
+        raise TableError(f"vanishing leading coefficient solving {triple}")
+    acc, den = recursion_sum(eq, pred, form, times_generator, skip=triple)
+    q = lead.denominator
+    nums = {e: n * q for e, n in acc.items() if n}
+    den *= lead.numerator
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {e: n // g for e, n in nums.items()}
+        den //= g
+    return nums, den
+
+
 # layout of json.dumps(..., indent=1) for one entry and one term
 _TRIPLE = '  {\n   "triple": [\n    %d,\n    %d,\n    %d\n   ],\n   "poly": '
 _ENTRY = _TRIPLE + '[\n%s\n   ]\n  }'
@@ -181,108 +260,75 @@ def text_checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class SchurTable:
-    """Immutable map from admissible triples to their Laurent polynomials."""
+class EntryView(MutableMapping):
+    """The ``Fraction`` Laurent polynomials of a table's entries.
 
-    def __init__(self, max_level: int, entries: dict[Triple, LaurentPoly3]):
+    A polynomial is built from the entry's integer form on its first read and
+    kept.  Assigning a polynomial replaces the integer form by its
+    ``cleared()``; deleting removes the entry.
+    """
+
+    def __init__(self, forms: dict[Triple, Cleared]):
+        self._forms = forms
+        self._polys: dict[Triple, LaurentPoly3] = {}
+
+    def __getitem__(self, triple: Triple) -> LaurentPoly3:
+        poly = self._polys.get(triple)
+        if poly is None:
+            poly = self._polys[triple] = LaurentPoly3.from_cleared(*self._forms[triple])
+        return poly
+
+    def __setitem__(self, triple: Triple, poly: LaurentPoly3) -> None:
+        self._forms[triple] = poly.cleared()
+        self._polys[triple] = poly
+
+    def __delitem__(self, triple: Triple) -> None:
+        del self._forms[triple]
+        self._polys.pop(triple, None)
+
+    def __contains__(self, triple) -> bool:
+        return triple in self._forms
+
+    def __iter__(self):
+        return iter(self._forms)
+
+    def __len__(self) -> int:
+        return len(self._forms)
+
+
+class SchurTable:
+    """Map from admissible triples to their Laurent polynomials, each stored
+    in its integer form (see the module docstring)."""
+
+    def __init__(self, max_level: int,
+                 entries: Mapping[Triple, LaurentPoly3] | None = None):
         self.max_level = max_level
-        self.entries = entries
-        self._cleared: dict[Triple, tuple] = {}
+        self._forms: dict[Triple, Cleared] = {}
+        self.entries = EntryView(self._forms)
+        if entries:
+            self.entries.update(entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SchurTable):
             return NotImplemented
-        return self.max_level == other.max_level and self.entries == other.entries
+        return self.max_level == other.max_level and self._forms == other._forms
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._forms)
 
     def entry(self, triple: Triple) -> LaurentPoly3:
         """Table entry; the zero polynomial for non-admissible or out-of-range triples."""
-        return self.entries.get(triple, LaurentPoly3.zero())
+        return self.entries[triple] if triple in self._forms else LaurentPoly3.zero()
 
-    # -- integer form: solve and verification helpers -------------------
-
-    def _cleared_entry(self, triple: Triple) -> tuple[dict[Exp, int], int]:
-        """``entry(triple).cleared()``, computed once per stored entry.
-
-        ``solve_table`` and ``load`` store the integer form with each entry;
-        an entry replaced since is cleared again.
-        """
-        poly = self.entries.get(triple)
-        if poly is None:
-            return {}, 1
-        hit = self._cleared.get(triple)
-        if hit is None or hit[0] is not poly:
-            hit = self._cleared[triple] = (poly, *poly.cleared())
-        return hit[1], hit[2]
-
-    def _recursion_sum(self, eq: int, base: Triple,
-                       skip: Triple | None = None) -> tuple[dict[Exp, int], int]:
-        """(x + 1/x) phi_base - sum K phi_target of recursion ``eq`` at ``base``,
-        the target ``skip`` left out, as integer numerators over one denominator.
-
-        Accumulates at the lcm of the entry and ``K`` denominators, without
-        reducing; cancelled numerators stay in the dict as zeros.  Multiplying
-        by x + 1/x is two exponent shifts.
-        """
-        rhs = []
-        den = 1
-        for target, coeff in _pieri_terms(eq, base):
-            if coeff and target != skip and is_admissible(*target):
-                nums, d = self._cleared_entry(target)
-                d *= coeff.denominator
-                rhs.append((nums, coeff.numerator, d))
-                den = lcm(den, d)
-        base_nums, base_den = self._cleared_entry(base)
-        den = lcm(den, base_den)
-        acc: dict[Exp, int] = {}
-        get = acc.get
-        w = den // base_den
-        s1, s2, s3 = _SHIFT[eq]
-        for (e1, e2, e3), n in base_nums.items():
-            n *= w
-            key = (e1 + s1, e2 + s2, e3 + s3)
-            acc[key] = get(key, 0) + n
-            key = (e1 - s1, e2 - s2, e3 - s3)
-            acc[key] = get(key, 0) + n
-        for nums, num, d in rhs:
-            w = num * (den // d)
-            for key, n in nums.items():
-                acc[key] = get(key, 0) - w * n
-        return acc, den
+    def cleared_entry(self, triple: Triple) -> Cleared:
+        """The integer form of ``entry(triple)``, ``({}, 1)`` for a triple
+        outside the table.  The caller must not modify it."""
+        return self._forms.get(triple, _ZERO)
 
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
         """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds)."""
-        return LaurentPoly3.from_cleared(*self._recursion_sum(eq, base))
-
-    def _solve(self, triple: Triple) -> None:
-        """Solve and store ``triple`` from its solving equation.
-
-        The recursion sum without ``triple`` is divided once by the lead
-        ``K``; the result is reduced to the form ``cleared()`` returns.  The
-        lead is ``K_{1,1}`` of an admissible base, which is positive, so the
-        denominator stays positive.
-        """
-        eq, pred = predecessor_equations(triple)[0]
-        lead = dict(_pieri_terms(eq, pred)).get(triple)
-        if not lead:
-            raise TableError(f"vanishing leading coefficient solving {triple}")
-        acc, den = self._recursion_sum(eq, pred, skip=triple)
-        q = lead.denominator
-        nums = {e: n * q for e, n in acc.items() if n}
-        den *= lead.numerator
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {e: n // g for e, n in nums.items()}
-            den //= g
-        self._store(triple, nums, den)
-
-    def _store(self, triple: Triple, nums: dict[Exp, int], den: int) -> None:
-        """Store an entry given in its reduced integer form (den > 0, content
-        coprime to den), the form ``cleared()`` returns."""
-        poly = self.entries[triple] = LaurentPoly3.from_cleared(nums, den)
-        self._cleared[triple] = (poly, nums, den)
+        return LaurentPoly3.from_cleared(
+            *recursion_sum(eq, base, self.cleared_entry, _times_x_plus_inv))
 
     # -- persistence -----------------------------------------------------
 
@@ -292,13 +338,20 @@ class SchurTable:
         The payload holds the format version, the level and one record per
         entry, ``{"triple": [...], "poly": [{"exp": [...], "coeff": "p/q"}]}``,
         triples and exponents sorted.  The text is written directly in that
-        layout, one template per entry and per term.
+        layout, one template per entry and per term; each coefficient text
+        is its numerator and the denominator divided by their gcd.
         """
         records = []
-        for t in sorted(self.entries):
-            terms = ",\n".join([_TERM % (*e, c)
-                                for e, c in self.entries[t].sorted_terms()])
-            records.append(_ENTRY % (*t, terms) if terms else _EMPTY_ENTRY % t)
+        for t in sorted(self._forms):
+            nums, den = self._forms[t]
+            terms = []
+            for e in sorted(nums):
+                n = nums[e]
+                g = gcd(n, den)
+                coeff = n // g if g == den else f"{n // g}/{den // g}"
+                terms.append(_TERM % (*e, coeff))
+            records.append(_ENTRY % (*t, ",\n".join(terms)) if terms
+                           else _EMPTY_ENTRY % t)
         body = ",\n".join(records)
         entries = f'[\n{body}\n ]' if body else "[]"
         return (f'{{\n "format_version": {FORMAT_VERSION},\n'
@@ -322,7 +375,7 @@ class SchurTable:
         Every coefficient must be the canonical text of a nonzero rational,
         ``str(p)`` or ``"p/q"`` with q > 1 coprime to p, and every entry must
         take the value 1 at x12 = x13 = x23 = 1.  The integer form of each
-        entry is read from those texts and stored with it.
+        entry is read from those texts; no ``Fraction`` is built.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -338,8 +391,10 @@ class SchurTable:
         max_level = payload.get("max_level")
         if type(max_level) is not int or max_level < 0 or max_level % 2:
             raise TableError(f"invalid max_level: {max_level!r}")
-        table = SchurTable(max_level, {})
-        entries = table.entries
+        table = SchurTable(max_level)
+        forms = table._forms
+        # coefficient text -> (p, q); a table repeats few distinct texts
+        parsed: dict[str, tuple[int, int]] = {}
         # a record, "poly" list or term of the wrong shape is a TableError too
         try:
             for rec in payload.get("entries", []):
@@ -351,38 +406,39 @@ class SchurTable:
                 if sum(t) > max_level:
                     raise TableError(
                         f"triple {t} beyond declared max_level {max_level}")
-                if t in entries:
+                if t in forms:
                     raise TableError(f"duplicate triple {t}")
                 terms: dict[Exp, tuple[int, int]] = {}
                 for term in rec["poly"]:
                     e = tuple(term["exp"])
-                    if len(e) != 3 or not all(type(v) is int for v in e):
+                    if len(e) != 3 or not (type(e[0]) is type(e[1]) is type(e[2]) is int):
                         raise TableError(f"malformed exponent {term['exp']!r}")
-                    p, q = _parse_coeff(term["coeff"])
-                    if not p:
+                    text = term["coeff"]
+                    pq = parsed.get(text) if type(text) is str else _parse_coeff(text)
+                    if pq is None:
+                        pq = parsed[text] = _parse_coeff(text)
+                    if not pq[0]:
                         raise TableError(f"stored zero coefficient at {t}, {e}")
                     if e in terms:
                         raise TableError(f"duplicate exponent {e} in entry {t}")
-                    terms[e] = p, q
+                    terms[e] = pq
                 den = lcm(*[q for _, q in terms.values()])
-                table._store(t, {e: p * (den // q) for e, (p, q) in terms.items()}, den)
+                forms[t] = {e: p * (den // q) for e, (p, q) in terms.items()}, den
         except (KeyError, TypeError) as exc:
             raise TableError(f"malformed entry record: {exc!r}") from None
         # every entry is an admissible label within max_level and none repeats,
         # so the table is complete exactly when it holds all C(max_level/2 + 3, 3)
         # labels; counting first keeps the work bounded by the file, not by the
         # level it declares
-        missing = comb(max_level // 2 + 3, 3) - len(entries)
+        missing = comb(max_level // 2 + 3, 3) - len(forms)
         if missing:
             first = next(t for level in range(0, max_level + 1, 2)
-                         for t in enumerate_level(level) if t not in entries)
+                         for t in enumerate_level(level) if t not in forms)
             raise TableError(f"incomplete table: missing {first} "
                              f"and {missing - 1} more")
-        unit = entries[(0, 0, 0)]
-        if unit != LaurentPoly3.one():
+        if forms[(0, 0, 0)] != ({(0, 0, 0): 1}, 1):
             raise TableError("entry (0,0,0) is not the constant 1")
-        for t in entries:
-            nums, den = table._cleared_entry(t)
+        for t, (nums, den) in forms.items():
             if sum(nums.values()) != den:
                 raise TableError(f"entry {t} does not evaluate to 1 at (1,1,1)")
         return table
@@ -416,11 +472,13 @@ def solve_table(max_level: int) -> SchurTable:
     """
     if max_level < 0 or max_level % 2:
         raise ValueError("max_level must be a nonnegative even integer")
-    table = SchurTable(max_level, {})
-    table._store((0, 0, 0), {(0, 0, 0): 1}, 1)
+    table = SchurTable(max_level)
+    forms = table._forms
+    forms[(0, 0, 0)] = {(0, 0, 0): 1}, 1
     for level in range(2, max_level + 1, 2):
         for triple in enumerate_level(level):
-            table._solve(triple)
+            forms[triple] = solve_cleared(triple, table.cleared_entry,
+                                          _times_x_plus_inv)
             for other_eq, other_pred in predecessor_equations(triple)[1:]:
                 residual = table.pieri_residual(other_eq, other_pred)
                 if residual:
@@ -472,9 +530,9 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
         src[_PAIR_POS[frozenset({sigma[i - 1], sigma[j - 1]})]] = k
     a, b, c = src
     for triple in enumerate_through(table.max_level):
-        nums, den = table._cleared_entry(triple)
+        nums, den = table.cleared_entry(triple)
         permuted_labels = tuple(triple[sigma[i] - 1] for i in range(3))
-        cand_nums, cand_den = table._cleared_entry(permuted_labels)
+        cand_nums, cand_den = table.cleared_entry(permuted_labels)
         if cand_den != den or {(e[a], e[b], e[c]): n for e, n in cand_nums.items()} != nums:
             return False, triple
     return True, None
@@ -496,13 +554,14 @@ def verify_pieri(table: SchurTable) -> list[dict]:
                 rec["witness"] = repr(residual)
             checks.append(rec)
     for triple in triples:
-        nums, den = table._cleared_entry(triple)
+        nums, den = table.cleared_entry(triple)
         checks.append({"check": "unit-value", "triple": list(triple),
                        "status": "pass" if sum(nums.values()) == den else "fail"})
     seen_per_level: dict[int, set] = {}
     for triple in triples:
         try:
-            _, exps = leading_term(table.entries[triple], triple)
+            # the numerators have the entry's monomials
+            _, exps = leading_term(LaurentPoly3(table.cleared_entry(triple)[0]), triple)
             status = "pass"
         except FalsificationError:
             status, exps = "fail", None

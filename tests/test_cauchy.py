@@ -11,13 +11,14 @@ from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, cauchy_truncation,
                             leading_pole_coefficient, master_sum,
                             omega_from_sums, pde_check, specialization_phi,
                             specialize_master, specialized_sum_check,
-                            verify_cauchy)
+                            verify_cauchy, verify_specialized)
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
-from g2schur.table import FalsificationError, enumerate_level
+from g2schur.table import FalsificationError, enumerate_level, is_admissible
 from g2schur.univariate import RatFun1
+from tests.test_table import perturbed
 
 
 def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
@@ -300,6 +301,58 @@ class TestOmegaFromSums:
         assert all(om.coefficient(e) == cf.coefficient(e) for e in keys)
 
 
+def fraction_specialized_sum_check(j1, J, table):
+    """The x23 = 1 row-sum record in ``Fraction`` Laurent polynomials.
+
+    The former body of ``specialized_sum_check``; the oracle for its integer
+    row sums.
+    """
+    total = LaurentPoly3.zero()
+    labels = 0
+    for j2 in range(J + 1):
+        j3 = J - j2
+        if is_admissible(j1, j2, j3):
+            total = total + table.entries[(j1, j2, j3)].subs_unit(2)
+            labels += 1
+    rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": labels}
+    if J < j1 or (J - j1) % 2:
+        rec["mode"] = "empty"
+        rec["status"] = "pass" if not total else "fail"
+        return rec
+    lhs = total.scale(Fraction(j1 + 1))
+    lhs = lhs.mul_monomial((0, j1, 0))
+    lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((-1, 1, 0)))
+    lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((1, 1, 0)))
+    rhs = (LaurentPoly3.one() - LaurentPoly3.monomial((-(j1 + 1), j1 + 1, 0))) * \
+          (LaurentPoly3.one() - LaurentPoly3.monomial((j1 + 1, j1 + 1, 0)))
+    rec["mode"] = "identity"
+    rec["status"] = "pass" if lhs == rhs else "fail"
+    if rec["status"] == "fail":
+        rec["witness"] = repr(lhs - rhs)
+    return rec
+
+
+def fraction_verify_specialized(table):
+    """The ``verify specialized`` records with every entry read as its
+    ``Fraction`` polynomial; the former body of ``verify_specialized`` and the
+    oracle for its integer route."""
+    j1_max = min(8, table.max_level // 2)
+    checks = []
+    for j1 in range(j1_max + 1):
+        for j2 in range(j1 + 1):
+            closed = specialization_phi(j1, j2)
+            actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
+            rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
+                   "status": "pass" if closed == actual else "fail"}
+            if rec["status"] == "fail":
+                rec["witness"] = repr(closed - actual)
+            checks.append(rec)
+    for j1 in range(j1_max + 1):
+        for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):
+            checks.append(fraction_specialized_sum_check(j1, J, table))
+    return checks
+
+
 class TestSpecialization:
     def test_base_cases(self):
         assert specialization_phi(0, 0) == LaurentPoly3.one()
@@ -346,3 +399,16 @@ class TestSpecializedSum:
     def test_level_guard(self, table8):
         with pytest.raises(ValueError):
             specialized_sum_check(4, 6, table8)
+
+    def test_matches_fraction_oracle(self, table12):
+        # every record, status and witness alike, on the true table and on
+        # one with three entries moved off their closed forms
+        assert verify_specialized(table12) == fraction_verify_specialized(table12)
+        broken = perturbed(table12)
+        checks = verify_specialized(broken)
+        assert checks == fraction_verify_specialized(perturbed(table12))
+        failed = {(c["check"], c["j1"], c.get("j2", c.get("J")))
+                  for c in checks if c["status"] == "fail"}
+        assert {("specialization-formula", 2, 1), ("specialization-formula", 4, 4),
+                ("specialized-sum", 2, 2), ("specialized-sum", 4, 4)} <= failed
+        assert all(c["witness"] for c in checks if c["status"] == "fail")

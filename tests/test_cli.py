@@ -54,6 +54,20 @@ def bump_saved_entry(path):
     table.save(path)
 
 
+def shift_saved_coefficients(path):
+    """Move 1/15 between the first two coefficients of entry (2, 1, 1) of a
+    saved table: their texts "1/3", "1/3" become "2/5", "4/15".
+
+    Both texts stay canonical and the value at ones stays 1, so the file
+    loads; the entry leaves its recursions, eigenspaces and closed form.
+    """
+    payload = json.loads(path.read_text())
+    (rec,) = [r for r in payload["entries"] if r["triple"] == [2, 1, 1]]
+    assert [t["coeff"] for t in rec["poly"][:2]] == ["1/3", "1/3"]
+    rec["poly"][0]["coeff"], rec["poly"][1]["coeff"] = "2/5", "4/15"
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
 class TestTableCommand:
     def test_build_and_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -63,6 +77,7 @@ class TestTableCommand:
         assert path.exists()
         code, report = run(capsys, "roundtrip", "--table", str(path))
         assert code == 0
+        assert isinstance(report["elapsed_ms"], int)
 
     def test_bit_reproducible(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -321,6 +336,51 @@ class TestVerifyCommands:
             "H1-log-derivative", "pde-omega-", "pde-omega+",
             "omega-plus-euler-relation", "initial-condition"}
 
+    def test_changed_coefficient_text_fails_every_table_suite(self, tmp_path, capsys):
+        # the integer routes give the records of the Fraction routes they
+        # replaced, witnesses included
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        shift_saved_coefficients(path)
+        failed = {}
+        for suite in ("pieri", "eigen", "series", "specialized"):
+            code, report = run(capsys, "verify", suite, "--max-level", "8",
+                               "--table", str(path))
+            assert code == 1, suite
+            failed[suite] = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [(c["check"], tuple(c.get("triple", c.get("sigma"))), c.get("equation"))
+                for c in failed["pieri"]] == [
+            ("pieri", (1, 0, 1), 1), ("pieri", (1, 1, 0), 2), ("pieri", (1, 1, 2), 2),
+            ("pieri", (1, 2, 1), 1), ("pieri", (2, 0, 2), 3), ("pieri", (2, 1, 1), 1),
+            ("pieri", (2, 1, 1), 2), ("pieri", (2, 1, 1), 3), ("pieri", (2, 2, 0), 3),
+            ("pieri", (2, 2, 2), 3), ("pieri", (3, 1, 2), 2), ("pieri", (3, 2, 1), 1),
+            ("s3-symmetry", (2, 1, 3), None), ("s3-symmetry", (3, 2, 1), None),
+            ("s3-symmetry", (1, 3, 2), None), ("s3-symmetry", (2, 3, 1), None),
+            ("s3-symmetry", (3, 1, 2), None)]
+        assert failed["pieri"][5]["witness"] == (
+            "(1/15)*x12^-2*x13^-1 + (-1/15)*x12^-2*x13^1 + (1/15)*x13^-1"
+            " + (-1/15)*x13^1")
+        assert [(c["triple"], c["k"], c["witness"]) for c in failed["eigen"]] == [
+            ([2, 1, 1], 1, "(16/15)*x12^-2 + (-4/15)*x12^-1*x13^-1*x23^-1"
+             " + (-4/15)*x12^-1*x13^-1*x23^1 + (-4/15)*x12^-1*x13^1*x23^-1"
+             " + (-4/15)*x12^-1*x13^1*x23^1 + (8/15)*x13^-2 + (-16/15)"
+             " + (8/15)*x13^2"),
+            ([2, 1, 1], 2, "(4/15)*x13^-1*x23^-1 + (-4/15)*x13^-1*x23^1"
+             " + (-4/15)*x13^1*x23^-1 + (4/15)*x13^1*x23^1"),
+            ([2, 1, 1], 3, "(8/15)*x12^-1*x23^-1 + (-8/15)*x12^-1*x23^1")]
+        assert failed["series"] == [{
+            "check": "falsification", "stage": "expansions", "status": "fail",
+            "witness": "table entry (2, 1, 1) fails its solving equation 1 "
+                       "based at (1, 0, 1)"}]
+        assert failed["specialized"] == [
+            {"check": "specialization-formula", "j1": 2, "j2": 1, "status": "fail",
+             "witness": "(-1/15)*x12^-1*x13^-1 + (1/15)*x12^-1*x13^1"},
+            {"check": "specialized-sum", "j1": 2, "J": 2, "labels": 3,
+             "mode": "identity", "status": "fail",
+             "witness": "(-1/5)*x12^-2*x13^2 + (1/5)*x12^-2*x13^4"
+                        " + (1/5)*x12^-1*x13^1 + (-1/5)*x12^-1*x13^5"
+                        " + (-1/5)*x13^2 + (1/5)*x13^4"}]
+
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")
         assert code == 0 and report["summary"]["failed"] == 0
@@ -367,7 +427,7 @@ class TestVerifyCommands:
             out = real(i, order)
             exp = [0, 0, 0]
             exp[i] = 1
-            out.terms[tuple(exp)] = Fraction(1)
+            out.terms[tuple(exp)] = 1
             return out
 
         monkeypatch.setattr(expansion, "_x_plus_inv_series", seeded)

@@ -4,12 +4,12 @@ from operator import mul
 
 import pytest
 
-from g2schur.expansion import ExpansionSet, expand_entry
+from g2schur.expansion import ExpansionSet, _x_plus_inv_series, expand_entry
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import RankTracker, invert_matrix
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
-                           enumerate_through, solve_table)
+                           enumerate_through, solve_entry, solve_table)
 
 
 def jpoly(groups):
@@ -69,6 +69,13 @@ def matrix_route(es, mvec, inverses):
     rhs = [es.coefficient(t, mvec) for t in chosen]
     coeffs = [sum(map(mul, r, rhs)) for r in inverse]
     return LaurentPoly3(dict(zip(monomials, coeffs))), len(labels) - len(chosen)
+
+
+def bump_coefficient(es, triple, mvec, delta):
+    """Add ``delta`` to the ``mvec`` coefficient of the series of ``triple``."""
+    terms = dict(es.expansion(triple).terms)
+    terms[mvec] = terms.get(mvec, 0) + delta
+    es.forms[triple] = LaurentPoly3(terms).cleared()
 
 
 class TestExpandEntry:
@@ -151,8 +158,7 @@ class TestFamilies:
         # never an interpolation label: the integer check names that label
         es = ExpansionSet(table12, 2)
         last = enumerate_through(12)[-1]
-        series = es.expansions[last]
-        series.terms[(2, 0, 0)] = series.coefficient((2, 0, 0)) + Fraction(1, 3)
+        bump_coefficient(es, last, (2, 0, 0), Fraction(1, 3))
         with pytest.raises(FalsificationError, match=re.escape(f"(label {last})")):
             es.fit_family((2, 0, 0))
 
@@ -160,8 +166,7 @@ class TestFamilies:
         # one coefficient moved off its family at a label the fit
         # interpolates: validation on the labels above level 4 names one
         es = ExpansionSet(table12, 2)
-        series = es.expansions[(1, 1, 0)]
-        series.terms[(2, 0, 0)] = series.coefficient((2, 0, 0)) + Fraction(1, 3)
+        bump_coefficient(es, (1, 1, 0), (2, 0, 0), Fraction(1, 3))
         with pytest.raises(FalsificationError) as exc:
             es.fit_family((2, 0, 0))
         label = re.search(r"\(label \((\d+), (\d+), (\d+)\)\)", str(exc.value))
@@ -184,9 +189,24 @@ class TestRecursionRoute:
     def test_matches_binomial_expansion(self, level, order):
         table = solve_table(level)
         es = ExpansionSet(table, order)
-        assert set(es.expansions) == set(table.entries)
+        assert set(es.forms) == set(table.entries)
         for t, poly in table.entries.items():
-            assert es.expansions[t] == expand_entry(poly, order), t
+            assert es.expansion(t) == expand_entry(poly, order), t
+
+    @pytest.mark.parametrize("level, order", [(12, 6), (20, 4)])
+    def test_matches_fraction_series_oracle(self, level, order):
+        # the integer solve against solve_entry on Fraction TruncSeries3
+        table = solve_table(level)
+        es = ExpansionSet(table, order)
+        generators = [TruncSeries3(order, {e: Fraction(c) for e, c in
+                                           _x_plus_inv_series(i, order).terms.items()})
+                      for i in range(3)]
+        series = {(0, 0, 0): TruncSeries3.one(order)}
+        for t in enumerate_through(level)[1:]:
+            series[t] = solve_entry(t, series, generators)
+        assert set(es.forms) == set(series)
+        for t, want in series.items():
+            assert es.expansion(t).terms == want.terms, t
 
     def test_unit_entry_checked(self, table8):
         # doubling every entry keeps each recursion equation, so only the

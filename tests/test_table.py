@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from g2schur.cauchy import verify_specialized
+from g2schur.diffops import verify_eigen
+from g2schur.expansion import verify_series
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
                            TableError, _pieri_terms, enumerate_level,
@@ -38,11 +41,11 @@ def fraction_solve_table(max_level):
 
 
 def assert_cleared_stored(table):
-    """Each entry carries its integer form, equal to ``cleared()``."""
-    assert set(table._cleared) == set(table.entries)
-    for t, poly in table.entries.items():
-        assert table._cleared[t][0] is poly
-        assert table._cleared[t][1:] == poly.cleared(), t
+    """Each entry is stored in its reduced integer form: the ``cleared()`` of
+    the ``Fraction`` polynomial that ``entries`` builds from it."""
+    assert set(table._forms) == set(table.entries)
+    for t, form in table._forms.items():
+        assert table.entries[t].cleared() == form, t
 
 
 def json_dumps_table(table):
@@ -59,7 +62,7 @@ def json_dumps_table(table):
                 "triple": list(t),
                 "poly": [
                     {"exp": list(e), "coeff": str(c)}
-                    for e, c in table.entries[t].sorted_terms()
+                    for e, c in sorted(table.entries[t].terms.items())
                 ],
             }
             for t in sorted(table.entries)
@@ -252,8 +255,8 @@ class TestS3:
         entries = dict(table4.entries)
         entries[(1, 1, 0)] = entries[(1, 1, 0)].scale(Fraction(1, 2))
         broken = SchurTable(4, entries)
-        nums, den = broken._cleared_entry((1, 1, 0))
-        assert (nums, den) == (table4._cleared[(1, 1, 0)][1], 4)
+        nums, den = broken.cleared_entry((1, 1, 0))
+        assert (nums, den) == (table4.cleared_entry((1, 1, 0))[0], 4)
         ok, witness = s3_check(broken, (3, 2, 1))
         assert not ok and witness in {(0, 1, 1), (1, 1, 0)}
 
@@ -274,10 +277,30 @@ class TestPersistence:
         table12.save(path)
         assert_cleared_stored(SchurTable.load(path))
 
-    def test_canonical_json_matches_json_dumps(self, table4, table12):
+    def test_canonical_json_matches_json_dumps(self, table4, table12, tmp_path):
+        # the writer reads the integer form: solved, assigned and loaded
+        path = tmp_path / "t.json"
+        path.write_text(json_dumps_table(table12))
         for table in (solve_table(0), table4, table12, perturbed(table12),
+                      SchurTable.load(path),
                       SchurTable(0, {}), SchurTable(2, {(0, 0, 0): LaurentPoly3()})):
             assert table.canonical_json() == json_dumps_table(table)
+
+    def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path):
+        # a loaded table holds only integer forms; the table suites read them
+        # and build no Fraction polynomial of an entry
+        path = tmp_path / "t.json"
+        table12.save(path)
+        table = SchurTable.load(path)
+        assert table.canonical_json() == path.read_text()
+        assert all(c["status"] == "pass" for c in verify_pieri(table))
+        assert all(c["status"] == "pass" for c in verify_series(table, 4))
+        assert all(c["status"] == "pass" for c in verify_eigen(table, 8))
+        assert all(c["status"] == "pass" for c in verify_specialized(table))
+        assert len(table) == len(table12) and not table.entries._polys
+        # reading one entry builds that one
+        assert table.entries[(1, 1, 0)] == table12.entries[(1, 1, 0)]
+        assert list(table.entries._polys) == [(1, 1, 0)]
 
     def test_save_returns_file_text(self, table4, tmp_path):
         path = tmp_path / "t.json"
