@@ -159,7 +159,7 @@ class HomogeneousOp:
         acc: dict[tuple[int, int, int], object] = {}
         get = acc.get
         order = self._order
-        rows = {x: _falling_factorials(x, order) for e in p.terms for x in e}
+        rows = {x: _falling_factorials(x, order) for x in {x for e in p.terms for x in e}}
         for (e1, e2, e3), c in p.terms.items():
             w1, w2, w3 = rows[e1], rows[e2], rows[e3]
             for (s1, s2, s3), group in self._shifts:
