@@ -133,8 +133,9 @@ class HomogeneousOp:
     integer sum of weight * num over the group at x^(e + s), where weight is
     the falling factorial e(e-1)...(e-n+1) in each variable, one row of them
     per distinct exponent of the argument; the sums are divided by the
-    denominator once, unless it is 1, as it is for every degree -2 component.  Only the operator is cleared, so the argument may
-    carry any exact coefficients (``RatFun1`` ones in ``cauchy.pde_check``).
+    denominator once, unless it is 1, as it is for every degree -2
+    component.  Only the operator is cleared, so the argument may carry any
+    exact coefficients (``RatFun1`` ones in ``cauchy.pde_check``).
     """
 
     __slots__ = ("k", "degree", "terms", "_shifts", "_order", "_inv_den")
@@ -159,7 +160,8 @@ class HomogeneousOp:
         acc: dict[tuple[int, int, int], object] = {}
         get = acc.get
         order = self._order
-        rows = {x: _falling_factorials(x, order) for x in {x for e in p.terms for x in e}}
+        exps = {x for e in p.terms for x in e}
+        rows = {x: _falling_factorials(x, order) for x in exps}
         for (e1, e2, e3), c in p.terms.items():
             w1, w2, w3 = rows[e1], rows[e2], rows[e3]
             for (s1, s2, s3), group in self._shifts:
