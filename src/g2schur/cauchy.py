@@ -44,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .epsilon import EpsLaurent
-from .expansion import ExpansionSet
+from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
 from .klocal import KLocal, linear_combination
-from .laurent import Exp, LaurentPoly3, x_plus_inv
+from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3, exponents_upto
 from .table import Cleared, FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
@@ -274,7 +274,8 @@ def cauchy_truncation(table: SchurTable, sign: str, order: int) -> CauchyTruncat
     """Exact lambda-coefficients through lambda^order.
 
     Labels with j2 + j3 = n reach j1 <= n, so the table must extend to level
-    2 * order.
+    2 * order.  Only those labels are read, in their integer form: the labels
+    of one (n, j1) are summed as numerators over one denominator.
     """
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
@@ -283,20 +284,24 @@ def cauchy_truncation(table: SchurTable, sign: str, order: int) -> CauchyTruncat
             f"table level {table.max_level} insufficient for lambda-order "
             f"{order} (needs {2 * order})")
     coeffs: dict[int, dict[int, LaurentPoly3]] = {n: {} for n in range(order + 1)}
-    for triple, phi in table.entries.items():
-        j1 = triple[0]
-        n = triple[1] + triple[2]
-        if n > order:
-            continue
-        slot = coeffs[n]
-        if sign == "-":
-            contributions = [(j1 + 1, phi), (-j1 - 1, phi.scale(Fraction(-1)))]
-        else:
-            scaled = phi.scale(Fraction(j1 + 1))
-            contributions = [(j1 + 1, scaled), (-j1 - 1, scaled)]
-        for kexp, poly in contributions:
-            cur = slot.get(kexp)
-            slot[kexp] = poly if cur is None else cur + poly
+    for n, slot in coeffs.items():
+        for j1 in range(n % 2, n + 1, 2):
+            forms = [table.cleared_entry((j1, j2, n - j2)) for j2 in range(n + 1)
+                     if (j1, j2, n - j2) in table.entries]
+            if not forms:
+                continue
+            den = math.lcm(*[d for _, d in forms])
+            w = j1 + 1 if sign == "+" else 1
+            acc: dict[Exp, int] = {}
+            get = acc.get
+            for nums, d in forms:
+                f = w * (den // d)
+                for e, c in nums.items():
+                    acc[e] = get(e, 0) + f * c
+            poly = LaurentPoly3.from_cleared(acc, den)
+            slot[j1 + 1] = poly
+            slot[-j1 - 1] = poly if sign == "+" else LaurentPoly3.from_cleared(
+                {e: -c for e, c in acc.items()}, den)
     return CauchyTruncation(sign, order, coeffs)
 
 
@@ -385,8 +390,9 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
 
     One pass through ``order``: each family is fitted once and its leading
     pole coefficient taken once, giving the monomial's ``pole-order`` record
-    and its Omega coefficient.  A failed fit or an over-bound pole fails its
-    record with a witness and the pass goes on; the series is then None.
+    and its Omega coefficient.  A failed fit, a family validated on fewer
+    than ``VALIDATION_MARGIN`` labels or an over-bound pole fails its record
+    with a witness and the pass goes on; the series is then None.
     """
     bound = POLE_BOUND[sign]
     coeffs: dict[Exp, RatFun1] = {}
@@ -395,6 +401,13 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
         rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
         try:
             family = expansions.fit_family(mvec)
+            if family.unvalidated:
+                rec.update(bound=bound, status="fail", witness={
+                    "message": unvalidated_message(family, sum(mvec)),
+                    "validated_on": family.validated_on,
+                    "validation_margin": VALIDATION_MARGIN})
+                records.append(rec)
+                continue
             value, pole = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
         except FalsificationError as exc:
             witness = {"message": str(exc)}
@@ -642,6 +655,29 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
 # specialization at x23 = 1
 # ---------------------------------------------------------------------------
 
+def _specialization_cleared(j1: int, j2: int) -> Cleared:
+    """``specialization_phi`` as integer numerators over (j1+1)!; cancelled
+    numerators stay as zeros."""
+    if not 0 <= j2 <= j1:
+        raise ValueError("need 0 <= j2 <= j1")
+    fact = math.factorial
+    comb = math.comb
+    acc: dict[Exp, int] = {}
+    get = acc.get
+    for a in range(j2 + 1):
+        for b in range(a % 2, j1 - j2 + 1, 2):
+            s = (a + b) // 2
+            c = ((-1) ** s * comb(j2, a) * comb(j1 - j2, b)
+                 * fact(j1 - s) * (fact(a + b) // fact(s)))
+            p, q = j2 - a, j1 - j2 - b
+            for i in range(p + 1):
+                ci = c * comb(p, i)
+                for k in range(q + 1):
+                    key = (p - 2 * i, q - 2 * k, 0)
+                    acc[key] = get(key, 0) + ci * comb(q, k)
+    return acc, fact(j1 + 1)
+
+
 def specialization_phi(j1: int, j2: int) -> LaurentPoly3:
     """Closed form of the entry (j1, j2, j1-j2) specialized to x23 = 1.
 
@@ -650,26 +686,11 @@ def specialization_phi(j1: int, j2: int) -> LaurentPoly3:
 
     c_{a,b} = (-1)^{(a+b)/2} C(j2, a) C(j1-j2, b)
               (j1 - (a+b)/2)! (a+b)! / ((j1+1)! ((a+b)/2)!).
+
+    Each power is expanded by the binomial theorem, and every c_{a,b} is an
+    integer over (j1+1)!, so the form is summed in integers.
     """
-    if not 0 <= j2 <= j1:
-        raise ValueError("need 0 <= j2 <= j1")
-    y12 = x_plus_inv(0)
-    y13 = x_plus_inv(1)
-    out = LaurentPoly3.zero()
-    fact = math.factorial
-    for a in range(j2 + 1):
-        for b in range(j1 - j2 + 1):
-            if (a + b) % 2:
-                continue
-            s = (a + b) // 2
-            c = Fraction(
-                (-1) ** s * math.comb(j2, a) * math.comb(j1 - j2, b)
-                * fact(j1 - s) * fact(a + b),
-                fact(j1 + 1) * fact(s),
-            )
-            if c:
-                out = out + (y12 ** (j2 - a) * y13 ** (j1 - j2 - b)).scale(c)
-    return out
+    return LaurentPoly3.from_cleared(*_specialization_cleared(j1, j2))
 
 
 def _at_x23_one(forms: list[Cleared]) -> Cleared:
@@ -740,15 +761,15 @@ def verify_specialized(table: SchurTable) -> list[dict]:
     checks = []
     for j1 in range(j1_max + 1):
         for j2 in range(j1 + 1):
-            closed = specialization_phi(j1, j2)
             nums, den = _at_x23_one([table.cleared_entry((j1, j2, j1 - j2))])
-            closed_nums, closed_den = closed.cleared()
+            closed_nums, closed_den = _specialization_cleared(j1, j2)
             same = {e: n * closed_den for e, n in nums.items() if n} == {
-                e: c * den for e, c in closed_nums.items()}
+                e: c * den for e, c in closed_nums.items() if c}
             rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
                    "status": "pass" if same else "fail"}
             if not same:
-                rec["witness"] = repr(closed - LaurentPoly3.from_cleared(nums, den))
+                rec["witness"] = repr(LaurentPoly3.from_cleared(closed_nums, closed_den)
+                                      - LaurentPoly3.from_cleared(nums, den))
             checks.append(rec)
     for j1 in range(j1_max + 1):
         for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):

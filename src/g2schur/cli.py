@@ -13,7 +13,9 @@ Each subcommand accepts only the flags it reads.  The suites themselves are
 library functions returning their check records (``table.verify_pieri``,
 ``diffops.verify_eigen``, ``expansion.verify_series``,
 ``cauchy.verify_cauchy``, ``cauchy.verify_specialized``,
-``kernels.verify_kernel``); this module maps a suite name to one call.
+``kernels.verify_kernel``); this module maps a suite name to one call.  A
+suite's module is imported when the suite runs, so each command compiles
+only what it uses.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 in the report), 2 configuration or I/O error.
@@ -25,12 +27,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .cauchy import (closedform_omega_minus, closedform_omega_plus,
-                     omega_plus_from_minus, verify_cauchy, verify_specialized)
-from .conjecture import conjecture_check
-from .diffops import verify_eigen
-from .expansion import ExpansionSet, verify_series
-from .kernels import verify_kernel
 from .report import Report, Stopwatch
 from .table import (FalsificationError, SchurTable, TableError, solve_table,
                     text_checksum, verify_pieri)
@@ -104,15 +100,41 @@ def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     return (EXIT_OK if ok else EXIT_ERROR), report
 
 
+# Each suite imports its module when it runs, so a command compiles only the
+# modules its suite needs.
+
+def _pieri(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    return verify_pieri(table)
+
+
+def _eigen(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    from .diffops import verify_eigen
+    return verify_eigen(table, cfg.max_level)
+
+
+def _series(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    from .expansion import verify_series
+    return verify_series(table, cfg.order)
+
+
+def _cauchy(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    from .cauchy import verify_cauchy
+    return verify_cauchy(table, cfg.order, cfg.lambda_order)
+
+
+def _specialized(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    from .cauchy import verify_specialized
+    return verify_specialized(table)
+
+
+def _kernel(cfg: RunConfig, table: None) -> list[dict]:
+    from .kernels import verify_kernel
+    return verify_kernel(max(cfg.order, 12))
+
+
 #: suite name -> its checks for a config and a table (None for ``kernel``)
-SUITES = {
-    "pieri": lambda cfg, table: verify_pieri(table),
-    "eigen": lambda cfg, table: verify_eigen(table, cfg.max_level),
-    "series": lambda cfg, table: verify_series(table, cfg.order),
-    "cauchy": lambda cfg, table: verify_cauchy(table, cfg.order, cfg.lambda_order),
-    "specialized": lambda cfg, table: verify_specialized(table),
-    "kernel": lambda cfg, table: verify_kernel(max(cfg.order, 12)),
-}
+SUITES = {"pieri": _pieri, "eigen": _eigen, "series": _series,
+          "cauchy": _cauchy, "specialized": _specialized, "kernel": _kernel}
 
 
 def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
@@ -142,6 +164,8 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
 
 
 def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
+    from .conjecture import conjecture_check
+    from .expansion import ExpansionSet
     with Stopwatch() as sw:
         table = _load_or_build(cfg)
         result = conjecture_check(cfg.copies, cfg.order, ExpansionSet(table, cfg.order))
@@ -159,6 +183,8 @@ def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
 
 
 def run_omega(cfg: RunConfig) -> tuple[int, Report]:
+    from .cauchy import (closedform_omega_minus, closedform_omega_plus,
+                         omega_plus_from_minus)
     with Stopwatch() as sw:
         minus = closedform_omega_minus(cfg.order)
         plus = closedform_omega_plus(cfg.order)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cauchy import leading_pole_coefficient
-from .expansion import ExpansionSet
+from .expansion import ExpansionSet, unvalidated_message
 from .kernels import _odd_double_factorial
 from .laurent import LaurentPoly3
 from .series import exponents_upto
@@ -110,7 +110,9 @@ def conjecture_check(copies: int, order: int,
     into one label polynomial per exponent tuple; extraction then follows the
     single-sum machinery.  Extracted values are normalized by the degree-0
     kappa-profile (recorded in the report) and must be kappa-free afterwards
-    to count as comparable.
+    to count as comparable.  A family validated on fewer than
+    ``expansion.VALIDATION_MARGIN`` labels raises ``ValueError`` naming the
+    table level that ``order`` needs.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
@@ -121,7 +123,10 @@ def conjecture_check(copies: int, order: int,
         if mvecs not in extracted:
             p = LaurentPoly3.one()
             for mvec in mvecs:
-                p = p * expansions.fit_family(mvec).polynomial
+                family = expansions.fit_family(mvec)
+                if family.unvalidated:
+                    raise ValueError(unvalidated_message(family, order))
+                p = p * family.polynomial
             shift = sum(sum(v) for v in mvecs)
             value, _ = leading_pole_coefficient(p, "-", shift)
             extracted[mvecs] = value

@@ -29,10 +29,24 @@ from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3, exponents_upto
 from .table import (Cleared, FalsificationError, SchurTable, Triple,
-                    enumerate_through, predecessor_equations, solve_cleared)
+                    enumerate_level, enumerate_through, predecessor_equations,
+                    solve_cleared)
 
 #: minimum number of out-of-sample labels before a family counts as validated
 VALIDATION_MARGIN = 10
+
+
+def unvalidated_message(family: "CoeffFamily", degree: int) -> str:
+    """Why an unvalidated ``family`` is not used, with the lowest table level
+    that validates the families of ``degree``: the one whose labels above
+    level 2 * degree number at least ``VALIDATION_MARGIN``."""
+    level, count = 2 * degree, 0
+    while count < VALIDATION_MARGIN:
+        level += 2
+        count += len(enumerate_level(level))
+    return (f"family {list(family.mvec)} is validated on {family.validated_on} "
+            f"labels, below the margin {VALIDATION_MARGIN}; degree {degree} "
+            f"needs a table of level {level}")
 
 
 def _binomial_series(e: int, order: int) -> list[Fraction]:

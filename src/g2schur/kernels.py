@@ -19,8 +19,8 @@ integer matrix on the degree-m monomials, which is only a few percent
 nonzero; the common kernels are the kernels of the other operators on that
 kernel, since v lies in the kernel of [H1t; H2t] exactly when v is in the
 kernel of H1t and H2t v = 0.  Every nullspace is computed by exact sparse
-Gauss-Jordan elimination (``linalg.rref``); the product basis route serves as
-the independent cross-check.
+fraction-free Gauss-Jordan elimination on integer rows (``linalg.rref``);
+the product basis route serves as the independent cross-check.
 
 ``verify_kernel`` eliminates H1t once per degree: ``kernel_H1`` returns the
 kernel it has matched against the diagonal elements, and ``common_kernel``
@@ -36,7 +36,8 @@ unchanged by a common factor, and the degree -2 components have integer
 coefficients, so H1t maps integer polynomials to integer polynomials.  Each
 nullspace vector is turned into its integer multiple over the lcm of its
 denominators, so the kernel bases, and the images of H2t and H3t on them,
-stay integer too.  The span test compares ranks under ``linalg.rref``.  The
+stay integer too.  The span test compares ranks under ``linalg.rref``, which
+scales the ``Fraction`` rows of a displayed vector to integers.  The
 ``Fraction`` routes these replace are the test oracles in
 ``tests/test_kernels.py``.  The action, leading-term and displayed-vector
 checks keep their ``Fraction`` API.

@@ -3,10 +3,12 @@
 Matrices come in as rows of ``int`` or ``Fraction`` values and go out as
 lists of Fraction rows.  This module backs the kernel computations of the
 degree-graded differential operators.  ``rref`` (and ``nullspace`` on top of
-it) is sparse Gauss-Jordan elimination over Fraction on dict rows, for the
-kernel operator matrices, which are integer and only a few percent nonzero;
-its test oracle, plain dense Gauss-Jordan elimination, is ``dense_rref`` in
-``tests/test_linalg.py``.  ``clear_denominators`` gives integer numerators
+it) is sparse fraction-free Gauss-Jordan elimination on integer dict rows,
+for the kernel operator matrices, which are integer and only a few percent
+nonzero: no ``Fraction`` is built until each pivot row is divided by its
+pivot at the end.  Its test oracle, plain dense Gauss-Jordan elimination
+over ``Fraction``, is ``dense_rref`` in ``tests/test_linalg.py``.
+``clear_denominators`` gives integer numerators
 over one denominator; the family fit of ``expansion.ExpansionSet`` clears
 its label values with it.
 
@@ -32,51 +34,77 @@ Row = list[Fraction]
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
-    Sparse Gauss-Jordan elimination on dict rows ``{column: value}``.  Columns
-    are taken left to right; the pivot is the sparsest remaining row with a
+    Sparse fraction-free Gauss-Jordan elimination on integer dict rows
+    ``{column: value}``: each row is first scaled by the lcm of its
+    denominators, which changes neither rank nor row space.  Columns are
+    taken left to right; the pivot is the sparsest remaining row with a
     nonzero entry in the column, and only the remaining rows holding that
-    column are eliminated.  Back-substitution then clears each pivot column
-    above its pivot.  The reduced rows are returned dense.  The RREF is
-    unique, so the result equals that of dense Gauss-Jordan elimination
-    (the oracle ``dense_rref`` in ``tests/test_linalg.py``).
+    column are eliminated (``_eliminate``).  Back-substitution then clears
+    each pivot column above its pivot, and each pivot row is divided by its
+    pivot once, at the end.  The reduced rows are returned dense.  The RREF
+    is unique, so the result equals that of dense Gauss-Jordan elimination
+    over ``Fraction`` (the oracle ``dense_rref`` in ``tests/test_linalg.py``).
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pending = [d for d in ({c: Fraction(v) for c, v in enumerate(r) if v} for r in rows) if d]
-    reduced: list[dict[int, Fraction]] = []
+    pending = []
+    for r in rows:
+        d = {c: v for c, v in enumerate(r) if v}
+        if d:
+            scale = math.lcm(*[v.denominator for v in d.values()])
+            pending.append({c: v.numerator * (scale // v.denominator)
+                            for c, v in d.items()})
+    reduced: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(ncols):
         holders = [d for d in pending if c in d]
         if not holders:
             continue
         best = min(holders, key=len)
-        inv = 1 / best[c]
-        prow = {k: v * inv for k, v in best.items()}
-        for d in holders:
-            if d is not best:
-                _eliminate(d, c, prow)
+        for i, d in enumerate(pending):
+            if d is not best and c in d:
+                pending[i] = _eliminate(d, c, best)
         pending = [d for d in pending if d and d is not best]
-        reduced.append(prow)
+        reduced.append(best)
         pivots.append(c)
     for j in range(len(reduced) - 1, 0, -1):
         c, prow = pivots[j], reduced[j]
-        for d in reduced[:j]:
-            if c in d:
-                _eliminate(d, c, prow)
+        for i in range(j):
+            if c in reduced[i]:
+                reduced[i] = _eliminate(reduced[i], c, prow)
     zero = Fraction(0)
-    return [[d.get(c, zero) for c in range(ncols)] for d in reduced], pivots
+    return [[Fraction(d[k], d[c]) if k in d else zero for k in range(ncols)]
+            for d, c in zip(reduced, pivots)], pivots
 
 
-def _eliminate(row: dict[int, Fraction], c: int, prow: dict[int, Fraction]) -> None:
-    """row -= row[c] * prow in place, for a pivot row with prow[c] == 1."""
-    f = row[c]
+def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int]:
+    """An integer multiple of ``row`` minus one of ``prow`` with no entry in
+    column ``c``, for integer rows with ``prow[c] != 0``.
+
+    When the pivot divides the entry, the quotient times ``prow`` is
+    subtracted in place, touching only the keys of ``prow``.  Otherwise the
+    row is cross-multiplied, ``(p/g) row - (f/g) prow`` with ``g = gcd(p, f)``,
+    and divided by its content.
+    """
+    p, f = prow[c], row[c]
+    q, rem = divmod(f, p)
+    if rem:
+        g = math.gcd(p, f)
+        p, q = p // g, f // g
+        row = {k: p * v for k, v in row.items()}
+    get = row.get
     for k, v in prow.items():
-        new = row.get(k, 0) - f * v
+        new = get(k, 0) - q * v
         if new:
             row[k] = new
         else:
-            row.pop(k, None)
+            del row[k]
+    if rem and row:
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {k: v // g for k, v in row.items()}
+    return row
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -192,7 +193,35 @@ def test_negative_label_exponent_rejected(extract):
         extract(p)
 
 
+def fraction_cauchy_truncation(table, sign, order):
+    """The lambda-coefficients summed over every entry's ``Fraction``
+    polynomial; the former body of ``cauchy_truncation`` and the oracle for
+    its integer route."""
+    coeffs = {n: {} for n in range(order + 1)}
+    for triple, phi in table.entries.items():
+        j1 = triple[0]
+        n = triple[1] + triple[2]
+        if n > order:
+            continue
+        slot = coeffs[n]
+        if sign == "-":
+            contributions = [(j1 + 1, phi), (-j1 - 1, phi.scale(Fraction(-1)))]
+        else:
+            scaled = phi.scale(Fraction(j1 + 1))
+            contributions = [(j1 + 1, scaled), (-j1 - 1, scaled)]
+        for kexp, poly in contributions:
+            cur = slot.get(kexp)
+            slot[kexp] = poly if cur is None else cur + poly
+    return coeffs
+
+
 class TestCauchyTruncation:
+    @pytest.mark.parametrize("sign", "+-")
+    def test_matches_the_fraction_route(self, table12, sign):
+        for order in range(7):
+            assert (cauchy_truncation(table12, sign, order).coeffs
+                    == fraction_cauchy_truncation(table12, sign, order))
+
     def test_lambda_zero_coefficients(self, table12):
         cm = cauchy_truncation(table12, "-", 4)
         assert cm.coefficient(0, 1) == LaurentPoly3.one()
@@ -332,6 +361,28 @@ def fraction_specialized_sum_check(j1, J, table):
     return rec
 
 
+def fraction_specialization_phi(j1, j2):
+    """The x23 = 1 closed form from ``Fraction`` Laurent powers; the former
+    body of ``specialization_phi`` and the oracle for its integer route."""
+    y12 = x_plus_inv(0)
+    y13 = x_plus_inv(1)
+    out = LaurentPoly3.zero()
+    fact = math.factorial
+    for a in range(j2 + 1):
+        for b in range(j1 - j2 + 1):
+            if (a + b) % 2:
+                continue
+            s = (a + b) // 2
+            c = Fraction(
+                (-1) ** s * math.comb(j2, a) * math.comb(j1 - j2, b)
+                * fact(j1 - s) * fact(a + b),
+                fact(j1 + 1) * fact(s),
+            )
+            if c:
+                out = out + (y12 ** (j2 - a) * y13 ** (j1 - j2 - b)).scale(c)
+    return out
+
+
 def fraction_verify_specialized(table):
     """The ``verify specialized`` records with every entry read as its
     ``Fraction`` polynomial; the former body of ``verify_specialized`` and the
@@ -340,7 +391,7 @@ def fraction_verify_specialized(table):
     checks = []
     for j1 in range(j1_max + 1):
         for j2 in range(j1 + 1):
-            closed = specialization_phi(j1, j2)
+            closed = fraction_specialization_phi(j1, j2)
             actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
             rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
                    "status": "pass" if closed == actual else "fail"}
@@ -365,9 +416,17 @@ class TestSpecialization:
                 actual = table12.entries[(j1, j2, j1 - j2)].subs_unit(2)
                 assert closed == actual, (j1, j2)
 
+    def test_matches_the_fraction_route(self):
+        for j1 in range(11):
+            for j2 in range(j1 + 1):
+                assert specialization_phi(j1, j2) == fraction_specialization_phi(
+                    j1, j2), (j1, j2)
+
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             specialization_phi(1, 2)
+        with pytest.raises(ValueError):
+            specialization_phi(2, -1)
 
 
 class TestSpecializedSum:

@@ -457,6 +457,27 @@ class TestVerifyCommands:
         assert ("table level 8 provides only rank 35 of 56 for degree 5"
                 in captured.err)
 
+    def test_cauchy_fails_the_poles_of_unvalidated_families(self, capsys):
+        # at level 8 the 15 degree-4 families are fitted on every label and
+        # validated on none, as ``verify series`` reports them
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "4", "--lambda-order", "4")
+        assert code == 1
+        poles = [c for c in report["checks"] if c["check"] == "pole-order"]
+        failed = [c for c in poles if c["status"] == "fail"]
+        assert {tuple(c["mvec"]) for c in failed} == {
+            m for m in exponents_upto(4) if sum(m) == 4}
+        assert len(failed) == 30  # both signs
+        for c in failed:
+            assert c["witness"]["validated_on"] == 0
+            assert c["witness"]["validation_margin"] == expansion.VALIDATION_MARGIN
+            assert "table of level 10" in c["witness"]["message"]
+        assert len(poles) == 2 * len(exponents_upto(4))
+        stage = [c for c in report["checks"] if c["check"] == "falsification"]
+        assert [c["stage"] for c in stage] == ["omega-minus-vs-closedform"]
+        assert run(capsys, "verify", "cauchy", "--max-level", "10", "--order", "4",
+                   "--lambda-order", "4")[0] == 0
+
     @pytest.mark.parametrize("suite, check", [("pieri", "pieri"), ("eigen", "eigen")])
     def test_saved_entry_off_its_recursion_fails(self, tmp_path, capsys, suite, check):
         path = tmp_path / "t.json"
@@ -499,6 +520,16 @@ class TestReportOnlyCommands:
         assert report["summary"] == report["conjecture"]["summary"]
         assert report["summary"]["literal"]["compared"] > 0
         assert report["summary"]["doubled"]["compared"] > 0
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_conjecture_on_unvalidated_families_is_operational_error(self, capsys,
+                                                                     copies):
+        assert main(["conjecture", "--copies", str(copies), "--order", "4",
+                     "--max-level", "8"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "validated on 0 labels" in captured.err
+        assert "degree 4 needs a table of level 10" in captured.err
 
     def test_omega_emission(self, capsys):
         code, report = run(capsys, "omega", "--order", "2")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2schur import kernels, linalg
 from g2schur.diffops import homogeneous_component
 from g2schur.kernels import _monomials, _span_contains
 from g2schur.laurent import LaurentPoly3
@@ -17,8 +18,8 @@ OPERATOR_SETS = ((1,), (1, 2), (1, 3), (1, 2, 3))
 def dense_rref(rows):
     """Reduced row echelon form by plain dense Gauss-Jordan elimination.
 
-    Shares no code with the sparse ``rref``; the small-size oracle for it and
-    for ``invert_matrix``.
+    Shares no code with the fraction-free sparse ``rref``; the small-size
+    oracle for it and for ``invert_matrix``.
     """
     mat = [list(map(Fraction, r)) for r in rows]
     if not mat:
@@ -164,6 +165,58 @@ class TestSparseRref:
     def test_kernel_operator_matrices(self):
         for m, ks, rows, _ in kernel_operator_matrices(8):
             assert rref(rows) == dense_rref(rows), (m, ks)
+
+    def test_seeded_integer_matrices_of_kernel_shape(self):
+        # taller than wide, a few percent nonzero, plain ints whose pivots
+        # often do not divide the entries below them
+        rng = random.Random(2024)
+        for _ in range(30):
+            ncols = rng.randint(10, 45)
+            nrows = rng.randint(ncols, 2 * ncols)
+            density = rng.choice((0.03, 0.05, 0.1))
+            rows = [[rng.choice((-15, -6, -4, -1, 1, 2, 3, 10, 21))
+                     if rng.random() < density else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+            assert rref(rows) == dense_rref(rows)
+
+    def test_mixed_int_and_fraction_rows(self):
+        # integer basis rows with Fraction vectors appended, as in the span
+        # test, and rows that mix both types
+        rng = random.Random(77)
+        for _ in range(60):
+            ncols = rng.randint(1, 9)
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                kind = rng.choice(("int", "fraction", "mixed"))
+                row = []
+                for _ in range(ncols):
+                    v = rng.choice((0, 0, 0, -4, -1, 1, 3, 8))
+                    if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                        v = Fraction(v, rng.choice((1, 2, 3, 9, 14)))
+                    row.append(v)
+                rows.append(row)
+            assert rref(rows) == dense_rref(rows), rows
+
+    def test_kernel_suite_matrices_through_degree_8(self, monkeypatch):
+        # every matrix the kernel stages eliminate, captured on its way in
+        captured = []
+        real = linalg.rref
+
+        def capture(rows):
+            captured.append([list(r) for r in rows])
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "rref", capture)
+        monkeypatch.setattr(kernels, "rref", capture)
+        for m in range(9):
+            h1 = kernels.kernel_H1(m)["kernel"]
+            for pair in ((1, 2), (1, 3)):
+                kernels.common_kernel(pair, m, h1)
+            kernels.triple_kernel(m, h1)
+        assert len(captured) > 40
+        assert any(isinstance(v, Fraction) for rows in captured for r in rows for v in r)
+        for rows in captured:
+            assert real(rows) == dense_rref(rows)
 
 
 class TestNullspace:

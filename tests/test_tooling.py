@@ -78,3 +78,9 @@ def test_kernel_suite_reaches_its_traced_stages(tmp_path):
     assert {"kernels.kernel_H1", "kernels.common_kernel", "kernels.triple_kernel",
             "kernels.formula_checks", "linalg.rref"} <= {
         span[0] for span in trace["spans"]}
+    # the rref observer counts the cells of dense input rows, of which the
+    # sparse kernel matrices leave most zero; other rows need a new observer
+    cells = trace["counters"]["linalg.rref.cells"]
+    nonzero = trace["counters"]["linalg.rref.nonzero"]
+    assert cells > 0 and nonzero > 0
+    assert 2 * nonzero < cells
