@@ -100,9 +100,6 @@ def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     return (EXIT_OK if ok else EXIT_ERROR), report
 
 
-# Each suite imports its module when it runs, so a command compiles only the
-# modules its suite needs.
-
 def _pieri(cfg: RunConfig, table: SchurTable) -> list[dict]:
     return verify_pieri(table)
 

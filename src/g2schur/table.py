@@ -32,7 +32,6 @@ of the entries; the ``json.dumps`` route is the test oracle for
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
@@ -256,7 +255,13 @@ _TERM = ('    {\n     "exp": [\n      %d,\n      %d,\n      %d\n     ],\n'
 
 
 def text_checksum(text: str) -> str:
-    """SHA-256 of a table file text, the ``table_checksum`` of the reports."""
+    """SHA-256 of a table file text, the ``table_checksum`` of the reports.
+
+    ``hashlib`` maps the OpenSSL library (about 3.5 MB resident), so it is
+    imported here, by the commands that hash a table, and not by ``omega``
+    or ``verify kernel``.
+    """
+    import hashlib
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -17,9 +17,11 @@ UNUSED_BY_KERNEL = ("g2schur.cauchy", "g2schur.expansion", "g2schur.conjecture",
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The ``g2schur`` modules loaded in a fresh interpreter after ``code``."""
+    """The ``g2schur`` and ``hashlib`` modules loaded in a fresh interpreter
+    after ``code``."""
     probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('g2schur'))))")
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.startswith(('g2schur', 'hashlib')))))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -42,18 +44,44 @@ def test_kernel_command_loads_only_the_kernel_suite():
         "    assert main(['verify', 'kernel', '--order', '2']) == 0")
     assert {"g2schur.kernels", "g2schur.linalg", "g2schur.diffops"} <= loaded
     assert not loaded & set(UNUSED_BY_KERNEL)
+    assert "hashlib" not in loaded  # no table is hashed
+
+
+def test_table_command_loads_no_suite(tmp_path):
+    loaded = loaded_modules(
+        "import contextlib, io\n"
+        "from g2schur.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['table', '--max-level', '4', '--out', {str(tmp_path / 't.json')!r}]) == 0")
+    assert "hashlib" in loaded
+    assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.kernels", "g2schur.diffops"}
 
 
 def test_package_import_loads_no_submodule():
     assert loaded_modules("import g2schur") == {"g2schur"}
 
 
+#: the public names of the package, each resolved from its submodule
+PUBLIC = """CauchyTruncation CoeffFamily ConjectureReport DensePoly1 EpsLaurent
+    ExpansionSet FalsificationError HomogeneousOp LaurentPoly3 MasterSum
+    OmegaSeries RatFun1 SchurTable SingularSeriesError TableError TruncSeries3
+    action_check apply_H_cleared cauchy_truncation check_H1_relation
+    closedform_checks closedform_omega_minus closedform_omega_plus common_kernel
+    conjecture_check conjecture_coeff enumerate_level expand_entry
+    homogeneous_component is_admissible kernel_H1 leading_pole_coefficient
+    leading_term leading_term_check legendre master_sum omega_from_sums
+    omega_plus_from_minus omega_vs_closedform pair_kernel_vector pbasis
+    pde_check pieri_coeff s3_check solve_table specialization_phi
+    specialized_sum_check triple_kernel verify_cauchy verify_eigen
+    verify_kernel verify_pieri verify_recursion_by_components verify_series
+    verify_specialized x_plus_inv""".split()
+
+
 def test_every_public_name_resolves_to_its_submodule():
-    assert g2schur.__all__ == sorted(g2schur._EXPORTS)
+    assert g2schur.__all__ == sorted(g2schur._EXPORTS) == sorted(PUBLIC)
     for name in g2schur.__all__:
         module = importlib.import_module(f"g2schur.{g2schur._EXPORTS[name]}")
         assert getattr(g2schur, name) is getattr(module, name), name
-    assert set(g2schur.__all__) <= set(dir(g2schur))
 
 
 def test_star_import_and_unknown_name():
