@@ -28,10 +28,9 @@ from fractions import Fraction
 
 from .cauchy import leading_pole_coefficient
 from .expansion import ExpansionSet, unvalidated_message
-from .kernels import _odd_double_factorial
 from .laurent import LaurentPoly3
 from .series import exponents_upto
-from .univariate import RatFun1
+from .univariate import RatFun1, odd_double_factorial
 
 IndexVec = tuple[int, int, int]
 
@@ -55,7 +54,7 @@ def conjecture_coeff(vectors: list[IndexVec]) -> Fraction:
     for v in vectors:
         s = sum(v)
         # Gamma(3/2) / Gamma(s + 3/2) = 2^s / (2s+1)!!
-        value *= Fraction(2 ** s, _odd_double_factorial(2 * s + 1))
+        value *= Fraction(2 ** s, odd_double_factorial(2 * s + 1))
     value *= Fraction(math.factorial(sum_12_23) * math.factorial(sum_13_23))
     for v in vectors:
         value /= math.factorial(v[0]) * math.factorial(v[1]) * math.factorial(v[2])

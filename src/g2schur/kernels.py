@@ -53,7 +53,7 @@ from .diffops import HomogeneousOp, homogeneous_component
 from .laurent import Exp, LaurentPoly3
 from .linalg import clear_denominators, nullspace, rref
 from .table import FalsificationError
-from .univariate import legendre
+from .univariate import legendre, odd_double_factorial
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,15 +239,6 @@ def action_check(m: int, l: int) -> list[dict]:
     return checks
 
 
-def _odd_double_factorial(n: int) -> int:
-    """(2s+1)!! for n = 2s+1 >= -1; the empty product is 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def leading_term_check(m: int, l: int) -> list[dict]:
     """Lexicographically largest term of H2t / H3t applied to P_{m,l,l}.
 
@@ -270,13 +261,13 @@ def leading_term_check(m: int, l: int) -> list[dict]:
             continue
         if m > 2 * l:
             coeff = Fraction(
-                _odd_double_factorial(2 * l - 1) ** 2 * (m + 1) * (m - 2 * l),
+                odd_double_factorial(2 * l - 1) ** 2 * (m + 1) * (m - 2 * l),
                 math.factorial(l) ** 2)
             expected = ((2 * l, 0, m - 2 * l - 2), coeff)
             case = "m>2l"
         else:
             coeff = Fraction(
-                _odd_double_factorial(2 * l + 1) ** 2 * 2 * l * l,
+                odd_double_factorial(2 * l + 1) ** 2 * 2 * l * l,
                 math.factorial(l) ** 2 * (4 * l * l - 1))
             if k == 3:
                 coeff = -coeff

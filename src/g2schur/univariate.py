@@ -7,7 +7,8 @@ therefore structural and agrees with cross-multiplication.
 
 ``legendre`` produces the classical Legendre polynomials P_k normalized by
 P_k(1) = 1 via the three-term recurrence
-(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
+(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.  ``odd_double_factorial`` serves
+the kernel leading-term formulas and the Gamma ratios of the conjecture.
 """
 
 from __future__ import annotations
@@ -334,3 +335,12 @@ def legendre(k: int) -> DensePoly1:
         p_next = (shifted.scale(2 * n + 1) - p_prev.scale(n)).scale(Fraction(1, n + 1))
         p_prev, p_cur = p_cur, p_next
     return p_cur
+
+
+def odd_double_factorial(n: int) -> int:
+    """(2s+1)!! for n = 2s+1 >= -1; the empty product is 1."""
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out

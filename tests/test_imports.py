@@ -57,6 +57,16 @@ def test_table_command_loads_no_suite(tmp_path):
     assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.kernels", "g2schur.diffops"}
 
 
+def test_conjecture_command_loads_no_kernel_suite():
+    loaded = loaded_modules(
+        "import contextlib, io\n"
+        "from g2schur.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['conjecture', '--order', '1', '--max-level', '6']) == 0")
+    assert {"g2schur.conjecture", "g2schur.cauchy"} <= loaded
+    assert not loaded & {"g2schur.kernels", "g2schur.linalg"}
+
+
 def test_package_import_loads_no_submodule():
     assert loaded_modules("import g2schur") == {"g2schur"}
 
