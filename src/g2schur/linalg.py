@@ -8,9 +8,8 @@ for the kernel operator matrices, which are integer and only a few percent
 nonzero: no ``Fraction`` is built until each pivot row is divided by its
 pivot at the end.  Its test oracle, plain dense Gauss-Jordan elimination
 over ``Fraction``, is ``dense_rref`` in ``tests/test_linalg.py``.
-``clear_denominators`` gives integer numerators
-over one denominator; the family fit of ``expansion.ExpansionSet`` clears
-its label values with it.
+``clear_denominators`` gives integer numerators over one denominator; the
+family fit of ``expansion.ExpansionSet`` clears its label values with it.
 
 ``RankTracker`` and ``invert_matrix`` are the matrix route of the family
 fit, which no production path calls any more: greedy selection of
@@ -85,7 +84,8 @@ def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, i
     When the pivot divides the entry, the quotient times ``prow`` is
     subtracted in place, touching only the keys of ``prow``.  Otherwise the
     row is cross-multiplied, ``(p/g) row - (f/g) prow`` with ``g = gcd(p, f)``,
-    and divided by its content.
+    and divided by its content, as ``RankTracker.try_add`` does (Bareiss,
+    Math. Comp. 1968).
     """
     p, f = prow[c], row[c]
     q, rem = divmod(f, p)

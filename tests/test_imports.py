@@ -29,40 +29,36 @@ def loaded_modules(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def test_cli_import_loads_no_suite():
-    loaded = loaded_modules("import g2schur.cli")
-    assert "g2schur.cli" in loaded
-    assert not loaded & set(UNUSED_BY_KERNEL)
-    assert "g2schur.kernels" not in loaded
-
-
-def test_kernel_command_loads_only_the_kernel_suite():
-    loaded = loaded_modules(
+def after_command(*argv: str) -> set[str]:
+    """``loaded_modules`` after one CLI command that must exit 0."""
+    return loaded_modules(
         "import contextlib, io\n"
         "from g2schur.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['verify', 'kernel', '--order', '2']) == 0")
+        f"    assert main({list(argv)!r}) == 0")
+
+
+def test_cli_import_loads_no_suite():
+    loaded = loaded_modules("import g2schur.cli")
+    assert "g2schur.cli" in loaded
+    assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.kernels"}
+
+
+def test_kernel_command_loads_only_the_kernel_suite():
+    loaded = after_command("verify", "kernel", "--order", "2")
     assert {"g2schur.kernels", "g2schur.linalg", "g2schur.diffops"} <= loaded
     assert not loaded & set(UNUSED_BY_KERNEL)
     assert "hashlib" not in loaded  # no table is hashed
 
 
 def test_table_command_loads_no_suite(tmp_path):
-    loaded = loaded_modules(
-        "import contextlib, io\n"
-        "from g2schur.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['table', '--max-level', '4', '--out', {str(tmp_path / 't.json')!r}]) == 0")
+    loaded = after_command("table", "--max-level", "4", "--out", str(tmp_path / "t.json"))
     assert "hashlib" in loaded
     assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.kernels", "g2schur.diffops"}
 
 
 def test_conjecture_command_loads_no_kernel_suite():
-    loaded = loaded_modules(
-        "import contextlib, io\n"
-        "from g2schur.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['conjecture', '--order', '1', '--max-level', '6']) == 0")
+    loaded = after_command("conjecture", "--order", "1", "--max-level", "6")
     assert {"g2schur.conjecture", "g2schur.cauchy"} <= loaded
     assert not loaded & {"g2schur.kernels", "g2schur.linalg"}
 
