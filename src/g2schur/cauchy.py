@@ -50,7 +50,7 @@ from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3, exponents_upto
 from .table import Cleared, FalsificationError, SchurTable, is_admissible
 from .univariate import DensePoly1, RatFun1
-from .diffops import apply_H_cleared, homogeneous_component
+from .diffops import apply_H_numerators, homogeneous_component
 
 # ---------------------------------------------------------------------------
 # master generating sum with factored denominators
@@ -270,39 +270,77 @@ class CauchyTruncation:
         return self.coeffs.get(n, {}).get(kexp, LaurentPoly3.zero())
 
 
-def cauchy_truncation(table: SchurTable, sign: str, order: int) -> CauchyTruncation:
-    """Exact lambda-coefficients through lambda^order.
+def _truncation_numerators(table: SchurTable,
+                           order: int) -> dict[int, dict[int, Cleared]]:
+    """n -> j1 -> (nums, den): the labels (j1, j2, n - j2) of the table,
+    summed as integer numerators over one denominator, for n <= order.
 
     Labels with j2 + j3 = n reach j1 <= n, so the table must extend to level
-    2 * order.  Only those labels are read, in their integer form: the labels
-    of one (n, j1) are summed as numerators over one denominator.
+    2 * order.  Only those labels are read, in their integer form.  Both
+    signs of the lambda-coefficients weight these sums (``cauchy_truncation``).
     """
-    if sign not in "+-":
-        raise ValueError("sign must be '+' or '-'")
     if table.max_level < 2 * order:
         raise ValueError(
             f"table level {table.max_level} insufficient for lambda-order "
             f"{order} (needs {2 * order})")
-    coeffs: dict[int, dict[int, LaurentPoly3]] = {n: {} for n in range(order + 1)}
-    for n, slot in coeffs.items():
+    sums: dict[int, dict[int, Cleared]] = {n: {} for n in range(order + 1)}
+    for n, slot in sums.items():
         for j1 in range(n % 2, n + 1, 2):
             forms = [table.cleared_entry((j1, j2, n - j2)) for j2 in range(n + 1)
                      if (j1, j2, n - j2) in table.entries]
             if not forms:
                 continue
             den = math.lcm(*[d for _, d in forms])
-            w = j1 + 1 if sign == "+" else 1
             acc: dict[Exp, int] = {}
             get = acc.get
             for nums, d in forms:
-                f = w * (den // d)
+                f = den // d
                 for e, c in nums.items():
                     acc[e] = get(e, 0) + f * c
-            poly = LaurentPoly3.from_cleared(acc, den)
-            slot[j1 + 1] = poly
-            slot[-j1 - 1] = poly if sign == "+" else LaurentPoly3.from_cleared(
-                {e: -c for e, c in acc.items()}, den)
+            slot[j1] = acc, den
+    return sums
+
+
+def cauchy_truncation(table: SchurTable, sign: str, order: int) -> CauchyTruncation:
+    """Exact lambda-coefficients through lambda^order.
+
+    The coefficient of lambda^n kappa^(+-(j1+1)) is the sum of the labels
+    (j1, j2, n - j2), weighted by +-1 for the minus sign and by j1 + 1 for
+    the plus sign; the table must extend to level 2 * order
+    (``_truncation_numerators``).
+    """
+    if sign not in "+-":
+        raise ValueError("sign must be '+' or '-'")
+    coeffs: dict[int, dict[int, LaurentPoly3]] = {}
+    for n, sums in _truncation_numerators(table, order).items():
+        slot = coeffs[n] = {}
+        for j1, (acc, den) in sums.items():
+            if sign == "+":
+                poly = LaurentPoly3.from_cleared(
+                    {e: (j1 + 1) * c for e, c in acc.items()}, den)
+                slot[j1 + 1] = slot[-j1 - 1] = poly
+            else:
+                slot[j1 + 1] = LaurentPoly3.from_cleared(acc, den)
+                slot[-j1 - 1] = LaurentPoly3.from_cleared(
+                    {e: -c for e, c in acc.items()}, den)
     return CauchyTruncation(sign, order, coeffs)
+
+
+#: (x12 - 1/x12)(x13 - 1/x13) as (exponent shift, sign) pairs
+_D1_TERMS = (((1, 1, 0), 1), ((1, -1, 0), -1), ((-1, 1, 0), -1), ((-1, -1, 0), 1))
+
+
+def _cleared_residual(image: dict[Exp, int], nums: dict[Exp, int],
+                      c: int) -> dict[Exp, int]:
+    """image - c (x12 - 1/x12)(x13 - 1/x13) nums, zero numerators dropped."""
+    acc = dict(image)
+    get = acc.get
+    for (s1, s2, _), sign in _D1_TERMS:
+        w = c * sign
+        for (e1, e2, e3), v in nums.items():
+            key = (e1 + s1, e2 + s2, e3)
+            acc[key] = get(key, 0) - w * v
+    return {e: v for e, v in acc.items() if v}
 
 
 def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
@@ -311,30 +349,30 @@ def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
     With C(n, e) the Laurent-polynomial coefficient of lambda^n kappa^e:
     the logarithmic kappa-derivative relation says H_1 C_-(n, e) = e C_+(n, e),
     and both signs satisfy H_1 C(n, e) = e^2 C(n, e).  All comparisons are
-    cleared by (x12 - 1/x12)(x13 - 1/x13).
+    cleared by (x12 - 1/x12)(x13 - 1/x13).  Both signs of one (n, j1) sit
+    over the denominator of the same label sum, so every relation is
+    compared on integer numerators (``apply_H_numerators``), as
+    ``verify_eigen`` compares its residuals.
     """
-    cm = cauchy_truncation(table, "-", order)
-    cp = cauchy_truncation(table, "+", order)
-    d1 = (LaurentPoly3.variable(0) - LaurentPoly3.monomial((-1, 0, 0))) * \
-         (LaurentPoly3.variable(1) - LaurentPoly3.monomial((0, -1, 0)))
+    zero = Fraction(0)
     checks = []
-    for n in range(order + 1):
-        kexps = sorted(set(cm.coeffs.get(n, {})) | set(cp.coeffs.get(n, {})))
+    for n, sums in _truncation_numerators(table, order).items():
+        kexps = sorted(e for j1 in sums for e in (j1 + 1, -j1 - 1))
         for e in kexps:
-            lhs = apply_H_cleared(1, cm.coefficient(n, e), Fraction(0))
-            rhs = (d1 * cp.coefficient(n, e)).scale(Fraction(e))
-            ok = lhs == rhs
+            acc = sums[abs(e) - 1][0]
+            minus = acc if e > 0 else {t: -c for t, c in acc.items()}
+            plus = {t: abs(e) * c for t, c in acc.items()}
+            h_minus = apply_H_numerators(1, minus, zero)
+            h_plus = apply_H_numerators(1, plus, zero)
+            ok = not _cleared_residual(h_minus, plus, e)
             checks.append({
                 "check": "H1-log-derivative",
                 "lambda_power": n,
                 "kappa_power": e,
                 "status": "pass" if ok else "fail",
             })
-            for sign, trunc in (("-", cm), ("+", cp)):
-                poly = trunc.coefficient(n, e)
-                lhs2 = apply_H_cleared(1, poly, Fraction(0))
-                rhs2 = (d1 * poly).scale(Fraction(e * e))
-                ok2 = lhs2 == rhs2
+            for sign, nums, image in (("-", minus, h_minus), ("+", plus, h_plus)):
+                ok2 = not _cleared_residual(image, nums, e * e)
                 checks.append({
                     "check": "second-order-log-derivative",
                     "sign": sign,

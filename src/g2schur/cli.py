@@ -202,7 +202,8 @@ def run_omega(cfg: RunConfig) -> tuple[int, Report]:
 FLAGS = {
     "--max-level": dict(type=int, default=12, help="table level (even)"),
     "--order": dict(type=int, default=4,
-                    help="series truncation order / kernel degree bound"),
+                    help="series truncation order; for verify kernel the "
+                         "degree bound, raised to at least 12"),
     "--lambda-order": dict(type=int, default=4,
                            help="lambda truncation order for the sum relations"),
     "--copies": dict(type=int, choices=(1, 2), default=1,

@@ -62,11 +62,20 @@ def apply_H_cleared(k: int, p: LaurentPoly3, mu: Fraction) -> LaurentPoly3:
       + [-A + 2ab + a - 3b] w/v + [A + 2ab - a - b] / (v w) - 4ab (u + 1/u)
 
     times v^a w^b u^c, with A = a(a-1) + b(b-1) + 1 - mu.  The images are
-    accumulated as integer numerators over den(p) * den(mu).
+    accumulated as integer numerators over den(p) * den(mu)
+    (``apply_H_numerators``).
     """
+    nums, den = p.cleared()
+    return LaurentPoly3.from_cleared(apply_H_numerators(k, nums, mu),
+                                     den * mu.denominator)
+
+
+def apply_H_numerators(k: int, nums: dict[tuple[int, int, int], int],
+                       mu: Fraction) -> dict[tuple[int, int, int], int]:
+    """``apply_H_cleared`` on the integer polynomial ``nums``, times den(mu),
+    as integer numerators; zero numerators may remain."""
     v, w, _ = OP_VARS[k]
     shifts = _H_SHIFTS[k]
-    nums, den = p.cleared()
     mu_num, mu_den = mu.numerator, mu.denominator
     acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
@@ -84,7 +93,7 @@ def apply_H_cleared(k: int, p: LaurentPoly3, mu: Fraction) -> LaurentPoly3:
             if wt:
                 key = (e1 + s1, e2 + s2, e3 + s3)
                 acc[key] = get(key, 0) + wt
-    return LaurentPoly3.from_cleared(acc, den * mu_den)
+    return acc
 
 
 def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
@@ -155,6 +164,11 @@ class HomogeneousOp:
         self._shifts = list(shifts.items())
         self._order = max((max(deriv) for _, deriv in terms), default=0)
         self._inv_den = None if den == 1 else Fraction(1, den)
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator of the cleared coefficients (1 if integer)."""
+        return 1 if self._inv_den is None else self._inv_den.denominator
 
     def apply(self, p: LaurentPoly3) -> LaurentPoly3:
         acc: dict[tuple[int, int, int], object] = {}

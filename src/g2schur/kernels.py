@@ -22,25 +22,38 @@ kernel of H1t and H2t v = 0.  Every nullspace is computed by exact sparse
 fraction-free Gauss-Jordan elimination on integer rows (``linalg.rref``);
 the product basis route serves as the independent cross-check.
 
-``verify_kernel`` eliminates H1t once per degree: ``kernel_H1`` returns the
-kernel it has matched against the diagonal elements, and ``common_kernel``
-and ``triple_kernel`` take the other operators on it.  Only the small inputs
-every degree shares stay cached: the binomial pairs, the Legendre polynomials
-and the operator components.
+``verify_kernel`` works one degree at a time on a ``DegreeImages``: the
+integer image of each degree-m monomial under each degree -2 component,
+computed on first use as ``op.apply(x^e).terms`` (the components have
+integer coefficients, and an image has at most three terms), and the
+Legendre numerators of P_0 .. P_(m+1), read once.  Every other application
+of an operator at that degree is a sparse integer combination
+sum n_e image[e]: the H1t monomial matrix, the diagonalization of every
+P_(m,k,l), the other operators on the H1t kernel, the displayed pair vectors
+and the action and leading-term formulas.  ``kernel_H1`` eliminates H1t once
+per degree and returns the kernel it has matched against the diagonal
+elements; ``common_kernel`` and ``triple_kernel`` take the other operators
+on it.  The images are dropped with their degree.
+
+The product basis follows its definition: a term of the sum has X23
+exponent m - i - j, so P_(m,k,l) = X23^(m-k-l) P_(k+l,k,l).  The integer
+numerators of each base element P_(k+l,k,l) are summed once from
+binomial-pair coefficients over the common denominator of its two Legendre
+factors and kept per (k, l), together with the Legendre numerators they were
+summed from; each degree only shifts the X23 exponent.  The raised indices
+of the action formula (k + l = m + 1) shift by -1 and are Laurent.
 
 The kernel suite works on integer numerators, in the integer form of
-``table.py`` and ``klocal.py``.  ``_pbasis_cleared`` sums a basis element in
-integers from binomial-pair coefficients over one common denominator.
-``kernel_H1`` never divides by it: a span and an eigenvalue equation are
-unchanged by a common factor, and the degree -2 components have integer
-coefficients, so H1t maps integer polynomials to integer polynomials.  Each
-nullspace vector is turned into its integer multiple over the lcm of its
-denominators, so the kernel bases, and the images of H2t and H3t on them,
-stay integer too.  The span test compares ranks under ``linalg.rref``, which
-scales the ``Fraction`` rows of a displayed vector to integers.  The
-``Fraction`` routes these replace are the test oracles in
-``tests/test_kernels.py``.  The action, leading-term and displayed-vector
-checks keep their ``Fraction`` API.
+``table.py`` and ``klocal.py``.  ``kernel_H1`` never divides by a basis
+element's denominator: a span and an eigenvalue equation are unchanged by a
+common factor.  Each nullspace vector is turned into its integer multiple
+over the lcm of its denominators, so the kernel bases, and the images of H2t
+and H3t on them, stay integer too.  The span test compares ranks under
+``linalg.rref``, which scales the ``Fraction`` rows of a displayed vector to
+integers.  The action, leading-term and displayed-vector checks compare
+integers over one common denominator and read values back as exact
+``Fraction``s only for their reports.  The ``Fraction`` routes these replace
+are the test oracles in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -55,6 +68,9 @@ from .linalg import clear_denominators, nullspace, rref
 from .table import FalsificationError
 from .univariate import legendre, odd_double_factorial
 
+#: integer numerators of a polynomial, keyed by exponent
+Terms = dict[Exp, int]
+
 
 @functools.lru_cache(maxsize=None)
 def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
@@ -67,19 +83,38 @@ def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i + j - b, b, c) for b, c in sorted(acc.items()) if c)
 
 
-def _pbasis_cleared(m: int, k: int, l: int) -> tuple[dict[Exp, int], int]:
-    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23) as (nums, den).
+def _legendre_numerators(n: int) -> tuple[tuple[int, ...], int]:
+    """P_n as (numerators, den): its coefficients over their lcm denominator."""
+    nums, den = clear_denominators(legendre(n).coeffs)
+    return tuple(nums), den
 
-    Summed in integers: the Legendre coefficients are cleared over the lcm
-    of their denominators, so the sum sits over that lcm squared.  ``nums``
-    may hold zero numerators where terms cancel.
+
+#: (k, l) -> (numerators of P_k, numerators of P_l, base element P_(k+l,k,l)
+#: as ``_base_element`` returns it)
+_BASE: dict[tuple[int, int], tuple] = {}
+
+
+def _base_element(k: int, l: int, pk: tuple,
+                  pl: tuple) -> tuple[tuple[int, ...], int, int]:
+    """P_(k+l,k,l) as (terms, den, lowest X23 exponent), from the Legendre
+    numerators ``pk`` of P_k and ``pl`` of P_l.
+
+    Summed in integers: both factors are brought over the lcm of their
+    denominators, so the sum sits over that lcm squared.  ``terms`` is flat,
+    a b z n a b z n ... for the nonzero numerators n of X12^a X13^b X23^z,
+    which takes about half the memory of a dict.  Kept per (k, l) and summed
+    again when the Legendre numerators differ from the ones it was summed
+    from.
     """
-    pk = legendre(k).coeffs
-    pl = legendre(l).coeffs
-    den = math.lcm(*[c.denominator for c in pk + pl])
-    ck = [c.numerator * (den // c.denominator) for c in pk]
-    cl = [c.numerator * (den // c.denominator) for c in pl]
-    acc: dict[Exp, int] = {}
+    hit = _BASE.get((k, l))
+    if hit is not None and hit[0] == pk and hit[1] == pl:
+        return hit[2]
+    (nk, dk), (nl, dl) = pk, pl
+    den = math.lcm(dk, dl)
+    ck = [c * (den // dk) for c in nk]
+    cl = [c * (den // dl) for c in nl]
+    acc: Terms = {}
+    get = acc.get
     for i, ci in enumerate(ck):
         if not ci:
             continue
@@ -87,41 +122,118 @@ def _pbasis_cleared(m: int, k: int, l: int) -> tuple[dict[Exp, int], int]:
             if not cj:
                 continue
             w = ci * cj
-            z = m - i - j
+            z = k + l - i - j
             for a, b, c in _binomial_pair(i, j):
                 key = (a, b, z)
-                acc[key] = acc.get(key, 0) + w * c
-    return acc, den * den
+                acc[key] = get(key, 0) + w * c
+    terms = tuple(x for (a, b, z), v in acc.items() if v for x in (a, b, z, v))
+    base = terms, den * den, min(terms[2::4], default=0)
+    _BASE[(k, l)] = (pk, pl, base)
+    return base
+
+
+def _x23_shift(terms: tuple[int, ...], s: int) -> Terms:
+    """The flat terms of a base element as numerators, times X23^s."""
+    it = iter(terms)
+    return {(a, b, z + s): n for a, b, z, n in zip(it, it, it, it)}
+
+
+def _pbasis_cleared(m: int, k: int, l: int, pk: tuple, pl: tuple,
+                    polynomial: bool = True) -> tuple[Terms, int]:
+    """P_(m,k,l) = X23^(m-k-l) P_(k+l,k,l) as (nums, den), from the Legendre
+    numerators of P_k and P_l.
+
+    With ``polynomial`` set, an element with a negative power of X23 raises
+    ``FalsificationError`` with the element as witness.
+    """
+    terms, den, zmin = _base_element(k, l, pk, pl)
+    s = m - k - l
+    shifted = _x23_shift(terms, s)
+    if polynomial and zmin + s < 0:
+        raise FalsificationError(
+            f"product basis element ({m},{k},{l}) failed to be polynomial",
+            witness=LaurentPoly3.from_cleared(shifted, den))
+    return shifted, den
 
 
 def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
     """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general."""
-    return LaurentPoly3.from_cleared(*_pbasis_cleared(m, k, l))
-
-
-def _pbasis_numerators(m: int, k: int, l: int) -> tuple[LaurentPoly3, int]:
-    """``_pbasis_cleared`` of a basis element, the numerators as an integer
-    polynomial; negative powers of X23 must cancel."""
-    if k + l > m:
-        raise ValueError("need k + l <= m")
-    nums, den = _pbasis_cleared(m, k, l)
-    out = LaurentPoly3(nums)
-    if not out.is_polynomial():
-        raise FalsificationError(
-            f"product basis element ({m},{k},{l}) failed to be polynomial",
-            witness=LaurentPoly3.from_cleared(nums, den))
-    return out, den
+    return LaurentPoly3.from_cleared(*_pbasis_cleared(
+        m, k, l, _legendre_numerators(k), _legendre_numerators(l),
+        polynomial=False))
 
 
 def pbasis(m: int, k: int, l: int) -> LaurentPoly3:
     """Product-basis element P_{m,k,l}, k + l <= m."""
-    nums, den = _pbasis_numerators(m, k, l)
-    return LaurentPoly3.from_cleared(nums.terms, den)
+    if k + l > m:
+        raise ValueError("need k + l <= m")
+    return LaurentPoly3.from_cleared(*_pbasis_cleared(
+        m, k, l, _legendre_numerators(k), _legendre_numerators(l)))
 
 
 def _monomials(m: int) -> list[Exp]:
     return sorted(
         (a, b, m - a - b) for a in range(m + 1) for b in range(m - a + 1))
+
+
+def _monomial_image(op: HomogeneousOp, e: Exp) -> Terms:
+    """The operator on the monomial x^e, as integer terms."""
+    return op.apply(LaurentPoly3({e: 1})).terms
+
+
+class DegreeImages:
+    """The operator images and the product basis of one degree m.
+
+    ``apply(k, nums)`` is H_k^(-2) on the integer polynomial ``nums`` as the
+    combination sum nums[e] image[e]; the image of each monomial is computed
+    on its first use and kept for this degree only.  ``legendre`` holds the
+    numerators of P_0 .. P_(m+1), read once; ``element(k, l)`` is P_(m,k,l)
+    from them.
+    """
+
+    def __init__(self, m: int):
+        self.degree = m
+        self.monomials = _monomials(m)
+        self.legendre = [_legendre_numerators(n) for n in range(m + 2)]
+        self._ops = {k: homogeneous_component(k, -2) for k in (1, 2, 3)}
+        for k, op in self._ops.items():
+            if op.denominator != 1:
+                raise ValueError(f"H{k} degree -2 component is not integer")
+        self._images: dict[int, dict[Exp, Terms]] = {1: {}, 2: {}, 3: {}}
+
+    def apply(self, k: int, nums: Terms) -> Terms:
+        """H_k^(-2) on sum nums[e] x^e as integer terms, zeros dropped.
+
+        Raises ``FalsificationError`` on a monomial outside degree m: an
+        element shifted to a wrong degree would still pass an eigenvalue
+        equation there.
+        """
+        images = self._images[k]
+        acc: Terms = {}
+        get = acc.get
+        for e, n in nums.items():
+            img = images.get(e)
+            if img is None:
+                if sum(e) != self.degree:
+                    raise FalsificationError(
+                        f"polynomial leaves the degree space: {[e]}")
+                img = images[e] = _monomial_image(self._ops[k], e)
+            for t, v in img.items():
+                acc[t] = get(t, 0) + n * v
+        return {t: v for t, v in acc.items() if v}
+
+    def element(self, k: int, l: int, polynomial: bool = True) -> tuple[Terms, int]:
+        """P_(m,k,l) as (nums, den); see ``_pbasis_cleared``."""
+        legs = self.legendre
+        return _pbasis_cleared(self.degree, k, l, legs[k], legs[l], polynomial)
+
+
+def _degree_images(m: int, images: DegreeImages | None) -> DegreeImages:
+    if images is None:
+        return DegreeImages(m)
+    if images.degree != m:
+        raise ValueError(f"images of degree {images.degree}, need {m}")
+    return images
 
 
 def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
@@ -135,9 +247,10 @@ def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
     return LaurentPoly3(acc)
 
 
-def _kernel_on(ops: list[HomogeneousOp],
+def _kernel_on(images: DegreeImages, ks: tuple[int, ...],
                polys: list[LaurentPoly3]) -> list[LaurentPoly3]:
-    """Basis of the common kernel of ``ops`` on the span of ``polys``.
+    """Basis of the common kernel of the operators ``ks`` on the span of
+    ``polys``, integer polynomials of the degree of ``images``.
 
     One column per polynomial and, for each operator, one row per image
     monomial in sorted order; each nullspace vector names the combination of
@@ -145,10 +258,10 @@ def _kernel_on(ops: list[HomogeneousOp],
     be linearly independent for the basis to be one.
     """
     rows: list[list[int]] = []
-    for op in ops:
-        images = [op.apply(p).terms for p in polys]
-        targets = sorted({e for img in images for e in img})
-        rows.extend([img.get(t, 0) for img in images] for t in targets)
+    for k in ks:
+        imgs = [images.apply(k, p.terms) for p in polys]
+        targets = sorted({e for img in imgs for e in img})
+        rows.extend([img.get(t, 0) for img in imgs] for t in targets)
     return [_combine(vec, polys) for vec in nullspace(rows, len(polys))]
 
 
@@ -156,7 +269,8 @@ def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list:
     vec = [poly.terms.get(e, 0) for e in monomials]
     leftover = set(poly.terms) - set(monomials)
     if leftover:
-        raise ValueError(f"polynomial leaves the degree space: {sorted(leftover)}")
+        raise FalsificationError(
+            f"polynomial leaves the degree space: {sorted(leftover)}", witness=poly)
     return vec
 
 
@@ -166,22 +280,23 @@ def _span_contains(basis: list[list], *vecs: list) -> bool:
     return len(rref([*basis, *vecs])[0]) == len(rref(basis)[0])
 
 
-def kernel_H1(m: int) -> dict:
+def kernel_H1(m: int, images: DegreeImages | None = None) -> dict:
     """Exact kernel of the first graded operator at degree m, both routes.
 
     Computes the monomial-basis nullspace, asserts it matches the span of the
     diagonal product-basis elements, and verifies the diagonalization of
     X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).  All of
-    it runs on integers: the monomials have coefficient 1, and each basis
-    element enters as its numerators over the common denominator of
-    ``_pbasis_cleared``, which changes neither its span nor its eigenvalue
-    equation.  The verified nullspace basis, with integer coefficients, is
-    returned under ``"kernel"``.
+    it runs on integers, through the images of degree m (``images``, made
+    here if not given): the monomials have coefficient 1, and each basis
+    element enters as its numerators over its common denominator, which
+    changes neither its span nor its eigenvalue equation.  The verified
+    nullspace basis, with integer coefficients, is returned under
+    ``"kernel"``.
     """
-    op = homogeneous_component(1, -2)
-    monomials = _monomials(m)
-    null = _kernel_on([op], [LaurentPoly3({e: 1}) for e in monomials])
-    claimed = [_pbasis_numerators(m, l, l)[0] for l in range(m // 2 + 1)]
+    images = _degree_images(m, images)
+    monomials = images.monomials
+    null = _kernel_on(images, (1,), [LaurentPoly3({e: 1}) for e in monomials])
+    claimed = [images.element(l, l)[0] for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(
             f"kernel dimension at degree {m}: got {len(null)}, "
@@ -189,15 +304,18 @@ def kernel_H1(m: int) -> dict:
     # equal dimension and null within span(claimed) make the spans equal, so
     # every claimed element is annihilated; the k = l passes below apply H1t
     # to each of them once more
-    claimed_rows = [_vector_of(v, monomials) for v in claimed]
+    claimed_rows = [_vector_of(LaurentPoly3(v), monomials) for v in claimed]
     if not _span_contains(claimed_rows, *[_vector_of(v, monomials) for v in null]):
         raise FalsificationError(
             f"computed kernel vector outside the claimed span at degree {m}")
     for k in range(m + 1):
         for l in range(m - k + 1):
-            p = claimed[l] if k == l else _pbasis_numerators(m, k, l)[0]
-            expect = p.scale(l * (l + 1) - k * (k + 1))
-            if op.apply(p).mul_monomial((1, 1, 0), 1) != expect:
+            p = claimed[l] if k == l else images.element(k, l)[0]
+            ev = l * (l + 1) - k * (k + 1)
+            # X12 X13 H1t p = ev p, read one X12 X13 lower
+            expect = {(a - 1, b - 1, c): ev * n
+                      for (a, b, c), n in p.items()} if ev else {}
+            if images.apply(1, p) != expect:
                 raise FalsificationError(
                     f"diagonalization failed on P_({m},{k},{l})")
     return {
@@ -208,28 +326,40 @@ def kernel_H1(m: int) -> dict:
     }
 
 
-def action_check(m: int, l: int) -> list[dict]:
+def action_check(m: int, l: int, images: DegreeImages | None = None) -> list[dict]:
     """Three-term action of the second and third operators on P_{m,l,l}.
 
     X12 X23 H2t P = (m+1)[(m+2l+2) X12/X23 P - (l+1) P_{m,l+1,l} - (l+1) P_{m,l,l+1}]
     X13 X23 H3t P = (m+1)[(m+2l+2) X13/X23 P + (l+1) P_{m,l+1,l} - (l+1) P_{m,l,l+1}]
 
     The raised-index symbols are expanded by the defining formula even when
-    l+1+l exceeds m (they are then Laurent, not polynomial).
+    l+1+l exceeds m (they are then Laurent, not polynomial).  Both sides are
+    compared as integer numerators over the lcm of the three denominators.
     """
     if 2 * l > m:
         raise ValueError("need 2l <= m")
-    p = pbasis(m, l, l)
-    p_up_left = pbasis_laurent(m, l + 1, l)
-    p_up_right = pbasis_laurent(m, l, l + 1)
+    images = _degree_images(m, images)
+    p, den = images.element(l, l)
+    up_left, den_left = images.element(l + 1, l, polynomial=False)
+    up_right, den_right = images.element(l, l + 1, polynomial=False)
+    common = math.lcm(den, den_left, den_right)
+    scale = common // den
     checks = []
-    for k, front in ((2, (1, 0, 1)), (3, (0, 1, 1))):
-        lhs = homogeneous_component(k, -2).apply(p).mul_monomial(front)
-        shifted = p.mul_monomial((front[0], front[1], -1), Fraction(m + 2 * l + 2))
-        sign_left = Fraction(-(l + 1)) if k == 2 else Fraction(l + 1)
-        rhs = (shifted
-               + p_up_left.scale(sign_left)
-               + p_up_right.scale(Fraction(-(l + 1)))).scale(Fraction(m + 1))
+    for k, (f1, f2, f3) in ((2, (1, 0, 1)), (3, (0, 1, 1))):
+        lhs = {(a + f1, b + f2, c + f3): scale * v
+               for (a, b, c), v in images.apply(k, p).items()}
+        acc: Terms = {}
+        get = acc.get
+        weight = (m + 2 * l + 2) * scale
+        for (a, b, c), v in p.items():
+            key = (a + f1, b + f2, c - 1)
+            acc[key] = get(key, 0) + weight * v
+        sign_left = -(l + 1) if k == 2 else l + 1
+        for nums, weight in ((up_left, sign_left * (common // den_left)),
+                             (up_right, -(l + 1) * (common // den_right))):
+            for e, v in nums.items():
+                acc[e] = get(e, 0) + weight * v
+        rhs = {e: (m + 1) * v for e, v in acc.items() if v}
         checks.append({
             "check": f"H{k}-action",
             "m": m,
@@ -239,21 +369,23 @@ def action_check(m: int, l: int) -> list[dict]:
     return checks
 
 
-def leading_term_check(m: int, l: int) -> list[dict]:
+def leading_term_check(m: int, l: int, images: DegreeImages | None = None) -> list[dict]:
     """Lexicographically largest term of H2t / H3t applied to P_{m,l,l}.
 
     Under the order x12 > x13 > x23 the leading term is
       ((2l-1)!!)^2/(l!)^2 (m+1)(m-2l) X12^{2l} X23^{m-2l-2}     for m > 2l,
       +- ((2l+1)!!)^2/(l!)^2 * 2l^2/(4l^2-1) X12^{2l-2}          for m = 2l > 0
     (plus sign for the second operator, minus for the third), and the image
-    is empty for m = l = 0.
+    is empty for m = l = 0.  The image is taken on the integer numerators of
+    P_{m,l,l}; its leading coefficient is read back over their denominator.
     """
     if 2 * l > m:
         raise ValueError("need 2l <= m")
-    p = pbasis(m, l, l)
+    images = _degree_images(m, images)
+    p, den = images.element(l, l)
     checks = []
     for k in (2, 3):
-        image = homogeneous_component(k, -2).apply(p)
+        image = images.apply(k, p)
         if m == 0:
             status = "pass" if not image else "fail"
             checks.append({"check": f"H{k}-leading", "m": m, "l": l,
@@ -273,7 +405,10 @@ def leading_term_check(m: int, l: int) -> list[dict]:
                 coeff = -coeff
             expected = ((2 * l - 2, 0, 0), coeff)
             case = "m=2l"
-        actual = image.lex_leading() if image else None
+        actual = None
+        if image:
+            top = max(image)
+            actual = (top, Fraction(image[top], den))
         checks.append({
             "check": f"H{k}-leading",
             "m": m,
@@ -286,6 +421,27 @@ def leading_term_check(m: int, l: int) -> list[dict]:
     return checks
 
 
+def _pair_vector_cleared(pair: tuple[int, int],
+                         images: DegreeImages) -> tuple[Terms, int]:
+    """``pair_kernel_vector`` at the even degree 2n of ``images`` as integer
+    numerators over one denominator."""
+    n = images.degree // 2
+    elements = [images.element(l, l) for l in range(n + 1)]
+    weights = []
+    for l, (_, den) in enumerate(elements):
+        c = Fraction((2 * l + 1) * math.comb(2 * n, n - l), (n + l + 1) * den)
+        if pair == (1, 2) and (n - l) % 2:
+            c = -c
+        weights.append(c)
+    acc: Terms = {}
+    get = acc.get
+    ints, den = clear_denominators(weights)
+    for w, (nums, _) in zip(ints, elements):
+        for e, v in nums.items():
+            acc[e] = get(e, 0) + w * v
+    return {e: v for e, v in acc.items() if v}, den
+
+
 def pair_kernel_vector(pair: tuple[int, int], n: int) -> LaurentPoly3:
     """The displayed spanning vector of the even-degree pairwise kernel.
 
@@ -294,57 +450,51 @@ def pair_kernel_vector(pair: tuple[int, int], n: int) -> LaurentPoly3:
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
-    acc = LaurentPoly3.zero()
-    for l in range(n + 1):
-        c = Fraction((2 * l + 1) * math.comb(2 * n, n - l), n + l + 1)
-        if pair == (1, 2) and (n - l) % 2:
-            c = -c
-        acc = acc + pbasis(2 * n, l, l).scale(c)
-    return acc
+    return LaurentPoly3.from_cleared(*_pair_vector_cleared(pair, DegreeImages(2 * n)))
 
 
-def common_kernel(pair: tuple[int, int], m: int,
-                  h1_kernel: list[LaurentPoly3]) -> dict:
+def common_kernel(pair: tuple[int, int], m: int, h1_kernel: list[LaurentPoly3],
+                  images: DegreeImages | None = None) -> dict:
     """Exact common kernel of the first operator with the second or third.
 
     Dimension 1 at even degree (spanned by the displayed vector), 0 at odd
     degree.  Computed as the kernel of the pair's second operator on
     ``h1_kernel`` (``kernel_H1(m)["kernel"]``), and cross-checked against the
-    displayed vector.
+    displayed vector, whose images are taken on its integer numerators.
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
-    ops = [homogeneous_component(1, -2), homogeneous_component(pair[1], -2)]
-    null = _kernel_on(ops[1:], h1_kernel)
+    images = _degree_images(m, images)
+    null = _kernel_on(images, (pair[1],), h1_kernel)
     expected_dim = 1 if m % 2 == 0 else 0
     if len(null) != expected_dim:
         raise FalsificationError(
             f"pair {pair} kernel at degree {m}: dim {len(null)}, expected {expected_dim}")
     result = {"pair": list(pair), "degree": m, "dim": len(null)}
     if m % 2 == 0:
-        vec = pair_kernel_vector(pair, m // 2)
-        for op in ops:
-            if op.apply(vec):
+        nums, den = _pair_vector_cleared(pair, images)
+        for k in (1, pair[1]):
+            if images.apply(k, nums):
                 raise FalsificationError(
                     f"displayed vector not annihilated for pair {pair}, degree {m}")
-        monomials = _monomials(m)
-        if not _span_contains([_vector_of(vec, monomials)],
-                              _vector_of(null[0], monomials)):
+        vec = LaurentPoly3.from_cleared(nums, den)
+        if not _span_contains([_vector_of(vec, images.monomials)],
+                              _vector_of(null[0], images.monomials)):
             raise FalsificationError(
                 f"kernel at degree {m} not spanned by the displayed vector")
         result["spanned_by_displayed_vector"] = True
     return result
 
 
-def triple_kernel(m: int, h1_kernel: list[LaurentPoly3]) -> int:
+def triple_kernel(m: int, h1_kernel: list[LaurentPoly3],
+                  images: DegreeImages | None = None) -> int:
     """Dimension of the common kernel of all three operators at degree m.
 
     Must be 1 for m = 0 (constants) and 0 for every m >= 1.  Computed as
     the common kernel of the second and third operators on ``h1_kernel``,
     a basis of the first operator's kernel at degree m.
     """
-    ops = [homogeneous_component(k, -2) for k in (2, 3)]
-    dim = len(_kernel_on(ops, h1_kernel))
+    dim = len(_kernel_on(_degree_images(m, images), (2, 3), h1_kernel))
     expected = 1 if m == 0 else 0
     if dim != expected:
         raise FalsificationError(
@@ -356,30 +506,38 @@ def verify_kernel(max_degree: int) -> list[dict]:
     """The ``verify kernel`` suite: kernel dimensions per degree, then the
     action and leading-term formulas through degree min(max_degree, 8).
 
-    A falsified degree gets one ``falsification`` record with its witness
-    and the later degrees still run.
+    Each degree's checks share one ``DegreeImages``, so the formula checks
+    of a degree run with its kernels and their records are appended after
+    every kernel record.  A falsified degree, or a falsified (m, l) of the
+    formulas, gets one ``falsification`` record with its witness and the
+    later checks still run.
     """
-    checks = []
+    checks: list[dict] = []
+    formulas: list[dict] = []
     for m in range(max_degree + 1):
+        images = DegreeImages(m)
         try:
-            info = kernel_H1(m)
+            info = kernel_H1(m, images)
             checks.append({"check": "kernel-H1", "degree": m, "dim": info["dim"],
                            "status": "pass" if info["dim"] == m // 2 + 1 else "fail"})
             pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
             for pair in ((1, 2), (1, 3)):
                 pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(
-                    pair, m, info["kernel"])["dim"]
-            pair_rec["dim_triple"] = triple_kernel(m, info["kernel"])
+                    pair, m, info["kernel"], images)["dim"]
+            pair_rec["dim_triple"] = triple_kernel(m, info["kernel"], images)
         except FalsificationError as exc:
             checks.append({"check": "falsification", "degree": m,
                            "status": "fail", "witness": str(exc)})
-            continue
-        ok = (pair_rec["dim_pair_12"] == pair_rec["dim_pair_13"] == 1 - m % 2
-              and pair_rec["dim_triple"] == int(m == 0))
-        pair_rec["status"] = "pass" if ok else "fail"
-        checks.append(pair_rec)
-    for m in range(min(max_degree, 8) + 1):
-        for l in range(m // 2 + 1):
-            checks.extend(action_check(m, l))
-            checks.extend(leading_term_check(m, l))
-    return checks
+        else:
+            ok = (pair_rec["dim_pair_12"] == pair_rec["dim_pair_13"] == 1 - m % 2
+                  and pair_rec["dim_triple"] == int(m == 0))
+            pair_rec["status"] = "pass" if ok else "fail"
+            checks.append(pair_rec)
+        for l in range(m // 2 + 1) if m <= 8 else ():
+            try:
+                formulas.extend(action_check(m, l, images))
+                formulas.extend(leading_term_check(m, l, images))
+            except FalsificationError as exc:
+                formulas.append({"check": "falsification", "m": m, "l": l,
+                                 "status": "fail", "witness": str(exc)})
+    return checks + formulas

@@ -118,7 +118,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = -prow[free]
+            if prow[free]:
+                vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
 

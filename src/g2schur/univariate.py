@@ -6,14 +6,17 @@ spectral variable kappa, normalized so the denominator is monic; equality is
 therefore structural and agrees with cross-multiplication.
 
 ``legendre`` produces the classical Legendre polynomials P_k normalized by
-P_k(1) = 1 via the three-term recurrence
-(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.  ``odd_double_factorial`` serves
-the kernel leading-term formulas and the Gamma ratios of the conjecture.
+P_k(1) = 1 from the closed form
+P_k(x) = 2^-k sum_j (-1)^j C(k, j) C(2k - 2j, k) x^(k - 2j), one integer
+numerator per coefficient; the three-term recurrence is its test oracle.
+``odd_double_factorial`` serves the kernel leading-term formulas and the
+Gamma ratios of the conjecture.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -319,22 +322,19 @@ class RatFun1:
 
 @functools.lru_cache(maxsize=None)
 def legendre(k: int) -> DensePoly1:
-    """Legendre polynomial P_k with P_k(1) = 1, by the three-term recurrence.
+    """Legendre polynomial P_k with P_k(1) = 1, by the closed form
+    P_k(x) = 2^-k sum_j (-1)^j C(k, j) C(2k - 2j, k) x^(k - 2j).
 
     Cached per k; values are immutable.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    p_prev = DensePoly1.constant(1)
-    if k == 0:
-        return p_prev
-    p_cur = DensePoly1([0, 1])
-    for n in range(1, k):
-        # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
-        shifted = DensePoly1((0,) + p_cur.coeffs)
-        p_next = (shifted.scale(2 * n + 1) - p_prev.scale(n)).scale(Fraction(1, n + 1))
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+    coeffs = [0] * (k + 1)
+    den = 2 ** k
+    for j in range(k // 2 + 1):
+        coeffs[k - 2 * j] = Fraction(
+            (-1) ** j * math.comb(k, j) * math.comb(2 * k - 2 * j, k), den)
+    return DensePoly1(coeffs)
 
 
 def odd_double_factorial(n: int) -> int:

@@ -215,6 +215,36 @@ def fraction_cauchy_truncation(table, sign, order):
     return coeffs
 
 
+def fraction_check_H1_relation(table, order):
+    """The records of ``check_H1_relation`` from ``Fraction`` polynomials:
+    ``apply_H_cleared`` on each lambda-coefficient of ``cauchy_truncation``
+    against its product with (x12 - 1/x12)(x13 - 1/x13); the former body of
+    ``check_H1_relation`` and the oracle for its integer route."""
+    from g2schur.diffops import apply_H_cleared
+
+    cm = cauchy_truncation(table, "-", order)
+    cp = cauchy_truncation(table, "+", order)
+    d1 = (LaurentPoly3.variable(0) - LaurentPoly3.monomial((-1, 0, 0))) * \
+         (LaurentPoly3.variable(1) - LaurentPoly3.monomial((0, -1, 0)))
+    checks = []
+    for n in range(order + 1):
+        kexps = sorted(set(cm.coeffs.get(n, {})) | set(cp.coeffs.get(n, {})))
+        for e in kexps:
+            lhs = apply_H_cleared(1, cm.coefficient(n, e), Fraction(0))
+            rhs = (d1 * cp.coefficient(n, e)).scale(Fraction(e))
+            checks.append({"check": "H1-log-derivative", "lambda_power": n,
+                           "kappa_power": e,
+                           "status": "pass" if lhs == rhs else "fail"})
+            for sign, trunc in (("-", cm), ("+", cp)):
+                poly = trunc.coefficient(n, e)
+                lhs2 = apply_H_cleared(1, poly, Fraction(0))
+                rhs2 = (d1 * poly).scale(Fraction(e * e))
+                checks.append({"check": "second-order-log-derivative",
+                               "sign": sign, "lambda_power": n, "kappa_power": e,
+                               "status": "pass" if lhs2 == rhs2 else "fail"})
+    return checks
+
+
 class TestCauchyTruncation:
     @pytest.mark.parametrize("sign", "+-")
     def test_matches_the_fraction_route(self, table12, sign):
@@ -245,6 +275,36 @@ class TestCauchyTruncation:
     def test_relations(self, table12):
         checks = check_H1_relation(table12, 4)
         assert checks and all(c["status"] == "pass" for c in checks)
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_relations_match_the_fraction_route(self, table12, order):
+        assert check_H1_relation(table12, order) == \
+            fraction_check_H1_relation(table12, order)
+
+    def test_wrong_numerator_fails_its_relations(self, table12, monkeypatch):
+        # one numerator of the (n, j1) = (2, 2) label sum bumped: the six
+        # records of kappa^(+-3) at lambda^2 fail, on both routes
+        real = cauchy._truncation_numerators
+
+        def bumped(table, order):
+            sums = real(table, order)
+            acc, den = sums[2][2]
+            acc = dict(acc)
+            e = next(iter(acc))
+            acc[e] += 1
+            sums[2][2] = acc, den
+            return sums
+
+        monkeypatch.setattr(cauchy, "_truncation_numerators", bumped)
+        checks = check_H1_relation(table12, 4)
+        assert checks == fraction_check_H1_relation(table12, 4)
+        failed = [(c["check"], c.get("sign"), c["lambda_power"], c["kappa_power"])
+                  for c in checks if c["status"] == "fail"]
+        assert sorted(failed) == sorted(
+            (check, sign, 2, e) for e in (-3, 3)
+            for check, sign in (("H1-log-derivative", None),
+                                ("second-order-log-derivative", "-"),
+                                ("second-order-log-derivative", "+")))
 
 
 class TestClosedForms:

@@ -1,11 +1,17 @@
+import contextlib
+import gc
+import io
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from g2schur import kernels
+from g2schur.cli import main
 from g2schur.diffops import homogeneous_component
-from g2schur.kernels import (_monomials, _span_contains, _vector_of,
+from g2schur.kernels import (DegreeImages, _legendre_numerators, _monomials,
+                             _pair_vector_cleared, _span_contains, _vector_of,
                              action_check, common_kernel, kernel_H1,
                              leading_term_check, pair_kernel_vector, pbasis,
                              pbasis_laurent, triple_kernel, verify_kernel)
@@ -42,6 +48,27 @@ def binomial_pbasis_laurent(m, k, l):
                 (0, 0, m - i - j), ci * cj)
             acc = acc + term
     return acc
+
+
+def binomial_pair_vector(pair, n):
+    """The displayed pair vector summed from the binomial-product oracle
+    elements in ``Fraction``: the former body of ``pair_kernel_vector``."""
+    acc = LaurentPoly3.zero()
+    for l in range(n + 1):
+        c = Fraction((2 * l + 1) * math.comb(2 * n, n - l), n + l + 1)
+        if pair == (1, 2) and (n - l) % 2:
+            c = -c
+        acc = acc + binomial_pbasis_laurent(2 * n, l, l).scale(c)
+    return acc
+
+
+def closed_form_legendre_numerators(n):
+    """2^n P_n by the explicit sum over j of (-1)^j C(n, j) C(2n - 2j, n)
+    x^(n - 2j); the integer oracle for the numerators the kernel suite reads."""
+    nums = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        nums[n - 2 * j] = (-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n)
+    return nums, 2 ** n
 
 
 def dense_span_contains(basis, *vecs):
@@ -198,6 +225,152 @@ class TestIntegerRoute:
         assert not exc.value.witness.is_polynomial()
 
 
+class TestImageRoute:
+    """The per-degree integer images against ``HomogeneousOp.apply``."""
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_every_element(self, m):
+        images = DegreeImages(m)
+        ops = {k: homogeneous_component(k, -2) for k in (1, 2, 3)}
+        for k in range(m + 1):
+            for l in range(m - k + 1):
+                nums, den = images.element(k, l)
+                assert LaurentPoly3.from_cleared(nums, den) == \
+                    binomial_pbasis_laurent(m, k, l)
+                for j, op in ops.items():
+                    assert images.apply(j, nums) == \
+                        op.apply(LaurentPoly3(nums)).terms, (m, k, l, j)
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_raised_elements_are_shifted(self, m):
+        # k + l = m + 1: the base element times X23^-1
+        images = DegreeImages(m)
+        for l in range(m // 2 + 1):
+            for k, j in ((l + 1, l), (l, l + 1)):
+                nums, den = images.element(k, j, polynomial=False)
+                assert LaurentPoly3.from_cleared(nums, den) == \
+                    binomial_pbasis_laurent(m, k, j)
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_h1_kernel_basis(self, m):
+        images = DegreeImages(m)
+        for v in kernel_H1(m, images)["kernel"]:
+            for k in (1, 2, 3):
+                assert images.apply(k, v.terms) == \
+                    homogeneous_component(k, -2).apply(v).terms
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3)])
+    def test_displayed_pair_vectors(self, pair, n):
+        images = DegreeImages(2 * n)
+        nums, den = _pair_vector_cleared(pair, images)
+        vec = binomial_pair_vector(pair, n)
+        assert LaurentPoly3.from_cleared(nums, den) == vec == \
+            pair_kernel_vector(pair, n)
+        for k in (1, 2, 3):
+            image = homogeneous_component(k, -2).apply(vec)
+            assert LaurentPoly3.from_cleared(images.apply(k, nums), den) == image
+            assert bool(image) == (n > 0 and k not in pair)
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_legendre_numerators(self, n):
+        nums, den = _legendre_numerators(n)
+        assert [Fraction(c, den) for c in nums] == list(legendre(n).coeffs)
+        ref, ref_den = closed_form_legendre_numerators(n)
+        assert [Fraction(c, den) for c in nums] == \
+            [Fraction(c, ref_den) for c in ref]
+
+    def test_operator_denominator_must_be_one(self, monkeypatch):
+        # the degree -1 components sit over 2; the integer route refuses them
+        assert homogeneous_component(1, -2).denominator == 1
+        assert homogeneous_component(1, -1).denominator == 2
+        monkeypatch.setattr(kernels, "homogeneous_component",
+                            lambda k, m: homogeneous_component(k, -1))
+        with pytest.raises(ValueError, match="not integer"):
+            DegreeImages(2)
+
+    def test_images_belong_to_their_degree(self):
+        with pytest.raises(ValueError, match="degree 3"):
+            kernel_H1(4, DegreeImages(3))
+
+
+def cli_exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+
+class TestMutations:
+    """Each seeded fault fails ``verify_kernel(8)`` and the CLI exits 1."""
+
+    @staticmethod
+    def assert_fails():
+        checks = verify_kernel(8)
+        assert any(c["status"] == "fail" for c in checks)
+        assert cli_exit_code("verify", "kernel", "--order", "8") == 1
+        return checks
+
+    def test_wrong_image_entry(self, monkeypatch):
+        # H1t X12^2 X23^2 with its first entry off by one
+        real = kernels._monomial_image
+
+        def seeded(op, e):
+            img = real(op, e)
+            if op.k == 1 and e == (2, 0, 2):
+                t = next(iter(img))
+                img = {**img, t: img[t] + 1}
+            return img
+
+        monkeypatch.setattr(kernels, "_monomial_image", seeded)
+        checks = self.assert_fails()
+        assert [c["degree"] for c in checks if c["check"] == "falsification"] == [4]
+
+    def test_wrong_x23_shift(self, monkeypatch):
+        # every element two degrees above its base element shifted by 3
+        real = kernels._x23_shift
+        monkeypatch.setattr(kernels, "_x23_shift",
+                            lambda nums, s: real(nums, 3 if s == 2 else s))
+        checks = self.assert_fails()
+        falsified = [c for c in checks if c["check"] == "falsification"]
+        # the kernels of every degree from 2 on, and the formulas on each
+        # P_(m,l,l) with m - 2l = 2
+        assert [c["degree"] for c in falsified if "degree" in c] == list(range(2, 9))
+        assert [(c["m"], c["l"]) for c in falsified if "m" in c] == [
+            (m, (m - 2) // 2) for m in (2, 4, 6, 8)]
+        assert all("leaves the degree space" in c["witness"] for c in falsified)
+
+    def test_wrong_legendre_numerator(self, monkeypatch):
+        # 2 P_2 = 3 x^2 - 1 read as 3 x^2 - 2
+        real = kernels._legendre_numerators
+
+        def seeded(n):
+            nums, den = real(n)
+            return ((nums[0] - 1,) + nums[1:], den) if n == 2 else (nums, den)
+
+        monkeypatch.setattr(kernels, "_legendre_numerators", seeded)
+        checks = self.assert_fails()
+        witnesses = [c for c in checks if c["check"] == "falsification"]
+        assert witnesses[0]["degree"] == 2
+
+
+class TestMemory:
+    def test_only_base_elements_outlive_their_degree(self, monkeypatch):
+        made = []
+        real_init = DegreeImages.__init__
+
+        def tracked(self, m):
+            real_init(self, m)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(DegreeImages, "__init__", tracked)
+        kernels._BASE.clear()
+        checks = verify_kernel(12)
+        gc.collect()
+        assert all(c["status"] == "pass" for c in checks)
+        assert len(made) == 13 and all(ref() is None for ref in made)
+        assert set(kernels._BASE) == {(k, l) for k in range(13)
+                                      for l in range(13 - k)}
+
+
 class TestActionFormulas:
     @pytest.mark.parametrize("m,l", [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1),
                                      (4, 0), (4, 2), (5, 2)])
@@ -281,14 +454,13 @@ class TestTripleKernel:
 class TestVerifyKernel:
     def test_h1_eliminated_once_per_degree(self, monkeypatch):
         # the pair and triple kernels reuse the kernel kernel_H1 verified
-        h1 = homogeneous_component(1, -2)
         real = kernels._kernel_on
         degrees = []
 
-        def counted(ops, polys):
-            if ops == [h1]:
-                degrees.append(sum(next(iter(polys[0].terms))))
-            return real(ops, polys)
+        def counted(images, ks, polys):
+            if 1 in ks:
+                degrees.append(images.degree)
+            return real(images, ks, polys)
 
         monkeypatch.setattr(kernels, "_kernel_on", counted)
         checks = verify_kernel(12)

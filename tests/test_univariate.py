@@ -101,7 +101,29 @@ def test_ratfun_field_axioms(a, b, c, d):
         assert (x / y) * y == x
 
 
+def recurrence_legendre(k):
+    """P_k by the three-term recurrence (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1};
+    the former body of ``legendre`` and the oracle for its closed form."""
+    p_prev = DensePoly1.constant(1)
+    if k == 0:
+        return p_prev
+    p_cur = DensePoly1([0, 1])
+    for n in range(1, k):
+        shifted = DensePoly1((0,) + p_cur.coeffs)
+        p_next = (shifted.scale(2 * n + 1) - p_prev.scale(n)).scale(Fraction(1, n + 1))
+        p_prev, p_cur = p_cur, p_next
+    return p_cur
+
+
 class TestLegendre:
+    def test_matches_the_recurrence(self):
+        for k in range(41):
+            assert legendre(k) == recurrence_legendre(k), k
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            legendre(-1)
+
     def test_first_three(self):
         assert legendre(0) == poly(1)
         assert legendre(1) == poly(0, 1)
