@@ -48,14 +48,18 @@ class RunConfig:
     json_out: bool = False
 
 
-def _load_or_build(cfg: RunConfig) -> SchurTable:
+def _load_or_build(cfg: RunConfig) -> tuple[SchurTable, str]:
+    """The table of ``--table``, or one solved through ``--max-level``, and
+    its checksum: the SHA-256 of the file read, which is the canonical text
+    of a loaded table, or of the canonical text of the table built."""
     if cfg.table_path:
         table = SchurTable.load(cfg.table_path)
         if table.max_level < cfg.max_level:
             raise TableError(
                 f"table level {table.max_level} below requested {cfg.max_level}")
-        return table
-    return solve_table(cfg.max_level)
+        return table, table.file_checksum
+    table = solve_table(cfg.max_level)
+    return table, table.checksum()
 
 
 def _emit(report: Report, cfg: RunConfig) -> None:
@@ -85,11 +89,10 @@ def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     if not cfg.table_path:
         raise TableError("roundtrip requires --table")
     with Stopwatch() as sw:
-        with open(cfg.table_path, "r", encoding="utf-8") as fh:
-            original = fh.read()
         table = SchurTable.load(cfg.table_path)
         text = table.canonical_json()
-        ok = text == original
+        with open(cfg.table_path, "r", encoding="utf-8") as fh:
+            ok = text == fh.read()
     report = Report(
         suite="roundtrip",
         config={"table": cfg.table_path},
@@ -145,8 +148,7 @@ def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
     with Stopwatch() as sw:
         table = None
         if suite != "kernel":
-            table = _load_or_build(cfg)
-            report.table_checksum = table.checksum()
+            table, report.table_checksum = _load_or_build(cfg)
         # a suite records its own failures; this catches the ones that stop
         # it early, such as a kernel product basis element that is not a
         # polynomial
@@ -164,13 +166,13 @@ def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
     from .conjecture import conjecture_check
     from .expansion import ExpansionSet
     with Stopwatch() as sw:
-        table = _load_or_build(cfg)
+        table, checksum = _load_or_build(cfg)
         result = conjecture_check(cfg.copies, cfg.order, ExpansionSet(table, cfg.order))
     report = Report(
         suite="conjecture",
         config={"copies": cfg.copies, "order": cfg.order,
                 "max_level": cfg.max_level, "table": cfg.table_path},
-        table_checksum=table.checksum(),
+        table_checksum=checksum,
         checks=[],
         elapsed_ms=sw.elapsed_ms,
         extra={"conjecture": result.serialize()},

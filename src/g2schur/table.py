@@ -25,17 +25,24 @@ leading-term and S3 checks compare numerators and denominators, and a nonzero
 residual comes back as the exact Laurent polynomial.  The ``Fraction``
 Laurent polynomial of an entry is built on demand, by ``entry`` or through
 the ``entries`` mapping, which keeps what it builds and clears what is
-assigned to it.  The table file is the ``json.dumps(..., indent=1)`` layout
-of the entries; the ``json.dumps`` route is the test oracle for
-``canonical_json``.
+assigned to it.
+
+The table file is the ``json.dumps(..., indent=1)`` layout of the entries,
+and ``canonical_json`` writes it directly, one template per entry and per
+term.  ``load`` reads the file once and accepts that one layout and no other
+JSON text (the reader is ``tablefile.read_table``), so a text it accepts is
+byte for byte the ``canonical_json()`` of the table it yields, and the
+SHA-256 of the file's bytes is the table's checksum.  The ``json.load``
+route is the test oracle of the reader and the ``json.dumps`` route that of
+the writer; ``roundtrip`` renders a loaded table and compares the bytes, the
+cross-check of one against the other.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .laurent import Exp, LaurentPoly3
 
@@ -254,15 +261,16 @@ _TERM = ('    {\n     "exp": [\n      %d,\n      %d,\n      %d\n     ],\n'
          '     "coeff": "%s"\n    }')
 
 
-def text_checksum(text: str) -> str:
-    """SHA-256 of a table file text, the ``table_checksum`` of the reports.
+def text_checksum(text: str | bytes) -> str:
+    """SHA-256 of a table file text or of its bytes, the ``table_checksum``
+    of the reports.
 
     ``hashlib`` maps the OpenSSL library (about 3.5 MB resident), so it is
     imported here, by the commands that hash a table, and not by ``omega``
     or ``verify kernel``.
     """
     import hashlib
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
 
 
 class EntryView(MutableMapping):
@@ -308,6 +316,9 @@ class SchurTable:
     def __init__(self, max_level: int,
                  entries: Mapping[Triple, LaurentPoly3] | None = None):
         self.max_level = max_level
+        #: SHA-256 of the file ``load`` read the table from, else None; it is
+        #: ``checksum()`` of the table as loaded
+        self.file_checksum: str | None = None
         self._forms: dict[Triple, Cleared] = {}
         self.entries = EntryView(self._forms)
         if entries:
@@ -377,95 +388,34 @@ class SchurTable:
     def load(path) -> "SchurTable":
         """Read and check a table file; the file is not trusted.
 
-        Every coefficient must be the canonical text of a nonzero rational,
-        ``str(p)`` or ``"p/q"`` with q > 1 coprime to p, and every entry must
-        take the value 1 at x12 = x13 = x23 = 1.  The integer form of each
-        entry is read from those texts; no ``Fraction`` is built.
+        The text must be the layout ``canonical_json`` writes, byte for byte
+        (any other JSON text of the same payload is rejected, naming the
+        line where it departs): entries with strictly increasing triples,
+        each admissible and within ``max_level``, and within each entry
+        terms with strictly increasing exponents.  Every coefficient must be
+        the canonical text of a nonzero rational, ``str(p)`` or ``"p/q"``
+        with q > 1 coprime to p, the table must hold every triple through
+        ``max_level``, entry (0,0,0) must be the constant 1 and every entry
+        must take the value 1 at x12 = x13 = x23 = 1.  The integer form of
+        each entry is read from the coefficient texts; no ``Fraction`` is
+        built.  The text is then the ``canonical_json()`` of the table
+        returned, and ``file_checksum`` holds the SHA-256 of the file.
         """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            text = data.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise TableError(f"unreadable table file: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise TableError("table file does not hold a JSON object")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise TableError(
-                f"format version mismatch: expected {FORMAT_VERSION}, "
-                f"got {payload.get('format_version')!r}")
-        max_level = payload.get("max_level")
-        if type(max_level) is not int or max_level < 0 or max_level % 2:
-            raise TableError(f"invalid max_level: {max_level!r}")
-        table = SchurTable(max_level)
-        forms = table._forms
-        # coefficient text -> (p, q); a table repeats few distinct texts
-        parsed: dict[str, tuple[int, int]] = {}
-        # a record, "poly" list or term of the wrong shape is a TableError too
+        checksum = text_checksum(data)
+        del data  # not needed past the hash; freed before the parse
+        from .tablefile import read_table  # compiled by the first load
         try:
-            for rec in payload.get("entries", []):
-                t = tuple(rec["triple"])
-                if len(t) != 3 or not all(type(v) is int for v in t):
-                    raise TableError(f"malformed triple {rec['triple']!r}")
-                if not is_admissible(*t):
-                    raise TableError(f"non-admissible triple {t} in table file")
-                if sum(t) > max_level:
-                    raise TableError(
-                        f"triple {t} beyond declared max_level {max_level}")
-                if t in forms:
-                    raise TableError(f"duplicate triple {t}")
-                terms: dict[Exp, tuple[int, int]] = {}
-                for term in rec["poly"]:
-                    e = tuple(term["exp"])
-                    if len(e) != 3 or not (type(e[0]) is type(e[1]) is type(e[2]) is int):
-                        raise TableError(f"malformed exponent {term['exp']!r}")
-                    text = term["coeff"]
-                    pq = parsed.get(text) if type(text) is str else _parse_coeff(text)
-                    if pq is None:
-                        pq = parsed[text] = _parse_coeff(text)
-                    if not pq[0]:
-                        raise TableError(f"stored zero coefficient at {t}, {e}")
-                    if e in terms:
-                        raise TableError(f"duplicate exponent {e} in entry {t}")
-                    terms[e] = pq
-                den = lcm(*[q for _, q in terms.values()])
-                forms[t] = {e: p * (den // q) for e, (p, q) in terms.items()}, den
-        except (KeyError, TypeError) as exc:
-            raise TableError(f"malformed entry record: {exc!r}") from None
-        # every entry is an admissible label within max_level and none repeats,
-        # so the table is complete exactly when it holds all C(max_level/2 + 3, 3)
-        # labels; counting first keeps the work bounded by the file, not by the
-        # level it declares
-        missing = comb(max_level // 2 + 3, 3) - len(forms)
-        if missing:
-            first = next(t for level in range(0, max_level + 1, 2)
-                         for t in enumerate_level(level) if t not in forms)
-            raise TableError(f"incomplete table: missing {first} "
-                             f"and {missing - 1} more")
-        if forms[(0, 0, 0)] != ({(0, 0, 0): 1}, 1):
-            raise TableError("entry (0,0,0) is not the constant 1")
-        for t, (nums, den) in forms.items():
-            if sum(nums.values()) != den:
-                raise TableError(f"entry {t} does not evaluate to 1 at (1,1,1)")
+            table = read_table(text)
+        except ValueError as exc:  # an integer text beyond int()'s digit limit
+            raise TableError(f"unreadable table file: {exc}") from None
+        table.file_checksum = checksum
         return table
-
-
-def _parse_coeff(text) -> tuple[int, int]:
-    """``(p, q)`` of a coefficient text, which must read exactly as
-    ``str(Fraction(p, q))``: ``str(p)``, or ``"p/q"`` with q > 1 coprime to p.
-
-    Any other text that ``Fraction`` or ``int`` would accept (``"2/4"``,
-    ``"1/1"``, ``"+1/2"``, ``" 1/2"``, ``"1_0/20"``, ``"0.5"``) raises
-    ``TableError``.
-    """
-    try:
-        num, slash, den = text.partition("/")
-        p = int(num)
-        q = int(den) if slash else 1
-    except (AttributeError, ValueError):
-        raise TableError(f"malformed rational {text!r}") from None
-    if str(p) != num or slash and (q < 2 or str(q) != den or gcd(p, q) != 1):
-        raise TableError(f"malformed rational {text!r}")
-    return p, q
 
 
 def solve_table(max_level: int) -> SchurTable:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2schur import cauchy, expansion, kernels
+from g2schur import table as table_module
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import exponents_upto
@@ -102,9 +103,10 @@ class TestTableCommand:
         for rec in payload["entries"]:
             if rec["triple"] == [1, 1, 0]:
                 rec["poly"][0]["coeff"] = "1/3"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         # value-at-ones validation rejects the edit at load time
         assert main(["roundtrip", "--table", str(path)]) == 2
+        assert "entry (1, 1, 0) does not evaluate to 1" in capsys.readouterr().err
 
     def test_noncanonical_coefficient_is_operational_error(self, tmp_path, capsys):
         # "2/4" has the right value but is not the canonical text of 1/2
@@ -123,7 +125,7 @@ class TestTableCommand:
         node = rec["triple"] if where == "triple" else next(
             term["exp"] for term in rec["poly"] if 1 in term["exp"])
         node[node.index(1)] = True
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, indent=1) + "\n")
         assert main(["verify", "pieri", "--max-level", "4", "--table", str(path)]) == 2
 
     @pytest.mark.parametrize("edit", [
@@ -134,9 +136,37 @@ class TestTableCommand:
     def test_wrong_shape_is_operational_error(self, tmp_path, capsys, edit):
         path = tmp_path / "t.json"
         run(capsys, "table", "--max-level", "4", "--out", str(path))
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        path.write_text(json.dumps(edit(json.loads(path.read_text())), indent=1) + "\n")
         assert main(["roundtrip", "--table", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: json.dumps(json.loads(text)),
+        lambda text: json.dumps(json.loads(text), indent=2) + "\n",
+        lambda text: json.dumps({**json.loads(text), "comment": ""}, indent=1) + "\n",
+        lambda text: text.replace(' "max_level": 4,\n', ' "max_level": 2,\n "max_level": 4,\n'),
+    ], ids=["compact", "re-indented", "extra-key", "duplicate-key"])
+    def test_other_json_layouts_are_operational_errors(self, tmp_path, capsys, edit):
+        # the same payload in another JSON text is not a table file
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        text = edit(path.read_text())
+        assert json.loads(text)["max_level"] == 4
+        path.write_text(text)
+        for argv in (["roundtrip"], ["verify", "pieri", "--max-level", "4"]):
+            assert main([*argv, "--table", str(path)]) == 2
+            assert "departs from the canonical layout" in capsys.readouterr().err
+
+    def test_roundtrip_fails_when_the_writer_departs(self, tmp_path, capsys, monkeypatch):
+        # the reader accepts the file; the writer, seeded with one extra
+        # space per term, no longer reproduces it
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        monkeypatch.setattr(table_module, "_TERM",
+                            table_module._TERM.replace('"coeff": ', '"coeff":  '))
+        code, report = run(capsys, "roundtrip", "--table", str(path))
+        assert code == 2
+        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
 
 
 class TestVerifyCommands:
@@ -612,7 +642,7 @@ class TestMalformedTableFiles:
             value = data.draw(JSON_VALUES) if kind == "retype" else None
             doc = _mutate(doc, path, kind, value)
         mutated = canonical.with_name("mutated.json")
-        mutated.write_text(json.dumps(doc))
+        mutated.write_text(json.dumps(doc, indent=1) + "\n")
         for argv in (["roundtrip"], ["verify", "pieri", "--max-level", "4"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \

@@ -63,6 +63,13 @@ def test_conjecture_command_loads_no_kernel_suite():
     assert not loaded & {"g2schur.kernels", "g2schur.linalg"}
 
 
+def test_table_reader_is_imported_by_the_first_load(tmp_path):
+    path = str(tmp_path / "t.json")
+    assert "g2schur.tablefile" not in after_command("verify", "kernel", "--order", "2")
+    assert "g2schur.tablefile" not in after_command("table", "--max-level", "2", "--out", path)
+    assert "g2schur.tablefile" in after_command("roundtrip", "--table", path)
+
+
 def test_package_import_loads_no_submodule():
     assert loaded_modules("import g2schur") == {"g2schur"}
 

@@ -1,7 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2schur.cauchy import verify_specialized
 from g2schur.diffops import verify_eigen
@@ -12,6 +16,7 @@ from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
                            enumerate_through, is_admissible, leading_term,
                            pieri_coeff, s3_check, solve_entry, solve_table,
                            verify_pieri)
+from g2schur.tablefile import _parse_coeff
 
 
 def fraction_pieri_residual(table, eq, base):
@@ -69,6 +74,26 @@ def json_dumps_table(table):
         ],
     }
     return json.dumps(payload, indent=1) + "\n"
+
+
+def json_load_table(path):
+    """The table of a file through ``json.load`` and a walk of its records.
+
+    The former body of ``SchurTable.load``, without its checks of the
+    values; the oracle for the layout reader.  It accepts any JSON layout of
+    the payload.
+    """
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["format_version"] == FORMAT_VERSION
+    table = SchurTable(payload["max_level"])
+    for rec in payload["entries"]:
+        terms = {tuple(term["exp"]): _parse_coeff(term["coeff"])
+                 for term in rec["poly"]}
+        den = lcm(*[q for _, q in terms.values()])
+        table._forms[tuple(rec["triple"])] = (
+            {e: p * (den // q) for e, (p, q) in terms.items()}, den)
+    return table
 
 
 def perturbed(table):
@@ -313,7 +338,7 @@ class TestPersistence:
         for term in rec["poly"]:
             term["coeff"] = str(2 * Fraction(term["coeff"]))
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match=r"entry \(1, 2, 1\) does not evaluate to 1"):
             SchurTable.load(path)
 
@@ -325,7 +350,7 @@ class TestPersistence:
         payload["entries"].append(
             {"triple": [1, 1, 1], "poly": [{"exp": [0, 0, 0], "coeff": "1"}]})
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match="non-admissible"):
             SchurTable.load(path)
 
@@ -334,7 +359,7 @@ class TestPersistence:
         payload["entries"] = [
             rec for rec in payload["entries"] if rec["triple"] != [0, 0, 0]]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match="incomplete"):
             SchurTable.load(path)
 
@@ -343,7 +368,7 @@ class TestPersistence:
         payload = self._payload(table4)
         payload["max_level"] = 10 ** 9
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match=r"missing \(0, 3, 3\)"):
             SchurTable.load(path)
 
@@ -351,7 +376,7 @@ class TestPersistence:
         payload = self._payload(table4)
         payload["entries"][0]["poly"][0]["coeff"] = "1/0"
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match="malformed rational"):
             SchurTable.load(path)
 
@@ -360,21 +385,23 @@ class TestPersistence:
         ((1, 1, 0), "+1/2"), ((1, 1, 0), " 1/2"), ((1, 1, 0), "1_0/20"),
         ((0, 0, 0), "1/1"), ((0, 0, 0), 1)])
     def test_rejects_noncanonical_rational(self, table4, tmp_path, triple, coeff):
-        # each text denotes the stored value, so only its form is at fault
+        # each text denotes the stored value, so only its form is at fault;
+        # an unquoted number is not a coefficient text of the layout at all
         payload = self._payload(table4)
         (rec,) = [r for r in payload["entries"] if tuple(r["triple"]) == triple]
         assert Fraction(rec["poly"][0]["coeff"]) == Fraction(coeff)
         rec["poly"][0]["coeff"] = coeff
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TableError, match="malformed rational"):
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        match = "malformed rational" if isinstance(coeff, str) else "canonical layout"
+        with pytest.raises(TableError, match=match):
             SchurTable.load(path)
 
     def test_rejects_version_mismatch(self, table4, tmp_path):
         payload = self._payload(table4)
         payload["format_version"] = 99
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         with pytest.raises(TableError, match="version"):
             SchurTable.load(path)
 
@@ -383,3 +410,117 @@ class TestPersistence:
         path.write_text(table4.canonical_json()[:40])
         with pytest.raises(TableError, match="unreadable"):
             SchurTable.load(path)
+
+    def test_rejects_non_utf8_file(self, table4, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(table4.canonical_json().encode().replace(b"1/2", b"1/2\xe9", 1))
+        with pytest.raises(TableError, match="unreadable table file"):
+            SchurTable.load(path)
+
+    def test_rejects_duplicate_and_unordered_records(self, table4, tmp_path):
+        # the layout holds each record once, in increasing order
+        path = tmp_path / "bad.json"
+        payload = self._payload(table4)
+        for edit, match in [
+                (lambda entries: entries.insert(1, entries[1]),
+                 r"duplicate triple \(0, 1, 1\)"),
+                (lambda entries: entries.reverse(),
+                 r"triples out of order: \(2, 1, 1\) after \(2, 2, 0\)"),
+                (lambda entries: entries[-1]["poly"].insert(1, entries[-1]["poly"][0]),
+                 r"duplicate exponent \(-2, 0, 0\) in entry \(2, 2, 0\)"),
+                (lambda entries: entries[-1]["poly"].reverse(),
+                 r"exponents out of order in entry \(2, 2, 0\): \(0, 0, 0\) after \(2, 0, 0\)")]:
+            entries = json.loads(table4.canonical_json())["entries"]
+            edit(entries)
+            payload["entries"] = entries
+            path.write_text(json.dumps(payload, indent=1) + "\n")
+            with pytest.raises(TableError, match=match):
+                SchurTable.load(path)
+
+    @pytest.mark.parametrize("old, new, match", [
+        ('"coeff": "1/2"', '"coeff": "0"', "stored zero coefficient"),
+        ('"max_level": 4', '"max_level": -4', "invalid max_level: -4"),
+        ('"max_level": 4', '"max_level": 1' + "0" * 5000, "unreadable table file"),
+    ], ids=["zero-coeff", "negative-level", "level-beyond-int-digit-limit"])
+    def test_rejects_values_that_fit_the_layout(self, table4, tmp_path, old, new, match):
+        path = tmp_path / "bad.json"
+        path.write_text(table4.canonical_json().replace(old, new, 1))
+        with pytest.raises(TableError, match=match):
+            SchurTable.load(path)
+
+
+class TestLayoutReader:
+    """``SchurTable.load`` reads the one layout ``canonical_json`` writes."""
+
+    @pytest.mark.parametrize("level", range(0, 13, 2))
+    def test_matches_json_oracle(self, level, tmp_path):
+        path = tmp_path / "t.json"
+        table = solve_table(level)
+        table.save(path)
+        loaded = SchurTable.load(path)
+        assert loaded == json_load_table(path) == table
+        assert not loaded.entries._polys
+
+    def test_file_checksum_is_the_sha256_of_the_file(self, table12, tmp_path):
+        path = tmp_path / "t.json"
+        table12.save(path)
+        loaded = SchurTable.load(path)
+        assert loaded.file_checksum == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert loaded.file_checksum == table12.checksum() == loaded.checksum()
+        assert table12.file_checksum is None
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda text: json.dumps(json.loads(text)), 1),
+        (lambda text: json.dumps(json.loads(text), indent=2) + "\n", 2),
+        (lambda text: text.replace('"coeff": "1"', '"coeff": 1', 1), 18),
+        (lambda text: text.replace(' "max_level": 4,\n', ' "max_level": 4,\n "max_level": 4,\n'), 4),
+        (lambda text: text.replace('\n   "poly"', '\n   "note": "",\n   "poly"', 1), 11),
+        (lambda text: text.replace('"1/2"', '"\\u0031/2"', 1), 35),
+        (lambda text: text.replace("\n", "\r\n"), 1),
+        (lambda text: text.replace("    0,\n", "    00,\n", 1), 7),
+        (lambda text: text.replace("      0,\n", "      -0,\n", 1), 14),
+        (lambda text: text[:-1], 368),
+        (lambda text: text + "\n", 369),
+        (lambda text: text[:40], 3),
+        (lambda text: text[:41], 4),
+        (lambda text: "", 1),
+    ], ids=["compact", "indent-2", "unquoted-coeff", "duplicate-key", "extra-key",
+            "escape", "crlf", "leading-zero", "minus-zero", "no-final-newline",
+            "trailing-line", "cut-line", "cut-after-line", "empty"])
+    def test_departure_names_its_line(self, table4, tmp_path, edit, line):
+        path = tmp_path / "bad.json"
+        path.write_text(edit(table4.canonical_json()), newline="")
+        with pytest.raises(TableError, match=rf"^unreadable table file: line {line} "
+                                             "departs from the canonical layout"):
+            SchurTable.load(path)
+
+    @pytest.fixture(scope="class")
+    def canonical4(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("canonical") / "t4.json"
+        solve_table(4).save(path)
+        return path
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_single_character_edits(self, canonical4, data):
+        # an edit is rejected, or the edited text is the canonical text of the
+        # table it loads as, and its hash the table's checksum
+        text = canonical4.read_text()
+        pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+        kind = data.draw(st.sampled_from(["delete", "insert", "replace"]), label="kind")
+        char = data.draw(st.sampled_from(list("0123456789 \"\n-/,")), label="char")
+        edited = (text[:pos] + (char if kind != "delete" else "")
+                  + text[pos + (kind != "insert"):])
+        path = canonical4.with_name("edited.json")
+        path.write_text(edited, newline="")
+        try:
+            table = SchurTable.load(path)
+        except TableError as exc:
+            if "canonical layout" in str(exc):
+                # the departure is on the edited line or, if that still reads
+                # as a line of the layout, the one after it
+                line = text.count("\n", 0, pos) + 1
+                assert f"line {line} " in str(exc) or f"line {line + 1} " in str(exc)
+            return
+        assert table.canonical_json() == edited
+        assert table.file_checksum == table.checksum()
