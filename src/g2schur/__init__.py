@@ -28,8 +28,8 @@ _EXPORTS = {name: module for module, names in (
         verify_eigen verify_recursion_by_components"""),
     ("epsilon", "EpsLaurent"),
     ("expansion", "CoeffFamily ExpansionSet expand_entry verify_series"),
-    ("kernels", """action_check common_kernel kernel_H1 leading_term_check
-        pair_kernel_vector pbasis triple_kernel verify_kernel"""),
+    ("kernels", """DegreeImages action_check common_kernel kernel_H1
+        leading_term_check triple_kernel verify_kernel"""),
     ("laurent", "LaurentPoly3 x_plus_inv"),
     ("series", "SingularSeriesError TruncSeries3"),
     ("table", """FalsificationError SchurTable TableError enumerate_level

@@ -307,7 +307,7 @@ def homogeneous_component(k: int, m: int) -> HomogeneousOp:
     return HomogeneousOp(k, m, terms)
 
 
-def verify_recursion_by_components(table: SchurTable, L: int,
+def verify_recursion_by_components(L: int,
                                    expansions: dict[Triple, TruncSeries3]) -> list[dict]:
     """Degree-by-degree eigen check on expansions around x = 1.
 

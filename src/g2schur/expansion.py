@@ -352,5 +352,5 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     expansions = {t: es.expansion(t) for t in triples if sum(t) <= comp_level}
     L = min(order, 4) - 2
     if L >= 0:
-        checks.extend(verify_recursion_by_components(table, L, expansions))
+        checks.extend(verify_recursion_by_components(L, expansions))
     return checks

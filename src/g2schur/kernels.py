@@ -22,14 +22,15 @@ kernel of H1t and H2t v = 0.  Every nullspace is computed by exact sparse
 fraction-free Gauss-Jordan elimination on integer rows (``linalg.rref``);
 the product basis route serves as the independent cross-check.
 
-``verify_kernel`` works one degree at a time on a ``DegreeImages``: the
-integer image of each degree-m monomial under each degree -2 component,
-computed on first use as ``op.apply(x^e).terms`` (the components have
-integer coefficients, and an image has at most three terms), and the
+``DegreeImages`` is the one context of a degree: ``verify_kernel`` makes one
+per degree and every stage takes it and reads its degree from it.  It holds
+the integer image of each degree-m monomial under each degree -2
+component, computed on first use as ``op.apply(x^e).terms`` (the components
+have integer coefficients, and an image has at most three terms), and the
 Legendre numerators of P_0 .. P_(m+1), read once.  Every other application
 of an operator at that degree is a sparse integer combination
-sum n_e image[e]: the H1t monomial matrix, the diagonalization of every
-P_(m,k,l), the other operators on the H1t kernel, the displayed pair vectors
+sum n_e image[e]: the H1t monomial matrix, the diagonalization of the base
+elements, the other operators on the H1t kernel, the displayed pair vectors
 and the action and leading-term formulas.  ``kernel_H1`` eliminates H1t once
 per degree and returns the kernel it has matched against the diagonal
 elements; ``common_kernel`` and ``triple_kernel`` take the other operators
@@ -41,7 +42,11 @@ numerators of each base element P_(k+l,k,l) are summed once from
 binomial-pair coefficients over the common denominator of its two Legendre
 factors and kept per (k, l), together with the Legendre numerators they were
 summed from; each degree only shifts the X23 exponent.  The raised indices
-of the action formula (k + l = m + 1) shift by -1 and are Laurent.
+of the action formula (k + l = m + 1) shift by -1 and are Laurent.  H1t has
+no X23-derivative term (``kernel_H1`` asserts it), so it commutes with
+multiplying by X23 and each shifted element inherits the eigenvalue
+equation of its base element: degree m checks the diagonalization only on
+its m + 1 base elements P_(m,k,m-k).
 
 The kernel suite works on integer numerators, in the integer form of
 ``table.py`` and ``klocal.py``.  ``kernel_H1`` never divides by a basis
@@ -138,39 +143,6 @@ def _x23_shift(terms: tuple[int, ...], s: int) -> Terms:
     return {(a, b, z + s): n for a, b, z, n in zip(it, it, it, it)}
 
 
-def _pbasis_cleared(m: int, k: int, l: int, pk: tuple, pl: tuple,
-                    polynomial: bool = True) -> tuple[Terms, int]:
-    """P_(m,k,l) = X23^(m-k-l) P_(k+l,k,l) as (nums, den), from the Legendre
-    numerators of P_k and P_l.
-
-    With ``polynomial`` set, an element with a negative power of X23 raises
-    ``FalsificationError`` with the element as witness.
-    """
-    terms, den, zmin = _base_element(k, l, pk, pl)
-    s = m - k - l
-    shifted = _x23_shift(terms, s)
-    if polynomial and zmin + s < 0:
-        raise FalsificationError(
-            f"product basis element ({m},{k},{l}) failed to be polynomial",
-            witness=LaurentPoly3.from_cleared(shifted, den))
-    return shifted, den
-
-
-def pbasis_laurent(m: int, k: int, l: int) -> LaurentPoly3:
-    """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23), Laurent in general."""
-    return LaurentPoly3.from_cleared(*_pbasis_cleared(
-        m, k, l, _legendre_numerators(k), _legendre_numerators(l),
-        polynomial=False))
-
-
-def pbasis(m: int, k: int, l: int) -> LaurentPoly3:
-    """Product-basis element P_{m,k,l}, k + l <= m."""
-    if k + l > m:
-        raise ValueError("need k + l <= m")
-    return LaurentPoly3.from_cleared(*_pbasis_cleared(
-        m, k, l, _legendre_numerators(k), _legendre_numerators(l)))
-
-
 def _monomials(m: int) -> list[Exp]:
     return sorted(
         (a, b, m - a - b) for a in range(m + 1) for b in range(m - a + 1))
@@ -184,6 +156,9 @@ def _monomial_image(op: HomogeneousOp, e: Exp) -> Terms:
 class DegreeImages:
     """The operator images and the product basis of one degree m.
 
+    The one context of a degree: every stage of the kernel suite takes it
+    and reads its degree from ``degree``.  ``ops`` holds the degree -2
+    components H_1t, H_2t, H_3t, which must have integer coefficients.
     ``apply(k, nums)`` is H_k^(-2) on the integer polynomial ``nums`` as the
     combination sum nums[e] image[e]; the image of each monomial is computed
     on its first use and kept for this degree only.  ``legendre`` holds the
@@ -195,8 +170,8 @@ class DegreeImages:
         self.degree = m
         self.monomials = _monomials(m)
         self.legendre = [_legendre_numerators(n) for n in range(m + 2)]
-        self._ops = {k: homogeneous_component(k, -2) for k in (1, 2, 3)}
-        for k, op in self._ops.items():
+        self.ops = {k: homogeneous_component(k, -2) for k in (1, 2, 3)}
+        for k, op in self.ops.items():
             if op.denominator != 1:
                 raise ValueError(f"H{k} degree -2 component is not integer")
         self._images: dict[int, dict[Exp, Terms]] = {1: {}, 2: {}, 3: {}}
@@ -217,23 +192,31 @@ class DegreeImages:
                 if sum(e) != self.degree:
                     raise FalsificationError(
                         f"polynomial leaves the degree space: {[e]}")
-                img = images[e] = _monomial_image(self._ops[k], e)
+                img = images[e] = _monomial_image(self.ops[k], e)
             for t, v in img.items():
                 acc[t] = get(t, 0) + n * v
         return {t: v for t, v in acc.items() if v}
 
     def element(self, k: int, l: int, polynomial: bool = True) -> tuple[Terms, int]:
-        """P_(m,k,l) as (nums, den); see ``_pbasis_cleared``."""
-        legs = self.legendre
-        return _pbasis_cleared(self.degree, k, l, legs[k], legs[l], polynomial)
+        """P_(m,k,l) = X23^(m-k-l) P_(k+l,k,l) as (nums, den).
 
-
-def _degree_images(m: int, images: DegreeImages | None) -> DegreeImages:
-    if images is None:
-        return DegreeImages(m)
-    if images.degree != m:
-        raise ValueError(f"images of degree {images.degree}, need {m}")
-    return images
+        With ``polynomial`` set the element must lie in the basis (k + l <= m,
+        else ``ValueError``) and one with a negative power of X23 raises
+        ``FalsificationError`` with the element as witness.  Without it the
+        element is Laurent in general, as the raised indices of
+        ``action_check`` are.
+        """
+        m = self.degree
+        if polynomial and k + l > m:
+            raise ValueError("need k + l <= m")
+        terms, den, zmin = _base_element(k, l, self.legendre[k], self.legendre[l])
+        s = m - k - l
+        shifted = _x23_shift(terms, s)
+        if polynomial and zmin + s < 0:
+            raise FalsificationError(
+                f"product basis element ({m},{k},{l}) failed to be polynomial",
+                witness=LaurentPoly3.from_cleared(shifted, den))
+        return shifted, den
 
 
 def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
@@ -280,20 +263,27 @@ def _span_contains(basis: list[list], *vecs: list) -> bool:
     return len(rref([*basis, *vecs])[0]) == len(rref(basis)[0])
 
 
-def kernel_H1(m: int, images: DegreeImages | None = None) -> dict:
-    """Exact kernel of the first graded operator at degree m, both routes.
+def kernel_H1(images: DegreeImages) -> list[LaurentPoly3]:
+    """Exact kernel of the first graded operator at the degree m of
+    ``images``, both routes; returns the verified nullspace basis, with
+    integer coefficients.
 
     Computes the monomial-basis nullspace, asserts it matches the span of the
-    diagonal product-basis elements, and verifies the diagonalization of
-    X12 X13 H1t on every P_{m,k,l} with eigenvalue l(l+1) - k(k+1).  All of
-    it runs on integers, through the images of degree m (``images``, made
-    here if not given): the monomials have coefficient 1, and each basis
-    element enters as its numerators over its common denominator, which
-    changes neither its span nor its eigenvalue equation.  The verified
-    nullspace basis, with integer coefficients, is returned under
-    ``"kernel"``.
+    diagonal product-basis elements P_(m,l,l), and verifies the
+    diagonalization of X12 X13 H1t with eigenvalue l(l+1) - k(k+1) on the
+    base elements P_(m,k,m-k).  That covers every P_(m,k,l): it is
+    X23^(m-k-l) P_(k+l,k,l), and multiplying by X23 commutes with H1t, which
+    is asserted first to have no X23-derivative term.  All of it runs on
+    integers: the monomials have coefficient 1, and each basis element
+    enters as its numerators over its common denominator, which changes
+    neither its span nor its eigenvalue equation.
     """
-    images = _degree_images(m, images)
+    m = images.degree
+    for coeff, deriv in images.ops[1].terms:
+        if deriv[2]:
+            raise FalsificationError(
+                f"H1t term {coeff!r} * d^{list(deriv)} differentiates X23",
+                witness=coeff)
     monomials = images.monomials
     null = _kernel_on(images, (1,), [LaurentPoly3({e: 1}) for e in monomials])
     claimed = [images.element(l, l)[0] for l in range(m // 2 + 1)]
@@ -302,32 +292,28 @@ def kernel_H1(m: int, images: DegreeImages | None = None) -> dict:
             f"kernel dimension at degree {m}: got {len(null)}, "
             f"expected {m // 2 + 1}")
     # equal dimension and null within span(claimed) make the spans equal, so
-    # every claimed element is annihilated; the k = l passes below apply H1t
-    # to each of them once more
+    # every claimed element is annihilated; for even m the pass k = m/2 below
+    # applies H1t to P_(m,m/2,m/2) once more
     claimed_rows = [_vector_of(LaurentPoly3(v), monomials) for v in claimed]
     if not _span_contains(claimed_rows, *[_vector_of(v, monomials) for v in null]):
         raise FalsificationError(
             f"computed kernel vector outside the claimed span at degree {m}")
     for k in range(m + 1):
-        for l in range(m - k + 1):
-            p = claimed[l] if k == l else images.element(k, l)[0]
-            ev = l * (l + 1) - k * (k + 1)
-            # X12 X13 H1t p = ev p, read one X12 X13 lower
-            expect = {(a - 1, b - 1, c): ev * n
-                      for (a, b, c), n in p.items()} if ev else {}
-            if images.apply(1, p) != expect:
-                raise FalsificationError(
-                    f"diagonalization failed on P_({m},{k},{l})")
-    return {
-        "degree": m,
-        "dim": len(null),
-        "basis": [f"P_({m},{l},{l})" for l in range(m // 2 + 1)],
-        "kernel": null,
-    }
+        l = m - k
+        p = claimed[l] if k == l else images.element(k, l)[0]
+        ev = l * (l + 1) - k * (k + 1)
+        # X12 X13 H1t p = ev p, read one X12 X13 lower
+        expect = {(a - 1, b - 1, c): ev * n
+                  for (a, b, c), n in p.items()} if ev else {}
+        if images.apply(1, p) != expect:
+            raise FalsificationError(
+                f"diagonalization failed on P_({m},{k},{l})")
+    return null
 
 
-def action_check(m: int, l: int, images: DegreeImages | None = None) -> list[dict]:
-    """Three-term action of the second and third operators on P_{m,l,l}.
+def action_check(images: DegreeImages, l: int) -> list[dict]:
+    """Three-term action of the second and third operators on P_{m,l,l},
+    m the degree of ``images``.
 
     X12 X23 H2t P = (m+1)[(m+2l+2) X12/X23 P - (l+1) P_{m,l+1,l} - (l+1) P_{m,l,l+1}]
     X13 X23 H3t P = (m+1)[(m+2l+2) X13/X23 P + (l+1) P_{m,l+1,l} - (l+1) P_{m,l,l+1}]
@@ -336,9 +322,9 @@ def action_check(m: int, l: int, images: DegreeImages | None = None) -> list[dic
     l+1+l exceeds m (they are then Laurent, not polynomial).  Both sides are
     compared as integer numerators over the lcm of the three denominators.
     """
+    m = images.degree
     if 2 * l > m:
         raise ValueError("need 2l <= m")
-    images = _degree_images(m, images)
     p, den = images.element(l, l)
     up_left, den_left = images.element(l + 1, l, polynomial=False)
     up_right, den_right = images.element(l, l + 1, polynomial=False)
@@ -369,8 +355,9 @@ def action_check(m: int, l: int, images: DegreeImages | None = None) -> list[dic
     return checks
 
 
-def leading_term_check(m: int, l: int, images: DegreeImages | None = None) -> list[dict]:
-    """Lexicographically largest term of H2t / H3t applied to P_{m,l,l}.
+def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
+    """Lexicographically largest term of H2t / H3t applied to P_{m,l,l},
+    m the degree of ``images``.
 
     Under the order x12 > x13 > x23 the leading term is
       ((2l-1)!!)^2/(l!)^2 (m+1)(m-2l) X12^{2l} X23^{m-2l-2}     for m > 2l,
@@ -379,9 +366,9 @@ def leading_term_check(m: int, l: int, images: DegreeImages | None = None) -> li
     is empty for m = l = 0.  The image is taken on the integer numerators of
     P_{m,l,l}; its leading coefficient is read back over their denominator.
     """
+    m = images.degree
     if 2 * l > m:
         raise ValueError("need 2l <= m")
-    images = _degree_images(m, images)
     p, den = images.element(l, l)
     checks = []
     for k in (2, 3):
@@ -423,8 +410,13 @@ def leading_term_check(m: int, l: int, images: DegreeImages | None = None) -> li
 
 def _pair_vector_cleared(pair: tuple[int, int],
                          images: DegreeImages) -> tuple[Terms, int]:
-    """``pair_kernel_vector`` at the even degree 2n of ``images`` as integer
-    numerators over one denominator."""
+    """The displayed spanning vector of the pairwise kernel at the even
+    degree 2n of ``images``, as integer numerators over one denominator:
+
+        sum_l s^(n-l) (2l+1)/(n+l+1) C(2n, n-l) P_{2n,l,l}
+
+    with s = -1 for the pair (1,2) and s = +1 for (1,3).
+    """
     n = images.degree // 2
     elements = [images.element(l, l) for l in range(n + 1)]
     weights = []
@@ -442,35 +434,24 @@ def _pair_vector_cleared(pair: tuple[int, int],
     return {e: v for e, v in acc.items() if v}, den
 
 
-def pair_kernel_vector(pair: tuple[int, int], n: int) -> LaurentPoly3:
-    """The displayed spanning vector of the even-degree pairwise kernel.
-
-    For degree 2n: sum_l s^(n-l) (2l+1)/(n+l+1) C(2n, n-l) P_{2n,l,l} with
-    s = -1 for the pair (1,2) and s = +1 for (1,3).
-    """
-    if pair not in ((1, 2), (1, 3)):
-        raise ValueError("pair must be (1,2) or (1,3)")
-    return LaurentPoly3.from_cleared(*_pair_vector_cleared(pair, DegreeImages(2 * n)))
-
-
-def common_kernel(pair: tuple[int, int], m: int, h1_kernel: list[LaurentPoly3],
-                  images: DegreeImages | None = None) -> dict:
-    """Exact common kernel of the first operator with the second or third.
+def common_kernel(pair: tuple[int, int], images: DegreeImages,
+                  h1_kernel: list[LaurentPoly3]) -> int:
+    """Dimension of the exact common kernel of the first operator with the
+    second or third at the degree m of ``images``.
 
     Dimension 1 at even degree (spanned by the displayed vector), 0 at odd
     degree.  Computed as the kernel of the pair's second operator on
-    ``h1_kernel`` (``kernel_H1(m)["kernel"]``), and cross-checked against the
+    ``h1_kernel`` (``kernel_H1(images)``), and cross-checked against the
     displayed vector, whose images are taken on its integer numerators.
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
-    images = _degree_images(m, images)
+    m = images.degree
     null = _kernel_on(images, (pair[1],), h1_kernel)
     expected_dim = 1 if m % 2 == 0 else 0
     if len(null) != expected_dim:
         raise FalsificationError(
             f"pair {pair} kernel at degree {m}: dim {len(null)}, expected {expected_dim}")
-    result = {"pair": list(pair), "degree": m, "dim": len(null)}
     if m % 2 == 0:
         nums, den = _pair_vector_cleared(pair, images)
         for k in (1, pair[1]):
@@ -482,19 +463,19 @@ def common_kernel(pair: tuple[int, int], m: int, h1_kernel: list[LaurentPoly3],
                               _vector_of(null[0], images.monomials)):
             raise FalsificationError(
                 f"kernel at degree {m} not spanned by the displayed vector")
-        result["spanned_by_displayed_vector"] = True
-    return result
+    return len(null)
 
 
-def triple_kernel(m: int, h1_kernel: list[LaurentPoly3],
-                  images: DegreeImages | None = None) -> int:
-    """Dimension of the common kernel of all three operators at degree m.
+def triple_kernel(images: DegreeImages, h1_kernel: list[LaurentPoly3]) -> int:
+    """Dimension of the common kernel of all three operators at the degree m
+    of ``images``.
 
     Must be 1 for m = 0 (constants) and 0 for every m >= 1.  Computed as
     the common kernel of the second and third operators on ``h1_kernel``,
     a basis of the first operator's kernel at degree m.
     """
-    dim = len(_kernel_on(_degree_images(m, images), (2, 3), h1_kernel))
+    m = images.degree
+    dim = len(_kernel_on(images, (2, 3), h1_kernel))
     expected = 1 if m == 0 else 0
     if dim != expected:
         raise FalsificationError(
@@ -517,14 +498,15 @@ def verify_kernel(max_degree: int) -> list[dict]:
     for m in range(max_degree + 1):
         images = DegreeImages(m)
         try:
-            info = kernel_H1(m, images)
-            checks.append({"check": "kernel-H1", "degree": m, "dim": info["dim"],
-                           "status": "pass" if info["dim"] == m // 2 + 1 else "fail"})
-            pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": info["dim"]}
+            h1_kernel = kernel_H1(images)
+            dim = len(h1_kernel)
+            checks.append({"check": "kernel-H1", "degree": m, "dim": dim,
+                           "status": "pass" if dim == m // 2 + 1 else "fail"})
+            pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": dim}
             for pair in ((1, 2), (1, 3)):
                 pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(
-                    pair, m, info["kernel"], images)["dim"]
-            pair_rec["dim_triple"] = triple_kernel(m, info["kernel"], images)
+                    pair, images, h1_kernel)
+            pair_rec["dim_triple"] = triple_kernel(images, h1_kernel)
         except FalsificationError as exc:
             checks.append({"check": "falsification", "degree": m,
                            "status": "fail", "witness": str(exc)})
@@ -535,8 +517,8 @@ def verify_kernel(max_degree: int) -> list[dict]:
             checks.append(pair_rec)
         for l in range(m // 2 + 1) if m <= 8 else ():
             try:
-                formulas.extend(action_check(m, l, images))
-                formulas.extend(leading_term_check(m, l, images))
+                formulas.extend(action_check(images, l))
+                formulas.extend(leading_term_check(images, l))
             except FalsificationError as exc:
                 formulas.append({"check": "falsification", "m": m, "l": l,
                                  "status": "fail", "witness": str(exc)})

@@ -248,7 +248,7 @@ class TestVerifyCommands:
 
     def test_kernel_wrong_cubic_legendre_coefficient_fails(self, capsys, monkeypatch):
         # P_3 = (5x^3 - 3x)/2 with the x^3 coefficient bumped to 7/2: the
-        # first element that holds it, P_(m,0,3), is no eigenvector, and
+        # base element that holds it, P_(m,m-3,3), is no eigenvector, and
         # from degree 6 on the claimed span holds P_(m,3,3); the suite runs
         # through degree 12 whatever the order
         real = kernels.legendre
@@ -264,7 +264,7 @@ class TestVerifyCommands:
         witnesses = {c["degree"]: c["witness"] for c in checks
                      if c["check"] == "falsification"}
         assert witnesses == {
-            **{m: f"diagonalization failed on P_({m},0,3)" for m in (3, 4, 5)},
+            **{m: f"diagonalization failed on P_({m},{m - 3},3)" for m in (3, 4, 5)},
             **{m: f"computed kernel vector outside the claimed span at degree {m}"
                for m in range(6, 13)}}
         assert all(c["status"] == "fail" for c in checks

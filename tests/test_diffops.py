@@ -200,12 +200,12 @@ class TestComponentRecursion:
     def test_degree_zero_row(self, table8):
         # H^(0) 1 = mu phi^(0) with unit constant term: eigenvalue 1 at origin
         series = expand_entry(table8.entries[(0, 0, 0)], 2)
-        checks = verify_recursion_by_components(table8, 0, {(0, 0, 0): series})
+        checks = verify_recursion_by_components(0, {(0, 0, 0): series})
         assert all(c["status"] == "pass" for c in checks)
 
     def test_level_two_row(self, table8):
         series = expand_entry(table8.entries[(1, 1, 0)], 4)
-        checks = verify_recursion_by_components(table8, 2, {(1, 1, 0): series})
+        checks = verify_recursion_by_components(2, {(1, 1, 0): series})
         assert checks and all(c["status"] == "pass" for c in checks)
 
     def test_cross_route_agreement(self, table8):
@@ -213,11 +213,11 @@ class TestComponentRecursion:
         expansions = {
             t: expand_entry(table8.entries[t], 4)
             for t in enumerate_through(table8.max_level) if sum(t) <= 4}
-        checks = verify_recursion_by_components(table8, 2, expansions)
+        checks = verify_recursion_by_components(2, expansions)
         assert all(c["status"] == "pass" for c in checks)
         assert all(c["status"] == "pass" for c in verify_eigen(table8, 4))
 
     def test_requires_sufficient_order(self, table8):
         series = expand_entry(table8.entries[(1, 1, 0)], 2)
         with pytest.raises(ValueError):
-            verify_recursion_by_components(table8, 2, {(1, 1, 0): series})
+            verify_recursion_by_components(2, {(1, 1, 0): series})

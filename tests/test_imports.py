@@ -75,15 +75,15 @@ def test_package_import_loads_no_submodule():
 
 
 #: the public names of the package, each resolved from its submodule
-PUBLIC = """CauchyTruncation CoeffFamily ConjectureReport DensePoly1 EpsLaurent
-    ExpansionSet FalsificationError HomogeneousOp LaurentPoly3 MasterSum
-    OmegaSeries RatFun1 SchurTable SingularSeriesError TableError TruncSeries3
-    action_check apply_H_cleared cauchy_truncation check_H1_relation
-    closedform_checks closedform_omega_minus closedform_omega_plus common_kernel
-    conjecture_check conjecture_coeff enumerate_level expand_entry
-    homogeneous_component is_admissible kernel_H1 leading_pole_coefficient
-    leading_term leading_term_check legendre master_sum omega_from_sums
-    omega_plus_from_minus omega_vs_closedform pair_kernel_vector pbasis
+PUBLIC = """CauchyTruncation CoeffFamily ConjectureReport DegreeImages DensePoly1
+    EpsLaurent ExpansionSet FalsificationError HomogeneousOp LaurentPoly3
+    MasterSum OmegaSeries RatFun1 SchurTable SingularSeriesError TableError
+    TruncSeries3 action_check apply_H_cleared cauchy_truncation
+    check_H1_relation closedform_checks closedform_omega_minus
+    closedform_omega_plus common_kernel conjecture_check conjecture_coeff
+    enumerate_level expand_entry homogeneous_component is_admissible kernel_H1
+    leading_pole_coefficient leading_term leading_term_check legendre
+    master_sum omega_from_sums omega_plus_from_minus omega_vs_closedform
     pde_check pieri_coeff s3_check solve_table specialization_phi
     specialized_sum_check triple_kernel verify_cauchy verify_eigen
     verify_kernel verify_pieri verify_recursion_by_components verify_series

@@ -9,18 +9,27 @@ import pytest
 
 from g2schur import kernels
 from g2schur.cli import main
-from g2schur.diffops import homogeneous_component
+from g2schur.diffops import HomogeneousOp, homogeneous_component
 from g2schur.kernels import (DegreeImages, _legendre_numerators, _monomials,
                              _pair_vector_cleared, _span_contains, _vector_of,
                              action_check, common_kernel, kernel_H1,
-                             leading_term_check, pair_kernel_vector, pbasis,
-                             pbasis_laurent, triple_kernel, verify_kernel)
+                             leading_term_check, triple_kernel, verify_kernel)
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import nullspace, rref
 from g2schur.table import FalsificationError
 from g2schur.univariate import DensePoly1, legendre
 
 mono = LaurentPoly3.monomial
+
+
+def element(m, k, l, polynomial=True):
+    """P_(m,k,l) from ``DegreeImages.element`` as a ``LaurentPoly3``."""
+    return LaurentPoly3.from_cleared(*DegreeImages(m).element(k, l, polynomial))
+
+
+def pair_vector(pair, n):
+    """The displayed pair vector at degree 2n as a ``LaurentPoly3``."""
+    return LaurentPoly3.from_cleared(*_pair_vector_cleared(pair, DegreeImages(2 * n)))
 
 
 def _binomial_pm(k, sign):
@@ -32,9 +41,8 @@ def _binomial_pm(k, sign):
 def binomial_pbasis_laurent(m, k, l):
     """X23^m P_k((X12-X13)/X23) P_l((X12+X13)/X23) by polynomial products.
 
-    The former body of ``pbasis_laurent``, one ``Fraction`` product of the
-    two binomial powers per pair of Legendre terms; the small-size oracle for
-    the integer sum.
+    One ``Fraction`` product of the two binomial powers per pair of
+    Legendre terms; the small-size oracle for ``DegreeImages.element``.
     """
     acc = LaurentPoly3.zero()
     for i, ci in enumerate(legendre(k).coeffs):
@@ -52,7 +60,7 @@ def binomial_pbasis_laurent(m, k, l):
 
 def binomial_pair_vector(pair, n):
     """The displayed pair vector summed from the binomial-product oracle
-    elements in ``Fraction``: the former body of ``pair_kernel_vector``."""
+    elements in ``Fraction``; the oracle for ``_pair_vector_cleared``."""
     acc = LaurentPoly3.zero()
     for l in range(n + 1):
         c = Fraction((2 * l + 1) * math.comb(2 * n, n - l), n + l + 1)
@@ -105,7 +113,7 @@ def fraction_kernel_H1(m):
     rows = [[img.get(t, Fraction(0)) for img in images] for t in targets]
     null = [LaurentPoly3(dict(zip(monomials, vec)))
             for vec in nullspace(rows, len(monomials))]
-    claimed = [pbasis(m, l, l) for l in range(m // 2 + 1)]
+    claimed = [element(m, l, l) for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(f"kernel dimension at degree {m}")
     if not dense_span_contains([_vector_of(v, monomials) for v in claimed],
@@ -114,7 +122,7 @@ def fraction_kernel_H1(m):
             f"computed kernel vector outside the claimed span at degree {m}")
     for k in range(m + 1):
         for l in range(m - k + 1):
-            p = claimed[l] if k == l else pbasis(m, k, l)
+            p = claimed[l] if k == l else element(m, k, l)
             expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
             if op.apply(p).mul_monomial((1, 1, 0)) != expect:
                 raise FalsificationError(
@@ -124,16 +132,16 @@ def fraction_kernel_H1(m):
 
 class TestProductBasis:
     def test_small_elements(self):
-        assert pbasis(0, 0, 0) == LaurentPoly3.one()
-        assert pbasis(1, 1, 0) == mono((1, 0, 0)) - mono((0, 1, 0))
-        assert pbasis(1, 0, 1) == mono((1, 0, 0)) + mono((0, 1, 0))
-        assert pbasis(2, 1, 1) == mono((2, 0, 0)) - mono((0, 2, 0))
+        assert element(0, 0, 0) == LaurentPoly3.one()
+        assert element(1, 1, 0) == mono((1, 0, 0)) - mono((0, 1, 0))
+        assert element(1, 0, 1) == mono((1, 0, 0)) + mono((0, 1, 0))
+        assert element(2, 1, 1) == mono((2, 0, 0)) - mono((0, 2, 0))
 
     def test_homogeneous_and_polynomial(self):
         for m in range(6):
             for k in range(m + 1):
                 for l in range(m - k + 1):
-                    p = pbasis(m, k, l)
+                    p = element(m, k, l)
                     assert p.is_polynomial()
                     assert all(sum(e) == m for e in p.terms)
 
@@ -142,28 +150,27 @@ class TestProductBasis:
         for m in range(11):
             for k in range(m + 2):
                 for l in range(m + 2 - k):
-                    assert pbasis_laurent(m, k, l) == \
+                    assert element(m, k, l, polynomial=False) == \
                         binomial_pbasis_laurent(m, k, l), (m, k, l)
 
     def test_raised_indices_are_laurent(self):
-        p = pbasis_laurent(2, 2, 1)  # k + l > m
+        p = element(2, 2, 1, polynomial=False)  # k + l > m
         assert not p.is_polynomial()
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            pbasis(1, 1, 1)
+        with pytest.raises(ValueError, match="k \\+ l <= m"):
+            DegreeImages(1).element(1, 1)
 
     def test_basis_count_matches_dimension(self):
+        # as many monomials as elements P_(m,k,l) with k + l <= m
         for m in range(7):
-            count = sum(1 for k in range(m + 1) for l in range(m - k + 1))
-            assert count == (m + 1) * (m + 2) // 2
+            assert len(DegreeImages(m).monomials) == (m + 1) * (m + 2) // 2
 
 
 class TestKernelH1:
     @pytest.mark.parametrize("m,dim", [(0, 1), (1, 1), (2, 2), (3, 2), (5, 3)])
     def test_dimensions(self, m, dim):
-        info = kernel_H1(m)
-        assert info["dim"] == dim == m // 2 + 1
+        assert len(kernel_H1(DegreeImages(m))) == dim == m // 2 + 1
 
     def test_explicit_span_degree_two(self):
         # kernel at degree 2 is spanned by X23^2 and X12^2 - X13^2
@@ -174,10 +181,23 @@ class TestKernelH1:
     def test_diagonalization_eigenvalue(self):
         # X12 X13 H1t on P_(1,1,0) has eigenvalue l(l+1) - k(k+1) = -2
         op = homogeneous_component(1, -2)
-        p = pbasis(1, 1, 0)
+        p = element(1, 1, 0)
         assert mono((1, 1, 0)) * op.apply(p) == p.scale(Fraction(-2))
-        q = pbasis(1, 0, 1)
+        q = element(1, 0, 1)
         assert mono((1, 1, 0)) * op.apply(q) == q.scale(Fraction(2))
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_every_element_diagonalized(self, m):
+        # the oracle for checking only the base elements: every P_(m,k,l),
+        # shifted or not, is an eigenvector through DegreeImages.apply
+        images = DegreeImages(m)
+        for k in range(m + 1):
+            for l in range(m - k + 1):
+                p = images.element(k, l)[0]
+                ev = l * (l + 1) - k * (k + 1)
+                expect = {(a - 1, b - 1, c): ev * n
+                          for (a, b, c), n in p.items()} if ev else {}
+                assert images.apply(1, p) == expect, (m, k, l)
 
 
 class TestIntegerRoute:
@@ -185,7 +205,7 @@ class TestIntegerRoute:
     def test_kernel_matches_fraction_route(self, m):
         # both routes accept, and their kernels span one space
         theirs = fraction_kernel_H1(m)
-        ours = kernel_H1(m)["kernel"]
+        ours = kernel_H1(DegreeImages(m))
         assert all(type(c) is int for v in ours for c in v.terms.values())
         monomials = _monomials(m)
         ours = [_vector_of(v, monomials) for v in ours]
@@ -197,11 +217,11 @@ class TestIntegerRoute:
     @pytest.mark.parametrize("m", range(9))
     def test_span_contains_matches_dense(self, m):
         monomials = _monomials(m)
-        claimed = [_vector_of(pbasis(m, l, l), monomials) for l in range(m // 2 + 1)]
-        inside = [_vector_of(v, monomials) for v in kernel_H1(m)["kernel"]]
+        claimed = [_vector_of(element(m, l, l), monomials) for l in range(m // 2 + 1)]
+        inside = [_vector_of(v, monomials) for v in kernel_H1(DegreeImages(m))]
         inside += [[sum(col) for col in zip(*claimed)], [0] * len(monomials)]
         # P_(m,k,l) with k != l has eigenvalue l(l+1) - k(k+1) != 0
-        outside = [_vector_of(pbasis(m, k, l), monomials)
+        outside = [_vector_of(element(m, k, l), monomials)
                    for k in range(m + 1) for l in range(m - k + 1) if k != l]
         for vec in inside:
             assert _span_contains(claimed, vec)
@@ -220,9 +240,9 @@ class TestIntegerRoute:
                             lambda k: DensePoly1((0, 0, 1)) if k == 1 else real(k))
         with pytest.raises(FalsificationError,
                            match=r"product basis element \(1,0,1\) failed") as exc:
-            kernel_H1(1)
-        assert exc.value.witness == pbasis_laurent(1, 0, 1)
-        assert not exc.value.witness.is_polynomial()
+            kernel_H1(DegreeImages(1))
+        assert exc.value.witness == LaurentPoly3(
+            {(2, 0, -1): 1, (1, 1, -1): 2, (0, 2, -1): 1})
 
 
 class TestImageRoute:
@@ -254,7 +274,7 @@ class TestImageRoute:
     @pytest.mark.parametrize("m", range(11))
     def test_h1_kernel_basis(self, m):
         images = DegreeImages(m)
-        for v in kernel_H1(m, images)["kernel"]:
+        for v in kernel_H1(images):
             for k in (1, 2, 3):
                 assert images.apply(k, v.terms) == \
                     homogeneous_component(k, -2).apply(v).terms
@@ -265,8 +285,7 @@ class TestImageRoute:
         images = DegreeImages(2 * n)
         nums, den = _pair_vector_cleared(pair, images)
         vec = binomial_pair_vector(pair, n)
-        assert LaurentPoly3.from_cleared(nums, den) == vec == \
-            pair_kernel_vector(pair, n)
+        assert LaurentPoly3.from_cleared(nums, den) == vec
         for k in (1, 2, 3):
             image = homogeneous_component(k, -2).apply(vec)
             assert LaurentPoly3.from_cleared(images.apply(k, nums), den) == image
@@ -288,10 +307,6 @@ class TestImageRoute:
                             lambda k, m: homogeneous_component(k, -1))
         with pytest.raises(ValueError, match="not integer"):
             DegreeImages(2)
-
-    def test_images_belong_to_their_degree(self):
-        with pytest.raises(ValueError, match="degree 3"):
-            kernel_H1(4, DegreeImages(3))
 
 
 def cli_exit_code(*argv):
@@ -331,9 +346,10 @@ class TestMutations:
                             lambda nums, s: real(nums, 3 if s == 2 else s))
         checks = self.assert_fails()
         falsified = [c for c in checks if c["check"] == "falsification"]
-        # the kernels of every degree from 2 on, and the formulas on each
-        # P_(m,l,l) with m - 2l = 2
-        assert [c["degree"] for c in falsified if "degree" in c] == list(range(2, 9))
+        # the kernels and the formulas of the claimed P_(m,l,l) with
+        # m - 2l = 2; an odd degree uses no element shifted by 2, since only
+        # its base elements are diagonalized
+        assert [c["degree"] for c in falsified if "degree" in c] == [2, 4, 6, 8]
         assert [(c["m"], c["l"]) for c in falsified if "m" in c] == [
             (m, (m - 2) // 2) for m in (2, 4, 6, 8)]
         assert all("leaves the degree space" in c["witness"] for c in falsified)
@@ -350,6 +366,24 @@ class TestMutations:
         checks = self.assert_fails()
         witnesses = [c for c in checks if c["check"] == "falsification"]
         assert witnesses[0]["degree"] == 2
+
+    def test_h1_differentiates_x23(self, monkeypatch):
+        # H1t + d^2/dX23^2: the shifted elements no longer inherit the
+        # eigenvalue equations of their base elements
+        real = homogeneous_component
+
+        def seeded(k, m):
+            op = real(k, m)
+            if k == 1:
+                op = HomogeneousOp(k, m, [*op.terms, (LaurentPoly3.one(), (0, 0, 2))])
+            return op
+
+        monkeypatch.setattr(kernels, "homogeneous_component", seeded)
+        checks = verify_kernel(4)
+        falsified = [c for c in checks if c["check"] == "falsification"]
+        assert [c["degree"] for c in falsified] == list(range(5))
+        assert all("differentiates X23" in c["witness"] for c in falsified)
+        assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 
 
 class TestMemory:
@@ -375,66 +409,67 @@ class TestActionFormulas:
     @pytest.mark.parametrize("m,l", [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1),
                                      (4, 0), (4, 2), (5, 2)])
     def test_action(self, m, l):
-        assert all(c["status"] == "pass" for c in action_check(m, l))
+        assert all(c["status"] == "pass" for c in action_check(DegreeImages(m), l))
 
     def test_degenerate_cancellation(self):
         # at m = l = 0 the right-hand side collapses to zero
         op2 = homogeneous_component(2, -2)
         assert not op2.apply(LaurentPoly3.one())
         rhs = (LaurentPoly3.one().mul_monomial((1, 0, -1), Fraction(2))
-               + pbasis_laurent(0, 1, 0).scale(Fraction(-1))
-               + pbasis_laurent(0, 0, 1).scale(Fraction(-1)))
+               + element(0, 1, 0, polynomial=False).scale(Fraction(-1))
+               + element(0, 0, 1, polynomial=False).scale(Fraction(-1)))
         assert not rhs
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            action_check(2, 2)
+            action_check(DegreeImages(2), 2)
 
 
 class TestLeadingTerms:
     def test_empty_case(self):
-        checks = leading_term_check(0, 0)
+        checks = leading_term_check(DegreeImages(0), 0)
         assert all(c["status"] == "pass" and c["case"] == "empty" for c in checks)
 
     def test_generic_case_values(self):
-        checks = leading_term_check(3, 0)
+        checks = leading_term_check(DegreeImages(3), 0)
         for c in checks:
             assert c["status"] == "pass"
             assert c["expected"] == [[0, 0, 1], "12"]
 
     def test_diagonal_case_signs(self):
-        checks = {c["check"]: c for c in leading_term_check(2, 1)}
+        checks = {c["check"]: c for c in leading_term_check(DegreeImages(2), 1)}
         assert checks["H2-leading"]["expected"] == [[0, 0, 0], "6"]
         assert checks["H3-leading"]["expected"] == [[0, 0, 0], "-6"]
         assert all(c["status"] == "pass" for c in checks.values())
 
     @pytest.mark.parametrize("m", range(7))
     def test_all_diagonals(self, m):
+        images = DegreeImages(m)
         for l in range(m // 2 + 1):
-            assert all(c["status"] == "pass" for c in leading_term_check(m, l))
+            assert all(c["status"] == "pass" for c in leading_term_check(images, l))
 
 
 class TestCommonKernels:
     def test_even_degree_vectors(self):
-        assert pair_kernel_vector((1, 2), 1) == \
+        assert pair_vector((1, 2), 1) == \
             mono((2, 0, 0)) - mono((0, 2, 0)) - mono((0, 0, 2))
-        assert pair_kernel_vector((1, 3), 1) == \
+        assert pair_vector((1, 3), 1) == \
             mono((2, 0, 0)) - mono((0, 2, 0)) + mono((0, 0, 2))
 
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3)])
     @pytest.mark.parametrize("m", range(7))
     def test_dimension_pattern(self, pair, m):
-        res = common_kernel(pair, m, kernel_H1(m)["kernel"])
-        assert res["dim"] == (1 if m % 2 == 0 else 0)
-        if m % 2 == 0:
-            assert res["spanned_by_displayed_vector"]
+        # at even m common_kernel also checks the displayed vector spans it
+        images = DegreeImages(m)
+        assert common_kernel(pair, images, kernel_H1(images)) == (
+            1 if m % 2 == 0 else 0)
 
     def test_displayed_vectors_annihilated(self):
         for pair in ((1, 2), (1, 3)):
             ops = [homogeneous_component(1, -2),
                    homogeneous_component(pair[1], -2)]
             for n in range(1, 5):
-                vec = pair_kernel_vector(pair, n)
+                vec = pair_vector(pair, n)
                 for op in ops:
                     assert not op.apply(vec)
 
@@ -442,11 +477,12 @@ class TestCommonKernels:
 class TestTripleKernel:
     @pytest.mark.parametrize("m,dim", [(0, 1), (1, 0), (2, 0), (3, 0), (7, 0)])
     def test_dimensions(self, m, dim):
-        assert triple_kernel(m, kernel_H1(m)["kernel"]) == dim
+        images = DegreeImages(m)
+        assert triple_kernel(images, kernel_H1(images)) == dim
 
     def test_degree_two_witness(self):
         # the pair-(1,2) vector escapes the third operator's kernel
-        vec = pair_kernel_vector((1, 2), 1)
+        vec = pair_vector((1, 2), 1)
         image = homogeneous_component(3, -2).apply(vec)
         assert image == LaurentPoly3.constant(Fraction(-12))
 
@@ -466,3 +502,28 @@ class TestVerifyKernel:
         checks = verify_kernel(12)
         assert all(c["status"] == "pass" for c in checks)
         assert degrees == list(range(13))
+
+    def test_h1_applied_to_the_base_elements_only(self, monkeypatch):
+        # H1t is applied to m + 1 product-basis elements at degree m, the
+        # P_(m,k,m-k), not to all (m + 1)(m + 2)/2 of them
+        made = []
+        applied = []
+        real_element = DegreeImages.element
+        real_apply = DegreeImages.apply
+
+        def element(self, k, l, polynomial=True):
+            nums, den = real_element(self, k, l, polynomial)
+            made.append((nums, (k, l)))
+            return nums, den
+
+        def apply(self, k, nums):
+            if k == 1:
+                applied.extend((self.degree, kl) for p, kl in made if p is nums)
+            return real_apply(self, k, nums)
+
+        monkeypatch.setattr(DegreeImages, "element", element)
+        monkeypatch.setattr(DegreeImages, "apply", apply)
+        checks = verify_kernel(12)
+        assert all(c["status"] == "pass" for c in checks)
+        assert len(applied) == 91
+        assert applied == [(m, (k, m - k)) for m in range(13) for k in range(m + 1)]

@@ -209,10 +209,11 @@ class TestSparseRref:
         monkeypatch.setattr(linalg, "rref", capture)
         monkeypatch.setattr(kernels, "rref", capture)
         for m in range(9):
-            h1 = kernels.kernel_H1(m)["kernel"]
+            images = kernels.DegreeImages(m)
+            h1 = kernels.kernel_H1(images)
             for pair in ((1, 2), (1, 3)):
-                kernels.common_kernel(pair, m, h1)
-            kernels.triple_kernel(m, h1)
+                kernels.common_kernel(pair, images, h1)
+            kernels.triple_kernel(images, h1)
         assert len(captured) > 40
         assert any(isinstance(v, Fraction) for rows in captured for r in rows for v in r)
         for rows in captured:
