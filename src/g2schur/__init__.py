@@ -17,11 +17,10 @@ __version__ = "0.1.0"
 
 #: public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
-    ("cauchy", """CauchyTruncation MasterSum OmegaSeries cauchy_truncation
-        check_H1_relation closedform_checks closedform_omega_minus
-        closedform_omega_plus leading_pole_coefficient master_sum
-        omega_from_sums omega_plus_from_minus omega_vs_closedform pde_check
-        specialization_phi specialized_sum_check verify_cauchy
+    ("cauchy", """MasterSum OmegaSeries check_H1_relation closedform_checks
+        closedform_omega_minus closedform_omega_plus leading_pole_coefficient
+        master_sum omega_from_sums omega_plus_from_minus omega_vs_closedform
+        pde_check specialization_phi specialized_sum_check verify_cauchy
         verify_specialized"""),
     ("conjecture", "ConjectureReport conjecture_check conjecture_coeff"),
     ("diffops", """HomogeneousOp apply_H_cleared homogeneous_component

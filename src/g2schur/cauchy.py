@@ -258,18 +258,6 @@ def leading_pole_coefficient(p: LaurentPoly3, sign: str,
 # truncated sums in lambda and the first-order relation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CauchyTruncation:
-    """lambda-coefficients through a given order, keyed by kappa-exponent."""
-
-    sign: str
-    order: int
-    coeffs: dict[int, dict[int, LaurentPoly3]]
-
-    def coefficient(self, n: int, kexp: int) -> LaurentPoly3:
-        return self.coeffs.get(n, {}).get(kexp, LaurentPoly3.zero())
-
-
 def _truncation_numerators(table: SchurTable,
                            order: int) -> dict[int, dict[int, Cleared]]:
     """n -> j1 -> (nums, den): the labels (j1, j2, n - j2) of the table,
@@ -277,7 +265,8 @@ def _truncation_numerators(table: SchurTable,
 
     Labels with j2 + j3 = n reach j1 <= n, so the table must extend to level
     2 * order.  Only those labels are read, in their integer form.  Both
-    signs of the lambda-coefficients weight these sums (``cauchy_truncation``).
+    signs of the lambda-coefficients weight these sums: by +-1 for the minus
+    sign and by j1 + 1 for the plus sign (``check_H1_relation``).
     """
     if table.max_level < 2 * order:
         raise ValueError(
@@ -299,31 +288,6 @@ def _truncation_numerators(table: SchurTable,
                     acc[e] = get(e, 0) + f * c
             slot[j1] = acc, den
     return sums
-
-
-def cauchy_truncation(table: SchurTable, sign: str, order: int) -> CauchyTruncation:
-    """Exact lambda-coefficients through lambda^order.
-
-    The coefficient of lambda^n kappa^(+-(j1+1)) is the sum of the labels
-    (j1, j2, n - j2), weighted by +-1 for the minus sign and by j1 + 1 for
-    the plus sign; the table must extend to level 2 * order
-    (``_truncation_numerators``).
-    """
-    if sign not in "+-":
-        raise ValueError("sign must be '+' or '-'")
-    coeffs: dict[int, dict[int, LaurentPoly3]] = {}
-    for n, sums in _truncation_numerators(table, order).items():
-        slot = coeffs[n] = {}
-        for j1, (acc, den) in sums.items():
-            if sign == "+":
-                poly = LaurentPoly3.from_cleared(
-                    {e: (j1 + 1) * c for e, c in acc.items()}, den)
-                slot[j1 + 1] = slot[-j1 - 1] = poly
-            else:
-                slot[j1 + 1] = LaurentPoly3.from_cleared(acc, den)
-                slot[-j1 - 1] = LaurentPoly3.from_cleared(
-                    {e: -c for e, c in acc.items()}, den)
-    return CauchyTruncation(sign, order, coeffs)
 
 
 #: (x12 - 1/x12)(x13 - 1/x13) as (exponent shift, sign) pairs

@@ -201,13 +201,19 @@ class TestVerifyCommands:
         monkeypatch.setattr(kernels, "nullspace", drop_one)
         code, report = run(capsys, "verify", "kernel", "--order", "12")
         assert code == 1
-        (witness,) = [c for c in report["checks"] if c["status"] == "fail"]
-        assert witness["check"] == "falsification" and witness["degree"] == 6
-        assert "degree 6" in witness["witness"]
         checks = report["checks"]
-        assert {c["degree"] for c in checks if c["check"] == "kernel-H1"} == (
-            set(range(13)) - {6})
-        assert {c["degree"] for c in checks if c["check"] == "kernel-dims"} >= {7, 12}
+        failed = [c for c in checks if c["status"] == "fail"]
+        # the dimension alone fails kernel-H1; the pair kernels inside the
+        # smaller kernel then miss the displayed vector
+        assert failed == [
+            {"check": "kernel-H1", "degree": 6, "dim": 3, "status": "fail"},
+            {"check": "kernel-dims", "degree": 6, "dim_H1": 3, "dim_pair_12": 0,
+             "dim_pair_13": 0, "dim_triple": 0, "status": "fail"}]
+        assert not any(c["check"] == "falsification" for c in checks)
+        assert [c["degree"] for c in checks if c["check"] == "kernel-H1"] == \
+            list(range(13))
+        assert [c["degree"] for c in checks if c["check"] == "kernel-dims"] == \
+            list(range(13))
         assert any(c["check"] == "H2-action" for c in checks)
         assert any(c["check"] == "H3-leading" for c in checks)
 
@@ -226,9 +232,12 @@ class TestVerifyCommands:
         code, report = run(capsys, "verify", "kernel", "--order", "12")
         assert code == 1
         failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [(c["check"], c["degree"]) for c in failed] == [("falsification", 4)]
+        assert [(c["check"], c["degree"]) for c in failed] == [
+            ("kernel-H1", 4), ("kernel-dims", 4)]
+        assert failed[0]["dim"] == 2
         assert any(c["check"] == "kernel-H1" and c["degree"] == 12
                    for c in report["checks"])
+        assert any(c["check"] == "H3-leading" for c in report["checks"])
 
     def test_kernel_wrong_legendre_coefficient_fails(self, capsys, monkeypatch):
         # P_2 = (3x^2 - 1)/2 with the x^2 coefficient bumped to 5/2

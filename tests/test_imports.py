@@ -75,11 +75,10 @@ def test_package_import_loads_no_submodule():
 
 
 #: the public names of the package, each resolved from its submodule
-PUBLIC = """CauchyTruncation CoeffFamily ConjectureReport DegreeImages DensePoly1
-    EpsLaurent ExpansionSet FalsificationError HomogeneousOp LaurentPoly3
-    MasterSum OmegaSeries RatFun1 SchurTable SingularSeriesError TableError
-    TruncSeries3 action_check apply_H_cleared cauchy_truncation
-    check_H1_relation closedform_checks closedform_omega_minus
+PUBLIC = """CoeffFamily ConjectureReport DegreeImages DensePoly1 EpsLaurent
+    ExpansionSet FalsificationError HomogeneousOp LaurentPoly3 MasterSum
+    OmegaSeries RatFun1 SchurTable SingularSeriesError TableError
+    TruncSeries3 action_check apply_H_cleared check_H1_relation closedform_checks closedform_omega_minus
     closedform_omega_plus common_kernel conjecture_check conjecture_coeff
     enumerate_level expand_entry homogeneous_component is_admissible kernel_H1
     leading_pole_coefficient leading_term leading_term_check legendre

@@ -385,24 +385,77 @@ class TestMutations:
         assert all("differentiates X23" in c["witness"] for c in falsified)
         assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 
+    def test_extra_triple_kernel_vector(self, monkeypatch):
+        # the triple kernel at degree 2 gains a vector: the dimension alone
+        # fails that degree's kernel-dims record, and nothing else fails
+        real = kernels._kernel_on
+
+        def seeded(images, ks, polys):
+            null = real(images, ks, polys)
+            if ks == (2, 3) and images.degree == 2:
+                null = [*null, polys[0]]
+            return null
+
+        monkeypatch.setattr(kernels, "_kernel_on", seeded)
+        checks = verify_kernel(4)
+        assert [(c["check"], c["degree"], c["dim_triple"]) for c in checks
+                if c["status"] == "fail"] == [("kernel-dims", 2, 1)]
+        assert [c["degree"] for c in checks if c["check"] == "kernel-dims"] == \
+            list(range(5))
+        assert cli_exit_code("verify", "kernel", "--order", "4") == 1
+
+    def test_extra_pair_kernel_vector(self, monkeypatch):
+        # the pair-(1,2) kernel at degree 4 gains a vector outside the
+        # displayed vector's span, which every computed vector must lie in
+        real = kernels._kernel_on
+
+        def seeded(images, ks, polys):
+            null = real(images, ks, polys)
+            if ks == (2,) and images.degree == 4:
+                null = [*null, polys[0]]
+            return null
+
+        monkeypatch.setattr(kernels, "_kernel_on", seeded)
+        checks = verify_kernel(4)
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert failed == [{
+            "check": "falsification", "degree": 4, "status": "fail",
+            "witness": "kernel at degree 4 not spanned by the displayed vector"}]
+        assert [c["degree"] for c in checks if c["check"] == "kernel-H1"] == \
+            list(range(5))
+        assert cli_exit_code("verify", "kernel", "--order", "4") == 1
+
 
 class TestMemory:
-    def test_only_base_elements_outlive_their_degree(self, monkeypatch):
+    def test_nothing_outlives_its_degree(self, monkeypatch):
+        # the images and the product-basis elements are dropped with their
+        # degree: degree m sums each base element it reads once, (k, m - k)
+        # for every k among them, and a diagonal P_(2l,l,l) again at each
+        # degree that reads it
         made = []
+        sums = []
         real_init = DegreeImages.__init__
+        real_base = kernels._base_element
 
         def tracked(self, m):
             real_init(self, m)
             made.append(weakref.ref(self))
 
+        def counted(k, l, pk, pl):
+            sums.append((len(made) - 1, (k, l)))
+            return real_base(k, l, pk, pl)
+
         monkeypatch.setattr(DegreeImages, "__init__", tracked)
-        kernels._BASE.clear()
+        monkeypatch.setattr(kernels, "_base_element", counted)
         checks = verify_kernel(12)
         gc.collect()
         assert all(c["status"] == "pass" for c in checks)
         assert len(made) == 13 and all(ref() is None for ref in made)
-        assert set(kernels._BASE) == {(k, l) for k in range(13)
-                                      for l in range(13 - k)}
+        assert len(sums) == len(set(sums)) == 175
+        assert len({kl for _, kl in sums}) == 91
+        for m in range(13):
+            assert {(k, m - k) for k in range(m + 1)} <= {
+                kl for d, kl in sums if d == m}
 
 
 class TestActionFormulas:
