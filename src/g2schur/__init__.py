@@ -21,12 +21,12 @@ _EXPORTS = {name: module for module, names in (
         closedform_omega_minus closedform_omega_plus leading_pole_coefficient
         master_sum omega_from_sums omega_plus_from_minus omega_vs_closedform
         pde_check specialization_phi specialized_sum_check verify_cauchy
-        verify_specialized"""),
+        verify_specialized with_kappa_profile"""),
     ("conjecture", "ConjectureReport conjecture_check conjecture_coeff"),
     ("diffops", """HomogeneousOp apply_H_cleared homogeneous_component
         verify_eigen verify_recursion_by_components"""),
     ("epsilon", "EpsLaurent"),
-    ("expansion", "CoeffFamily ExpansionSet expand_entry verify_series"),
+    ("expansion", "CoeffFamily ExpansionSet verify_series"),
     ("kernels", """DegreeImages action_check common_kernel kernel_H1
         leading_term_check triple_kernel verify_kernel"""),
     ("laurent", "LaurentPoly3 x_plus_inv"),

@@ -29,6 +29,12 @@ and its X23 = 0 boundary form, and one series of 1/((1-X12^2)(1-X13^2))
 serves the plus-type closed form and its boundary form.  Omega_+ is the
 displayed two-term closed form; the (-2 - d) map from Omega_- is its
 independent cross-check, compared in a record of ``closedform_checks``.
+Both leading terms are the kappa-profile 1/(kappa (kappa^2 - 1)) times a
+power series with rational coefficients.  The closed forms are those
+rational series, and their PDEs, the (-2 - d) relation and the X23 = 0 data
+are checked on them; ``with_kappa_profile`` multiplies the profile in only
+where a leading term leaves the module: the emitted series and the
+comparison with the sums.
 ``verify_cauchy`` and ``verify_specialized`` are the ``verify`` suites of
 this module and return their check records.  The specialized suite reads the
 entries in their integer form: the x23 = 1 sums and both sides of the row-sum
@@ -102,15 +108,6 @@ class MasterSum:
         num = num + self.numer * LaurentPoly3.monomial(
             _FACTOR_MONO[g], self.powers[g]) * _factor_poly(f)
         return MasterSum(num, tuple(powers))
-
-    def taylor(self, order: int) -> TruncSeries3:
-        """Expansion as a power series in (L1, L2, L3); brute-force test hook."""
-        series = TruncSeries3.from_poly(self.numer, order)
-        for idx in range(3):
-            inv = TruncSeries3.from_poly(_factor_poly(idx), order).invert()
-            for _ in range(self.powers[idx]):
-                series = series * inv
-        return series
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,13 +365,6 @@ class OmegaSeries:
             raise ValueError(f"degree {sum(e)} beyond truncation order {self.order}")
         return self.coeffs.get(tuple(e), RatFun1.zero())
 
-    def homogeneous_part(self, d: int) -> LaurentPoly3:
-        return LaurentPoly3({e: c for e, c in self.coeffs.items() if sum(e) == d})
-
-    def all_even(self) -> bool:
-        return all(e1 % 2 == 0 and e2 % 2 == 0 and e3 % 2 == 0
-                   for (e1, e2, e3) in self.coeffs)
-
     def serialize(self) -> dict:
         return {
             "sign": self.sign,
@@ -476,26 +466,21 @@ def _inverse_uv(order: int) -> TruncSeries3:
     return (TruncSeries3.from_poly(u, order) * TruncSeries3.from_poly(v, order)).invert()
 
 
-def _series_to_omega(sign: str, series: TruncSeries3) -> OmegaSeries:
-    coeffs = {}
-    for e, c in series.terms.items():
-        val = KAPPA_PREFACTOR * c
-        if val:
-            coeffs[e] = val
-    return OmegaSeries(sign, series.order, coeffs)
+def closedform_omega_minus(order: int) -> TruncSeries3:
+    """Arctanh closed form -2 arctanh(sqrt(Q)/D)/sqrt(Q) (kappa-profile stripped)."""
+    return _arctanh_core(order).scale(Fraction(-2))
 
 
-def closedform_omega_minus(order: int) -> OmegaSeries:
-    """Arctanh closed form: -2/(kappa(kappa^2-1)) * arctanh(sqrt(Q)/D)/sqrt(Q)."""
-    return _series_to_omega("-", _arctanh_core(order).scale(Fraction(-2)))
-
-
-def _omega_plus_direct(order: int) -> TruncSeries3:
+def closedform_omega_plus(order: int) -> TruncSeries3:
     """Two-term closed form of the plus-type leading term (kappa-profile stripped).
 
     8 X23^2 arctanh(sqrt(Q)/D) / Q^{3/2} - 2 P / ((X12^2-1)(X13^2-1) Q)
     equals (bracket)/Q with a power-series bracket divisible by Q; the
     quotient is recovered degree by degree through exact monomial division.
+    The (-2 - d) route from the minus-type closed form
+    (``omega_plus_from_minus``) is the independent cross-check; the
+    ``omega-plus-euler-relation`` record of ``closedform_checks`` compares
+    the two.
     """
     work = order + 2
     a = _arctanh_core(work)
@@ -527,48 +512,42 @@ def _omega_plus_direct(order: int) -> TruncSeries3:
     return out
 
 
-def closedform_omega_plus(order: int) -> OmegaSeries:
-    """Plus-type leading term from the displayed two-term closed form.
-
-    The (-2 - d) route from the minus-type closed form
-    (``omega_plus_from_minus``) is the independent cross-check; the
-    ``omega-plus-euler-relation`` record of ``closedform_checks`` compares
-    the two.
-    """
-    return _series_to_omega("+", _omega_plus_direct(order))
+def with_kappa_profile(sign: str, series: TruncSeries3) -> OmegaSeries:
+    """The leading term KAPPA_PREFACTOR * ``series`` of a kappa-stripped
+    closed form; the one place where the profile is multiplied in, for the
+    emitted series and the comparison with the sums."""
+    return OmegaSeries(sign, series.order, {
+        e: KAPPA_PREFACTOR * c for e, c in series.terms.items()})
 
 
-def omega_plus_from_minus(omega_minus: OmegaSeries) -> OmegaSeries:
+def omega_plus_from_minus(omega_minus: TruncSeries3) -> TruncSeries3:
     """Apply (-2 - d) degree by degree (d = Euler operator)."""
-    coeffs = {}
-    for e, c in omega_minus.coeffs.items():
-        val = c * Fraction(-2 - sum(e))
-        if val:
-            coeffs[e] = val
-    return OmegaSeries("+", omega_minus.order, coeffs)
+    return TruncSeries3(omega_minus.order, {
+        e: c * (-2 - sum(e)) for e, c in omega_minus.terms.items()})
 
 
-def pde_check(omega: OmegaSeries) -> list[dict]:
+def pde_check(omega: TruncSeries3, sign: str) -> list[dict]:
     """Verify (H1t - d^2 - 5d - 6) Omega_- = 0, resp. -d^2 - 7d - 12 for '+'.
 
     H1t is the constant-coefficient degree -2 operator in the rescaled
-    variables; checked through degree order - 2.
+    variables; checked through degree order - 2 on the kappa-stripped series,
+    since the operator does not act on kappa.
     """
     op = homogeneous_component(1, -2)
-    a, b = (5, 6) if omega.sign == "-" else (7, 12)
+    a, b = (5, 6) if sign == "-" else (7, 12)
     checks = []
     for d in range(omega.order - 1):
         lhs = op.apply(omega.homogeneous_part(d + 2))
         rhs = omega.homogeneous_part(d).scale(Fraction(d * d + a * d + b))
         residual = lhs - rhs
         rec = {
-            "check": f"pde-omega{omega.sign}",
+            "check": f"pde-omega{sign}",
             "degree": d,
             "status": "pass" if not residual else "fail",
         }
         if residual:
             e, c = residual.lex_leading()
-            rec["witness"] = {"monomial": list(e), "value": repr(c)}
+            rec["witness"] = {"monomial": list(e), "value": str(c)}
         checks.append(rec)
     return checks
 
@@ -593,7 +572,7 @@ def omega_vs_closedform(om: OmegaSeries) -> dict:
     The normalization is the ratio of the (0,0,0) coefficients and must be
     nonzero; every other coefficient must then match with the same factor.
     """
-    cf = closedform_omega_minus(om.order)
+    cf = with_kappa_profile("-", closedform_omega_minus(om.order))
     base = cf.coefficient((0, 0, 0))
     ratio = om.coefficient((0, 0, 0)) / base if base else None
     ok = bool(ratio) and all(
@@ -607,20 +586,18 @@ def omega_vs_closedform(om: OmegaSeries) -> dict:
 def closedform_checks(order: int) -> list[dict]:
     """PDEs, the (-2 - d) relation and the X23 = 0 data of both closed forms.
 
-    Each closed form is built once.  The boundary data divide out the
-    kappa-profile and keep the X23-free terms.
+    Each closed form is built once, kappa-stripped, so every check runs on
+    rational coefficients; the boundary data keep the X23-free terms.
     """
     cm = closedform_omega_minus(order)
     cp = closedform_omega_plus(order)
-    checks = pde_check(cm) + pde_check(cp)
-    euler_ok = cp.coeffs == omega_plus_from_minus(cm).coeffs
+    checks = pde_check(cm, "-") + pde_check(cp, "+")
     checks.append({"check": "omega-plus-euler-relation", "order": order,
-                   "status": "pass" if euler_ok else "fail"})
+                   "status": "pass" if cp == omega_plus_from_minus(cm) else "fail"})
     for sign, closed, initial in (("-", cm, omega_initial_minus(order)),
                                   ("+", cp, omega_initial_plus(order))):
         sliced = TruncSeries3(order, {
-            e: (c / KAPPA_PREFACTOR).as_fraction()
-            for e, c in closed.coeffs.items() if e[2] == 0})
+            e: c for e, c in closed.terms.items() if e[2] == 0})
         checks.append({"check": "initial-condition", "sign": sign, "order": order,
                        "status": "pass" if sliced == initial else "fail"})
     return checks

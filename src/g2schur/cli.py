@@ -38,7 +38,10 @@ EXIT_ERROR = 2
 
 @dataclass
 class RunConfig:
+    """One command line; the defaults here are the defaults of the flags."""
+
     subcommand: str
+    suite: str | None = None
     max_level: int = 12
     order: int = 4
     lambda_order: int = 4
@@ -137,7 +140,8 @@ SUITES = {"pieri": _pieri, "eigen": _eigen, "series": _series,
           "cauchy": _cauchy, "specialized": _specialized, "kernel": _kernel}
 
 
-def run_verify(cfg: RunConfig, suite: str) -> tuple[int, Report]:
+def run_verify(cfg: RunConfig) -> tuple[int, Report]:
+    suite = cfg.suite
     report = Report(
         suite=f"verify-{suite}",
         config={
@@ -183,52 +187,57 @@ def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
 
 def run_omega(cfg: RunConfig) -> tuple[int, Report]:
     from .cauchy import (closedform_omega_minus, closedform_omega_plus,
-                         omega_plus_from_minus)
+                         omega_plus_from_minus, with_kappa_profile)
     with Stopwatch() as sw:
         minus = closedform_omega_minus(cfg.order)
         plus = closedform_omega_plus(cfg.order)
-        if plus.coeffs != omega_plus_from_minus(minus).coeffs:
+        if plus != omega_plus_from_minus(minus):
             raise FalsificationError(
                 "plus-type closed form: direct expansion disagrees with (-2 - d) route")
+        extra = {"omega_minus": with_kappa_profile("-", minus).serialize(),
+                 "omega_plus": with_kappa_profile("+", plus).serialize()}
     report = Report(
         suite="omega",
         config={"order": cfg.order},
         checks=[{"check": "emit", "status": "pass"}],
         elapsed_ms=sw.elapsed_ms,
-        extra={"omega_minus": minus.serialize(), "omega_plus": plus.serialize()},
+        extra=extra,
     )
     return EXIT_OK, report
 
 
-#: flag -> add_argument keywords; each subcommand takes the flags it reads
+#: flag -> add_argument keywords; each subcommand takes the flags it reads.  An
+#: omitted flag sets nothing, so it takes its ``RunConfig`` default.
 FLAGS = {
-    "--max-level": dict(type=int, default=12, help="table level (even)"),
-    "--order": dict(type=int, default=4,
+    "--max-level": dict(type=int, help="table level (even)"),
+    "--order": dict(type=int,
                     help="series truncation order; for verify kernel the "
                          "degree bound, raised to at least 12"),
-    "--lambda-order": dict(type=int, default=4,
+    "--lambda-order": dict(type=int,
                            help="lambda truncation order for the sum relations"),
-    "--copies": dict(type=int, choices=(1, 2), default=1,
+    "--copies": dict(type=int, choices=(1, 2),
                      help="number of factors in the multiple sum"),
-    "--table": dict(dest="table_path", default=None,
+    "--table": dict(dest="table_path",
                     help="path of a saved table (built on the fly if omitted)"),
-    "--out": dict(dest="out_path", default=None,
+    "--out": dict(dest="out_path",
                   help="output file (table JSON or report JSON)"),
     "--json": dict(dest="json_out", action="store_true",
                    help="also print the JSON report to stdout"),
 }
 
+#: subcommand -> (help, the flags it reads, its runner)
 SUBCOMMANDS = {
-    "table": ("build and save a table", ("--max-level", "--out")),
+    "table": ("build and save a table", ("--max-level", "--out"), run_table),
     "roundtrip": ("byte-roundtrip check of a saved table",
-                  ("--table", "--out", "--json")),
+                  ("--table", "--out", "--json"), run_roundtrip),
     "verify": ("run one verification suite",
                ("--max-level", "--order", "--lambda-order", "--table", "--out",
-                "--json")),
+                "--json"), run_verify),
     "conjecture": ("hypergeometric evidence tables",
                    ("--max-level", "--order", "--copies", "--table", "--out",
-                    "--json")),
-    "omega": ("emit leading-term series", ("--order", "--out", "--json")),
+                    "--json"), run_conjecture),
+    "omega": ("emit leading-term series", ("--order", "--out", "--json"),
+              run_omega),
 }
 
 
@@ -237,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="g2schur",
         description="Exact genus-two Schur polynomial toolkit and verifier")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, flags, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
         if name == "verify":
             p.add_argument("suite", choices=tuple(SUITES))
         for flag in flags:
@@ -247,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    suite = args.pop("suite", None)
-    cfg = RunConfig(**args)
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     if cfg.max_level < 0 or cfg.max_level % 2:
         print("error: --max-level must be a nonnegative even integer", file=sys.stderr)
         return EXIT_ERROR
@@ -257,18 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: orders must be nonnegative", file=sys.stderr)
         return EXIT_ERROR
     try:
-        if cfg.subcommand == "table":
-            code, report = run_table(cfg)
-        elif cfg.subcommand == "roundtrip":
-            code, report = run_roundtrip(cfg)
-        elif cfg.subcommand == "verify":
-            code, report = run_verify(cfg, suite)
-        elif cfg.subcommand == "conjecture":
-            code, report = run_conjecture(cfg)
-        elif cfg.subcommand == "omega":
-            code, report = run_omega(cfg)
-        else:  # pragma: no cover
-            return EXIT_ERROR
+        code, report = SUBCOMMANDS[cfg.subcommand][2](cfg)
     except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FAIL

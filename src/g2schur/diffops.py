@@ -143,8 +143,10 @@ class HomogeneousOp:
     the falling factorial e(e-1)...(e-n+1) in each variable, one row of them
     per distinct exponent of the argument; the sums are divided by the
     denominator once, unless it is 1, as it is for every degree -2
-    component.  Only the operator is cleared, so the argument may carry any
-    exact coefficients (``RatFun1`` ones in ``cauchy.pde_check``).
+    component.  Only the operator is cleared; every argument in the package
+    has rational coefficients, and the sum is ring-generic (the ``RatFun1``
+    oracle of ``cauchy.pde_check`` in ``tests/test_cauchy.py`` applies it to
+    profiled series).
     """
 
     __slots__ = ("k", "degree", "terms", "_shifts", "_order", "_inv_den")

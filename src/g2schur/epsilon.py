@@ -11,6 +11,7 @@ extend it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 
@@ -140,7 +141,7 @@ class EpsLaurent:
             raise ValueError(
                 f"series known to degree {self.order}, inverse to {upto} needs {need}")
         lead = self.coeffs[m]
-        inv_lead = 1 / lead
+        inv_lead = Fraction(1) / lead
         k_max = upto + m
         unit = {d - m: c for d, c in self.coeffs.items() if d - m <= k_max}
         inv = {0: inv_lead}

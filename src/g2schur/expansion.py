@@ -5,10 +5,12 @@ whose constant term is 1 and whose linear part vanishes.  The substitution
 is a ring map, so the series obey the table's own Pieri recursion with
 x + 1/x replaced by 2 + X^2 - X^3 + ...; ``ExpansionSet`` solves that
 recursion on integer numerators over one denominator per label, the table's
-own integer solve (``table.solve_cleared``).  ``solve_entry`` on ``Fraction``
-``TruncSeries3`` values is its test oracle, and ``expand_entry``, which
-expands a single Laurent polynomial term by term, is kept as the
-independent cross-check of the route.
+own integer solve (``table.solve_cleared``).  Its test oracle is
+``solve_entry`` on ``Fraction`` ``TruncSeries3`` values, in
+``tests/test_table.py``.  ``expand_entry``, which expands a single Laurent
+polynomial term by term, is the independent cross-check of the route in the
+tests; no command calls it, and it stays in this module only because the
+layer trace of ``perfbench/traced.py`` wraps it (ROADMAP item 1).
 
 For a fixed monomial X12^m12 X13^m13 X23^m23 the coefficient, viewed across
 all labels (j1, j2, j3), is a polynomial of total degree at most

@@ -1,10 +1,10 @@
 """Sparse Laurent polynomials in the three variables x12, x13, x23.
 
 Exponent triples live in Z^3 (negative exponents allowed) and map to nonzero
-exact coefficients: ``fractions.Fraction`` or ``int`` for table entries,
-residuals and label polynomials, and any exact field element supporting
-``+ - * ==`` and truthiness (e.g. univariate rational functions in kappa)
-as well, so the same container carries residue-extraction data.
+rational coefficients, ``fractions.Fraction`` or ``int``: table entries,
+residuals, label polynomials and the homogeneous parts of the closed-form
+series.  The arithmetic only uses ``+ - * ==`` and truthiness of the
+coefficients.
 
 The same class carries polynomials in the integer labels (j1, j2, j3): the
 coefficient families of the series expansions and the label weights of the
@@ -191,38 +191,6 @@ class LaurentPoly3:
             (e1 + d1, e2 + d2, e3 + d3): c * coeff
             for (e1, e2, e3), c in self.terms.items()
         }
-        return out
-
-    def subs_unit(self, i: int) -> "LaurentPoly3":
-        """Set variable ``i`` to 1 (project its exponent away)."""
-        acc: dict[Exp, object] = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] = 0
-            key = tuple(ne)
-            s = acc.get(key)
-            acc[key] = c if s is None else s + c
-        return LaurentPoly3(acc)
-
-    def flip(self, i: int) -> "LaurentPoly3":
-        """Substitute x_i -> 1/x_i."""
-        out = LaurentPoly3.__new__(LaurentPoly3)
-        out.terms = {
-            tuple(-e[j] if j == i else e[j] for j in range(3)): c
-            for e, c in self.terms.items()
-        }
-        return out
-
-    def permute(self, pos: tuple[int, int, int]) -> "LaurentPoly3":
-        """Relocate exponents: the exponent at position ``k`` moves to ``pos[k]``."""
-        terms: dict[Exp, object] = {}
-        for e, c in self.terms.items():
-            ne = [0, 0, 0]
-            for k in range(3):
-                ne[pos[k]] = e[k]
-            terms[tuple(ne)] = c
-        out = LaurentPoly3.__new__(LaurentPoly3)
-        out.terms = terms
         return out
 
     def evaluate(self, point: Exp) -> Fraction:

@@ -16,9 +16,10 @@ fit, which no production path calls any more: greedy selection of
 independent monomial rows by fraction-free elimination, and the inverse of
 the fit matrix by fraction-free (Bareiss) Gauss-Jordan elimination.  They
 are the test oracle for the forward-difference fit
-(``tests/test_expansion.py``).  Rows with fractional entries are first
-scaled by the lcm of their denominators, which changes neither rank nor row
-space.
+(``tests/test_expansion.py``), and they stay in this module only because
+the layer trace of ``perfbench/traced.py`` wraps them (ROADMAP item 1).
+Rows with fractional entries are first scaled by the lcm of their
+denominators, which changes neither rank nor row space.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Truncated formal power series in three variables over an exact field.
 
-Terms are kept up to a fixed total degree (the order).  The coefficient
-field is whatever the stored values are: Fractions for expansions around
-x = 1, univariate rational functions in kappa for the residue machinery.
-Arithmetic between two series truncates at the smaller order.
+Terms are kept up to a fixed total degree (the order).  Coefficients are
+rational (``Fraction`` or ``int``): the expansions around x = 1 and the
+kappa-stripped closed forms of the leading terms.  Arithmetic between two
+series truncates at the smaller order.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class TruncSeries3:
         a0 = self.terms.get((0, 0, 0))
         if not a0:
             raise SingularSeriesError("series with zero constant term has no inverse")
-        inv_a0 = 1 / a0
+        inv_a0 = Fraction(1) / a0
         parts = [self.homogeneous_part(d) for d in range(self.order + 1)]
         b_parts = [LaurentPoly3.constant(inv_a0)]
         for d in range(1, self.order + 1):

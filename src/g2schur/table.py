@@ -153,30 +153,6 @@ def predecessor_equations(triple: Triple) -> list[tuple[int, Triple]]:
     return usable
 
 
-def solve_entry(triple: Triple, entries: dict, generators):
-    """Solve ``triple`` from its solving equation, in any ring.
-
-    ``entries`` holds the values of the lower levels and ``generators[i]``
-    the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  It is
-    the test oracle of the integer solve (``solve_cleared``): on Laurent
-    polynomials for ``solve_table``, on truncated power series for the
-    expansions around x = 1.
-    """
-    eq, pred = predecessor_equations(triple)[0]
-    rest = generators[eq] * entries[pred]
-    lead_coeff = None
-    for target, coeff in _pieri_terms(eq, pred):
-        if not coeff or not is_admissible(*target):
-            continue
-        if target == triple:
-            lead_coeff = coeff
-        else:
-            rest = rest - entries[target].scale(coeff)
-    if not lead_coeff:
-        raise TableError(f"vanishing leading coefficient solving {triple}")
-    return rest.scale(1 / lead_coeff)
-
-
 #: integer form of an entry: numerators by exponent over one denominator
 Cleared = tuple[dict[Exp, int], int]
 

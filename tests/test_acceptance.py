@@ -10,9 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur.cauchy import (KAPPA_PREFACTOR, closedform_checks,
-                            closedform_omega_minus, verify_cauchy,
-                            verify_specialized)
+from g2schur.cauchy import (closedform_checks, closedform_omega_minus,
+                            verify_cauchy, verify_specialized)
 from g2schur.conjecture import conjecture_check
 from g2schur.diffops import verify_eigen
 from g2schur.expansion import ExpansionSet
@@ -154,8 +153,7 @@ def test_criterion_10_conjecture_reports(expansions16):
     cf6 = closedform_omega_minus(6)
     for r in doubled:
         iv = tuple(r["indices"][0])
-        theorem = (cf6.coefficient(tuple(2 * x for x in iv))
-                   / KAPPA_PREFACTOR).as_fraction()
+        theorem = cf6.coefficient(tuple(2 * x for x in iv))
         if Fraction(r["conjecture"]) != theorem:
             ok = False
 
@@ -187,9 +185,9 @@ def test_criterion_11_kernel_structure():
 def test_criterion_12_determinism(tmp_path):
     from g2schur.cli import RunConfig, run_verify
 
-    cfg = RunConfig(subcommand="verify", max_level=6)
-    _, first = run_verify(cfg, "pieri")
-    _, second = run_verify(cfg, "pieri")
+    cfg = RunConfig(subcommand="verify", suite="pieri", max_level=6)
+    _, first = run_verify(cfg)
+    _, second = run_verify(cfg)
     ok = first.to_dict(include_timing=False) == second.to_dict(include_timing=False)
 
     a = solve_table(6)

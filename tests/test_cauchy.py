@@ -6,19 +6,23 @@ from fractions import Fraction
 import pytest
 
 from g2schur import cauchy
-from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, _truncation_numerators,
-                            check_H1_relation, closedform_checks,
-                            closedform_omega_minus, closedform_omega_plus,
-                            leading_pole_coefficient, master_sum,
-                            omega_from_sums, pde_check, specialization_phi,
+from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, MasterSum,
+                            _truncation_numerators, check_H1_relation,
+                            closedform_checks, closedform_omega_minus,
+                            closedform_omega_plus, leading_pole_coefficient,
+                            master_sum, omega_from_sums, omega_initial_minus,
+                            omega_initial_plus, pde_check, specialization_phi,
                             specialize_master, specialized_sum_check,
-                            verify_cauchy, verify_specialized)
+                            verify_cauchy, verify_specialized,
+                            with_kappa_profile)
+from g2schur.diffops import homogeneous_component
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level, is_admissible
 from g2schur.univariate import RatFun1
+from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
 
 
@@ -39,6 +43,16 @@ def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
     if sign == "-":
         return plus_branch - minus_branch
     return plus_branch + minus_branch
+
+
+def taylor(ms: MasterSum, order: int) -> TruncSeries3:
+    """The closed form ``ms`` as a power series in (L1, L2, L3)."""
+    series = TruncSeries3.from_poly(ms.numer, order)
+    for idx in range(3):
+        inv = TruncSeries3.from_poly(cauchy._factor_poly(idx), order).invert()
+        for _ in range(ms.powers[idx]):
+            series = series * inv
+    return series
 
 
 def brute_sum(p: LaurentPoly3, order: int) -> TruncSeries3:
@@ -65,7 +79,7 @@ class TestMasterSum:
         (LaurentPoly3({(1, 1, 1): Fraction(1), (0, 0, 1): Fraction(-2)}), 5),
     ])
     def test_against_brute_force(self, p, order):
-        assert master_sum(p).taylor(order) == brute_sum(p, order)
+        assert taylor(master_sum(p), order) == brute_sum(p, order)
 
     def test_power_bounds(self):
         # denominator powers stay within 1 + operator order
@@ -316,19 +330,30 @@ class TestCauchyTruncation:
 
 class TestClosedForms:
     def test_degree_zero_and_two(self):
+        # the closed forms are rational series; the profile is attached once
         cm = closedform_omega_minus(4)
-        assert cm.coefficient((0, 0, 0)) == KAPPA_PREFACTOR
-        assert cm.coefficient((2, 0, 0)) == KAPPA_PREFACTOR * Fraction(1, 2)
-        assert cm.coefficient((0, 2, 0)) == KAPPA_PREFACTOR * Fraction(1, 2)
-        assert cm.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(-1, 6)
-        assert cm.coefficient((4, 0, 0)) == KAPPA_PREFACTOR * Fraction(1, 3)
+        assert all(type(c) is Fraction for c in cm.terms.values())
+        assert cm.coefficient((0, 0, 0)) == 1
+        assert cm.coefficient((2, 0, 0)) == Fraction(1, 2)
+        assert cm.coefficient((0, 2, 0)) == Fraction(1, 2)
+        assert cm.coefficient((0, 0, 2)) == Fraction(-1, 6)
+        assert cm.coefficient((4, 0, 0)) == Fraction(1, 3)
+        om = with_kappa_profile("-", cm)
+        assert (om.sign, om.order) == ("-", 4)
+        assert om.coefficient((0, 0, 0)) == KAPPA_PREFACTOR
+        assert om.coefficient((2, 0, 0)) == KAPPA_PREFACTOR * Fraction(1, 2)
+        assert om.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(-1, 6)
+        assert set(om.coeffs) == set(cm.terms)
 
     def test_plus_degree_zero_and_two(self):
         cp = closedform_omega_plus(4)
-        assert cp.coefficient((0, 0, 0)) == KAPPA_PREFACTOR * Fraction(-2)
+        assert all(type(c) is Fraction for c in cp.terms.values())
+        assert cp.coefficient((0, 0, 0)) == -2
         # degree-2 part is (-2 - 2) times the minus-type part
-        assert cp.coefficient((2, 0, 0)) == KAPPA_PREFACTOR * Fraction(-2)
-        assert cp.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(2, 3)
+        assert cp.coefficient((2, 0, 0)) == -2
+        assert cp.coefficient((0, 0, 2)) == Fraction(2, 3)
+        om = with_kappa_profile("+", cp)
+        assert om.coefficient((0, 0, 2)) == KAPPA_PREFACTOR * Fraction(2, 3)
 
     @pytest.fixture(scope="class")
     def checks8(self):
@@ -351,19 +376,106 @@ class TestClosedForms:
             ("-", 8, "pass"), ("+", 8, "pass")]
 
     def test_even_in_each_variable(self):
-        assert closedform_omega_minus(7).all_even()
-        assert closedform_omega_plus(7).all_even()
+        for series in (closedform_omega_minus(7), closedform_omega_plus(7)):
+            assert series.terms and all(
+                x % 2 == 0 for e in series.terms for x in e)
+
+
+def ratfun_closedform_checks(order):
+    """The records of ``closedform_checks`` from the profiled closed forms.
+
+    The former route, kept as the small-size oracle of the rational one:
+    each closed form times ``KAPPA_PREFACTOR`` as ``RatFun1`` coefficients,
+    the PDEs on the homogeneous parts of those profiled series, the (-2 - d)
+    relation on ``RatFun1`` values, and the X23 = 0 data by dividing the
+    profile back out.  A PDE witness is divided by the profile too, so that
+    it reads as the rational route reports it.  The closed forms are read
+    through the module, so a patched one reaches both routes.
+    """
+    def profiled(series):
+        return {e: KAPPA_PREFACTOR * c for e, c in series.terms.items()}
+
+    def part(coeffs, d):
+        return LaurentPoly3({e: c for e, c in coeffs.items() if sum(e) == d})
+
+    cm = profiled(cauchy.closedform_omega_minus(order))
+    cp = profiled(cauchy.closedform_omega_plus(order))
+    op = homogeneous_component(1, -2)
+    checks = []
+    for sign, coeffs, (a, b) in (("-", cm, (5, 6)), ("+", cp, (7, 12))):
+        for d in range(order - 1):
+            residual = op.apply(part(coeffs, d + 2)) - part(coeffs, d).scale(
+                Fraction(d * d + a * d + b))
+            rec = {"check": f"pde-omega{sign}", "degree": d,
+                   "status": "pass" if not residual else "fail"}
+            if residual:
+                e, c = residual.lex_leading()
+                rec["witness"] = {"monomial": list(e),
+                                  "value": str((c / KAPPA_PREFACTOR).as_fraction())}
+            checks.append(rec)
+    euler = {e: c * Fraction(-2 - sum(e)) for e, c in cm.items()}
+    checks.append({"check": "omega-plus-euler-relation", "order": order,
+                   "status": "pass" if cp == euler else "fail"})
+    for sign, coeffs, initial in (("-", cm, omega_initial_minus(order)),
+                                  ("+", cp, omega_initial_plus(order))):
+        sliced = TruncSeries3(order, {
+            e: (c / KAPPA_PREFACTOR).as_fraction()
+            for e, c in coeffs.items() if e[2] == 0})
+        checks.append({"check": "initial-condition", "sign": sign, "order": order,
+                       "status": "pass" if sliced == initial else "fail"})
+    return checks
+
+
+class TestRatFunOracle:
+    """``closedform_checks`` on rational series against the ``RatFun1`` route."""
+
+    @pytest.mark.parametrize("order", range(2, 9))
+    def test_records_match(self, order):
+        assert closedform_checks(order) == ratfun_closedform_checks(order)
+
+    @pytest.mark.parametrize("name, sign", [("closedform_omega_minus", "-"),
+                                            ("closedform_omega_plus", "+")])
+    def test_one_wrong_coefficient(self, monkeypatch, name, sign):
+        # the X12^2 coefficient moved by 1/7: the PDE of that sign fails at
+        # degrees 0 and 2, with the (-2 - d) relation and that sign's
+        # boundary data; the other sign's records still pass
+        real = getattr(cauchy, name)
+
+        def bumped(order):
+            out = real(order)
+            out.terms[(2, 0, 0)] = out.coefficient((2, 0, 0)) + Fraction(1, 7)
+            return out
+
+        monkeypatch.setattr(cauchy, name, bumped)
+        checks = closedform_checks(6)
+        assert checks == ratfun_closedform_checks(6)
+        failed = [(c["check"], c.get("degree", c.get("sign")))
+                  for c in checks if c["status"] == "fail"]
+        assert failed == [(f"pde-omega{sign}", 0), (f"pde-omega{sign}", 2),
+                          ("omega-plus-euler-relation", None),
+                          ("initial-condition", sign)]
+        assert all(c["witness"]["value"] for c in checks
+                   if c["check"].startswith("pde") and c["status"] == "fail")
+
+    def test_builds_no_ratfun(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("closedform_checks built a RatFun1")
+
+        monkeypatch.setattr(RatFun1, "__init__", refuse)
+        checks = closedform_checks(6)
+        assert checks and all(c["status"] == "pass" for c in checks)
 
 
 class TestPde:
     def test_closed_forms_satisfy_pdes(self):
-        assert all(c["status"] == "pass" for c in pde_check(closedform_omega_minus(6)))
-        assert all(c["status"] == "pass" for c in pde_check(closedform_omega_plus(6)))
+        checks = (pde_check(closedform_omega_minus(6), "-")
+                  + pde_check(closedform_omega_plus(6), "+"))
+        assert len(checks) == 10 and all(c["status"] == "pass" for c in checks)
 
     def test_mutation_detected(self):
         omega = closedform_omega_minus(4)
-        omega.coeffs[(0, 0, 2)] = KAPPA_PREFACTOR * Fraction(-1, 5)
-        checks = pde_check(omega)
+        omega.terms[(0, 0, 2)] = Fraction(-1, 5)
+        checks = pde_check(omega, "-")
         failed = [c for c in checks if c["status"] == "fail"]
         assert failed and "witness" in failed[0]
 
@@ -385,14 +497,14 @@ class TestOmegaFromSums:
 
     def test_matches_closed_form(self, expansions12):
         om, _ = omega_from_sums(expansions12, "-", 4)
-        cf = closedform_omega_minus(4)
+        cf = with_kappa_profile("-", closedform_omega_minus(4))
         keys = set(om.coeffs) | set(cf.coeffs)
         assert all(om.coefficient(e) == cf.coefficient(e) for e in keys)
-        assert om.all_even()
+        assert all(x % 2 == 0 for e in om.coeffs for x in e)
 
     def test_plus_matches_closed_form(self, expansions12):
         om, _ = omega_from_sums(expansions12, "+", 3)
-        cf = closedform_omega_plus(3)
+        cf = with_kappa_profile("+", closedform_omega_plus(3))
         keys = set(om.coeffs) | set(cf.coeffs)
         assert all(om.coefficient(e) == cf.coefficient(e) for e in keys)
 
@@ -408,7 +520,7 @@ def fraction_specialized_sum_check(j1, J, table):
     for j2 in range(J + 1):
         j3 = J - j2
         if is_admissible(j1, j2, j3):
-            total = total + table.entries[(j1, j2, j3)].subs_unit(2)
+            total = total + subs_unit(table.entries[(j1, j2, j3)], 2)
             labels += 1
     rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": labels}
     if J < j1 or (J - j1) % 2:
@@ -459,7 +571,7 @@ def fraction_verify_specialized(table):
     for j1 in range(j1_max + 1):
         for j2 in range(j1 + 1):
             closed = fraction_specialization_phi(j1, j2)
-            actual = table.entries[(j1, j2, j1 - j2)].subs_unit(2)
+            actual = subs_unit(table.entries[(j1, j2, j1 - j2)], 2)
             rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
                    "status": "pass" if closed == actual else "fail"}
             if rec["status"] == "fail":
@@ -480,7 +592,7 @@ class TestSpecialization:
         for j1 in range(6):
             for j2 in range(j1 + 1):
                 closed = specialization_phi(j1, j2)
-                actual = table12.entries[(j1, j2, j1 - j2)].subs_unit(2)
+                actual = subs_unit(table12.entries[(j1, j2, j1 - j2)], 2)
                 assert closed == actual, (j1, j2)
 
     def test_matches_the_fraction_route(self):
@@ -516,7 +628,7 @@ class TestSpecializedSum:
             for j2 in range(J + 1):
                 t = (j1, j2, J - j2)
                 if t in table12.entries:
-                    total = total + table12.entries[t].subs_unit(2)
+                    total = total + subs_unit(table12.entries[t], 2)
             return total
 
         assert row_sum(1, 1) == row_sum(1, 3) == row_sum(1, 5)

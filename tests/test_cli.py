@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cauchy, expansion, kernels
+from g2schur import cauchy, cli, expansion, kernels
 from g2schur import table as table_module
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.report import Report
 from g2schur.series import exponents_upto
 from g2schur.table import FalsificationError, SchurTable, enumerate_through
 from g2schur.univariate import DensePoly1
@@ -31,16 +32,16 @@ def strip_timing(report):
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
 
 
-def bump_omega_plus_direct(monkeypatch):
-    """Add 1 to the X12^2 coefficient of the plus-type direct closed form."""
-    real = cauchy._omega_plus_direct
+def bump_omega_plus(monkeypatch):
+    """Add 1 to the X12^2 coefficient of the plus-type closed form."""
+    real = cauchy.closedform_omega_plus
 
     def seeded(order):
         out = real(order)
         out.terms[(2, 0, 0)] = out.coefficient((2, 0, 0)) + 1
         return out
 
-    monkeypatch.setattr(cauchy, "_omega_plus_direct", seeded)
+    monkeypatch.setattr(cauchy, "closedform_omega_plus", seeded)
 
 
 def bump_saved_entry(path):
@@ -320,7 +321,7 @@ class TestVerifyCommands:
 
     def test_cauchy_wrong_plus_closed_form_keeps_later_checks(self, capsys,
                                                              monkeypatch):
-        bump_omega_plus_direct(monkeypatch)
+        bump_omega_plus(monkeypatch)
         code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
                            "--order", "2", "--lambda-order", "2")
         assert code == 1
@@ -580,7 +581,7 @@ class TestReportOnlyCommands:
         assert plus["0,0,0"]["num"] == ["-2"]
 
     def test_omega_wrong_plus_closed_form_fails(self, capsys, monkeypatch):
-        bump_omega_plus_direct(monkeypatch)
+        bump_omega_plus(monkeypatch)
         assert main(["omega", "--order", "2"]) == 1
         assert "(-2 - d) route" in capsys.readouterr().err
 
@@ -589,6 +590,26 @@ class TestReportOnlyCommands:
         code = main(["omega", "--order", "2", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["suite"] == "omega"
+
+
+@pytest.mark.parametrize("argv", [["table"], ["roundtrip"], ["verify", "pieri"],
+                                  ["conjecture"], ["omega"]])
+def test_omitted_flags_take_the_run_config_defaults(argv, monkeypatch):
+    # the dataclass is the one source of defaults: a bare subcommand hands
+    # its runner exactly RunConfig's values
+    seen = []
+
+    def runner(cfg):
+        seen.append(cfg)
+        return 0, Report(suite=argv[0], config={})
+
+    help_text, flags, _ = cli.SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(cli.SUBCOMMANDS, argv[0], (help_text, flags, runner))
+    assert main(argv) == 0
+    assert seen == [cli.RunConfig(*argv)]
+    assert (seen[0].max_level, seen[0].order, seen[0].lambda_order,
+            seen[0].copies, seen[0].table_path, seen[0].out_path,
+            seen[0].json_out) == (12, 4, 4, 1, None, None, False)
 
 
 @pytest.mark.parametrize("argv", [["omega", "--copies", "2"],

@@ -11,6 +11,7 @@ from g2schur.expansion import expand_entry
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import enumerate_through
 from g2schur.univariate import DensePoly1, RatFun1
+from tests.test_laurent import permute
 from tests.test_table import perturbed
 
 mono = LaurentPoly3.monomial
@@ -172,7 +173,7 @@ class TestHomogeneousComponents:
             if sum(e) > 5:
                 continue
             p = mono(e)
-            assert op2.apply(p.permute((1, 0, 2))).permute((1, 0, 2)) == op3.apply(p)
+            assert permute(op2.apply(permute(p, (1, 0, 2))), (1, 0, 2)) == op3.apply(p)
 
     @settings(max_examples=80, deadline=None)
     @given(operators, fraction_polys)
@@ -185,7 +186,8 @@ class TestHomogeneousComponents:
     @settings(max_examples=30, deadline=None)
     @given(operators, ratfun_polys)
     def test_apply_matches_oracle_on_ratfun_coefficients(self, km, p):
-        # the coefficient ring of cauchy.pde_check
+        # the coefficient ring of the RatFun1 oracle of cauchy.pde_check in
+        # tests/test_cauchy.py; the package applies it to rationals only
         op = homogeneous_component(*km)
         assert op.apply(p) == derivative_apply(op, p)
 

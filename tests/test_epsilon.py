@@ -134,6 +134,22 @@ class TestEpsLaurent:
         assert prod.coefficient(0) == KLocal.one()
         assert prod.min_degree() == 0
 
+    def test_inverse_of_int_coefficients_is_exact(self):
+        # 1 / (2 + eps) = 1/2 - eps/4 + eps^2/8 - ..., in Fractions, not floats
+        inv = EpsLaurent({0: 2, 1: 1}).inverse(2)
+        assert inv.coeffs == {0: Fraction(1, 2), 1: Fraction(-1, 4),
+                              2: Fraction(1, 8)}
+        assert all(type(c) is Fraction for c in inv.coeffs.values())
+
+    def test_inverse_of_klocal_lead_keeps_int_coefficients(self):
+        # lead k^2 (1 - k^2) at eps^-1: its reciprocal k^-2 / (1 - k^2) is
+        # exact, so every coefficient of the inverse stays an int
+        s = EpsLaurent({-1: KLocal({2: 1, 4: -1}), 0: KLocal({0: 1})}, None)
+        inv = s.inverse(2)
+        assert inv.coeffs and all(
+            type(c) is int for v in inv.coeffs.values() for c in v.terms.values())
+        assert (s * inv).coefficient(0) == KLocal.one()
+
     def test_inverse_needs_enough_data(self):
         s = EpsLaurent({0: KLocal.one()}, 1)
         with pytest.raises(ValueError):

@@ -80,13 +80,13 @@ PUBLIC = """CoeffFamily ConjectureReport DegreeImages DensePoly1 EpsLaurent
     OmegaSeries RatFun1 SchurTable SingularSeriesError TableError
     TruncSeries3 action_check apply_H_cleared check_H1_relation closedform_checks closedform_omega_minus
     closedform_omega_plus common_kernel conjecture_check conjecture_coeff
-    enumerate_level expand_entry homogeneous_component is_admissible kernel_H1
+    enumerate_level homogeneous_component is_admissible kernel_H1
     leading_pole_coefficient leading_term leading_term_check legendre
     master_sum omega_from_sums omega_plus_from_minus omega_vs_closedform
     pde_check pieri_coeff s3_check solve_table specialization_phi
     specialized_sum_check triple_kernel verify_cauchy verify_eigen
     verify_kernel verify_pieri verify_recursion_by_components verify_series
-    verify_specialized x_plus_inv""".split()
+    verify_specialized with_kappa_profile x_plus_inv""".split()
 
 
 def test_every_public_name_resolves_to_its_submodule():

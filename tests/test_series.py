@@ -25,6 +25,16 @@ def test_invert_constants():
     assert c.invert() == TruncSeries3.constant(Fraction(-7, 3), 2)
 
 
+def test_invert_int_coefficients_is_exact():
+    # an int constant term inverts to Fractions, never to floats (which
+    # compare equal to them, so the types are checked)
+    a = TruncSeries3.from_poly(LaurentPoly3({(0, 0, 0): 2, (1, 0, 0): 1}), 2)
+    inv = a.invert()
+    assert inv.terms == {(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(-1, 4),
+                         (2, 0, 0): Fraction(1, 8)}
+    assert all(type(c) is Fraction for c in inv.terms.values())
+
+
 def test_invert_shifted_quadratic():
     # 1/(-2 + X12^2 + X13^2 - X23^2) at order 2
     a = s3(2, {(0, 0, 0): -2, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})

@@ -14,9 +14,34 @@ from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
                            TableError, _pieri_terms, enumerate_level,
                            enumerate_through, is_admissible, leading_term,
-                           pieri_coeff, s3_check, solve_entry, solve_table,
-                           verify_pieri)
+                           pieri_coeff, predecessor_equations, s3_check,
+                           solve_table, verify_pieri)
 from g2schur.tablefile import _parse_coeff
+from tests.test_laurent import flip
+
+
+def solve_entry(triple, entries, generators):
+    """Solve ``triple`` from its solving equation, in any ring.
+
+    ``entries`` holds the values of the lower levels and ``generators[i]``
+    the value of x_i + 1/x_i; values need ``*``, ``-`` and ``scale``.  The
+    oracle of the integer solve (``table.solve_cleared``): on Laurent
+    polynomials for ``solve_table``, on truncated power series for the
+    expansions around x = 1.
+    """
+    eq, pred = predecessor_equations(triple)[0]
+    rest = generators[eq] * entries[pred]
+    lead_coeff = None
+    for target, coeff in _pieri_terms(eq, pred):
+        if not coeff or not is_admissible(*target):
+            continue
+        if target == triple:
+            lead_coeff = coeff
+        else:
+            rest = rest - entries[target].scale(coeff)
+    if not lead_coeff:
+        raise TableError(f"vanishing leading coefficient solving {triple}")
+    return rest.scale(1 / lead_coeff)
 
 
 def fraction_pieri_residual(table, eq, base):
@@ -181,7 +206,7 @@ class TestSolveTable:
     def test_invariance_under_inversion(self, table8):
         for phi in table8.entries.values():
             for i in range(3):
-                assert phi.flip(i) == phi
+                assert flip(phi, i) == phi
 
     def test_pieri_residuals(self, table8):
         for triple in enumerate_through(table8.max_level):
