@@ -17,23 +17,24 @@ __version__ = "0.1.0"
 
 #: public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
-    ("cauchy", """MasterSum OmegaSeries check_H1_relation closedform_checks
-        closedform_omega_minus closedform_omega_plus leading_pole_coefficient
-        master_sum omega_from_sums omega_plus_from_minus omega_vs_closedform
-        pde_check specialization_phi specialized_sum_check verify_cauchy
-        verify_specialized with_kappa_profile"""),
+    ("cauchy", """check_H1_relation closedform_checks omega_from_sums
+        omega_vs_closedform pde_check specialization_phi specialized_sum_check
+        verify_cauchy verify_specialized"""),
+    ("closedform", """OmegaSeries closedform_omega_minus closedform_omega_plus
+        omega_plus_from_minus with_kappa_profile"""),
     ("conjecture", "ConjectureReport conjecture_check conjecture_coeff"),
     ("diffops", """HomogeneousOp apply_H_cleared homogeneous_component
         verify_eigen verify_recursion_by_components"""),
     ("epsilon", "EpsLaurent"),
+    ("errors", "FalsificationError TableError"),
     ("expansion", "CoeffFamily ExpansionSet verify_series"),
     ("kernels", """DegreeImages action_check common_kernel kernel_H1
         leading_term_check triple_kernel verify_kernel"""),
     ("laurent", "LaurentPoly3 x_plus_inv"),
+    ("poles", "MasterSum leading_pole_coefficient master_sum"),
     ("series", "SingularSeriesError TruncSeries3"),
-    ("table", """FalsificationError SchurTable TableError enumerate_level
-        is_admissible leading_term pieri_coeff s3_check solve_table
-        verify_pieri"""),
+    ("table", """SchurTable enumerate_level is_admissible leading_term
+        pieri_coeff s3_check solve_table verify_pieri"""),
     ("univariate", "DensePoly1 RatFun1 legendre"),
 ) for name in names.split()}
 

@@ -13,9 +13,13 @@ Each subcommand accepts only the flags it reads.  The suites themselves are
 library functions returning their check records (``table.verify_pieri``,
 ``diffops.verify_eigen``, ``expansion.verify_series``,
 ``cauchy.verify_cauchy``, ``cauchy.verify_specialized``,
-``kernels.verify_kernel``); this module maps a suite name to one call.  A
-suite's module is imported when the suite runs, so each command compiles
-only what it uses.
+``kernels.verify_kernel``); this module maps a suite name to one call.
+Every module beyond ``errors`` and ``report`` is imported when a command
+runs, so each command compiles only what it uses: ``table`` for the commands
+that solve or load a table, the suite's own module for ``verify``,
+``conjecture`` with ``expansion`` and ``poles`` (but not ``cauchy`` or
+``diffops``) for ``conjecture``, and only ``closedform`` and its series
+arithmetic for ``omega``.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 in the report), 2 configuration or I/O error.
@@ -25,36 +29,47 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .errors import FalsificationError, TableError
 from .report import Report, Stopwatch
-from .table import (FalsificationError, SchurTable, TableError, solve_table,
-                    text_checksum, verify_pieri)
+
+if TYPE_CHECKING:
+    from .table import SchurTable
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-@dataclass
 class RunConfig:
     """One command line; the defaults here are the defaults of the flags."""
 
-    subcommand: str
-    suite: str | None = None
-    max_level: int = 12
-    order: int = 4
-    lambda_order: int = 4
-    copies: int = 1
-    table_path: str | None = None
-    out_path: str | None = None
-    json_out: bool = False
+    def __init__(self, subcommand: str, suite: str | None = None,
+                 max_level: int = 12, order: int = 4, lambda_order: int = 4,
+                 copies: int = 1, table_path: str | None = None,
+                 out_path: str | None = None, json_out: bool = False):
+        self.subcommand = subcommand
+        self.suite = suite
+        self.max_level = max_level
+        self.order = order
+        self.lambda_order = lambda_order
+        self.copies = copies
+        self.table_path = table_path
+        self.out_path = out_path
+        self.json_out = json_out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunConfig):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _load_or_build(cfg: RunConfig) -> tuple[SchurTable, str]:
     """The table of ``--table``, or one solved through ``--max-level``, and
     its checksum: the SHA-256 of the file read, which is the canonical text
     of a loaded table, or of the canonical text of the table built."""
+    from .table import SchurTable, solve_table
     if cfg.table_path:
         table = SchurTable.load(cfg.table_path)
         if table.max_level < cfg.max_level:
@@ -74,6 +89,7 @@ def _emit(report: Report, cfg: RunConfig) -> None:
 
 
 def run_table(cfg: RunConfig) -> tuple[int, Report]:
+    from .table import solve_table, text_checksum
     with Stopwatch() as sw:
         table = solve_table(cfg.max_level)
         text = table.save(cfg.out_path) if cfg.out_path else table.canonical_json()
@@ -91,6 +107,7 @@ def run_table(cfg: RunConfig) -> tuple[int, Report]:
 def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
     if not cfg.table_path:
         raise TableError("roundtrip requires --table")
+    from .table import SchurTable, text_checksum
     with Stopwatch() as sw:
         table = SchurTable.load(cfg.table_path)
         text = table.canonical_json()
@@ -107,6 +124,7 @@ def run_roundtrip(cfg: RunConfig) -> tuple[int, Report]:
 
 
 def _pieri(cfg: RunConfig, table: SchurTable) -> list[dict]:
+    from .table import verify_pieri
     return verify_pieri(table)
 
 
@@ -186,8 +204,8 @@ def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
 
 
 def run_omega(cfg: RunConfig) -> tuple[int, Report]:
-    from .cauchy import (closedform_omega_minus, closedform_omega_plus,
-                         omega_plus_from_minus, with_kappa_profile)
+    from .closedform import (closedform_omega_minus, closedform_omega_plus,
+                             omega_plus_from_minus, with_kappa_profile)
     with Stopwatch() as sw:
         minus = closedform_omega_minus(cfg.order)
         plus = closedform_omega_plus(cfg.order)

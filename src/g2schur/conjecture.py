@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cauchy import leading_pole_coefficient
 from .expansion import ExpansionSet, unvalidated_message
 from .laurent import LaurentPoly3
+from .poles import leading_pole_coefficient
 from .series import exponents_upto
 from .univariate import RatFun1, odd_double_factorial
 
@@ -70,12 +69,13 @@ def _index_tuples(copies: int, max_total: int) -> list[tuple[IndexVec, ...]]:
     return sorted(out)
 
 
-@dataclass
 class ConjectureReport:
-    copies: int
-    order: int
-    normalization: RatFun1
-    records: list[dict]
+    def __init__(self, copies: int, order: int, normalization: RatFun1,
+                 records: list[dict]):
+        self.copies = copies
+        self.order = order
+        self.normalization = normalization
+        self.records = records
 
     def summary(self) -> dict:
         out = {}
@@ -116,10 +116,13 @@ def conjecture_check(copies: int, order: int,
     if copies < 1:
         raise ValueError("need at least one copy")
 
+    # a product of families does not depend on the order of its factors, so
+    # the extracted values are keyed on the sorted tuple of monomials
     extracted: dict[tuple[IndexVec, ...], RatFun1] = {}
 
     def extract(mvecs: tuple[IndexVec, ...]) -> RatFun1:
-        if mvecs not in extracted:
+        key = tuple(sorted(mvecs))
+        if key not in extracted:
             p = LaurentPoly3.one()
             for mvec in mvecs:
                 family = expansions.fit_family(mvec)
@@ -128,8 +131,8 @@ def conjecture_check(copies: int, order: int,
                 p = p * family.polynomial
             shift = sum(sum(v) for v in mvecs)
             value, _ = leading_pole_coefficient(p, "-", shift)
-            extracted[mvecs] = value
-        return extracted[mvecs]
+            extracted[key] = value
+        return extracted[key]
 
     zero_tuple = tuple((0, 0, 0) for _ in range(copies))
     normalization = extract(zero_tuple)

@@ -28,10 +28,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .laurent import LaurentPoly3
+from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3
-from .table import SchurTable, Triple, enumerate_through
+
+if TYPE_CHECKING:
+    from .table import SchurTable
 
 # operator index -> (v, w, u) variable positions (0=x12, 1=x13, 2=x23)
 OP_VARS = {1: (0, 1, 2), 2: (0, 2, 1), 3: (1, 2, 0)}
@@ -102,6 +105,8 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
     Each entry is read in its integer form; the witness of a failed check is
     the residual of the entry itself.
     """
+    from .table import enumerate_through  # the kernel suite needs no table
+
     if max_level is None:
         max_level = table.max_level
     checks = []
@@ -310,7 +315,7 @@ def homogeneous_component(k: int, m: int) -> HomogeneousOp:
 
 
 def verify_recursion_by_components(L: int,
-                                   expansions: dict[Triple, TruncSeries3]) -> list[dict]:
+                                   expansions: dict[Exp, TruncSeries3]) -> list[dict]:
     """Degree-by-degree eigen check on expansions around x = 1.
 
     For each entry and k, asserts

@@ -7,6 +7,12 @@ trustworthy (``order``); the low end of a series is always exact.
 ``order=None`` marks an exact Laurent polynomial, valid to every degree.
 Products derive the order of the result from the operands and never silently
 extend it.
+
+No command computes with this class: the pole data of ``poles.py`` are built
+from the factored denominator in ``klocal`` numerators.  It is the arithmetic
+of the former route, the test oracle of those pole data (``specialize_master``
+in ``tests/test_cauchy.py``), and its product and inverse stay here because
+the layer trace of ``perfbench/traced.py`` wraps them (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -132,6 +138,11 @@ class EpsLaurent:
         The series factors as eps^m * (unit); the unit part is inverted by the
         usual recursion.  Requires a nonzero series known at least to the
         degree needed for the requested output order.
+
+        Only the tests call it, as the oracle of the pole data; it stays in
+        the package because ``perfbench/traced.py`` wraps it as
+        ``epsilon.inverse`` and stops when a target is missing (ROADMAP
+        item 1).
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of the zero series")

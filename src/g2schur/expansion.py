@@ -22,12 +22,10 @@ degree d, and validates them on every label above that level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .diffops import verify_recursion_by_components
 from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3, exponents_upto
 from .table import (Cleared, FalsificationError, SchurTable, Triple,
@@ -128,14 +126,15 @@ def _times_series(generators: list[TruncSeries3]):
     return times
 
 
-@dataclass
 class CoeffFamily:
     """Closed-form coefficient of one series monomial as a polynomial in labels."""
 
-    mvec: Exp
-    polynomial: LaurentPoly3
-    validated_on: int
-    unvalidated: bool = False
+    def __init__(self, mvec: Exp, polynomial: LaurentPoly3, validated_on: int,
+                 unvalidated: bool = False):
+        self.mvec = mvec
+        self.polynomial = polynomial
+        self.validated_on = validated_on
+        self.unvalidated = unvalidated
 
     def serialize(self) -> dict:
         return {
@@ -354,5 +353,8 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     expansions = {t: es.expansion(t) for t in triples if sum(t) <= comp_level}
     L = min(order, 4) - 2
     if L >= 0:
+        # compiled here: the families of verify cauchy and conjecture need
+        # no operators
+        from .diffops import verify_recursion_by_components
         checks.extend(verify_recursion_by_components(L, expansions))
     return checks

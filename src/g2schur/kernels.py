@@ -70,9 +70,9 @@ import math
 from fractions import Fraction
 
 from .diffops import HomogeneousOp, homogeneous_component
+from .errors import FalsificationError
 from .laurent import Exp, LaurentPoly3
 from .linalg import clear_denominators, nullspace, rref
-from .table import FalsificationError
 from .univariate import legendre, odd_double_factorial
 
 #: integer numerators of a polynomial, keyed by exponent

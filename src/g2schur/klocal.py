@@ -18,11 +18,13 @@ fractional inputs, such as the family weights of ``linear_combination``.
 
 Sums and products come back canonical in the one sense that needs no gcd:
 while ``denpow > 0`` and the numerator is divisible by (1 - kappa^2), that
-factor is cancelled (``_reduced``).  Without this the unit-inverse recursion
+factor is cancelled (``reduced``).  Without this the unit-inverse recursion
 of ``EpsLaurent.inverse`` lets ``denpow`` and the numerator grow with every
 step, although the values they represent stay small.  ``linear_combination``
 sums many weighted values at one common power, as the residue extraction
-does.
+does.  The numerator helpers ``convolve``, ``unit_power`` and ``reduced`` are
+public: the pole data of the label monomials (``poles._monomial_poles``) sum
+integer numerators over one power of the unit and reduce once per value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ Coeff = int | Fraction
 _UNIT = {0: 1, 2: -1}  # 1 - kappa^2
 
 
-def _convolve(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+def convolve(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
     out: dict[int, Coeff] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -54,10 +56,10 @@ def _convolve(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
 _unit_powers: list[dict[int, int]] = [{0: 1}]
 
 
-def _unit_power(n: int) -> dict[int, int]:
+def unit_power(n: int) -> dict[int, int]:
     """(1 - kappa^2)^n as a coefficient dict."""
     while len(_unit_powers) <= n:
-        _unit_powers.append(_convolve(_unit_powers[-1], _UNIT))
+        _unit_powers.append(convolve(_unit_powers[-1], _UNIT))
     return _unit_powers[n]
 
 
@@ -80,7 +82,7 @@ def _divide_unit(terms: dict[int, Coeff]) -> dict[int, Coeff] | None:
     return quotient
 
 
-def _reduced(terms: dict[int, Coeff], denpow: int) -> "KLocal":
+def reduced(terms: dict[int, Coeff], denpow: int) -> "KLocal":
     """terms / (1 - kappa^2)^denpow with every cancellable unit factor removed."""
     while denpow > 0 and terms:
         q = _divide_unit(terms)
@@ -105,10 +107,10 @@ def linear_combination(pairs: Iterable[tuple[Coeff, "KLocal"]]) -> "KLocal":
     total: dict[int, Coeff] = {}
     for denpow, acc in groups.items():
         if denpow < top:
-            acc = _convolve(acc, _unit_power(top - denpow))
+            acc = convolve(acc, unit_power(top - denpow))
         for e, c in acc.items():
             total[e] = total.get(e, 0) + c
-    return _reduced({e: c for e, c in total.items() if c}, top)
+    return reduced({e: c for e, c in total.items() if c}, top)
 
 
 class KLocal:
@@ -147,7 +149,7 @@ class KLocal:
     def _lifted(self, denpow: int) -> dict[int, Coeff]:
         if denpow == self.denpow:
             return self.terms
-        return _convolve(self.terms, _unit_power(denpow - self.denpow))
+        return convolve(self.terms, unit_power(denpow - self.denpow))
 
     def __add__(self, other: "KLocal") -> "KLocal":
         if not isinstance(other, KLocal):
@@ -165,7 +167,7 @@ class KLocal:
                 a[e] = s
             else:
                 a.pop(e, None)
-        return _reduced(a, denpow)
+        return reduced(a, denpow)
 
     def __neg__(self) -> "KLocal":
         out = KLocal.__new__(KLocal)
@@ -180,7 +182,7 @@ class KLocal:
 
     def __mul__(self, other) -> "KLocal":
         if isinstance(other, KLocal):
-            return _reduced(_convolve(self.terms, other.terms),
+            return reduced(convolve(self.terms, other.terms),
                             self.denpow + other.denpow)
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -213,8 +215,8 @@ class KLocal:
     def to_ratfun(self) -> RatFun1:
         num = RatFun1.from_kappa_laurent(self.terms)
         if self.denpow > 0:
-            den = RatFun1.from_kappa_laurent(_unit_power(self.denpow))
+            den = RatFun1.from_kappa_laurent(unit_power(self.denpow))
             return num / den
         if self.denpow < 0:
-            return num * RatFun1.from_kappa_laurent(_unit_power(-self.denpow))
+            return num * RatFun1.from_kappa_laurent(unit_power(-self.denpow))
         return num

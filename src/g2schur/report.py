@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict
-    table_checksum: str | None = None
-    checks: list[dict] = field(default_factory=list)
-    elapsed_ms: int | None = None
-    extra: dict = field(default_factory=dict)
-    #: summary counts to report instead of counting ``checks``
-    counts: dict | None = None
+    def __init__(self, suite: str, config: dict, table_checksum: str | None = None,
+                 checks: list[dict] | None = None, elapsed_ms: int | None = None,
+                 extra: dict | None = None, counts: dict | None = None):
+        self.suite = suite
+        self.config = config
+        self.table_checksum = table_checksum
+        self.checks = [] if checks is None else checks
+        self.elapsed_ms = elapsed_ms
+        self.extra = {} if extra is None else extra
+        #: summary counts to report instead of counting ``checks``
+        self.counts = counts
 
     def extend(self, checks: list[dict]) -> None:
         self.checks.extend(checks)

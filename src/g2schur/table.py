@@ -44,23 +44,12 @@ from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import FalsificationError, TableError  # raised and re-exported here
 from .laurent import Exp, LaurentPoly3
 
 Triple = tuple[int, int, int]
 
 FORMAT_VERSION = 1
-
-
-class TableError(Exception):
-    """Failure while constructing, saving or loading a table."""
-
-
-class FalsificationError(AssertionError):
-    """An exactly-provable identity failed; carries a witness."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def is_admissible(j1: int, j2: int, j3: int) -> bool:

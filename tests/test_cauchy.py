@@ -5,25 +5,73 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur import cauchy
-from g2schur.cauchy import (KAPPA_PREFACTOR, POLE_BOUND, MasterSum,
-                            _truncation_numerators, check_H1_relation,
-                            closedform_checks, closedform_omega_minus,
-                            closedform_omega_plus, leading_pole_coefficient,
-                            master_sum, omega_from_sums, omega_initial_minus,
-                            omega_initial_plus, pde_check, specialization_phi,
-                            specialize_master, specialized_sum_check,
-                            verify_cauchy, verify_specialized,
-                            with_kappa_profile)
+from g2schur import cauchy, poles
+from g2schur.cauchy import (_truncation_numerators, check_H1_relation,
+                            closedform_checks, omega_from_sums, pde_check,
+                            specialization_phi, specialized_sum_check,
+                            verify_cauchy, verify_specialized)
+from g2schur.closedform import (KAPPA_PREFACTOR, closedform_omega_minus,
+                                closedform_omega_plus, omega_initial_minus,
+                                omega_initial_plus, with_kappa_profile)
 from g2schur.diffops import homogeneous_component
 from g2schur.epsilon import EpsLaurent
-from g2schur.klocal import KLocal
+from g2schur.klocal import KLocal, reduced
 from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.poles import (POLE_BOUND, MasterSum, leading_pole_coefficient,
+                           master_sum)
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level, is_admissible
 from g2schur.univariate import RatFun1
+from tests.conftest import assert_exact
 from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
+
+
+def _kappa_eps_poly(poly: LaurentPoly3, s1: int) -> EpsLaurent:
+    """Specialize a polynomial in (L1, L2, L3); exact Laurent data in eps."""
+    per_degree: dict[int, dict] = {}
+    for (a, b, c), coeff in poly.terms.items():
+        kexp = s1 * a + b + c
+        n = b + c
+        sign = 1
+        for t in range(n + 1):
+            slot = per_degree.setdefault(t, {})
+            slot[kexp] = slot.get(kexp, 0) + coeff * sign * math.comb(n, t)
+            sign = -sign
+    return EpsLaurent({d: KLocal(terms) for d, terms in per_degree.items()}, None)
+
+
+def _factor_eps(idx: int, s1: int) -> EpsLaurent:
+    """One denominator factor under the specialization, exact in eps."""
+    if idx in (0, 1):  # 1 - L1 L2  or  1 - L1 L3  ->  1 - kappa^{s1+1}(1 - eps)
+        e = s1 + 1
+        const = {0: 1}
+        const[e] = const.get(e, 0) - 1
+        return EpsLaurent({0: KLocal(const), 1: KLocal.kappa_power(e)}, None)
+    # 1 - L2 L3 -> 1 - kappa^2 (1-eps)^2
+    return EpsLaurent({
+        0: KLocal({0: 1, 2: -1}),
+        1: KLocal({2: 2}),
+        2: KLocal({2: -1}),
+    }, None)
+
+
+def specialize_master(ms: MasterSum, s1: int, upto: int = 2) -> EpsLaurent:
+    """Eps-expansion of the master sum at L1 = kappa^{s1}, L2 = L3 = kappa(1-eps).
+
+    The full denominator product, specialized factor by factor and inverted
+    by ``EpsLaurent.inverse``, with the numerator expanded term by term: the
+    former route of the package's pole data, kept as the oracle of
+    ``poles._monomial_poles`` and as the specialization of
+    ``weighted_sum_eps``.
+    """
+    num = _kappa_eps_poly(ms.numer, s1)
+    den = EpsLaurent.constant(KLocal.one())
+    for idx in range(3):
+        f = _factor_eps(idx, s1)
+        for _ in range(ms.powers[idx]):
+            den = den * f
+    return num * den.inverse(upto)
 
 
 def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
@@ -49,7 +97,7 @@ def taylor(ms: MasterSum, order: int) -> TruncSeries3:
     """The closed form ``ms`` as a power series in (L1, L2, L3)."""
     series = TruncSeries3.from_poly(ms.numer, order)
     for idx in range(3):
-        inv = TruncSeries3.from_poly(cauchy._factor_poly(idx), order).invert()
+        inv = TruncSeries3.from_poly(poles._factor_poly(idx), order).invert()
         for _ in range(ms.powers[idx]):
             series = series * inv
     return series
@@ -173,13 +221,70 @@ class TestLinearExtraction:
                 leading_pole_coefficient(p, sign, 0)
 
 
+def inverted_denominator_poles(e) -> dict[int, KLocal]:
+    """The principal part of the label monomial j^e at L1 = 1/kappa by the
+    former route: the full specialized denominator, inverted per monomial."""
+    series = specialize_master(poles._monomial_master(e), -1, upto=-1)
+    return {d: c for d, c in series.coeffs.items() if d < 0}
+
+
+def mismatched_monomials(degree: int) -> list:
+    """The monomials through ``degree`` whose pole data differ from the
+    former route in any degree, numerator term or ``denpow``."""
+    bad = []
+    for e in exponents_upto(degree):
+        got, want = poles._monomial_poles(e), inverted_denominator_poles(e)
+        if got.keys() != want.keys() or any(
+                (got[d].terms, got[d].denpow) != (want[d].terms, want[d].denpow)
+                for d in got):
+            bad.append(e)
+    return bad
+
+
+@pytest.fixture
+def fresh_pole_caches():
+    """Empty the process-wide pole caches before and after a test that
+    changes what fills them."""
+    poles._monomial_poles.cache_clear()
+    poles._g_inverse_numerator.cache_clear()
+    yield
+    poles._monomial_poles.cache_clear()
+    poles._g_inverse_numerator.cache_clear()
+
+
 class TestMonomialPoles:
     """The cached principal parts P_e of the label monomials, on integers."""
 
     def test_coefficients_are_int(self):
-        for e in exponents_upto(5):
-            for d, value in cauchy._monomial_poles(e).items():
+        for e in exponents_upto(6):
+            for d, value in poles._monomial_poles(e).items():
                 assert all(type(c) is int for c in value.terms.values()), (e, d)
+
+    def test_match_the_inverted_denominator_exactly(self):
+        # every monomial through degree 6 (84 of them): the same degrees,
+        # numerator terms and denpow
+        assert len(exponents_upto(6)) == 84
+        assert mismatched_monomials(6) == []
+
+    def test_wrong_sign_in_g_is_caught(self, monkeypatch, fresh_pole_caches):
+        # g = 1 - L2 L3 = (1 - kappa^2) + kappa^2 eps (2 - eps); with the sign
+        # of its eps^2 term flipped, the comparison must fail
+        monkeypatch.setattr(poles, "_G_SLOPE", (2, 1))
+        assert mismatched_monomials(3)
+
+    def test_g_inverse_matches_the_unit_inverse(self):
+        # the binomial coefficients of g^-p against EpsLaurent.inverse of g^p
+        g = _factor_eps(2, -1)
+        for p in range(1, 5):
+            gp = EpsLaurent.constant(KLocal.one())
+            for _ in range(p):
+                gp = gp * g
+            inv = gp.inverse(6)
+            for k in range(7):
+                got = reduced(poles._g_inverse_numerator(p, k), p + k)
+                assert_exact(got)
+                want = inv.coefficient(k)
+                assert (got.terms, got.denpow) == (want.terms, want.denpow), (p, k)
 
     def test_match_the_fraction_route(self):
         # j^e / 3 forces Fraction coefficients through the whole extraction
@@ -187,9 +292,10 @@ class TestMonomialPoles:
             series = specialize_master(
                 master_sum(LaurentPoly3.monomial(e, Fraction(1, 3))), -1, upto=-1)
             third = {d: c for d, c in series.coeffs.items() if d < 0}
-            poles = cauchy._monomial_poles(e)
-            assert poles.keys() == third.keys(), e
-            for d, value in poles.items():
+            assert_exact(third)
+            got = poles._monomial_poles(e)
+            assert got.keys() == third.keys(), e
+            for d, value in got.items():
                 assert value == third[d] * 3, (e, d)
 
 

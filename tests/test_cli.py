@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cauchy, cli, expansion, kernels
+from g2schur import cauchy, cli, closedform, expansion, kernels
+from g2schur import poles as pole_module
 from g2schur import table as table_module
 from g2schur.cli import main
 from g2schur.laurent import LaurentPoly3, x_plus_inv
@@ -33,15 +34,18 @@ def strip_timing(report):
 
 
 def bump_omega_plus(monkeypatch):
-    """Add 1 to the X12^2 coefficient of the plus-type closed form."""
-    real = cauchy.closedform_omega_plus
+    """Add 1 to the X12^2 coefficient of the plus-type closed form, where
+    the ``omega`` command (``closedform``) and ``verify cauchy`` (``cauchy``)
+    read it."""
+    real = closedform.closedform_omega_plus
 
     def seeded(order):
         out = real(order)
         out.terms[(2, 0, 0)] = out.coefficient((2, 0, 0)) + 1
         return out
 
-    monkeypatch.setattr(cauchy, "closedform_omega_plus", seeded)
+    for module in (closedform, cauchy):
+        monkeypatch.setattr(module, "closedform_omega_plus", seeded)
 
 
 def bump_saved_entry(path):
@@ -284,8 +288,9 @@ class TestVerifyCommands:
                                                   (2, "pass")]
 
     def test_cauchy_pole_falsification_keeps_later_checks(self, capsys, monkeypatch):
-        # a minus-type bound of 1 is below the true order 2 of the sums
-        monkeypatch.setattr(cauchy, "POLE_BOUND", {"-": 1, "+": 3})
+        # a minus-type bound of 1 is below the true order 2 of the sums; the
+        # extraction and the records read the one POLE_BOUND dict
+        monkeypatch.setitem(pole_module.POLE_BOUND, "-", 1)
         code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
                            "--order", "2", "--lambda-order", "2")
         assert code == 1
@@ -595,8 +600,8 @@ class TestReportOnlyCommands:
 @pytest.mark.parametrize("argv", [["table"], ["roundtrip"], ["verify", "pieri"],
                                   ["conjecture"], ["omega"]])
 def test_omitted_flags_take_the_run_config_defaults(argv, monkeypatch):
-    # the dataclass is the one source of defaults: a bare subcommand hands
-    # its runner exactly RunConfig's values
+    # RunConfig is the one source of defaults: a bare subcommand hands its
+    # runner exactly RunConfig's values
     seen = []
 
     def runner(cfg):

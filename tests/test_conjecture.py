@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2schur import conjecture
 from g2schur.conjecture import conjecture_check, conjecture_coeff
 
 
@@ -82,6 +83,25 @@ class TestTwoCopyReport:
                     if r["indices"] == [[0, 0, 0], [0, 0, 0]]
                     and r["reading"] == "literal")
         assert zero["match"] and zero["extracted"] == "1"
+
+    def test_one_extraction_per_multiset(self, expansions12, monkeypatch):
+        # a product of families does not depend on the order of its factors:
+        # the 210 ordered tuples of monomials at order 4 are 110 multisets,
+        # and swapped copies read the same value
+        real = conjecture.leading_pole_coefficient
+        shifts = []
+
+        def counted(p, sign, shift):
+            shifts.append(shift)
+            return real(p, sign, shift)
+
+        monkeypatch.setattr(conjecture, "leading_pole_coefficient", counted)
+        report = conjecture_check(2, 4, expansions12)
+        assert len(shifts) == 110
+        assert len({tuple(map(tuple, r["monomials"])) for r in report.records}) == 210
+        extracted = {tuple(map(tuple, r["monomials"])): r["extracted"]
+                     for r in report.records}
+        assert all(extracted[key[::-1]] == value for key, value in extracted.items())
 
     def test_copy_guard(self, expansions12):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal, linear_combination
 from g2schur.univariate import RatFun1
+from tests.conftest import assert_exact
 
 
 def kl(terms, denpow=0):
@@ -127,6 +128,7 @@ class TestEpsLaurent:
         # 1 / (eps^2 (1 - eps)) = eps^-2 (1 + eps + eps^2 + ...)
         s = EpsLaurent({2: KLocal.one(), 3: -KLocal.one()}, None)
         inv = s.inverse(1)
+        assert_exact(inv)
         assert inv.order == 1
         for d in range(-2, 2):
             assert inv.coefficient(d) == KLocal.one()
@@ -139,13 +141,14 @@ class TestEpsLaurent:
         inv = EpsLaurent({0: 2, 1: 1}).inverse(2)
         assert inv.coeffs == {0: Fraction(1, 2), 1: Fraction(-1, 4),
                               2: Fraction(1, 8)}
-        assert all(type(c) is Fraction for c in inv.coeffs.values())
+        assert_exact(inv)
 
     def test_inverse_of_klocal_lead_keeps_int_coefficients(self):
         # lead k^2 (1 - k^2) at eps^-1: its reciprocal k^-2 / (1 - k^2) is
         # exact, so every coefficient of the inverse stays an int
         s = EpsLaurent({-1: KLocal({2: 1, 4: -1}), 0: KLocal({0: 1})}, None)
         inv = s.inverse(2)
+        assert_exact(inv)
         assert inv.coeffs and all(
             type(c) is int for v in inv.coeffs.values() for c in v.terms.values())
         assert (s * inv).coefficient(0) == KLocal.one()

@@ -13,15 +13,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: suite modules that the kernel command and the bare CLI never need
 UNUSED_BY_KERNEL = ("g2schur.cauchy", "g2schur.expansion", "g2schur.conjecture",
-                    "g2schur.klocal", "g2schur.epsilon")
+                    "g2schur.klocal", "g2schur.epsilon", "g2schur.poles",
+                    "g2schur.closedform")
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The ``g2schur`` and ``hashlib`` modules loaded in a fresh interpreter
-    after ``code``."""
+    """The ``g2schur``, ``hashlib`` and ``dataclasses`` modules loaded in a
+    fresh interpreter after ``code``."""
     probe = (f"{code}\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules\n"
-             "                        if m.startswith(('g2schur', 'hashlib')))))")
+             "                        if m.startswith(('g2schur', 'hashlib',\n"
+             "                                         'dataclasses')))))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -29,13 +31,20 @@ def loaded_modules(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def after_command(*argv: str) -> set[str]:
-    """``loaded_modules`` after one CLI command that must exit 0."""
+def after_commands(*commands: list[str]) -> set[str]:
+    """``loaded_modules`` after CLI commands, run in order in one
+    interpreter, each of which must exit 0."""
     return loaded_modules(
         "import contextlib, io\n"
         "from g2schur.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0")
+        f"for argv in {[list(argv) for argv in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv")
+
+
+def after_command(*argv: str) -> set[str]:
+    """``loaded_modules`` after one CLI command that must exit 0."""
+    return after_commands(list(argv))
 
 
 def test_cli_import_loads_no_suite():
@@ -44,10 +53,15 @@ def test_cli_import_loads_no_suite():
     assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.kernels"}
 
 
+def test_cli_import_loads_neither_table_nor_dataclasses():
+    loaded = loaded_modules("import g2schur.cli")
+    assert not loaded & {"g2schur.table", "dataclasses"}
+
+
 def test_kernel_command_loads_only_the_kernel_suite():
     loaded = after_command("verify", "kernel", "--order", "2")
     assert {"g2schur.kernels", "g2schur.linalg", "g2schur.diffops"} <= loaded
-    assert not loaded & set(UNUSED_BY_KERNEL)
+    assert not loaded & {*UNUSED_BY_KERNEL, "g2schur.table"}
     assert "hashlib" not in loaded  # no table is hashed
 
 
@@ -59,8 +73,40 @@ def test_table_command_loads_no_suite(tmp_path):
 
 def test_conjecture_command_loads_no_kernel_suite():
     loaded = after_command("conjecture", "--order", "1", "--max-level", "6")
-    assert {"g2schur.conjecture", "g2schur.cauchy"} <= loaded
+    assert {"g2schur.conjecture", "g2schur.poles"} <= loaded
     assert not loaded & {"g2schur.kernels", "g2schur.linalg"}
+
+
+def test_conjecture_command_loads_no_operators():
+    # the families and their poles need neither the operators nor the
+    # verify cauchy suite
+    loaded = after_command("conjecture", "--copies", "2", "--order", "2",
+                           "--max-level", "8")
+    assert not loaded & {"g2schur.diffops", "g2schur.cauchy"}
+
+
+def test_omega_command_loads_only_the_closed_forms():
+    loaded = after_command("omega", "--order", "2")
+    assert "g2schur.closedform" in loaded
+    assert not loaded & {"g2schur.cauchy", "g2schur.klocal", "g2schur.epsilon",
+                         "g2schur.expansion", "g2schur.diffops", "g2schur.table"}
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    path = str(tmp_path / "t.json")
+    loaded = after_commands(
+        ["table", "--max-level", "6", "--out", path],
+        ["roundtrip", "--table", path],
+        *(["verify", suite, "--max-level", "6", "--order", "2",
+           "--lambda-order", "2", "--table", path]
+          for suite in ("pieri", "eigen", "series", "specialized")),
+        ["verify", "cauchy", "--max-level", "8", "--order", "2", "--lambda-order", "2"],
+        ["verify", "kernel", "--order", "2"],
+        ["conjecture", "--copies", "2", "--order", "2", "--max-level", "8"],
+        ["omega", "--order", "2"])
+    assert {"g2schur.cauchy", "g2schur.kernels", "g2schur.conjecture",
+            "g2schur.closedform"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_table_reader_is_imported_by_the_first_load(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from g2schur.laurent import LaurentPoly3
 from g2schur.series import SingularSeriesError, TruncSeries3
+from tests.conftest import assert_exact
 
 
 def s3(order, terms):
@@ -17,12 +18,14 @@ def test_geometric_inverse_truncated():
     b = s3(3, {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): 1, (3, 0, 0): -1})
     assert a * b == TruncSeries3.one(3)
     assert a.invert() == b
+    assert_exact(a.invert())
 
 
 def test_invert_constants():
     assert TruncSeries3.one(4).invert() == TruncSeries3.one(4)
     c = TruncSeries3.constant(Fraction(-3, 7), 2)
     assert c.invert() == TruncSeries3.constant(Fraction(-7, 3), 2)
+    assert_exact(c.invert())
 
 
 def test_invert_int_coefficients_is_exact():
@@ -32,7 +35,17 @@ def test_invert_int_coefficients_is_exact():
     inv = a.invert()
     assert inv.terms == {(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(-1, 4),
                          (2, 0, 0): Fraction(1, 8)}
-    assert all(type(c) is Fraction for c in inv.terms.values())
+    assert_exact(inv)
+
+
+def test_assert_exact_sees_a_float_that_equality_misses():
+    # 0.5 == Fraction(1, 2), so only the coefficient types tell them apart
+    leaked = TruncSeries3(1, {(0, 0, 0): 0.5, (1, 0, 0): 1})
+    assert leaked == s3(1, {(0, 0, 0): Fraction(1, 2), (1, 0, 0): 1})
+    with pytest.raises(AssertionError, match="float"):
+        assert_exact(leaked)
+    with pytest.raises(AssertionError, match="float"):
+        assert_exact({0: {"nested": 0.25}})
 
 
 def test_invert_shifted_quadratic():
@@ -42,6 +55,7 @@ def test_invert_shifted_quadratic():
                       (0, 2, 0): Fraction(-1, 4), (0, 0, 2): Fraction(1, 4)})
     inv = a.invert()
     assert inv == expected
+    assert_exact(inv)
     assert a * inv == TruncSeries3.one(2)
 
 
@@ -73,7 +87,9 @@ unit_series = st.dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(unit_series)
 def test_inverse_roundtrip(s):
-    assert s * s.invert() == TruncSeries3.one(4)
+    inv = s.invert()
+    assert_exact(inv)
+    assert s * inv == TruncSeries3.one(4)
 
 
 @settings(max_examples=40, deadline=None)

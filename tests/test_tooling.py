@@ -22,6 +22,14 @@ def test_traced_run_finds_every_target(tmp_path):
     assert traced(tmp_path, "omega", "--order", "1")["exit_code"] == 0
 
 
+def test_omega_closed_forms_reach_their_traced_span(tmp_path):
+    # the closed forms live in closedform.py and run under the cauchy names
+    # that traced.py resolves: one span for each sign
+    trace = traced(tmp_path, "omega", "--order", "1")
+    assert trace["exit_code"] == 0
+    assert [span[0] for span in trace["spans"]].count("cauchy.closedform") == 2
+
+
 def test_table_checks_reach_their_traced_layers(tmp_path):
     # the integer residuals and the direct writer run under the traced names
     seen = set()
@@ -51,9 +59,15 @@ def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
     trace = traced(tmp_path, "conjecture", "--copies", "2", "--order", "2",
                    "--max-level", "8")
     assert trace["exit_code"] == 0
+    spans = [span[0] for span in trace["spans"]]
     assert {"cauchy.leading_pole_coefficient", "expansion.fit_family",
-            "conjecture.conjecture_check"} <= {span[0] for span in trace["spans"]}
+            "conjecture.conjecture_check"} <= set(spans)
     assert trace["kernels"]["laurent.mul"]["calls"] > 0
+    # one extraction per multiset of monomials: the 28 ordered pairs of
+    # weight <= 2 (the doubled ones among them) are 16 multisets
+    assert spans.count("cauchy.leading_pole_coefficient") == 16
+    # the pole data come from the factored denominator, with no unit inverse
+    assert trace["kernels"]["epsilon.inverse"]["calls"] == 0
 
 
 def test_cauchy_suite_reaches_its_traced_stages(tmp_path):
