@@ -35,7 +35,6 @@ _EXPORTS = {name: module for module, names in (
     ("series", "SingularSeriesError TruncSeries3"),
     ("table", """SchurTable enumerate_level is_admissible leading_term
         pieri_coeff s3_check solve_table verify_pieri"""),
-    ("univariate", "DensePoly1 RatFun1 legendre"),
 ) for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

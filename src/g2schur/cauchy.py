@@ -48,8 +48,8 @@ from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
 from .laurent import Exp, LaurentPoly3
 from .poles import POLE_BOUND, leading_pole_coefficient
 from .series import TruncSeries3, exponents_upto
+from .klocal import KLocal
 from .table import Cleared, SchurTable, is_admissible
-from .univariate import RatFun1
 
 # ---------------------------------------------------------------------------
 # truncated sums in lambda and the first-order relation
@@ -159,7 +159,7 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
     with a witness and the pass goes on; the series is then None.
     """
     bound = POLE_BOUND[sign]
-    coeffs: dict[Exp, RatFun1] = {}
+    coeffs: dict[Exp, KLocal] = {}
     records = []
     for mvec in exponents_upto(order):
         rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
@@ -176,7 +176,7 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
         except FalsificationError as exc:
             witness = {"message": str(exc)}
             if exc.witness is not None:  # the over-bound leading coefficient
-                witness["coefficient"] = exc.witness.to_ratfun().serialize()
+                witness["coefficient"] = exc.witness.serialize()
             rec.update(bound=bound, status="fail", witness=witness)
         else:
             rec.update(order=pole, bound=bound,
@@ -220,10 +220,12 @@ def omega_vs_closedform(om: OmegaSeries) -> dict:
 
     The normalization is the ratio of the (0,0,0) coefficients and must be
     nonzero; every other coefficient must then match with the same factor.
+    The closed form's coefficient is the kappa-profile times a rational, a
+    unit of the ring, so the ratio is a product with its exact reciprocal.
     """
     cf = with_kappa_profile("-", closedform_omega_minus(om.order))
     base = cf.coefficient((0, 0, 0))
-    ratio = om.coefficient((0, 0, 0)) / base if base else None
+    ratio = om.coefficient((0, 0, 0)) * (1 / base) if base else None
     ok = bool(ratio) and all(
         om.coefficient(e) == ratio * cf.coefficient(e)
         for e in set(om.coeffs) | set(cf.coeffs))

@@ -18,8 +18,8 @@ Every module beyond ``errors`` and ``report`` is imported when a command
 runs, so each command compiles only what it uses: ``table`` for the commands
 that solve or load a table, the suite's own module for ``verify``,
 ``conjecture`` with ``expansion`` and ``poles`` (but not ``cauchy`` or
-``diffops``) for ``conjecture``, and only ``closedform`` and its series
-arithmetic for ``omega``.
+``diffops``) for ``conjecture``, and only ``closedform``, its series
+arithmetic and ``klocal`` for ``omega``.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 in the report), 2 configuration or I/O error.

@@ -17,8 +17,9 @@ plus-type closed form and its boundary form.  The (-2 - d) map from Omega_-
 for the emitted series and the comparison with the generating sums.
 
 The ``omega`` command needs nothing else, so this module imports only the
-series arithmetic; the checks on these forms (PDEs, boundary data, the
-comparison with the sums) are in ``cauchy.py``.
+series arithmetic and, for the profile, ``klocal``; the checks on these
+forms (PDEs, boundary data, the comparison with the sums) are in
+``cauchy.py``.
 """
 
 from __future__ import annotations
@@ -26,26 +27,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import FalsificationError
+from .klocal import KLocal
 from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3
-from .univariate import DensePoly1, RatFun1
 
 #: 1 / (kappa (kappa^2 - 1)), the kappa-profile of every leading term
-KAPPA_PREFACTOR = RatFun1(DensePoly1.constant(1), DensePoly1([0, -1, 0, 1]))
+KAPPA_PREFACTOR = KLocal({-1: -1}, 1)
 
 
 class OmegaSeries:
-    """Truncated leading-term series with rational-in-kappa coefficients."""
+    """Truncated leading-term series with ``KLocal`` coefficients."""
 
-    def __init__(self, sign: str, order: int, coeffs: dict[Exp, RatFun1]):
+    def __init__(self, sign: str, order: int, coeffs: dict[Exp, KLocal]):
         self.sign = sign
         self.order = order
         self.coeffs = coeffs
 
-    def coefficient(self, e: Exp) -> RatFun1:
+    def coefficient(self, e: Exp) -> KLocal:
         if sum(e) > self.order:
             raise ValueError(f"degree {sum(e)} beyond truncation order {self.order}")
-        return self.coeffs.get(tuple(e), RatFun1.zero())
+        return self.coeffs.get(tuple(e), KLocal.zero())
 
     def serialize(self) -> dict:
         return {

@@ -26,10 +26,10 @@ import math
 from fractions import Fraction
 
 from .expansion import ExpansionSet, unvalidated_message
+from .klocal import KLocal
 from .laurent import LaurentPoly3
 from .poles import leading_pole_coefficient
 from .series import exponents_upto
-from .univariate import RatFun1, odd_double_factorial
 
 IndexVec = tuple[int, int, int]
 
@@ -52,8 +52,8 @@ def conjecture_coeff(vectors: list[IndexVec]) -> Fraction:
                       math.factorial(sum_12_13_2x23 + 1))
     for v in vectors:
         s = sum(v)
-        # Gamma(3/2) / Gamma(s + 3/2) = 2^s / (2s+1)!!
-        value *= Fraction(2 ** s, odd_double_factorial(2 * s + 1))
+        # Gamma(3/2) / Gamma(s + 3/2) = 2^s / (2s+1)!! = 4^s s! / (2s+1)!
+        value *= Fraction(4 ** s * math.factorial(s), math.factorial(2 * s + 1))
     value *= Fraction(math.factorial(sum_12_23) * math.factorial(sum_13_23))
     for v in vectors:
         value /= math.factorial(v[0]) * math.factorial(v[1]) * math.factorial(v[2])
@@ -70,7 +70,7 @@ def _index_tuples(copies: int, max_total: int) -> list[tuple[IndexVec, ...]]:
 
 
 class ConjectureReport:
-    def __init__(self, copies: int, order: int, normalization: RatFun1,
+    def __init__(self, copies: int, order: int, normalization: KLocal,
                  records: list[dict]):
         self.copies = copies
         self.order = order
@@ -109,18 +109,20 @@ def conjecture_check(copies: int, order: int,
     into one label polynomial per exponent tuple; extraction then follows the
     single-sum machinery.  Extracted values are normalized by the degree-0
     kappa-profile (recorded in the report) and must be kappa-free afterwards
-    to count as comparable.  A family validated on fewer than
-    ``expansion.VALIDATION_MARGIN`` labels raises ``ValueError`` naming the
-    table level that ``order`` needs.
+    to count as comparable.  Each value is normalized through the exact
+    reciprocal of the profile, taken once; a profile that vanishes or is not
+    a unit of ``KLocal``'s ring raises ``ValueError``.  A family validated
+    on fewer than ``expansion.VALIDATION_MARGIN`` labels raises
+    ``ValueError`` naming the table level that ``order`` needs.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
 
     # a product of families does not depend on the order of its factors, so
     # the extracted values are keyed on the sorted tuple of monomials
-    extracted: dict[tuple[IndexVec, ...], RatFun1] = {}
+    extracted: dict[tuple[IndexVec, ...], KLocal] = {}
 
-    def extract(mvecs: tuple[IndexVec, ...]) -> RatFun1:
+    def extract(mvecs: tuple[IndexVec, ...]) -> KLocal:
         key = tuple(sorted(mvecs))
         if key not in extracted:
             p = LaurentPoly3.one()
@@ -138,13 +140,18 @@ def conjecture_check(copies: int, order: int,
     normalization = extract(zero_tuple)
     if not normalization:
         raise ValueError("vanishing degree-0 coefficient; cannot normalize")
+    try:
+        inverse = 1 / normalization
+    except ZeroDivisionError:
+        raise ValueError("degree-0 coefficient is not a unit; cannot "
+                         f"normalize by {normalization.serialize()}") from None
 
     records: list[dict] = []
     for reading, scalefactor in (("literal", 1), ("doubled", 2)):
         for combo in _index_tuples(copies, order // scalefactor):
             monomials = tuple(
                 tuple(scalefactor * x for x in vec) for vec in combo)
-            value = extract(monomials) / normalization
+            value = extract(monomials) * inverse
             predicted = conjecture_coeff(list(combo))
             rec = {
                 "reading": reading,

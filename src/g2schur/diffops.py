@@ -149,9 +149,9 @@ class HomogeneousOp:
     per distinct exponent of the argument; the sums are divided by the
     denominator once, unless it is 1, as it is for every degree -2
     component.  Only the operator is cleared; every argument in the package
-    has rational coefficients, and the sum is ring-generic (the ``RatFun1``
-    oracle of ``cauchy.pde_check`` in ``tests/test_cauchy.py`` applies it to
-    profiled series).
+    has rational coefficients, and the sum is ring-generic (the profiled
+    oracle of ``cauchy.closedform_checks`` in ``tests/test_cauchy.py``
+    applies it to series with ``KLocal`` coefficients).
     """
 
     __slots__ = ("k", "degree", "terms", "_shifts", "_order", "_inv_den")

@@ -73,7 +73,6 @@ from .diffops import HomogeneousOp, homogeneous_component
 from .errors import FalsificationError
 from .laurent import Exp, LaurentPoly3
 from .linalg import clear_denominators, nullspace, rref
-from .univariate import legendre, odd_double_factorial
 
 #: integer numerators of a polynomial, keyed by exponent
 Terms = dict[Exp, int]
@@ -91,9 +90,20 @@ def _binomial_pair(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _legendre_numerators(n: int) -> tuple[tuple[int, ...], int]:
-    """P_n as (numerators, den): its coefficients over their lcm denominator."""
-    nums, den = clear_denominators(legendre(n).coeffs)
-    return tuple(nums), den
+    """P_n as (numerators, den) in lowest terms, from the closed form
+    P_n(x) = 2^-n sum_j (-1)^j C(n, j) C(2n - 2j, n) x^(n - 2j)."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    nums = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        nums[n - 2 * j] = (-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n)
+    g = math.gcd(2 ** n, *nums)
+    return tuple(c // g for c in nums), 2 ** n // g
+
+
+def _odd_double_factorial(n: int) -> int:
+    """n!! for odd n >= -1; the empty product is 1."""
+    return math.prod(range(n, 0, -2))
 
 
 def _base_element(k: int, l: int, pk: tuple, pl: tuple) -> tuple[Terms, int]:
@@ -368,13 +378,13 @@ def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
             continue
         if m > 2 * l:
             coeff = Fraction(
-                odd_double_factorial(2 * l - 1) ** 2 * (m + 1) * (m - 2 * l),
+                _odd_double_factorial(2 * l - 1) ** 2 * (m + 1) * (m - 2 * l),
                 math.factorial(l) ** 2)
             expected = ((2 * l, 0, m - 2 * l - 2), coeff)
             case = "m>2l"
         else:
             coeff = Fraction(
-                odd_double_factorial(2 * l + 1) ** 2 * 2 * l * l,
+                _odd_double_factorial(2 * l + 1) ** 2 * 2 * l * l,
                 math.factorial(l) ** 2 * (4 * l * l - 1))
             if k == 3:
                 coeff = -coeff

@@ -3,9 +3,11 @@
 Every coefficient met while expanding the specialized generating sums around
 lambda = kappa lives in this ring: numerators are Laurent polynomials in
 kappa and denominators are powers of (1 - kappa^2).  Staying inside the
-localization makes products plain convolutions; no polynomial gcd is taken,
-and conversion to a reduced rational function happens once per extracted
-value.
+localization makes products plain convolutions, and no polynomial gcd is
+ever taken.  ``KLocal`` is the one kappa-value type of the package: the
+leading-pole coefficients, the leading-term series and the conjecture's
+normalized values all stay in it, and ``serialize`` writes a value as a
+reduced rational function once, when a report emits it.
 
 Coefficients are Python ``int`` where the value is integral and ``Fraction``
 elsewhere; the arithmetic is the same generic code for both.  The constants
@@ -19,20 +21,19 @@ fractional inputs, such as the family weights of ``linear_combination``.
 Sums and products come back canonical in the one sense that needs no gcd:
 while ``denpow > 0`` and the numerator is divisible by (1 - kappa^2), that
 factor is cancelled (``reduced``).  Without this the unit-inverse recursion
-of ``EpsLaurent.inverse`` lets ``denpow`` and the numerator grow with every
-step, although the values they represent stay small.  ``linear_combination``
-sums many weighted values at one common power, as the residue extraction
-does.  The numerator helpers ``convolve``, ``unit_power`` and ``reduced`` are
-public: the pole data of the label monomials (``poles._monomial_poles``) sum
-integer numerators over one power of the unit and reduce once per value.
+of ``EpsLaurent.inverse``, the arithmetic of the pole data's test oracle,
+lets ``denpow`` and the numerator grow with every step, although the values
+they represent stay small.  ``linear_combination`` sums many weighted values
+at one common power, as the residue extraction does.  The numerator helpers
+``convolve``, ``unit_power`` and ``reduced`` are public: the pole data of the
+label monomials (``poles._monomial_poles``) sum integer numerators over one
+power of the unit and reduce once per value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable
-
-from .univariate import RatFun1
 
 Coeff = int | Fraction
 
@@ -212,11 +213,58 @@ class KLocal:
         q = Fraction(other) / c
         return KLocal({-e: q.numerator if q.denominator == 1 else q}, b - self.denpow)
 
-    def to_ratfun(self) -> RatFun1:
-        num = RatFun1.from_kappa_laurent(self.terms)
-        if self.denpow > 0:
-            den = RatFun1.from_kappa_laurent(unit_power(self.denpow))
-            return num / den
-        if self.denpow < 0:
-            return num * RatFun1.from_kappa_laurent(unit_power(-self.denpow))
-        return num
+    def _fraction(self) -> tuple[list[Coeff], list[int]]:
+        """Ascending coefficients (num, den) of the value as a reduced
+        fraction of polynomials in kappa with a monic denominator.
+
+        The value is kappa^lo P / ((kappa - 1)(kappa + 1))^d up to sign, with
+        P(0) != 0, so P can share only the factors kappa - 1 and kappa + 1
+        with the denominator: at most d synthetic divisions by each.
+        """
+        terms, d = self.terms, self.denpow
+        if not terms:
+            return [], [1]
+        if d < 0:
+            terms, d = convolve(terms, unit_power(-d)), 0
+        lo = min(terms)
+        sign = -1 if d % 2 else 1  # (1 - kappa^2)^d = (-1)^d (kappa^2 - 1)^d
+        num = [0] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            num[e - lo] = sign * c
+        den = [1]
+        for root in (1, -1):
+            left = d
+            while left and (quotient := _divide_root(num, root)) is not None:
+                num, left = quotient, left - 1
+            for _ in range(left):
+                den = [a - root * b for a, b in zip([0] + den, den + [0])]
+        if lo > 0:
+            num = [0] * lo + num
+        elif lo < 0:
+            den = [0] * -lo + den
+        return num, den
+
+    def serialize(self) -> dict[str, list[str]]:
+        """The reduced fraction as ``{"num": [...], "den": [...]}``."""
+        num, den = self._fraction()
+        return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
+
+    def is_constant(self) -> bool:
+        num, den = self._fraction()
+        return len(num) <= 1 and den == [1]
+
+    def as_fraction(self) -> Fraction:
+        num, den = self._fraction()
+        if len(num) > 1 or den != [1]:
+            raise ValueError(f"not a constant: {self!r}")
+        return Fraction(num[0]) if num else Fraction(0)
+
+
+def _divide_root(p: list[Coeff], r: int) -> list[Coeff] | None:
+    """p / (kappa - r) for ascending coefficients p, or None when p(r) != 0."""
+    quotient = [0] * (len(p) - 1)
+    acc = 0
+    for i in range(len(p) - 1, 0, -1):
+        acc = acc * r + p[i]
+        quotient[i - 1] = acc
+    return quotient if not acc * r + p[0] else None

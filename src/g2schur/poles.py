@@ -36,7 +36,6 @@ from fractions import Fraction
 from .errors import FalsificationError
 from .klocal import KLocal, convolve, linear_combination, reduced, unit_power
 from .laurent import Exp, LaurentPoly3
-from .univariate import RatFun1
 
 # ---------------------------------------------------------------------------
 # master generating sum with factored denominators
@@ -212,7 +211,7 @@ def _monomial_poles(exp: tuple[int, int, int]) -> dict[int, KLocal]:
 
 
 def leading_pole_coefficient(p: LaurentPoly3, sign: str,
-                             shift: int) -> tuple[RatFun1, int]:
+                             shift: int) -> tuple[KLocal, int]:
     """Pole data of one Xt-monomial coefficient of the weighted sum.
 
     ``shift`` is the total Xt-degree |m|; the coefficient equals
@@ -247,12 +246,12 @@ def leading_pole_coefficient(p: LaurentPoly3, sign: str,
             value = value * KLocal.kappa_power(-1)
             break
     else:
-        return RatFun1.zero(), 0
+        return KLocal.zero(), 0
     order = max(0, -(d + shift))
     if order > bound:
         raise FalsificationError(
             f"pole order {order} exceeds bound {bound} for sign '{sign}'",
             witness=value)
     if d + shift == -bound:
-        return value.to_ratfun(), order
-    return RatFun1.zero(), order
+        return value, order
+    return KLocal.zero(), order

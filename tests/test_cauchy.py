@@ -21,7 +21,6 @@ from g2schur.poles import (POLE_BOUND, MasterSum, leading_pole_coefficient,
                            master_sum)
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level, is_admissible
-from g2schur.univariate import RatFun1
 from tests.conftest import assert_exact
 from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
@@ -172,7 +171,7 @@ def per_polynomial_pole_data(p: LaurentPoly3, sign: str, shifts) -> dict:
             out[shift] = None
             continue
         value = series.coefficient(-bound)
-        out[shift] = (RatFun1.zero() if value is None else value.to_ratfun(), order)
+        out[shift] = (KLocal.zero() if value is None else value, order)
     return out
 
 
@@ -491,13 +490,16 @@ def ratfun_closedform_checks(order):
     """The records of ``closedform_checks`` from the profiled closed forms.
 
     The former route, kept as the small-size oracle of the rational one:
-    each closed form times ``KAPPA_PREFACTOR`` as ``RatFun1`` coefficients,
-    the PDEs on the homogeneous parts of those profiled series, the (-2 - d)
-    relation on ``RatFun1`` values, and the X23 = 0 data by dividing the
-    profile back out.  A PDE witness is divided by the profile too, so that
-    it reads as the rational route reports it.  The closed forms are read
-    through the module, so a patched one reaches both routes.
+    each closed form times ``KAPPA_PREFACTOR``, so its coefficients are
+    rational functions of kappa (``KLocal`` values), the PDEs on the
+    homogeneous parts of those profiled series, the (-2 - d) relation on the
+    ``KLocal`` values, and the X23 = 0 data by dividing the profile back out
+    through its reciprocal.  A PDE witness is divided by the profile too, so
+    that it reads as the rational route reports it.  The closed forms are
+    read through the module, so a patched one reaches both routes.
     """
+    unprofile = 1 / KAPPA_PREFACTOR
+
     def profiled(series):
         return {e: KAPPA_PREFACTOR * c for e, c in series.terms.items()}
 
@@ -517,7 +519,7 @@ def ratfun_closedform_checks(order):
             if residual:
                 e, c = residual.lex_leading()
                 rec["witness"] = {"monomial": list(e),
-                                  "value": str((c / KAPPA_PREFACTOR).as_fraction())}
+                                  "value": str((c * unprofile).as_fraction())}
             checks.append(rec)
     euler = {e: c * Fraction(-2 - sum(e)) for e, c in cm.items()}
     checks.append({"check": "omega-plus-euler-relation", "order": order,
@@ -525,7 +527,7 @@ def ratfun_closedform_checks(order):
     for sign, coeffs, initial in (("-", cm, omega_initial_minus(order)),
                                   ("+", cp, omega_initial_plus(order))):
         sliced = TruncSeries3(order, {
-            e: (c / KAPPA_PREFACTOR).as_fraction()
+            e: (c * unprofile).as_fraction()
             for e, c in coeffs.items() if e[2] == 0})
         checks.append({"check": "initial-condition", "sign": sign, "order": order,
                        "status": "pass" if sliced == initial else "fail"})
@@ -533,7 +535,8 @@ def ratfun_closedform_checks(order):
 
 
 class TestRatFunOracle:
-    """``closedform_checks`` on rational series against the ``RatFun1`` route."""
+    """``closedform_checks`` on rational series against the route on rational
+    functions of kappa, the profiled ``KLocal`` series."""
 
     @pytest.mark.parametrize("order", range(2, 9))
     def test_records_match(self, order):
@@ -565,9 +568,9 @@ class TestRatFunOracle:
 
     def test_builds_no_ratfun(self, monkeypatch):
         def refuse(self, *args, **kwargs):
-            raise AssertionError("closedform_checks built a RatFun1")
+            raise AssertionError("closedform_checks built a KLocal")
 
-        monkeypatch.setattr(RatFun1, "__init__", refuse)
+        monkeypatch.setattr(KLocal, "__init__", refuse)
         checks = closedform_checks(6)
         assert checks and all(c["status"] == "pass" for c in checks)
 

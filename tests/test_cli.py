@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cauchy, cli, closedform, expansion, kernels
+from g2schur import cauchy, cli, closedform, conjecture, expansion, kernels
 from g2schur import poles as pole_module
 from g2schur import table as table_module
 from g2schur.cli import main
+from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.report import Report
 from g2schur.series import exponents_upto
 from g2schur.table import FalsificationError, SchurTable, enumerate_through
-from g2schur.univariate import DensePoly1
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -246,13 +246,9 @@ class TestVerifyCommands:
 
     def test_kernel_wrong_legendre_coefficient_fails(self, capsys, monkeypatch):
         # P_2 = (3x^2 - 1)/2 with the x^2 coefficient bumped to 5/2
-        real = kernels.legendre
-
-        def seeded(k):
-            p = real(k)
-            return DensePoly1((p.coeffs[0], 0, Fraction(5, 2))) if k == 2 else p
-
-        monkeypatch.setattr(kernels, "legendre", seeded)
+        real = kernels._legendre_numerators
+        monkeypatch.setattr(kernels, "_legendre_numerators",
+                            lambda n: ((-1, 0, 5), 2) if n == 2 else real(n))
         code, report = run(capsys, "verify", "kernel", "--order", "6")
         assert code == 1
         witnesses = [c for c in report["checks"] if c["check"] == "falsification"]
@@ -265,13 +261,9 @@ class TestVerifyCommands:
         # base element that holds it, P_(m,m-3,3), is no eigenvector, and
         # from degree 6 on the claimed span holds P_(m,3,3); the suite runs
         # through degree 12 whatever the order
-        real = kernels.legendre
-
-        def seeded(k):
-            p = real(k)
-            return DensePoly1(p.coeffs[:3] + (Fraction(7, 2),)) if k == 3 else p
-
-        monkeypatch.setattr(kernels, "legendre", seeded)
+        real = kernels._legendre_numerators
+        monkeypatch.setattr(kernels, "_legendre_numerators",
+                            lambda n: ((0, -3, 0, 7), 2) if n == 3 else real(n))
         code, report = run(capsys, "verify", "kernel", "--order", "6")
         assert code == 1
         checks = report["checks"]
@@ -575,6 +567,24 @@ class TestReportOnlyCommands:
         assert not captured.out
         assert "validated on 0 labels" in captured.err
         assert "degree 4 needs a table of level 10" in captured.err
+
+    @pytest.mark.parametrize("normalization, message", [
+        (KLocal.zero(), "vanishing degree-0 coefficient; cannot normalize"),
+        (KLocal({0: 1, 1: 1}), "degree-0 coefficient is not a unit")])
+    def test_conjecture_normalization_must_be_a_unit(self, capsys, monkeypatch,
+                                                     normalization, message):
+        # the degree-0 extraction (shift 0) replaced by zero, or by 1 + kappa,
+        # which has no reciprocal in the ring of KLocal
+        real = conjecture.leading_pole_coefficient
+        monkeypatch.setattr(
+            conjecture, "leading_pole_coefficient",
+            lambda p, sign, shift: (normalization, 0) if shift == 0
+            else real(p, sign, shift))
+        assert main(["conjecture", "--copies", "1", "--order", "2",
+                     "--max-level", "8"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert message in captured.err
 
     def test_omega_emission(self, capsys):
         code, report = run(capsys, "omega", "--order", "2")

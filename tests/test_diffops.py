@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from g2schur.diffops import (OP_VARS, apply_H_cleared, homogeneous_component,
                              verify_eigen, verify_recursion_by_components)
 from g2schur.expansion import expand_entry
+from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import enumerate_through
-from g2schur.univariate import DensePoly1, RatFun1
 from tests.test_laurent import permute
 from tests.test_table import perturbed
 
@@ -74,10 +74,11 @@ fraction_polys = st.dictionaries(
     exps, st.fractions(min_value=-9, max_value=9, max_denominator=12),
     max_size=6).map(LaurentPoly3)
 ratfuns = st.builds(
-    RatFun1,
-    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(DensePoly1),
-    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(DensePoly1)
-    .filter(bool))
+    KLocal,
+    st.dictionaries(st.integers(-2, 2),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                    max_size=3),
+    st.integers(-1, 2))
 ratfun_polys = st.dictionaries(exps, ratfuns, max_size=4).map(LaurentPoly3)
 operators = st.tuples(st.integers(1, 3), st.integers(-2, 4))
 
@@ -186,8 +187,9 @@ class TestHomogeneousComponents:
     @settings(max_examples=30, deadline=None)
     @given(operators, ratfun_polys)
     def test_apply_matches_oracle_on_ratfun_coefficients(self, km, p):
-        # the coefficient ring of the RatFun1 oracle of cauchy.pde_check in
-        # tests/test_cauchy.py; the package applies it to rationals only
+        # KLocal, the coefficient ring of the profiled oracle of
+        # cauchy.closedform_checks in tests/test_cauchy.py; the package
+        # applies it to rationals only
         op = homogeneous_component(*km)
         assert op.apply(p) == derivative_apply(op, p)
 

@@ -4,8 +4,11 @@ import pytest
 
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal, linear_combination
-from g2schur.univariate import RatFun1
 from tests.conftest import assert_exact
+from tests.test_univariate import kappa_at
+
+#: rational values of kappa at which values are compared (not 0 or +-1)
+POINTS = (Fraction(2), Fraction(1, 3), Fraction(-5, 2))
 
 
 def kl(terms, denpow=0):
@@ -16,19 +19,21 @@ class TestKLocal:
     def test_zero_and_one(self):
         assert not KLocal.zero()
         assert KLocal.one() * KLocal.one() == KLocal.one()
-        assert KLocal.one().to_ratfun() == RatFun1.one()
+        assert all(kappa_at(KLocal.one(), k) == 1 for k in POINTS)
 
     def test_addition_matches_ratfun(self):
         a = kl({0: 1, 2: -3}, 2)
         b = kl({-1: Fraction(1, 2)}, 1)
-        assert (a + b).to_ratfun() == a.to_ratfun() + b.to_ratfun()
-        assert (a - b).to_ratfun() == a.to_ratfun() - b.to_ratfun()
+        for k in POINTS:
+            assert kappa_at(a + b, k) == kappa_at(a, k) + kappa_at(b, k)
+            assert kappa_at(a - b, k) == kappa_at(a, k) - kappa_at(b, k)
 
     def test_multiplication_matches_ratfun(self):
         a = kl({1: 2, -2: 1}, 1)
         b = kl({0: 1, 2: -1}, 0)
-        assert (a * b).to_ratfun() == a.to_ratfun() * b.to_ratfun()
-        assert (a * Fraction(3, 5)).to_ratfun() == a.to_ratfun() * Fraction(3, 5)
+        for k in POINTS:
+            assert kappa_at(a * b, k) == kappa_at(a, k) * kappa_at(b, k)
+            assert kappa_at(a * Fraction(3, 5), k) == kappa_at(a, k) * Fraction(3, 5)
 
     def test_reciprocal(self):
         # (1-k^2)^2 * k^3 has a reciprocal inside the localization
@@ -50,8 +55,8 @@ class TestKLocal:
 
     def test_negative_denpow(self):
         a = 1 / kl({0: 1}, 2)  # (1-k^2)^2
-        assert a.to_ratfun() == RatFun1.from_kappa_laurent(
-            {0: Fraction(1), 2: Fraction(-2), 4: Fraction(1)})
+        assert (a.terms, a.denpow) == ({0: 1}, -2)
+        assert a.serialize() == {"num": ["1", "0", "-2", "0", "1"], "den": ["1"]}
 
 
 UNIT = {0: 1, 2: -1}  # 1 - k^2
@@ -86,8 +91,9 @@ class TestCanonicalKLocal:
     def test_reduction_keeps_value(self):
         a = kl({1: 3, 3: -3}, 2)          # 3k (1-k^2) / (1-k^2)^2
         b = kl({0: 1, 2: -2, 4: 1}, 1)    # (1-k^2)^2 / (1-k^2)
-        assert (a * b).to_ratfun() == a.to_ratfun() * b.to_ratfun()
-        assert (a + b).to_ratfun() == a.to_ratfun() + b.to_ratfun()
+        for k in POINTS:
+            assert kappa_at(a * b, k) == kappa_at(a, k) * kappa_at(b, k)
+            assert kappa_at(a + b, k) == kappa_at(a, k) + kappa_at(b, k)
         assert (a * b).denpow == 0 and (a + b).denpow == 1
 
     def test_linear_combination_mixed_powers(self):
@@ -98,7 +104,7 @@ class TestCanonicalKLocal:
             expected = expected + x * w
         got = linear_combination(zip(ws, xs))
         assert got == expected
-        assert got.to_ratfun() == expected.to_ratfun()
+        assert got.serialize() == expected.serialize()
 
     def test_linear_combination_reduces(self):
         # 1/(1-k^2) - k^2/(1-k^2) = 1, combined at one common power

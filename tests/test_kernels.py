@@ -17,7 +17,7 @@ from g2schur.kernels import (DegreeImages, _legendre_numerators, _monomials,
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import nullspace, rref
 from g2schur.table import FalsificationError
-from g2schur.univariate import DensePoly1, legendre
+from tests.test_univariate import recurrence_legendre
 
 mono = LaurentPoly3.monomial
 
@@ -45,11 +45,11 @@ def binomial_pbasis_laurent(m, k, l):
     Legendre terms; the small-size oracle for ``DegreeImages.element``.
     """
     acc = LaurentPoly3.zero()
-    for i, ci in enumerate(legendre(k).coeffs):
+    for i, ci in enumerate(recurrence_legendre(k).coeffs):
         if not ci:
             continue
         left = _binomial_pm(i, -1)
-        for j, cj in enumerate(legendre(l).coeffs):
+        for j, cj in enumerate(recurrence_legendre(l).coeffs):
             if not cj:
                 continue
             term = (left * _binomial_pm(j, +1)).mul_monomial(
@@ -68,15 +68,6 @@ def binomial_pair_vector(pair, n):
             c = -c
         acc = acc + binomial_pbasis_laurent(2 * n, l, l).scale(c)
     return acc
-
-
-def closed_form_legendre_numerators(n):
-    """2^n P_n by the explicit sum over j of (-1)^j C(n, j) C(2n - 2j, n)
-    x^(n - 2j); the integer oracle for the numerators the kernel suite reads."""
-    nums = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        nums[n - 2 * j] = (-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n)
-    return nums, 2 ** n
 
 
 def dense_span_contains(basis, *vecs):
@@ -235,9 +226,9 @@ class TestIntegerRoute:
 
     def test_polynomiality_witness_kept(self, monkeypatch):
         # P_1 replaced by x^2: P_(1,0,1) = (X12 + X13)^2 / X23 is Laurent
-        real = kernels.legendre
-        monkeypatch.setattr(kernels, "legendre",
-                            lambda k: DensePoly1((0, 0, 1)) if k == 1 else real(k))
+        real = kernels._legendre_numerators
+        monkeypatch.setattr(kernels, "_legendre_numerators",
+                            lambda k: ((0, 0, 1), 1) if k == 1 else real(k))
         with pytest.raises(FalsificationError,
                            match=r"product basis element \(1,0,1\) failed") as exc:
             kernel_H1(DegreeImages(1))
@@ -294,10 +285,9 @@ class TestImageRoute:
     @pytest.mark.parametrize("n", range(41))
     def test_legendre_numerators(self, n):
         nums, den = _legendre_numerators(n)
-        assert [Fraction(c, den) for c in nums] == list(legendre(n).coeffs)
-        ref, ref_den = closed_form_legendre_numerators(n)
         assert [Fraction(c, den) for c in nums] == \
-            [Fraction(c, ref_den) for c in ref]
+            list(recurrence_legendre(n).coeffs)
+        assert math.gcd(den, *nums) == 1
 
     def test_operator_denominator_must_be_one(self, monkeypatch):
         # the degree -1 components sit over 2; the integer route refuses them

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
-from g2schur.univariate import RatFun1
 
 
 def mono(e, c=1):
@@ -118,7 +118,7 @@ class TestCleared:
         with pytest.raises(TypeError):
             LaurentPoly3({(0, 0, 0): 0.5}).cleared()
         with pytest.raises(TypeError):
-            LaurentPoly3({(1, 0, 0): RatFun1.from_fraction(Fraction(2))}).cleared()
+            LaurentPoly3({(1, 0, 0): KLocal({0: 2})}).cleared()
 
 
 class TestEvaluate:
