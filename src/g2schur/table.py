@@ -27,14 +27,22 @@ Laurent polynomial of an entry is built on demand, by ``entry`` or through
 the ``entries`` mapping, which keeps what it builds and clears what is
 assigned to it.
 
+The solve and the residuals weight the recursion targets by the integer
+numerators of ``K`` over its denominator ``4(j1+1)(j2+1)``, shared by the four
+targets (``_pieri_weights``); ``pieri_coeff`` is the ``Fraction`` definition
+they are tested against.
+
 The table file is the ``json.dumps(..., indent=1)`` layout of the entries,
 and ``canonical_json`` writes it directly, one template per entry and per
-term.  ``load`` reads the file once and accepts that one layout and no other
-JSON text (the reader is ``tablefile.read_table``), so a text it accepts is
-byte for byte the ``canonical_json()`` of the table it yields, and the
-SHA-256 of the file's bytes is the table's checksum.  The ``json.load``
-route is the test oracle of the reader and the ``json.dumps`` route that of
-the writer; ``roundtrip`` renders a loaded table and compares the bytes, the
+term, passing each entry's text to a sink as soon as it is formatted.
+``save`` and ``checksum`` stream that text into the file and one SHA-256,
+so no more than one entry's text is held at a time.  ``load`` reads the file
+once and accepts that one layout and no other JSON text (the reader is
+``tablefile.read_table``), so a text it accepts is byte for byte the
+``canonical_json()`` of the table it yields, and the SHA-256 of the file's
+bytes is the table's checksum.  The ``json.load`` route is the test oracle
+of the reader and the ``json.dumps`` route that of the writer; ``roundtrip``
+renders a loaded table and compares it with the file piece by piece, the
 cross-check of one against the other.
 """
 
@@ -98,23 +106,28 @@ def pieri_coeff(a: int, b: int, j1: int, j2: int, j3: int) -> Fraction:
 #   eq=1: variable x13, K args (j1,j3,j2), target (j1+a, j2,   j3+b)
 #   eq=2: variable x23, K args (j2,j3,j1), target (j1,   j2+a, j3+b)
 
-def _pieri_terms(eq: int, base: Triple) -> list[tuple[Triple, Fraction]]:
-    """Right-hand-side (triple, coefficient) pairs of one recursion at ``base``."""
+def _pieri_weights(eq: int, base: Triple) -> tuple[int, list[tuple[Triple, int]]]:
+    """The four ``K`` of recursion ``eq`` at ``base`` over their shared
+    denominator: ``(D, [(target, N_ab)])`` with ``K_ab = N_ab / D``.
+
+    For K arguments (x, y, z), ``D = 4(x+1)(y+1)`` and ``N_ab = a b (a x +
+    b y + z + a + b + 2)(a x + b y - z + a + b)``: ``pieri_coeff`` cleared.
+    The pairs (a, b) come in the order (1, 1), (1, -1), (-1, 1), (-1, -1).
+    """
     j1, j2, j3 = base
+    x, y, z = ((j1, j2, j3), (j1, j3, j2), (j2, j3, j1))[eq]
     out = []
     for a in (1, -1):
         for b in (1, -1):
+            s = a * x + b * y + a + b
             if eq == 0:
-                coeff = pieri_coeff(a, b, j1, j2, j3)
                 target = (j1 + a, j2 + b, j3)
             elif eq == 1:
-                coeff = pieri_coeff(a, b, j1, j3, j2)
                 target = (j1 + a, j2, j3 + b)
             else:
-                coeff = pieri_coeff(a, b, j2, j3, j1)
                 target = (j1, j2 + a, j3 + b)
-            out.append((target, coeff))
-    return out
+            out.append((target, a * b * (s + z + 2) * (s - z)))
+    return 4 * (x + 1) * (y + 1), out
 
 
 #: exponent shift of the generator x + 1/x of each recursion
@@ -171,46 +184,49 @@ def recursion_sum(eq: int, base: Triple, form, times_generator,
     ``form(t)`` is the integer form of phi_t and ``times_generator(eq, nums,
     w)`` returns the numerators of w g sum nums[e] x^e, g the generator of the
     recursion in the ring at hand (x + 1/x for the table entries, its
-    truncated series for the expansions around x = 1).  Accumulates at the
-    lcm of the form and ``K`` denominators, without reducing; cancelled
-    numerators stay in the dict as zeros.
+    truncated series for the expansions around x = 1).  The sum is taken
+    times the shared denominator ``D`` of the ``K`` (see ``_pieri_weights``),
+    on their integer numerators, at the lcm of the form denominators; the
+    returned denominator is that lcm times ``D``.  Nothing is reduced, and
+    cancelled numerators stay in the dict as zeros.
     """
+    k_den, weights = _pieri_weights(eq, base)
     rhs = []
     den = 1
-    for target, coeff in _pieri_terms(eq, base):
-        if coeff and target != skip and is_admissible(*target):
+    for target, num in weights:
+        if num and target != skip and is_admissible(*target):
             nums, d = form(target)
-            d *= coeff.denominator
-            rhs.append((nums, coeff.numerator, d))
+            rhs.append((nums, num, d))
             den = lcm(den, d)
     base_nums, base_den = form(base)
     den = lcm(den, base_den)
-    acc = times_generator(eq, base_nums, den // base_den)
+    acc = times_generator(eq, base_nums, k_den * (den // base_den))
     get = acc.get
     for nums, num, d in rhs:
         w = num * (den // d)
         for key, n in nums.items():
             acc[key] = get(key, 0) - w * n
-    return acc, den
+    return acc, den * k_den
 
 
 def solve_cleared(triple: Triple, form, times_generator) -> Cleared:
     """The integer form of ``triple`` from its solving equation, the lower
     levels read through ``form`` (see ``recursion_sum``).
 
-    The recursion sum without ``triple`` is divided once by the lead ``K``;
-    the result is reduced to the form ``cleared()`` returns.  The lead is
-    ``K_{1,1}`` of an admissible base, which is positive, so the denominator
+    The recursion sum without ``triple`` is divided once by the lead ``K =
+    N_11 / D``: its denominator, a multiple of ``D``, is divided by ``D`` and
+    multiplied by ``N_11``.  The result is reduced to the form ``cleared()``
+    returns.  ``N_11`` of an admissible base is positive, so the denominator
     stays positive.
     """
     eq, pred = predecessor_equations(triple)[0]
-    lead = dict(_pieri_terms(eq, pred)).get(triple)
+    k_den, weights = _pieri_weights(eq, pred)
+    lead = dict(weights).get(triple)
     if not lead:
         raise TableError(f"vanishing leading coefficient solving {triple}")
     acc, den = recursion_sum(eq, pred, form, times_generator, skip=triple)
-    q = lead.denominator
-    nums = {e: n * q for e, n in acc.items() if n}
-    den *= lead.numerator
+    nums = {e: n for e, n in acc.items() if n}
+    den = den // k_den * lead
     g = gcd(den, *nums.values())
     if g != 1:
         nums = {e: n // g for e, n in nums.items()}
@@ -313,7 +329,7 @@ class SchurTable:
 
     # -- persistence -----------------------------------------------------
 
-    def canonical_json(self) -> str:
+    def canonical_json(self, write=None) -> str | None:
         """The table file text: ``json.dumps(payload, indent=1)`` plus a newline.
 
         The payload holds the format version, the level and one record per
@@ -321,8 +337,19 @@ class SchurTable:
         triples and exponents sorted.  The text is written directly in that
         layout, one template per entry and per term; each coefficient text
         is its numerator and the denominator divided by their gcd.
+
+        With a sink ``write``, the text goes to it in pieces: the head, each
+        entry's record (with the separator before it) as soon as it is
+        formatted, and the tail; nothing is joined and None is returned.
+        Without one, the pieces are joined and the text is returned.
         """
-        records = []
+        pieces: list[str] | None = None
+        if write is None:
+            pieces = []
+            write = pieces.append
+        write(f'{{\n "format_version": {FORMAT_VERSION},\n'
+              f' "max_level": {self.max_level},\n "entries": [')
+        sep = "\n"
         for t in sorted(self._forms):
             nums, den = self._forms[t]
             terms = []
@@ -331,23 +358,37 @@ class SchurTable:
                 g = gcd(n, den)
                 coeff = n // g if g == den else f"{n // g}/{den // g}"
                 terms.append(_TERM % (*e, coeff))
-            records.append(_ENTRY % (*t, ",\n".join(terms)) if terms
-                           else _EMPTY_ENTRY % t)
-        body = ",\n".join(records)
-        entries = f'[\n{body}\n ]' if body else "[]"
-        return (f'{{\n "format_version": {FORMAT_VERSION},\n'
-                f' "max_level": {self.max_level},\n'
-                f' "entries": {entries}\n}}\n')
+            write(sep + (_ENTRY % (*t, ",\n".join(terms)) if terms
+                         else _EMPTY_ENTRY % t))
+            sep = ",\n"
+        write("\n ]\n}\n" if self._forms else "]\n}\n")
+        return None if pieces is None else "".join(pieces)
 
-    def checksum(self) -> str:
-        return text_checksum(self.canonical_json())
+    def checksum(self, out=None) -> str:
+        """SHA-256 of the table file text, the ``table_checksum`` of a
+        report on the table.
+
+        The text is hashed as ``canonical_json`` renders it: each piece is
+        encoded once and its bytes go to the hash and, if given, to ``out``.
+        No more than one entry's text is held at a time.
+        """
+        import hashlib  # see text_checksum
+        digest = hashlib.sha256()
+
+        def write(piece: str) -> None:
+            data = piece.encode()
+            if out is not None:
+                out(data)
+            digest.update(data)
+
+        self.canonical_json(write)
+        return digest.hexdigest()
 
     def save(self, path) -> str:
-        """Write the table file; returns its text."""
-        text = self.canonical_json()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return text
+        """Write the table file, one entry at a time; returns the SHA-256 of
+        the bytes written."""
+        with open(path, "wb") as fh:
+            return self.checksum(fh.write)
 
     @staticmethod
     def load(path) -> "SchurTable":

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.report import Report
 from g2schur.series import exponents_upto
-from g2schur.table import FalsificationError, SchurTable, enumerate_through
+from g2schur.table import (FalsificationError, SchurTable, enumerate_through,
+                           solve_table)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,6 +174,46 @@ class TestTableCommand:
         code, report = run(capsys, "roundtrip", "--table", str(path))
         assert code == 2
         assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+
+    @pytest.mark.parametrize("edit", [
+        lambda pieces: [*pieces[:-2], pieces[-2].replace('"coeff": ', '"coeff":  '),
+                        pieces[-1]],
+        lambda pieces: [*pieces[:-1], pieces[-1][:-1]],
+        lambda pieces: [*pieces, "\n"],
+    ], ids=["last-entry", "short-of-the-final-newline", "extra-piece"])
+    def test_roundtrip_fails_at_each_edge_of_the_file(self, tmp_path, capsys,
+                                                     monkeypatch, edit):
+        # the render departs only in its last entry, stops short of the
+        # file's end, or runs past it; each must fail the comparison
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        render = SchurTable.canonical_json
+
+        def seeded(self, write=None):
+            pieces = []
+            render(self, pieces.append)
+            for piece in edit(pieces):
+                write(piece)
+
+        monkeypatch.setattr(SchurTable, "canonical_json", seeded)
+        code, report = run(capsys, "roundtrip", "--table", str(path))
+        assert code == 2
+        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+
+    def test_roundtrip_compares_one_entry_at_a_time(self, tmp_path):
+        # the peak of what the comparison allocates stays far below the file
+        # size, so a comparison of the whole texts fails here
+        path = tmp_path / "t.json"
+        solve_table(16).save(path)
+        table = SchurTable.load(path)
+        tracemalloc.start()
+        try:
+            ok, checksum = cli._matches_file(table, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and checksum == table.file_checksum
+        assert peak < path.stat().st_size / 2
 
 
 class TestVerifyCommands:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -12,12 +13,32 @@ from g2schur.diffops import verify_eigen
 from g2schur.expansion import verify_series
 from g2schur.laurent import LaurentPoly3, x_plus_inv
 from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
-                           TableError, _pieri_terms, enumerate_level,
+                           TableError, _pieri_weights, enumerate_level,
                            enumerate_through, is_admissible, leading_term,
                            pieri_coeff, predecessor_equations, s3_check,
-                           solve_table, verify_pieri)
+                           solve_table, text_checksum, verify_pieri)
 from g2schur.tablefile import _parse_coeff
 from tests.test_laurent import flip
+
+
+def _pieri_terms(eq, base):
+    """Right-hand-side (triple, ``pieri_coeff``) pairs of one recursion at
+    ``base``; the ``Fraction`` form of ``table._pieri_weights``."""
+    j1, j2, j3 = base
+    out = []
+    for a in (1, -1):
+        for b in (1, -1):
+            if eq == 0:
+                coeff = pieri_coeff(a, b, j1, j2, j3)
+                target = (j1 + a, j2 + b, j3)
+            elif eq == 1:
+                coeff = pieri_coeff(a, b, j1, j3, j2)
+                target = (j1 + a, j2, j3 + b)
+            else:
+                coeff = pieri_coeff(a, b, j2, j3, j1)
+                target = (j1, j2 + a, j3 + b)
+            out.append((target, coeff))
+    return out
 
 
 def solve_entry(triple, entries, generators):
@@ -172,6 +193,16 @@ class TestPieriCoeff:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             pieri_coeff(0, 1, 1, 1, 0)
+
+    def test_cleared_weights_are_the_coefficients(self):
+        # N_ab / D of the integer solve is K_ab = pieri_coeff, with the same
+        # target, for every label through level 20, every recursion and all
+        # four (a, b)
+        for label in enumerate_through(20):
+            for eq in range(3):
+                d, weights = _pieri_weights(eq, label)
+                assert [(t, Fraction(n, d)) for t, n in weights] == \
+                    _pieri_terms(eq, label), (label, eq)
 
 
 @pytest.fixture(scope="module")
@@ -352,9 +383,35 @@ class TestPersistence:
         assert table.entries[(1, 1, 0)] == table12.entries[(1, 1, 0)]
         assert list(table.entries._polys) == [(1, 1, 0)]
 
-    def test_save_returns_file_text(self, table4, tmp_path):
+    def test_save_returns_the_sha256_of_the_file(self, table4, tmp_path):
         path = tmp_path / "t.json"
-        assert table4.save(path) == path.read_text() == table4.canonical_json()
+        digest = table4.save(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert path.read_bytes() == table4.canonical_json().encode()
+
+    @pytest.mark.parametrize("level", [0, 2, 4, 12])
+    def test_streamed_pieces_join_to_the_json_dumps_text(self, level):
+        # the sink gets the head, one piece per entry and the tail
+        table = solve_table(level)
+        pieces = []
+        assert table.canonical_json(pieces.append) is None
+        assert len(pieces) == len(table) + 2
+        assert "".join(pieces) == json_dumps_table(table) == table.canonical_json()
+        assert table.checksum() == text_checksum(table.canonical_json())
+
+    def test_save_holds_one_entry_at_a_time(self, tmp_path):
+        # the peak of what save allocates stays far below the file size, so
+        # a writer that builds the whole text fails here
+        table = solve_table(16)
+        path = tmp_path / "t.json"
+        table.save(path)
+        tracemalloc.start()
+        try:
+            table.save(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
     def test_rejects_entry_not_one_at_ones(self, table4, tmp_path):
         # every coefficient of (1, 2, 1) doubled: the values at ones sum to 2
