@@ -73,7 +73,7 @@ def _truncation_numerators(table: SchurTable,
     for n, slot in sums.items():
         for j1 in range(n % 2, n + 1, 2):
             forms = [table.cleared_entry((j1, j2, n - j2)) for j2 in range(n + 1)
-                     if (j1, j2, n - j2) in table.entries]
+                     if is_admissible(j1, j2, n - j2)]
             if not forms:
                 continue
             den = math.lcm(*[d for _, d in forms])

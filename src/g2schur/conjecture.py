@@ -159,8 +159,8 @@ def conjecture_check(copies: int, order: int,
                 "monomials": [list(v) for v in monomials],
                 "conjecture": str(predicted),
             }
-            if value.is_constant():
-                actual = value.as_fraction()
+            actual = value.as_fraction()
+            if actual is not None:
                 rec["extracted"] = str(actual)
                 rec["match"] = actual == predicted
             else:

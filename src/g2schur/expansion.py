@@ -136,15 +136,6 @@ class CoeffFamily:
         self.validated_on = validated_on
         self.unvalidated = unvalidated
 
-    def serialize(self) -> dict:
-        return {
-            "mvec": list(self.mvec),
-            "poly": [
-                {"jexp": list(e), "coeff": str(self.polynomial.terms[e])}
-                for e in sorted(self.polynomial.terms)
-            ],
-        }
-
 
 class ExpansionSet:
     """Expansions of every table entry at a fixed order, with family fitting.
@@ -181,7 +172,7 @@ class ExpansionSet:
         if table.cleared_entry((0, 0, 0)) != one:
             raise FalsificationError(
                 "table entry (0, 0, 0) is not the constant 1",
-                witness=table.entry((0, 0, 0)))
+                witness=LaurentPoly3.from_cleared(*table.cleared_entry((0, 0, 0))))
         times = _times_series([_x_plus_inv_series(i, order) for i in range(3)])
         forms = {(0, 0, 0): one}
         for t in enumerate_through(table.max_level)[1:]:

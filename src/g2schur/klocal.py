@@ -249,14 +249,12 @@ class KLocal:
         num, den = self._fraction()
         return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
 
-    def is_constant(self) -> bool:
-        num, den = self._fraction()
-        return len(num) <= 1 and den == [1]
-
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> Fraction | None:
+        """The value as a ``Fraction`` when it does not depend on kappa,
+        else None."""
         num, den = self._fraction()
         if len(num) > 1 or den != [1]:
-            raise ValueError(f"not a constant: {self!r}")
+            return None
         return Fraction(num[0]) if num else Fraction(0)
 
 

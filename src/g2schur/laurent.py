@@ -16,9 +16,9 @@ A polynomial with rational coefficients also has an integer form:
 ``from_cleared`` turns such a pair back into a polynomial.  A table stores
 its entries only in that form, and the table suites (solve, load and save,
 the Pieri, eigenvalue, unit-value, S3 and specialization checks, and the
-series expansions around x = 1) work on it; ``Fraction`` coefficients are
-built for an entry read through ``SchurTable.entries`` and for a nonzero
-residual.
+series expansions around x = 1) work on it.  ``Fraction`` coefficients are
+built for a nonzero residual, and for an entry read through the read-only
+``SchurTable.entries``, anew on each read.
 
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so instances may be shared freely.

@@ -22,10 +22,9 @@ each entry in that form, ``SchurTable.load`` reads it straight from the
 ``"p/q"`` coefficient texts and ``canonical_json`` writes the texts back from
 it; the recursion residuals (``SchurTable.pieri_residual``), the unit-value,
 leading-term and S3 checks compare numerators and denominators, and a nonzero
-residual comes back as the exact Laurent polynomial.  The ``Fraction``
-Laurent polynomial of an entry is built on demand, by ``entry`` or through
-the ``entries`` mapping, which keeps what it builds and clears what is
-assigned to it.
+residual comes back as the exact Laurent polynomial.  ``SchurTable`` is
+built from these forms; its read-only ``entries`` mapping builds the
+``Fraction`` Laurent polynomial of an entry on each read and keeps nothing.
 
 The solve and the residuals weight the recursion targets by the integer
 numerators of ``K`` over its denominator ``4(j1+1)(j2+1)``, shared by the four
@@ -38,9 +37,9 @@ term, passing each entry's text to a sink as soon as it is formatted.
 ``save`` and ``checksum`` stream that text into the file and one SHA-256,
 so no more than one entry's text is held at a time.  ``load`` reads the file
 once and accepts that one layout and no other JSON text (the reader is
-``tablefile.read_table``), so a text it accepts is byte for byte the
-``canonical_json()`` of the table it yields, and the SHA-256 of the file's
-bytes is the table's checksum.  The ``json.load`` route is the test oracle
+``tablefile.read_table``), so a text it accepts is byte for byte the text
+``canonical_json`` writes for the table it yields, and the SHA-256 of the
+file's bytes is the table's checksum.  The ``json.load`` route is the test oracle
 of the reader and the ``json.dumps`` route that of the writer; ``roundtrip``
 renders a loaded table and compares it with the file piece by piece, the
 cross-check of one against the other.
@@ -48,7 +47,7 @@ cross-check of one against the other.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -242,43 +241,30 @@ _TERM = ('    {\n     "exp": [\n      %d,\n      %d,\n      %d\n     ],\n'
          '     "coeff": "%s"\n    }')
 
 
-def text_checksum(text: str | bytes) -> str:
-    """SHA-256 of a table file text or of its bytes, the ``table_checksum``
-    of the reports.
+def text_checksum(data: bytes) -> str:
+    """SHA-256 of the bytes of a table file, the ``table_checksum`` of the
+    reports.
 
     ``hashlib`` maps the OpenSSL library (about 3.5 MB resident), so it is
     imported here, by the commands that hash a table, and not by ``omega``
     or ``verify kernel``.
     """
     import hashlib
-    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
-class EntryView(MutableMapping):
-    """The ``Fraction`` Laurent polynomials of a table's entries.
+class EntryView(Mapping):
+    """The ``Fraction`` Laurent polynomials of a table's entries, read-only.
 
-    A polynomial is built from the entry's integer form on its first read and
-    kept.  Assigning a polynomial replaces the integer form by its
-    ``cleared()``; deleting removes the entry.
+    Each read builds the polynomial from the entry's integer form; nothing
+    is kept.
     """
 
     def __init__(self, forms: dict[Triple, Cleared]):
         self._forms = forms
-        self._polys: dict[Triple, LaurentPoly3] = {}
 
     def __getitem__(self, triple: Triple) -> LaurentPoly3:
-        poly = self._polys.get(triple)
-        if poly is None:
-            poly = self._polys[triple] = LaurentPoly3.from_cleared(*self._forms[triple])
-        return poly
-
-    def __setitem__(self, triple: Triple, poly: LaurentPoly3) -> None:
-        self._forms[triple] = poly.cleared()
-        self._polys[triple] = poly
-
-    def __delitem__(self, triple: Triple) -> None:
-        del self._forms[triple]
-        self._polys.pop(triple, None)
+        return LaurentPoly3.from_cleared(*self._forms[triple])
 
     def __contains__(self, triple) -> bool:
         return triple in self._forms
@@ -292,18 +278,20 @@ class EntryView(MutableMapping):
 
 class SchurTable:
     """Map from admissible triples to their Laurent polynomials, each stored
-    in its integer form (see the module docstring)."""
+    in its integer form (see the module docstring).
 
-    def __init__(self, max_level: int,
-                 entries: Mapping[Triple, LaurentPoly3] | None = None):
+    ``forms`` maps each triple to its reduced integer form, as
+    ``LaurentPoly3.cleared`` returns it; the table keeps the dict it is
+    given, not a copy.
+    """
+
+    def __init__(self, max_level: int, forms: dict[Triple, Cleared] | None = None):
         self.max_level = max_level
         #: SHA-256 of the file ``load`` read the table from, else None; it is
         #: ``checksum()`` of the table as loaded
         self.file_checksum: str | None = None
-        self._forms: dict[Triple, Cleared] = {}
+        self._forms: dict[Triple, Cleared] = {} if forms is None else forms
         self.entries = EntryView(self._forms)
-        if entries:
-            self.entries.update(entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SchurTable):
@@ -313,13 +301,9 @@ class SchurTable:
     def __len__(self) -> int:
         return len(self._forms)
 
-    def entry(self, triple: Triple) -> LaurentPoly3:
-        """Table entry; the zero polynomial for non-admissible or out-of-range triples."""
-        return self.entries[triple] if triple in self._forms else LaurentPoly3.zero()
-
     def cleared_entry(self, triple: Triple) -> Cleared:
-        """The integer form of ``entry(triple)``, ``({}, 1)`` for a triple
-        outside the table.  The caller must not modify it."""
+        """The integer form of the entry of ``triple``, ``({}, 1)`` for a
+        triple outside the table.  The caller must not modify it."""
         return self._forms.get(triple, _ZERO)
 
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
@@ -329,24 +313,18 @@ class SchurTable:
 
     # -- persistence -----------------------------------------------------
 
-    def canonical_json(self, write=None) -> str | None:
-        """The table file text: ``json.dumps(payload, indent=1)`` plus a newline.
+    def canonical_json(self, write) -> None:
+        """Pass the table file text to ``write``: ``json.dumps(payload,
+        indent=1)`` plus a newline, in pieces.
 
         The payload holds the format version, the level and one record per
         entry, ``{"triple": [...], "poly": [{"exp": [...], "coeff": "p/q"}]}``,
         triples and exponents sorted.  The text is written directly in that
         layout, one template per entry and per term; each coefficient text
-        is its numerator and the denominator divided by their gcd.
-
-        With a sink ``write``, the text goes to it in pieces: the head, each
-        entry's record (with the separator before it) as soon as it is
-        formatted, and the tail; nothing is joined and None is returned.
-        Without one, the pieces are joined and the text is returned.
+        is its numerator and the denominator divided by their gcd.  The
+        pieces are the head, each entry's record (with the separator before
+        it) as soon as it is formatted, and the tail; nothing is joined.
         """
-        pieces: list[str] | None = None
-        if write is None:
-            pieces = []
-            write = pieces.append
         write(f'{{\n "format_version": {FORMAT_VERSION},\n'
               f' "max_level": {self.max_level},\n "entries": [')
         sep = "\n"
@@ -362,7 +340,6 @@ class SchurTable:
                          else _EMPTY_ENTRY % t))
             sep = ",\n"
         write("\n ]\n}\n" if self._forms else "]\n}\n")
-        return None if pieces is None else "".join(pieces)
 
     def checksum(self, out=None) -> str:
         """SHA-256 of the table file text, the ``table_checksum`` of a
@@ -404,8 +381,8 @@ class SchurTable:
         ``max_level``, entry (0,0,0) must be the constant 1 and every entry
         must take the value 1 at x12 = x13 = x23 = 1.  The integer form of
         each entry is read from the coefficient texts; no ``Fraction`` is
-        built.  The text is then the ``canonical_json()`` of the table
-        returned, and ``file_checksum`` holds the SHA-256 of the file.
+        built.  The text is then what ``canonical_json`` writes for the
+        table returned, and ``file_checksum`` holds the SHA-256 of the file.
         """
         try:
             with open(path, "rb") as fh:
@@ -433,9 +410,8 @@ def solve_table(max_level: int) -> SchurTable:
     """
     if max_level < 0 or max_level % 2:
         raise ValueError("max_level must be a nonnegative even integer")
-    table = SchurTable(max_level)
-    forms = table._forms
-    forms[(0, 0, 0)] = {(0, 0, 0): 1}, 1
+    forms: dict[Triple, Cleared] = {(0, 0, 0): ({(0, 0, 0): 1}, 1)}
+    table = SchurTable(max_level, forms)
     for level in range(2, max_level + 1, 2):
         for triple in enumerate_level(level):
             forms[triple] = solve_cleared(triple, table.cleared_entry,

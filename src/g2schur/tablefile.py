@@ -7,9 +7,10 @@ and exponents sorted and every coefficient a quoted ``"p"`` or ``"p/q"``.
 entry by entry, and reads the integer form of each entry from the
 coefficient texts; it also requires strictly increasing triples and, within
 an entry, strictly increasing exponents.  A text it accepts is therefore
-byte for byte the ``canonical_json()`` of the table it returns.  A text that
-departs from the layout is rejected with the number of its first departing
-line, found by a line-by-line walk (``_LINES``) that runs only then.
+byte for byte what ``canonical_json`` writes for the table it returns.  A
+text that departs from the layout is rejected with the number of its first
+departing line, found by a line-by-line walk (``_LINES``) that runs only
+then.
 
 The patterns are written independently of the writer's templates, so that
 ``roundtrip`` (render a loaded table, compare the bytes) checks one against
@@ -68,8 +69,7 @@ def read_table(text: str) -> SchurTable:
     max_level = int(max_level)
     if max_level < 0 or max_level % 2:
         raise TableError(f"invalid max_level: {max_level!r}")
-    table = SchurTable(max_level)
-    forms = table._forms
+    forms = {}
     # exponent and coefficient texts repeat across entries: each is parsed once
     exp_of = cache(lambda s: tuple(map(int, s.split(","))))
     coeff_of = cache(_parse_coeff)
@@ -122,7 +122,7 @@ def read_table(text: str) -> SchurTable:
     for t, (nums, den) in forms.items():
         if sum(nums.values()) != den:
             raise TableError(f"entry {t} does not evaluate to 1 at (1,1,1)")
-    return table
+    return SchurTable(max_level, forms)
 
 
 def _parse_coeff(text: str) -> tuple[int, int]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2schur.expansion import ExpansionSet
-from g2schur.table import solve_table
+from g2schur.table import SchurTable, solve_table
 
 
 def _coefficients(value):
@@ -28,6 +28,13 @@ def assert_exact(value, where="") -> None:
     for c in _coefficients(value):
         assert type(c) in (int, Fraction), \
             f"inexact coefficient {c!r} of type {type(c).__name__} {where}".rstrip()
+
+
+def table_of(max_level, entries):
+    """A table holding each ``Fraction`` Laurent polynomial of ``entries`` as
+    its ``cleared()``, the reduced integer form a table stores.  Tests build
+    a perturbed table through this one helper."""
+    return SchurTable(max_level, {t: p.cleared() for t, p in entries.items()})
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from g2schur.report import Report
 from g2schur.series import exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_through,
                            solve_table)
+from tests.conftest import table_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,9 +58,10 @@ def bump_saved_entry(path):
     loads, but the entry leaves its recursions and its eigenspaces.
     """
     table = SchurTable.load(path)
+    entries = dict(table.entries)
     bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
-    table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
-    table.save(path)
+    entries[(2, 1, 1)] = entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
+    table_of(table.max_level, entries).save(path)
 
 
 def shift_saved_coefficients(path):
@@ -189,7 +191,7 @@ class TestTableCommand:
         run(capsys, "table", "--max-level", "4", "--out", str(path))
         render = SchurTable.canonical_json
 
-        def seeded(self, write=None):
+        def seeded(self, write):
             pieces = []
             render(self, pieces.append)
             for piece in edit(pieces):
@@ -638,9 +640,17 @@ class TestReportOnlyCommands:
         assert plus["0,0,0"]["num"] == ["-2"]
 
     def test_omega_wrong_plus_closed_form_fails(self, capsys, monkeypatch):
+        # the emit record fails with the first differing monomial, and the
+        # report is still written
         bump_omega_plus(monkeypatch)
-        assert main(["omega", "--order", "2"]) == 1
-        assert "(-2 - d) route" in capsys.readouterr().err
+        code, report = run(capsys, "omega", "--order", "2")
+        assert code == 1
+        assert report["checks"] == [{
+            "check": "emit", "status": "fail",
+            "witness": {"monomial": [2, 0, 0], "closed_form": "-1",
+                        "from_minus": "-2"}}]
+        assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+        assert report["omega_plus"]["coefficients"]["2,0,0"]["num"] == ["-1"]
 
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "omega.json"

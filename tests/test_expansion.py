@@ -8,8 +8,9 @@ from g2schur.expansion import ExpansionSet, _x_plus_inv_series, expand_entry
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import RankTracker, invert_matrix
 from g2schur.series import TruncSeries3, exponents_upto
-from g2schur.table import (FalsificationError, SchurTable, enumerate_level,
-                           enumerate_through, solve_table)
+from g2schur.table import (FalsificationError, enumerate_level, enumerate_through,
+                           solve_table)
+from tests.conftest import table_of
 from tests.test_table import solve_entry
 
 
@@ -125,12 +126,6 @@ class TestFamilies:
             assert fam.polynomial == poly, mvec
             assert fam.validated_on == validated_on, mvec
 
-    def test_family_serialization(self, expansions12):
-        blob = expansions12.fit_family((2, 0, 0)).serialize()
-        assert blob["mvec"] == [2, 0, 0]
-        assert {"jexp": [2, 0, 0], "coeff": "1/12"} in blob["poly"]
-        assert {"jexp": [0, 0, 1], "coeff": "-1/6"} in blob["poly"]
-
     def test_degree_bound_out_of_sample(self, expansions12):
         # the fit already validates on every non-fitting label; a
         # FalsificationError here would mean the degree bound failed
@@ -213,5 +208,7 @@ class TestRecursionRoute:
         # doubling every entry keeps each recursion equation, so only the
         # unit check can tell this table from the true one
         entries = {t: p.scale(2) for t, p in table8.entries.items()}
-        with pytest.raises(FalsificationError, match=r"entry \(0, 0, 0\) is not"):
-            ExpansionSet(SchurTable(table8.max_level, entries), 2)
+        with pytest.raises(FalsificationError,
+                           match=r"entry \(0, 0, 0\) is not") as info:
+            ExpansionSet(table_of(table8.max_level, entries), 2)
+        assert info.value.witness == LaurentPoly3.constant(2)

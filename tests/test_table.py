@@ -18,6 +18,7 @@ from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
                            pieri_coeff, predecessor_equations, s3_check,
                            solve_table, text_checksum, verify_pieri)
 from g2schur.tablefile import _parse_coeff
+from tests.conftest import table_of
 from tests.test_laurent import flip
 
 
@@ -71,11 +72,14 @@ def fraction_pieri_residual(table, eq, base):
     The former body of ``SchurTable.pieri_residual``; the small-size oracle
     for its integer accumulation.
     """
-    lhs = x_plus_inv(eq) * table.entry(base)
+    def entry(t):  # zero outside the table
+        return LaurentPoly3.from_cleared(*table.cleared_entry(t))
+
+    lhs = x_plus_inv(eq) * entry(base)
     rhs = LaurentPoly3.zero()
     for target, coeff in _pieri_terms(eq, base):
         if coeff and is_admissible(*target):
-            rhs = rhs + table.entry(target).scale(coeff)
+            rhs = rhs + entry(target).scale(coeff)
     return lhs - rhs
 
 
@@ -97,6 +101,14 @@ def assert_cleared_stored(table):
     assert set(table._forms) == set(table.entries)
     for t, form in table._forms.items():
         assert table.entries[t].cleared() == form, t
+
+
+def rendered(table):
+    """The table file text that ``canonical_json`` passes to its sink,
+    joined."""
+    pieces = []
+    table.canonical_json(pieces.append)
+    return "".join(pieces)
 
 
 def json_dumps_table(table):
@@ -132,14 +144,14 @@ def json_load_table(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["format_version"] == FORMAT_VERSION
-    table = SchurTable(payload["max_level"])
+    forms = {}
     for rec in payload["entries"]:
         terms = {tuple(term["exp"]): _parse_coeff(term["coeff"])
                  for term in rec["poly"]}
         den = lcm(*[q for _, q in terms.values()])
-        table._forms[tuple(rec["triple"])] = (
+        forms[tuple(rec["triple"])] = (
             {e: p * (den // q) for e, (p, q) in terms.items()}, den)
-    return table
+    return SchurTable(payload["max_level"], forms)
 
 
 def perturbed(table):
@@ -150,7 +162,7 @@ def perturbed(table):
     entries[(1, 2, 3)] = entries[(1, 2, 3)].scale(Fraction(-3, 7))
     entries[(4, 4, 0)] = entries[(4, 4, 0)] + LaurentPoly3.monomial(
         (0, 2, -1), Fraction(-7, 3))
-    return SchurTable(table.max_level, entries)
+    return table_of(table.max_level, entries)
 
 
 class TestAdmissibility:
@@ -230,7 +242,7 @@ class TestSolveTable:
         # halving one entry doubles its denominator and keeps its numerators
         entries = dict(table4.entries)
         entries[(1, 2, 1)] = entries[(1, 2, 1)].scale(Fraction(1, 2))
-        records = verify_pieri(SchurTable(4, entries))
+        records = verify_pieri(table_of(4, entries))
         assert [r["triple"] for r in records if r["check"] == "unit-value"
                 and r["status"] == "fail"] == [[1, 2, 1]]
 
@@ -261,9 +273,13 @@ class TestSolveTable:
         assert nonzero > 100
 
     def test_replaced_entry_is_recleared(self, table8):
-        table = SchurTable(8, dict(table8.entries))
-        assert not table.pieri_residual(0, (1, 0, 1))
-        table.entries[(2, 1, 1)] = table.entries[(2, 1, 1)].scale(Fraction(2))
+        # a replaced entry is stored as its cleared() form, which the
+        # residuals read
+        entries = dict(table8.entries)
+        assert table_of(8, entries) == table8
+        entries[(2, 1, 1)] = entries[(2, 1, 1)].scale(Fraction(2))
+        table = table_of(8, entries)
+        assert table.cleared_entry((2, 1, 1)) == entries[(2, 1, 1)].cleared()
         residual = table.pieri_residual(0, (1, 0, 1))
         assert residual and residual == fraction_pieri_residual(table, 0, (1, 0, 1))
 
@@ -327,7 +343,7 @@ class TestS3:
     def test_violation_detected(self, table4):
         entries = dict(table4.entries)
         entries[(1, 1, 0)] = entries[(1, 1, 0)].scale(Fraction(2))
-        broken = SchurTable(4, entries)
+        broken = table_of(4, entries)
         ok, witness = s3_check(broken, (3, 2, 1))
         assert not ok and witness is not None
 
@@ -335,7 +351,7 @@ class TestS3:
         # halving (1, 1, 0) keeps its numerators; only the denominator differs
         entries = dict(table4.entries)
         entries[(1, 1, 0)] = entries[(1, 1, 0)].scale(Fraction(1, 2))
-        broken = SchurTable(4, entries)
+        broken = table_of(4, entries)
         nums, den = broken.cleared_entry((1, 1, 0))
         assert (nums, den) == (table4.cleared_entry((1, 1, 0))[0], 4)
         ok, witness = s3_check(broken, (3, 2, 1))
@@ -359,45 +375,58 @@ class TestPersistence:
         assert_cleared_stored(SchurTable.load(path))
 
     def test_canonical_json_matches_json_dumps(self, table4, table12, tmp_path):
-        # the writer reads the integer form: solved, assigned and loaded
+        # the writer reads the integer form: solved, given and loaded
         path = tmp_path / "t.json"
         path.write_text(json_dumps_table(table12))
         for table in (solve_table(0), table4, table12, perturbed(table12),
                       SchurTable.load(path),
-                      SchurTable(0, {}), SchurTable(2, {(0, 0, 0): LaurentPoly3()})):
-            assert table.canonical_json() == json_dumps_table(table)
+                      SchurTable(0), table_of(2, {(0, 0, 0): LaurentPoly3()})):
+            assert rendered(table) == json_dumps_table(table)
 
-    def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path):
+    def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path,
+                                                           monkeypatch):
         # a loaded table holds only integer forms; the table suites read them
-        # and build no Fraction polynomial of an entry
+        # and build no Fraction polynomial of an entry: no from_cleared call
+        # takes the numerators of a stored form
         path = tmp_path / "t.json"
         table12.save(path)
         table = SchurTable.load(path)
-        assert table.canonical_json() == path.read_text()
+        stored = {id(table.cleared_entry(t)[0]): t for t in table.entries}
+        built = []
+        real = LaurentPoly3.from_cleared
+
+        def counted(nums, den):
+            if id(nums) in stored:
+                built.append(stored[id(nums)])
+            return real(nums, den)
+
+        monkeypatch.setattr(LaurentPoly3, "from_cleared", staticmethod(counted))
+        assert rendered(table) == path.read_text()
         assert all(c["status"] == "pass" for c in verify_pieri(table))
         assert all(c["status"] == "pass" for c in verify_series(table, 4))
         assert all(c["status"] == "pass" for c in verify_eigen(table, 8))
         assert all(c["status"] == "pass" for c in verify_specialized(table))
-        assert len(table) == len(table12) and not table.entries._polys
-        # reading one entry builds that one
+        assert len(table) == len(table12) and not built
+        # each read of an entry builds that one anew
         assert table.entries[(1, 1, 0)] == table12.entries[(1, 1, 0)]
-        assert list(table.entries._polys) == [(1, 1, 0)]
+        assert table.entries[(1, 1, 0)] is not table.entries[(1, 1, 0)]
+        assert built == [(1, 1, 0)] * 3
 
     def test_save_returns_the_sha256_of_the_file(self, table4, tmp_path):
         path = tmp_path / "t.json"
         digest = table4.save(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert path.read_bytes() == table4.canonical_json().encode()
+        assert path.read_bytes() == rendered(table4).encode()
 
     @pytest.mark.parametrize("level", [0, 2, 4, 12])
     def test_streamed_pieces_join_to_the_json_dumps_text(self, level):
         # the sink gets the head, one piece per entry and the tail
         table = solve_table(level)
         pieces = []
-        assert table.canonical_json(pieces.append) is None
+        table.canonical_json(pieces.append)
         assert len(pieces) == len(table) + 2
-        assert "".join(pieces) == json_dumps_table(table) == table.canonical_json()
-        assert table.checksum() == text_checksum(table.canonical_json())
+        assert "".join(pieces) == json_dumps_table(table)
+        assert table.checksum() == text_checksum("".join(pieces).encode())
 
     def test_save_holds_one_entry_at_a_time(self, tmp_path):
         # the peak of what save allocates stays far below the file size, so
@@ -425,7 +454,7 @@ class TestPersistence:
             SchurTable.load(path)
 
     def _payload(self, table):
-        return json.loads(table.canonical_json())
+        return json.loads(rendered(table))
 
     def test_rejects_nonadmissible_triple(self, table4, tmp_path):
         payload = self._payload(table4)
@@ -489,13 +518,13 @@ class TestPersistence:
 
     def test_rejects_truncated_file(self, table4, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(table4.canonical_json()[:40])
+        path.write_text(rendered(table4)[:40])
         with pytest.raises(TableError, match="unreadable"):
             SchurTable.load(path)
 
     def test_rejects_non_utf8_file(self, table4, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_bytes(table4.canonical_json().encode().replace(b"1/2", b"1/2\xe9", 1))
+        path.write_bytes(rendered(table4).encode().replace(b"1/2", b"1/2\xe9", 1))
         with pytest.raises(TableError, match="unreadable table file"):
             SchurTable.load(path)
 
@@ -512,7 +541,7 @@ class TestPersistence:
                  r"duplicate exponent \(-2, 0, 0\) in entry \(2, 2, 0\)"),
                 (lambda entries: entries[-1]["poly"].reverse(),
                  r"exponents out of order in entry \(2, 2, 0\): \(0, 0, 0\) after \(2, 0, 0\)")]:
-            entries = json.loads(table4.canonical_json())["entries"]
+            entries = json.loads(rendered(table4))["entries"]
             edit(entries)
             payload["entries"] = entries
             path.write_text(json.dumps(payload, indent=1) + "\n")
@@ -526,7 +555,7 @@ class TestPersistence:
     ], ids=["zero-coeff", "negative-level", "level-beyond-int-digit-limit"])
     def test_rejects_values_that_fit_the_layout(self, table4, tmp_path, old, new, match):
         path = tmp_path / "bad.json"
-        path.write_text(table4.canonical_json().replace(old, new, 1))
+        path.write_text(rendered(table4).replace(old, new, 1))
         with pytest.raises(TableError, match=match):
             SchurTable.load(path)
 
@@ -541,7 +570,6 @@ class TestLayoutReader:
         table.save(path)
         loaded = SchurTable.load(path)
         assert loaded == json_load_table(path) == table
-        assert not loaded.entries._polys
 
     def test_file_checksum_is_the_sha256_of_the_file(self, table12, tmp_path):
         path = tmp_path / "t.json"
@@ -571,7 +599,7 @@ class TestLayoutReader:
             "trailing-line", "cut-line", "cut-after-line", "empty"])
     def test_departure_names_its_line(self, table4, tmp_path, edit, line):
         path = tmp_path / "bad.json"
-        path.write_text(edit(table4.canonical_json()), newline="")
+        path.write_text(edit(rendered(table4)), newline="")
         with pytest.raises(TableError, match=rf"^unreadable table file: line {line} "
                                              "departs from the canonical layout"):
             SchurTable.load(path)
@@ -604,5 +632,5 @@ class TestLayoutReader:
                 line = text.count("\n", 0, pos) + 1
                 assert f"line {line} " in str(exc) or f"line {line + 1} " in str(exc)
             return
-        assert table.canonical_json() == edited
+        assert rendered(table) == edited
         assert table.file_checksum == table.checksum()

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from g2schur.table import enumerate_through, solve_table
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -43,13 +45,19 @@ def test_table_checks_reach_their_traced_layers(tmp_path):
 
 
 def test_table_solve_load_and_s3_reach_their_traced_spans(tmp_path):
-    # the integer-form solve, load and symmetry checks run under their names
+    # the integer-form solve, load and symmetry checks run under their names,
+    # and the table observer counts the entries and terms of the solved and
+    # the loaded table through the read-only entries view
+    table = solve_table(4)
+    terms = sum(len(table.cleared_entry(t)[0]) for t in enumerate_through(4))
     seen = set()
     for argv in (("table", "--max-level", "4", "--out", "t4.json"),
                  ("verify", "pieri", "--max-level", "4", "--table", "t4.json")):
         trace = traced(tmp_path, *argv)
         assert trace["exit_code"] == 0
         seen |= {span[0] for span in trace["spans"]}
+        assert trace["counters"]["table.entries"] == len(table)
+        assert trace["counters"]["table.terms"] == terms
     assert {"table.solve_table", "table.load", "table.s3_check"} <= seen
 
 
