@@ -120,9 +120,8 @@ def closedform_omega_plus(order: int) -> TruncSeries3:
     equals (bracket)/Q with a power-series bracket divisible by Q; the
     quotient is recovered degree by degree through exact monomial division.
     The (-2 - d) route from the minus-type closed form
-    (``omega_plus_from_minus``) is the independent cross-check; the
-    ``omega-plus-euler-relation`` record of ``cauchy.closedform_checks``
-    compares the two.
+    (``omega_plus_from_minus``) is the independent cross-check, and
+    ``euler_relation_witness`` compares the two.
     """
     work = order + 2
     a = _arctanh_core(work)
@@ -166,6 +165,17 @@ def omega_plus_from_minus(omega_minus: TruncSeries3) -> TruncSeries3:
     """Apply (-2 - d) degree by degree (d = Euler operator)."""
     return TruncSeries3(omega_minus.order, {
         e: c * (-2 - sum(e)) for e, c in omega_minus.terms.items()})
+
+
+def euler_relation_witness(plus: TruncSeries3, minus: TruncSeries3) -> dict | None:
+    """The first monomial at which the plus-type closed form ``plus`` differs
+    from its (-2 - d) route from ``minus``, with both values; None if none."""
+    routed = omega_plus_from_minus(minus)
+    for e in sorted(plus.terms.keys() | routed.terms.keys()):
+        a, b = plus.coefficient(e), routed.coefficient(e)
+        if a != b:
+            return {"monomial": list(e), "closed_form": str(a), "from_minus": str(b)}
+    return None
 
 
 def omega_initial_minus(order: int) -> TruncSeries3:

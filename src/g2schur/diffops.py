@@ -17,8 +17,10 @@ the integer numerators over one common denominator.
 
 After the shift x = 1 + X the operator decomposes into homogeneous graded
 components of degree m >= -2 (a coefficient monomial of degree d with an
-order-r derivative has degree d - r).  Components are assembled once per
-(k, m) by expanding each rational coefficient as a Laurent series in X and
+order-r derivative has degree d - r).  Each operator coefficient is a
+numerator over a unit times a pole monomial X^p (``_coefficients``); the
+degree-m component takes from each the degree m + r + |p| part of
+numerator / unit, divided by X^p.  Components are built once per (k, m) and
 are then reusable sparse linear maps, held as integer numerators over one
 denominator (see ``HomogeneousOp``).
 """
@@ -213,104 +215,57 @@ def _falling_factorials(e: int, order: int) -> list[int]:
 
 def _poly1(var: int, coeffs: list[int]) -> LaurentPoly3:
     """Univariate polynomial sum coeffs[e] * X_var^e as a trivariate container."""
-    out = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            exp = [0, 0, 0]
-            exp[var] = e
-            out[tuple(exp)] = Fraction(c)
-    return LaurentPoly3(out)
+    return LaurentPoly3({tuple(e if i == var else 0 for i in range(3)): Fraction(c)
+                         for e, c in enumerate(coeffs)})
 
 
-@functools.lru_cache(maxsize=None)
-def _coeff_expansion(k: int, kind: str, upto: int) -> dict[int, LaurentPoly3]:
-    """Homogeneous parts of one operator coefficient after x = 1 + X.
-
-    Every coefficient is numerator * X^{-monomial} / unit, where the unit has
-    a nonzero constant term; the unit inverse is expanded as a truncated
-    series.  Returns {degree: part} for degrees from -shift through ``upto``
-    (the monomial denominator bounds how negative a degree can get).
+def _coefficients(k: int) -> list[tuple[Exp, LaurentPoly3, LaurentPoly3, Exp]]:
+    """The terms of H_k after x = 1 + X: the derivative terms vv, vw, ww, v,
+    w, then the constant term, each as (derivative multi-index n, numerator
+    N, unit U, pole exponent p).  The coefficient of d^n is N / (U X^p), and
+    U has a nonzero constant term; x - 1/x = X(2 + X)/(1 + X) and
+    x^2 + 1 = 2 + 2X + X^2.
     """
     v, w, u = OP_VARS[k]
-    if kind == "vv":
-        num = _poly1(v, [1, 2, 1])                     # (1+s)^2
-        unit = LaurentPoly3.one()
-        shift = 0
-    elif kind == "ww":
-        num = _poly1(w, [1, 2, 1])
-        unit = LaurentPoly3.one()
-        shift = 0
-    elif kind == "vw":
-        # [2(2+2s+s^2)(2+2t+t^2)(1+r) - 4(1+s)(1+t)(2+2r+r^2)] (1+s)(1+t)
-        #   / [ s t (2+s)(2+t)(1+r) ]
-        a = _poly1(v, [2, 2, 1]) * _poly1(w, [2, 2, 1]) * _poly1(u, [1, 1])
-        b = _poly1(v, [1, 1]) * _poly1(w, [1, 1]) * _poly1(u, [2, 2, 1])
-        num = (a.scale(2) - b.scale(4)) * _poly1(v, [1, 1]) * _poly1(w, [1, 1])
-        unit = _poly1(v, [2, 1]) * _poly1(w, [2, 1]) * _poly1(u, [1, 1])
-        shift = 2  # divide by s*t
-    elif kind == "v":
-        num = _poly1(v, [4, 6, 3]) * _poly1(v, [1, 1])  # (4+6s+3s^2)(1+s)
-        unit = _poly1(v, [2, 1])
-        shift = 1  # divide by s
-    elif kind == "w":
-        num = _poly1(w, [4, 6, 3]) * _poly1(w, [1, 1])
-        unit = _poly1(w, [2, 1])
-        shift = 1
-    else:
-        raise ValueError(kind)
-
-    order = upto + shift
-    series = TruncSeries3.from_poly(num, order)
-    if unit != LaurentPoly3.one():
-        series = series * TruncSeries3.from_poly(unit, order).invert()
-
-    monomial_shift = [0, 0, 0]
-    if kind == "vw":
-        monomial_shift[v] = -1
-        monomial_shift[w] = -1
-    elif kind == "v":
-        monomial_shift[v] = -1
-    elif kind == "w":
-        monomial_shift[w] = -1
-    monomial_shift = tuple(monomial_shift)
-    parts: dict[int, LaurentPoly3] = {}
-    for d in range(-shift, upto + 1):
-        parts[d] = series.homogeneous_part(d + shift).mul_monomial(monomial_shift)
-    return parts
-
-
-def _deriv_index(positions: tuple[int, ...]) -> tuple[int, int, int]:
-    n = [0, 0, 0]
-    for p in positions:
-        n[p] += 1
-    return tuple(n)
+    one = _poly1(v, [1])
+    xv, xw, xu = _poly1(v, [1, 1]), _poly1(w, [1, 1]), _poly1(u, [1, 1])
+    # [2(x_v^2+1)(x_w^2+1) x_u - 4 x_v x_w (x_u^2+1)] x_v x_w
+    #   / [X_v X_w (2+X_v)(2+X_w) x_u]
+    cross = ((_poly1(v, [2, 2, 1]) * _poly1(w, [2, 2, 1]) * xu).scale(2)
+             - (xv * xw * _poly1(u, [2, 2, 1])).scale(4)) * xv * xw
+    dv, dw, dvw = _shift(k, 1, 0, 0), _shift(k, 0, 1, 0), _shift(k, 1, 1, 0)
+    return [
+        (_shift(k, 2, 0, 0), _poly1(v, [1, 2, 1]), one, (0, 0, 0)),  # x_v^2
+        (dvw, cross, _poly1(v, [2, 1]) * _poly1(w, [2, 1]) * xu, dvw),
+        (_shift(k, 0, 2, 0), _poly1(w, [1, 2, 1]), one, (0, 0, 0)),
+        # (3x^2 + 1)/(x - 1/x) = (4 + 6X + 3X^2)(1 + X) / (X(2 + X))
+        (dv, _poly1(v, [4, 6, 3]) * xv, _poly1(v, [2, 1]), dv),
+        (dw, _poly1(w, [4, 6, 3]) * xw, _poly1(w, [2, 1]), dw),
+        ((0, 0, 0), one, one, (0, 0, 0)),
+    ]
 
 
 @functools.lru_cache(maxsize=None)
 def homogeneous_component(k: int, m: int) -> HomogeneousOp:
-    """Degree-m graded component of H_k in the shifted variables X = x - 1."""
+    """Degree-m graded component of H_k in the shifted variables X = x - 1.
+
+    A term N / (U X^p) d^n contributes X^(-p) times the degree m + |n| + |p|
+    part of the series N U^(-1); the constant term lies in degree 0.
+    """
     if k not in OP_VARS:
         raise ValueError("operator index must be 1, 2 or 3")
     if m < -2:
         raise ValueError("components vanish below degree -2")
-    v, w, u = OP_VARS[k]
-    shifts = {"vv": 0, "ww": 0, "vw": 2, "v": 1, "w": 1}
-    terms: list[tuple[LaurentPoly3, tuple[int, int, int]]] = []
-    for kind, dpos in (
-        ("vv", (v, v)),
-        ("vw", (v, w)),
-        ("ww", (w, w)),
-        ("v", (v,)),
-        ("w", (w,)),
-    ):
-        degree_needed = m + len(dpos)
-        if degree_needed < -shifts[kind]:
+    terms: list[tuple[LaurentPoly3, Exp]] = []
+    for deriv, num, unit, pole in _coefficients(k):
+        degree = m + sum(deriv) + sum(pole)
+        if degree < 0:
             continue
-        part = _coeff_expansion(k, kind, max(degree_needed, 0))[degree_needed]
+        series = (TruncSeries3.from_poly(num, degree)
+                  * TruncSeries3.from_poly(unit, degree).invert())
+        part = series.homogeneous_part(degree).mul_monomial(tuple(-x for x in pole))
         if part:
-            terms.append((part, _deriv_index(dpos)))
-    if m == 0:
-        terms.append((LaurentPoly3.one(), (0, 0, 0)))
+            terms.append((part, deriv))
     return HomogeneousOp(k, m, terms)
 
 

@@ -307,9 +307,9 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
 
     A table the expansions reject gets one failing record, as in
     ``verify_cauchy``.  Every family through ``order`` is fitted; a table
-    too low for the top degree raises the fit's ``ValueError``.  A family
-    that no polynomial of its degree bound fits gets a failing record with
-    the fit's witness, and the later checks still run.
+    too low for the top degree raises the fit's ``ValueError``.  A family no
+    polynomial of its degree bound fits, or one off its reference, fails its
+    record with the fit's witness or the fitted family; later checks still run.
     """
     try:
         es = ExpansionSet(table, max(order, 4))
@@ -334,9 +334,11 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
                        "validated_on": fam.validated_on,
                        "status": "fail" if fam.unvalidated else "pass"})
     for mvec, poly in _reference_families().items():
-        rec = {"check": "family-reference", "mvec": list(mvec)}
+        rec = {"check": "family-reference", "mvec": list(mvec), "status": "pass"}
         try:
-            rec["status"] = "pass" if es.fit_family(mvec).polynomial == poly else "fail"
+            fitted = es.fit_family(mvec).polynomial
+            if fitted != poly:
+                rec.update(status="fail", witness=repr(fitted))
         except FalsificationError as exc:
             rec.update(status="fail", witness=str(exc))
         checks.append(rec)

@@ -56,8 +56,7 @@ element's denominator: a span and an eigenvalue equation are unchanged by a
 common factor.  Each nullspace vector is turned into its integer multiple
 over the lcm of its denominators, so the kernel bases, and the images of H2t
 and H3t on them, stay integer too.  The span test compares ranks under
-``linalg.rref``, which scales the ``Fraction`` rows of a displayed vector to
-integers.  The action, leading-term and displayed-vector checks compare
+``linalg.rref``.  The action, leading-term and displayed-vector checks compare
 integers over one common denominator and read values back as exact
 ``Fraction``s only for their reports.  The ``Fraction`` routes these replace
 are the test oracles in ``tests/test_kernels.py``.
@@ -219,19 +218,19 @@ class DegreeImages:
         return shifted, den
 
 
-def _combine(vec: list[Fraction], polys: list[LaurentPoly3]) -> LaurentPoly3:
+def _combine(vec: list[Fraction], polys: list[Terms]) -> Terms:
     """The combination sum vec[i] * polys[i], times the lcm of the
-    denominators of vec: integer for integer ``polys``."""
-    acc: dict[Exp, int] = {}
+    denominators of vec, zeros dropped."""
+    acc: Terms = {}
     for c, p in zip(clear_denominators(vec)[0], polys):
         if c:
-            for e, v in p.terms.items():
+            for e, v in p.items():
                 acc[e] = acc.get(e, 0) + c * v
-    return LaurentPoly3(acc)
+    return {e: v for e, v in acc.items() if v}
 
 
 def _kernel_on(images: DegreeImages, ks: tuple[int, ...],
-               polys: list[LaurentPoly3]) -> list[LaurentPoly3]:
+               polys: list[Terms]) -> list[Terms]:
     """Basis of the common kernel of the operators ``ks`` on the span of
     ``polys``, integer polynomials of the degree of ``images``.
 
@@ -242,18 +241,19 @@ def _kernel_on(images: DegreeImages, ks: tuple[int, ...],
     """
     rows: list[list[int]] = []
     for k in ks:
-        imgs = [images.apply(k, p.terms) for p in polys]
+        imgs = [images.apply(k, p) for p in polys]
         targets = sorted({e for img in imgs for e in img})
         rows.extend([img.get(t, 0) for img in imgs] for t in targets)
     return [_combine(vec, polys) for vec in nullspace(rows, len(polys))]
 
 
-def _vector_of(poly: LaurentPoly3, monomials: list[Exp]) -> list:
-    vec = [poly.terms.get(e, 0) for e in monomials]
-    leftover = set(poly.terms) - set(monomials)
+def _vector_of(nums: Terms, monomials: list[Exp]) -> list[int]:
+    vec = [nums.get(e, 0) for e in monomials]
+    leftover = set(nums) - set(monomials)
     if leftover:
         raise FalsificationError(
-            f"polynomial leaves the degree space: {sorted(leftover)}", witness=poly)
+            f"polynomial leaves the degree space: {sorted(leftover)}",
+            witness=LaurentPoly3(nums))
     return vec
 
 
@@ -263,10 +263,10 @@ def _span_contains(basis: list[list], *vecs: list) -> bool:
     return len(rref([*basis, *vecs])[0]) == len(rref(basis)[0])
 
 
-def kernel_H1(images: DegreeImages) -> list[LaurentPoly3]:
+def kernel_H1(images: DegreeImages) -> list[Terms]:
     """Exact kernel of the first graded operator at the degree m of
-    ``images``, both routes; returns the nullspace basis, with integer
-    coefficients.  Its dimension is judged by the ``kernel-H1`` record of
+    ``images``, both routes; returns the nullspace basis as integer
+    numerators.  Its dimension is judged by the ``kernel-H1`` record of
     ``verify_kernel``.
 
     Computes the monomial-basis nullspace, asserts it lies in the span of
@@ -286,13 +286,13 @@ def kernel_H1(images: DegreeImages) -> list[LaurentPoly3]:
                 f"H1t term {coeff!r} * d^{list(deriv)} differentiates X23",
                 witness=coeff)
     monomials = images.monomials
-    null = _kernel_on(images, (1,), [LaurentPoly3({e: 1}) for e in monomials])
+    null = _kernel_on(images, (1,), [{e: 1} for e in monomials])
     claimed = [images.element(l, l)[0] for l in range(m // 2 + 1)]
     # the kernel-H1 record compares the dimensions: equal dimension and null
     # within span(claimed) make the spans equal, so every claimed element is
     # annihilated; for even m the pass k = m/2 below applies H1t to
     # P_(m,m/2,m/2) once more
-    claimed_rows = [_vector_of(LaurentPoly3(v), monomials) for v in claimed]
+    claimed_rows = [_vector_of(v, monomials) for v in claimed]
     if not _span_contains(claimed_rows, *[_vector_of(v, monomials) for v in null]):
         raise FalsificationError(
             f"computed kernel vector outside the claimed span at degree {m}")
@@ -433,7 +433,7 @@ def _pair_vector_cleared(pair: tuple[int, int],
 
 
 def common_kernel(pair: tuple[int, int], images: DegreeImages,
-                  h1_kernel: list[LaurentPoly3]) -> int:
+                  h1_kernel: list[Terms]) -> int:
     """Dimension of the exact common kernel of the first operator with the
     second or third at the degree m of ``images``.
 
@@ -441,28 +441,27 @@ def common_kernel(pair: tuple[int, int], images: DegreeImages,
     dimension 1 at even degree, spanned by the displayed vector, and 0 at
     odd degree.  Computed as the kernel of the pair's second operator on
     ``h1_kernel`` (``kernel_H1(images)``); at even degree every computed
-    vector must lie in the span of the displayed vector, whose images are
-    taken on its integer numerators.
+    vector must lie in the span of the displayed vector, whose images and
+    span are taken on its integer numerators.
     """
     if pair not in ((1, 2), (1, 3)):
         raise ValueError("pair must be (1,2) or (1,3)")
     m = images.degree
     null = _kernel_on(images, (pair[1],), h1_kernel)
     if m % 2 == 0:
-        nums, den = _pair_vector_cleared(pair, images)
+        nums, _ = _pair_vector_cleared(pair, images)
         for k in (1, pair[1]):
             if images.apply(k, nums):
                 raise FalsificationError(
                     f"displayed vector not annihilated for pair {pair}, degree {m}")
-        vec = LaurentPoly3.from_cleared(nums, den)
-        if not _span_contains([_vector_of(vec, images.monomials)],
+        if not _span_contains([_vector_of(nums, images.monomials)],
                               *[_vector_of(v, images.monomials) for v in null]):
             raise FalsificationError(
                 f"kernel at degree {m} not spanned by the displayed vector")
     return len(null)
 
 
-def triple_kernel(images: DegreeImages, h1_kernel: list[LaurentPoly3]) -> int:
+def triple_kernel(images: DegreeImages, h1_kernel: list[Terms]) -> int:
     """Dimension of the common kernel of all three operators at the degree m
     of ``images``.
 

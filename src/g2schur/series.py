@@ -133,19 +133,6 @@ class TruncSeries3:
             out.terms = {e: c * v for e, v in self.terms.items()}
         return out
 
-    def __pow__(self, n: int) -> "TruncSeries3":
-        if n < 0:
-            raise ValueError("negative power; use invert() first")
-        result = TruncSeries3.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def invert(self) -> "TruncSeries3":
         """Multiplicative inverse up to the truncation order.
 

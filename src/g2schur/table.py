@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import FalsificationError, TableError  # raised and re-exported here
 from .laurent import Exp, LaurentPoly3
@@ -399,6 +399,25 @@ class SchurTable:
             raise TableError(f"unreadable table file: {exc}") from None
         table.file_checksum = checksum
         return table
+
+
+def whole_table_failure(table: SchurTable) -> str | None:
+    """The message of the first whole-table check ``table`` fails, else None:
+    all C(max_level/2 + 3, 3) labels present, counted, as every triple is one,
+    so that the work is bounded by the table and not by the level it declares;
+    entry (0,0,0) the constant 1; and every entry 1 at (1,1,1)."""
+    forms = table._forms
+    missing = comb(table.max_level // 2 + 3, 3) - len(forms)
+    if missing:
+        first = next(t for level in range(0, table.max_level + 1, 2)
+                     for t in enumerate_level(level) if t not in forms)
+        return f"incomplete table: missing {first} and {missing - 1} more"
+    if forms[(0, 0, 0)] != ({(0, 0, 0): 1}, 1):
+        return "entry (0,0,0) is not the constant 1"
+    for t, (nums, den) in forms.items():
+        if sum(nums.values()) != den:
+            return f"entry {t} does not evaluate to 1 at (1,1,1)"
+    return None
 
 
 def solve_table(max_level: int) -> SchurTable:

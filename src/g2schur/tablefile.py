@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import lt
 
-from .table import (FORMAT_VERSION, SchurTable, TableError, enumerate_level,
-                    is_admissible)
+from .table import (FORMAT_VERSION, SchurTable, TableError, is_admissible,
+                    whole_table_failure)
 
 #: an integer as ``%d`` writes it
 _INT = r"(?:0|-?[1-9][0-9]*)"
@@ -107,22 +107,11 @@ def read_table(text: str) -> SchurTable:
             e = next(e for e, n in nums.items() if not n)
             raise TableError(f"stored zero coefficient at {t}, {e}")
         forms[t] = nums, den
-    # every entry is an admissible label within max_level and none repeats,
-    # so the table is complete exactly when it holds all C(max_level/2 + 3, 3)
-    # labels; counting first keeps the work bounded by the file, not by the
-    # level it declares
-    missing = comb(max_level // 2 + 3, 3) - len(forms)
-    if missing:
-        first = next(t for level in range(0, max_level + 1, 2)
-                     for t in enumerate_level(level) if t not in forms)
-        raise TableError(f"incomplete table: missing {first} "
-                         f"and {missing - 1} more")
-    if forms[(0, 0, 0)] != ({(0, 0, 0): 1}, 1):
-        raise TableError("entry (0,0,0) is not the constant 1")
-    for t, (nums, den) in forms.items():
-        if sum(nums.values()) != den:
-            raise TableError(f"entry {t} does not evaluate to 1 at (1,1,1)")
-    return SchurTable(max_level, forms)
+    table = SchurTable(max_level, forms)
+    failure = whole_table_failure(table)
+    if failure:
+        raise TableError(failure)
+    return table
 
 
 def _parse_coeff(text: str) -> tuple[int, int]:

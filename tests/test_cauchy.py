@@ -494,8 +494,9 @@ def ratfun_closedform_checks(order):
     rational functions of kappa (``KLocal`` values), the PDEs on the
     homogeneous parts of those profiled series, the (-2 - d) relation on the
     ``KLocal`` values, and the X23 = 0 data by dividing the profile back out
-    through its reciprocal.  A PDE witness is divided by the profile too, so
-    that it reads as the rational route reports it.  The closed forms are
+    through its reciprocal.  A PDE witness and the values of a (-2 - d)
+    witness are divided by the profile too, so that they read as the
+    rational route reports them.  The closed forms are
     read through the module, so a patched one reaches both routes.
     """
     unprofile = 1 / KAPPA_PREFACTOR
@@ -522,8 +523,17 @@ def ratfun_closedform_checks(order):
                                   "value": str((c * unprofile).as_fraction())}
             checks.append(rec)
     euler = {e: c * Fraction(-2 - sum(e)) for e, c in cm.items()}
-    checks.append({"check": "omega-plus-euler-relation", "order": order,
-                   "status": "pass" if cp == euler else "fail"})
+    rec = {"check": "omega-plus-euler-relation", "order": order,
+           "status": "pass" if cp == euler else "fail"}
+    if cp != euler:
+        zero = KLocal.zero()
+        e = next(e for e in sorted(cp.keys() | euler.keys())
+                 if cp.get(e, zero) != euler.get(e, zero))
+        rec["witness"] = {
+            "monomial": list(e),
+            "closed_form": str((cp.get(e, zero) * unprofile).as_fraction()),
+            "from_minus": str((euler.get(e, zero) * unprofile).as_fraction())}
+    checks.append(rec)
     for sign, coeffs, initial in (("-", cm, omega_initial_minus(order)),
                                   ("+", cp, omega_initial_plus(order))):
         sliced = TruncSeries3(order, {
@@ -565,6 +575,11 @@ class TestRatFunOracle:
                           ("initial-condition", sign)]
         assert all(c["witness"]["value"] for c in checks
                    if c["check"].startswith("pde") and c["status"] == "fail")
+        (euler,) = [c for c in checks if c["check"] == "omega-plus-euler-relation"]
+        assert euler["witness"] == {
+            "monomial": [2, 0, 0],
+            "closed_form": "-2" if sign == "-" else "-13/7",
+            "from_minus": "-18/7" if sign == "-" else "-2"}
 
     def test_builds_no_ratfun(self, monkeypatch):
         def refuse(self, *args, **kwargs):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cauchy, cli, closedform, conjecture, expansion, kernels
+from g2schur import (cauchy, cli, closedform, conjecture, diffops, expansion,
+                     kernels)
 from g2schur import poles as pole_module
 from g2schur import table as table_module
 from g2schur.cli import main
@@ -95,6 +96,26 @@ class TestTableCommand:
         run(capsys, "table", "--max-level", "4", "--out", str(a))
         run(capsys, "table", "--max-level", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_construct_judges_the_table_built(self, tmp_path, capsys, monkeypatch):
+        # a solve that drops one entry fails the construct record with the
+        # whole-table check's message; the file is still written
+        real = table_module.solve_table
+
+        def seeded(max_level):
+            table = real(max_level)
+            del table._forms[(2, 1, 1)]
+            return table
+
+        monkeypatch.setattr(table_module, "solve_table", seeded)
+        path = tmp_path / "t.json"
+        code, report = run(capsys, "table", "--max-level", "4", "--out", str(path))
+        assert code == 1
+        assert report["checks"] == [{
+            "check": "construct", "entries": 9, "status": "fail",
+            "witness": "incomplete table: missing (2, 1, 1) and 0 more"}]
+        assert path.exists()
+        assert main(["roundtrip", "--table", str(path)]) == 2
 
     def test_odd_level_rejected(self, capsys):
         assert main(["table", "--max-level", "5"]) == 2
@@ -370,6 +391,10 @@ class TestVerifyCommands:
         failed = {c["check"] for c in checks if c["status"] == "fail"}
         assert {"pde-omega+", "omega-plus-euler-relation"} <= failed
         assert "pde-omega-" not in failed
+        # the same witness as the emit record of omega
+        (euler,) = [c for c in checks if c["check"] == "omega-plus-euler-relation"]
+        assert euler["witness"] == {"monomial": [2, 0, 0], "closed_form": "-1",
+                                    "from_minus": "-2"}
         assert any(c["check"] == "pde-omega-" for c in checks)
         assert {c["sign"] for c in checks if c["check"] == "initial-condition"} == {
             "-", "+"}
@@ -521,6 +546,54 @@ class TestVerifyCommands:
         assert {tuple(c["triple"]) for c in norms if c["status"] == "pass"} == {
             (0, 0, 0)}
         assert not any(c["check"] == "falsification" for c in checks)
+
+    def test_series_wrong_operator_coefficient_fails_the_recursion(self, capsys,
+                                                                  monkeypatch):
+        # the X12 d^2/dX12^2 numerator of H_1 read as (1 + X12)^2 + X12: the
+        # graded components of H_1 above degree -2 change, those of H_2 and
+        # H_3 do not
+        real = diffops._coefficients
+
+        def seeded(k):
+            rows = real(k)
+            if k == 1:
+                deriv, num, unit, pole = rows[0]
+                rows[0] = deriv, num + LaurentPoly3({(1, 0, 0): 1}), unit, pole
+            return rows
+
+        diffops.homogeneous_component.cache_clear()
+        monkeypatch.setattr(diffops, "_coefficients", seeded)
+        try:
+            code, report = run(capsys, "verify", "series", "--max-level", "12",
+                               "--order", "4")
+        finally:
+            diffops.homogeneous_component.cache_clear()
+        assert code == 1
+        recursion = [c for c in report["checks"] if c["check"] == "series-recursion"]
+        failed = [c for c in recursion if c["status"] == "fail"]
+        assert failed and all(c["witness"] for c in failed)
+        assert {(c["k"], c["l"] > -2) for c in failed} == {(1, True)}
+        assert [c for c in report["checks"] if c["status"] == "fail"] == failed
+
+    def test_series_wrong_reference_family_fails(self, capsys, monkeypatch):
+        # the (2,0,0) reference family doubled: its record fails with the
+        # fitted family as witness, and the other references still pass
+        real = expansion._reference_families
+
+        def seeded():
+            families = real()
+            families[(2, 0, 0)] = families[(2, 0, 0)].scale(2)
+            return families
+
+        monkeypatch.setattr(expansion, "_reference_families", seeded)
+        code, report = run(capsys, "verify", "series", "--max-level", "8",
+                           "--order", "2")
+        assert code == 1
+        refs = [c for c in report["checks"] if c["check"] == "family-reference"]
+        assert [(c["mvec"], c["status"]) for c in refs] == [
+            ([2, 0, 0], "fail"), ([3, 0, 0], "pass"), ([1, 0, 0], "pass")]
+        assert refs[0]["witness"] == repr(real()[(2, 0, 0)])
+        assert [c for c in report["checks"] if c["status"] == "fail"] == refs[:1]
 
     def test_series_fits_through_order(self, capsys):
         code, report = run(capsys, "verify", "series", "--max-level", "16",

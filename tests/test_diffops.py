@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur.diffops import (OP_VARS, apply_H_cleared, homogeneous_component,
-                             verify_eigen, verify_recursion_by_components)
+from g2schur.diffops import (OP_VARS, _poly1, apply_H_cleared,
+                             homogeneous_component, verify_eigen,
+                             verify_recursion_by_components)
 from g2schur.expansion import expand_entry
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.series import TruncSeries3
 from g2schur.table import enumerate_through
 from tests.test_laurent import permute
 from tests.test_table import perturbed
@@ -67,6 +70,99 @@ def derivative_apply(op, p):
         if q:
             out = out + coeff * q
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _coeff_expansion(k, kind, upto):
+    """Homogeneous parts of one operator coefficient after x = 1 + X.
+
+    Every coefficient is numerator * X^{-monomial} / unit, where the unit has
+    a nonzero constant term; the unit inverse is expanded as a truncated
+    series.  Returns {degree: part} for degrees from -shift through ``upto``
+    (the monomial denominator bounds how negative a degree can get).
+    """
+    v, w, u = OP_VARS[k]
+    if kind == "vv":
+        num = _poly1(v, [1, 2, 1])                     # (1+s)^2
+        unit = LaurentPoly3.one()
+        shift = 0
+    elif kind == "ww":
+        num = _poly1(w, [1, 2, 1])
+        unit = LaurentPoly3.one()
+        shift = 0
+    elif kind == "vw":
+        # [2(2+2s+s^2)(2+2t+t^2)(1+r) - 4(1+s)(1+t)(2+2r+r^2)] (1+s)(1+t)
+        #   / [ s t (2+s)(2+t)(1+r) ]
+        a = _poly1(v, [2, 2, 1]) * _poly1(w, [2, 2, 1]) * _poly1(u, [1, 1])
+        b = _poly1(v, [1, 1]) * _poly1(w, [1, 1]) * _poly1(u, [2, 2, 1])
+        num = (a.scale(2) - b.scale(4)) * _poly1(v, [1, 1]) * _poly1(w, [1, 1])
+        unit = _poly1(v, [2, 1]) * _poly1(w, [2, 1]) * _poly1(u, [1, 1])
+        shift = 2  # divide by s*t
+    elif kind == "v":
+        num = _poly1(v, [4, 6, 3]) * _poly1(v, [1, 1])  # (4+6s+3s^2)(1+s)
+        unit = _poly1(v, [2, 1])
+        shift = 1  # divide by s
+    elif kind == "w":
+        num = _poly1(w, [4, 6, 3]) * _poly1(w, [1, 1])
+        unit = _poly1(w, [2, 1])
+        shift = 1
+    else:
+        raise ValueError(kind)
+
+    order = upto + shift
+    series = TruncSeries3.from_poly(num, order)
+    if unit != LaurentPoly3.one():
+        series = series * TruncSeries3.from_poly(unit, order).invert()
+
+    monomial_shift = [0, 0, 0]
+    if kind == "vw":
+        monomial_shift[v] = -1
+        monomial_shift[w] = -1
+    elif kind == "v":
+        monomial_shift[v] = -1
+    elif kind == "w":
+        monomial_shift[w] = -1
+    monomial_shift = tuple(monomial_shift)
+    parts = {}
+    for d in range(-shift, upto + 1):
+        parts[d] = series.homogeneous_part(d + shift).mul_monomial(monomial_shift)
+    return parts
+
+
+def _deriv_index(positions):
+    n = [0, 0, 0]
+    for p in positions:
+        n[p] += 1
+    return tuple(n)
+
+
+def ladder_component_terms(k, m):
+    """The terms of the degree-m component of H_k, one coefficient kind at a
+    time.
+
+    The former body of ``homogeneous_component``, which dispatched on a kind
+    string for each coefficient's numerator, unit and pole monomial; the
+    oracle for the one coefficient table of ``diffops._coefficients``.
+    """
+    v, w, u = OP_VARS[k]
+    shifts = {"vv": 0, "ww": 0, "vw": 2, "v": 1, "w": 1}
+    terms = []
+    for kind, dpos in (
+        ("vv", (v, v)),
+        ("vw", (v, w)),
+        ("ww", (w, w)),
+        ("v", (v,)),
+        ("w", (w,)),
+    ):
+        degree_needed = m + len(dpos)
+        if degree_needed < -shifts[kind]:
+            continue
+        part = _coeff_expansion(k, kind, max(degree_needed, 0))[degree_needed]
+        if part:
+            terms.append((part, _deriv_index(dpos)))
+    if m == 0:
+        terms.append((LaurentPoly3.one(), (0, 0, 0)))
+    return terms
 
 
 exps = st.tuples(st.integers(-3, 4), st.integers(-3, 4), st.integers(-3, 4))
@@ -192,6 +288,17 @@ class TestHomogeneousComponents:
         # applies it to rationals only
         op = homogeneous_component(*km)
         assert op.apply(p) == derivative_apply(op, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_ladder_oracle(self, k):
+        for m in range(-2, 9):
+            got = homogeneous_component(k, m).terms
+            want = ladder_component_terms(k, m)
+            assert [d for _, d in got] == [d for _, d in want], (k, m)
+            for (c, _), (c0, _) in zip(got, want):
+                assert c.terms == c0.terms, (k, m)
+                assert [type(x) for x in c.terms.values()] \
+                    == [type(x) for x in c0.terms.values()], (k, m)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -215,7 +215,9 @@ class TestSparseRref:
                 kernels.common_kernel(pair, images, h1)
             kernels.triple_kernel(images, h1)
         assert len(captured) > 40
-        assert any(isinstance(v, Fraction) for rows in captured for r in rows for v in r)
+        # the kernel suite eliminates integer rows only, the displayed pair
+        # vectors included
+        assert all(type(v) is int for rows in captured for r in rows for v in r)
         for rows in captured:
             assert real(rows) == dense_rref(rows)
 
