@@ -406,14 +406,15 @@ def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
     return checks
 
 
-def _pair_vector_cleared(pair: tuple[int, int],
-                         images: DegreeImages) -> tuple[Terms, int]:
+def _pair_vector_cleared(pair: tuple[int, int], images: DegreeImages) -> Terms:
     """The displayed spanning vector of the pairwise kernel at the even
-    degree 2n of ``images``, as integer numerators over one denominator:
+    degree 2n of ``images``, as integer numerators over a positive
+    denominator that is not returned:
 
         sum_l s^(n-l) (2l+1)/(n+l+1) C(2n, n-l) P_{2n,l,l}
 
-    with s = -1 for the pair (1,2) and s = +1 for (1,3).
+    with s = -1 for the pair (1,2) and s = +1 for (1,3).  A kernel and a
+    span are the same for any positive multiple of the vector.
     """
     n = images.degree // 2
     elements = [images.element(l, l) for l in range(n + 1)]
@@ -425,11 +426,10 @@ def _pair_vector_cleared(pair: tuple[int, int],
         weights.append(c)
     acc: Terms = {}
     get = acc.get
-    ints, den = clear_denominators(weights)
-    for w, (nums, _) in zip(ints, elements):
+    for w, (nums, _) in zip(clear_denominators(weights)[0], elements):
         for e, v in nums.items():
             acc[e] = get(e, 0) + w * v
-    return {e: v for e, v in acc.items() if v}, den
+    return {e: v for e, v in acc.items() if v}
 
 
 def common_kernel(pair: tuple[int, int], images: DegreeImages,
@@ -449,7 +449,7 @@ def common_kernel(pair: tuple[int, int], images: DegreeImages,
     m = images.degree
     null = _kernel_on(images, (pair[1],), h1_kernel)
     if m % 2 == 0:
-        nums, _ = _pair_vector_cleared(pair, images)
+        nums = _pair_vector_cleared(pair, images)
         for k in (1, pair[1]):
             if images.apply(k, nums):
                 raise FalsificationError(

@@ -4,13 +4,16 @@ A report is a deterministic JSON document: suite name, configuration echo,
 table checksum, one record per check, and summary counts (of the checks, or
 the evidence table's own counts for a report without checks, such as the
 conjecture comparison).  Timing lives in a single top-level field so reports
-stay byte-comparable after dropping it.
+stay byte-comparable after dropping it.  The text is the layout of
+``json.dumps(..., indent=1)``, written by ``to_json_text``: the standard
+library serves ``indent`` only from its pure-Python encoder, about twice as
+slow on the larger reports.  ``json.dumps`` is the test oracle.
 """
 
 from __future__ import annotations
 
-import json
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class Report:
@@ -56,7 +59,9 @@ class Report:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=1) + "\n"
+        """``json.dumps(self.to_dict(include_timing), indent=1)`` plus a
+        newline, as one string; ``to_json_text`` writes it."""
+        return to_json_text(self.to_dict(include_timing)) + "\n"
 
 
 class Stopwatch:
@@ -67,3 +72,80 @@ class Stopwatch:
     def __exit__(self, *exc):
         self.elapsed_ms = int((time.monotonic() - self._start) * 1000)
         return False
+
+
+def to_json_text(value) -> str:
+    """The text ``json.dumps(value, indent=1)`` writes, without its
+    pure-Python encoder: each string through the encoder's own quoting,
+    numbers and constants as ``json`` writes them, containers one item per
+    line.  ``json.dumps`` is the test oracle."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``indent`` is the newline and
+    the spaces before the line that closes it.  A string or ``int`` item is
+    written with its key or separator."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + " "
+        sep = "{" + inner
+        for key, item in value.items():
+            head = sep + (_quote(key) if type(key) is str else _key(key)) + ": "
+            if type(item) is str:
+                out.append(head + _quote(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + " "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + _quote(item))
+            elif type(item) is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: strings quoted, numbers and constants
+    as their quoted text."""
+    return _quote(key if isinstance(key, str) else _scalar(key))

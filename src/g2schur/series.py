@@ -46,14 +46,6 @@ class TruncSeries3:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(c, order: int) -> "TruncSeries3":
-        return TruncSeries3(order, {(0, 0, 0): c})
-
-    @staticmethod
-    def one(order: int) -> "TruncSeries3":
-        return TruncSeries3.constant(Fraction(1), order)
-
-    @staticmethod
     def from_poly(p: LaurentPoly3, order: int) -> "TruncSeries3":
         if not p.is_polynomial():
             raise ValueError("Laurent polynomial with negative exponents is not a power series")

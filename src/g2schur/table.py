@@ -15,16 +15,22 @@ solved from one predecessor equation and every other applicable predecessor
 equation is then asserted exactly, so an inconsistent system cannot slip
 through construction.
 
-The table stores each entry in its integer form only: integer numerators
-over one common denominator, reduced so that the denominator is positive and
-coprime to the content (``LaurentPoly3.cleared``).  ``solve_table`` solves
-each entry in that form, ``SchurTable.load`` reads it straight from the
-``"p/q"`` coefficient texts and ``canonical_json`` writes the texts back from
-it; the recursion residuals (``SchurTable.pieri_residual``), the unit-value,
-leading-term and S3 checks compare numerators and denominators, and a nonzero
-residual comes back as the exact Laurent polynomial.  ``SchurTable`` is
-built from these forms; its read-only ``entries`` mapping builds the
-``Fraction`` Laurent polynomial of an entry on each read and keeps nothing.
+Every entry is invariant under each x_ab -> 1/x_ab: phi_{0,0,0} = 1 and the
+recursions only multiply by x_ab + 1/x_ab.  The table therefore stores each
+entry as its orthant form: the integer numerators of its terms with every
+exponent >= 0 over one common denominator, reduced so that the denominator
+is positive and coprime to the content of the whole entry
+(``LaurentPoly3.cleared``); a term at (a, b, c) stands for the same
+numerator at every (+-a, +-b, +-c).  ``solve_table`` solves each entry in
+that form, with x + 1/x on the orthant taking c(a) to c(a-1) + c(a+1) and
+c(-1) = c(1) (``_times_x_plus_inv``), and the recursion residuals
+(``SchurTable.pieri_residual``), the unit-value, leading-term, S3 and
+whole-table checks compare orthant numerators and denominators.  The mirror
+terms are expanded (``unfold``) only where a whole polynomial is read: by
+``canonical_json``, ``SchurTable.cleared_entry``, the read-only ``entries``
+mapping (which builds the ``Fraction`` Laurent polynomial of an entry on
+each read and keeps nothing) and a nonzero residual, which comes back as
+the exact Laurent polynomial.
 
 The solve and the residuals weight the recursion targets by the integer
 numerators of ``K`` over its denominator ``4(j1+1)(j2+1)``, shared by the four
@@ -32,17 +38,20 @@ targets (``_pieri_weights``); ``pieri_coeff`` is the ``Fraction`` definition
 they are tested against.
 
 The table file is the ``json.dumps(..., indent=1)`` layout of the entries,
-and ``canonical_json`` writes it directly, one template per entry and per
-term, passing each entry's text to a sink as soon as it is formatted.
-``save`` and ``checksum`` stream that text into the file and one SHA-256,
-so no more than one entry's text is held at a time.  ``load`` reads the file
-once and accepts that one layout and no other JSON text (the reader is
-``tablefile.read_table``), so a text it accepts is byte for byte the text
-``canonical_json`` writes for the table it yields, and the SHA-256 of the
-file's bytes is the table's checksum.  The ``json.load`` route is the test oracle
-of the reader and the ``json.dumps`` route that of the writer; ``roundtrip``
-renders a loaded table and compares it with the file piece by piece, the
-cross-check of one against the other.
+every term written out, and ``canonical_json`` writes it directly, one
+template per entry and per term, passing each entry's text to a sink as soon
+as it is formatted.  ``save`` and ``checksum`` stream that text into the
+file and one SHA-256, so no more than one entry's text is held at a time.
+``load`` accepts that one layout and no other JSON text, reading the file in
+chunks and keeping only each entry's orthant once its mirror terms are
+checked (the reader is ``tablefile.load_table``), so a text it accepts is
+byte for byte the text ``canonical_json`` writes for the table it yields,
+and the SHA-256 of the file's bytes is the table's checksum.  The
+``json.load`` route is the test oracle of the reader and the ``json.dumps``
+route that of the writer; ``roundtrip`` renders a loaded table and compares
+it with the file piece by piece, the cross-check of one against the other.
+The solve on every exponent, with x + 1/x as two plain shifts, is the test
+oracle of the orthant solve and residuals.
 """
 
 from __future__ import annotations
@@ -161,18 +170,38 @@ _ZERO: Cleared = ({}, 1)
 
 
 def _times_x_plus_inv(eq: int, nums: dict[Exp, int], w: int) -> dict[Exp, int]:
-    """w (x + 1/x) sum nums[e] x^e for the variable of recursion ``eq``: two
-    exponent shifts per term."""
+    """w (x + 1/x) f on the orthant, x the variable of recursion ``eq`` and
+    f the mirror-symmetric polynomial of the orthant numerators ``nums``.
+
+    The coefficient at exponent a of x becomes c(a-1) + c(a+1), with c(-1)
+    = c(1): a term at a >= 1 also moves down to a - 1, twice over from a = 1.
+    """
     acc: dict[Exp, int] = {}
     get = acc.get
     s1, s2, s3 = _SHIFT[eq]
-    for (e1, e2, e3), n in nums.items():
+    for e, n in nums.items():
         n *= w
+        e1, e2, e3 = e
         key = (e1 + s1, e2 + s2, e3 + s3)
         acc[key] = get(key, 0) + n
-        key = (e1 - s1, e2 - s2, e3 - s3)
-        acc[key] = get(key, 0) + n
+        a = e[eq]
+        if a:
+            key = (e1 - s1, e2 - s2, e3 - s3)
+            acc[key] = get(key, 0) + (n if a > 1 else 2 * n)
     return acc
+
+
+def unfold(nums: dict[Exp, int]) -> dict[Exp, int]:
+    """The numerators at every exponent from the orthant numerators: the
+    numerator at (a, b, c) is that at each (+-a, +-b, +-c)."""
+    out: dict[Exp, int] = {}
+    for (a, b, c), n in nums.items():
+        for x in ((a, -a) if a else (0,)):
+            for y in ((b, -b) if b else (0,)):
+                for z in ((c, -c) if c else (0,)):
+                    out[x, y, z] = n
+    return out
+
 
 
 def recursion_sum(eq: int, base: Triple, form, times_generator,
@@ -241,30 +270,19 @@ _TERM = ('    {\n     "exp": [\n      %d,\n      %d,\n      %d\n     ],\n'
          '     "coeff": "%s"\n    }')
 
 
-def text_checksum(data: bytes) -> str:
-    """SHA-256 of the bytes of a table file, the ``table_checksum`` of the
-    reports.
-
-    ``hashlib`` maps the OpenSSL library (about 3.5 MB resident), so it is
-    imported here, by the commands that hash a table, and not by ``omega``
-    or ``verify kernel``.
-    """
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
-
-
 class EntryView(Mapping):
     """The ``Fraction`` Laurent polynomials of a table's entries, read-only.
 
-    Each read builds the polynomial from the entry's integer form; nothing
-    is kept.
+    Each read builds the polynomial from the entry's orthant form, mirror
+    terms unfolded; nothing is kept.
     """
 
     def __init__(self, forms: dict[Triple, Cleared]):
         self._forms = forms
 
     def __getitem__(self, triple: Triple) -> LaurentPoly3:
-        return LaurentPoly3.from_cleared(*self._forms[triple])
+        nums, den = self._forms[triple]
+        return LaurentPoly3.from_cleared(unfold(nums), den)
 
     def __contains__(self, triple) -> bool:
         return triple in self._forms
@@ -278,11 +296,12 @@ class EntryView(Mapping):
 
 class SchurTable:
     """Map from admissible triples to their Laurent polynomials, each stored
-    in its integer form (see the module docstring).
+    in its orthant form (see the module docstring).
 
-    ``forms`` maps each triple to its reduced integer form, as
-    ``LaurentPoly3.cleared`` returns it; the table keeps the dict it is
-    given, not a copy.
+    ``forms`` maps each triple to its orthant form: the terms of
+    ``LaurentPoly3.cleared`` with every exponent >= 0, of a polynomial
+    invariant under each x -> 1/x.  The table keeps the dict it is given,
+    not a copy.
     """
 
     def __init__(self, max_level: int, forms: dict[Triple, Cleared] | None = None):
@@ -301,15 +320,24 @@ class SchurTable:
     def __len__(self) -> int:
         return len(self._forms)
 
-    def cleared_entry(self, triple: Triple) -> Cleared:
-        """The integer form of the entry of ``triple``, ``({}, 1)`` for a
+    def orthant_entry(self, triple: Triple) -> Cleared:
+        """The orthant form of the entry of ``triple``, ``({}, 1)`` for a
         triple outside the table.  The caller must not modify it."""
         return self._forms.get(triple, _ZERO)
 
+    def cleared_entry(self, triple: Triple) -> Cleared:
+        """The integer form of the entry of ``triple``, every exponent
+        unfolded from the orthant; ``({}, 1)`` outside the table."""
+        nums, den = self._forms.get(triple, _ZERO)
+        return unfold(nums), den
+
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
-        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it holds)."""
-        return LaurentPoly3.from_cleared(
-            *recursion_sum(eq, base, self.cleared_entry, _times_x_plus_inv))
+        """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it
+        holds), summed on the orthant and unfolded when it is not zero."""
+        nums, den = recursion_sum(eq, base, self.orthant_entry, _times_x_plus_inv)
+        if not any(nums.values()):
+            return LaurentPoly3()
+        return LaurentPoly3.from_cleared(unfold(nums), den)
 
     # -- persistence -----------------------------------------------------
 
@@ -321,9 +349,11 @@ class SchurTable:
         entry, ``{"triple": [...], "poly": [{"exp": [...], "coeff": "p/q"}]}``,
         triples and exponents sorted.  The text is written directly in that
         layout, one template per entry and per term; each coefficient text
-        is its numerator and the denominator divided by their gcd.  The
-        pieces are the head, each entry's record (with the separator before
-        it) as soon as it is formatted, and the tail; nothing is joined.
+        is its numerator and the denominator divided by their gcd, formed
+        once per orthant term and written at each of its mirror exponents.
+        The pieces are the head, each entry's record (with the separator
+        before it) as soon as it is formatted, and the tail; nothing is
+        joined.
         """
         write(f'{{\n "format_version": {FORMAT_VERSION},\n'
               f' "max_level": {self.max_level},\n "entries": [')
@@ -331,13 +361,18 @@ class SchurTable:
         for t in sorted(self._forms):
             nums, den = self._forms[t]
             terms = []
-            for e in sorted(nums):
-                n = nums[e]
+            for (a, b, c), n in nums.items():
                 g = gcd(n, den)
                 coeff = n // g if g == den else f"{n // g}/{den // g}"
-                terms.append(_TERM % (*e, coeff))
-            write(sep + (_ENTRY % (*t, ",\n".join(terms)) if terms
-                         else _EMPTY_ENTRY % t))
+                # the mirror exponents of ``unfold``, each with the template's
+                # arguments
+                for x in ((-a, a) if a else (0,)):
+                    for y in ((-b, b) if b else (0,)):
+                        for z in ((-c, c) if c else (0,)):
+                            terms.append((x, y, z, coeff))
+            terms.sort()  # the exponents are distinct: no coefficient is compared
+            write(sep + (_ENTRY % (*t, ",\n".join([_TERM % term for term in terms]))
+                         if terms else _EMPTY_ENTRY % t))
             sep = ",\n"
         write("\n ]\n}\n" if self._forms else "]\n}\n")
 
@@ -349,7 +384,10 @@ class SchurTable:
         encoded once and its bytes go to the hash and, if given, to ``out``.
         No more than one entry's text is held at a time.
         """
-        import hashlib  # see text_checksum
+        # hashlib maps the OpenSSL library (about 3.5 MB resident): it is
+        # imported by the commands that hash a table, not by omega or
+        # verify kernel
+        import hashlib
         digest = hashlib.sha256()
 
         def write(piece: str) -> None:
@@ -377,28 +415,19 @@ class SchurTable:
         each admissible and within ``max_level``, and within each entry
         terms with strictly increasing exponents.  Every coefficient must be
         the canonical text of a nonzero rational, ``str(p)`` or ``"p/q"``
-        with q > 1 coprime to p, the table must hold every triple through
-        ``max_level``, entry (0,0,0) must be the constant 1 and every entry
-        must take the value 1 at x12 = x13 = x23 = 1.  The integer form of
-        each entry is read from the coefficient texts; no ``Fraction`` is
-        built.  The text is then what ``canonical_json`` writes for the
-        table returned, and ``file_checksum`` holds the SHA-256 of the file.
+        with q > 1 coprime to p, and every entry must hold each term's
+        mirror terms, at (+-a, +-b, +-c), with the same text.  The table
+        must hold every triple through ``max_level``, entry (0,0,0) must be
+        the constant 1 and every entry must take the value 1 at x12 = x13 =
+        x23 = 1.  The orthant form of each entry is read from the
+        coefficient texts; no ``Fraction`` is built and the file text is
+        not held whole.  The text is then what ``canonical_json`` writes for
+        the table returned, and ``file_checksum`` holds the SHA-256 of the
+        file.  The reader is ``tablefile.load_table``, compiled by the first
+        load.
         """
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            text = data.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise TableError(f"unreadable table file: {exc}") from exc
-        checksum = text_checksum(data)
-        del data  # not needed past the hash; freed before the parse
-        from .tablefile import read_table  # compiled by the first load
-        try:
-            table = read_table(text)
-        except ValueError as exc:  # an integer text beyond int()'s digit limit
-            raise TableError(f"unreadable table file: {exc}") from None
-        table.file_checksum = checksum
-        return table
+        from .tablefile import load_table
+        return load_table(path)
 
 
 def whole_table_failure(table: SchurTable) -> str | None:
@@ -415,15 +444,22 @@ def whole_table_failure(table: SchurTable) -> str | None:
     if forms[(0, 0, 0)] != ({(0, 0, 0): 1}, 1):
         return "entry (0,0,0) is not the constant 1"
     for t, (nums, den) in forms.items():
-        if sum(nums.values()) != den:
+        if unit_value(nums) != den:
             return f"entry {t} does not evaluate to 1 at (1,1,1)"
     return None
+
+
+def unit_value(nums: dict[Exp, int]) -> int:
+    """The sum of the numerators at every exponent, from the orthant
+    numerators: the entry's value at (1,1,1) times its denominator.  A term
+    at e stands for 2^k terms, k the number of nonzero entries of e."""
+    return sum([n << (bool(a) + bool(b) + bool(c)) for (a, b, c), n in nums.items()])
 
 
 def solve_table(max_level: int) -> SchurTable:
     """Build the table through ``max_level`` by level induction.
 
-    Each new entry is solved in the integer form from its solving equation
+    Each new entry is solved in the orthant form from its solving equation
     (see ``predecessor_equations``) and the remaining applicable predecessor
     equations are asserted exactly.
     """
@@ -433,7 +469,7 @@ def solve_table(max_level: int) -> SchurTable:
     table = SchurTable(max_level, forms)
     for level in range(2, max_level + 1, 2):
         for triple in enumerate_level(level):
-            forms[triple] = solve_cleared(triple, table.cleared_entry,
+            forms[triple] = solve_cleared(triple, table.orthant_entry,
                                           _times_x_plus_inv)
             for other_eq, other_pred in predecessor_equations(triple)[1:]:
                 residual = table.pieri_residual(other_eq, other_pred)
@@ -476,8 +512,9 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
     """Check equivariance under a simultaneous permutation of labels and variables.
 
     ``sigma`` maps index i to sigma[i-1].  Returns (ok, witness_triple).
-    Entries are compared in their integer forms: the same denominator and,
-    with the variables permuted, the same numerators.
+    Entries are compared in their orthant forms, which a permutation of the
+    variables keeps: the same denominator and, with the variables permuted,
+    the same numerators.
     """
     # the permuted exponent at position p is the entry's exponent at src[p]
     src = [0, 0, 0]
@@ -486,9 +523,9 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
         src[_PAIR_POS[frozenset({sigma[i - 1], sigma[j - 1]})]] = k
     a, b, c = src
     for triple in enumerate_through(table.max_level):
-        nums, den = table.cleared_entry(triple)
+        nums, den = table.orthant_entry(triple)
         permuted_labels = tuple(triple[sigma[i] - 1] for i in range(3))
-        cand_nums, cand_den = table.cleared_entry(permuted_labels)
+        cand_nums, cand_den = table.orthant_entry(permuted_labels)
         if cand_den != den or {(e[a], e[b], e[c]): n for e, n in cand_nums.items()} != nums:
             return False, triple
     return True, None
@@ -496,7 +533,12 @@ def s3_check(table: SchurTable, sigma: tuple[int, int, int]) -> tuple[bool, Trip
 
 def verify_pieri(table: SchurTable) -> list[dict]:
     """The ``verify pieri`` suite: recursion identities, unit values, leading
-    terms and their distinctness per level, and S3 equivariance."""
+    terms and their distinctness per level, and S3 equivariance.
+
+    Each is judged on the orthant forms.  The top-degree part of an entry
+    lies in the orthant, since a mirror of a term lowers its total degree
+    unless it fixes the term.
+    """
     triples = enumerate_through(table.max_level)
     checks = []
     for triple in triples:
@@ -510,14 +552,14 @@ def verify_pieri(table: SchurTable) -> list[dict]:
                 rec["witness"] = repr(residual)
             checks.append(rec)
     for triple in triples:
-        nums, den = table.cleared_entry(triple)
+        nums, den = table.orthant_entry(triple)
         checks.append({"check": "unit-value", "triple": list(triple),
-                       "status": "pass" if sum(nums.values()) == den else "fail"})
+                       "status": "pass" if unit_value(nums) == den else "fail"})
     seen_per_level: dict[int, set] = {}
     for triple in triples:
         try:
-            # the numerators have the entry's monomials
-            _, exps = leading_term(LaurentPoly3(table.cleared_entry(triple)[0]), triple)
+            # the numerators have the entry's orthant monomials
+            _, exps = leading_term(LaurentPoly3(table.orthant_entry(triple)[0]), triple)
             status = "pass"
         except FalsificationError:
             status, exps = "fail", None

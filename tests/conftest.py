@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2schur.expansion import ExpansionSet
-from g2schur.table import SchurTable, solve_table
+from g2schur.table import SchurTable, solve_table, unfold
 
 
 def _coefficients(value):
@@ -30,11 +30,23 @@ def assert_exact(value, where="") -> None:
             f"inexact coefficient {c!r} of type {type(c).__name__} {where}".rstrip()
 
 
+def orthant_of(poly):
+    """The orthant form a table stores for ``poly``: the terms of its
+    ``cleared()`` with every exponent >= 0.  ``poly`` must be invariant
+    under each x -> 1/x."""
+    nums, den = poly.cleared()
+    for (a, b, c), n in nums.items():
+        assert nums.get((abs(a), abs(b), abs(c))) == n, f"asymmetric at {(a, b, c)}"
+    orthant = {e: n for e, n in nums.items() if min(e) >= 0}
+    assert unfold(orthant) == nums
+    return orthant, den
+
+
 def table_of(max_level, entries):
-    """A table holding each ``Fraction`` Laurent polynomial of ``entries`` as
-    its ``cleared()``, the reduced integer form a table stores.  Tests build
-    a perturbed table through this one helper."""
-    return SchurTable(max_level, {t: p.cleared() for t, p in entries.items()})
+    """A table holding each ``Fraction`` Laurent polynomial of ``entries``,
+    each invariant under every x -> 1/x, as its orthant form.  Tests build a
+    perturbed table through this one helper."""
+    return SchurTable(max_level, {t: orthant_of(p) for t, p in entries.items()})
 
 
 @pytest.fixture(scope="session")

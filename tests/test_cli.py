@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -66,16 +67,21 @@ def bump_saved_entry(path):
 
 
 def shift_saved_coefficients(path):
-    """Move 1/15 between the first two coefficients of entry (2, 1, 1) of a
-    saved table: their texts "1/3", "1/3" become "2/5", "4/15".
+    """Move weight between the two mirror orbits of entry (2, 1, 1) of a
+    saved table, (x12 + 1/x12)(x13 + 1/x13) / 3 - (x23 + 1/x23) / 6: the
+    texts "1/3" of the first become "2/5" and the texts "-1/6" of the second
+    "-3/10".
 
-    Both texts stay canonical and the value at ones stays 1, so the file
-    loads; the entry leaves its recursions, eigenspaces and closed form.
+    The texts stay canonical, the entry stays invariant under each x -> 1/x
+    and its value at ones stays 1, so the file loads; the entry leaves its
+    recursions, eigenspaces and closed form.
     """
     payload = json.loads(path.read_text())
     (rec,) = [r for r in payload["entries"] if r["triple"] == [2, 1, 1]]
-    assert [t["coeff"] for t in rec["poly"][:2]] == ["1/3", "1/3"]
-    rec["poly"][0]["coeff"], rec["poly"][1]["coeff"] = "2/5", "4/15"
+    new = {"1/3": "2/5", "-1/6": "-3/10"}
+    assert sorted(t["coeff"] for t in rec["poly"]) == ["-1/6"] * 2 + ["1/3"] * 4
+    for term in rec["poly"]:
+        term["coeff"] = new[term["coeff"]]
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
@@ -216,6 +222,28 @@ class TestTableCommand:
             pieces = []
             render(self, pieces.append)
             for piece in edit(pieces):
+                write(piece)
+
+        monkeypatch.setattr(SchurTable, "canonical_json", seeded)
+        code, report = run(capsys, "roundtrip", "--table", str(path))
+        assert code == 2
+        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+
+    def test_roundtrip_fails_when_the_writer_skips_a_mirror_term(
+            self, tmp_path, capsys, monkeypatch):
+        # the render of the last entry, (2, 2, 0), leaves out its first
+        # term, at (-2, 0, 0), one of the mirror terms the writer unfolds
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "4", "--out", str(path))
+        render = SchurTable.canonical_json
+        term = re.compile(r'    \{\n     "exp": \[\n      -2,[^}]*\},\n')
+
+        def seeded(self, write):
+            pieces = []
+            render(self, pieces.append)
+            pieces[-2], dropped = term.subn("", pieces[-2], count=1)
+            assert dropped == 1
+            for piece in pieces:
                 write(piece)
 
         monkeypatch.setattr(SchurTable, "canonical_json", seeded)
@@ -461,31 +489,49 @@ class TestVerifyCommands:
             ("pieri", (2, 1, 1), 2), ("pieri", (2, 1, 1), 3), ("pieri", (2, 2, 0), 3),
             ("pieri", (2, 2, 2), 3), ("pieri", (3, 1, 2), 2), ("pieri", (3, 2, 1), 1),
             ("s3-symmetry", (2, 1, 3), None), ("s3-symmetry", (3, 2, 1), None),
-            ("s3-symmetry", (1, 3, 2), None), ("s3-symmetry", (2, 3, 1), None),
-            ("s3-symmetry", (3, 1, 2), None)]
+            ("s3-symmetry", (2, 3, 1), None), ("s3-symmetry", (3, 1, 2), None)]
         assert failed["pieri"][5]["witness"] == (
-            "(1/15)*x12^-2*x13^-1 + (-1/15)*x12^-2*x13^1 + (1/15)*x13^-1"
-            " + (-1/15)*x13^1")
+            "(1/15)*x12^-2*x13^-1 + (1/15)*x12^-2*x13^1 + (-2/15)*x12^-1*x23^-1"
+            " + (-2/15)*x12^-1*x23^1 + (2/15)*x13^-1 + (2/15)*x13^1"
+            " + (-2/15)*x12^1*x23^-1 + (-2/15)*x12^1*x23^1 + (1/15)*x12^2*x13^-1"
+            " + (1/15)*x12^2*x13^1")
         assert [(c["triple"], c["k"], c["witness"]) for c in failed["eigen"]] == [
-            ([2, 1, 1], 1, "(16/15)*x12^-2 + (-4/15)*x12^-1*x13^-1*x23^-1"
-             " + (-4/15)*x12^-1*x13^-1*x23^1 + (-4/15)*x12^-1*x13^1*x23^-1"
-             " + (-4/15)*x12^-1*x13^1*x23^1 + (8/15)*x13^-2 + (-16/15)"
-             " + (8/15)*x13^2"),
-            ([2, 1, 1], 2, "(4/15)*x13^-1*x23^-1 + (-4/15)*x13^-1*x23^1"
-             " + (-4/15)*x13^1*x23^-1 + (4/15)*x13^1*x23^1"),
-            ([2, 1, 1], 3, "(8/15)*x12^-1*x23^-1 + (-8/15)*x12^-1*x23^1")]
+            ([2, 1, 1], 1, "(4/5)*x12^-1*x13^-1*x23^-1 + (4/5)*x12^-1*x13^-1*x23^1"
+             " + (-4/5)*x12^-1*x13^1*x23^-1 + (-4/5)*x12^-1*x13^1*x23^1"
+             " + (-4/5)*x12^1*x13^-1*x23^-1 + (-4/5)*x12^1*x13^-1*x23^1"
+             " + (4/5)*x12^1*x13^1*x23^-1 + (4/5)*x12^1*x13^1*x23^1")]
         assert failed["series"] == [{
             "check": "falsification", "stage": "expansions", "status": "fail",
             "witness": "table entry (2, 1, 1) fails its solving equation 1 "
                        "based at (1, 0, 1)"}]
         assert failed["specialized"] == [
             {"check": "specialization-formula", "j1": 2, "j2": 1, "status": "fail",
-             "witness": "(-1/15)*x12^-1*x13^-1 + (1/15)*x12^-1*x13^1"},
+             "witness": "(-1/15)*x12^-1*x13^-1 + (-1/15)*x12^-1*x13^1 + (4/15)"
+                        " + (-1/15)*x12^1*x13^-1 + (-1/15)*x12^1*x13^1"},
             {"check": "specialized-sum", "j1": 2, "J": 2, "labels": 3,
              "mode": "identity", "status": "fail",
-             "witness": "(-1/5)*x12^-2*x13^2 + (1/5)*x12^-2*x13^4"
-                        " + (1/5)*x12^-1*x13^1 + (-1/5)*x12^-1*x13^5"
-                        " + (-1/5)*x13^2 + (1/5)*x13^4"}]
+             "witness": "(-1/5)*x12^-2*x13^2 + (-1/5)*x12^-2*x13^4"
+                        " + (1/5)*x12^-1*x13^1 + (6/5)*x12^-1*x13^3"
+                        " + (1/5)*x12^-1*x13^5 + (-6/5)*x13^2 + (-6/5)*x13^4"
+                        " + (1/5)*x12^1*x13^1 + (6/5)*x12^1*x13^3"
+                        " + (1/5)*x12^1*x13^5 + (-1/5)*x12^2*x13^2"
+                        " + (-1/5)*x12^2*x13^4"}]
+
+    def test_asymmetric_coefficient_text_is_operational_error(self, tmp_path, capsys):
+        # the earlier shift of this suite, "1/3", "1/3" -> "2/5", "4/15" on the
+        # first two terms of (2, 1, 1), keeps the texts canonical and the value
+        # at ones, but not the mirror symmetry: no suite runs on it
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        payload = json.loads(path.read_text())
+        (rec,) = [r for r in payload["entries"] if r["triple"] == [2, 1, 1]]
+        rec["poly"][0]["coeff"], rec["poly"][1]["coeff"] = "2/5", "4/15"
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        for suite in ("pieri", "eigen", "series", "specialized"):
+            assert main(["verify", suite, "--max-level", "8", "--table", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: asymmetric entry (2, 1, 1): coefficient '2/5' at (-1, -1, 0), "
+                "'1/3' at its mirror (1, 1, 0)")
 
     def test_specialized_suite(self, capsys):
         code, report = run(capsys, "verify", "specialized", "--max-level", "8")

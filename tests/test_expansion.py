@@ -11,6 +11,7 @@ from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import (FalsificationError, enumerate_level, enumerate_through,
                            solve_table)
 from tests.conftest import table_of
+from tests.test_series import one
 from tests.test_table import solve_entry
 
 
@@ -82,7 +83,7 @@ def bump_coefficient(es, triple, mvec, delta):
 
 class TestExpandEntry:
     def test_constant_entry(self, table12):
-        assert expand_entry(table12.entries[(0, 0, 0)], 5) == TruncSeries3.one(5)
+        assert expand_entry(table12.entries[(0, 0, 0)], 5) == one(5)
 
     def test_level_two_entry(self, table12):
         series = expand_entry(table12.entries[(1, 1, 0)], 3)
@@ -197,7 +198,7 @@ class TestRecursionRoute:
         generators = [TruncSeries3(order, {e: Fraction(c) for e, c in
                                            _x_plus_inv_series(i, order).terms.items()})
                       for i in range(3)]
-        series = {(0, 0, 0): TruncSeries3.one(order)}
+        series = {(0, 0, 0): one(order)}
         for t in enumerate_through(level)[1:]:
             series[t] = solve_entry(t, series, generators)
         assert set(es.forms) == set(series)

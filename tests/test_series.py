@@ -13,18 +13,28 @@ def s3(order, terms):
     return TruncSeries3(order, {e: Fraction(c) for e, c in terms.items()})
 
 
+def constant(c, order):
+    """The constant series c truncated at ``order``."""
+    return TruncSeries3(order, {(0, 0, 0): c})
+
+
+def one(order):
+    """The series 1 truncated at ``order``."""
+    return constant(Fraction(1), order)
+
+
 def test_geometric_inverse_truncated():
     a = s3(3, {(0, 0, 0): 1, (1, 0, 0): 1})
     b = s3(3, {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): 1, (3, 0, 0): -1})
-    assert a * b == TruncSeries3.one(3)
+    assert a * b == one(3)
     assert a.invert() == b
     assert_exact(a.invert())
 
 
 def test_invert_constants():
-    assert TruncSeries3.one(4).invert() == TruncSeries3.one(4)
-    c = TruncSeries3.constant(Fraction(-3, 7), 2)
-    assert c.invert() == TruncSeries3.constant(Fraction(-7, 3), 2)
+    assert one(4).invert() == one(4)
+    c = constant(Fraction(-3, 7), 2)
+    assert c.invert() == constant(Fraction(-7, 3), 2)
     assert_exact(c.invert())
 
 
@@ -56,7 +66,7 @@ def test_invert_shifted_quadratic():
     inv = a.invert()
     assert inv == expected
     assert_exact(inv)
-    assert a * inv == TruncSeries3.one(2)
+    assert a * inv == one(2)
 
 
 def test_singular_inverse_rejected():
@@ -89,7 +99,7 @@ unit_series = st.dictionaries(
 def test_inverse_roundtrip(s):
     inv = s.invert()
     assert_exact(inv)
-    assert s * inv == TruncSeries3.one(4)
+    assert s * inv == one(4)
 
 
 @settings(max_examples=40, deadline=None)

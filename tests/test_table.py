@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from g2schur.cauchy import verify_specialized
 from g2schur.diffops import verify_eigen
 from g2schur.expansion import verify_series
+from g2schur import table as table_module
+from g2schur import tablefile
 from g2schur.laurent import LaurentPoly3, x_plus_inv
-from g2schur.table import (FORMAT_VERSION, FalsificationError, SchurTable,
-                           TableError, _pieri_weights, enumerate_level,
-                           enumerate_through, is_admissible, leading_term,
-                           pieri_coeff, predecessor_equations, s3_check,
-                           solve_table, text_checksum, verify_pieri)
+from g2schur.table import (_SHIFT, FORMAT_VERSION, FalsificationError,
+                           SchurTable, TableError, _pieri_weights,
+                           enumerate_level, enumerate_through, is_admissible,
+                           leading_term, pieri_coeff, predecessor_equations,
+                           recursion_sum, s3_check, solve_cleared, solve_table,
+                           unfold, unit_value, verify_pieri)
 from g2schur.tablefile import _parse_coeff
 from tests.conftest import table_of
 from tests.test_laurent import flip
@@ -95,12 +98,62 @@ def fraction_solve_table(max_level):
     return entries
 
 
+def full_times_x_plus_inv(eq, nums, w):
+    """w (x + 1/x) sum nums[e] x^e on every exponent: two plain shifts per
+    term.  The former ``table._times_x_plus_inv``; with the full forms, the
+    oracle of the orthant rule."""
+    acc = {}
+    s1, s2, s3 = _SHIFT[eq]
+    for (e1, e2, e3), n in nums.items():
+        for key in ((e1 + s1, e2 + s2, e3 + s3), (e1 - s1, e2 - s2, e3 - s3)):
+            acc[key] = acc.get(key, 0) + w * n
+    return acc
+
+
+def full_solve_table(max_level):
+    """The integer forms of every exponent, solved with
+    ``full_times_x_plus_inv``: the former ``solve_table``, the oracle of the
+    orthant solve."""
+    forms = {(0, 0, 0): ({(0, 0, 0): 1}, 1)}
+    for triple in enumerate_through(max_level)[1:]:
+        forms[triple] = solve_cleared(triple, forms.__getitem__,
+                                      full_times_x_plus_inv)
+    return forms
+
+
+def full_pieri_residual(table, eq, base):
+    """The recursion residual summed on every exponent of the unfolded
+    entries; the oracle of ``SchurTable.pieri_residual``."""
+    return LaurentPoly3.from_cleared(
+        *recursion_sum(eq, base, table.cleared_entry, full_times_x_plus_inv))
+
+
+def full_s3_check(table, sigma):
+    """``s3_check`` on the entries of every exponent, as polynomials."""
+    pos = {frozenset({1, 2}): 0, frozenset({1, 3}): 1, frozenset({2, 3}): 2}
+    pairs = ((1, 2), (1, 3), (2, 3))
+    src = [0, 0, 0]
+    for k, (i, j) in enumerate(pairs):
+        src[pos[frozenset({sigma[i - 1], sigma[j - 1]})]] = k
+    for triple in enumerate_through(table.max_level):
+        permuted = tuple(triple[sigma[i] - 1] for i in range(3))
+        entry = table.entries[triple]
+        other = table.entries.get(permuted, LaurentPoly3())
+        if LaurentPoly3({tuple(e[s] for s in src): c
+                         for e, c in other.terms.items()}) != entry:
+            return False, triple
+    return True, None
+
+
 def assert_cleared_stored(table):
-    """Each entry is stored in its reduced integer form: the ``cleared()`` of
-    the ``Fraction`` polynomial that ``entries`` builds from it."""
+    """Each entry is stored in its orthant form: the terms with every
+    exponent >= 0 of the ``cleared()`` of the ``Fraction`` polynomial that
+    ``entries`` builds from it, which unfold to all of them."""
     assert set(table._forms) == set(table.entries)
-    for t, form in table._forms.items():
-        assert table.entries[t].cleared() == form, t
+    for t, (nums, den) in table._forms.items():
+        assert all(min(e) >= 0 for e in nums), t
+        assert table.entries[t].cleared() == (unfold(nums), den), t
+        assert table.cleared_entry(t) == (unfold(nums), den), t
 
 
 def rendered(table):
@@ -139,7 +192,8 @@ def json_load_table(path):
 
     The former body of ``SchurTable.load``, without its checks of the
     values; the oracle for the layout reader.  It accepts any JSON layout of
-    the payload.
+    the payload, and keeps the orthant of each entry once the entry's terms
+    are those its orthant unfolds to.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -149,19 +203,23 @@ def json_load_table(path):
         terms = {tuple(term["exp"]): _parse_coeff(term["coeff"])
                  for term in rec["poly"]}
         den = lcm(*[q for _, q in terms.values()])
-        forms[tuple(rec["triple"])] = (
-            {e: p * (den // q) for e, (p, q) in terms.items()}, den)
+        nums = {e: p * (den // q) for e, (p, q) in terms.items()}
+        orthant = {e: n for e, n in nums.items() if min(e) >= 0}
+        assert unfold(orthant) == nums
+        forms[tuple(rec["triple"])] = orthant, den
     return SchurTable(payload["max_level"], forms)
 
 
 def perturbed(table):
-    """A copy of ``table`` with a few entries off their recursions."""
+    """A copy of ``table`` with a few entries off their recursions, each
+    still invariant under every x -> 1/x: the bump of (4, 4, 0) is the
+    mirror orbit of x13^2 x23^-1."""
     entries = dict(table.entries)
     bump = x_plus_inv(0) - LaurentPoly3.constant(Fraction(2))
     entries[(2, 1, 1)] = entries[(2, 1, 1)] + bump.scale(Fraction(1, 5))
     entries[(1, 2, 3)] = entries[(1, 2, 3)].scale(Fraction(-3, 7))
-    entries[(4, 4, 0)] = entries[(4, 4, 0)] + LaurentPoly3.monomial(
-        (0, 2, -1), Fraction(-7, 3))
+    orbit = LaurentPoly3({(0, b, c): Fraction(-7, 3) for b in (2, -2) for c in (1, -1)})
+    entries[(4, 4, 0)] = entries[(4, 4, 0)] + orbit
     return table_of(table.max_level, entries)
 
 
@@ -269,6 +327,7 @@ class TestSolveTable:
                     want = fraction_pieri_residual(table, eq, triple)
                     assert got == want, (triple, eq)
                     assert repr(got) == repr(want)
+                    assert got == full_pieri_residual(table, eq, triple)
                     nonzero += bool(got)
         assert nonzero > 100
 
@@ -300,6 +359,110 @@ class TestSolveTable:
     def test_odd_max_level_rejected(self):
         with pytest.raises(ValueError):
             solve_table(3)
+
+
+def no_doubling_at_one(eq, nums, w):
+    """The orthant rule of ``table._times_x_plus_inv`` without c(-1) = c(1):
+    a term at exponent 1 moves down to 0 once, not twice."""
+    acc = {}
+    s1, s2, s3 = _SHIFT[eq]
+    for e, n in nums.items():
+        e1, e2, e3 = e
+        keys = [(e1 + s1, e2 + s2, e3 + s3)]
+        if e[eq]:
+            keys.append((e1 - s1, e2 - s2, e3 - s3))
+        for key in keys:
+            acc[key] = acc.get(key, 0) + w * n
+    return acc
+
+
+class TestOrthant:
+    """The orthant solve and checks against the route on every exponent."""
+
+    def test_full_plane_solve_unfolds_to_the_table(self):
+        table = solve_table(16)
+        full = full_solve_table(16)
+        assert set(full) == set(table.entries)
+        for t, (nums, den) in table._forms.items():
+            assert all(min(e) >= 0 for e in nums), t
+            assert full[t] == (unfold(nums), den), t
+
+    def test_solve_asserts_every_redundant_equation(self, monkeypatch):
+        asserted = []
+        real = SchurTable.pieri_residual
+
+        def recorded(self, eq, base):
+            asserted.append((eq, base))
+            return real(self, eq, base)
+
+        monkeypatch.setattr(SchurTable, "pieri_residual", recorded)
+        solve_table(10)
+        assert asserted == [pair for t in enumerate_through(10)[1:]
+                            for pair in predecessor_equations(t)[1:]]
+        assert len(asserted) == 50
+
+    def test_solve_rejects_an_entry_off_a_redundant_equation(self, monkeypatch):
+        # (2, 1, 1) solved from equation 1 at (1, 0, 1), then moved by one
+        # orthant numerator: its other equation, 2 at (1, 1, 0), fails
+        real = table_module.solve_cleared
+
+        def seeded(triple, form, times):
+            nums, den = real(triple, form, times)
+            if triple == (2, 1, 1):
+                nums = {**nums, (1, 1, 0): nums[(1, 1, 0)] + 1}
+            return nums, den
+
+        monkeypatch.setattr(table_module, "solve_cleared", seeded)
+        with pytest.raises(FalsificationError, match=r"inconsistent recursion at "
+                           r"\(2, 1, 1\): equation 2 based at \(1, 1, 0\)"):
+            solve_table(4)
+
+    def test_rule_without_the_doubling_at_one_fails_the_oracle(self, monkeypatch):
+        # every recursion, redundant ones included, holds for the ring the
+        # mutant rule defines, so the solve passes its own checks; the
+        # full-plane oracle and the unit values tell it from x + 1/x
+        monkeypatch.setattr(table_module, "_times_x_plus_inv", no_doubling_at_one)
+        table = solve_table(8)
+        full = full_solve_table(8)
+        wrong = [t for t, (nums, den) in table._forms.items()
+                 if full[t] != (unfold(nums), den)]
+        # the first square of a generator, (x23 + 1/x23)^2 in (0, 2, 2), is
+        # the first entry the doubling reaches
+        assert (1, 2, 1) not in wrong and wrong[0] == (0, 2, 2)
+        assert table_module.whole_table_failure(table) == \
+            "entry (0, 2, 2) does not evaluate to 1 at (1,1,1)"
+
+    def test_checks_match_their_full_plane_versions(self, table12):
+        # S3, unit values and leading terms on the orthant against the same
+        # checks on every exponent, on the true table and on perturbed ones;
+        # the last moves (2, 2, 0) off its leading term and its unit value
+        entries = dict(perturbed(table12).entries)
+        entries[(2, 2, 0)] = entries[(2, 2, 0)] + LaurentPoly3(
+            {(a, b, 0): Fraction(1, 4) for a in (1, -1) for b in (1, -1)})
+        tables = (table12, perturbed(table12), table_of(12, entries))
+        outcomes = set()
+        for table in tables:
+            for sigma in ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1),
+                          (3, 1, 2)):
+                got = s3_check(table, sigma)
+                assert got == full_s3_check(table, sigma), sigma
+                outcomes.add(("s3", got[0]))
+            for t in enumerate_through(12):
+                nums, den = table.orthant_entry(t)
+                full_nums, full_den = table.cleared_entry(t)
+                assert den == full_den
+                assert unit_value(nums) == sum(full_nums.values()), t
+                outcomes.add(("unit", unit_value(nums) == den))
+                results = []
+                for poly in (LaurentPoly3(nums), LaurentPoly3(full_nums)):
+                    try:
+                        results.append(leading_term(poly, t))
+                    except FalsificationError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], t
+                outcomes.add(("leading", isinstance(results[0], tuple)))
+        assert outcomes == {(check, ok) for check in ("s3", "unit", "leading")
+                            for ok in (True, False)}
 
 
 class TestLeadingTerm:
@@ -385,32 +548,41 @@ class TestPersistence:
 
     def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path,
                                                            monkeypatch):
-        # a loaded table holds only integer forms; the table suites read them
+        # a loaded table holds only orthant forms; the table suites read them
         # and build no Fraction polynomial of an entry: no from_cleared call
-        # takes the numerators of a stored form
+        # takes the numerators of a stored form or of one unfolded from it
         path = tmp_path / "t.json"
         table12.save(path)
         table = SchurTable.load(path)
-        stored = {id(table.cleared_entry(t)[0]): t for t in table.entries}
+        stored = {id(table.orthant_entry(t)[0]) for t in table.entries}
+        unfolded = {}  # keeps each unfolded dict alive, so no id is reused
+        real_unfold = table_module.unfold
+
+        def tracked(nums):
+            out = real_unfold(nums)
+            unfolded[id(out)] = out
+            return out
+
         built = []
         real = LaurentPoly3.from_cleared
 
         def counted(nums, den):
-            if id(nums) in stored:
-                built.append(stored[id(nums)])
+            if id(nums) in stored or unfolded.get(id(nums)) is nums:
+                built.append((nums, den))
             return real(nums, den)
 
+        monkeypatch.setattr(table_module, "unfold", tracked)
         monkeypatch.setattr(LaurentPoly3, "from_cleared", staticmethod(counted))
         assert rendered(table) == path.read_text()
         assert all(c["status"] == "pass" for c in verify_pieri(table))
         assert all(c["status"] == "pass" for c in verify_series(table, 4))
         assert all(c["status"] == "pass" for c in verify_eigen(table, 8))
         assert all(c["status"] == "pass" for c in verify_specialized(table))
-        assert len(table) == len(table12) and not built
-        # each read of an entry builds that one anew
+        assert len(table) == len(table12) and not built and unfolded
+        # each read of an entry, of either table, builds that one anew
         assert table.entries[(1, 1, 0)] == table12.entries[(1, 1, 0)]
         assert table.entries[(1, 1, 0)] is not table.entries[(1, 1, 0)]
-        assert built == [(1, 1, 0)] * 3
+        assert built == [table12.cleared_entry((1, 1, 0))] * 4
 
     def test_save_returns_the_sha256_of_the_file(self, table4, tmp_path):
         path = tmp_path / "t.json"
@@ -426,7 +598,7 @@ class TestPersistence:
         table.canonical_json(pieces.append)
         assert len(pieces) == len(table) + 2
         assert "".join(pieces) == json_dumps_table(table)
-        assert table.checksum() == text_checksum("".join(pieces).encode())
+        assert table.checksum() == hashlib.sha256("".join(pieces).encode()).hexdigest()
 
     def test_save_holds_one_entry_at_a_time(self, tmp_path):
         # the peak of what save allocates stays far below the file size, so
@@ -441,6 +613,56 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
+
+    def test_load_holds_no_whole_text(self, tmp_path):
+        # the peak of what load allocates, the table it returns and its parse
+        # caches included, stays below the file size, which a reader that
+        # holds the whole text exceeds
+        table = solve_table(20)
+        path = tmp_path / "t.json"
+        table.save(path)
+        tracemalloc.start()
+        try:
+            loaded = SchurTable.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == table
+        assert peak < path.stat().st_size
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1000])
+    def test_chunks_far_smaller_than_an_entry(self, table12, tmp_path, monkeypatch,
+                                             chunk):
+        # entries and separators cut anywhere by the chunks read the same
+        path = tmp_path / "t.json"
+        table12.save(path)
+        default = SchurTable.load(path)
+        monkeypatch.setattr(tablefile, "CHUNK", chunk)
+        loaded = SchurTable.load(path)
+        assert loaded == default == table12
+        assert loaded.file_checksum == default.file_checksum == table12.checksum()
+
+    @pytest.mark.parametrize("terms, match", [
+        ({(-1, 0, 0): "1/3", (1, 0, 0): "2/3"},
+         r"asymmetric entry \(1, 1, 0\): coefficient '1/3' at \(-1, 0, 0\), "
+         r"'2/3' at its mirror \(1, 0, 0\)"),
+        ({(1, 0, 0): "1"},
+         r"asymmetric entry \(1, 1, 0\): term \(1, 0, 0\) has no mirror term "
+         r"\(-1, 0, 0\)"),
+        ({(-1, 0, 0): "3/8", (0, 0, -1): "1/4", (1, 0, 0): "3/8"},
+         r"asymmetric entry \(1, 1, 0\): term \(0, 0, -1\) has no mirror term "
+         r"\(0, 0, 1\)"),
+    ], ids=["mirror-coefficient", "missing-mirror", "extra-unmirrored"])
+    def test_rejects_asymmetric_entry(self, table4, tmp_path, terms, match):
+        # each edit keeps the value at ones and canonical texts: only the
+        # mirror check can reject it
+        payload = self._payload(table4)
+        (rec,) = [r for r in payload["entries"] if r["triple"] == [1, 1, 0]]
+        rec["poly"] = [{"exp": list(e), "coeff": c} for e, c in sorted(terms.items())]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload, indent=1) + "\n")
+        with pytest.raises(TableError, match=match):
+            SchurTable.load(path)
 
     def test_rejects_entry_not_one_at_ones(self, table4, tmp_path):
         # every coefficient of (1, 2, 1) doubled: the values at ones sum to 2
