@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 #: public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("cauchy", """check_H1_relation closedform_checks omega_from_sums
-        omega_vs_closedform pde_check specialization_phi specialized_sum_check
-        verify_cauchy verify_specialized"""),
+        omega_vs_closedform pde_check specialized_sum_check verify_cauchy
+        verify_specialized"""),
     ("closedform", """OmegaSeries closedform_omega_minus closedform_omega_plus
         omega_plus_from_minus with_kappa_profile"""),
     ("conjecture", "ConjectureReport conjecture_check conjecture_coeff"),
@@ -30,8 +30,8 @@ _EXPORTS = {name: module for module, names in (
     ("expansion", "CoeffFamily ExpansionSet verify_series"),
     ("kernels", """DegreeImages action_check common_kernel kernel_H1
         leading_term_check triple_kernel verify_kernel"""),
-    ("laurent", "LaurentPoly3 x_plus_inv"),
-    ("poles", "MasterSum leading_pole_coefficient master_sum"),
+    ("laurent", "LaurentPoly3"),
+    ("poles", "MasterSum leading_pole_coefficient"),
     ("series", "SingularSeriesError TruncSeries3"),
     ("table", """SchurTable enumerate_level is_admissible leading_term
         pieri_coeff s3_check solve_table verify_pieri"""),

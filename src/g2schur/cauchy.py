@@ -74,17 +74,25 @@ def _truncation_numerators(table: SchurTable,
         for j1 in range(n % 2, n + 1, 2):
             forms = [table.cleared_entry((j1, j2, n - j2)) for j2 in range(n + 1)
                      if is_admissible(j1, j2, n - j2)]
-            if not forms:
-                continue
-            den = math.lcm(*[d for _, d in forms])
-            acc: dict[Exp, int] = {}
-            get = acc.get
-            for nums, d in forms:
-                f = den // d
-                for e, c in nums.items():
-                    acc[e] = get(e, 0) + f * c
-            slot[j1] = acc, den
+            if forms:
+                slot[j1] = _summed(forms)
     return sums
+
+
+def _summed(forms: list[Cleared], at_x23_one: bool = False) -> Cleared:
+    """The sum of integer forms as numerators over the lcm of their
+    denominators, with x23 set to 1 if ``at_x23_one``; cancelled numerators
+    stay as zeros."""
+    den = math.lcm(*[d for _, d in forms])
+    acc: dict[Exp, int] = {}
+    get = acc.get
+    for nums, d in forms:
+        w = den // d
+        for e, n in nums.items():
+            if at_x23_one:
+                e = (e[0], e[1], 0)
+            acc[e] = get(e, 0) + w * n
+    return acc, den
 
 
 #: (x12 - 1/x12)(x13 - 1/x13) as (exponent shift, sign) pairs
@@ -289,8 +297,18 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
 # ---------------------------------------------------------------------------
 
 def _specialization_cleared(j1: int, j2: int) -> Cleared:
-    """``specialization_phi`` as integer numerators over (j1+1)!; cancelled
-    numerators stay as zeros."""
+    """Closed form of the entry (j1, j2, j1-j2) specialized to x23 = 1.
+
+    sum_{a,b} c_{a,b} (x12 + 1/x12)^{j2-a} (x13 + 1/x13)^{j1-j2-b}, where
+    c_{a,b} vanishes unless a, b >= 0 and a + b is even, and otherwise
+
+    c_{a,b} = (-1)^{(a+b)/2} C(j2, a) C(j1-j2, b)
+              (j1 - (a+b)/2)! (a+b)! / ((j1+1)! ((a+b)/2)!).
+
+    Each power is expanded by the binomial theorem, and every c_{a,b} is an
+    integer over (j1+1)!, so the form is summed in integers: numerators over
+    (j1+1)!, cancelled numerators staying as zeros.
+    """
     if not 0 <= j2 <= j1:
         raise ValueError("need 0 <= j2 <= j1")
     fact = math.factorial
@@ -311,35 +329,6 @@ def _specialization_cleared(j1: int, j2: int) -> Cleared:
     return acc, fact(j1 + 1)
 
 
-def specialization_phi(j1: int, j2: int) -> LaurentPoly3:
-    """Closed form of the entry (j1, j2, j1-j2) specialized to x23 = 1.
-
-    sum_{a,b} c_{a,b} (x12 + 1/x12)^{j2-a} (x13 + 1/x13)^{j1-j2-b}, where
-    c_{a,b} vanishes unless a, b >= 0 and a + b is even, and otherwise
-
-    c_{a,b} = (-1)^{(a+b)/2} C(j2, a) C(j1-j2, b)
-              (j1 - (a+b)/2)! (a+b)! / ((j1+1)! ((a+b)/2)!).
-
-    Each power is expanded by the binomial theorem, and every c_{a,b} is an
-    integer over (j1+1)!, so the form is summed in integers.
-    """
-    return LaurentPoly3.from_cleared(*_specialization_cleared(j1, j2))
-
-
-def _at_x23_one(forms: list[Cleared]) -> Cleared:
-    """The sum of integer forms with x23 set to 1, as numerators over the lcm
-    of their denominators; cancelled numerators stay as zeros."""
-    den = math.lcm(*[d for _, d in forms])
-    acc: dict[Exp, int] = {}
-    get = acc.get
-    for nums, d in forms:
-        w = den // d
-        for (e1, e2, _), n in nums.items():
-            key = (e1, e2, 0)
-            acc[key] = get(key, 0) + w * n
-    return acc, den
-
-
 def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
     """Check the x23 = 1 row sum against its product closed form.
 
@@ -356,7 +345,7 @@ def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
         raise ValueError(f"table level {table.max_level} < {j1 + J}")
     row = [table.cleared_entry((j1, j2, J - j2)) for j2 in range(J + 1)
            if is_admissible(j1, j2, J - j2)]
-    total, den = _at_x23_one(row)
+    total, den = _summed(row, at_x23_one=True)
     rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": len(row)}
     if J < j1 or (J - j1) % 2:
         rec["mode"] = "empty"
@@ -394,7 +383,8 @@ def verify_specialized(table: SchurTable) -> list[dict]:
     checks = []
     for j1 in range(j1_max + 1):
         for j2 in range(j1 + 1):
-            nums, den = _at_x23_one([table.cleared_entry((j1, j2, j1 - j2))])
+            nums, den = _summed([table.cleared_entry((j1, j2, j1 - j2))],
+                                at_x23_one=True)
             closed_nums, closed_den = _specialization_cleared(j1, j2)
             same = {e: n * closed_den for e, n in nums.items() if n} == {
                 e: c * den for e, c in closed_nums.items() if c}

@@ -2,7 +2,8 @@
 
 Subcommands:
   table        build the polynomial table and write it as canonical JSON
-               (exit 1 when it fails the whole-table checks of a loaded file)
+               (exit 1 when its recursions disagree or it fails the
+               whole-table checks)
   roundtrip    reload a saved table, render it again and byte-compare
   verify       run one assertive suite: pieri, eigen, series, cauchy,
                specialized or kernel (exit 0 iff every check passes)
@@ -61,11 +62,6 @@ class RunConfig:
         self.out_path = out_path
         self.json_out = json_out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return vars(self) == vars(other)
-
 
 def _load_or_build(cfg: RunConfig) -> tuple[SchurTable, str]:
     """The table of ``--table``, or one solved through ``--max-level``, and
@@ -90,15 +86,30 @@ def _emit(report: Report, cfg: RunConfig) -> None:
         sys.stdout.write(report.to_json())
 
 
+def _falsified(record: dict, exc: FalsificationError) -> dict:
+    """``record`` failed by ``exc``: its message is the witness, and the
+    value it carries, such as a nonzero recursion residual, is kept."""
+    record.update(status="fail", witness=str(exc))
+    if exc.witness is not None:
+        record["value"] = repr(exc.witness)
+    return record
+
+
 def run_table(cfg: RunConfig) -> tuple[int, Report]:
     from .table import solve_table, whole_table_failure
+    record = {"check": "construct"}
+    checksum = None
     with Stopwatch() as sw:
-        table = solve_table(cfg.max_level)
-        checksum = table.save(cfg.out_path) if cfg.out_path else table.checksum()
-        failure = whole_table_failure(table)
-    record = {"check": "construct", "entries": len(table), "status": "pass"}
-    if failure:
-        record.update(status="fail", witness=failure)
+        try:
+            table = solve_table(cfg.max_level)
+        except FalsificationError as exc:
+            _falsified(record, exc)
+        else:
+            checksum = table.save(cfg.out_path) if cfg.out_path else table.checksum()
+            record.update(entries=len(table), status="pass")
+            failure = whole_table_failure(table)
+            if failure:
+                record.update(status="fail", witness=failure)
     report = Report(
         suite="table",
         config={"max_level": cfg.max_level, "out": cfg.out_path},
@@ -106,7 +117,7 @@ def run_table(cfg: RunConfig) -> tuple[int, Report]:
         checks=[record],
         elapsed_ms=sw.elapsed_ms,
     )
-    return (EXIT_OK if not failure else EXIT_FAIL), report
+    return (EXIT_OK if not report.failed else EXIT_FAIL), report
 
 
 def _matches_file(table: SchurTable, path) -> tuple[bool, str]:
@@ -188,17 +199,16 @@ def run_verify(cfg: RunConfig) -> tuple[int, Report]:
         },
     )
     with Stopwatch() as sw:
-        table = None
-        if suite != "kernel":
-            table, report.table_checksum = _load_or_build(cfg)
         # a suite records its own failures; this catches the ones that stop
-        # it early, such as a kernel product basis element that is not a
-        # polynomial
+        # it early, such as a built table whose recursions disagree or a
+        # kernel product basis element that is not a polynomial
         try:
+            table = None
+            if suite != "kernel":
+                table, report.table_checksum = _load_or_build(cfg)
             report.extend(SUITES[suite](cfg, table))
         except FalsificationError as exc:
-            report.checks.append({
-                "check": "falsification", "status": "fail", "witness": str(exc)})
+            report.checks.append(_falsified({"check": "falsification"}, exc))
     report.elapsed_ms = sw.elapsed_ms
     code = EXIT_OK if not report.failed else EXIT_FAIL
     return code, report

@@ -160,9 +160,9 @@ class ExpansionSet:
     brought to one denominator and differenced in place; the only Fractions
     built are the family's coefficients.  Validation takes each remaining
     label's monomial row against the family's cleared numerators
-    (``LaurentPoly3.evaluate`` is the test oracle, and the matrix route
-    through ``linalg.RankTracker`` and ``linalg.invert_matrix`` is the fit's
-    oracle in the tests).
+    (``evaluate`` in ``tests/conftest.py`` is the test oracle, and the
+    matrix route through ``linalg.RankTracker`` and ``linalg.invert_matrix``
+    is the fit's oracle in the tests).
     """
 
     def __init__(self, table: SchurTable, order: int):
@@ -193,12 +193,6 @@ class ExpansionSet:
         return TruncSeries3(self.order, {e: Fraction(n, den) for e, n in nums.items()})
 
     # -- family fitting -----------------------------------------------------
-
-    def coefficient(self, triple: Triple, mvec: Exp) -> Fraction:
-        if sum(mvec) > self.order:
-            raise ValueError(f"degree {sum(mvec)} exceeds truncation order {self.order}")
-        nums, den = self.forms[triple]
-        return Fraction(nums.get(tuple(mvec), 0), den)
 
     def _fit_plan(self, degree: int) -> tuple[list[Triple], list[tuple[int, int]],
                                               list[list[int]], int,

@@ -424,12 +424,7 @@ def _pair_vector_cleared(pair: tuple[int, int], images: DegreeImages) -> Terms:
         if pair == (1, 2) and (n - l) % 2:
             c = -c
         weights.append(c)
-    acc: Terms = {}
-    get = acc.get
-    for w, (nums, _) in zip(clear_denominators(weights)[0], elements):
-        for e, v in nums.items():
-            acc[e] = get(e, 0) + w * v
-    return {e: v for e, v in acc.items() if v}
+    return _combine(weights, [nums for nums, _ in elements])
 
 
 def common_kernel(pair: tuple[int, int], images: DegreeImages,

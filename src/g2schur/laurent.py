@@ -8,8 +8,7 @@ coefficients.
 
 The same class carries polynomials in the integer labels (j1, j2, j3): the
 coefficient families of the series expansions and the label weights of the
-generating sums.  These have non-negative exponents, and ``evaluate`` gives
-their exact value at a label.
+generating sums.  These have non-negative exponents.
 
 A polynomial with rational coefficients also has an integer form:
 ``cleared()`` gives integer numerators over one common denominator and
@@ -70,12 +69,6 @@ class LaurentPoly3:
         out = LaurentPoly3.__new__(LaurentPoly3)
         out.terms = {e: Fraction(n, den) for e, n in nums.items() if n}
         return out
-
-    @staticmethod
-    def variable(i: int) -> "LaurentPoly3":
-        exp = [0, 0, 0]
-        exp[i] = 1
-        return LaurentPoly3.monomial(tuple(exp))
 
     # -- basic protocol -----------------------------------------------
 
@@ -154,34 +147,6 @@ class LaurentPoly3:
         out.terms = {e: c * v for e, v in self.terms.items()}
         return out
 
-    def __pow__(self, n: int) -> "LaurentPoly3":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial is not defined here")
-        result = LaurentPoly3.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    # -- calculus and substitutions -------------------------------------
-
-    def diff(self, i: int) -> "LaurentPoly3":
-        """Partial derivative with respect to variable ``i`` (0, 1 or 2)."""
-        terms: dict[Exp, object] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[i] = k - 1
-            terms[tuple(ne)] = c * k
-        out = LaurentPoly3.__new__(LaurentPoly3)
-        out.terms = terms
-        return out
-
     def mul_monomial(self, exp: Exp, coeff=Fraction(1)) -> "LaurentPoly3":
         if not coeff:
             return LaurentPoly3()
@@ -192,20 +157,6 @@ class LaurentPoly3:
             for (e1, e2, e3), c in self.terms.items()
         }
         return out
-
-    def evaluate(self, point: Exp) -> Fraction:
-        """Exact value at the integer label ``point``; polynomials only.
-
-        A negative exponent raises ``ValueError``: it would give a float, or
-        divide by zero at a label with a zero entry.
-        """
-        j1, j2, j3 = point
-        total = Fraction(0)
-        for (a, b, c), coeff in self.terms.items():
-            if a < 0 or b < 0 or c < 0:
-                raise ValueError(f"negative exponent {(a, b, c)} has no label value")
-            total += coeff * (j1**a * j2**b * j3**c)
-        return total
 
     def cleared(self) -> tuple[dict[Exp, int], int]:
         """Integer numerators over the lcm of the coefficient denominators.
@@ -239,22 +190,9 @@ class LaurentPoly3:
         d = self.total_degree()
         return LaurentPoly3({e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def homogeneous_part(self, d: int) -> "LaurentPoly3":
-        return LaurentPoly3({e: c for e, c in self.terms.items() if sum(e) == d})
-
     def lex_leading(self) -> tuple[Exp, object]:
         """Leading term under the lexicographic order x12 > x13 > x23."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms)
         return e, self.terms[e]
-
-
-def x_plus_inv(i: int) -> LaurentPoly3:
-    """The symmetric generator x_i + 1/x_i of the invariant subring."""
-    plus = [0, 0, 0]
-    minus = [0, 0, 0]
-    plus[i] = 1
-    minus[i] = -1
-    return LaurentPoly3({tuple(plus): Fraction(1), tuple(minus): Fraction(1)})
-

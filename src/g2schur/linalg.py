@@ -9,7 +9,8 @@ nonzero: no ``Fraction`` is built until each pivot row is divided by its
 pivot at the end.  Its test oracle, plain dense Gauss-Jordan elimination
 over ``Fraction``, is ``dense_rref`` in ``tests/test_linalg.py``.
 ``clear_denominators`` gives integer numerators over one denominator; the
-family fit of ``expansion.ExpansionSet`` clears its label values with it.
+kernel suite clears each nullspace vector and the weights of the displayed
+pairwise kernel vector with it (``kernels._combine``).
 
 ``RankTracker`` and ``invert_matrix`` are the matrix route of the family
 fit, which no production path calls any more: greedy selection of

@@ -57,22 +57,6 @@ class MasterSum:
         self.numer = numer
         self.powers = powers
 
-    def with_powers(self, powers: tuple[int, int, int]) -> "MasterSum":
-        num = self.numer
-        for idx in range(3):
-            delta = powers[idx] - self.powers[idx]
-            if delta < 0:
-                raise ValueError("cannot lower a denominator power")
-            if delta:
-                num = num * _factor_poly(idx) ** delta
-        return MasterSum(num, powers)
-
-    def __add__(self, other: "MasterSum") -> "MasterSum":
-        powers = tuple(max(a, b) for a, b in zip(self.powers, other.powers))
-        a = self.with_powers(powers)
-        b = other.with_powers(powers)
-        return MasterSum(a.numer + b.numer, powers)
-
     def theta(self, i: int) -> "MasterSum":
         """Apply the Euler operator L_i d/dL_i."""
         f, g = _FACTORS_WITH[i]
@@ -102,20 +86,6 @@ def _monomial_master(exp: tuple[int, int, int]) -> MasterSum:
             prev[i] -= 1
             return _monomial_master(tuple(prev)).theta(i)
     return MasterSum(LaurentPoly3.constant(1), (1, 1, 1))
-
-
-def master_sum(p: LaurentPoly3) -> MasterSum:
-    """Closed form of sum_J p(J) L1^{j1} L2^{j2} L3^{j3} over admissible labels."""
-    if not p.is_polynomial():
-        raise ValueError("label polynomial has a negative exponent")
-    total: MasterSum | None = None
-    for exp, coeff in sorted(p.terms.items()):
-        ms = _monomial_master(exp)
-        ms = MasterSum(ms.numer.scale(coeff), ms.powers)
-        total = ms if total is None else total + ms
-    if total is None:
-        return MasterSum(LaurentPoly3.zero(), (1, 1, 1))
-    return total
 
 
 # ---------------------------------------------------------------------------

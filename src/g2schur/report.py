@@ -45,7 +45,7 @@ class Report:
             "failed": len(self.failed),
         }
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "suite": self.suite,
             "config": self.config,
@@ -54,14 +54,14 @@ class Report:
             "summary": self.summary(),
         }
         out.update(self.extra)
-        if include_timing and self.elapsed_ms is not None:
+        if self.elapsed_ms is not None:
             out["elapsed_ms"] = self.elapsed_ms
         return out
 
-    def to_json(self, include_timing: bool = True) -> str:
-        """``json.dumps(self.to_dict(include_timing), indent=1)`` plus a
-        newline, as one string; ``to_json_text`` writes it."""
-        return to_json_text(self.to_dict(include_timing)) + "\n"
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=1)`` plus a newline, as one
+        string; ``to_json_text`` writes it."""
+        return to_json_text(self.to_dict()) + "\n"
 
 
 class Stopwatch:
@@ -77,8 +77,12 @@ class Stopwatch:
 def to_json_text(value) -> str:
     """The text ``json.dumps(value, indent=1)`` writes, without its
     pure-Python encoder: each string through the encoder's own quoting,
-    numbers and constants as ``json`` writes them, containers one item per
-    line.  ``json.dumps`` is the test oracle."""
+    integers and constants as ``json`` writes them, containers one item per
+    line.  ``json.dumps`` is the test oracle.
+
+    Every report value is exact, so only string keys, strings, integers,
+    None, booleans, lists, tuples and dicts are written; anything else, a
+    float or a non-string key among them, raises ``TypeError``."""
     out: list[str] = []
     _write(value, "\n", out)
     return "".join(out)
@@ -95,7 +99,7 @@ def _write(value, indent: str, out: list[str]) -> None:
         inner = indent + " "
         sep = "{" + inner
         for key, item in value.items():
-            head = sep + (_quote(key) if type(key) is str else _key(key)) + ": "
+            head = sep + _quote(key) + ": "
             if type(item) is str:
                 out.append(head + _quote(item))
             elif type(item) is int:
@@ -136,16 +140,4 @@ def _scalar(value) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (float("inf"), float("-inf")):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    """A dict key as ``json`` writes it: strings quoted, numbers and constants
-    as their quoted text."""
-    return _quote(key if isinstance(key, str) else _scalar(key))

@@ -3,7 +3,43 @@ from fractions import Fraction
 import pytest
 
 from g2schur.expansion import ExpansionSet
+from g2schur.laurent import LaurentPoly3
 from g2schur.table import SchurTable, solve_table, unfold
+
+
+def x_plus_inv(i: int) -> LaurentPoly3:
+    """The symmetric generator x_i + 1/x_i of the invariant subring."""
+    plus = [0, 0, 0]
+    plus[i] = 1
+    minus = [0, 0, 0]
+    minus[i] = -1
+    return LaurentPoly3({tuple(plus): Fraction(1), tuple(minus): Fraction(1)})
+
+
+def diff(p: LaurentPoly3, i: int) -> LaurentPoly3:
+    """Partial derivative of ``p`` with respect to variable ``i`` (0, 1 or 2)."""
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            terms[tuple(ne)] = c * e[i]
+    return LaurentPoly3(terms)
+
+
+def evaluate(p: LaurentPoly3, point) -> Fraction:
+    """Exact value of the label polynomial ``p`` at the integer label ``point``.
+
+    A negative exponent raises ``ValueError``: it would give a float, or
+    divide by zero at a label with a zero entry.
+    """
+    j1, j2, j3 = point
+    total = Fraction(0)
+    for (a, b, c), coeff in p.terms.items():
+        if a < 0 or b < 0 or c < 0:
+            raise ValueError(f"negative exponent {(a, b, c)} has no label value")
+        total += coeff * (j1**a * j2**b * j3**c)
+    return total
 
 
 def _coefficients(value):

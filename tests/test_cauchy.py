@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from g2schur import cauchy, poles
-from g2schur.cauchy import (_truncation_numerators, check_H1_relation,
-                            closedform_checks, omega_from_sums, pde_check,
-                            specialization_phi, specialized_sum_check,
+from g2schur.cauchy import (_specialization_cleared, _truncation_numerators,
+                            check_H1_relation, closedform_checks,
+                            omega_from_sums, pde_check, specialized_sum_check,
                             verify_cauchy, verify_specialized)
 from g2schur.closedform import (KAPPA_PREFACTOR, closedform_omega_minus,
                                 closedform_omega_plus, omega_initial_minus,
@@ -16,14 +16,25 @@ from g2schur.closedform import (KAPPA_PREFACTOR, closedform_omega_minus,
 from g2schur.diffops import homogeneous_component
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal, reduced
-from g2schur.laurent import LaurentPoly3, x_plus_inv
-from g2schur.poles import (POLE_BOUND, MasterSum, leading_pole_coefficient,
-                           master_sum)
+from g2schur.laurent import LaurentPoly3
+from g2schur.poles import POLE_BOUND, MasterSum, leading_pole_coefficient
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.table import FalsificationError, enumerate_level, is_admissible
-from tests.conftest import assert_exact
+from tests.conftest import assert_exact, evaluate, x_plus_inv
 from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
+
+
+def master_sum(p: LaurentPoly3) -> list[MasterSum]:
+    """The closed form of sum_J p(J) L1^{j1} L2^{j2} L3^{j3} over admissible
+    labels as one term per monomial c j^e of ``p``: the closed form of j^e
+    (``poles._monomial_master``) with its numerator scaled by c.  The sum is
+    linear in ``p``, so each route below adds up the images of the terms."""
+    if not p.is_polynomial():
+        raise ValueError("label polynomial has a negative exponent")
+    return [MasterSum(poles._monomial_master(e).numer.scale(c),
+                      poles._monomial_master(e).powers)
+            for e, c in sorted(p.terms.items())]
 
 
 def _kappa_eps_poly(poly: LaurentPoly3, s1: int) -> EpsLaurent:
@@ -83,10 +94,11 @@ def weighted_sum_eps(p: LaurentPoly3, sign: str, upto: int = 2) -> EpsLaurent:
     if sign not in "+-":
         raise ValueError("sign must be '+' or '-'")
     if sign == "+":
-        p = p * (LaurentPoly3.variable(0) + LaurentPoly3.constant(1))
-    ms = master_sum(p)
-    plus_branch = specialize_master(ms, +1, upto).scale(KLocal.kappa_power(1))
-    minus_branch = specialize_master(ms, -1, upto).scale(KLocal.kappa_power(-1))
+        p = p * LaurentPoly3({(1, 0, 0): 1, (0, 0, 0): 1})
+    terms = master_sum(p)
+    plus_branch, minus_branch = (
+        sum((specialize_master(ms, s1, upto) for ms in terms),
+            EpsLaurent.zero()).scale(KLocal.kappa_power(s1)) for s1 in (1, -1))
     if sign == "-":
         return plus_branch - minus_branch
     return plus_branch + minus_branch
@@ -109,29 +121,30 @@ def brute_sum(p: LaurentPoly3, order: int) -> TruncSeries3:
         for triple in enumerate_level(level):
             if sum(triple) <= order:
                 acc = acc + TruncSeries3(
-                    order, {triple: p.evaluate(triple)})
+                    order, {triple: evaluate(p, triple)})
     return acc
 
 
 class TestMasterSum:
     def test_constant_weight_closed_form(self):
-        ms = master_sum(LaurentPoly3.constant(1))
+        (ms,) = master_sum(LaurentPoly3.constant(1))
         assert ms.powers == (1, 1, 1)
         assert ms.numer == LaurentPoly3.one()
 
     @pytest.mark.parametrize("p,order", [
         (LaurentPoly3.constant(1), 5),
-        (LaurentPoly3.variable(0), 4),
-        (LaurentPoly3.variable(1) * LaurentPoly3.variable(2), 6),
+        (LaurentPoly3.monomial((1, 0, 0)), 4),
+        (LaurentPoly3.monomial((0, 1, 0)) * LaurentPoly3.monomial((0, 0, 1)), 6),
         (LaurentPoly3({(1, 1, 1): Fraction(1), (0, 0, 1): Fraction(-2)}), 5),
     ])
     def test_against_brute_force(self, p, order):
-        assert taylor(master_sum(p), order) == brute_sum(p, order)
+        assert sum((taylor(ms, order) for ms in master_sum(p)),
+                   TruncSeries3(order)) == brute_sum(p, order)
 
     def test_power_bounds(self):
         # denominator powers stay within 1 + operator order
         p = LaurentPoly3({(2, 1, 1): Fraction(1)})
-        ms = master_sum(p)
+        (ms,) = master_sum(p)
         assert all(pw <= 1 + 4 for pw in ms.powers)
 
 
@@ -213,7 +226,7 @@ class TestLinearExtraction:
     def test_single_monomial_pole_too_high(self):
         # j2 alone has a pole of order 3 ('-') or 4 ('+'); fitted families
         # cancel it, a lone monomial must be rejected on both routes
-        p = LaurentPoly3.variable(1)
+        p = LaurentPoly3.monomial((0, 1, 0))
         for sign in "-+":
             assert per_polynomial_pole_data(p, sign, [0])[0] is None
             with pytest.raises(FalsificationError):
@@ -288,8 +301,8 @@ class TestMonomialPoles:
     def test_match_the_fraction_route(self):
         # j^e / 3 forces Fraction coefficients through the whole extraction
         for e in exponents_upto(5):
-            series = specialize_master(
-                master_sum(LaurentPoly3.monomial(e, Fraction(1, 3))), -1, upto=-1)
+            (third_of,) = master_sum(LaurentPoly3.monomial(e, Fraction(1, 3)))
+            series = specialize_master(third_of, -1, upto=-1)
             third = {d: c for d, c in series.coeffs.items() if d < 0}
             assert_exact(third)
             got = poles._monomial_poles(e)
@@ -345,8 +358,8 @@ def fraction_check_H1_relation(table, order):
 
     cm = fraction_cauchy_truncation(table, "-", order)
     cp = fraction_cauchy_truncation(table, "+", order)
-    d1 = (LaurentPoly3.variable(0) - LaurentPoly3.monomial((-1, 0, 0))) * \
-         (LaurentPoly3.variable(1) - LaurentPoly3.monomial((0, -1, 0)))
+    d1 = (LaurentPoly3.monomial((1, 0, 0)) - LaurentPoly3.monomial((-1, 0, 0))) * \
+         (LaurentPoly3.monomial((0, 1, 0)) - LaurentPoly3.monomial((0, -1, 0)))
     checks = []
     for n in range(order + 1):
         kexps = sorted(set(cm[n]) | set(cp[n]))
@@ -664,6 +677,20 @@ def fraction_specialized_sum_check(j1, J, table):
     return rec
 
 
+def specialization_phi(j1, j2):
+    """The closed form of the entry (j1, j2, j1-j2) at x23 = 1, as the
+    ``LaurentPoly3`` of ``cauchy._specialization_cleared``."""
+    return LaurentPoly3.from_cleared(*_specialization_cleared(j1, j2))
+
+
+def power(p, n):
+    """``p`` to the nonnegative power ``n``, by repeated products."""
+    out = LaurentPoly3.one()
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def fraction_specialization_phi(j1, j2):
     """The x23 = 1 closed form from ``Fraction`` Laurent powers; the former
     body of ``specialization_phi`` and the oracle for its integer route."""
@@ -682,7 +709,7 @@ def fraction_specialization_phi(j1, j2):
                 fact(j1 + 1) * fact(s),
             )
             if c:
-                out = out + (y12 ** (j2 - a) * y13 ** (j1 - j2 - b)).scale(c)
+                out = out + (power(y12, j2 - a) * power(y13, j1 - j2 - b)).scale(c)
     return out
 
 

@@ -18,12 +18,12 @@ from g2schur import poles as pole_module
 from g2schur import table as table_module
 from g2schur.cli import main
 from g2schur.klocal import KLocal
-from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.laurent import LaurentPoly3
 from g2schur.report import Report
 from g2schur.series import exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_through,
                            solve_table)
-from tests.conftest import table_of
+from tests.conftest import table_of, x_plus_inv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -778,6 +778,41 @@ class TestReportOnlyCommands:
         assert json.loads(out.read_text())["suite"] == "omega"
 
 
+def bump_pieri_weight(monkeypatch):
+    """Add 1 to the first weight numerator of equation 3 at (1, 1, 0): the
+    solve of (1, 2, 1) by equation 1 then leaves equation 3 a nonzero
+    residual."""
+    real = table_module._pieri_weights
+
+    def seeded(eq, base):
+        den, weights = real(eq, base)
+        if (eq, base) == (2, (1, 1, 0)):
+            (target, num), *rest = weights
+            weights = [(target, num + 1), *rest]
+        return den, weights
+
+    monkeypatch.setattr(table_module, "_pieri_weights", seeded)
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["verify", "pieri", "--max-level", "6"], "falsification"),
+    (["table", "--max-level", "6"], "construct")])
+def test_inconsistent_recursion_is_reported(argv, check, capsys, monkeypatch):
+    # a table whose recursions disagree stops the solve; the command still
+    # writes its report, with the failing equation and its residual
+    bump_pieri_weight(monkeypatch)
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["table_checksum"] is None
+    assert report["checks"] == [{
+        "check": check, "status": "fail",
+        "witness": "inconsistent recursion at (1, 2, 1): equation 3 based at "
+                   "(1, 1, 0) fails",
+        "value": repr((x_plus_inv(0) * x_plus_inv(2)).scale(Fraction(-1, 24))
+                      + x_plus_inv(1).scale(Fraction(1, 48)))}]
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
+
 @pytest.mark.parametrize("argv", [["table"], ["roundtrip"], ["verify", "pieri"],
                                   ["conjecture"], ["omega"]])
 def test_omitted_flags_take_the_run_config_defaults(argv, monkeypatch):
@@ -792,7 +827,7 @@ def test_omitted_flags_take_the_run_config_defaults(argv, monkeypatch):
     help_text, flags, _ = cli.SUBCOMMANDS[argv[0]]
     monkeypatch.setitem(cli.SUBCOMMANDS, argv[0], (help_text, flags, runner))
     assert main(argv) == 0
-    assert seen == [cli.RunConfig(*argv)]
+    assert [vars(cfg) for cfg in seen] == [vars(cli.RunConfig(*argv))]
     assert (seen[0].max_level, seen[0].order, seen[0].lambda_order,
             seen[0].copies, seen[0].table_path, seen[0].out_path,
             seen[0].json_out) == (12, 4, 4, 1, None, None, False)

@@ -13,7 +13,7 @@ from g2schur.diffops import verify_eigen
 from g2schur.expansion import verify_series
 from g2schur import table as table_module
 from g2schur import tablefile
-from g2schur.laurent import LaurentPoly3, x_plus_inv
+from g2schur.laurent import LaurentPoly3
 from g2schur.table import (_SHIFT, FORMAT_VERSION, FalsificationError,
                            SchurTable, TableError, _pieri_weights,
                            enumerate_level, enumerate_through, is_admissible,
@@ -21,7 +21,7 @@ from g2schur.table import (_SHIFT, FORMAT_VERSION, FalsificationError,
                            recursion_sum, s3_check, solve_cleared, solve_table,
                            unfold, unit_value, verify_pieri)
 from g2schur.tablefile import _parse_coeff
-from tests.conftest import table_of
+from tests.conftest import table_of, x_plus_inv
 from tests.test_laurent import flip
 
 
@@ -543,7 +543,7 @@ class TestPersistence:
         path.write_text(json_dumps_table(table12))
         for table in (solve_table(0), table4, table12, perturbed(table12),
                       SchurTable.load(path),
-                      SchurTable(0), table_of(2, {(0, 0, 0): LaurentPoly3()})):
+                      SchurTable(0, {}), table_of(2, {(0, 0, 0): LaurentPoly3()})):
             assert rendered(table) == json_dumps_table(table)
 
     def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path,
