@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 #: public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("cauchy", """check_H1_relation closedform_checks omega_from_sums
-        omega_vs_closedform pde_check specialized_sum_check verify_cauchy
-        verify_specialized"""),
+        omega_vs_closedform pde_check verify_cauchy"""),
     ("closedform", """OmegaSeries closedform_omega_minus closedform_omega_plus
         omega_plus_from_minus with_kappa_profile"""),
     ("conjecture", "ConjectureReport conjecture_check conjecture_coeff"),
@@ -33,6 +32,7 @@ _EXPORTS = {name: module for module, names in (
     ("laurent", "LaurentPoly3"),
     ("poles", "MasterSum leading_pole_coefficient"),
     ("series", "SingularSeriesError TruncSeries3"),
+    ("specialized", "specialized_sum_check verify_specialized"),
     ("table", """SchurTable enumerate_level is_admissible leading_term
         pieri_coeff s3_check solve_table verify_pieri"""),
 ) for name in names.split()}

@@ -7,15 +7,16 @@ Subcommands:
   roundtrip    reload a saved table, render it again and byte-compare
   verify       run one assertive suite: pieri, eigen, series, cauchy,
                specialized or kernel (exit 0 iff every check passes)
-  conjecture   evidence tables for the hypergeometric candidate (always
-               exits 0 unless an internal error occurs)
+  conjecture   evidence tables for the hypergeometric candidate (exits 0
+               on any mismatch; 1 only when its table fails its own solve
+               or its expansions)
   omega        emit the leading-term series of both signs as JSON (exit 1
                when Omega_+ disagrees with its (-2 - d) route from Omega_-)
 
 Each subcommand accepts only the flags it reads.  The suites themselves are
 library functions returning their check records (``table.verify_pieri``,
 ``diffops.verify_eigen``, ``expansion.verify_series``,
-``cauchy.verify_cauchy``, ``cauchy.verify_specialized``,
+``cauchy.verify_cauchy``, ``specialized.verify_specialized``,
 ``kernels.verify_kernel``); this module maps a suite name to one call.
 Every module beyond ``errors`` and ``report`` is imported when a command
 runs, so each command compiles only what it uses: ``table`` for the commands
@@ -175,7 +176,7 @@ def _cauchy(cfg: RunConfig, table: SchurTable) -> list[dict]:
 
 
 def _specialized(cfg: RunConfig, table: SchurTable) -> list[dict]:
-    from .cauchy import verify_specialized
+    from .specialized import verify_specialized
     return verify_specialized(table)
 
 
@@ -217,20 +218,26 @@ def run_verify(cfg: RunConfig) -> tuple[int, Report]:
 def run_conjecture(cfg: RunConfig) -> tuple[int, Report]:
     from .conjecture import conjecture_check
     from .expansion import ExpansionSet
-    with Stopwatch() as sw:
-        table, checksum = _load_or_build(cfg)
-        result = conjecture_check(cfg.copies, cfg.order, ExpansionSet(table, cfg.order))
     report = Report(
         suite="conjecture",
         config={"copies": cfg.copies, "order": cfg.order,
                 "max_level": cfg.max_level, "table": cfg.table_path},
-        table_checksum=checksum,
-        checks=[],
-        elapsed_ms=sw.elapsed_ms,
-        extra={"conjecture": result.serialize()},
-        counts=result.summary(),
     )
-    return EXIT_OK, report
+    with Stopwatch() as sw:
+        # the candidate is only compared, never asserted; a table that fails
+        # its own solve or its expansions is a falsification, reported as
+        # verify reports it
+        try:
+            table, report.table_checksum = _load_or_build(cfg)
+            result = conjecture_check(cfg.copies, cfg.order,
+                                      ExpansionSet(table, cfg.order))
+        except FalsificationError as exc:
+            report.checks.append(_falsified({"check": "falsification"}, exc))
+        else:
+            report.extra = {"conjecture": result.serialize()}
+            report.counts = result.summary()
+    report.elapsed_ms = sw.elapsed_ms
+    return (EXIT_OK if not report.failed else EXIT_FAIL), report
 
 
 def run_omega(cfg: RunConfig) -> tuple[int, Report]:

@@ -15,27 +15,39 @@ all arithmetic stays inside Laurent polynomials; ``apply_H_cleared`` maps
 each monomial to six shifted monomials with integer weights and accumulates
 the integer numerators over one common denominator.
 
+H_k is invariant under each x -> 1/x, as every table entry is, so the
+cleared residual of an entry is anti-invariant in v and in w and invariant
+in u.  ``verify_eigen`` (and ``cauchy.check_H1_relation``) therefore judge
+it only where e_v > 0, e_w > 0 and e_u >= 0, from the entry's orthant terms
+and their mirrors at e_u = -1 (``region_sources``, ``vanishes_on_region``);
+the residual on every exponent is built only for the witness of a failed
+check.
+
 After the shift x = 1 + X the operator decomposes into homogeneous graded
 components of degree m >= -2 (a coefficient monomial of degree d with an
-order-r derivative has degree d - r).  Each operator coefficient is a
-numerator over a unit times a pole monomial X^p (``_coefficients``); the
+order-r derivative has degree d - r).  Each operator coefficient is an
+integer numerator over a unit, a product of factors 2 + X_i and 1 + X_i,
+times a pole monomial X^p (``_coefficients``, built once per operator); the
 degree-m component takes from each the degree m + r + |p| part of
-numerator / unit, divided by X^p.  Components are built once per (k, m) and
-are then reusable sparse linear maps, held as integer numerators over one
+numerator / unit, summed in integers from the closed forms of 1/(2 + X) and
+1/(1 + X), divided by X^p.  The ``TruncSeries3`` inversion of each unit is
+the test oracle.  Components are built once per (k, m) and are then
+reusable sparse linear maps, held as integer numerators over one
 denominator (see ``HomogeneousOp``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
 from .laurent import Exp, LaurentPoly3
-from .series import TruncSeries3
 
 if TYPE_CHECKING:
+    from .series import TruncSeries3
     from .table import SchurTable
 
 # operator index -> (v, w, u) variable positions (0=x12, 1=x13, 2=x23)
@@ -101,13 +113,46 @@ def apply_H_numerators(k: int, nums: dict[tuple[int, int, int], int],
     return acc
 
 
+def region_sources(k: int, nums: dict[Exp, int]) -> dict[Exp, int]:
+    """The orthant numerators ``nums`` of a polynomial invariant under each
+    x -> 1/x, with the mirror at e_u = -1 of every term at e_u = 1: the
+    terms from which the cleared operator reaches the region e_v > 0,
+    e_w > 0, e_u >= 0 (see ``vanishes_on_region``)."""
+    u = OP_VARS[k][2]
+    out = dict(nums)
+    for e, n in nums.items():
+        if e[u] == 1:
+            out[e[:u] + (-1,) + e[u + 1:]] = n
+    return out
+
+
+def vanishes_on_region(k: int, nums: dict[Exp, int]) -> bool:
+    """Whether every numerator at e_v > 0, e_w > 0, e_u >= 0 is zero.
+
+    (v - 1/v)(w - 1/w)(H_k - mu) f, f invariant under each x -> 1/x, is
+    anti-invariant under v -> 1/v and under w -> 1/w and invariant under u ->
+    1/u, since H_k is invariant under all three: it vanishes iff it vanishes
+    on that region.  The six shifts of ``apply_H_cleared`` move e_v and e_w
+    by one together or e_u alone, so the region is reached only from the
+    orthant terms of f and their mirrors at e_u = -1 (``region_sources``).
+    """
+    v, w, u = OP_VARS[k]
+    for e, n in nums.items():
+        if n and e[v] > 0 and e[w] > 0 and e[u] >= 0:
+            return False
+    return True
+
+
 def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
     """Eigenvalue check H_k phi = (j_k + 1)^2 phi for every entry, all k.
 
-    Each entry is read in its integer form; the witness of a failed check is
-    the residual of the entry itself.
+    Each entry is judged from its orthant form: the cleared residual of
+    den * phi, from the orthant terms and their e_u = -1 mirrors, must
+    vanish where e_v > 0, e_w > 0 and e_u >= 0 (``vanishes_on_region``).
+    The witness of a failed check is the residual of the entry itself, on
+    every exponent (``apply_H_cleared``).
     """
-    from .table import enumerate_through  # the kernel suite needs no table
+    from .table import enumerate_through, unfold  # the kernel suite needs no table
 
     if max_level is None:
         max_level = table.max_level
@@ -116,18 +161,19 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
         if sum(triple) > max_level:
             continue
         # den * phi has integer coefficients; the residual is linear in phi
-        nums, den = table.cleared_entry(triple)
-        scaled = LaurentPoly3(nums)
+        nums, den = table.orthant_entry(triple)
         for k in (1, 2, 3):
             mu = Fraction((triple[k - 1] + 1) ** 2)
-            residual = apply_H_cleared(k, scaled, mu)
+            image = apply_H_numerators(k, region_sources(k, nums), mu)
+            ok = vanishes_on_region(k, image)
             rec = {
                 "check": "eigen",
                 "triple": list(triple),
                 "k": k,
-                "status": "pass" if not residual else "fail",
+                "status": "pass" if ok else "fail",
             }
-            if residual:
+            if not ok:
+                residual = apply_H_cleared(k, LaurentPoly3(unfold(nums)), mu)
                 rec["witness"] = repr(residual.scale(Fraction(1, den)))
             checks.append(rec)
     return checks
@@ -219,12 +265,14 @@ def _poly1(var: int, coeffs: list[int]) -> LaurentPoly3:
                          for e, c in enumerate(coeffs)})
 
 
-def _coefficients(k: int) -> list[tuple[Exp, LaurentPoly3, LaurentPoly3, Exp]]:
+@functools.lru_cache(maxsize=None)
+def _coefficients(k: int) -> tuple[tuple[Exp, dict[Exp, int], tuple, Exp], ...]:
     """The terms of H_k after x = 1 + X: the derivative terms vv, vw, ww, v,
-    w, then the constant term, each as (derivative multi-index n, numerator
-    N, unit U, pole exponent p).  The coefficient of d^n is N / (U X^p), and
-    U has a nonzero constant term; x - 1/x = X(2 + X)/(1 + X) and
-    x^2 + 1 = 2 + 2X + X^2.
+    w, then the constant term, each as (derivative multi-index n, integer
+    numerators of N, unit factors of U, pole exponent p).  The coefficient
+    of d^n is N / (U X^p), and U is the product of c + X_i over its factors
+    (i, c), c = 1 or 2; x - 1/x = X(2 + X)/(1 + X) and x^2 + 1 = 2 + 2X +
+    X^2.  Built once per operator.
     """
     v, w, u = OP_VARS[k]
     one = _poly1(v, [1])
@@ -234,23 +282,49 @@ def _coefficients(k: int) -> list[tuple[Exp, LaurentPoly3, LaurentPoly3, Exp]]:
     cross = ((_poly1(v, [2, 2, 1]) * _poly1(w, [2, 2, 1]) * xu).scale(2)
              - (xv * xw * _poly1(u, [2, 2, 1])).scale(4)) * xv * xw
     dv, dw, dvw = _shift(k, 1, 0, 0), _shift(k, 0, 1, 0), _shift(k, 1, 1, 0)
-    return [
-        (_shift(k, 2, 0, 0), _poly1(v, [1, 2, 1]), one, (0, 0, 0)),  # x_v^2
-        (dvw, cross, _poly1(v, [2, 1]) * _poly1(w, [2, 1]) * xu, dvw),
-        (_shift(k, 0, 2, 0), _poly1(w, [1, 2, 1]), one, (0, 0, 0)),
+    rows = (
+        (_shift(k, 2, 0, 0), _poly1(v, [1, 2, 1]), (), (0, 0, 0)),  # x_v^2
+        (dvw, cross, ((v, 2), (w, 2), (u, 1)), dvw),
+        (_shift(k, 0, 2, 0), _poly1(w, [1, 2, 1]), (), (0, 0, 0)),
         # (3x^2 + 1)/(x - 1/x) = (4 + 6X + 3X^2)(1 + X) / (X(2 + X))
-        (dv, _poly1(v, [4, 6, 3]) * xv, _poly1(v, [2, 1]), dv),
-        (dw, _poly1(w, [4, 6, 3]) * xw, _poly1(w, [2, 1]), dw),
-        ((0, 0, 0), one, one, (0, 0, 0)),
-    ]
+        (dv, _poly1(v, [4, 6, 3]) * xv, ((v, 2),), dv),
+        (dw, _poly1(w, [4, 6, 3]) * xw, ((w, 2),), dw),
+        ((0, 0, 0), one, (), (0, 0, 0)),
+    )
+    return tuple((deriv, num.cleared()[0], unit, pole)
+                 for deriv, num, unit, pole in rows)
+
+
+def _inverse_unit_part(unit: tuple, r: int) -> list[tuple[Exp, int]]:
+    """The degree-r part of 2^(h + r) / U as (exponent, integer) pairs, h the
+    number of factors 2 + X of ``unit`` (see ``_coefficients``).
+
+    1/(2 + X) = sum_i (-1)^i X^i / 2^(i+1) and 1/(1 + X) = sum_i (-1)^i X^i,
+    so the monomial prod X_f^(i_f), sum i_f = r, has (-1)^r 2^(r - s), s the
+    sum of i_f over the factors 2 + X.
+    """
+    out = []
+    for powers in itertools.product(range(r + 1), repeat=len(unit)):
+        if sum(powers) == r:
+            exp = [0, 0, 0]
+            s = 0
+            for (pos, c), i in zip(unit, powers):
+                exp[pos] = i
+                if c == 2:
+                    s += i
+            out.append((tuple(exp), (-1) ** r << (r - s)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def homogeneous_component(k: int, m: int) -> HomogeneousOp:
     """Degree-m graded component of H_k in the shifted variables X = x - 1.
 
-    A term N / (U X^p) d^n contributes X^(-p) times the degree m + |n| + |p|
-    part of the series N U^(-1); the constant term lies in degree 0.
+    A term N / (U X^p) d^n contributes X^(-p) times the degree D = m + |n| +
+    |p| part of N / U; the constant term lies in degree 0.  That part is
+    summed in integers over 2^(D + h), h the number of factors 2 + X of U:
+    a term n X^e of N, |e| <= D, meets the degree D - |e| part of 2^(h + D
+    - |e|) / U (``_inverse_unit_part``) with weight n 2^|e|.
     """
     if k not in OP_VARS:
         raise ValueError("operator index must be 1, 2 or 3")
@@ -261,9 +335,22 @@ def homogeneous_component(k: int, m: int) -> HomogeneousOp:
         degree = m + sum(deriv) + sum(pole)
         if degree < 0:
             continue
-        series = (TruncSeries3.from_poly(num, degree)
-                  * TruncSeries3.from_poly(unit, degree).invert())
-        part = series.homogeneous_part(degree).mul_monomial(tuple(-x for x in pole))
+        p1, p2, p3 = pole
+        acc: dict[Exp, int] = {}
+        get = acc.get
+        inverse: dict[int, list] = {}
+        for (e1, e2, e3), n in num.items():
+            r = degree - e1 - e2 - e3
+            if r < 0:
+                continue
+            if r not in inverse:
+                inverse[r] = _inverse_unit_part(unit, r)
+            n <<= e1 + e2 + e3
+            for (f1, f2, f3), c in inverse[r]:
+                key = (e1 + f1 - p1, e2 + f2 - p2, e3 + f3 - p3)
+                acc[key] = get(key, 0) + n * c
+        part = LaurentPoly3.from_cleared(
+            acc, 1 << (degree + sum(c == 2 for _, c in unit)))
         if part:
             terms.append((part, deriv))
     return HomogeneousOp(k, m, terms)

@@ -25,12 +25,15 @@ numerator at every (+-a, +-b, +-c).  ``solve_table`` solves each entry in
 that form, with x + 1/x on the orthant taking c(a) to c(a-1) + c(a+1) and
 c(-1) = c(1) (``_times_x_plus_inv``), and the recursion residuals
 (``SchurTable.pieri_residual``), the unit-value, leading-term, S3 and
-whole-table checks compare orthant numerators and denominators.  The mirror
-terms are expanded (``unfold``) only where a whole polynomial is read: by
-``canonical_json``, ``SchurTable.cleared_entry``, the read-only ``entries``
-mapping (which builds the ``Fraction`` Laurent polynomial of an entry on
-each read and keeps nothing) and a nonzero residual, which comes back as
-the exact Laurent polynomial.
+whole-table checks compare orthant numerators and denominators, as do the
+operator identities of ``diffops.verify_eigen`` and
+``cauchy.check_H1_relation``.  The mirror terms are expanded (``unfold``)
+only where a whole polynomial is read: by ``canonical_json``,
+``SchurTable.cleared_entry`` (read by ``expansion`` and
+``specialized``), the read-only ``entries`` mapping (which
+builds the ``Fraction`` Laurent polynomial of an entry on each read and
+keeps nothing) and a nonzero residual or failed eigenvalue check, whose
+witness is the exact Laurent polynomial.
 
 The solve and the residuals weight the recursion targets by the integer
 numerators of ``K`` over its denominator ``4(j1+1)(j2+1)``, shared by the four

@@ -138,7 +138,7 @@ def _parse(blocks) -> SchurTable:
         raise TableError(f"invalid max_level: {max_level!r}")
     forms = {}
     # exponent and coefficient texts repeat across entries: each is parsed once
-    exp_of = cache(_parse_exp)
+    exp_of = _ExpTexts().__getitem__
     coeff_of = cache(_parse_coeff)
     pos, more = m.end(), entries == "[\n"
     last = None  # the triple of the previous entry
@@ -198,14 +198,27 @@ def _parse(blocks) -> SchurTable:
     return table
 
 
-def _parse_exp(text: str) -> tuple[tuple[int, int, int], str, int]:
-    """The exponent of the text between the ``"exp"`` and ``"coeff"`` keys of
-    a term, the same text for its orthant mirror (its minus signs dropped)
-    and, for an exponent in the orthant, the number of its mirror exponents
-    (+-e1, +-e2, +-e3), else 0."""
-    e = tuple(map(int, text[4:-14].split(",")))  # int() skips the indents
-    mirror = text.replace("-", "")
-    return e, mirror, (1 << sum(map(bool, e)) if mirror == text else 0)
+class _ExpTexts(dict):
+    """Exponent texts, the text between the ``"exp"`` and ``"coeff"`` keys
+    of a term, parsed once per load: text -> (exponent, the text of its
+    orthant mirror (its minus signs dropped), and for an exponent in the
+    orthant the number of its mirror exponents (+-e1, +-e2, +-e3), else 0).
+
+    A text is parsed on its first lookup.  The mirror text of a text off the
+    orthant is the very string its orthant text is held under, parsed first
+    if need be, so the (up to eight) mirror exponents of a term share one
+    copy of it.
+    """
+
+    def __missing__(self, text: str) -> tuple[tuple[int, int, int], str, int]:
+        e = tuple(map(int, text[4:-14].split(",")))  # int() skips the indents
+        mirror = text.replace("-", "")
+        if mirror == text:
+            out = e, text, 1 << sum(map(bool, e))
+        else:
+            out = e, self[mirror][1], 0
+        self[text] = out
+        return out
 
 
 def _asymmetry(t, es, coeffs, coeff_of) -> TableError:

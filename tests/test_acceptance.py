@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 
 from g2schur.cauchy import (closedform_checks, closedform_omega_minus,
-                            verify_cauchy, verify_specialized)
+                            verify_cauchy)
 from g2schur.conjecture import conjecture_check
 from g2schur.diffops import verify_eigen
 from g2schur.expansion import ExpansionSet
 from g2schur.kernels import verify_kernel
 from g2schur.series import exponents_upto
+from g2schur.specialized import verify_specialized
 from g2schur.table import solve_table, verify_pieri
 
 from tests.test_expansion import C200, C220, C400

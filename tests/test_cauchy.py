@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from g2schur import cauchy, poles
-from g2schur.cauchy import (_specialization_cleared, _truncation_numerators,
-                            check_H1_relation, closedform_checks,
-                            omega_from_sums, pde_check, specialized_sum_check,
-                            verify_cauchy, verify_specialized)
+from g2schur.cauchy import (_truncation_numerators, check_H1_relation,
+                            closedform_checks, omega_from_sums, pde_check,
+                            verify_cauchy)
 from g2schur.closedform import (KAPPA_PREFACTOR, closedform_omega_minus,
                                 closedform_omega_plus, omega_initial_minus,
                                 omega_initial_plus, with_kappa_profile)
@@ -19,7 +18,10 @@ from g2schur.klocal import KLocal, reduced
 from g2schur.laurent import LaurentPoly3
 from g2schur.poles import POLE_BOUND, MasterSum, leading_pole_coefficient
 from g2schur.series import TruncSeries3, exponents_upto
-from g2schur.table import FalsificationError, enumerate_level, is_admissible
+from g2schur.specialized import (_specialization_cleared, specialized_sum_check,
+                                 verify_specialized)
+from g2schur.table import (FalsificationError, enumerate_level, is_admissible,
+                           unfold)
 from tests.conftest import assert_exact, evaluate, x_plus_inv
 from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
@@ -398,10 +400,11 @@ class TestCauchyTruncation:
         # labels with j2 + j3 = 2 reach level 6: (2,1,1), (2,0,2), (2,2,0)
         sums = _truncation_numerators(table12, 2)[2]
         assert sorted(sums) == [0, 2]
-        assert LaurentPoly3.from_cleared(*sums[2]) == (
+        # the sums are orthant forms, as the entries are
+        assert LaurentPoly3.from_cleared(unfold(sums[2][0]), sums[2][1]) == (
             table12.entries[(2, 1, 1)] + table12.entries[(2, 0, 2)]
             + table12.entries[(2, 2, 0)])
-        assert LaurentPoly3.from_cleared(*sums[0]) == table12.entries[(0, 1, 1)]
+        assert sums[0] == table12.orthant_entry((0, 1, 1))
         assert sorted({c["kappa_power"] for c in check_H1_relation(table12, 2)
                        if c["lambda_power"] == 2}) == [-3, -1, 1, 3]
 
@@ -419,6 +422,16 @@ class TestCauchyTruncation:
     def test_relations_match_the_fraction_route(self, table12, order):
         assert check_H1_relation(table12, order) == \
             fraction_check_H1_relation(table12, order)
+
+    def test_perturbed_table_matches_the_fraction_route(self, table12):
+        # the folded relations of a table with entries off their eigenspaces
+        # fail exactly where the Fraction route on every exponent fails: at
+        # lambda^2 and lambda^4, the sums holding (2, 1, 1) and (4, 4, 0); the
+        # rescaled (1, 2, 3) stays an eigenfunction
+        broken = perturbed(table12)
+        checks = check_H1_relation(broken, 6)
+        assert checks == fraction_check_H1_relation(broken, 6)
+        assert {c["lambda_power"] for c in checks if c["status"] == "fail"} == {2, 4}
 
     def test_wrong_numerator_fails_its_relations(self, table12, monkeypatch):
         # one numerator of the (n, j1) = (2, 2) label sum bumped: the six
@@ -679,7 +692,7 @@ def fraction_specialized_sum_check(j1, J, table):
 
 def specialization_phi(j1, j2):
     """The closed form of the entry (j1, j2, j1-j2) at x23 = 1, as the
-    ``LaurentPoly3`` of ``cauchy._specialization_cleared``."""
+    ``LaurentPoly3`` of ``specialized._specialization_cleared``."""
     return LaurentPoly3.from_cleared(*_specialization_cleared(j1, j2))
 
 

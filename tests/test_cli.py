@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -601,10 +602,10 @@ class TestVerifyCommands:
         real = diffops._coefficients
 
         def seeded(k):
-            rows = real(k)
+            rows = list(real(k))  # the cached rows stay as they are
             if k == 1:
                 deriv, num, unit, pole = rows[0]
-                rows[0] = deriv, num + LaurentPoly3({(1, 0, 0): 1}), unit, pole
+                rows[0] = deriv, {**num, (1, 0, 0): num[(1, 0, 0)] + 1}, unit, pole
             return rows
 
         diffops.homogeneous_component.cache_clear()
@@ -721,6 +722,24 @@ class TestReportOnlyCommands:
         assert report["summary"]["literal"]["compared"] > 0
         assert report["summary"]["doubled"]["compared"] > 0
 
+    def test_conjecture_on_a_table_its_expansions_reject(self, tmp_path, capsys):
+        # a loaded table whose entry leaves its recursions: the expansions
+        # stop on it, and the report holds the failing record (exit 1)
+        path = tmp_path / "t.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        shift_saved_coefficients(path)
+        code, report = run(capsys, "conjecture", "--copies", "1", "--order", "2",
+                           "--max-level", "8", "--table", str(path))
+        assert code == 1
+        assert "conjecture" not in report
+        assert report["table_checksum"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        (rec,) = report["checks"]
+        assert rec["check"] == "falsification" and rec["status"] == "fail"
+        assert rec["witness"] == ("table entry (2, 1, 1) fails its solving "
+                                  "equation 1 based at (1, 0, 1)")
+        assert rec["value"]  # the nonzero residual of that equation
+        assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
     @pytest.mark.parametrize("copies", [1, 2])
     def test_conjecture_on_unvalidated_families_is_operational_error(self, capsys,
                                                                      copies):
@@ -796,7 +815,9 @@ def bump_pieri_weight(monkeypatch):
 
 @pytest.mark.parametrize("argv, check", [
     (["verify", "pieri", "--max-level", "6"], "falsification"),
-    (["table", "--max-level", "6"], "construct")])
+    (["table", "--max-level", "6"], "construct"),
+    (["conjecture", "--copies", "1", "--order", "2", "--max-level", "6"],
+     "falsification")])
 def test_inconsistent_recursion_is_reported(argv, check, capsys, monkeypatch):
     # a table whose recursions disagree stops the solve; the command still
     # writes its report, with the failing equation and its residual

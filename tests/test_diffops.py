@@ -1,4 +1,6 @@
 import functools
+import inspect
+import json
 import itertools
 from fractions import Fraction
 
@@ -6,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur.diffops import (OP_VARS, _poly1, apply_H_cleared,
-                             homogeneous_component, verify_eigen,
+from g2schur import cli, diffops
+from g2schur import table as table_module
+from g2schur.diffops import (OP_VARS, _coefficients, _poly1, apply_H_cleared,
+                             apply_H_numerators, homogeneous_component,
+                             region_sources, vanishes_on_region, verify_eigen,
                              verify_recursion_by_components)
 from g2schur.expansion import expand_entry
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3
 from g2schur.series import TruncSeries3
-from g2schur.table import enumerate_through
+from g2schur.table import SchurTable, enumerate_through, unfold
 from tests.conftest import diff, x_plus_inv
 from tests.test_laurent import permute
 from tests.test_table import perturbed
@@ -50,6 +55,66 @@ def fraction_apply_H_cleared(k, p, mu):
     out = out + sv * (w2.scale(3) + one) * pw
     out = out + (d * p).scale(Fraction(1) - mu)
     return out
+
+
+def full_plane_eigen(table, max_level):
+    """The ``verify eigen`` records from the residual of every entry on
+    every exponent: ``apply_H_cleared`` on its unfolded numerators, the
+    former body of ``verify_eigen`` and the oracle of its folded route."""
+    checks = []
+    for triple in enumerate_through(table.max_level):
+        if sum(triple) > max_level:
+            continue
+        nums, den = table.cleared_entry(triple)
+        for k in (1, 2, 3):
+            mu = Fraction((triple[k - 1] + 1) ** 2)
+            residual = apply_H_cleared(k, LaurentPoly3(nums), mu)
+            rec = {"check": "eigen", "triple": list(triple), "k": k,
+                   "status": "pass" if not residual else "fail"}
+            if residual:
+                rec["witness"] = repr(residual.scale(Fraction(1, den)))
+            checks.append(rec)
+    return checks
+
+
+def on_region(k, nums):
+    """The nonzero numerators of ``nums`` at e_v > 0, e_w > 0, e_u >= 0."""
+    v, w, u = OP_VARS[k]
+    return {e: n for e, n in nums.items()
+            if n and e[v] > 0 and e[w] > 0 and e[u] >= 0}
+
+
+def with_weight_sign_flipped(monkeypatch):
+    """Replace ``diffops.apply_H_numerators`` by a copy whose v/w-shift
+    weight has the opposite sign, so that both the folded verdict and the
+    full-plane witness route see the mutation."""
+    source = inspect.getsource(diffops.apply_H_numerators)
+    old = "(ab - 3 * a + b) * n - diag"
+    assert source.count(old) == 1
+    namespace = dict(vars(diffops))
+    exec(source.replace(old, "diag - (ab - 3 * a + b) * n"), namespace)
+    monkeypatch.setattr(diffops, "apply_H_numerators",
+                        namespace["apply_H_numerators"])
+
+
+def series_component_terms(k, m):
+    """The terms of the degree-m component of H_k by ``TruncSeries3``
+    inversion of each unit U: the former body of ``homogeneous_component``,
+    the oracle of its integer closed forms of 1/(2 + X) and 1/(1 + X)."""
+    terms = []
+    for deriv, num, unit, pole in _coefficients(k):
+        degree = m + sum(deriv) + sum(pole)
+        if degree < 0:
+            continue
+        unit_poly = LaurentPoly3.one()
+        for pos, c in unit:
+            unit_poly = unit_poly * _poly1(pos, [c, 1])
+        series = (TruncSeries3.from_poly(LaurentPoly3(num), degree)
+                  * TruncSeries3.from_poly(unit_poly, degree).invert())
+        part = series.homogeneous_part(degree).mul_monomial(tuple(-x for x in pole))
+        if part:
+            terms.append((part, deriv))
+    return terms
 
 
 def derivative_apply(op, p):
@@ -225,6 +290,76 @@ class TestEigen:
         assert not apply_H_cleared(2, phi, Fraction(1))
 
 
+class TestFoldedEigen:
+    """``verify_eigen`` judges each entry on the region e_v > 0, e_w > 0,
+    e_u >= 0, reached from the orthant terms and their e_u = -1 mirrors; the
+    residual on every exponent is its oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_region_numerators_equal_the_full_plane_ones(self, table12, k):
+        # on every entry through level 12, at its eigenvalue and off it, and
+        # on the perturbed entries: the same numerators on the region, and a
+        # full-plane residual that vanishes exactly when they do
+        broken = perturbed(table12)
+        seen = set()
+        for table in (table12, broken):
+            for t in enumerate_through(12):
+                nums, _ = table.orthant_entry(t)
+                full = unfold(nums)
+                for dmu in (0, Fraction(1, 3), -1):
+                    mu = Fraction((t[k - 1] + 1) ** 2) + dmu
+                    folded = apply_H_numerators(k, region_sources(k, nums), mu)
+                    region = on_region(k, folded)
+                    assert region == on_region(k, apply_H_numerators(k, full, mu))
+                    residual = apply_H_cleared(k, LaurentPoly3(full), mu)
+                    assert vanishes_on_region(k, folded) == (not residual)
+                    seen.add((dmu == 0, not residual))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_records_equal_the_full_plane_route(self, table12):
+        assert verify_eigen(table12) == full_plane_eigen(table12, 12)
+        checks = verify_eigen(perturbed(table12), 10)
+        assert checks == full_plane_eigen(perturbed(table12), 10)
+        assert sum(c["status"] == "fail" for c in checks) >= 3
+
+    def test_perturbed_orthant_numerator_fails(self, table8, capsys, monkeypatch):
+        # one orthant numerator of (2, 1, 1) raised by 1: its records fail
+        # with the residual on every exponent, and the command exits 1
+        forms = dict(table8._forms)
+        nums, den = forms[(2, 1, 1)]
+        e = next(iter(nums))
+        forms[(2, 1, 1)] = {**nums, e: nums[e] + 1}, den
+        broken = SchurTable(8, forms)
+        checks = verify_eigen(broken)
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert failed and {tuple(c["triple"]) for c in failed} == {(2, 1, 1)}
+        assert checks == full_plane_eigen(broken, 8)
+        monkeypatch.setattr(table_module, "solve_table", lambda level: broken)
+        assert cli.main(["verify", "eigen", "--max-level", "8"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [c for c in report["checks"] if c["status"] == "fail"] == failed
+
+    def test_sign_flipped_shift_weight_fails(self, table8, capsys, monkeypatch):
+        # the v/w weight with its sign flipped: records fail, each with the
+        # full-plane residual of the mutated operator as witness, and the
+        # command exits 1.  The mutated operator is no longer invariant
+        # under v -> 1/v, which the fold relies on, so the full plane fails
+        # some records the region does not see (such as (0, 1, 1), k = 2,
+        # whose residual -4 x12 lies at e_w = 0); every record the folded
+        # check fails, the full plane fails with the same witness
+        with_weight_sign_flipped(monkeypatch)
+        checks = verify_eigen(table8, 6)
+        failed = [c for c in checks if c["status"] == "fail"]
+        full = full_plane_eigen(table8, 6)
+        assert len(failed) >= 10 and all(c["witness"] != "0" for c in failed)
+        assert [c for c in full if c in failed] == failed
+        assert {"check": "eigen", "triple": [0, 0, 0], "k": 1,
+                "status": "pass"} in checks
+        assert cli.main(["verify", "eigen", "--max-level", "6"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [c for c in report["checks"] if c["status"] == "fail"] == failed
+
+
 class TestHomogeneousComponents:
     def test_leading_component_structure(self):
         op = homogeneous_component(1, -2)
@@ -300,6 +435,21 @@ class TestHomogeneousComponents:
                 assert c.terms == c0.terms, (k, m)
                 assert [type(x) for x in c.terms.values()] \
                     == [type(x) for x in c0.terms.values()], (k, m)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(-2, 7))
+    def test_matches_series_route(self, k, m):
+        got = homogeneous_component(k, m).terms
+        want = series_component_terms(k, m)
+        assert [d for _, d in got] == [d for _, d in want]
+        for (c, _), (c0, _) in zip(got, want):
+            assert c.terms == c0.terms
+            assert all(type(x) is Fraction for x in c.terms.values())
+
+    def test_coefficients_are_built_once_per_operator(self):
+        assert _coefficients(2) is _coefficients(2)
+        assert all(type(n) is int for _, num, _, _ in _coefficients(2)
+                   for n in num.values())
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

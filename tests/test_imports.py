@@ -67,6 +67,29 @@ def test_kernel_command_loads_only_the_kernel_suite():
     assert "hashlib" not in loaded  # no table is hashed
 
 
+def test_specialized_command_loads_only_table_modules(tmp_path):
+    # the x23 = 1 suite reads the table alone: neither the operators nor
+    # the generating sums, their series or kappa arithmetic
+    path = str(tmp_path / "t.json")
+    loaded = after_commands(["table", "--max-level", "8", "--out", path],
+                            ["verify", "specialized", "--max-level", "8"],
+                            ["verify", "specialized", "--max-level", "8",
+                             "--table", path])
+    assert {"g2schur.specialized", "g2schur.table", "g2schur.tablefile"} <= loaded
+    assert not loaded & {"g2schur.cauchy", "g2schur.closedform", "g2schur.diffops",
+                         "g2schur.expansion", "g2schur.poles", "g2schur.klocal",
+                         "g2schur.series"}
+
+
+@pytest.mark.parametrize("argv", [["verify", "eigen", "--max-level", "6"],
+                                  ["verify", "kernel", "--order", "2"]])
+def test_operator_commands_load_no_series(argv):
+    # the graded components are summed in integers, not by series inversion
+    loaded = after_command(*argv)
+    assert "g2schur.diffops" in loaded
+    assert "g2schur.series" not in loaded
+
+
 def test_table_command_loads_no_suite(tmp_path):
     loaded = after_command("table", "--max-level", "4", "--out", str(tmp_path / "t.json"))
     assert "hashlib" in loaded

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur.cauchy import verify_specialized
 from g2schur.diffops import verify_eigen
 from g2schur.expansion import verify_series
+from g2schur.specialized import verify_specialized
 from g2schur import table as table_module
 from g2schur import tablefile
 from g2schur.laurent import LaurentPoly3
@@ -629,6 +629,23 @@ class TestPersistence:
             tracemalloc.stop()
         assert loaded == table
         assert peak < path.stat().st_size
+
+    def test_mirror_texts_share_the_orthant_text(self):
+        # each distinct exponent text is parsed once, and every mirror of an
+        # orthant exponent refers to the one string that exponent is cached
+        # under, whichever of them is read first
+        exp_of = tablefile._ExpTexts().__getitem__
+
+        def text(e):
+            return ": [\n" + ",\n".join(f"      {x}" for x in e) + "\n     ],\n     "
+
+        first = exp_of(text((-2, 1, 0)))
+        orthant = exp_of(text((2, 1, 0)))
+        assert first == ((-2, 1, 0), text((2, 1, 0)), 0)
+        assert orthant == ((2, 1, 0), text((2, 1, 0)), 4)
+        assert first[1] is orthant[1]
+        assert exp_of(text((-2, -1, 0)))[1] is orthant[1]
+        assert exp_of(text((2, 1, 0))) is orthant
 
     @pytest.mark.parametrize("chunk", [7, 64, 1000])
     def test_chunks_far_smaller_than_an_entry(self, table12, tmp_path, monkeypatch,

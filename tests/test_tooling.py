@@ -33,15 +33,18 @@ def test_omega_closed_forms_reach_their_traced_span(tmp_path):
 
 
 def test_table_checks_reach_their_traced_layers(tmp_path):
-    # the integer residuals and the direct writer run under the traced names
+    # the integer residuals and the direct writer run under the traced names;
+    # a passing eigen suite judges the orthant forms and never builds the
+    # full-plane residual of apply_H_cleared, which only a witness needs
     seen = set()
     for suite in ("pieri", "eigen"):
         trace = traced(tmp_path, "verify", suite, "--max-level", "4")
         assert trace["exit_code"] == 0
         seen |= {span[0] for span in trace["spans"]}
         seen |= {name for name, agg in trace["kernels"].items() if agg["calls"]}
-    assert {"table.pieri_residual", "diffops.apply_H_cleared",
+    assert {"table.pieri_residual", "diffops.verify_eigen",
             "table.canonical_json"} <= seen
+    assert "diffops.apply_H_cleared" not in seen
 
 
 def test_table_solve_load_and_s3_reach_their_traced_spans(tmp_path):
