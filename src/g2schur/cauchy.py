@@ -42,8 +42,9 @@ from .closedform import (OmegaSeries, closedform_omega_minus,
                          closedform_omega_plus, euler_relation_witness,
                          omega_initial_minus, omega_initial_plus,
                          with_kappa_profile)
-from .diffops import (apply_H_numerators, homogeneous_component,
-                      region_sources, vanishes_on_region)
+from .diffops import (apply_H_numerators, fold_premise_failure,
+                      homogeneous_component, region_sources,
+                      vanishes_on_region)
 from .errors import FalsificationError
 from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
 from .laurent import Exp
@@ -83,63 +84,42 @@ def _truncation_numerators(table: SchurTable,
     return sums
 
 
-#: (x12 - 1/x12)(x13 - 1/x13) as (exponent shift, sign) pairs
-_D1_TERMS = (((1, 1, 0), 1), ((1, -1, 0), -1), ((-1, 1, 0), -1), ((-1, -1, 0), 1))
-
-
-def _cleared_residual(image: dict[Exp, int], nums: dict[Exp, int],
-                      c: int) -> dict[Exp, int]:
-    """image - c (x12 - 1/x12)(x13 - 1/x13) nums."""
-    acc = dict(image)
-    get = acc.get
-    for (s1, s2, _), sign in _D1_TERMS:
-        w = c * sign
-        for (e1, e2, e3), v in nums.items():
-            key = (e1 + s1, e2 + s2, e3)
-            acc[key] = get(key, 0) - w * v
-    return acc
-
-
 def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
     """Per lambda-coefficient checks of the first- and second-order relations.
 
     With C(n, e) the Laurent-polynomial coefficient of lambda^n kappa^e:
     the logarithmic kappa-derivative relation says H_1 C_-(n, e) = e C_+(n, e),
     and both signs satisfy H_1 C(n, e) = e^2 C(n, e).  All comparisons are
-    cleared by (x12 - 1/x12)(x13 - 1/x13).  Both signs of one (n, j1) sit
-    over the denominator of the same label sum, so every relation is
-    compared on integer numerators (``apply_H_numerators``).  Each C(n, e)
-    is invariant under each x -> 1/x, so, as in ``verify_eigen``, a cleared
-    relation holds iff it holds where the x12 and x13 exponents are positive
-    and the x23 exponent is not negative, and that region is reached from
-    the orthant terms of the sum and their mirrors at x23^-1.
+    cleared by (x12 - 1/x12)(x13 - 1/x13).  With S the label sum of (n, j1)
+    and e = +-(j1 + 1), C_-(n, e) = sign(e) S and C_+(n, e) = |e| S, so each
+    of the three relations at either e is a nonzero multiple of one cleared
+    residual, that of (H_1 - (j1 + 1)^2) S, computed once on the integer
+    numerators of S (``apply_H_numerators``); the six records of (n, j1)
+    read its verdict.  Each C(n, e) is invariant under each x -> 1/x, so, as
+    in ``verify_eigen``, the residual vanishes iff it vanishes where the x12
+    and x13 exponents are positive and the x23 exponent is not negative, and
+    that region is reached from the orthant terms of the sum and their
+    mirrors at x23^-1.  One more failing record names where the operator
+    breaks that premise, if it does (``fold_premise_failure``).
     """
-    zero = Fraction(0)
     checks = []
     for n, sums in _truncation_numerators(table, order).items():
-        kexps = sorted(e for j1 in sums for e in (j1 + 1, -j1 - 1))
-        for e in kexps:
-            acc = region_sources(1, sums[abs(e) - 1][0])
-            minus = acc if e > 0 else {t: -c for t, c in acc.items()}
-            plus = {t: abs(e) * c for t, c in acc.items()}
-            h_minus = apply_H_numerators(1, minus, zero)
-            h_plus = apply_H_numerators(1, plus, zero)
-            ok = vanishes_on_region(1, _cleared_residual(h_minus, plus, e))
-            checks.append({
-                "check": "H1-log-derivative",
-                "lambda_power": n,
-                "kappa_power": e,
-                "status": "pass" if ok else "fail",
-            })
-            for sign, nums, image in (("-", minus, h_minus), ("+", plus, h_plus)):
-                ok2 = vanishes_on_region(1, _cleared_residual(image, nums, e * e))
-                checks.append({
-                    "check": "second-order-log-derivative",
-                    "sign": sign,
-                    "lambda_power": n,
-                    "kappa_power": e,
-                    "status": "pass" if ok2 else "fail",
-                })
+        holds = {}
+        for j1, (nums, _) in sums.items():
+            mu = Fraction((j1 + 1) ** 2)
+            image = apply_H_numerators(1, region_sources(1, nums), mu)
+            holds[j1] = vanishes_on_region(1, image)
+        for e in sorted(e for j1 in sums for e in (j1 + 1, -j1 - 1)):
+            status = "pass" if holds[abs(e) - 1] else "fail"
+            checks.append({"check": "H1-log-derivative", "lambda_power": n,
+                           "kappa_power": e, "status": status})
+            for sign in "-+":
+                checks.append({"check": "second-order-log-derivative",
+                               "sign": sign, "lambda_power": n,
+                               "kappa_power": e, "status": status})
+    failure = fold_premise_failure(1)
+    if failure:
+        checks.append(failure)
     return checks
 
 

@@ -21,7 +21,8 @@ in u.  ``verify_eigen`` (and ``cauchy.check_H1_relation``) therefore judge
 it only where e_v > 0, e_w > 0 and e_u >= 0, from the entry's orthant terms
 and their mirrors at e_u = -1 (``region_sources``, ``vanishes_on_region``);
 the residual on every exponent is built only for the witness of a failed
-check.
+check.  Each suite also checks that premise of the fold on the operator
+itself (``fold_premise_failure``).
 
 After the shift x = 1 + X the operator decomposes into homogeneous graded
 components of degree m >= -2 (a coefficient monomial of degree d with an
@@ -143,6 +144,39 @@ def vanishes_on_region(k: int, nums: dict[Exp, int]) -> bool:
     return True
 
 
+def _inverted(e: Exp, pos: int) -> Exp:
+    """The exponent of the monomial e after x -> 1/x at position ``pos``."""
+    return e[:pos] + (-e[pos],) + e[pos + 1:]
+
+
+def fold_premise_failure(k: int) -> dict | None:
+    """The failing ``falsification`` record of the premise of the fold for
+    H_k, or None when it holds: (v - 1/v)(w - 1/w)(H_k - mu) is odd under
+    v -> 1/v and under w -> 1/w and even under u -> 1/u, for every mu.
+
+    The weights of ``apply_H_numerators`` are affine in mu and of degree at
+    most two in e_v and in e_w, so the images of the 27 monomials with
+    exponents in -1..1, at mu = 0 and mu = 1, decide it.  The record names
+    the first monomial and variable at which the parity fails.
+    """
+    cube = list(itertools.product((-1, 0, 1), repeat=3))
+    for mu in (Fraction(0), Fraction(1)):
+        image = {e: {t: n for t, n in apply_H_numerators(k, {e: 1}, mu).items() if n}
+                 for e in cube}
+        for e in cube:
+            for pos, parity in zip(OP_VARS[k], (-1, -1, 1)):
+                want = {_inverted(t, pos): parity * n for t, n in image[e].items()}
+                if image[_inverted(e, pos)] != want:
+                    x = ("x12", "x13", "x23")[pos]
+                    return {"check": "falsification", "stage": "fold-premise",
+                            "k": k, "monomial": list(e), "variable": x,
+                            "status": "fail",
+                            "witness": f"(v - 1/v)(w - 1/w)(H_{k} - {mu}) is not "
+                                       f"{'odd' if parity < 0 else 'even'} under "
+                                       f"{x} -> 1/{x}"}
+    return None
+
+
 def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
     """Eigenvalue check H_k phi = (j_k + 1)^2 phi for every entry, all k.
 
@@ -150,7 +184,9 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
     den * phi, from the orthant terms and their e_u = -1 mirrors, must
     vanish where e_v > 0, e_w > 0 and e_u >= 0 (``vanishes_on_region``).
     The witness of a failed check is the residual of the entry itself, on
-    every exponent (``apply_H_cleared``).
+    every exponent (``apply_H_cleared``).  When the operators break the
+    fold's premise, one more failing record names where
+    (``fold_premise_failure``).
     """
     from .table import enumerate_through, unfold  # the kernel suite needs no table
 
@@ -176,6 +212,11 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
                 residual = apply_H_cleared(k, LaurentPoly3(unfold(nums)), mu)
                 rec["witness"] = repr(residual.scale(Fraction(1, den)))
             checks.append(rec)
+    for k in (1, 2, 3):
+        failure = fold_premise_failure(k)
+        if failure:
+            checks.append(failure)
+            break
     return checks
 
 

@@ -12,25 +12,22 @@ slow on the larger reports.  ``json.dumps`` is the test oracle.
 
 from __future__ import annotations
 
-import time
 from json.encoder import encode_basestring_ascii as _quote
 
 
 class Report:
-    def __init__(self, suite: str, config: dict, table_checksum: str | None = None,
-                 checks: list[dict] | None = None, elapsed_ms: int | None = None,
-                 extra: dict | None = None, counts: dict | None = None):
+    """A report under construction: the runner of ``cli`` creates it with
+    the suite name and configuration echo, and the command fills the rest."""
+
+    def __init__(self, suite: str, config: dict):
         self.suite = suite
         self.config = config
-        self.table_checksum = table_checksum
-        self.checks = [] if checks is None else checks
-        self.elapsed_ms = elapsed_ms
-        self.extra = {} if extra is None else extra
+        self.table_checksum: str | None = None
+        self.checks: list[dict] = []
+        self.elapsed_ms: int | None = None
+        self.extra: dict = {}
         #: summary counts to report instead of counting ``checks``
-        self.counts = counts
-
-    def extend(self, checks: list[dict]) -> None:
-        self.checks.extend(checks)
+        self.counts: dict | None = None
 
     @property
     def failed(self) -> list[dict]:
@@ -62,16 +59,6 @@ class Report:
         """``json.dumps(self.to_dict(), indent=1)`` plus a newline, as one
         string; ``to_json_text`` writes it."""
         return to_json_text(self.to_dict()) + "\n"
-
-
-class Stopwatch:
-    def __enter__(self):
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed_ms = int((time.monotonic() - self._start) * 1000)
-        return False
 
 
 def to_json_text(value) -> str:

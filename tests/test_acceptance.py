@@ -184,11 +184,11 @@ def test_criterion_11_kernel_structure():
 
 
 def test_criterion_12_determinism(tmp_path):
-    from g2schur.cli import RunConfig, run_verify
+    from g2schur.cli import build_parser, run
 
-    cfg = RunConfig(subcommand="verify", suite="pieri", max_level=6)
-    _, first = run_verify(cfg)
-    _, second = run_verify(cfg)
+    cfg = build_parser().parse_args(["verify", "pieri", "--max-level", "6"])
+    _, first = run(cfg)
+    _, second = run(cfg)
     first.elapsed_ms = second.elapsed_ms = None  # timing is the one field that varies
     ok = first.to_json() == second.to_json()
 

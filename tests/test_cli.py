@@ -20,7 +20,6 @@ from g2schur import table as table_module
 from g2schur.cli import main
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3
-from g2schur.report import Report
 from g2schur.series import exponents_upto
 from g2schur.table import (FalsificationError, SchurTable, enumerate_through,
                            solve_table)
@@ -836,22 +835,87 @@ def test_inconsistent_recursion_is_reported(argv, check, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["table"], ["roundtrip"], ["verify", "pieri"],
                                   ["conjecture"], ["omega"]])
-def test_omitted_flags_take_the_run_config_defaults(argv, monkeypatch):
-    # RunConfig is the one source of defaults: a bare subcommand hands its
-    # runner exactly RunConfig's values
+def test_omitted_flags_take_the_defaults(argv, monkeypatch):
+    # DEFAULTS is the one source of defaults: a bare subcommand hands its
+    # body exactly DEFAULTS' values
     seen = []
-
-    def runner(cfg):
-        seen.append(cfg)
-        return 0, Report(suite=argv[0], config={})
-
-    help_text, flags, _ = cli.SUBCOMMANDS[argv[0]]
-    monkeypatch.setitem(cli.SUBCOMMANDS, argv[0], (help_text, flags, runner))
+    help_text, flags, config, _ = cli.SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(cli.SUBCOMMANDS, argv[0], (
+        help_text, flags, config, lambda cfg, report: seen.append(cfg)))
     assert main(argv) == 0
-    assert [vars(cfg) for cfg in seen] == [vars(cli.RunConfig(*argv))]
-    assert (seen[0].max_level, seen[0].order, seen[0].lambda_order,
-            seen[0].copies, seen[0].table_path, seen[0].out_path,
-            seen[0].json_out) == (12, 4, 4, 1, None, None, False)
+    (cfg,) = seen
+    assert {key: getattr(cfg, key) for key in cli.DEFAULTS} == cli.DEFAULTS == {
+        "max_level": 12, "order": 4, "lambda_order": 4, "copies": 1,
+        "table": None, "out": None, "json": False}
+
+
+#: subcommand -> (a command line that passes, its exit code on a failing
+#: record); ``{table}`` is a saved level-4 table.  A failing roundtrip record
+#: is a byte mismatch, an I/O fault
+EXIT_CODES = {
+    "table": (["table", "--max-level", "4"], 1),
+    "roundtrip": (["roundtrip", "--table", "{table}"], 2),
+    "verify": (["verify", "pieri", "--max-level", "4", "--table", "{table}"], 1),
+    "conjecture": (["conjecture", "--order", "1", "--max-level", "6"], 1),
+    "omega": (["omega", "--order", "1"], 1)}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "fail"])
+@pytest.mark.parametrize("subcommand", EXIT_CODES)
+def test_exit_code_table(subcommand, failing, tmp_path, capsys, monkeypatch):
+    # the runner's exit code: 0 without a failing record, whatever the
+    # subcommand, else the subcommand's code on a failing record
+    path = str(tmp_path / "t4.json")
+    assert main(["table", "--max-level", "4", "--out", path]) == 0
+    capsys.readouterr()
+    argv, fail_code = EXIT_CODES[subcommand]
+    help_text, flags, config, body = cli.SUBCOMMANDS[subcommand]
+
+    def failing_body(cfg, report):
+        body(cfg, report)
+        report.checks.append({"check": "added", "status": "fail"})
+
+    if failing:
+        monkeypatch.setitem(cli.SUBCOMMANDS, subcommand,
+                            (help_text, flags, config, failing_body))
+    code, report = run(capsys, *(path if arg == "{table}" else arg for arg in argv))
+    assert code == (fail_code if failing else 0)
+    assert sum(c["status"] == "fail" for c in report["checks"]) == failing
+
+
+@pytest.mark.parametrize("flags", [[], ["--out"], ["--out", "--json"], ["--json"]])
+def test_omega_falsification_writes_its_report(flags, tmp_path, capsys, monkeypatch):
+    # a closed form that raises stops the body; the runner records it, and
+    # the report goes where --out and --json send it
+    def falsified(order):
+        raise FalsificationError("closed form off", witness=Fraction(1, 3))
+
+    monkeypatch.setattr(closedform, "closedform_omega_plus", falsified)
+    out = tmp_path / "omega.json"
+    argv = ["omega", "--order", "2"]
+    if "--out" in flags:
+        argv += ["--out", str(out)]
+    if "--json" in flags:
+        argv.append("--json")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    text = out.read_text() if "--out" in flags else captured.out
+    report = json.loads(text)
+    assert strip_timing(report) == {
+        "suite": "omega", "config": {"order": 2}, "table_checksum": None,
+        "checks": [{"check": "falsification", "status": "fail",
+                    "witness": "closed form off", "value": "Fraction(1, 3)"}],
+        "summary": {"total": 1, "passed": 0, "failed": 1}}
+    assert captured.out == ("" if flags == ["--out"] else text)
+    assert not captured.err
+
+
+def test_unwritable_report_file_is_operational_error(tmp_path, capsys):
+    code = main(["omega", "--order", "1", "--out", str(tmp_path / "no" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [["omega", "--copies", "2"],

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cli, diffops
+from g2schur import cauchy, cli, diffops
 from g2schur import table as table_module
+from g2schur.cauchy import check_H1_relation
 from g2schur.diffops import (OP_VARS, _coefficients, _poly1, apply_H_cleared,
-                             apply_H_numerators, homogeneous_component,
+                             apply_H_numerators, fold_premise_failure,
+                             homogeneous_component,
                              region_sources, vanishes_on_region, verify_eigen,
                              verify_recursion_by_components)
 from g2schur.expansion import expand_entry
@@ -84,17 +86,42 @@ def on_region(k, nums):
             if n and e[v] > 0 and e[w] > 0 and e[u] >= 0}
 
 
-def with_weight_sign_flipped(monkeypatch):
-    """Replace ``diffops.apply_H_numerators`` by a copy whose v/w-shift
-    weight has the opposite sign, so that both the folded verdict and the
-    full-plane witness route see the mutation."""
+#: edits of the weights of ``apply_H_numerators`` (shifts v w, v/w, w/v,
+#: 1/(v w), u, 1/u): each weight with its sign flipped, then a term in mu
+#: added to the 1/(v w) weight, which only an operator with mu != 0 shows
+WEIGHT_MUTATIONS = {
+    "vw": ("(diag + (ab + 3 * a + 3 * b) * n,", "(-diag - (ab + 3 * a + 3 * b) * n,"),
+    "v/w": ("(ab - 3 * a + b) * n - diag", "diag - (ab - 3 * a + b) * n"),
+    "w/v": ("(ab + a - 3 * b) * n - diag", "diag - (ab + a - 3 * b) * n"),
+    "1/(vw)": ("diag + (ab - a - b) * n,", "-diag - (ab - a - b) * n,"),
+    "u": ("cross, cross)", "-cross, cross)"),
+    "1/u": ("cross, cross)", "cross, -cross)"),
+    "1/(vw) mu": ("diag + (ab - a - b) * n,", "diag + (ab - a - b + mu_num) * n,"),
+}
+
+
+def with_weight_mutated(monkeypatch, name="v/w", modules=(diffops,)):
+    """Replace ``apply_H_numerators``, where each of ``modules`` holds it, by
+    a copy with the weight mutation ``name``, so that both the folded
+    verdict and the full-plane witness route see the mutation."""
+    old, new = WEIGHT_MUTATIONS[name]
     source = inspect.getsource(diffops.apply_H_numerators)
-    old = "(ab - 3 * a + b) * n - diag"
     assert source.count(old) == 1
     namespace = dict(vars(diffops))
-    exec(source.replace(old, "diag - (ab - 3 * a + b) * n"), namespace)
-    monkeypatch.setattr(diffops, "apply_H_numerators",
-                        namespace["apply_H_numerators"])
+    exec(source.replace(old, new), namespace)
+    for module in modules:
+        monkeypatch.setattr(module, "apply_H_numerators",
+                            namespace["apply_H_numerators"])
+
+
+def fold_premise_record(variable, mu=0):
+    """The record both folded suites append when the cleared H_1 - mu loses
+    its parity in ``variable`` at the monomial 1/(x12 x13 x23)."""
+    parity = "even" if variable == "x23" else "odd"
+    return {"check": "falsification", "stage": "fold-premise", "k": 1,
+            "monomial": [-1, -1, -1], "variable": variable, "status": "fail",
+            "witness": f"(v - 1/v)(w - 1/w)(H_1 - {mu}) is not {parity} under "
+                       f"{variable} -> 1/{variable}"}
 
 
 def series_component_terms(k, m):
@@ -342,13 +369,15 @@ class TestFoldedEigen:
     def test_sign_flipped_shift_weight_fails(self, table8, capsys, monkeypatch):
         # the v/w weight with its sign flipped: records fail, each with the
         # full-plane residual of the mutated operator as witness, and the
-        # command exits 1.  The mutated operator is no longer invariant
-        # under v -> 1/v, which the fold relies on, so the full plane fails
-        # some records the region does not see (such as (0, 1, 1), k = 2,
-        # whose residual -4 x12 lies at e_w = 0); every record the folded
-        # check fails, the full plane fails with the same witness
-        with_weight_sign_flipped(monkeypatch)
-        checks = verify_eigen(table8, 6)
+        # command exits 1.  The mutated operator is no longer odd under
+        # v -> 1/v, which the fold relies on, so the full plane fails some
+        # records the region does not see (such as (0, 1, 1), k = 2, whose
+        # residual -4 x12 lies at e_w = 0); every record the folded check
+        # fails, the full plane fails with the same witness, and one more
+        # record names the broken premise
+        with_weight_mutated(monkeypatch)
+        *checks, guard = verify_eigen(table8, 6)
+        assert guard == fold_premise_record("x12")
         failed = [c for c in checks if c["status"] == "fail"]
         full = full_plane_eigen(table8, 6)
         assert len(failed) >= 10 and all(c["witness"] != "0" for c in failed)
@@ -357,7 +386,29 @@ class TestFoldedEigen:
                 "status": "pass"} in checks
         assert cli.main(["verify", "eigen", "--max-level", "6"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert [c for c in report["checks"] if c["status"] == "fail"] == failed
+        assert [c for c in report["checks"] if c["status"] == "fail"] == failed + [guard]
+
+
+class TestFoldPremise:
+    """``fold_premise_failure`` checks the parity of each cleared operator
+    that the folded eigen and H_1 checks rely on."""
+
+    def test_operators_keep_their_parity(self):
+        assert [fold_premise_failure(k) for k in (1, 2, 3)] == [None] * 3
+
+    @pytest.mark.parametrize("name, variable, mu", [
+        ("vw", "x12", 0), ("v/w", "x12", 0), ("w/v", "x12", 0),
+        ("1/(vw)", "x12", 0), ("u", "x23", 0), ("1/u", "x23", 0),
+        ("1/(vw) mu", "x12", 1)])
+    def test_each_weight_mutation_fails_both_folded_suites(self, table8, monkeypatch,
+                                                           name, variable, mu):
+        # each suite ends with one failing record naming k, the monomial and
+        # the variable, whatever its other records read
+        with_weight_mutated(monkeypatch, name, (diffops, cauchy))
+        record = fold_premise_record(variable, mu)
+        for checks in (verify_eigen(table8, 4), check_H1_relation(table8, 2)):
+            assert [c for c in checks if c["check"] == "falsification"] == [record]
+            assert checks[-1] == record
 
 
 class TestHomogeneousComponents:

@@ -96,8 +96,9 @@ def test_unserializable_value_is_a_type_error():
 
 
 def test_report_is_one_string():
-    report = Report("verify-pieri", {"max_level": 0}, checks=[{"status": "pass"}],
-                    elapsed_ms=3)
+    report = Report("verify-pieri", {"max_level": 0})
+    report.checks.append({"status": "pass"})
+    report.elapsed_ms = 3
     text = report.to_json()
     assert isinstance(text, str) and text.endswith("}\n")
     assert json.loads(text)["elapsed_ms"] == 3
