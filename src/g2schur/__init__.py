@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in (
     ("kernels", """DegreeImages action_check common_kernel kernel_H1
         leading_term_check triple_kernel verify_kernel"""),
     ("laurent", "LaurentPoly3"),
-    ("poles", "MasterSum leading_pole_coefficient"),
+    ("poles", "leading_pole_coefficient"),
     ("series", "SingularSeriesError TruncSeries3"),
     ("specialized", "specialized_sum_check verify_specialized"),
     ("table", """SchurTable enumerate_level is_admissible leading_term

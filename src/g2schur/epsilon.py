@@ -9,10 +9,11 @@ Products derive the order of the result from the operands and never silently
 extend it.
 
 No command computes with this class: the pole data of ``poles.py`` are built
-from the factored denominator in ``klocal`` numerators.  It is the arithmetic
-of the former route, the test oracle of those pole data (``specialize_master``
-in ``tests/test_cauchy.py``), and its product and inverse stay here because
-the layer trace of ``perfbench/traced.py`` wraps them (ROADMAP item 1).
+from the binomial basis of the labels' simplex coordinates in ``klocal``
+numerators.  It is the arithmetic of the former route, the test oracle of
+those pole data (``specialize_master`` in ``tests/test_cauchy.py``), and its
+product and inverse stay here because the layer trace of
+``perfbench/traced.py`` wraps them (ROADMAP item 1).
 """
 
 from __future__ import annotations

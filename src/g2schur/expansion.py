@@ -22,6 +22,7 @@ degree d, and validates them on every label above that level.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -126,6 +127,37 @@ def _times_series(generators: list[TruncSeries3]):
     return times
 
 
+@functools.lru_cache(maxsize=None)
+def newton_steps(degree: int) -> tuple[list[Triple], list[Exp],
+                                       list[tuple[int, int]]]:
+    """The forward-difference plan of the label simplex of one degree.
+
+    Returns the labels through level 2 * degree, their points (a, b, c) with
+    (j1, j2, j3) = (b+c, a+c, a+b), and the steps (i, j), meaning
+    v[i] -= v[j], that turn values v at those labels into the Newton
+    coefficients of the polynomial of degree <= ``degree`` through them: the
+    value at index i becomes Delta^alpha v(0) for alpha = points[i], the
+    coefficient of C(a,alpha1) C(b,alpha2) C(c,alpha3).  Shared by the family
+    fit and the pole data of ``poles.py``; the lists are not to be mutated.
+    """
+    simplex = enumerate_through(2 * degree)
+    # the label (j1, j2, j3) at level 2n is the point (n-j1, n-j2, n-j3)
+    points = [tuple(sum(t) // 2 - j for j in t) for t in simplex]
+    index = {p: i for i, p in enumerate(points)}
+    # difference along a, then b, then c; each line in place, from its end
+    steps = []
+    for axis in range(3):
+        for p in points:
+            if p[axis]:
+                continue
+            line = [index[p[:axis] + (k,) + p[axis + 1:]]
+                    for k in range(degree - sum(p) + 1)]
+            for k in range(1, len(line)):
+                steps.extend((line[i], line[i - 1])
+                             for i in range(len(line) - 1, k - 1, -1))
+    return simplex, points, steps
+
+
 class CoeffFamily:
     """Closed-form coefficient of one series monomial as a polynomial in labels."""
 
@@ -153,10 +185,10 @@ class ExpansionSet:
     of the simplex a + b + c <= d, with (j1, j2, j3) = (b+c, a+c, a+b); the
     simplex is unisolvent for degree d, so the family is its Newton
     expansion sum_alpha Delta^alpha c(0) C(a,alpha1) C(b,alpha2) C(c,alpha3)
-    and no linear system is built.  ``_fit_plan`` fixes, once per degree,
-    the order of the difference steps, the binomial basis as integer
-    numerators over one denominator and the monomial rows of the validation
-    labels.  Each family's values are read from the series numerators,
+    and no linear system is built.  ``newton_steps`` fixes, once per degree,
+    the order of the difference steps, which the pole data of ``poles.py``
+    share; ``_fit_plan`` adds the binomial basis as integer numerators over
+    one denominator and the monomial rows of the validation labels.  Each family's values are read from the series numerators,
     brought to one denominator and differenced in place; the only Fractions
     built are the family's coefficients.  Validation takes each remaining
     label's monomial row against the family's cleared numerators
@@ -197,10 +229,10 @@ class ExpansionSet:
     def _fit_plan(self, degree: int) -> tuple[list[Triple], list[tuple[int, int]],
                                               list[list[int]], int,
                                               list[tuple[Triple, list[int]]]]:
-        """For one degree: the simplex labels, the forward-difference steps
-        (i, j) meaning v[i] -= v[j], the Newton basis as one integer column
-        per monomial over one denominator, and the remaining labels with
-        their integer monomial rows."""
+        """For one degree: the simplex labels and difference steps of
+        ``newton_steps``, the Newton basis as one integer column per monomial
+        over one denominator, and the remaining labels with their integer
+        monomial rows."""
         if degree in self._fit_data:
             return self._fit_data[degree]
         labels = enumerate_through(self.table.max_level)
@@ -210,21 +242,7 @@ class ExpansionSet:
             raise ValueError(
                 f"table level {self.table.max_level} provides only rank "
                 f"{len(labels)} of {len(monomials)} for degree {degree}")
-        # the label (j1, j2, j3) at level 2n is the point (n-j1, n-j2, n-j3)
-        simplex = enumerate_through(2 * degree)
-        points = [tuple(sum(t) // 2 - j for j in t) for t in simplex]
-        index = {p: i for i, p in enumerate(points)}
-        # difference along a, then b, then c; each line in place, from its end
-        steps = []
-        for axis in range(3):
-            for p in points:
-                if p[axis]:
-                    continue
-                line = [index[p[:axis] + (k,) + p[axis + 1:]]
-                        for k in range(degree - sum(p) + 1)]
-                for k in range(1, len(line)):
-                    steps.extend((line[i], line[i - 1])
-                                 for i in range(len(line) - 1, k - 1, -1))
+        simplex, points, steps = newton_steps(degree)
         # C(x, k) = prod_{i<k} (2x - 2i) / (2^k k!) for x = a, b, c, and
         # every basis element over the one denominator 2^d d!
         j1, j2, j3 = (LaurentPoly3.monomial(e, 1)
@@ -299,12 +317,20 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     """The ``verify series`` suite: expansion normalization, validated and
     reference families, and the graded recursions through level 6.
 
-    A table the expansions reject gets one failing record, as in
-    ``verify_cauchy``.  Every family through ``order`` is fitted; a table
-    too low for the top degree raises the fit's ``ValueError``.  A family no
-    polynomial of its degree bound fits, or one off its reference, fails its
-    record with the fit's witness or the fitted family; later checks still run.
+    A table below level max(2 * order, 6) raises ``ValueError`` before any
+    check: the families through ``order`` are fitted on the labels through
+    level 2 * order, and the reference families (2, 0, 0) and (3, 0, 0) on
+    those through level 6.  A table the expansions reject gets one failing
+    record, as in ``verify_cauchy``.  A family no polynomial of its degree
+    bound fits, or one off its reference, fails its record with the fit's
+    witness or the fitted family; later checks still run.
     """
+    need = max(2 * order, 6)
+    if table.max_level < need:
+        raise ValueError(
+            f"table level {table.max_level} is below {need}: verify series fits "
+            f"the families through order {order} (level {2 * order}) and the "
+            f"reference families (2, 0, 0) and (3, 0, 0) (level 6)")
     try:
         es = ExpansionSet(table, max(order, 4))
     except FalsificationError as exc:

@@ -13,7 +13,7 @@ Coefficients are Python ``int`` where the value is integral and ``Fraction``
 elsewhere; the arithmetic is the same generic code for both.  The constants
 here (1, kappa^n, the unit 1 - kappa^2 and its powers) are ``int``, and an
 exact reciprocal (``__rtruediv__``) returns an ``int`` coefficient, so values
-built from integer data, such as the principal parts of the label monomials,
+built from integer data, such as the principal parts of the binomial basis,
 stay integers: an ``int`` product or sum costs a fraction of a ``Fraction``
 one, which normalizes by a gcd every time.  Fractions enter only with
 fractional inputs, such as the family weights of ``linear_combination``.
@@ -26,8 +26,8 @@ lets ``denpow`` and the numerator grow with every step, although the values
 they represent stay small.  ``linear_combination`` sums many weighted values
 at one common power, as the residue extraction does.  The numerator helpers
 ``convolve``, ``unit_power`` and ``reduced`` are public: the pole data of the
-label monomials (``poles._monomial_poles``) sum integer numerators over one
-power of the unit and reduce once per value.
+binomial basis of the label polynomials (``poles._binomial_poles``) sum
+integer numerators over one power of the unit and reduce once per value.
 """
 
 from __future__ import annotations

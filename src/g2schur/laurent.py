@@ -147,17 +147,6 @@ class LaurentPoly3:
         out.terms = {e: c * v for e, v in self.terms.items()}
         return out
 
-    def mul_monomial(self, exp: Exp, coeff=Fraction(1)) -> "LaurentPoly3":
-        if not coeff:
-            return LaurentPoly3()
-        d1, d2, d3 = exp
-        out = LaurentPoly3.__new__(LaurentPoly3)
-        out.terms = {
-            (e1 + d1, e2 + d2, e3 + d3): c * coeff
-            for (e1, e2, e3), c in self.terms.items()
-        }
-        return out
-
     def cleared(self) -> tuple[dict[Exp, int], int]:
         """Integer numerators over the lcm of the coefficient denominators.
 

@@ -1,30 +1,31 @@
 """Label sums in closed form and their poles at lambda = kappa.
 
-The label sum of a polynomial p in (j1, j2, j3) collapses through
+Every admissible label is J = (b+c, a+c, a+b) with a, b, c >= 0, so a label
+polynomial is a combination of the binomial basis C(a,p0) C(b,p1) C(c,p2),
+and the label sum of one basis element is a product of three one-variable
+sums, sum_n C(n,k) z^n = z^k / (1 - z)^{k+1}:
 
-    sum_J p(J) L1^{j1} L2^{j2} L3^{j3}
-        = p(theta) [ 1 / ((1-L1L2)(1-L1L3)(1-L2L3)) ],
+    sum_J C(a,p0) C(b,p1) C(c,p2) L1^{j1} L2^{j2} L3^{j3}
+        = z_a^p0 z_b^p1 z_c^p2 / ((1-z_a)^{p0+1} (1-z_b)^{p1+1} (1-z_c)^{p2+1}),
 
-where theta_i = L_i d/dL_i and the denominators stay factored
-(``MasterSum``).  The label polynomials are ``LaurentPoly3`` values in
-(j1, j2, j3); a negative exponent has no theta form and raises
-``ValueError``.  Specializing L1 = kappa^{+-1}, L2 = L3 = kappa(1-eps) and
-expanding in eps exposes the pole at lambda = kappa: order at most 2 for
-minus-type coefficients, at most 3 for plus-type (``POLE_BOUND``).
+with z_a = L2 L3, z_b = L1 L3 and z_c = L1 L2.  The label polynomials are
+``LaurentPoly3`` values in (j1, j2, j3); a negative exponent is not a
+polynomial and raises ``ValueError``.  Specializing L1 = kappa^{+-1},
+L2 = L3 = kappa(1-eps) and expanding in eps exposes the pole at
+lambda = kappa: order at most 2 for minus-type coefficients, at most 3 for
+plus-type (``POLE_BOUND``).
 
-Only the branch L1 = 1/kappa has a pole.  There the factors (1 - L1 L2) and
-(1 - L1 L3) are exactly eps, and the third is the unit
+Only the branch L1 = 1/kappa has a pole.  There z_b = z_c = 1 - eps, and
+1 - z_a is the unit
 
     g = 1 - L2 L3 = (1 - kappa^2) + kappa^2 eps (2 - eps),
 
-so a closed form numer / prod (1 - L.L)^p is eps^{-(p0+p1)} num(eps) g^{-p2}.
-The binomial series of g^{-p2} has integer numerators over powers of
-(1 - kappa^2); each of its coefficients is built once per process and shared
-by every label monomial, and each principal-part coefficient is summed as one
-integer numerator and reduced once (``_monomial_poles``).  The former route,
-the full specialized denominator inverted by ``EpsLaurent.inverse`` per
-monomial, is the test oracle in ``tests/test_cauchy.py``; this module needs
-no ``EpsLaurent``.
+so a basis element's sum is kappa^{2 p0} eps^{-(s+2)} (1-eps)^{2 p0 + s}
+g^{-(p0+1)} with s = p1 + p2, whose principal part is built once per process
+on integer numerators (``_binomial_poles``).  The former route, Euler
+operators on the master sum 1 / ((1-L1L2)(1-L1L3)(1-L2L3)) with the whole
+specialized denominator inverted by ``EpsLaurent.inverse``, is the test
+oracle in ``tests/test_cauchy.py``; this module needs no ``EpsLaurent``.
 """
 
 from __future__ import annotations
@@ -34,84 +35,9 @@ import math
 from fractions import Fraction
 
 from .errors import FalsificationError
+from .expansion import newton_steps
 from .klocal import KLocal, convolve, linear_combination, reduced, unit_power
-from .laurent import Exp, LaurentPoly3
-
-# ---------------------------------------------------------------------------
-# master generating sum with factored denominators
-# ---------------------------------------------------------------------------
-
-#: which of the denominator factors (1-L1L2), (1-L1L3), (1-L2L3) involve L_i
-_FACTORS_WITH = {0: (0, 1), 1: (0, 2), 2: (1, 2)}
-_FACTOR_MONO = {0: (1, 1, 0), 1: (1, 0, 1), 2: (0, 1, 1)}
-
-
-def _factor_poly(idx: int) -> LaurentPoly3:
-    return LaurentPoly3({(0, 0, 0): 1, _FACTOR_MONO[idx]: -1})
-
-
-class MasterSum:
-    """Closed form numer / prod_i (1 - L.L)^powers[i], denominators factored."""
-
-    def __init__(self, numer: LaurentPoly3, powers: tuple[int, int, int]):
-        self.numer = numer
-        self.powers = powers
-
-    def theta(self, i: int) -> "MasterSum":
-        """Apply the Euler operator L_i d/dL_i."""
-        f, g = _FACTORS_WITH[i]
-        powers = list(self.powers)
-        powers[f] += 1
-        powers[g] += 1
-        dn = LaurentPoly3({e: c * e[i] for e, c in self.numer.terms.items() if e[i]})
-        num = dn * _factor_poly(f) * _factor_poly(g)
-        # -theta_i (1 - L_aL_b) = L_aL_b for each factor containing L_i
-        num = num + self.numer * LaurentPoly3.monomial(
-            _FACTOR_MONO[f], self.powers[f]) * _factor_poly(g)
-        num = num + self.numer * LaurentPoly3.monomial(
-            _FACTOR_MONO[g], self.powers[g]) * _factor_poly(f)
-        return MasterSum(num, tuple(powers))
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_master(exp: tuple[int, int, int]) -> MasterSum:
-    """Cached closed form for the label monomial j1^a j2^b j3^c.
-
-    Built from the integer constant 1 by ``theta``, whose factors and
-    multipliers are integers too, so the numerator has ``int`` coefficients.
-    """
-    for i in (2, 1, 0):
-        if exp[i]:
-            prev = list(exp)
-            prev[i] -= 1
-            return _monomial_master(tuple(prev)).theta(i)
-    return MasterSum(LaurentPoly3.constant(1), (1, 1, 1))
-
-
-# ---------------------------------------------------------------------------
-# principal parts at L1 = 1/kappa, L2 = L3 = kappa (1 - eps)
-# ---------------------------------------------------------------------------
-
-def _kappa_eps_numerators(poly: LaurentPoly3, upto: int) -> dict[int, dict[int, int]]:
-    """eps-degree -> kappa-exponent -> coefficient of ``poly`` in (L1, L2, L3)
-    at L1 = 1/kappa, L2 = L3 = kappa (1 - eps), through eps^upto.
-
-    L1^a L2^b L3^c becomes kappa^{b+c-a} (1 - eps)^{b+c}, so the terms that
-    share (b + c - a, b + c) are summed before the binomial expansion.
-    """
-    grouped: dict[tuple[int, int], int] = {}
-    for (a, b, c), coeff in poly.terms.items():
-        key = (b + c - a, b + c)
-        grouped[key] = grouped.get(key, 0) + coeff
-    per_degree: dict[int, dict[int, int]] = {}
-    for (kexp, n), coeff in grouped.items():
-        if not coeff:
-            continue
-        for t in range(min(n, upto) + 1):
-            slot = per_degree.setdefault(t, {})
-            slot[kexp] = slot.get(kexp, 0) + (-1) ** t * math.comb(n, t) * coeff
-    return per_degree
-
+from .laurent import LaurentPoly3
 
 #: (a, b) with 1 - L2 L3 = (1 - kappa^2) + kappa^2 eps (a + b eps) at
 #: L2 = L3 = kappa (1 - eps)
@@ -146,35 +72,30 @@ POLE_BOUND = {"-": 2, "+": 3}
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_poles(exp: tuple[int, int, int]) -> dict[int, KLocal]:
-    """Principal part in eps of the label monomial j^exp at L1 = 1/kappa.
+def _binomial_poles(p0: int, s: int) -> dict[int, KLocal]:
+    """Principal part in eps of the label sum of C(a,p0) C(b,p1) C(c,p2),
+    s = p1 + p2, at L1 = 1/kappa, L2 = L3 = kappa (1 - eps).
 
-    Only this branch has a pole: at L1 = kappa^{-1} the factors (1 - L1 L2)
-    and (1 - L1 L3) both become eps, while at L1 = kappa every denominator
-    factor is a unit at eps = 0 and the branch is a power series.  With the
-    closed form numer / prod (1 - L.L)^p and P = p0 + p1, the coefficient of
-    eps^{d-P} (d < P) is
+    The sum is kappa^{2 p0} eps^{-(s+2)} (1-eps)^n g^{-q} with n = 2 p0 + s
+    and q = p0 + 1, so the coefficient of eps^{d-(s+2)} (d < s + 2) is
 
-        sum_j num_j (1 - kappa^2)^j N_{d-j} / (1 - kappa^2)^{p2+d},
+        kappa^{2 p0} sum_j (-1)^j C(n, j) (1 - kappa^2)^j N_{d-j}
+            / (1 - kappa^2)^{q+d},
 
-    with num_j the eps^j coefficient of the specialized numerator and N_k
-    that of g^{-p2} (``_g_inverse_numerator``).  Each value is summed in
-    integers and reduced once, so it comes back in the canonical form of
+    with N_k the numerator of the eps^k coefficient of g^{-q}
+    (``_g_inverse_numerator``).  Each value is summed in integers and
+    reduced once, so it comes back in the canonical form of
     ``klocal.reduced``, with ``int`` coefficients.
     """
-    ms = _monomial_master(exp)
-    p0, p1, p2 = ms.powers
-    lead = p0 + p1
-    num = _kappa_eps_numerators(ms.numer, lead - 1)
-    lifted = {j: convolve(terms, unit_power(j)) for j, terms in num.items()}
+    n, q, lead = 2 * p0 + s, p0 + 1, s + 2
     poles: dict[int, KLocal] = {}
     for d in range(lead):
         acc: dict[int, int] = {}
-        for j, terms in lifted.items():
-            if j <= d:
-                for e, c in convolve(terms, _g_inverse_numerator(p2, d - j)).items():
-                    acc[e] = acc.get(e, 0) + c
-        value = reduced({e: c for e, c in acc.items() if c}, p2 + d)
+        for j in range(min(n, d) + 1):
+            w = (-1) ** j * math.comb(n, j)
+            for e, c in convolve(unit_power(j), _g_inverse_numerator(q, d - j)).items():
+                acc[e + 2 * p0] = acc.get(e + 2 * p0, 0) + w * c
+        value = reduced({e: c for e, c in acc.items() if c}, q + d)
         if value:
             poles[d - lead] = value
     return poles
@@ -188,28 +109,36 @@ def leading_pole_coefficient(p: LaurentPoly3, sign: str,
     eps^shift * (weighted sum) and must have a pole of order at most 2 ('-')
     or 3 ('+').  Returns (leading coefficient at that bound, actual order).
 
-    The pole part is linear in ``p``: the minus-type sum is
-    -kappa^{-1} sum_e c_e P_e and the plus-type sum, whose weight carries the
-    extra factor (j1 + 1), is kappa^{-1} sum_e c_e (P_{e + (1,0,0)} + P_e),
-    where P_e is the principal part of the monomial j^e, computed once per
-    process (``_monomial_poles``).  The pole order is read off the combined
-    series, because single monomials have higher poles than the fitted
-    families (j2 alone has order 3 for '-' and 4 for '+').
-    ``weighted_sum_eps`` in ``tests/test_cauchy.py`` is the independent
-    per-polynomial route.
+    The pole part is that of the label sum of w = -kappa^{-1} p for '-' and
+    of w = kappa^{-1} (j1 + 1) p for '+', whose weight carries the extra
+    factor (j1 + 1), on the branch L1 = 1/kappa.  The label polynomial of w,
+    of degree d, is cleared to integer numerators, evaluated on the labels
+    through level 2d and differenced (``expansion.newton_steps``) into its
+    coefficients D on the binomial basis; the pole part is then
+    sum D[p] P(p0, p1 + p2), with P the principal part of one basis element
+    (``_binomial_poles``).  The pole order is read off the combined series,
+    because single basis elements have higher poles than the fitted
+    families.  ``weighted_sum_eps`` in ``tests/test_cauchy.py`` is the
+    independent per-polynomial route.
     """
     if not p.is_polynomial():
         raise ValueError("label polynomial has a negative exponent")
     bound = POLE_BOUND[sign]
-    weights: dict[Exp, Fraction] = {}
-    for (a, b, c), coeff in p.terms.items():
-        if sign == "-":
-            weights[(a, b, c)] = weights.get((a, b, c), 0) - coeff
-        else:
-            for e in ((a, b, c), (a + 1, b, c)):
-                weights[e] = weights.get(e, 0) + coeff
-    weights = {e: w for e, w in weights.items() if w}
-    poles = [(w, _monomial_poles(e)) for e, w in weights.items()]
+    nums, den = p.cleared()
+    degree = max(map(sum, nums), default=0) + (sign == "+")
+    simplex, points, steps = newton_steps(degree)
+    values = []
+    for j1, j2, j3 in simplex:
+        v = sum(n * j1**e1 * j2**e2 * j3**e3 for (e1, e2, e3), n in nums.items())
+        values.append(v * (j1 + 1) if sign == "+" else v)
+    for i, j in steps:
+        values[i] -= values[j]
+    # the basis elements with one (p0, p1 + p2) share their pole data
+    grouped: dict[tuple[int, int], int] = {}
+    for (a, b, c), v in zip(points, values):
+        grouped[a, b + c] = grouped.get((a, b + c), 0) + v
+    poles = [(Fraction(-v if sign == "-" else v, den), _binomial_poles(*key))
+             for key, v in grouped.items() if v]
     for d in sorted({d for _, pole in poles for d in pole}):
         value = linear_combination((w, pole[d]) for w, pole in poles if d in pole)
         if value:

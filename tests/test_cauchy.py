@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from g2schur.diffops import homogeneous_component
 from g2schur.epsilon import EpsLaurent
 from g2schur.klocal import KLocal, reduced
 from g2schur.laurent import LaurentPoly3
-from g2schur.poles import POLE_BOUND, MasterSum, leading_pole_coefficient
+from g2schur.poles import POLE_BOUND, leading_pole_coefficient
 from g2schur.series import TruncSeries3, exponents_upto
 from g2schur.specialized import (_specialization_cleared, specialized_sum_check,
                                  verify_specialized)
@@ -27,15 +28,68 @@ from tests.test_laurent import subs_unit
 from tests.test_table import perturbed
 
 
+# ---------------------------------------------------------------------------
+# the former route of the pole data, kept as the independent oracle: Euler
+# operators theta_i = L_i d/dL_i on the master sum
+#
+#     sum_J p(J) L1^{j1} L2^{j2} L3^{j3}
+#         = p(theta) [ 1 / ((1-L1L2)(1-L1L3)(1-L2L3)) ],
+#
+# with the denominators kept factored
+# ---------------------------------------------------------------------------
+
+#: which of the denominator factors (1-L1L2), (1-L1L3), (1-L2L3) involve L_i
+_FACTORS_WITH = {0: (0, 1), 1: (0, 2), 2: (1, 2)}
+_FACTOR_MONO = {0: (1, 1, 0), 1: (1, 0, 1), 2: (0, 1, 1)}
+
+
+def _factor_poly(idx: int) -> LaurentPoly3:
+    return LaurentPoly3({(0, 0, 0): 1, _FACTOR_MONO[idx]: -1})
+
+
+class MasterSum:
+    """Closed form numer / prod_i (1 - L.L)^powers[i], denominators factored."""
+
+    def __init__(self, numer: LaurentPoly3, powers: tuple[int, int, int]):
+        self.numer = numer
+        self.powers = powers
+
+    def theta(self, i: int) -> "MasterSum":
+        """Apply the Euler operator L_i d/dL_i."""
+        f, g = _FACTORS_WITH[i]
+        powers = list(self.powers)
+        powers[f] += 1
+        powers[g] += 1
+        dn = LaurentPoly3({e: c * e[i] for e, c in self.numer.terms.items() if e[i]})
+        num = dn * _factor_poly(f) * _factor_poly(g)
+        # -theta_i (1 - L_aL_b) = L_aL_b for each factor containing L_i
+        num = num + self.numer * LaurentPoly3.monomial(
+            _FACTOR_MONO[f], self.powers[f]) * _factor_poly(g)
+        num = num + self.numer * LaurentPoly3.monomial(
+            _FACTOR_MONO[g], self.powers[g]) * _factor_poly(f)
+        return MasterSum(num, tuple(powers))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_master(exp: tuple[int, int, int]) -> MasterSum:
+    """Cached closed form for the label monomial j1^a j2^b j3^c, built from
+    the integer constant 1 by ``theta``."""
+    for i in (2, 1, 0):
+        if exp[i]:
+            prev = list(exp)
+            prev[i] -= 1
+            return _monomial_master(tuple(prev)).theta(i)
+    return MasterSum(LaurentPoly3.constant(1), (1, 1, 1))
+
+
 def master_sum(p: LaurentPoly3) -> list[MasterSum]:
     """The closed form of sum_J p(J) L1^{j1} L2^{j2} L3^{j3} over admissible
     labels as one term per monomial c j^e of ``p``: the closed form of j^e
-    (``poles._monomial_master``) with its numerator scaled by c.  The sum is
+    (``_monomial_master``) with its numerator scaled by c.  The sum is
     linear in ``p``, so each route below adds up the images of the terms."""
     if not p.is_polynomial():
         raise ValueError("label polynomial has a negative exponent")
-    return [MasterSum(poles._monomial_master(e).numer.scale(c),
-                      poles._monomial_master(e).powers)
+    return [MasterSum(_monomial_master(e).numer.scale(c), _monomial_master(e).powers)
             for e, c in sorted(p.terms.items())]
 
 
@@ -74,7 +128,7 @@ def specialize_master(ms: MasterSum, s1: int, upto: int = 2) -> EpsLaurent:
     The full denominator product, specialized factor by factor and inverted
     by ``EpsLaurent.inverse``, with the numerator expanded term by term: the
     former route of the package's pole data, kept as the oracle of
-    ``poles._monomial_poles`` and as the specialization of
+    ``poles._binomial_poles`` and as the specialization of
     ``weighted_sum_eps``.
     """
     num = _kappa_eps_poly(ms.numer, s1)
@@ -110,7 +164,7 @@ def taylor(ms: MasterSum, order: int) -> TruncSeries3:
     """The closed form ``ms`` as a power series in (L1, L2, L3)."""
     series = TruncSeries3.from_poly(ms.numer, order)
     for idx in range(3):
-        inv = TruncSeries3.from_poly(poles._factor_poly(idx), order).invert()
+        inv = TruncSeries3.from_poly(_factor_poly(idx), order).invert()
         for _ in range(ms.powers[idx]):
             series = series * inv
     return series
@@ -235,23 +289,45 @@ class TestLinearExtraction:
                 leading_pole_coefficient(p, sign, 0)
 
 
+@functools.lru_cache(maxsize=None)
 def inverted_denominator_poles(e) -> dict[int, KLocal]:
     """The principal part of the label monomial j^e at L1 = 1/kappa by the
     former route: the full specialized denominator, inverted per monomial."""
-    series = specialize_master(poles._monomial_master(e), -1, upto=-1)
+    series = specialize_master(_monomial_master(e), -1, upto=-1)
     return {d: c for d, c in series.coeffs.items() if d < 0}
 
 
-def mismatched_monomials(degree: int) -> list:
-    """The monomials through ``degree`` whose pole data differ from the
-    former route in any degree, numerator term or ``denpow``."""
+def former_poles(q: LaurentPoly3) -> dict[int, KLocal]:
+    """The principal part of the label sum of ``q`` at L1 = 1/kappa, summed
+    over its monomials by the former route."""
+    out: dict[int, KLocal] = {}
+    for e, c in q.terms.items():
+        for d, value in inverted_denominator_poles(e).items():
+            out[d] = out.get(d, KLocal.zero()) + value * c
+    return {d: value for d, value in out.items() if value}
+
+
+def binomial_basis(p) -> LaurentPoly3:
+    """C(a,p0) C(b,p1) C(c,p2) written in j, with a = (j2+j3-j1)/2,
+    b = (j1+j3-j2)/2 and c = (j1+j2-j3)/2."""
+    j1, j2, j3 = (LaurentPoly3.monomial(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    out = LaurentPoly3.one()
+    for k, twice in zip(p, (j2 + j3 - j1, j1 + j3 - j2, j1 + j2 - j3)):
+        for i in range(k):
+            out = out * (twice - LaurentPoly3.constant(2 * i)).scale(Fraction(1, 2 * (i + 1)))
+    return out
+
+
+def mismatched_basis(degree: int) -> list:
+    """The basis exponents p through ``degree`` whose pole data differ from
+    the former route in any degree, numerator term or ``denpow``."""
     bad = []
-    for e in exponents_upto(degree):
-        got, want = poles._monomial_poles(e), inverted_denominator_poles(e)
+    for p in exponents_upto(degree):
+        got, want = poles._binomial_poles(p[0], p[1] + p[2]), former_poles(binomial_basis(p))
         if got.keys() != want.keys() or any(
                 (got[d].terms, got[d].denpow) != (want[d].terms, want[d].denpow)
                 for d in got):
-            bad.append(e)
+            bad.append(p)
     return bad
 
 
@@ -259,32 +335,42 @@ def mismatched_monomials(degree: int) -> list:
 def fresh_pole_caches():
     """Empty the process-wide pole caches before and after a test that
     changes what fills them."""
-    poles._monomial_poles.cache_clear()
+    poles._binomial_poles.cache_clear()
     poles._g_inverse_numerator.cache_clear()
     yield
-    poles._monomial_poles.cache_clear()
+    poles._binomial_poles.cache_clear()
     poles._g_inverse_numerator.cache_clear()
 
 
 class TestMonomialPoles:
-    """The cached principal parts P_e of the label monomials, on integers."""
+    """The cached principal parts of the binomial basis monomials
+    C(a,p0) C(b,p1) C(c,p2), on integers."""
 
     def test_coefficients_are_int(self):
-        for e in exponents_upto(6):
-            for d, value in poles._monomial_poles(e).items():
-                assert all(type(c) is int for c in value.terms.values()), (e, d)
+        for p0, p1, p2 in exponents_upto(6):
+            for d, value in poles._binomial_poles(p0, p1 + p2).items():
+                assert all(type(c) is int for c in value.terms.values()), (p0, p1, p2, d)
+
+    def test_basis_polynomial_in_the_labels(self):
+        # the basis element takes the value C(a,p0) C(b,p1) C(c,p2) at the
+        # label (b+c, a+c, a+b)
+        for p in exponents_upto(3):
+            q = binomial_basis(p)
+            for a, b, c in exponents_upto(4):
+                want = math.comb(a, p[0]) * math.comb(b, p[1]) * math.comb(c, p[2])
+                assert evaluate(q, (b + c, a + c, a + b)) == want, (p, (a, b, c))
 
     def test_match_the_inverted_denominator_exactly(self):
-        # every monomial through degree 6 (84 of them): the same degrees,
-        # numerator terms and denpow
+        # every basis element through degree 6 (84 of them): the same
+        # degrees, numerator terms and denpow as the former route
         assert len(exponents_upto(6)) == 84
-        assert mismatched_monomials(6) == []
+        assert mismatched_basis(6) == []
 
     def test_wrong_sign_in_g_is_caught(self, monkeypatch, fresh_pole_caches):
         # g = 1 - L2 L3 = (1 - kappa^2) + kappa^2 eps (2 - eps); with the sign
         # of its eps^2 term flipped, the comparison must fail
         monkeypatch.setattr(poles, "_G_SLOPE", (2, 1))
-        assert mismatched_monomials(3)
+        assert mismatched_basis(3)
 
     def test_g_inverse_matches_the_unit_inverse(self):
         # the binomial coefficients of g^-p against EpsLaurent.inverse of g^p
@@ -300,17 +386,44 @@ class TestMonomialPoles:
                 want = inv.coefficient(k)
                 assert (got.terms, got.denpow) == (want.terms, want.denpow), (p, k)
 
+    @pytest.mark.parametrize("sign", "-+")
+    def test_basis_elements_reach_their_own_pole_data(self, sign):
+        # C(a,p0) C(b,p1) C(c,p2) has its leading pole at eps^-(s+2),
+        # s = p1 + p2, and (j1 + 1) = b + c + 1 raises it by one for '+':
+        # the extraction at shift s must read the former route's leading
+        # coefficient of the whole weight, -kappa^-1 or kappa^-1 times it
+        j1_plus_1 = LaurentPoly3({(1, 0, 0): 1, (0, 0, 0): 1})
+        for p in exponents_upto(4):
+            q = binomial_basis(p)
+            weight = q if sign == "-" else q * j1_plus_1
+            want = former_poles(weight)
+            lead = min(want)
+            assert lead == -(p[1] + p[2] + POLE_BOUND[sign]), (p, sign)
+            value, order = leading_pole_coefficient(q, sign, p[1] + p[2])
+            assert order == POLE_BOUND[sign], (p, sign)
+            scale = KLocal.kappa_power(-1) * (-1 if sign == "-" else 1)
+            assert value == want[lead] * scale, (p, sign)
+
     def test_match_the_fraction_route(self):
-        # j^e / 3 forces Fraction coefficients through the whole extraction
-        for e in exponents_upto(5):
-            (third_of,) = master_sum(LaurentPoly3.monomial(e, Fraction(1, 3)))
-            series = specialize_master(third_of, -1, upto=-1)
-            third = {d: c for d, c in series.coeffs.items() if d < 0}
-            assert_exact(third)
-            got = poles._monomial_poles(e)
-            assert got.keys() == third.keys(), e
-            for d, value in got.items():
-                assert value == third[d] * 3, (e, d)
+        # p / 3 gives the basis coefficients another denominator: the
+        # results, witnesses included, differ by the factor 3
+        for e in exponents_upto(4):
+            p = LaurentPoly3.monomial(e, 1) + LaurentPoly3.monomial((0, 0, 0), 2)
+            third = p.scale(Fraction(1, 3))
+            for sign in "-+":
+                for shift in range(7):
+                    try:
+                        got = leading_pole_coefficient(p, sign, shift)
+                    except FalsificationError as exc:
+                        with pytest.raises(FalsificationError) as info:
+                            leading_pole_coefficient(third, sign, shift)
+                        assert str(info.value) == str(exc)
+                        assert info.value.witness * 3 == exc.witness
+                        continue
+                    value, order = leading_pole_coefficient(third, sign, shift)
+                    assert order == got[1], (e, sign, shift)
+                    assert value * 3 == got[0], (e, sign, shift)
+                    assert_exact(value)
 
 
 @pytest.mark.parametrize("extract", [
@@ -678,7 +791,7 @@ def fraction_specialized_sum_check(j1, J, table):
         rec["status"] = "pass" if not total else "fail"
         return rec
     lhs = total.scale(Fraction(j1 + 1))
-    lhs = lhs.mul_monomial((0, j1, 0))
+    lhs = lhs * LaurentPoly3.monomial((0, j1, 0))
     lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((-1, 1, 0)))
     lhs = lhs * (LaurentPoly3.one() - LaurentPoly3.monomial((1, 1, 0)))
     rhs = (LaurentPoly3.one() - LaurentPoly3.monomial((-(j1 + 1), j1 + 1, 0))) * \

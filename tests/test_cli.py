@@ -650,11 +650,24 @@ class TestVerifyCommands:
         assert len(fits) == 84 and all(c["status"] == "pass" for c in fits)
 
     def test_series_table_too_low_for_order_is_operational_error(self, capsys):
-        # degree 5 families need the labels through level 10
+        # the families through order 6 need the labels through level 12
         assert main(["verify", "series", "--max-level", "8", "--order", "6"]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert ("table level 8 provides only rank 35 of 56 for degree 5"
+        assert ("table level 8 is below 12: verify series fits the families "
+                "through order 6 (level 12)" in captured.err)
+
+    @pytest.mark.parametrize("level, order", [(4, 2), (2, 1), (0, 0)])
+    def test_series_table_too_low_for_the_references(self, capsys, level, order):
+        # the reference families (2,0,0) and (3,0,0) need level 6 at any
+        # order; the error names that level, not a degree above the order
+        assert main(["verify", "series", "--max-level", str(level),
+                     "--order", str(order)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert (f"table level {level} is below 6: verify series fits the "
+                f"families through order {order} (level {2 * order}) and the "
+                "reference families (2, 0, 0) and (3, 0, 0) (level 6)"
                 in captured.err)
 
     def test_cauchy_fails_the_poles_of_unvalidated_families(self, capsys):

@@ -138,7 +138,8 @@ def series_component_terms(k, m):
             unit_poly = unit_poly * _poly1(pos, [c, 1])
         series = (TruncSeries3.from_poly(LaurentPoly3(num), degree)
                   * TruncSeries3.from_poly(unit_poly, degree).invert())
-        part = series.homogeneous_part(degree).mul_monomial(tuple(-x for x in pole))
+        part = series.homogeneous_part(degree) * LaurentPoly3.monomial(
+            tuple(-x for x in pole))
         if part:
             terms.append((part, deriv))
     return terms
@@ -218,7 +219,8 @@ def _coeff_expansion(k, kind, upto):
     monomial_shift = tuple(monomial_shift)
     parts = {}
     for d in range(-shift, upto + 1):
-        parts[d] = series.homogeneous_part(d + shift).mul_monomial(monomial_shift)
+        parts[d] = (series.homogeneous_part(d + shift)
+                    * LaurentPoly3.monomial(monomial_shift))
     return parts
 
 

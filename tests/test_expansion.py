@@ -1,10 +1,13 @@
+import random
 import re
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 import pytest
 
-from g2schur.expansion import ExpansionSet, _x_plus_inv_series, expand_entry
+from g2schur.expansion import (ExpansionSet, _x_plus_inv_series, expand_entry,
+                                newton_steps)
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import RankTracker, invert_matrix
 from g2schur.series import TruncSeries3, exponents_upto
@@ -183,6 +186,28 @@ class TestFamilies:
     def test_order_guard(self, expansions12):
         with pytest.raises(ValueError, match="order"):
             expansions12.fit_family((5, 0, 0))
+
+
+class TestNewtonSteps:
+    """The difference plan shared by the family fit and the pole data."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_round_trip_beyond_the_simplex(self, degree):
+        # the differences of a polynomial's values on the simplex are its
+        # Newton coefficients D: sum_p D[p] C(a,p0) C(b,p1) C(c,p2) is the
+        # polynomial itself, so it matches at points outside the simplex too
+        rng = random.Random(degree)
+        poly = LaurentPoly3({e: rng.randint(-9, 9) for e in exponents_upto(degree)})
+        simplex, points, steps = newton_steps(degree)
+        assert simplex == enumerate_through(2 * degree)
+        assert [(b + c, a + c, a + b) for a, b, c in points] == simplex
+        diffs = [evaluate(poly, t) for t in simplex]
+        for i, j in steps:
+            diffs[i] -= diffs[j]
+        for a, b, c in exponents_upto(degree + 3):
+            newton = sum(d * comb(a, p0) * comb(b, p1) * comb(c, p2)
+                         for d, (p0, p1, p2) in zip(diffs, points))
+            assert newton == evaluate(poly, (b + c, a + c, a + b)), (a, b, c)
 
 
 class TestRecursionRoute:

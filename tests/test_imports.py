@@ -150,7 +150,7 @@ def test_package_import_loads_no_submodule():
 
 #: the public names of the package, each resolved from its submodule
 PUBLIC = """CoeffFamily ConjectureReport DegreeImages EpsLaurent
-    ExpansionSet FalsificationError HomogeneousOp LaurentPoly3 MasterSum
+    ExpansionSet FalsificationError HomogeneousOp LaurentPoly3
     OmegaSeries SchurTable SingularSeriesError TableError
     TruncSeries3 action_check apply_H_cleared check_H1_relation closedform_checks closedform_omega_minus
     closedform_omega_plus common_kernel conjecture_check conjecture_coeff

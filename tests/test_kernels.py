@@ -62,8 +62,8 @@ def binomial_pbasis_laurent(m, k, l):
         for j, cj in enumerate(recurrence_legendre(l).coeffs):
             if not cj:
                 continue
-            term = (left * _binomial_pm(j, +1)).mul_monomial(
-                (0, 0, m - i - j), ci * cj)
+            term = (left * _binomial_pm(j, +1)
+                    * LaurentPoly3.monomial((0, 0, m - i - j), ci * cj))
             acc = acc + term
     return acc
 
@@ -125,7 +125,7 @@ def fraction_kernel_H1(m):
         for l in range(m - k + 1):
             p = claimed[l] if k == l else element(m, k, l)
             expect = p.scale(Fraction(l * (l + 1) - k * (k + 1)))
-            if op.apply(p).mul_monomial((1, 1, 0)) != expect:
+            if op.apply(p) * LaurentPoly3.monomial((1, 1, 0)) != expect:
                 raise FalsificationError(
                     f"diagonalization failed on P_({m},{k},{l})")
     return null
@@ -472,7 +472,7 @@ class TestActionFormulas:
         # at m = l = 0 the right-hand side collapses to zero
         op2 = homogeneous_component(2, -2)
         assert not op2.apply(LaurentPoly3.one())
-        rhs = (LaurentPoly3.one().mul_monomial((1, 0, -1), Fraction(2))
+        rhs = (LaurentPoly3.one() * LaurentPoly3.monomial((1, 0, -1), Fraction(2))
                + element(0, 1, 0, polynomial=False).scale(Fraction(-1))
                + element(0, 0, 1, polynomial=False).scale(Fraction(-1)))
         assert not rhs

@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +80,7 @@ def test_family_products_reach_the_traced_laurent_kernel(tmp_path):
     # one extraction per multiset of monomials: the 28 ordered pairs of
     # weight <= 2 (the doubled ones among them) are 16 multisets
     assert spans.count("cauchy.leading_pole_coefficient") == 16
-    # the pole data come from the factored denominator, with no unit inverse
+    # the pole data come from closed-form binomial sums, with no unit inverse
     assert trace["kernels"]["epsilon.inverse"]["calls"] == 0
 
 
@@ -109,3 +112,36 @@ def test_kernel_suite_reaches_its_traced_stages(tmp_path):
     nonzero = trace["counters"]["linalg.rref.nonzero"]
     assert cells > 0 and nonzero > 0
     assert 2 * nonzero < cells
+
+
+def traced_metric_names() -> set[str]:
+    """The metric names of ``TARGETS`` in ``perfbench/traced.py``, read from
+    its source: the second field of each target tuple."""
+    tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    return {elt.elts[1].value for elt in targets.elts}
+
+
+def test_docstring_references_resolve():
+    # every ``module.name`` a docstring in src names for a g2schur module
+    # must exist; file names and the trace's metric names are not code
+    modules = {path.stem for path in (ROOT / "src" / "g2schur").glob("*.py")}
+    exempt = traced_metric_names()
+    stale = []
+    for path in sorted((ROOT / "src" / "g2schur").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nodes = [tree] + [node for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in nodes:
+            doc = ast.get_docstring(node) or ""
+            for ref in re.findall(r"``([A-Za-z_]\w*(?:\.\w+)+)``", doc):
+                module, *attrs = ref.split(".")
+                if module not in modules or attrs == ["py"] or ref in exempt:
+                    continue
+                obj = importlib.import_module(f"g2schur.{module}")
+                for attr in attrs:
+                    obj = getattr(obj, attr, None)
+                if obj is None:
+                    stale.append(f"{path.name}: {ref}")
+    assert stale == []
