@@ -42,9 +42,7 @@ from .closedform import (OmegaSeries, closedform_omega_minus,
                          closedform_omega_plus, euler_relation_witness,
                          omega_initial_minus, omega_initial_plus,
                          with_kappa_profile)
-from .diffops import (apply_H_numerators, fold_premise_failure,
-                      homogeneous_component, region_sources,
-                      vanishes_on_region)
+from .diffops import fold_premise_failure, homogeneous_component, is_eigenfunction
 from .errors import FalsificationError
 from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
 from .laurent import Exp
@@ -93,22 +91,19 @@ def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
     cleared by (x12 - 1/x12)(x13 - 1/x13).  With S the label sum of (n, j1)
     and e = +-(j1 + 1), C_-(n, e) = sign(e) S and C_+(n, e) = |e| S, so each
     of the three relations at either e is a nonzero multiple of one cleared
-    residual, that of (H_1 - (j1 + 1)^2) S, computed once on the integer
-    numerators of S (``apply_H_numerators``); the six records of (n, j1)
-    read its verdict.  Each C(n, e) is invariant under each x -> 1/x, so, as
-    in ``verify_eigen``, the residual vanishes iff it vanishes where the x12
-    and x13 exponents are positive and the x23 exponent is not negative, and
-    that region is reached from the orthant terms of the sum and their
-    mirrors at x23^-1.  One more failing record names where the operator
-    breaks that premise, if it does (``fold_premise_failure``).
+    residual, that of (H_1 - (j1 + 1)^2) S, judged once on the orthant
+    numerators of S; the six records of (n, j1) read its verdict.  Each
+    C(n, e) is invariant under each x -> 1/x, so, as in ``verify_eigen``,
+    the residual vanishes iff it vanishes where the x12 and x13 exponents
+    are positive and the x23 exponent is not negative, a region reached
+    from the orthant terms of the sum and their mirrors at x23^-1
+    (``is_eigenfunction``).  One more failing record names where the
+    operator breaks that premise, if it does (``fold_premise_failure``).
     """
     checks = []
     for n, sums in _truncation_numerators(table, order).items():
-        holds = {}
-        for j1, (nums, _) in sums.items():
-            mu = Fraction((j1 + 1) ** 2)
-            image = apply_H_numerators(1, region_sources(1, nums), mu)
-            holds[j1] = vanishes_on_region(1, image)
+        holds = {j1: is_eigenfunction(1, nums, Fraction((j1 + 1) ** 2))
+                 for j1, (nums, _) in sums.items()}
         for e in sorted(e for j1 in sums for e in (j1 + 1, -j1 - 1)):
             status = "pass" if holds[abs(e) - 1] else "fail"
             checks.append({"check": "H1-log-derivative", "lambda_power": n,

@@ -19,8 +19,8 @@ H_k is invariant under each x -> 1/x, as every table entry is, so the
 cleared residual of an entry is anti-invariant in v and in w and invariant
 in u.  ``verify_eigen`` (and ``cauchy.check_H1_relation``) therefore judge
 it only where e_v > 0, e_w > 0 and e_u >= 0, from the entry's orthant terms
-and their mirrors at e_u = -1 (``region_sources``, ``vanishes_on_region``);
-the residual on every exponent is built only for the witness of a failed
+and their mirrors at e_u = -1, in one call (``is_eigenfunction``); the
+residual on every exponent is built only for the witness of a failed
 check.  Each suite also checks that premise of the fold on the operator
 itself (``fold_premise_failure``).
 
@@ -114,31 +114,24 @@ def apply_H_numerators(k: int, nums: dict[tuple[int, int, int], int],
     return acc
 
 
-def region_sources(k: int, nums: dict[Exp, int]) -> dict[Exp, int]:
-    """The orthant numerators ``nums`` of a polynomial invariant under each
-    x -> 1/x, with the mirror at e_u = -1 of every term at e_u = 1: the
-    terms from which the cleared operator reaches the region e_v > 0,
-    e_w > 0, e_u >= 0 (see ``vanishes_on_region``)."""
-    u = OP_VARS[k][2]
-    out = dict(nums)
-    for e, n in nums.items():
-        if e[u] == 1:
-            out[e[:u] + (-1,) + e[u + 1:]] = n
-    return out
+def is_eigenfunction(k: int, nums: dict[Exp, int], mu: Fraction) -> bool:
+    """Whether H_k f = mu f, for f invariant under each x -> 1/x with orthant
+    numerators ``nums``.
 
-
-def vanishes_on_region(k: int, nums: dict[Exp, int]) -> bool:
-    """Whether every numerator at e_v > 0, e_w > 0, e_u >= 0 is zero.
-
-    (v - 1/v)(w - 1/w)(H_k - mu) f, f invariant under each x -> 1/x, is
-    anti-invariant under v -> 1/v and under w -> 1/w and invariant under u ->
-    1/u, since H_k is invariant under all three: it vanishes iff it vanishes
-    on that region.  The six shifts of ``apply_H_cleared`` move e_v and e_w
-    by one together or e_u alone, so the region is reached only from the
-    orthant terms of f and their mirrors at e_u = -1 (``region_sources``).
+    (v - 1/v)(w - 1/w)(H_k - mu) f is anti-invariant under v -> 1/v and under
+    w -> 1/w and invariant under u -> 1/u, since H_k is invariant under all
+    three: it vanishes iff it vanishes where e_v > 0, e_w > 0 and e_u >= 0.
+    The six shifts of ``apply_H_cleared`` move e_v and e_w by one together
+    or e_u alone, so that region is reached only from the orthant terms of f
+    and the mirrors at e_u = -1 of its terms at e_u = 1, the sources of the
+    one ``apply_H_numerators`` call here.
     """
     v, w, u = OP_VARS[k]
+    sources = dict(nums)
     for e, n in nums.items():
+        if e[u] == 1:
+            sources[e[:u] + (-1,) + e[u + 1:]] = n
+    for e, n in apply_H_numerators(k, sources, mu).items():
         if n and e[v] > 0 and e[w] > 0 and e[u] >= 0:
             return False
     return True
@@ -182,7 +175,7 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
 
     Each entry is judged from its orthant form: the cleared residual of
     den * phi, from the orthant terms and their e_u = -1 mirrors, must
-    vanish where e_v > 0, e_w > 0 and e_u >= 0 (``vanishes_on_region``).
+    vanish where e_v > 0, e_w > 0 and e_u >= 0 (``is_eigenfunction``).
     The witness of a failed check is the residual of the entry itself, on
     every exponent (``apply_H_cleared``).  When the operators break the
     fold's premise, one more failing record names where
@@ -200,8 +193,7 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
         nums, den = table.orthant_entry(triple)
         for k in (1, 2, 3):
             mu = Fraction((triple[k - 1] + 1) ** 2)
-            image = apply_H_numerators(k, region_sources(k, nums), mu)
-            ok = vanishes_on_region(k, image)
+            ok = is_eigenfunction(k, nums, mu)
             rec = {
                 "check": "eigen",
                 "triple": list(triple),

@@ -161,12 +161,15 @@ def newton_steps(degree: int) -> tuple[list[Triple], list[Exp],
 class CoeffFamily:
     """Closed-form coefficient of one series monomial as a polynomial in labels."""
 
-    def __init__(self, mvec: Exp, polynomial: LaurentPoly3, validated_on: int,
-                 unvalidated: bool = False):
+    def __init__(self, mvec: Exp, polynomial: LaurentPoly3, validated_on: int):
         self.mvec = mvec
         self.polynomial = polynomial
         self.validated_on = validated_on
-        self.unvalidated = unvalidated
+
+    @property
+    def unvalidated(self) -> bool:
+        """Whether fewer than ``VALIDATION_MARGIN`` labels validate the family."""
+        return self.validated_on < VALIDATION_MARGIN
 
 
 class ExpansionSet:
@@ -291,12 +294,7 @@ class ExpansionSet:
                 raise FalsificationError(
                     f"degree bound violated for {mvec}: no polynomial of degree "
                     f"<= {degree} matches the coefficients (label {t})")
-        family = CoeffFamily(
-            mvec=mvec,
-            polynomial=poly,
-            validated_on=len(rest),
-            unvalidated=len(rest) < VALIDATION_MARGIN,
-        )
+        family = CoeffFamily(mvec=mvec, polynomial=poly, validated_on=len(rest))
         self._families[mvec] = family
         return family
 
@@ -322,8 +320,10 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     level 2 * order, and the reference families (2, 0, 0) and (3, 0, 0) on
     those through level 6.  A table the expansions reject gets one failing
     record, as in ``verify_cauchy``.  A family no polynomial of its degree
-    bound fits, or one off its reference, fails its record with the fit's
-    witness or the fitted family; later checks still run.
+    bound fits, one validated on fewer than ``VALIDATION_MARGIN`` labels or
+    one off its reference fails its record with the fit's witness, the
+    level that would validate it (``unvalidated_message``) or the fitted
+    family; later checks still run.
     """
     need = max(2 * order, 6)
     if table.max_level < need:
@@ -350,9 +350,11 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
             checks.append({"check": "family-fit", "mvec": list(mvec),
                            "status": "fail", "witness": str(exc)})
             continue
-        checks.append({"check": "family-fit", "mvec": list(mvec),
-                       "validated_on": fam.validated_on,
-                       "status": "fail" if fam.unvalidated else "pass"})
+        rec = {"check": "family-fit", "mvec": list(mvec),
+               "validated_on": fam.validated_on, "status": "pass"}
+        if fam.unvalidated:
+            rec.update(status="fail", witness=unvalidated_message(fam, sum(mvec)))
+        checks.append(rec)
     for mvec, poly in _reference_families().items():
         rec = {"check": "family-reference", "mvec": list(mvec), "status": "pass"}
         try:

@@ -52,7 +52,8 @@ byte for byte the text ``canonical_json`` writes for the table it yields,
 and the SHA-256 of the file's bytes is the table's checksum.  The
 ``json.load`` route is the test oracle of the reader and the ``json.dumps``
 route that of the writer; ``roundtrip`` renders a loaded table and compares
-it with the file piece by piece, the cross-check of one against the other.
+the SHA-256 of the render with the one the reader took of the file, the
+cross-check of one against the other.
 The solve on every exponent, with x + 1/x as two plain shifts, is the test
 oracle of the orthant solve and residuals.
 """

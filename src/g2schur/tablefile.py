@@ -23,8 +23,8 @@ equal texts are equal rationals.  An entry that fails is a ``TableError``
 naming the entry and both exponents.  Only the orthant terms are kept.
 
 The patterns are written independently of the writer's templates, so that
-``roundtrip`` (render a loaded table, compare the bytes) checks one against
-the other.  ``SchurTable.load`` imports this module on its first call, so the
+``roundtrip`` (render a loaded table and compare its SHA-256 with the
+file's) checks one against the other.  ``SchurTable.load`` imports this module on its first call, so the
 commands that read no table do not compile it.
 """
 

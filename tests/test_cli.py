@@ -251,19 +251,22 @@ class TestTableCommand:
         assert code == 2
         assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
 
-    def test_roundtrip_compares_one_entry_at_a_time(self, tmp_path):
-        # the peak of what the comparison allocates stays far below the file
-        # size, so a comparison of the whole texts fails here
+    def test_roundtrip_renders_one_entry_at_a_time(self, tmp_path, monkeypatch):
+        # past the load, the peak of what roundtrip allocates to render and
+        # hash the table stays far below the file size, so a render of the
+        # whole text fails here
         path = tmp_path / "t.json"
         solve_table(16).save(path)
         table = SchurTable.load(path)
+        monkeypatch.setattr(SchurTable, "load", staticmethod(lambda _: table))
+        cfg = cli.build_parser().parse_args(["roundtrip", "--table", str(path)])
         tracemalloc.start()
         try:
-            ok, checksum = cli._matches_file(table, path)
+            code, report = cli.run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ok and checksum == table.file_checksum
+        assert code == 0 and report.table_checksum == table.file_checksum
         assert peak < path.stat().st_size / 2
 
 
@@ -669,6 +672,25 @@ class TestVerifyCommands:
                 f"families through order {order} (level {2 * order}) and the "
                 "reference families (2, 0, 0) and (3, 0, 0) (level 6)"
                 in captured.err)
+
+    def test_series_fails_unvalidated_families_with_a_witness(self, capsys):
+        # at level 8 the 15 degree-4 families are validated on no label; each
+        # record names the level that validates them, and level 10 passes
+        code, report = run(capsys, "verify", "series", "--max-level", "8",
+                           "--order", "4")
+        assert code == 1
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [tuple(c["mvec"]) for c in failed] == [
+            m for m in exponents_upto(4) if sum(m) == 4]
+        for c in failed:
+            assert c["check"] == "family-fit" and c["validated_on"] == 0
+            assert c["witness"] == (
+                f"family {c['mvec']} is validated on 0 labels, below the margin "
+                f"{expansion.VALIDATION_MARGIN}; degree 4 needs a table of level 10")
+        code, report = run(capsys, "verify", "series", "--max-level", "10",
+                           "--order", "4")
+        assert code == 0
+        assert not any("witness" in c for c in report["checks"])
 
     def test_cauchy_fails_the_poles_of_unvalidated_families(self, capsys):
         # at level 8 the 15 degree-4 families are fitted on every label and

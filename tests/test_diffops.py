@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2schur import cauchy, cli, diffops
+from g2schur import cli, diffops
 from g2schur import table as table_module
 from g2schur.cauchy import check_H1_relation
 from g2schur.diffops import (OP_VARS, _coefficients, _poly1, apply_H_cleared,
                              apply_H_numerators, fold_premise_failure,
-                             homogeneous_component,
-                             region_sources, vanishes_on_region, verify_eigen,
-                             verify_recursion_by_components)
+                             homogeneous_component, is_eigenfunction,
+                             verify_eigen, verify_recursion_by_components)
 from g2schur.expansion import expand_entry
 from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3
@@ -100,18 +99,16 @@ WEIGHT_MUTATIONS = {
 }
 
 
-def with_weight_mutated(monkeypatch, name="v/w", modules=(diffops,)):
-    """Replace ``apply_H_numerators``, where each of ``modules`` holds it, by
-    a copy with the weight mutation ``name``, so that both the folded
-    verdict and the full-plane witness route see the mutation."""
+def with_weight_mutated(monkeypatch, name="v/w"):
+    """Replace ``diffops.apply_H_numerators`` by a copy with the weight
+    mutation ``name``, so that the folded verdict of both suites
+    (``is_eigenfunction``) and the full-plane witness route see it."""
     old, new = WEIGHT_MUTATIONS[name]
     source = inspect.getsource(diffops.apply_H_numerators)
     assert source.count(old) == 1
     namespace = dict(vars(diffops))
     exec(source.replace(old, new), namespace)
-    for module in modules:
-        monkeypatch.setattr(module, "apply_H_numerators",
-                            namespace["apply_H_numerators"])
+    monkeypatch.setattr(diffops, "apply_H_numerators", namespace["apply_H_numerators"])
 
 
 def fold_premise_record(variable, mu=0):
@@ -325,10 +322,19 @@ class TestFoldedEigen:
     residual on every exponent is its oracle."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_region_numerators_equal_the_full_plane_ones(self, table12, k):
+    def test_region_numerators_equal_the_full_plane_ones(self, table12, k,
+                                                         monkeypatch):
         # on every entry through level 12, at its eigenvalue and off it, and
-        # on the perturbed entries: the same numerators on the region, and a
-        # full-plane residual that vanishes exactly when they do
+        # on the perturbed entries: the image ``is_eigenfunction`` builds from
+        # the orthant terms and their mirrors has the full-plane numerators on
+        # the region, and its verdict is that of the full-plane residual
+        images = []
+
+        def spy(*args):
+            images.append(apply_H_numerators(*args))
+            return images[-1]
+
+        monkeypatch.setattr(diffops, "apply_H_numerators", spy)
         broken = perturbed(table12)
         seen = set()
         for table in (table12, broken):
@@ -337,11 +343,13 @@ class TestFoldedEigen:
                 full = unfold(nums)
                 for dmu in (0, Fraction(1, 3), -1):
                     mu = Fraction((t[k - 1] + 1) ** 2) + dmu
-                    folded = apply_H_numerators(k, region_sources(k, nums), mu)
+                    images.clear()
+                    verdict = is_eigenfunction(k, nums, mu)
+                    (folded,) = images
                     region = on_region(k, folded)
                     assert region == on_region(k, apply_H_numerators(k, full, mu))
                     residual = apply_H_cleared(k, LaurentPoly3(full), mu)
-                    assert vanishes_on_region(k, folded) == (not residual)
+                    assert verdict == (not residual) == (not region)
                     seen.add((dmu == 0, not residual))
         assert seen == {(True, True), (True, False), (False, False)}
 
@@ -406,7 +414,7 @@ class TestFoldPremise:
                                                            name, variable, mu):
         # each suite ends with one failing record naming k, the monomial and
         # the variable, whatever its other records read
-        with_weight_mutated(monkeypatch, name, (diffops, cauchy))
+        with_weight_mutated(monkeypatch, name)
         record = fold_premise_record(variable, mu)
         for checks in (verify_eigen(table8, 4), check_H1_relation(table8, 2)):
             assert [c for c in checks if c["check"] == "falsification"] == [record]

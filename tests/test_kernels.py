@@ -389,6 +389,25 @@ class TestMutations:
         assert all("differentiates X23" in c["witness"] for c in falsified)
         assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_doubled_x23_term_fails_the_formulas(self, monkeypatch, k):
+        # the d^2/dX23^2 term of H_k t doubled: records of both formulas of
+        # that operator fail, and none of the other operator's or of H1t
+        real = homogeneous_component
+
+        def seeded(j, m):
+            op = real(j, m)
+            if j == k:
+                op = HomogeneousOp(j, m, [(c.scale(Fraction(2)) if d == (0, 0, 2)
+                                           else c, d) for c, d in op.terms])
+            return op
+
+        monkeypatch.setattr(kernels, "homogeneous_component", seeded)
+        failed = {c["check"] for c in verify_kernel(4) if c["status"] == "fail"}
+        assert {f"H{k}-action", f"H{k}-leading"} <= failed
+        assert not failed & {f"H{5 - k}-action", f"H{5 - k}-leading", "kernel-H1"}
+        assert cli_exit_code("verify", "kernel", "--order", "4") == 1
+
     def test_extra_triple_kernel_vector(self, monkeypatch):
         # the triple kernel at degree 2 gains a vector: the dimension alone
         # fails that degree's kernel-dims record, and nothing else fails

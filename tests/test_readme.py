@@ -32,21 +32,28 @@ def test_layout_names_exactly_the_modules():
     assert set(named) == {p.name for p in (ROOT / "src" / "g2schur").glob("*.py")}
 
 
-def test_command_line_block_runs_and_passes(tmp_path, monkeypatch):
-    # each line of the block in order, in one directory, so that the lines
-    # reading table.json see the one the first line writes
+def command_line_reports():
+    """Each line of the README's command-line block, in order, in the
+    current directory, as (argv, exit code, report): the lines reading
+    table.json see the one the first line writes."""
     section = README.split("\n## Command line\n", 1)[1]
     block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert lines and all(argv[0] == "g2schur" for argv in lines)
-    monkeypatch.chdir(tmp_path)
     for _, *argv in lines:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(argv) == 0, argv
+            code = main(argv)
         # table's --out is the table file; its report goes to stdout
         if "--out" in argv and argv[0] != "table":
             report = json.loads(Path(argv[argv.index("--out") + 1]).read_text())
         else:
             report = json.loads(out.getvalue())
+        yield argv, code, report
+
+
+def test_command_line_block_runs_and_passes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, code, report in command_line_reports():
+        assert code == 0, argv
         assert not [c for c in report["checks"] if c.get("status") == "fail"], argv

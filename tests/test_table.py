@@ -304,6 +304,17 @@ class TestSolveTable:
         assert [r["triple"] for r in records if r["check"] == "unit-value"
                 and r["status"] == "fail"] == [[1, 2, 1]]
 
+    def test_leading_term_record_can_fail(self, table4):
+        # x13 + 1/x13 - 2 added to (1, 1, 0), whose top part is then x12/2
+        # + x13 + ...: its value at ones and its mirror symmetry stay
+        entries = dict(table4.entries)
+        bump = x_plus_inv(1) - LaurentPoly3.constant(Fraction(2))
+        entries[(1, 1, 0)] = entries[(1, 1, 0)] + bump
+        records = verify_pieri(table_of(4, entries))
+        assert [(r["check"], r["triple"]) for r in records if r["status"] == "fail"
+                and r["check"] in ("unit-value", "leading-term", "leading-distinct")
+                ] == [("leading-term", [1, 1, 0])]
+
     def test_invariance_under_inversion(self, table8):
         for phi in table8.entries.values():
             for i in range(3):
