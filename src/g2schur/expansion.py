@@ -31,7 +31,7 @@ from .laurent import Exp, LaurentPoly3
 from .series import TruncSeries3, exponents_upto
 from .table import (Cleared, FalsificationError, SchurTable, Triple,
                     enumerate_level, enumerate_through, predecessor_equations,
-                    solve_cleared)
+                    solve_cleared, unfold)
 
 #: minimum number of out-of-sample labels before a family counts as validated
 VALIDATION_MARGIN = 10
@@ -204,10 +204,11 @@ class ExpansionSet:
         self.table = table
         self.order = order
         one: Cleared = ({(0, 0, 0): 1}, 1)
-        if table.cleared_entry((0, 0, 0)) != one:
+        nums, den = table.orthant_entry((0, 0, 0))
+        if (nums, den) != one:
             raise FalsificationError(
                 "table entry (0, 0, 0) is not the constant 1",
-                witness=LaurentPoly3.from_cleared(*table.cleared_entry((0, 0, 0))))
+                witness=LaurentPoly3.from_cleared(unfold(nums), den))
         times = _times_series([_x_plus_inv_series(i, order) for i in range(3)])
         forms = {(0, 0, 0): one}
         for t in enumerate_through(table.max_level)[1:]:
@@ -340,9 +341,15 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     checks = []
     for triple in triples:
         nums, den = es.forms[triple]
-        ok = nums.get((0, 0, 0)) == den and not any(sum(e) == 1 for e in nums)
-        checks.append({"check": "expansion-normalization", "triple": list(triple),
-                       "status": "pass" if ok else "fail"})
+        linear = sorted((e, n) for e, n in nums.items() if sum(e) == 1)
+        rec = {"check": "expansion-normalization", "triple": list(triple),
+               "status": "pass"}
+        if nums.get((0, 0, 0)) != den or linear:
+            found = ", ".join(f"{Fraction(n, den)} at {e}" for e, n in linear)
+            rec.update(status="fail", witness=(
+                f"constant term {Fraction(nums.get((0, 0, 0), 0), den)}; "
+                f"degree-1 terms: {found or 'none'}"))
+        checks.append(rec)
     for mvec in exponents_upto(order):
         try:
             fam = es.fit_family(mvec)

@@ -318,7 +318,8 @@ def action_check(images: DegreeImages, l: int) -> list[dict]:
 
     The raised-index symbols are expanded by the defining formula even when
     l+1+l exceeds m (they are then Laurent, not polynomial).  Both sides are
-    compared as integer numerators over the lcm of the three denominators.
+    compared as integer numerators over the lcm of the three denominators; a
+    failing record names the least monomial where they differ.
     """
     m = images.degree
     if 2 * l > m:
@@ -344,12 +345,13 @@ def action_check(images: DegreeImages, l: int) -> list[dict]:
             for e, v in nums.items():
                 acc[e] = get(e, 0) + weight * v
         rhs = {e: (m + 1) * v for e, v in acc.items() if v}
-        checks.append({
-            "check": f"H{k}-action",
-            "m": m,
-            "l": l,
-            "status": "pass" if lhs == rhs else "fail",
-        })
+        rec = {"check": f"H{k}-action", "m": m, "l": l,
+               "status": "pass" if lhs == rhs else "fail"}
+        if lhs != rhs:
+            e = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e))
+            rec["witness"] = {"monomial": list(e), "lhs": lhs.get(e, 0),
+                              "rhs": rhs.get(e, 0), "den": common}
+        checks.append(rec)
     return checks
 
 
@@ -486,8 +488,11 @@ def verify_kernel(max_degree: int) -> list[dict]:
         try:
             h1_kernel = kernel_H1(images)
             dim = len(h1_kernel)
-            checks.append({"check": "kernel-H1", "degree": m, "dim": dim,
-                           "status": "pass" if dim == m // 2 + 1 else "fail"})
+            rec = {"check": "kernel-H1", "degree": m, "dim": dim,
+                   "status": "pass" if dim == m // 2 + 1 else "fail"}
+            if dim != m // 2 + 1:
+                rec["expected"] = m // 2 + 1
+            checks.append(rec)
             pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": dim}
             for pair in ((1, 2), (1, 3)):
                 pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(

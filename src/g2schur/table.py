@@ -27,13 +27,13 @@ c(-1) = c(1) (``_times_x_plus_inv``), and the recursion residuals
 (``SchurTable.pieri_residual``), the unit-value, leading-term, S3 and
 whole-table checks compare orthant numerators and denominators, as do the
 operator identities of ``diffops.verify_eigen`` and
-``cauchy.check_H1_relation``.  The mirror terms are expanded (``unfold``)
-only where a whole polynomial is read: by ``canonical_json``,
-``SchurTable.cleared_entry`` (read by ``expansion`` and
-``specialized``), the read-only ``entries`` mapping (which
+``cauchy.check_H1_relation``, the x23 = 1 identities of ``specialized`` and
+the (0,0,0) check of ``expansion.ExpansionSet``.  The mirror terms are
+expanded (``unfold``) only for the read-only ``entries`` mapping (which
 builds the ``Fraction`` Laurent polynomial of an entry on each read and
-keeps nothing) and a nonzero residual or failed eigenvalue check, whose
-witness is the exact Laurent polynomial.
+keeps nothing), for the witness of a failed check, the exact Laurent
+polynomial, and for the reader's asymmetry messages; ``canonical_json``
+writes them with its own copy of the loop.
 
 The solve and the residuals weight the recursion targets by the integer
 numerators of ``K`` over its denominator ``4(j1+1)(j2+1)``, shared by the four
@@ -331,12 +331,6 @@ class SchurTable:
         triple outside the table.  The caller must not modify it."""
         return self._forms.get(triple, _ZERO)
 
-    def cleared_entry(self, triple: Triple) -> Cleared:
-        """The integer form of the entry of ``triple``, every exponent
-        unfolded from the orthant; ``({}, 1)`` outside the table."""
-        nums, den = self._forms.get(triple, _ZERO)
-        return unfold(nums), den
-
     def pieri_residual(self, eq: int, base: Triple) -> LaurentPoly3:
         """LHS minus RHS of recursion ``eq`` based at ``base`` (zero iff it
         holds), summed on the orthant and unfolded when it is not zero."""
@@ -563,18 +557,22 @@ def verify_pieri(table: SchurTable) -> list[dict]:
             checks.append(rec)
     for triple in triples:
         nums, den = table.orthant_entry(triple)
-        checks.append({"check": "unit-value", "triple": list(triple),
-                       "status": "pass" if unit_value(nums) == den else "fail"})
+        value = unit_value(nums)
+        rec = {"check": "unit-value", "triple": list(triple),
+               "status": "pass" if value == den else "fail"}
+        if value != den:
+            rec["witness"] = f"value {Fraction(value, den)} at (1,1,1)"
+        checks.append(rec)
     seen_per_level: dict[int, set] = {}
     for triple in triples:
+        rec = {"check": "leading-term", "triple": list(triple), "status": "pass"}
         try:
             # the numerators have the entry's orthant monomials
             _, exps = leading_term(LaurentPoly3(table.orthant_entry(triple)[0]), triple)
-            status = "pass"
-        except FalsificationError:
-            status, exps = "fail", None
-        checks.append({"check": "leading-term", "triple": list(triple),
-                       "status": status})
+        except FalsificationError as exc:
+            rec.update(status="fail", witness=str(exc))
+            exps = None
+        checks.append(rec)
         if exps is not None:
             bucket = seen_per_level.setdefault(sum(triple), set())
             checks.append({"check": "leading-distinct", "triple": list(triple),

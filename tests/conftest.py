@@ -78,6 +78,14 @@ def orthant_of(poly):
     return orthant, den
 
 
+def full_form(table, triple):
+    """The integer form of the entry of ``triple`` on every exponent, its
+    orthant form unfolded; ``({}, 1)`` outside the table.  The full-plane
+    oracle of the tests: no check of the package reads an entry this way."""
+    nums, den = table.orthant_entry(triple)
+    return unfold(nums), den
+
+
 def table_of(max_level, entries):
     """A table holding each ``Fraction`` Laurent polynomial of ``entries``,
     each invariant under every x -> 1/x, as its orthant form.  Tests build a

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2schur import cauchy, poles
+from g2schur import cauchy, poles, specialized
 from g2schur.cauchy import (_truncation_numerators, check_H1_relation,
                             closedform_checks, omega_from_sums, pde_check,
                             verify_cauchy)
@@ -805,8 +805,10 @@ def fraction_specialized_sum_check(j1, J, table):
 
 def specialization_phi(j1, j2):
     """The closed form of the entry (j1, j2, j1-j2) at x23 = 1, as the
-    ``LaurentPoly3`` of ``specialized._specialization_cleared``."""
-    return LaurentPoly3.from_cleared(*_specialization_cleared(j1, j2))
+    ``LaurentPoly3`` of ``specialized._specialization_cleared``, its orthant
+    form unfolded."""
+    nums, den = _specialization_cleared(j1, j2)
+    return LaurentPoly3.from_cleared(unfold(nums), den)
 
 
 def power(p, n):
@@ -927,3 +929,36 @@ class TestSpecializedSum:
         assert {("specialization-formula", 2, 1), ("specialization-formula", 4, 4),
                 ("specialized-sum", 2, 2), ("specialized-sum", 4, 4)} <= failed
         assert all(c["witness"] for c in checks if c["status"] == "fail")
+
+    def test_fold_counting_a_mirror_once_fails(self, table12, monkeypatch):
+        # x23 = 1 with an orthant term at e23 > 0 counted once, not for its
+        # mirror at -e23 as well
+        def summed_once(forms, at_x23_one=False):
+            den = math.lcm(*[d for _, d in forms])
+            acc = {}
+            for nums, d in forms:
+                for (a, b, c), n in nums.items():
+                    key = (a, b, 0) if at_x23_one else (a, b, c)
+                    acc[key] = acc.get(key, 0) + den // d * n
+            return acc, den
+
+        monkeypatch.setattr(specialized, "_summed", summed_once)
+        failed = {c["check"] for c in verify_specialized(table12)
+                  if c["status"] == "fail"}
+        assert failed == {"specialization-formula", "specialized-sum"}
+
+    @pytest.mark.parametrize("dropped", [0, 1])
+    def test_identity_without_one_product_fails(self, table12, monkeypatch, dropped):
+        # (j1+1) S (x13 + 1/x13 - x12 - 1/x12) with the x12 or the x13 product
+        # left out
+        real = specialized._times_x_plus_inv
+
+        def one_product(eq, nums, w):
+            return {} if eq == dropped else real(eq, nums, w)
+
+        monkeypatch.setattr(specialized, "_times_x_plus_inv", one_product)
+        checks = verify_specialized(table12)
+        assert {c["check"] for c in checks if c["status"] == "fail"} == {
+            "specialized-sum"}
+        assert all(c["status"] == "fail" for c in checks
+                   if c["check"] == "specialized-sum" and c["mode"] == "identity")

@@ -307,7 +307,8 @@ class TestVerifyCommands:
         # the dimension alone fails kernel-H1; the pair kernels inside the
         # smaller kernel then miss the displayed vector
         assert failed == [
-            {"check": "kernel-H1", "degree": 6, "dim": 3, "status": "fail"},
+            {"check": "kernel-H1", "degree": 6, "dim": 3, "status": "fail",
+             "expected": 4},
             {"check": "kernel-dims", "degree": 6, "dim_H1": 3, "dim_pair_12": 0,
              "dim_pair_13": 0, "dim_triple": 0, "status": "fail"}]
         assert not any(c["check"] == "falsification" for c in checks)
@@ -595,6 +596,13 @@ class TestVerifyCommands:
         assert {tuple(c["triple"]) for c in norms if c["status"] == "pass"} == {
             (0, 0, 0)}
         assert not any(c["check"] == "falsification" for c in checks)
+        # each failure names the constant term and the degree-1 terms found:
+        # (x12 + 1/x12) / 2 expands to 1 + X12 / 2 + ...
+        witness = {tuple(c["triple"]): c.get("witness") for c in norms}
+        assert witness[(0, 0, 0)] is None
+        assert witness[(1, 1, 0)] == "constant term 1; degree-1 terms: 1/2 at (1, 0, 0)"
+        assert all(w.startswith("constant term 1; degree-1 terms: ")
+                   for t, w in witness.items() if t != (0, 0, 0))
 
     def test_series_wrong_operator_coefficient_fails_the_recursion(self, capsys,
                                                                   monkeypatch):

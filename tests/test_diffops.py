@@ -20,7 +20,7 @@ from g2schur.klocal import KLocal
 from g2schur.laurent import LaurentPoly3
 from g2schur.series import TruncSeries3
 from g2schur.table import SchurTable, enumerate_through, unfold
-from tests.conftest import diff, x_plus_inv
+from tests.conftest import diff, full_form, x_plus_inv
 from tests.test_laurent import permute
 from tests.test_table import perturbed
 
@@ -66,7 +66,7 @@ def full_plane_eigen(table, max_level):
     for triple in enumerate_through(table.max_level):
         if sum(triple) > max_level:
             continue
-        nums, den = table.cleared_entry(triple)
+        nums, den = full_form(table, triple)
         for k in (1, 2, 3):
             mu = Fraction((triple[k - 1] + 1) ** 2)
             residual = apply_H_cleared(k, LaurentPoly3(nums), mu)

@@ -403,9 +403,19 @@ class TestMutations:
             return op
 
         monkeypatch.setattr(kernels, "homogeneous_component", seeded)
-        failed = {c["check"] for c in verify_kernel(4) if c["status"] == "fail"}
+        checks = verify_kernel(4)
+        failed = {c["check"] for c in checks if c["status"] == "fail"}
         assert {f"H{k}-action", f"H{k}-leading"} <= failed
         assert not failed & {f"H{5 - k}-action", f"H{5 - k}-leading", "kernel-H1"}
+        # each failing action record names the least monomial where the two
+        # sides differ: at P_(2,0,0) = X23^2 the doubled term gives 8 for 6
+        actions = [c for c in checks if c["check"] == f"H{k}-action"
+                   and c["status"] == "fail"]
+        assert all(c["witness"]["lhs"] != c["witness"]["rhs"] for c in actions)
+        assert actions[0]["m"] == 2 and actions[0]["witness"] == {
+            "monomial": [1, 0, 1] if k == 2 else [0, 1, 1], "lhs": 8, "rhs": 6,
+            "den": 1}
+        assert all("witness" not in c for c in checks if c["status"] == "pass")
         assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 
     def test_extra_triple_kernel_vector(self, monkeypatch):

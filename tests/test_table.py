@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2schur import expansion, specialized, tablefile
+from g2schur import table as table_module
+from g2schur.cauchy import verify_cauchy
 from g2schur.diffops import verify_eigen
 from g2schur.expansion import verify_series
 from g2schur.specialized import verify_specialized
-from g2schur import table as table_module
-from g2schur import tablefile
 from g2schur.laurent import LaurentPoly3
 from g2schur.table import (_SHIFT, FORMAT_VERSION, FalsificationError,
                            SchurTable, TableError, _pieri_weights,
@@ -21,7 +23,7 @@ from g2schur.table import (_SHIFT, FORMAT_VERSION, FalsificationError,
                            recursion_sum, s3_check, solve_cleared, solve_table,
                            unfold, unit_value, verify_pieri)
 from g2schur.tablefile import _parse_coeff
-from tests.conftest import table_of, x_plus_inv
+from tests.conftest import full_form, table_of, x_plus_inv
 from tests.test_laurent import flip
 
 
@@ -76,7 +78,7 @@ def fraction_pieri_residual(table, eq, base):
     for its integer accumulation.
     """
     def entry(t):  # zero outside the table
-        return LaurentPoly3.from_cleared(*table.cleared_entry(t))
+        return LaurentPoly3.from_cleared(*full_form(table, t))
 
     lhs = x_plus_inv(eq) * entry(base)
     rhs = LaurentPoly3.zero()
@@ -124,8 +126,8 @@ def full_solve_table(max_level):
 def full_pieri_residual(table, eq, base):
     """The recursion residual summed on every exponent of the unfolded
     entries; the oracle of ``SchurTable.pieri_residual``."""
-    return LaurentPoly3.from_cleared(
-        *recursion_sum(eq, base, table.cleared_entry, full_times_x_plus_inv))
+    return LaurentPoly3.from_cleared(*recursion_sum(
+        eq, base, lambda t: full_form(table, t), full_times_x_plus_inv))
 
 
 def full_s3_check(table, sigma):
@@ -153,7 +155,6 @@ def assert_cleared_stored(table):
     for t, (nums, den) in table._forms.items():
         assert all(min(e) >= 0 for e in nums), t
         assert table.entries[t].cleared() == (unfold(nums), den), t
-        assert table.cleared_entry(t) == (unfold(nums), den), t
 
 
 def rendered(table):
@@ -301,8 +302,9 @@ class TestSolveTable:
         entries = dict(table4.entries)
         entries[(1, 2, 1)] = entries[(1, 2, 1)].scale(Fraction(1, 2))
         records = verify_pieri(table_of(4, entries))
-        assert [r["triple"] for r in records if r["check"] == "unit-value"
-                and r["status"] == "fail"] == [[1, 2, 1]]
+        assert [(r["triple"], r["witness"]) for r in records
+                if r["check"] == "unit-value" and r["status"] == "fail"] == [
+            ([1, 2, 1], "value 1/2 at (1,1,1)")]
 
     def test_leading_term_record_can_fail(self, table4):
         # x13 + 1/x13 - 2 added to (1, 1, 0), whose top part is then x12/2
@@ -314,6 +316,18 @@ class TestSolveTable:
         assert [(r["check"], r["triple"]) for r in records if r["status"] == "fail"
                 and r["check"] in ("unit-value", "leading-term", "leading-distinct")
                 ] == [("leading-term", [1, 1, 0])]
+        (failed,) = [r for r in records if r["check"] == "leading-term"
+                     and r["status"] == "fail"]
+        assert failed["witness"] == (
+            "top degree part of entry (1, 1, 0) is not a single monomial")
+        # (x13 + 1/x13)(x23 + 1/x23) - 4 instead: the one top monomial of
+        # (1, 1, 0) sits at the wrong exponents, which the witness names
+        entries[(1, 1, 0)] = table4.entries[(1, 1, 0)] + (
+            x_plus_inv(1) * x_plus_inv(2) - LaurentPoly3.constant(Fraction(4)))
+        records = verify_pieri(table_of(4, entries))
+        assert [r["witness"] for r in records if r["check"] == "leading-term"
+                and r["status"] == "fail"] == [
+            "leading exponents of entry (1, 1, 0): got (0, 1, 1), expected (1, 0, 0)"]
 
     def test_invariance_under_inversion(self, table8):
         for phi in table8.entries.values():
@@ -349,7 +363,7 @@ class TestSolveTable:
         assert table_of(8, entries) == table8
         entries[(2, 1, 1)] = entries[(2, 1, 1)].scale(Fraction(2))
         table = table_of(8, entries)
-        assert table.cleared_entry((2, 1, 1)) == entries[(2, 1, 1)].cleared()
+        assert full_form(table, (2, 1, 1)) == entries[(2, 1, 1)].cleared()
         residual = table.pieri_residual(0, (1, 0, 1))
         assert residual and residual == fraction_pieri_residual(table, 0, (1, 0, 1))
 
@@ -460,7 +474,7 @@ class TestOrthant:
                 outcomes.add(("s3", got[0]))
             for t in enumerate_through(12):
                 nums, den = table.orthant_entry(t)
-                full_nums, full_den = table.cleared_entry(t)
+                full_nums, full_den = full_form(table, t)
                 assert den == full_den
                 assert unit_value(nums) == sum(full_nums.values()), t
                 outcomes.add(("unit", unit_value(nums) == den))
@@ -526,8 +540,8 @@ class TestS3:
         entries = dict(table4.entries)
         entries[(1, 1, 0)] = entries[(1, 1, 0)].scale(Fraction(1, 2))
         broken = table_of(4, entries)
-        nums, den = broken.cleared_entry((1, 1, 0))
-        assert (nums, den) == (table4.cleared_entry((1, 1, 0))[0], 4)
+        nums, den = full_form(broken, (1, 1, 0))
+        assert (nums, den) == (full_form(table4, (1, 1, 0))[0], 4)
         ok, witness = s3_check(broken, (3, 2, 1))
         assert not ok and witness in {(0, 1, 1), (1, 1, 0)}
 
@@ -560,18 +574,22 @@ class TestPersistence:
     def test_table_suites_leave_the_fraction_view_unbuilt(self, table12, tmp_path,
                                                            monkeypatch):
         # a loaded table holds only orthant forms; the table suites read them
-        # and build no Fraction polynomial of an entry: no from_cleared call
-        # takes the numerators of a stored form or of one unfolded from it
+        # as stored: no passing suite unfolds a stored form, in any module
+        # that imports unfold, and no from_cleared call takes the numerators
+        # of a stored form or of one unfolded from it
         path = tmp_path / "t.json"
         table12.save(path)
         table = SchurTable.load(path)
         stored = {id(table.orthant_entry(t)[0]) for t in table.entries}
         unfolded = {}  # keeps each unfolded dict alive, so no id is reused
+        of_stored = []
         real_unfold = table_module.unfold
 
         def tracked(nums):
             out = real_unfold(nums)
             unfolded[id(out)] = out
+            if id(nums) in stored:
+                of_stored.append(nums)
             return out
 
         built = []
@@ -582,18 +600,26 @@ class TestPersistence:
                 built.append((nums, den))
             return real(nums, den)
 
-        monkeypatch.setattr(table_module, "unfold", tracked)
+        importers = [m for name, m in sys.modules.items()
+                     if name.startswith("g2schur")
+                     and getattr(m, "unfold", None) is real_unfold]
+        assert {table_module, tablefile, expansion, specialized} <= set(importers)
+        for module in importers:
+            monkeypatch.setattr(module, "unfold", tracked)
         monkeypatch.setattr(LaurentPoly3, "from_cleared", staticmethod(counted))
         assert rendered(table) == path.read_text()
         assert all(c["status"] == "pass" for c in verify_pieri(table))
         assert all(c["status"] == "pass" for c in verify_series(table, 4))
         assert all(c["status"] == "pass" for c in verify_eigen(table, 8))
         assert all(c["status"] == "pass" for c in verify_specialized(table))
-        assert len(table) == len(table12) and not built and unfolded
-        # each read of an entry, of either table, builds that one anew
+        assert all(c["status"] == "pass" for c in verify_cauchy(table, 4, 4))
+        assert len(table) == len(table12) and not of_stored and not built
+        # each read of an entry, of either table, unfolds and builds that
+        # one anew
         assert table.entries[(1, 1, 0)] == table12.entries[(1, 1, 0)]
         assert table.entries[(1, 1, 0)] is not table.entries[(1, 1, 0)]
-        assert built == [table12.cleared_entry((1, 1, 0))] * 4
+        assert of_stored == [table.orthant_entry((1, 1, 0))[0]] * 3
+        assert built == [full_form(table12, (1, 1, 0))] * 4
 
     def test_save_returns_the_sha256_of_the_file(self, table4, tmp_path):
         path = tmp_path / "t.json"

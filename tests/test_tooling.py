@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from g2schur.table import enumerate_through, solve_table
+from tests.conftest import full_form
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,7 +56,7 @@ def test_table_solve_load_and_s3_reach_their_traced_spans(tmp_path):
     # and the table observer counts the entries and terms of the solved and
     # the loaded table through the read-only entries view
     table = solve_table(4)
-    terms = sum(len(table.cleared_entry(t)[0]) for t in enumerate_through(4))
+    terms = sum(len(full_form(table, t)[0]) for t in enumerate_through(4))
     seen = set()
     for argv in (("table", "--max-level", "4", "--out", "t4.json"),
                  ("verify", "pieri", "--max-level", "4", "--table", "t4.json")):
