@@ -40,13 +40,14 @@ from fractions import Fraction
 
 from .closedform import (OmegaSeries, closedform_omega_minus,
                          closedform_omega_plus, euler_relation_witness,
-                         omega_initial_minus, omega_initial_plus,
-                         with_kappa_profile)
-from .diffops import fold_premise_failure, homogeneous_component, is_eigenfunction
+                         first_difference, omega_initial_minus,
+                         omega_initial_plus, with_kappa_profile)
+from .diffops import eigen_defect, fold_premise_failure, homogeneous_component
 from .errors import FalsificationError
 from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
 from .laurent import Exp
 from .poles import POLE_BOUND, leading_pole_coefficient
+from .report import record
 from .series import TruncSeries3, exponents_upto
 from .klocal import KLocal
 from .specialized import _summed, specialized_sum_check
@@ -97,21 +98,25 @@ def check_H1_relation(table: SchurTable, order: int) -> list[dict]:
     the residual vanishes iff it vanishes where the x12 and x13 exponents
     are positive and the x23 exponent is not negative, a region reached
     from the orthant terms of the sum and their mirrors at x23^-1
-    (``is_eigenfunction``).  One more failing record names where the
+    (``eigen_defect``).  A failing record's witness is the least exponent of
+    that region where the residual is nonzero, with its numerator over
+    ``den``, the denominator of S.  One more failing record names where the
     operator breaks that premise, if it does (``fold_premise_failure``).
     """
     checks = []
     for n, sums in _truncation_numerators(table, order).items():
-        holds = {j1: is_eigenfunction(1, nums, Fraction((j1 + 1) ** 2))
-                 for j1, (nums, _) in sums.items()}
+        witnesses = {}
+        for j1, (nums, den) in sums.items():
+            defect = eigen_defect(1, nums, Fraction((j1 + 1) ** 2))
+            witnesses[j1] = None if defect is None else {
+                "monomial": list(defect[0]), "numerator": defect[1], "den": den}
         for e in sorted(e for j1 in sums for e in (j1 + 1, -j1 - 1)):
-            status = "pass" if holds[abs(e) - 1] else "fail"
-            checks.append({"check": "H1-log-derivative", "lambda_power": n,
-                           "kappa_power": e, "status": status})
+            witness = witnesses[abs(e) - 1]
+            checks.append(record("H1-log-derivative", witness,
+                                 lambda_power=n, kappa_power=e))
             for sign in "-+":
-                checks.append({"check": "second-order-log-derivative",
-                               "sign": sign, "lambda_power": n,
-                               "kappa_power": e, "status": status})
+                checks.append(record("second-order-log-derivative", witness,
+                                     sign=sign, lambda_power=n, kappa_power=e))
     failure = fold_premise_failure(1)
     if failure:
         checks.append(failure)
@@ -136,28 +141,28 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
     coeffs: dict[Exp, KLocal] = {}
     records = []
     for mvec in exponents_upto(order):
-        rec = {"check": "pole-order", "sign": sign, "mvec": list(mvec)}
+        where = {"sign": sign, "mvec": list(mvec)}
         try:
             family = expansions.fit_family(mvec)
             if family.unvalidated:
-                rec.update(bound=bound, status="fail", witness={
+                records.append(record("pole-order", {
                     "message": unvalidated_message(family, sum(mvec)),
                     "validated_on": family.validated_on,
-                    "validation_margin": VALIDATION_MARGIN})
-                records.append(rec)
+                    "validation_margin": VALIDATION_MARGIN}, **where, bound=bound))
                 continue
             value, pole = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
         except FalsificationError as exc:
             witness = {"message": str(exc)}
             if exc.witness is not None:  # the over-bound leading coefficient
                 witness["coefficient"] = exc.witness.serialize()
-            rec.update(bound=bound, status="fail", witness=witness)
-        else:
-            rec.update(order=pole, bound=bound,
-                       status="pass" if pole <= bound else "fail")
-            if value:
-                coeffs[mvec] = value
-        records.append(rec)
+            records.append(record("pole-order", witness, **where, bound=bound))
+            continue
+        records.append(record(
+            "pole-order",
+            None if pole <= bound else {"message": f"pole of order {pole} above {bound}"},
+            **where, order=pole, bound=bound))
+        if value:
+            coeffs[mvec] = value
     if any("witness" in rec for rec in records):
         return None, records
     return OmegaSeries(sign, order, coeffs), records
@@ -177,15 +182,11 @@ def pde_check(omega: TruncSeries3, sign: str) -> list[dict]:
         lhs = op.apply(omega.homogeneous_part(d + 2))
         rhs = omega.homogeneous_part(d).scale(Fraction(d * d + a * d + b))
         residual = lhs - rhs
-        rec = {
-            "check": f"pde-omega{sign}",
-            "degree": d,
-            "status": "pass" if not residual else "fail",
-        }
+        witness = None
         if residual:
             e, c = residual.lex_leading()
-            rec["witness"] = {"monomial": list(e), "value": str(c)}
-        checks.append(rec)
+            witness = {"monomial": list(e), "value": str(c)}
+        checks.append(record(f"pde-omega{sign}", witness, degree=d))
     return checks
 
 
@@ -196,16 +197,24 @@ def omega_vs_closedform(om: OmegaSeries) -> dict:
     nonzero; every other coefficient must then match with the same factor.
     The closed form's coefficient is the kappa-profile times a rational, a
     unit of the ring, so the ratio is a product with its exact reciprocal.
+    A failing record's witness is the least monomial at which the sums
+    differ from the ratio times the closed form, with both values, or, for
+    a vanishing normalization, the two (0,0,0) coefficients.
     """
     cf = with_kappa_profile("-", closedform_omega_minus(om.order))
     base = cf.coefficient((0, 0, 0))
     ratio = om.coefficient((0, 0, 0)) * (1 / base) if base else None
-    ok = bool(ratio) and all(
-        om.coefficient(e) == ratio * cf.coefficient(e)
-        for e in set(om.coeffs) | set(cf.coeffs))
-    return {"check": "omega-minus-vs-closedform", "order": om.order,
-            "normalization": ratio.serialize() if ratio else None,
-            "status": "pass" if ok else "fail"}
+    if not ratio:
+        witness = {"monomial": [0, 0, 0], "sums": om.coefficient((0, 0, 0)).serialize(),
+                   "closed_form": base.serialize()}
+    else:
+        witness = next((
+            {"monomial": list(e), "sums": om.coefficient(e).serialize(),
+             "ratio_times_closed_form": (ratio * cf.coefficient(e)).serialize()}
+            for e in sorted(set(om.coeffs) | set(cf.coeffs))
+            if om.coefficient(e) != ratio * cf.coefficient(e)), None)
+    return record("omega-minus-vs-closedform", witness, order=om.order,
+                  normalization=ratio.serialize() if ratio else None)
 
 
 def closedform_checks(order: int) -> list[dict]:
@@ -217,17 +226,15 @@ def closedform_checks(order: int) -> list[dict]:
     cm = closedform_omega_minus(order)
     cp = closedform_omega_plus(order)
     checks = pde_check(cm, "-") + pde_check(cp, "+")
-    euler = {"check": "omega-plus-euler-relation", "order": order, "status": "pass"}
-    witness = euler_relation_witness(cp, cm)
-    if witness:
-        euler.update(status="fail", witness=witness)
-    checks.append(euler)
+    checks.append(record("omega-plus-euler-relation", euler_relation_witness(cp, cm),
+                         order=order))
     for sign, closed, initial in (("-", cm, omega_initial_minus(order)),
                                   ("+", cp, omega_initial_plus(order))):
         sliced = TruncSeries3(order, {
             e: c for e, c in closed.terms.items() if e[2] == 0})
-        checks.append({"check": "initial-condition", "sign": sign, "order": order,
-                       "status": "pass" if sliced == initial else "fail"})
+        checks.append(record("initial-condition",
+                             first_difference(sliced, initial, ("closed_form", "initial")),
+                             sign=sign, order=order))
     return checks
 
 
@@ -235,23 +242,28 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
     """The ``verify cauchy`` suite: H1 relations, pole orders, Omega_- against
     the closed form, then ``closedform_checks`` at max(order, 6).
 
-    A table the expansions reject, a failed family fit or an over-bound pole
-    fails its own record and the later checks still run.
+    A table below level 2 * order raises ``ValueError`` before any check:
+    the families through ``order`` are fitted on the labels through that
+    level.  A table the expansions reject, a failed family fit or an
+    over-bound pole fails its own record and the later checks still run.
     """
+    if table.max_level < 2 * order:
+        raise ValueError(
+            f"table level {table.max_level} is below {2 * order}: verify cauchy "
+            f"fits the families through order {order} (level {2 * order})")
     checks = check_H1_relation(table, lambda_order)
     try:
         es = ExpansionSet(table, order)
     except FalsificationError as exc:
-        checks.append({"check": "falsification", "stage": "expansions",
-                       "status": "fail", "witness": str(exc)})
+        checks.append(record("falsification", str(exc), stage="expansions"))
         return checks + closedform_checks(max(order, 6))
     om, minus = omega_from_sums(es, "-", order)
     _, plus = omega_from_sums(es, "+", order)
     checks += minus + plus
     if om is None:
         message = next(rec["witness"]["message"] for rec in minus if "witness" in rec)
-        checks.append({"check": "falsification", "stage": "omega-minus-vs-closedform",
-                       "status": "fail", "witness": message})
+        checks.append(record("falsification", message,
+                             stage="omega-minus-vs-closedform"))
     else:
         checks.append(omega_vs_closedform(om))
     checks.extend(closedform_checks(max(order, 6)))

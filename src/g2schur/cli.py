@@ -46,7 +46,7 @@ import time
 from typing import TYPE_CHECKING
 
 from .errors import FalsificationError, TableError
-from .report import Report
+from .report import Report, record
 
 if TYPE_CHECKING:
     from .table import SchurTable
@@ -75,31 +75,27 @@ def _load_or_build(cfg: argparse.Namespace) -> tuple[SchurTable, str]:
     return table, table.checksum()
 
 
-def _falsified(record: dict, exc: FalsificationError) -> dict:
-    """``record`` failed by ``exc``: its message is the witness, and the
-    value it carries, such as a nonzero recursion residual, is kept."""
-    record.update(status="fail", witness=str(exc))
+def _falsified(check: str, exc: FalsificationError) -> dict:
+    """The record of ``check`` failed by ``exc``: its message is the witness,
+    and the value it carries, such as a nonzero recursion residual, is kept."""
+    rec = record(check, str(exc))
     if exc.witness is not None:
-        record["value"] = repr(exc.witness)
-    return record
+        rec["value"] = repr(exc.witness)
+    return rec
 
 
 def _table(cfg: argparse.Namespace, report: Report) -> None:
     from .table import solve_table, whole_table_failure
     # the solve is the check this command makes, so its falsification fails
     # the construct record itself
-    record = {"check": "construct"}
-    report.checks.append(record)
     try:
         table = solve_table(cfg.max_level)
     except FalsificationError as exc:
-        _falsified(record, exc)
+        report.checks.append(_falsified("construct", exc))
         return
     report.table_checksum = table.save(cfg.out) if cfg.out else table.checksum()
-    record.update(entries=len(table), status="pass")
-    failure = whole_table_failure(table)
-    if failure:
-        record.update(status="fail", witness=failure)
+    report.checks.append(record("construct", whole_table_failure(table),
+                                entries=len(table)))
 
 
 def _roundtrip(cfg: argparse.Namespace, report: Report) -> None:
@@ -109,9 +105,11 @@ def _roundtrip(cfg: argparse.Namespace, report: Report) -> None:
     # the reader took the SHA-256 of the file's bytes; equal digests stand
     # for equal bytes, as a report's table_checksum does
     table = SchurTable.load(cfg.table)
-    report.table_checksum = table.checksum()
-    ok = report.table_checksum == table.file_checksum
-    report.checks.append({"check": "byte-roundtrip", "status": "pass" if ok else "fail"})
+    report.table_checksum = render = table.checksum()
+    report.checks.append(record(
+        "byte-roundtrip",
+        None if render == table.file_checksum else {
+            "file_sha256": table.file_checksum, "render_sha256": render}))
 
 
 def _pieri(cfg: argparse.Namespace, table: SchurTable) -> list[dict]:
@@ -176,11 +174,7 @@ def _omega(cfg: argparse.Namespace, report: Report) -> None:
     minus = closedform_omega_minus(cfg.order)
     plus = closedform_omega_plus(cfg.order)
     # the plus-type closed form against the (-2 - d) route from Omega_-
-    witness = euler_relation_witness(plus, minus)
-    record = {"check": "emit", "status": "pass"}
-    if witness:
-        record.update(status="fail", witness=witness)
-    report.checks.append(record)
+    report.checks.append(record("emit", euler_relation_witness(plus, minus)))
     report.extra = {"omega_minus": with_kappa_profile("-", minus).serialize(),
                     "omega_plus": with_kappa_profile("+", plus).serialize()}
 
@@ -235,7 +229,7 @@ def run(cfg: argparse.Namespace) -> tuple[int, Report]:
     try:
         body(cfg, report)
     except FalsificationError as exc:
-        report.checks.append(_falsified({"check": "falsification"}, exc))
+        report.checks.append(_falsified("falsification", exc))
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     if not report.failed:
         return EXIT_OK, report

@@ -167,15 +167,22 @@ def omega_plus_from_minus(omega_minus: TruncSeries3) -> TruncSeries3:
         e: c * (-2 - sum(e)) for e, c in omega_minus.terms.items()})
 
 
+def first_difference(a: TruncSeries3, b: TruncSeries3,
+                     names: tuple[str, str]) -> dict | None:
+    """The least monomial at which the series ``a`` and ``b`` differ, with
+    their values under ``names``; None if they agree."""
+    for e in sorted(a.terms.keys() | b.terms.keys()):
+        x, y = a.coefficient(e), b.coefficient(e)
+        if x != y:
+            return {"monomial": list(e), names[0]: str(x), names[1]: str(y)}
+    return None
+
+
 def euler_relation_witness(plus: TruncSeries3, minus: TruncSeries3) -> dict | None:
     """The first monomial at which the plus-type closed form ``plus`` differs
     from its (-2 - d) route from ``minus``, with both values; None if none."""
-    routed = omega_plus_from_minus(minus)
-    for e in sorted(plus.terms.keys() | routed.terms.keys()):
-        a, b = plus.coefficient(e), routed.coefficient(e)
-        if a != b:
-            return {"monomial": list(e), "closed_form": str(a), "from_minus": str(b)}
-    return None
+    return first_difference(plus, omega_plus_from_minus(minus),
+                            ("closed_form", "from_minus"))
 
 
 def omega_initial_minus(order: int) -> TruncSeries3:

@@ -19,9 +19,11 @@ H_k is invariant under each x -> 1/x, as every table entry is, so the
 cleared residual of an entry is anti-invariant in v and in w and invariant
 in u.  ``verify_eigen`` (and ``cauchy.check_H1_relation``) therefore judge
 it only where e_v > 0, e_w > 0 and e_u >= 0, from the entry's orthant terms
-and their mirrors at e_u = -1, in one call (``is_eigenfunction``); the
-residual on every exponent is built only for the witness of a failed
-check.  Each suite also checks that premise of the fold on the operator
+and their mirrors at e_u = -1, in one call (``eigen_defect``): it returns
+the least exponent of that region where the residual is nonzero, with its
+numerator, which is the witness of a failed H_1 relation.  The witness of a
+failed ``verify_eigen`` record is the residual on every exponent, built only
+then.  Each suite also checks that premise of the fold on the operator
 itself (``fold_premise_failure``).
 
 After the shift x = 1 + X the operator decomposes into homogeneous graded
@@ -46,6 +48,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .laurent import Exp, LaurentPoly3
+from .report import record
 
 if TYPE_CHECKING:
     from .series import TruncSeries3
@@ -114,9 +117,11 @@ def apply_H_numerators(k: int, nums: dict[tuple[int, int, int], int],
     return acc
 
 
-def is_eigenfunction(k: int, nums: dict[Exp, int], mu: Fraction) -> bool:
-    """Whether H_k f = mu f, for f invariant under each x -> 1/x with orthant
-    numerators ``nums``.
+def eigen_defect(k: int, nums: dict[Exp, int], mu: Fraction) -> tuple[Exp, int] | None:
+    """Where H_k f = mu f fails, for f invariant under each x -> 1/x with
+    orthant numerators ``nums``: the least exponent of the region below at
+    which the numerator of (v - 1/v)(w - 1/w)(H_k - mu) f, over den(f)
+    den(mu), is nonzero, with that numerator; None if f is an eigenfunction.
 
     (v - 1/v)(w - 1/w)(H_k - mu) f is anti-invariant under v -> 1/v and under
     w -> 1/w and invariant under u -> 1/u, since H_k is invariant under all
@@ -131,10 +136,10 @@ def is_eigenfunction(k: int, nums: dict[Exp, int], mu: Fraction) -> bool:
     for e, n in nums.items():
         if e[u] == 1:
             sources[e[:u] + (-1,) + e[u + 1:]] = n
-    for e, n in apply_H_numerators(k, sources, mu).items():
-        if n and e[v] > 0 and e[w] > 0 and e[u] >= 0:
-            return False
-    return True
+    image = apply_H_numerators(k, sources, mu)
+    first = min((e for e, n in image.items()
+                 if n and e[v] > 0 and e[w] > 0 and e[u] >= 0), default=None)
+    return None if first is None else (first, image[first])
 
 
 def _inverted(e: Exp, pos: int) -> Exp:
@@ -161,12 +166,11 @@ def fold_premise_failure(k: int) -> dict | None:
                 want = {_inverted(t, pos): parity * n for t, n in image[e].items()}
                 if image[_inverted(e, pos)] != want:
                     x = ("x12", "x13", "x23")[pos]
-                    return {"check": "falsification", "stage": "fold-premise",
-                            "k": k, "monomial": list(e), "variable": x,
-                            "status": "fail",
-                            "witness": f"(v - 1/v)(w - 1/w)(H_{k} - {mu}) is not "
-                                       f"{'odd' if parity < 0 else 'even'} under "
-                                       f"{x} -> 1/{x}"}
+                    return record(
+                        "falsification",
+                        f"(v - 1/v)(w - 1/w)(H_{k} - {mu}) is not "
+                        f"{'odd' if parity < 0 else 'even'} under {x} -> 1/{x}",
+                        stage="fold-premise", k=k, monomial=list(e), variable=x)
     return None
 
 
@@ -175,7 +179,7 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
 
     Each entry is judged from its orthant form: the cleared residual of
     den * phi, from the orthant terms and their e_u = -1 mirrors, must
-    vanish where e_v > 0, e_w > 0 and e_u >= 0 (``is_eigenfunction``).
+    vanish where e_v > 0, e_w > 0 and e_u >= 0 (``eigen_defect``).
     The witness of a failed check is the residual of the entry itself, on
     every exponent (``apply_H_cleared``).  When the operators break the
     fold's premise, one more failing record names where
@@ -193,17 +197,11 @@ def verify_eigen(table: SchurTable, max_level: int | None = None) -> list[dict]:
         nums, den = table.orthant_entry(triple)
         for k in (1, 2, 3):
             mu = Fraction((triple[k - 1] + 1) ** 2)
-            ok = is_eigenfunction(k, nums, mu)
-            rec = {
-                "check": "eigen",
-                "triple": list(triple),
-                "k": k,
-                "status": "pass" if ok else "fail",
-            }
-            if not ok:
+            witness = None
+            if eigen_defect(k, nums, mu) is not None:
                 residual = apply_H_cleared(k, LaurentPoly3(unfold(nums)), mu)
-                rec["witness"] = repr(residual.scale(Fraction(1, den)))
-            checks.append(rec)
+                witness = repr(residual.scale(Fraction(1, den)))
+            checks.append(record("eigen", witness, triple=list(triple), k=k))
     for k in (1, 2, 3):
         failure = fold_premise_failure(k)
         if failure:
@@ -412,14 +410,7 @@ def verify_recursion_by_components(L: int,
                         acc = acc + homogeneous_component(k, m).apply(parts[d])
                 target = parts[l].scale(mu) if l >= 0 else LaurentPoly3.zero()
                 residual = acc - target
-                rec = {
-                    "check": "series-recursion",
-                    "triple": list(triple),
-                    "k": k,
-                    "l": l,
-                    "status": "pass" if not residual else "fail",
-                }
-                if residual:
-                    rec["witness"] = repr(residual)
-                checks.append(rec)
+                checks.append(record("series-recursion",
+                                     repr(residual) if residual else None,
+                                     triple=list(triple), k=k, l=l))
     return checks

@@ -28,6 +28,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .laurent import Exp, LaurentPoly3
+from .report import record
 from .series import TruncSeries3, exponents_upto
 from .table import (Cleared, FalsificationError, SchurTable, Triple,
                     enumerate_level, enumerate_through, predecessor_equations,
@@ -239,13 +240,13 @@ class ExpansionSet:
         monomial rows."""
         if degree in self._fit_data:
             return self._fit_data[degree]
+        if self.table.max_level < 2 * degree:
+            raise ValueError(
+                f"table level {self.table.max_level} is below {2 * degree}: the "
+                f"family fit of degree {degree} reads the labels through level "
+                f"{2 * degree}")
         labels = enumerate_through(self.table.max_level)
         monomials = exponents_upto(degree)
-        if self.table.max_level < 2 * degree:
-            # the labels through a level below 2d are all independent
-            raise ValueError(
-                f"table level {self.table.max_level} provides only rank "
-                f"{len(labels)} of {len(monomials)} for degree {degree}")
         simplex, points, steps = newton_steps(degree)
         # C(x, k) = prod_{i<k} (2x - 2i) / (2^k k!) for x = a, b, c, and
         # every basis element over the one denominator 2^d d!
@@ -335,42 +336,34 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     try:
         es = ExpansionSet(table, max(order, 4))
     except FalsificationError as exc:
-        return [{"check": "falsification", "stage": "expansions",
-                 "status": "fail", "witness": str(exc)}]
+        return [record("falsification", str(exc), stage="expansions")]
     triples = enumerate_through(table.max_level)
     checks = []
     for triple in triples:
         nums, den = es.forms[triple]
         linear = sorted((e, n) for e, n in nums.items() if sum(e) == 1)
-        rec = {"check": "expansion-normalization", "triple": list(triple),
-               "status": "pass"}
+        witness = None
         if nums.get((0, 0, 0)) != den or linear:
             found = ", ".join(f"{Fraction(n, den)} at {e}" for e, n in linear)
-            rec.update(status="fail", witness=(
-                f"constant term {Fraction(nums.get((0, 0, 0), 0), den)}; "
-                f"degree-1 terms: {found or 'none'}"))
-        checks.append(rec)
+            witness = (f"constant term {Fraction(nums.get((0, 0, 0), 0), den)}; "
+                       f"degree-1 terms: {found or 'none'}")
+        checks.append(record("expansion-normalization", witness, triple=list(triple)))
     for mvec in exponents_upto(order):
         try:
             fam = es.fit_family(mvec)
         except FalsificationError as exc:
-            checks.append({"check": "family-fit", "mvec": list(mvec),
-                           "status": "fail", "witness": str(exc)})
+            checks.append(record("family-fit", str(exc), mvec=list(mvec)))
             continue
-        rec = {"check": "family-fit", "mvec": list(mvec),
-               "validated_on": fam.validated_on, "status": "pass"}
-        if fam.unvalidated:
-            rec.update(status="fail", witness=unvalidated_message(fam, sum(mvec)))
-        checks.append(rec)
+        checks.append(record(
+            "family-fit", unvalidated_message(fam, sum(mvec)) if fam.unvalidated else None,
+            mvec=list(mvec), validated_on=fam.validated_on))
     for mvec, poly in _reference_families().items():
-        rec = {"check": "family-reference", "mvec": list(mvec), "status": "pass"}
         try:
             fitted = es.fit_family(mvec).polynomial
-            if fitted != poly:
-                rec.update(status="fail", witness=repr(fitted))
+            witness = repr(fitted) if fitted != poly else None
         except FalsificationError as exc:
-            rec.update(status="fail", witness=str(exc))
-        checks.append(rec)
+            witness = str(exc)
+        checks.append(record("family-reference", witness, mvec=list(mvec)))
     comp_level = min(table.max_level, 6)
     expansions = {t: es.expansion(t) for t in triples if sum(t) <= comp_level}
     L = min(order, 4) - 2

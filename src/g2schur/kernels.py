@@ -72,6 +72,7 @@ from .diffops import HomogeneousOp, homogeneous_component
 from .errors import FalsificationError
 from .laurent import Exp, LaurentPoly3
 from .linalg import clear_denominators, nullspace, rref
+from .report import record
 
 #: integer numerators of a polynomial, keyed by exponent
 Terms = dict[Exp, int]
@@ -345,13 +346,12 @@ def action_check(images: DegreeImages, l: int) -> list[dict]:
             for e, v in nums.items():
                 acc[e] = get(e, 0) + weight * v
         rhs = {e: (m + 1) * v for e, v in acc.items() if v}
-        rec = {"check": f"H{k}-action", "m": m, "l": l,
-               "status": "pass" if lhs == rhs else "fail"}
+        witness = None
         if lhs != rhs:
             e = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e) != rhs.get(e))
-            rec["witness"] = {"monomial": list(e), "lhs": lhs.get(e, 0),
-                              "rhs": rhs.get(e, 0), "den": common}
-        checks.append(rec)
+            witness = {"monomial": list(e), "lhs": lhs.get(e, 0),
+                       "rhs": rhs.get(e, 0), "den": common}
+        checks.append(record(f"H{k}-action", witness, m=m, l=l))
     return checks
 
 
@@ -365,6 +365,8 @@ def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
     (plus sign for the second operator, minus for the third), and the image
     is empty for m = l = 0.  The image is taken on the integer numerators of
     P_{m,l,l}; its leading coefficient is read back over their denominator.
+    A failing record's witness is the image's leading term, or "empty
+    image" when the image vanishes.
     """
     m = images.degree
     if 2 * l > m:
@@ -373,10 +375,12 @@ def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
     checks = []
     for k in (2, 3):
         image = images.apply(k, p)
+        actual = None
+        if image:
+            top = max(image)
+            actual = [list(top), str(Fraction(image[top], den))]
         if m == 0:
-            status = "pass" if not image else "fail"
-            checks.append({"check": f"H{k}-leading", "m": m, "l": l,
-                           "case": "empty", "status": status})
+            checks.append(record(f"H{k}-leading", actual, m=m, l=l, case="empty"))
             continue
         if m > 2 * l:
             coeff = Fraction(
@@ -392,19 +396,11 @@ def leading_term_check(images: DegreeImages, l: int) -> list[dict]:
                 coeff = -coeff
             expected = ((2 * l - 2, 0, 0), coeff)
             case = "m=2l"
-        actual = None
-        if image:
-            top = max(image)
-            actual = (top, Fraction(image[top], den))
-        checks.append({
-            "check": f"H{k}-leading",
-            "m": m,
-            "l": l,
-            "case": case,
-            "status": "pass" if actual == expected else "fail",
-            "expected": [list(expected[0]), str(expected[1])],
-            "actual": None if actual is None else [list(actual[0]), str(actual[1])],
-        })
+        expected = [list(expected[0]), str(expected[1])]
+        witness = None if actual == expected else actual or "empty image"
+        rec = record(f"H{k}-leading", witness, m=m, l=l, case=case)
+        rec.update(expected=expected, actual=actual)
+        checks.append(rec)
     return checks
 
 
@@ -477,7 +473,8 @@ def verify_kernel(max_degree: int) -> list[dict]:
     Each degree's checks share one ``DegreeImages``, so the formula checks
     of a degree run with its kernels and their records are appended after
     every kernel record.  The ``kernel-H1`` and ``kernel-dims`` records are
-    the one judgement of each dimension.  A degree falsified otherwise, or a
+    the one judgement of each dimension; a failing one carries the expected
+    dimensions as its witness.  A degree falsified otherwise, or a
     falsified (m, l) of the formulas, gets one ``falsification`` record with
     its witness and the later checks still run.
     """
@@ -488,29 +485,23 @@ def verify_kernel(max_degree: int) -> list[dict]:
         try:
             h1_kernel = kernel_H1(images)
             dim = len(h1_kernel)
-            rec = {"check": "kernel-H1", "degree": m, "dim": dim,
-                   "status": "pass" if dim == m // 2 + 1 else "fail"}
-            if dim != m // 2 + 1:
-                rec["expected"] = m // 2 + 1
-            checks.append(rec)
-            pair_rec = {"check": "kernel-dims", "degree": m, "dim_H1": dim}
-            for pair in ((1, 2), (1, 3)):
-                pair_rec[f"dim_pair_{pair[0]}{pair[1]}"] = common_kernel(
-                    pair, images, h1_kernel)
-            pair_rec["dim_triple"] = triple_kernel(images, h1_kernel)
+            want = m // 2 + 1
+            checks.append(record("kernel-H1", None if dim == want else {"expected": want},
+                                 degree=m, dim=dim))
+            dims = {f"dim_pair_{a}{b}": common_kernel((a, b), images, h1_kernel)
+                    for a, b in ((1, 2), (1, 3))}
+            dims["dim_triple"] = triple_kernel(images, h1_kernel)
         except FalsificationError as exc:
-            checks.append({"check": "falsification", "degree": m,
-                           "status": "fail", "witness": str(exc)})
+            checks.append(record("falsification", str(exc), degree=m))
         else:
-            ok = (pair_rec["dim_pair_12"] == pair_rec["dim_pair_13"] == 1 - m % 2
-                  and pair_rec["dim_triple"] == int(m == 0))
-            pair_rec["status"] = "pass" if ok else "fail"
-            checks.append(pair_rec)
+            want = {"dim_pair_12": 1 - m % 2, "dim_pair_13": 1 - m % 2,
+                    "dim_triple": int(m == 0)}
+            checks.append(record("kernel-dims", None if dims == want else {"expected": want},
+                                 degree=m, dim_H1=dim, **dims))
         for l in range(m // 2 + 1) if m <= 8 else ():
             try:
                 formulas.extend(action_check(images, l))
                 formulas.extend(leading_term_check(images, l))
             except FalsificationError as exc:
-                formulas.append({"check": "falsification", "m": m, "l": l,
-                                 "status": "fail", "witness": str(exc)})
+                formulas.append(record("falsification", str(exc), m=m, l=l))
     return checks + formulas

@@ -3,8 +3,9 @@
 A report is a deterministic JSON document: suite name, configuration echo,
 table checksum, one record per check, and summary counts (of the checks, or
 the evidence table's own counts for a report without checks, such as the
-conjecture comparison).  Timing lives in a single top-level field so reports
-stay byte-comparable after dropping it.  The text is the layout of
+conjecture comparison).  Every check record is built by ``record``, so a
+record fails exactly when it carries a witness.  Timing lives in a single
+top-level field so reports stay byte-comparable after dropping it.  The text is the layout of
 ``json.dumps(..., indent=1)``, written by ``to_json_text``: the standard
 library serves ``indent`` only from its pure-Python encoder, about twice as
 slow on the larger reports.  ``json.dumps`` is the test oracle.
@@ -13,6 +14,20 @@ slow on the larger reports.  ``json.dumps`` is the test oracle.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+
+
+def record(check: str, witness, /, **fields) -> dict:
+    """The record of one check: ``check``, then ``fields`` in order, then
+    ``status``.  The status is ``"fail"``, followed by ``witness``, exactly
+    when ``witness`` is not None; it has no default, so every call states
+    its verdict."""
+    rec = {"check": check, **fields}
+    if witness is None:
+        rec["status"] = "pass"
+    else:
+        rec["status"] = "fail"
+        rec["witness"] = witness
+    return rec
 
 
 class Report:

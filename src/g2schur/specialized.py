@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from .laurent import Exp, LaurentPoly3
+from .report import record
 from .table import Cleared, SchurTable, _times_x_plus_inv, is_admissible, unfold
 
 
@@ -83,22 +84,24 @@ def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
         = (1 - x13^{j1+1}/x12^{j1+1}) (1 - x13^{j1+1} x12^{j1+1})
 
     holds; for J < j1 or mismatched parity every label in the row violates
-    admissibility and the sum is zero.  Divided by x13^{j1+1}, with S the
-    row sum, it reads (j1+1) S (x13 + 1/x13 - x12 - 1/x12) = x13^{j1+1} +
-    x13^{-j1-1} - x12^{j1+1} - x12^{-j1-1}, both sides invariant, and is
-    compared on the orthant (``table._times_x_plus_inv``) over the
-    denominator of S; a witness is unfolded and multiplied back.
+    admissibility and the sum is zero; a nonzero sum is the witness.  Divided
+    by x13^{j1+1}, with S the row sum, it reads (j1+1) S (x13 + 1/x13 - x12
+    - 1/x12) = x13^{j1+1} + x13^{-j1-1} - x12^{j1+1} - x12^{-j1-1}, both
+    sides invariant, and is compared on the orthant
+    (``table._times_x_plus_inv``) over the denominator of S; a witness is
+    unfolded and multiplied back.
     """
     if table.max_level < j1 + J:
         raise ValueError(f"table level {table.max_level} < {j1 + J}")
     row = [table.orthant_entry((j1, j2, J - j2)) for j2 in range(J + 1)
            if is_admissible(j1, j2, J - j2)]
     total, den = _summed(row, at_x23_one=True)
-    rec = {"check": "specialized-sum", "j1": j1, "J": J, "labels": len(row)}
+    where = {"j1": j1, "J": J, "labels": len(row)}
     if J < j1 or (J - j1) % 2:
-        rec["mode"] = "empty"
-        rec["status"] = "pass" if not any(total.values()) else "fail"
-        return rec
+        witness = None
+        if any(total.values()):
+            witness = repr(LaurentPoly3.from_cleared(unfold(total), den))
+        return record("specialized-sum", witness, **where, mode="empty")
     a = j1 + 1
     diff = _times_x_plus_inv(1, total, a)
     get = diff.get
@@ -106,12 +109,11 @@ def specialized_sum_check(j1: int, J: int, table: SchurTable) -> dict:
         diff[key] = get(key, 0) - n
     diff[0, a, 0] = get((0, a, 0), 0) - den
     diff[a, 0, 0] = get((a, 0, 0), 0) + den
-    rec["mode"] = "identity"
-    rec["status"] = "pass" if not any(diff.values()) else "fail"
-    if rec["status"] == "fail":
-        rec["witness"] = repr(LaurentPoly3.from_cleared(
+    witness = None
+    if any(diff.values()):
+        witness = repr(LaurentPoly3.from_cleared(
             {(e1, e2 + a, e3): n for (e1, e2, e3), n in unfold(diff).items()}, den))
-    return rec
+    return record("specialized-sum", witness, **where, mode="identity")
 
 
 def verify_specialized(table: SchurTable) -> list[dict]:
@@ -128,15 +130,13 @@ def verify_specialized(table: SchurTable) -> list[dict]:
             nums, den = _summed([table.orthant_entry((j1, j2, j1 - j2))],
                                 at_x23_one=True)
             closed_nums, closed_den = _specialization_cleared(j1, j2)
-            same = {e: n * closed_den for e, n in nums.items() if n} == {
-                e: c * den for e, c in closed_nums.items() if c}
-            rec = {"check": "specialization-formula", "j1": j1, "j2": j2,
-                   "status": "pass" if same else "fail"}
-            if not same:
-                rec["witness"] = repr(
+            witness = None
+            if {e: n * closed_den for e, n in nums.items() if n} != {
+                    e: c * den for e, c in closed_nums.items() if c}:
+                witness = repr(
                     LaurentPoly3.from_cleared(unfold(closed_nums), closed_den)
                     - LaurentPoly3.from_cleared(unfold(nums), den))
-            checks.append(rec)
+            checks.append(record("specialization-formula", witness, j1=j1, j2=j2))
     for j1 in range(j1_max + 1):
         for J in range(j1 % 2, min(12, table.max_level - j1) + 1, 2):
             checks.append(specialized_sum_check(j1, J, table))

@@ -66,6 +66,7 @@ from math import comb, gcd, lcm
 
 from .errors import FalsificationError, TableError  # raised and re-exported here
 from .laurent import Exp, LaurentPoly3
+from .report import record
 
 Triple = tuple[int, int, int]
 
@@ -550,39 +551,31 @@ def verify_pieri(table: SchurTable) -> list[dict]:
             continue
         for eq in (0, 1, 2):
             residual = table.pieri_residual(eq, triple)
-            rec = {"check": "pieri", "triple": list(triple), "equation": eq + 1,
-                   "status": "pass" if not residual else "fail"}
-            if residual:
-                rec["witness"] = repr(residual)
-            checks.append(rec)
+            checks.append(record("pieri", repr(residual) if residual else None,
+                                 triple=list(triple), equation=eq + 1))
     for triple in triples:
         nums, den = table.orthant_entry(triple)
         value = unit_value(nums)
-        rec = {"check": "unit-value", "triple": list(triple),
-               "status": "pass" if value == den else "fail"}
-        if value != den:
-            rec["witness"] = f"value {Fraction(value, den)} at (1,1,1)"
-        checks.append(rec)
-    seen_per_level: dict[int, set] = {}
+        checks.append(record(
+            "unit-value",
+            f"value {Fraction(value, den)} at (1,1,1)" if value != den else None,
+            triple=list(triple)))
+    # level -> leading exponents -> the first label with them
+    seen_per_level: dict[int, dict[Exp, Triple]] = {}
     for triple in triples:
-        rec = {"check": "leading-term", "triple": list(triple), "status": "pass"}
         try:
             # the numerators have the entry's orthant monomials
             _, exps = leading_term(LaurentPoly3(table.orthant_entry(triple)[0]), triple)
         except FalsificationError as exc:
-            rec.update(status="fail", witness=str(exc))
-            exps = None
-        checks.append(rec)
-        if exps is not None:
-            bucket = seen_per_level.setdefault(sum(triple), set())
-            checks.append({"check": "leading-distinct", "triple": list(triple),
-                           "status": "pass" if exps not in bucket else "fail"})
-            bucket.add(exps)
+            checks.append(record("leading-term", str(exc), triple=list(triple)))
+            continue
+        checks.append(record("leading-term", None, triple=list(triple)))
+        earlier = seen_per_level.setdefault(sum(triple), {}).setdefault(exps, triple)
+        checks.append(record("leading-distinct",
+                             None if earlier == triple else list(earlier),
+                             triple=list(triple)))
     for sigma in ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2)):
         ok, witness = s3_check(table, sigma)
-        rec = {"check": "s3-symmetry", "sigma": list(sigma),
-               "status": "pass" if ok else "fail"}
-        if witness:
-            rec["witness"] = list(witness)
-        checks.append(rec)
+        checks.append(record("s3-symmetry", None if ok else list(witness),
+                             sigma=list(sigma)))
     return checks

@@ -468,29 +468,48 @@ def fraction_check_H1_relation(table, order):
     ``apply_H_cleared`` on each lambda-coefficient of
     ``fraction_cauchy_truncation`` against its product with
     (x12 - 1/x12)(x13 - 1/x13); the former body of ``check_H1_relation`` and
-    the oracle for its integer route."""
+    the oracle for its integer route.  A failing record's witness is read
+    from the residual of (H_1 - (j1 + 1)^2) on the label sum S = C_-(n, j1 +
+    1) on every exponent: its least exponent with positive x12 and x13 and
+    nonnegative x23 exponents, and its value there times the lcm of the
+    denominators of the entries summed."""
     from g2schur.diffops import apply_H_cleared
 
     cm = fraction_cauchy_truncation(table, "-", order)
     cp = fraction_cauchy_truncation(table, "+", order)
     d1 = (LaurentPoly3.monomial((1, 0, 0)) - LaurentPoly3.monomial((-1, 0, 0))) * \
          (LaurentPoly3.monomial((0, 1, 0)) - LaurentPoly3.monomial((0, -1, 0)))
+
+    def failed(rec, n, e):
+        j1 = abs(e) - 1
+        residual = apply_H_cleared(1, cm[n][j1 + 1], Fraction((j1 + 1) ** 2))
+        first = min(t for t in residual.terms if t[0] > 0 and t[1] > 0 and t[2] >= 0)
+        den = math.lcm(*(table.entries[t].cleared()[1] for t in table.entries
+                         if t[0] == j1 and t[1] + t[2] == n))
+        rec.update(status="fail", witness={
+            "monomial": list(first), "numerator": int(residual.terms[first] * den),
+            "den": den})
+
     checks = []
     for n in range(order + 1):
         kexps = sorted(set(cm[n]) | set(cp[n]))
         for e in kexps:
             lhs = apply_H_cleared(1, cm[n][e], Fraction(0))
             rhs = (d1 * cp[n][e]).scale(Fraction(e))
-            checks.append({"check": "H1-log-derivative", "lambda_power": n,
-                           "kappa_power": e,
-                           "status": "pass" if lhs == rhs else "fail"})
+            rec = {"check": "H1-log-derivative", "lambda_power": n,
+                   "kappa_power": e, "status": "pass"}
+            if lhs != rhs:
+                failed(rec, n, e)
+            checks.append(rec)
             for sign, trunc in (("-", cm), ("+", cp)):
                 poly = trunc[n][e]
                 lhs2 = apply_H_cleared(1, poly, Fraction(0))
                 rhs2 = (d1 * poly).scale(Fraction(e * e))
-                checks.append({"check": "second-order-log-derivative",
-                               "sign": sign, "lambda_power": n, "kappa_power": e,
-                               "status": "pass" if lhs2 == rhs2 else "fail"})
+                rec = {"check": "second-order-log-derivative", "sign": sign,
+                       "lambda_power": n, "kappa_power": e, "status": "pass"}
+                if lhs2 != rhs2:
+                    failed(rec, n, e)
+                checks.append(rec)
     return checks
 
 
@@ -540,11 +559,14 @@ class TestCauchyTruncation:
         # the folded relations of a table with entries off their eigenspaces
         # fail exactly where the Fraction route on every exponent fails: at
         # lambda^2 and lambda^4, the sums holding (2, 1, 1) and (4, 4, 0); the
-        # rescaled (1, 2, 3) stays an eigenfunction
+        # rescaled (1, 2, 3) stays an eigenfunction.  Each failing record
+        # carries the least defect of its label sum, as both routes read it
         broken = perturbed(table12)
         checks = check_H1_relation(broken, 6)
         assert checks == fraction_check_H1_relation(broken, 6)
-        assert {c["lambda_power"] for c in checks if c["status"] == "fail"} == {2, 4}
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert {c["lambda_power"] for c in failed} == {2, 4}
+        assert all(c["witness"]["numerator"] and c["witness"]["den"] for c in failed)
 
     def test_wrong_numerator_fails_its_relations(self, table12, monkeypatch):
         # one numerator of the (n, j1) = (2, 2) label sum bumped: the six
@@ -678,8 +700,15 @@ def ratfun_closedform_checks(order):
         sliced = TruncSeries3(order, {
             e: (c * unprofile).as_fraction()
             for e, c in coeffs.items() if e[2] == 0})
-        checks.append({"check": "initial-condition", "sign": sign, "order": order,
-                       "status": "pass" if sliced == initial else "fail"})
+        rec = {"check": "initial-condition", "sign": sign, "order": order,
+               "status": "pass" if sliced == initial else "fail"}
+        if sliced != initial:
+            e = next(e for e in sorted(sliced.terms.keys() | initial.terms.keys())
+                     if sliced.coefficient(e) != initial.coefficient(e))
+            rec["witness"] = {"monomial": list(e),
+                              "closed_form": str(sliced.coefficient(e)),
+                              "initial": str(initial.coefficient(e))}
+        checks.append(rec)
     return checks
 
 
@@ -719,6 +748,12 @@ class TestRatFunOracle:
             "monomial": [2, 0, 0],
             "closed_form": "-2" if sign == "-" else "-13/7",
             "from_minus": "-18/7" if sign == "-" else "-2"}
+        (initial,) = [c for c in checks
+                      if c["check"] == "initial-condition" and c["status"] == "fail"]
+        assert initial["witness"] == {
+            "monomial": [2, 0, 0],
+            "closed_form": "9/14" if sign == "-" else "-13/7",
+            "initial": "1/2" if sign == "-" else "-2"}
 
     def test_builds_no_ratfun(self, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -898,6 +933,16 @@ class TestSpecializedSum:
     def test_empty_cases(self, table12, j1, J):
         rec = specialized_sum_check(j1, J, table12)
         assert rec["mode"] == "empty" and rec["status"] == "pass"
+
+    def test_empty_case_fails_with_its_row_sum(self, table12, monkeypatch):
+        # an empty row reads no entry, so only a row sum patched to
+        # (x12 + 1/x12)/2 drives the record to fail; that sum is its witness
+        monkeypatch.setattr(specialized, "_summed",
+                            lambda forms, at_x23_one=False: ({(1, 0, 0): 1}, 2))
+        assert specialized_sum_check(2, 0, table12) == {
+            "check": "specialized-sum", "j1": 2, "J": 0, "labels": 0,
+            "mode": "empty", "status": "fail",
+            "witness": "(1/2)*x12^-1 + (1/2)*x12^1"}
 
     def test_J_independence(self, table12):
         # the identity right-hand side depends only on j1, so equal passes at

@@ -38,6 +38,17 @@ def strip_timing(report):
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
 
 
+def roundtrip_failure(path, report):
+    """The one record of a roundtrip whose render departs from the file at
+    ``path``: it fails with the SHA-256 of the file and of the render, the
+    report's ``table_checksum``."""
+    file_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert report["table_checksum"] != file_sha256
+    return [{"check": "byte-roundtrip", "status": "fail",
+             "witness": {"file_sha256": file_sha256,
+                         "render_sha256": report["table_checksum"]}}]
+
+
 def bump_omega_plus(monkeypatch):
     """Add 1 to the X12^2 coefficient of the plus-type closed form, where
     the ``omega`` command (``closedform``) and ``verify cauchy`` (``cauchy``)
@@ -202,7 +213,7 @@ class TestTableCommand:
                             table_module._TERM.replace('"coeff": ', '"coeff":  '))
         code, report = run(capsys, "roundtrip", "--table", str(path))
         assert code == 2
-        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+        assert report["checks"] == roundtrip_failure(path, report)
 
     @pytest.mark.parametrize("edit", [
         lambda pieces: [*pieces[:-2], pieces[-2].replace('"coeff": ', '"coeff":  '),
@@ -227,7 +238,7 @@ class TestTableCommand:
         monkeypatch.setattr(SchurTable, "canonical_json", seeded)
         code, report = run(capsys, "roundtrip", "--table", str(path))
         assert code == 2
-        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+        assert report["checks"] == roundtrip_failure(path, report)
 
     def test_roundtrip_fails_when_the_writer_skips_a_mirror_term(
             self, tmp_path, capsys, monkeypatch):
@@ -249,7 +260,7 @@ class TestTableCommand:
         monkeypatch.setattr(SchurTable, "canonical_json", seeded)
         code, report = run(capsys, "roundtrip", "--table", str(path))
         assert code == 2
-        assert report["checks"] == [{"check": "byte-roundtrip", "status": "fail"}]
+        assert report["checks"] == roundtrip_failure(path, report)
 
     def test_roundtrip_renders_one_entry_at_a_time(self, tmp_path, monkeypatch):
         # past the load, the peak of what roundtrip allocates to render and
@@ -308,9 +319,11 @@ class TestVerifyCommands:
         # smaller kernel then miss the displayed vector
         assert failed == [
             {"check": "kernel-H1", "degree": 6, "dim": 3, "status": "fail",
-             "expected": 4},
+             "witness": {"expected": 4}},
             {"check": "kernel-dims", "degree": 6, "dim_H1": 3, "dim_pair_12": 0,
-             "dim_pair_13": 0, "dim_triple": 0, "status": "fail"}]
+             "dim_pair_13": 0, "dim_triple": 0, "status": "fail",
+             "witness": {"expected": {"dim_pair_12": 1, "dim_pair_13": 1,
+                                      "dim_triple": 0}}}]
         assert not any(c["check"] == "falsification" for c in checks)
         assert [c["degree"] for c in checks if c["check"] == "kernel-H1"] == \
             list(range(13))
@@ -412,6 +425,34 @@ class TestVerifyCommands:
                   if c["check"] == "omega-minus-vs-closedform"]
         assert rec["status"] == "fail" and rec["normalization"] is None
         assert [c for c in report["checks"] if c["status"] == "fail"] == [rec]
+        # the witness holds the two (0,0,0) coefficients of the normalization
+        assert rec["witness"] == {
+            "monomial": [0, 0, 0], "sums": {"num": [], "den": ["1"]},
+            "closed_form": {"num": ["1"], "den": ["0", "-1", "0", "1"]}}
+
+    def test_cauchy_wrong_omega_minus_coefficient_fails_with_its_monomial(
+            self, capsys, monkeypatch):
+        # the X12^2 coefficient of Omega_- from the sums doubled: the
+        # normalization holds, and the witness names that monomial
+        real = cauchy.omega_from_sums
+
+        def doubled(es, sign, order):
+            om, records = real(es, sign, order)
+            om.coeffs[(2, 0, 0)] = om.coeffs[(2, 0, 0)] * 2
+            return om, records
+
+        monkeypatch.setattr(cauchy, "omega_from_sums", doubled)
+        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
+                           "--order", "2", "--lambda-order", "2")
+        assert code == 1
+        (rec,) = [c for c in report["checks"] if c["status"] == "fail"]
+        assert rec == {
+            "check": "omega-minus-vs-closedform", "order": 2,
+            "normalization": {"num": ["1"], "den": ["1"]}, "status": "fail",
+            "witness": {"monomial": [2, 0, 0],
+                        "sums": {"num": ["1"], "den": ["0", "-1", "0", "1"]},
+                        "ratio_times_closed_form": {
+                            "num": ["1/2"], "den": ["0", "-1", "0", "1"]}}}
 
     def test_cauchy_wrong_plus_closed_form_keeps_later_checks(self, capsys,
                                                              monkeypatch):
@@ -476,7 +517,7 @@ class TestVerifyCommands:
 
     def test_changed_coefficient_text_fails_every_table_suite(self, tmp_path, capsys):
         # the integer routes give the records of the Fraction routes they
-        # replaced, witnesses included
+        # replaced, witnesses included; every failing record carries one
         path = tmp_path / "t.json"
         run(capsys, "table", "--max-level", "8", "--out", str(path))
         shift_saved_coefficients(path)
@@ -486,6 +527,7 @@ class TestVerifyCommands:
                                "--table", str(path))
             assert code == 1, suite
             failed[suite] = [c for c in report["checks"] if c["status"] == "fail"]
+            assert all(c.get("witness") for c in failed[suite]), suite
         assert [(c["check"], tuple(c.get("triple", c.get("sigma"))), c.get("equation"))
                 for c in failed["pieri"]] == [
             ("pieri", (1, 0, 1), 1), ("pieri", (1, 1, 0), 2), ("pieri", (1, 1, 2), 2),
@@ -667,6 +709,17 @@ class TestVerifyCommands:
         assert not captured.out
         assert ("table level 8 is below 12: verify series fits the families "
                 "through order 6 (level 12)" in captured.err)
+
+    def test_cauchy_table_too_low_for_order_is_operational_error(self, capsys):
+        # the families through order 4 need the labels through level 8; the
+        # lambda-order 2 asks only for level 4
+        argv = ["verify", "cauchy", "--max-level", "6", "--order", "4",
+                "--lambda-order", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: table level 6 is below 8: verify cauchy fits "
+                                "the families through order 4 (level 8)\n")
 
     @pytest.mark.parametrize("level, order", [(4, 2), (2, 1), (0, 0)])
     def test_series_table_too_low_for_the_references(self, capsys, level, order):

@@ -12,8 +12,8 @@ from g2schur import cli, diffops
 from g2schur import table as table_module
 from g2schur.cauchy import check_H1_relation
 from g2schur.diffops import (OP_VARS, _coefficients, _poly1, apply_H_cleared,
-                             apply_H_numerators, fold_premise_failure,
-                             homogeneous_component, is_eigenfunction,
+                             apply_H_numerators, eigen_defect,
+                             fold_premise_failure, homogeneous_component,
                              verify_eigen, verify_recursion_by_components)
 from g2schur.expansion import expand_entry
 from g2schur.klocal import KLocal
@@ -102,7 +102,7 @@ WEIGHT_MUTATIONS = {
 def with_weight_mutated(monkeypatch, name="v/w"):
     """Replace ``diffops.apply_H_numerators`` by a copy with the weight
     mutation ``name``, so that the folded verdict of both suites
-    (``is_eigenfunction``) and the full-plane witness route see it."""
+    (``eigen_defect``) and the full-plane witness route see it."""
     old, new = WEIGHT_MUTATIONS[name]
     source = inspect.getsource(diffops.apply_H_numerators)
     assert source.count(old) == 1
@@ -325,9 +325,11 @@ class TestFoldedEigen:
     def test_region_numerators_equal_the_full_plane_ones(self, table12, k,
                                                          monkeypatch):
         # on every entry through level 12, at its eigenvalue and off it, and
-        # on the perturbed entries: the image ``is_eigenfunction`` builds from
+        # on the perturbed entries: the image ``eigen_defect`` builds from
         # the orthant terms and their mirrors has the full-plane numerators on
-        # the region, and its verdict is that of the full-plane residual
+        # the region, its verdict is that of the full-plane residual, and the
+        # defect it returns is the least exponent of the region, with its
+        # numerator
         images = []
 
         def spy(*args):
@@ -344,12 +346,14 @@ class TestFoldedEigen:
                 for dmu in (0, Fraction(1, 3), -1):
                     mu = Fraction((t[k - 1] + 1) ** 2) + dmu
                     images.clear()
-                    verdict = is_eigenfunction(k, nums, mu)
+                    defect = eigen_defect(k, nums, mu)
                     (folded,) = images
                     region = on_region(k, folded)
                     assert region == on_region(k, apply_H_numerators(k, full, mu))
                     residual = apply_H_cleared(k, LaurentPoly3(full), mu)
-                    assert verdict == (not residual) == (not region)
+                    assert (defect is None) == (not residual) == (not region)
+                    if region:
+                        assert defect == (min(region), region[min(region)])
                     seen.add((dmu == 0, not residual))
         assert seen == {(True, True), (True, False), (False, False)}
 

@@ -180,7 +180,8 @@ class TestFamilies:
 
     def test_insufficient_table_rejected(self, table8):
         es = ExpansionSet(table8, 6)
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match="table level 8 is below 12: the family "
+                                             "fit of degree 6 reads the labels"):
             es.fit_family((6, 0, 0))
 
     def test_order_guard(self, expansions12):

@@ -415,6 +415,12 @@ class TestMutations:
         assert actions[0]["m"] == 2 and actions[0]["witness"] == {
             "monomial": [1, 0, 1] if k == 2 else [0, 1, 1], "lhs": 8, "rhs": 6,
             "den": 1}
+        # each failing leading-term record carries the actual leading term:
+        # at P_(2,0,0) the constant 6 becomes 8
+        leading = [c for c in checks if c["check"] == f"H{k}-leading"
+                   and c["status"] == "fail"]
+        assert all(c["witness"] == c["actual"] != c["expected"] for c in leading)
+        assert leading[0]["m"] == 2 and leading[0]["witness"] == [[0, 0, 0], "8"]
         assert all("witness" not in c for c in checks if c["status"] == "pass")
         assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 

@@ -1,5 +1,6 @@
 """The can-fail ledger: every record name the README commands write, with
-the test that drives a record of that name to ``fail``."""
+the test that drives a record of that name to ``fail``; and a record fails
+exactly when it carries a witness."""
 
 import importlib
 
@@ -14,7 +15,9 @@ LEDGER = {
     "unit-value": "test_table::TestSolveTable::test_unit_value_record_can_fail",
     "leading-term": "test_table::TestSolveTable::test_leading_term_record_can_fail",
     "leading-distinct": (None, "written only once leading-term has matched the "
-                               "exponents of the label, a map injective on labels"),
+                               "exponents of the label, a map injective on labels; "
+                               "only a patched leading_term fails it (test_table::"
+                               "TestSolveTable::test_leading_distinct_names_the_earlier_label)"),
     "s3-symmetry": "test_cli::TestVerifyCommands::test_changed_coefficient_text_fails_every_table_suite",
     "eigen": "test_diffops::TestFoldedEigen::test_perturbed_orthant_numerator_fails",
     "expansion-normalization":
@@ -65,3 +68,10 @@ def test_every_record_name_has_a_ledger_entry(tmp_path, monkeypatch):
             assert ref[0] is None and ref[1], name
         else:
             assert resolve(ref) is not None, (name, ref)
+
+
+def test_a_record_fails_exactly_when_it_carries_a_witness(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, _, report in command_line_reports():
+        for rec in report["checks"]:
+            assert ("witness" in rec) == (rec["status"] == "fail"), (argv, rec)

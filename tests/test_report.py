@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from g2schur.cli import main
-from g2schur.report import Report, to_json_text
+from g2schur.report import Report, record, to_json_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,3 +104,28 @@ def test_report_is_one_string():
     assert json.loads(text)["elapsed_ms"] == 3
     report.elapsed_ms = None
     assert "elapsed_ms" not in json.loads(report.to_json())
+
+
+def test_record_fails_exactly_when_it_carries_a_witness():
+    # check, the fields in order, status, then the witness of a failure;
+    # only None passes, so a falsy witness still fails its record
+    rec = record("pieri", None, triple=[1, 0, 1], equation=2)
+    assert list(rec.items()) == [("check", "pieri"), ("triple", [1, 0, 1]),
+                                 ("equation", 2), ("status", "pass")]
+    for witness in ("x12^1", 0, "", {}, [], False):
+        rec = record("eigen", witness, k=1)
+        assert list(rec.items()) == [("check", "eigen"), ("k", 1),
+                                     ("status", "fail"), ("witness", witness)]
+    with pytest.raises(TypeError):
+        record("pieri", triple=[0, 0, 0])
+    # the fields may not stand in for check or witness
+    with pytest.raises(TypeError):
+        record(check="pieri", witness=None)
+
+
+def test_only_record_writes_a_status():
+    # every module builds its check records through report.record
+    for path in sorted((ROOT / "src" / "g2schur").glob("*.py")):
+        if path.name != "report.py":
+            text = path.read_text()
+            assert not re.search(r'"status"|\bstatus=', text), path.name

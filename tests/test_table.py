@@ -329,6 +329,19 @@ class TestSolveTable:
                 and r["status"] == "fail"] == [
             "leading exponents of entry (1, 1, 0): got (0, 1, 1), expected (1, 0, 0)"]
 
+    def test_leading_distinct_names_the_earlier_label(self, table4, monkeypatch):
+        # the record passes whenever leading-term has matched, so only a
+        # leading_term that gives every entry one exponent drives it to fail;
+        # the witness is the first label of the level with those exponents
+        monkeypatch.setattr(table_module, "leading_term",
+                            lambda poly, triple: (Fraction(1), (0, 0, 0)))
+        records = verify_pieri(table4)
+        assert [(r["triple"], r["witness"]) for r in records
+                if r["check"] == "leading-distinct" and r["status"] == "fail"] == [
+            ([1, 0, 1], [0, 1, 1]), ([1, 1, 0], [0, 1, 1]), ([1, 1, 2], [0, 2, 2]),
+            ([1, 2, 1], [0, 2, 2]), ([2, 0, 2], [0, 2, 2]), ([2, 1, 1], [0, 2, 2]),
+            ([2, 2, 0], [0, 2, 2])]
+
     def test_invariance_under_inversion(self, table8):
         for phi in table8.entries.values():
             for i in range(3):
