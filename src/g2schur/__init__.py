@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in (
         verify_eigen verify_recursion_by_components"""),
     ("epsilon", "EpsLaurent"),
     ("errors", "FalsificationError TableError"),
-    ("expansion", "CoeffFamily ExpansionSet verify_series"),
+    ("expansion", "ExpansionSet verify_series"),
     ("kernels", """DegreeImages action_check common_kernel kernel_H1
         leading_term_check triple_kernel verify_kernel"""),
     ("laurent", "LaurentPoly3"),

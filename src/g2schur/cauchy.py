@@ -44,7 +44,7 @@ from .closedform import (OmegaSeries, closedform_omega_minus,
                          omega_initial_plus, with_kappa_profile)
 from .diffops import eigen_defect, fold_premise_failure, homogeneous_component
 from .errors import FalsificationError
-from .expansion import VALIDATION_MARGIN, ExpansionSet, unvalidated_message
+from .expansion import ExpansionSet, require_fit_level
 from .laurent import Exp
 from .poles import POLE_BOUND, leading_pole_coefficient
 from .report import record
@@ -133,9 +133,9 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
 
     One pass through ``order``: each family is fitted once and its leading
     pole coefficient taken once, giving the monomial's ``pole-order`` record
-    and its Omega coefficient.  A failed fit, a family validated on fewer
-    than ``VALIDATION_MARGIN`` labels or an over-bound pole fails its record
-    with a witness and the pass goes on; the series is then None.
+    and its Omega coefficient.  A failed fit or an over-bound pole, both
+    raised as ``FalsificationError``, fails its record with a witness and
+    the pass goes on; the series is then None.
     """
     bound = POLE_BOUND[sign]
     coeffs: dict[Exp, KLocal] = {}
@@ -143,24 +143,15 @@ def omega_from_sums(expansions: ExpansionSet, sign: str,
     for mvec in exponents_upto(order):
         where = {"sign": sign, "mvec": list(mvec)}
         try:
-            family = expansions.fit_family(mvec)
-            if family.unvalidated:
-                records.append(record("pole-order", {
-                    "message": unvalidated_message(family, sum(mvec)),
-                    "validated_on": family.validated_on,
-                    "validation_margin": VALIDATION_MARGIN}, **where, bound=bound))
-                continue
-            value, pole = leading_pole_coefficient(family.polynomial, sign, sum(mvec))
+            value, pole = leading_pole_coefficient(expansions.fit_family(mvec),
+                                                   sign, sum(mvec))
         except FalsificationError as exc:
             witness = {"message": str(exc)}
             if exc.witness is not None:  # the over-bound leading coefficient
                 witness["coefficient"] = exc.witness.serialize()
             records.append(record("pole-order", witness, **where, bound=bound))
             continue
-        records.append(record(
-            "pole-order",
-            None if pole <= bound else {"message": f"pole of order {pole} above {bound}"},
-            **where, order=pole, bound=bound))
+        records.append(record("pole-order", None, **where, order=pole, bound=bound))
         if value:
             coeffs[mvec] = value
     if any("witness" in rec for rec in records):
@@ -242,15 +233,12 @@ def verify_cauchy(table: SchurTable, order: int, lambda_order: int) -> list[dict
     """The ``verify cauchy`` suite: H1 relations, pole orders, Omega_- against
     the closed form, then ``closedform_checks`` at max(order, 6).
 
-    A table below level 2 * order raises ``ValueError`` before any check:
-    the families through ``order`` are fitted on the labels through that
-    level.  A table the expansions reject, a failed family fit or an
+    A table below ``expansion.fit_level(order)`` raises ``ValueError``
+    before any check: the families through ``order`` are fitted and
+    validated.  A table the expansions reject, a failed family fit or an
     over-bound pole fails its own record and the later checks still run.
     """
-    if table.max_level < 2 * order:
-        raise ValueError(
-            f"table level {table.max_level} is below {2 * order}: verify cauchy "
-            f"fits the families through order {order} (level {2 * order})")
+    require_fit_level(table, order, "verify cauchy")
     checks = check_H1_relation(table, lambda_order)
     try:
         es = ExpansionSet(table, order)

@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .expansion import ExpansionSet, unvalidated_message
+from .expansion import ExpansionSet, require_fit_level
 from .klocal import KLocal
 from .laurent import LaurentPoly3
 from .poles import leading_pole_coefficient
@@ -111,12 +111,12 @@ def conjecture_check(copies: int, order: int,
     kappa-profile (recorded in the report) and must be kappa-free afterwards
     to count as comparable.  Each value is normalized through the exact
     reciprocal of the profile, taken once; a profile that vanishes or is not
-    a unit of ``KLocal``'s ring raises ``ValueError``.  A family validated
-    on fewer than ``expansion.VALIDATION_MARGIN`` labels raises
-    ``ValueError`` naming the table level that ``order`` needs.
+    a unit of ``KLocal``'s ring raises ``ValueError``, and so does a table
+    below ``expansion.fit_level(order)``, before any family is fitted.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
+    require_fit_level(expansions.table, order, "conjecture")
 
     # a product of families does not depend on the order of its factors, so
     # the extracted values are keyed on the sorted tuple of monomials
@@ -127,10 +127,7 @@ def conjecture_check(copies: int, order: int,
         if key not in extracted:
             p = LaurentPoly3.one()
             for mvec in mvecs:
-                family = expansions.fit_family(mvec)
-                if family.unvalidated:
-                    raise ValueError(unvalidated_message(family, order))
-                p = p * family.polynomial
+                p = p * expansions.fit_family(mvec)
             shift = sum(sum(v) for v in mvecs)
             value, _ = leading_pole_coefficient(p, "-", shift)
             extracted[key] = value

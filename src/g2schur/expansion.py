@@ -18,6 +18,9 @@ m12 + m13 + m23.  This module reconstructs those polynomials (as
 ``LaurentPoly3`` values in the labels) by integer forward differences on the
 labels through level 2d, which form a simplex that fixes a polynomial of
 degree d, and validates them on every label above that level.
+``fit_level`` is the lowest table level where those labels number at least
+``VALIDATION_MARGIN``; a table below it is a configuration error
+(``require_fit_level``), so every family the fit returns is validated.
 """
 
 from __future__ import annotations
@@ -38,17 +41,29 @@ from .table import (Cleared, FalsificationError, SchurTable, Triple,
 VALIDATION_MARGIN = 10
 
 
-def unvalidated_message(family: "CoeffFamily", degree: int) -> str:
-    """Why an unvalidated ``family`` is not used, with the lowest table level
-    that validates the families of ``degree``: the one whose labels above
-    level 2 * degree number at least ``VALIDATION_MARGIN``."""
+def fit_level(degree: int) -> int:
+    """The lowest table level at which the families of ``degree`` are fitted
+    and validated: the one whose labels above level 2 * degree number at
+    least ``VALIDATION_MARGIN``.  It is 6 through degree 2 and
+    2 * degree + 2 above, and never decreases with the degree."""
     level, count = 2 * degree, 0
     while count < VALIDATION_MARGIN:
         level += 2
         count += len(enumerate_level(level))
-    return (f"family {list(family.mvec)} is validated on {family.validated_on} "
-            f"labels, below the margin {VALIDATION_MARGIN}; degree {degree} "
-            f"needs a table of level {level}")
+    return level
+
+
+def require_fit_level(table: SchurTable, degree: int, reader: str) -> None:
+    """Raise ``ValueError`` if ``table`` is below ``fit_level(degree)``,
+    naming that level and ``reader``, the code that needs the families
+    through ``degree``; those of lower degrees need no higher level."""
+    need = fit_level(degree)
+    if table.max_level < need:
+        raise ValueError(
+            f"table level {table.max_level} is below {need}, the level {reader} "
+            f"needs: the families of degree {degree} are fitted on the labels "
+            f"through level {2 * degree} and validated on at least "
+            f"{VALIDATION_MARGIN} labels above it")
 
 
 def _binomial_series(e: int, order: int) -> list[Fraction]:
@@ -159,20 +174,6 @@ def newton_steps(degree: int) -> tuple[list[Triple], list[Exp],
     return simplex, points, steps
 
 
-class CoeffFamily:
-    """Closed-form coefficient of one series monomial as a polynomial in labels."""
-
-    def __init__(self, mvec: Exp, polynomial: LaurentPoly3, validated_on: int):
-        self.mvec = mvec
-        self.polynomial = polynomial
-        self.validated_on = validated_on
-
-    @property
-    def unvalidated(self) -> bool:
-        """Whether fewer than ``VALIDATION_MARGIN`` labels validate the family."""
-        return self.validated_on < VALIDATION_MARGIN
-
-
 class ExpansionSet:
     """Expansions of every table entry at a fixed order, with family fitting.
 
@@ -185,20 +186,23 @@ class ExpansionSet:
     ``Fraction`` ``TruncSeries3``.
 
     A family of degree d is fitted on the labels through level 2d and
-    validated on every label above it.  Those labels are the lattice points
-    of the simplex a + b + c <= d, with (j1, j2, j3) = (b+c, a+c, a+b); the
-    simplex is unisolvent for degree d, so the family is its Newton
-    expansion sum_alpha Delta^alpha c(0) C(a,alpha1) C(b,alpha2) C(c,alpha3)
-    and no linear system is built.  ``newton_steps`` fixes, once per degree,
-    the order of the difference steps, which the pole data of ``poles.py``
-    share; ``_fit_plan`` adds the binomial basis as integer numerators over
-    one denominator and the monomial rows of the validation labels.  Each family's values are read from the series numerators,
-    brought to one denominator and differenced in place; the only Fractions
-    built are the family's coefficients.  Validation takes each remaining
-    label's monomial row against the family's cleared numerators
-    (``evaluate`` in ``tests/conftest.py`` is the test oracle, and the
-    matrix route through ``linalg.RankTracker`` and ``linalg.invert_matrix``
-    is the fit's oracle in the tests).
+    validated on every label above it, at least ``VALIDATION_MARGIN`` of
+    them: a table below ``fit_level(d)`` raises ``ValueError``, so every
+    family returned is validated.  The labels through level 2d are the
+    lattice points of the simplex a + b + c <= d, with (j1, j2, j3) =
+    (b+c, a+c, a+b); the simplex is unisolvent for degree d, so the family
+    is its Newton expansion sum_alpha Delta^alpha c(0) C(a,alpha1)
+    C(b,alpha2) C(c,alpha3) and no linear system is built.  ``newton_steps``
+    fixes, once per degree, the order of the difference steps, which the
+    pole data of ``poles.py`` share; ``_fit_plan`` adds the binomial basis
+    as integer numerators over one denominator and the monomial rows of the
+    validation labels.  Each family's values are read from the series
+    numerators, brought to one denominator and differenced in place; the
+    only Fractions built are the family's coefficients.  Validation takes
+    each remaining label's monomial row against the family's cleared
+    numerators (``evaluate`` in ``tests/conftest.py`` is the test oracle,
+    and the matrix route through ``linalg.RankTracker`` and
+    ``linalg.invert_matrix`` is the fit's oracle in the tests).
     """
 
     def __init__(self, table: SchurTable, order: int):
@@ -222,7 +226,7 @@ class ExpansionSet:
             forms[t] = solve_cleared(t, forms.__getitem__, times)
         self.forms: dict[Triple, Cleared] = forms
         self._fit_data: dict[int, tuple] = {}
-        self._families: dict[Exp, CoeffFamily] = {}
+        self._families: dict[Exp, LaurentPoly3] = {}
 
     def expansion(self, triple: Triple) -> TruncSeries3:
         """The series of ``triple`` with ``Fraction`` coefficients."""
@@ -237,14 +241,10 @@ class ExpansionSet:
         """For one degree: the simplex labels and difference steps of
         ``newton_steps``, the Newton basis as one integer column per monomial
         over one denominator, and the remaining labels with their integer
-        monomial rows."""
+        monomial rows.  Below ``fit_level(degree)`` it raises ``ValueError``."""
         if degree in self._fit_data:
             return self._fit_data[degree]
-        if self.table.max_level < 2 * degree:
-            raise ValueError(
-                f"table level {self.table.max_level} is below {2 * degree}: the "
-                f"family fit of degree {degree} reads the labels through level "
-                f"{2 * degree}")
+        require_fit_level(self.table, degree, f"the family fit of degree {degree}")
         labels = enumerate_through(self.table.max_level)
         monomials = exponents_upto(degree)
         simplex, points, steps = newton_steps(degree)
@@ -268,7 +268,14 @@ class ExpansionSet:
         self._fit_data[degree] = (simplex, steps, cols, den, rest)
         return self._fit_data[degree]
 
-    def fit_family(self, mvec: Exp) -> CoeffFamily:
+    def validated_on(self, degree: int) -> int:
+        """The number of labels that validate each family of ``degree``."""
+        return len(self._fit_plan(degree)[4])
+
+    def fit_family(self, mvec: Exp) -> LaurentPoly3:
+        """The coefficient of X^mvec as a polynomial of degree <= |mvec| in
+        the labels, or ``FalsificationError`` naming the first label where
+        none matches."""
         mvec = tuple(mvec)
         if mvec in self._families:
             return self._families[mvec]
@@ -296,9 +303,8 @@ class ExpansionSet:
                 raise FalsificationError(
                     f"degree bound violated for {mvec}: no polynomial of degree "
                     f"<= {degree} matches the coefficients (label {t})")
-        family = CoeffFamily(mvec=mvec, polynomial=poly, validated_on=len(rest))
-        self._families[mvec] = family
-        return family
+        self._families[mvec] = poly
+        return poly
 
 
 def _reference_families() -> dict[Exp, LaurentPoly3]:
@@ -317,22 +323,17 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
     """The ``verify series`` suite: expansion normalization, validated and
     reference families, and the graded recursions through level 6.
 
-    A table below level max(2 * order, 6) raises ``ValueError`` before any
-    check: the families through ``order`` are fitted on the labels through
-    level 2 * order, and the reference families (2, 0, 0) and (3, 0, 0) on
-    those through level 6.  A table the expansions reject gets one failing
-    record, as in ``verify_cauchy``.  A family no polynomial of its degree
-    bound fits, one validated on fewer than ``VALIDATION_MARGIN`` labels or
-    one off its reference fails its record with the fit's witness, the
-    level that would validate it (``unvalidated_message``) or the fitted
-    family; later checks still run.
+    A table below ``fit_level(max(order, 3))``, that is level
+    max(8, 2 * order + 2), raises ``ValueError`` before any check: the
+    families through ``order`` and the reference families (2, 0, 0) and
+    (3, 0, 0) are all fitted and validated.  A table the expansions reject
+    gets one failing record, as in ``verify_cauchy``.  A family no
+    polynomial of its degree bound fits, or one off its reference, fails its
+    record with the fit's witness or the fitted family; later checks still
+    run.
     """
-    need = max(2 * order, 6)
-    if table.max_level < need:
-        raise ValueError(
-            f"table level {table.max_level} is below {need}: verify series fits "
-            f"the families through order {order} (level {2 * order}) and the "
-            f"reference families (2, 0, 0) and (3, 0, 0) (level 6)")
+    require_fit_level(table, max(order, 3), f"verify series at order {order} "
+                      "(reference families up to degree 3)")
     try:
         es = ExpansionSet(table, max(order, 4))
     except FalsificationError as exc:
@@ -350,16 +351,15 @@ def verify_series(table: SchurTable, order: int) -> list[dict]:
         checks.append(record("expansion-normalization", witness, triple=list(triple)))
     for mvec in exponents_upto(order):
         try:
-            fam = es.fit_family(mvec)
+            es.fit_family(mvec)
         except FalsificationError as exc:
             checks.append(record("family-fit", str(exc), mvec=list(mvec)))
             continue
-        checks.append(record(
-            "family-fit", unvalidated_message(fam, sum(mvec)) if fam.unvalidated else None,
-            mvec=list(mvec), validated_on=fam.validated_on))
+        checks.append(record("family-fit", None, mvec=list(mvec),
+                             validated_on=es.validated_on(sum(mvec))))
     for mvec, poly in _reference_families().items():
         try:
-            fitted = es.fit_family(mvec).polynomial
+            fitted = es.fit_family(mvec)
             witness = repr(fitted) if fitted != poly else None
         except FalsificationError as exc:
             witness = str(exc)

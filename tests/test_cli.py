@@ -523,8 +523,9 @@ class TestVerifyCommands:
         shift_saved_coefficients(path)
         failed = {}
         for suite in ("pieri", "eigen", "series", "specialized"):
+            # verify series validates the families through order 3 at level 8
             code, report = run(capsys, "verify", suite, "--max-level", "8",
-                               "--table", str(path))
+                               "--order", "3", "--table", str(path))
             assert code == 1, suite
             failed[suite] = [c for c in report["checks"] if c["status"] == "fail"]
             assert all(c.get("witness") for c in failed[suite]), suite
@@ -703,76 +704,84 @@ class TestVerifyCommands:
         assert len(fits) == 84 and all(c["status"] == "pass" for c in fits)
 
     def test_series_table_too_low_for_order_is_operational_error(self, capsys):
-        # the families through order 6 need the labels through level 12
+        # the families through order 6 are fitted on the labels through
+        # level 12 and validated above it
         assert main(["verify", "series", "--max-level", "8", "--order", "6"]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert ("table level 8 is below 12: verify series fits the families "
-                "through order 6 (level 12)" in captured.err)
+        assert captured.err == (
+            "error: table level 8 is below 14, the level verify series at order 6 "
+            "(reference families up to degree 3) needs: the families of degree 6 "
+            "are fitted on the labels through level 12 and validated on at least "
+            "10 labels above it\n")
 
     def test_cauchy_table_too_low_for_order_is_operational_error(self, capsys):
-        # the families through order 4 need the labels through level 8; the
-        # lambda-order 2 asks only for level 4
+        # the families through order 4 need level 10; the lambda-order 2 asks
+        # only for level 4
         argv = ["verify", "cauchy", "--max-level", "6", "--order", "4",
                 "--lambda-order", "2"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == ("error: table level 6 is below 8: verify cauchy fits "
-                                "the families through order 4 (level 8)\n")
+        assert captured.err == (
+            "error: table level 6 is below 10, the level verify cauchy needs: the "
+            "families of degree 4 are fitted on the labels through level 8 and "
+            "validated on at least 10 labels above it\n")
 
-    @pytest.mark.parametrize("level, order", [(4, 2), (2, 1), (0, 0)])
+    @pytest.mark.parametrize("level, order", [(6, 2), (4, 2), (2, 1), (0, 0)])
     def test_series_table_too_low_for_the_references(self, capsys, level, order):
-        # the reference families (2,0,0) and (3,0,0) need level 6 at any
-        # order; the error names that level, not a degree above the order
+        # the reference family (3,0,0) needs level 8 at any order; the error
+        # names that level, not one of the order's own degree
         assert main(["verify", "series", "--max-level", str(level),
                      "--order", str(order)]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert (f"table level {level} is below 6: verify series fits the "
-                f"families through order {order} (level {2 * order}) and the "
-                "reference families (2, 0, 0) and (3, 0, 0) (level 6)"
-                in captured.err)
+        assert captured.err == (
+            f"error: table level {level} is below 8, the level verify series at "
+            f"order {order} (reference families up to degree 3) needs: the "
+            "families of degree 3 are fitted on the labels through level 6 and "
+            "validated on at least 10 labels above it\n")
 
-    def test_series_fails_unvalidated_families_with_a_witness(self, capsys):
-        # at level 8 the 15 degree-4 families are validated on no label; each
-        # record names the level that validates them, and level 10 passes
-        code, report = run(capsys, "verify", "series", "--max-level", "8",
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("command, floor", [
+        (("verify", "series"), 8), (("verify", "cauchy", "--lambda-order", "2"), 6),
+        (("conjecture", "--copies", "1"), 6)], ids=["series", "cauchy", "conjecture"])
+    def test_a_table_below_the_fit_level_is_operational_error(
+            self, tmp_path, capsys, command, floor, order):
+        # the level a command needs follows from --order alone: one level
+        # below it no report is written and one line names it; at it the
+        # command passes
+        need = max(floor, 2 * order + 2)
+        args = [*command, "--order", str(order)]
+        out = tmp_path / "report.json"
+        assert main([*args, "--max-level", str(need - 2), "--out", str(out),
+                     "--json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: table level {need - 2} is below {need}, ")
+        assert run(capsys, *args, "--max-level", str(need))[0] == 0
+
+    def test_series_fails_a_family_off_its_degree_bound(self, capsys, monkeypatch):
+        # one numerator of X12^4 at a level-10 label raised by one: the family
+        # fitted on the labels through level 8 misses it there, and only its
+        # record fails; the recursions read the labels through level 6
+        real = expansion.ExpansionSet.__init__
+        label, mvec = (4, 3, 3), (4, 0, 0)
+
+        def seeded(self, table, order):
+            real(self, table, order)
+            nums, den = self.forms[label]
+            self.forms[label] = ({**nums, mvec: nums.get(mvec, 0) + 1}, den)
+
+        monkeypatch.setattr(expansion.ExpansionSet, "__init__", seeded)
+        code, report = run(capsys, "verify", "series", "--max-level", "12",
                            "--order", "4")
         assert code == 1
-        failed = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [tuple(c["mvec"]) for c in failed] == [
-            m for m in exponents_upto(4) if sum(m) == 4]
-        for c in failed:
-            assert c["check"] == "family-fit" and c["validated_on"] == 0
-            assert c["witness"] == (
-                f"family {c['mvec']} is validated on 0 labels, below the margin "
-                f"{expansion.VALIDATION_MARGIN}; degree 4 needs a table of level 10")
-        code, report = run(capsys, "verify", "series", "--max-level", "10",
-                           "--order", "4")
-        assert code == 0
-        assert not any("witness" in c for c in report["checks"])
-
-    def test_cauchy_fails_the_poles_of_unvalidated_families(self, capsys):
-        # at level 8 the 15 degree-4 families are fitted on every label and
-        # validated on none, as ``verify series`` reports them
-        code, report = run(capsys, "verify", "cauchy", "--max-level", "8",
-                           "--order", "4", "--lambda-order", "4")
-        assert code == 1
-        poles = [c for c in report["checks"] if c["check"] == "pole-order"]
-        failed = [c for c in poles if c["status"] == "fail"]
-        assert {tuple(c["mvec"]) for c in failed} == {
-            m for m in exponents_upto(4) if sum(m) == 4}
-        assert len(failed) == 30  # both signs
-        for c in failed:
-            assert c["witness"]["validated_on"] == 0
-            assert c["witness"]["validation_margin"] == expansion.VALIDATION_MARGIN
-            assert "table of level 10" in c["witness"]["message"]
-        assert len(poles) == 2 * len(exponents_upto(4))
-        stage = [c for c in report["checks"] if c["check"] == "falsification"]
-        assert [c["stage"] for c in stage] == ["omega-minus-vs-closedform"]
-        assert run(capsys, "verify", "cauchy", "--max-level", "10", "--order", "4",
-                   "--lambda-order", "4")[0] == 0
+        assert [c for c in report["checks"] if c["status"] == "fail"] == [{
+            "check": "family-fit", "mvec": [4, 0, 0], "status": "fail",
+            "witness": "degree bound violated for (4, 0, 0): no polynomial of "
+                       "degree <= 4 matches the coefficients (label (4, 3, 3))"}]
 
     @pytest.mark.parametrize("suite, check", [("pieri", "pieri"), ("eigen", "eigen")])
     def test_saved_entry_off_its_recursion_fails(self, tmp_path, capsys, suite, check):
@@ -836,14 +845,16 @@ class TestReportOnlyCommands:
         assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
 
     @pytest.mark.parametrize("copies", [1, 2])
-    def test_conjecture_on_unvalidated_families_is_operational_error(self, capsys,
-                                                                     copies):
+    def test_conjecture_below_the_fit_level_is_operational_error(self, capsys,
+                                                                 copies):
         assert main(["conjecture", "--copies", str(copies), "--order", "4",
                      "--max-level", "8"]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert "validated on 0 labels" in captured.err
-        assert "degree 4 needs a table of level 10" in captured.err
+        assert captured.err == (
+            "error: table level 8 is below 10, the level conjecture needs: the "
+            "families of degree 4 are fitted on the labels through level 8 and "
+            "validated on at least 10 labels above it\n")
 
     @pytest.mark.parametrize("normalization, message", [
         (KLocal.zero(), "vanishing degree-0 coefficient; cannot normalize"),

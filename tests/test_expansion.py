@@ -6,7 +6,8 @@ from operator import mul
 
 import pytest
 
-from g2schur.expansion import (ExpansionSet, _x_plus_inv_series, expand_entry,
+from g2schur.expansion import (VALIDATION_MARGIN, ExpansionSet,
+                                _x_plus_inv_series, expand_entry, fit_level,
                                 newton_steps)
 from g2schur.laurent import LaurentPoly3
 from g2schur.linalg import RankTracker, invert_matrix
@@ -111,16 +112,26 @@ class TestExpandEntry:
 
 class TestFamilies:
     def test_reference_families(self, expansions12):
-        assert expansions12.fit_family((2, 0, 0)).polynomial == C200
-        assert expansions12.fit_family((3, 0, 0)).polynomial == C200.scale(-1)
-        assert expansions12.fit_family((4, 0, 0)).polynomial == C400
-        assert expansions12.fit_family((2, 2, 0)).polynomial == C220
-        assert expansions12.fit_family((1, 0, 0)).polynomial == LaurentPoly3.zero()
+        assert expansions12.fit_family((2, 0, 0)) == C200
+        assert expansions12.fit_family((3, 0, 0)) == C200.scale(-1)
+        assert expansions12.fit_family((4, 0, 0)) == C400
+        assert expansions12.fit_family((2, 2, 0)) == C220
+        assert expansions12.fit_family((1, 0, 0)) == LaurentPoly3.zero()
 
     def test_validation_margin(self, expansions12):
-        fam = expansions12.fit_family((2, 0, 0))
-        assert fam.validated_on >= 10
-        assert not fam.unvalidated
+        # the labels above level 4 through level 12
+        assert expansions12.validated_on(2) == len(enumerate_through(12)) - 10
+        assert expansions12.validated_on(2) >= VALIDATION_MARGIN
+
+    @pytest.mark.parametrize("degree", range(11))
+    def test_fit_level_counts_the_labels_above_the_simplex(self, degree):
+        # the lowest level whose labels above level 2d number at least the
+        # margin, counted label by label
+        level = 2 * degree
+        while sum(sum(t) > 2 * degree
+                  for t in enumerate_through(level)) < VALIDATION_MARGIN:
+            level += 2
+        assert fit_level(degree) == level == max(6, 2 * degree + 2)
 
     @pytest.mark.parametrize("fixture, order", [("expansions12", 4),
                                                 ("expansions16", 6)])
@@ -132,22 +143,21 @@ class TestFamilies:
         inverses = {}
         for mvec in exponents_upto(order):
             poly, validated_on = matrix_route(es, mvec, inverses)
-            fam = es.fit_family(mvec)
-            assert fam.polynomial == poly, mvec
-            assert fam.validated_on == validated_on, mvec
+            assert es.fit_family(mvec) == poly, mvec
+            assert es.validated_on(sum(mvec)) == validated_on, mvec
 
     def test_degree_bound_out_of_sample(self, expansions12):
         # the fit already validates on every non-fitting label; a
         # FalsificationError here would mean the degree bound failed
         for mvec in [(0, 0, 2), (1, 1, 0), (2, 1, 1), (0, 4, 0), (1, 1, 2)]:
             fam = expansions12.fit_family(mvec)
-            assert not fam.polynomial or fam.polynomial.total_degree() <= sum(mvec)
+            assert not fam or fam.total_degree() <= sum(mvec)
 
     def test_family_matches_every_label(self, table12, expansions12):
         fam = expansions12.fit_family((2, 2, 0))
         for level in range(0, 13, 2):
             for t in enumerate_level(level):
-                assert evaluate(fam.polynomial, t) == \
+                assert evaluate(fam, t) == \
                     coefficient(expansions12, t, (2, 2, 0))
 
     def test_integer_validation_matches_evaluate(self, expansions12):
@@ -155,7 +165,7 @@ class TestFamilies:
         # its Fraction value at every label agrees with the expansions
         labels = enumerate_through(12)
         for mvec in exponents_upto(4):
-            poly = expansions12.fit_family(mvec).polynomial
+            poly = expansions12.fit_family(mvec)
             for t in labels:
                 assert evaluate(poly, t) == coefficient(expansions12, t, mvec)
 
@@ -179,10 +189,17 @@ class TestFamilies:
         assert sum(map(int, label.groups())) > 4
 
     def test_insufficient_table_rejected(self, table8):
+        # degree 4 is fitted on every label of a level-8 table and would be
+        # validated on none; degree 3 is validated on the 15 labels of level 8
         es = ExpansionSet(table8, 6)
-        with pytest.raises(ValueError, match="table level 8 is below 12: the family "
-                                             "fit of degree 6 reads the labels"):
-            es.fit_family((6, 0, 0))
+        for mvec, need in (((6, 0, 0), 14), ((0, 4, 0), 10)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"table level 8 is below {need}, the level the family fit of "
+                    f"degree {sum(mvec)} needs: the families of degree {sum(mvec)} "
+                    "are fitted")):
+                es.fit_family(mvec)
+        es.fit_family((0, 0, 3))
+        assert es.validated_on(3) == 15
 
     def test_order_guard(self, expansions12):
         with pytest.raises(ValueError, match="order"):
