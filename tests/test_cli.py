@@ -845,8 +845,10 @@ class TestReportOnlyCommands:
         assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
 
     @pytest.mark.parametrize("copies", [1, 2])
-    def test_conjecture_below_the_fit_level_is_operational_error(self, capsys,
-                                                                 copies):
+    def test_conjecture_on_unvalidated_families_is_operational_error(self, capsys,
+                                                                     copies):
+        # at level 8 the families of degree 4 would be validated on no label:
+        # the fit-level guard refuses the table before any family is fitted
         assert main(["conjecture", "--copies", str(copies), "--order", "4",
                      "--max-level", "8"]) == 2
         captured = capsys.readouterr()
