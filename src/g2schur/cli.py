@@ -159,10 +159,12 @@ def _verify(cfg: argparse.Namespace, report: Report) -> None:
 
 def _conjecture(cfg: argparse.Namespace, report: Report) -> None:
     # the candidate is only compared, never asserted: the report holds no
-    # check records unless its table fails its own solve or its expansions
+    # check records unless its table fails its own solve or its expansions;
+    # a table below the fit level is refused first, as in ``verify series``
     from .conjecture import conjecture_check
-    from .expansion import ExpansionSet
+    from .expansion import ExpansionSet, require_fit_level
     table, report.table_checksum = _load_or_build(cfg)
+    require_fit_level(table, cfg.order, "conjecture")
     result = conjecture_check(cfg.copies, cfg.order, ExpansionSet(table, cfg.order))
     report.extra = {"conjecture": result.serialize()}
     report.counts = result.summary()

@@ -31,10 +31,13 @@ Legendre numerators of P_0 .. P_(m+1), read once.  Every other application
 of an operator at that degree is a sparse integer combination
 sum n_e image[e]: the H1t monomial matrix, the diagonalization of the base
 elements, the other operators on the H1t kernel, the displayed pair vectors
-and the action and leading-term formulas.  ``kernel_H1`` eliminates H1t once
-per degree and returns the kernel it has matched against the diagonal
-elements; ``common_kernel`` and ``triple_kernel`` take the other operators
-on it.  The images are dropped with their degree.
+and the action and leading-term formulas.  Every term of H1t moves each
+exponent by an even step (``kernel_H1`` asserts it), so H1t keeps the
+parities of the X12 and X13 exponents and its monomial matrix is block
+diagonal: ``kernel_H1`` eliminates it once per parity class of (e12, e13)
+per degree, at most four classes, and returns the kernel it has matched
+against the diagonal elements; ``common_kernel`` and ``triple_kernel``
+take the other operators on it.  The images are dropped with their degree.
 
 The product basis follows its definition: a term of the sum has X23
 exponent m - i - j, so P_(m,k,l) = X23^(m-k-l) P_(k+l,k,l).  The integer
@@ -53,9 +56,10 @@ its m + 1 base elements P_(m,k,m-k).
 The kernel suite works on integer numerators, in the integer form of
 ``table.py`` and ``klocal.py``.  ``kernel_H1`` never divides by a basis
 element's denominator: a span and an eigenvalue equation are unchanged by a
-common factor.  Each nullspace vector is turned into its integer multiple
-over the lcm of its denominators, so the kernel bases, and the images of H2t
-and H3t on them, stay integer too.  The span test compares ranks under
+common factor.  ``linalg.nullspace`` returns each nullspace vector as its
+integer multiple over the lcm of its denominators and builds no
+``Fraction``, so the kernel bases, and the images of H2t and H3t on them,
+stay integer too.  The span test compares ranks under
 ``linalg.rref``.  The action, leading-term and displayed-vector checks compare
 integers over one common denominator and read values back as exact
 ``Fraction``s only for their reports.  The ``Fraction`` routes these replace
@@ -219,11 +223,10 @@ class DegreeImages:
         return shifted, den
 
 
-def _combine(vec: list[Fraction], polys: list[Terms]) -> Terms:
-    """The combination sum vec[i] * polys[i], times the lcm of the
-    denominators of vec, zeros dropped."""
+def _combine(weights: list[int], polys: list[Terms]) -> Terms:
+    """The combination sum weights[i] * polys[i], zeros dropped."""
     acc: Terms = {}
-    for c, p in zip(clear_denominators(vec)[0], polys):
+    for c, p in zip(weights, polys):
         if c:
             for e, v in p.items():
                 acc[e] = acc.get(e, 0) + c * v
@@ -236,9 +239,9 @@ def _kernel_on(images: DegreeImages, ks: tuple[int, ...],
     ``polys``, integer polynomials of the degree of ``images``.
 
     One column per polynomial and, for each operator, one row per image
-    monomial in sorted order; each nullspace vector names the combination of
-    ``polys`` it stands for, with its denominators cleared.  ``polys`` must
-    be linearly independent for the basis to be one.
+    monomial in sorted order; each integer nullspace vector names the
+    combination of ``polys`` it stands for.  ``polys`` must be linearly
+    independent for the basis to be one.
     """
     rows: list[list[int]] = []
     for k in ks:
@@ -270,15 +273,17 @@ def kernel_H1(images: DegreeImages) -> list[Terms]:
     numerators.  Its dimension is judged by the ``kernel-H1`` record of
     ``verify_kernel``.
 
-    Computes the monomial-basis nullspace, asserts it lies in the span of
-    the diagonal product-basis elements P_(m,l,l), and verifies the
-    diagonalization of X12 X13 H1t with eigenvalue l(l+1) - k(k+1) on the
-    base elements P_(m,k,m-k).  That covers every P_(m,k,l): it is
-    X23^(m-k-l) P_(k+l,k,l), and multiplying by X23 commutes with H1t, which
-    is asserted first to have no X23-derivative term.  All of it runs on
-    integers: the monomials have coefficient 1, and each basis element
-    enters as its numerators over its common denominator, which changes
-    neither its span nor its eigenvalue equation.
+    Computes the monomial-basis nullspace, one parity class of (e12, e13) at
+    a time, asserts it lies in the span of the diagonal product-basis
+    elements P_(m,l,l), and verifies the diagonalization of X12 X13 H1t with
+    eigenvalue l(l+1) - k(k+1) on the base elements P_(m,k,m-k).  That
+    covers every P_(m,k,l): it is X23^(m-k-l) P_(k+l,k,l), and multiplying
+    by X23 commutes with H1t, which is asserted first to have no
+    X23-derivative term and to move every exponent by an even step, which
+    keeps each class closed under H1t.  All of it runs on integers: the monomials have
+    coefficient 1, and each basis element enters as its numerators over its
+    common denominator, which changes neither its span nor its eigenvalue
+    equation.
     """
     m = images.degree
     for coeff, deriv in images.ops[1].terms:
@@ -286,8 +291,22 @@ def kernel_H1(images: DegreeImages) -> list[Terms]:
             raise FalsificationError(
                 f"H1t term {coeff!r} * d^{list(deriv)} differentiates X23",
                 witness=coeff)
+        for f in coeff.terms:
+            shift = [a - n for a, n in zip(f, deriv)]
+            if any(s % 2 for s in shift):
+                raise FalsificationError(
+                    f"H1t term {coeff!r} * d^{list(deriv)} shifts exponents "
+                    f"by {shift}, an odd step", witness=coeff)
     monomials = images.monomials
-    null = _kernel_on(images, (1,), [{e: 1} for e in monomials])
+    # every shift is even, so H1t keeps (e12 mod 2, e13 mod 2) and its matrix
+    # is block diagonal: one elimination per parity class.  A vector is
+    # nonzero only at its free monomial and at pivots before it, so ordering
+    # by the largest monomial restores the basis of the single elimination
+    classes: dict[tuple[int, int], list[Terms]] = {}
+    for e in monomials:
+        classes.setdefault((e[0] % 2, e[1] % 2), []).append({e: 1})
+    null = sorted((v for polys in classes.values()
+                   for v in _kernel_on(images, (1,), polys)), key=max)
     claimed = [images.element(l, l)[0] for l in range(m // 2 + 1)]
     # the kernel-H1 record compares the dimensions: equal dimension and null
     # within span(claimed) make the spans equal, so every claimed element is
@@ -422,7 +441,7 @@ def _pair_vector_cleared(pair: tuple[int, int], images: DegreeImages) -> Terms:
         if pair == (1, 2) and (n - l) % 2:
             c = -c
         weights.append(c)
-    return _combine(weights, [nums for nums, _ in elements])
+    return _combine(clear_denominators(weights)[0], [nums for nums, _ in elements])
 
 
 def common_kernel(pair: tuple[int, int], images: DegreeImages,

@@ -1,16 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices come in as rows of ``int`` or ``Fraction`` values and go out as
-lists of Fraction rows.  This module backs the kernel computations of the
-degree-graded differential operators.  ``rref`` (and ``nullspace`` on top of
-it) is sparse fraction-free Gauss-Jordan elimination on integer dict rows,
-for the kernel operator matrices, which are integer and only a few percent
-nonzero: no ``Fraction`` is built until each pivot row is divided by its
-pivot at the end.  Its test oracle, plain dense Gauss-Jordan elimination
-over ``Fraction``, is ``dense_rref`` in ``tests/test_linalg.py``.
+This module backs the kernel computations of the degree-graded differential
+operators.  ``rref`` (and ``nullspace`` on top of it) is sparse fraction-free
+Gauss-Jordan elimination on integer dict rows, for the kernel operator
+matrices, which are integer and only a few percent nonzero.  Matrices come
+in as dense rows of ``int`` or ``Fraction`` values; the reduced rows go out
+as integer ``{column: value}`` rows, each an integer multiple of its row of
+the reduced row echelon form, and the nullspace vectors as integer lists,
+each the vector of that form over the lcm of its denominators.  Neither
+builds a ``Fraction``.  Their test oracle, plain dense Gauss-Jordan
+elimination over ``Fraction``, is ``dense_rref`` in ``tests/test_linalg.py``.
 ``clear_denominators`` gives integer numerators over one denominator; the
-kernel suite clears each nullspace vector and the weights of the displayed
-pairwise kernel vector with it (``kernels._combine``).
+kernel suite clears the weights of the displayed pairwise kernel vector
+with it (``kernels._pair_vector_cleared``).
 
 ``RankTracker`` and ``invert_matrix`` are the matrix route of the family
 fit, which no production path calls any more: greedy selection of
@@ -30,21 +32,25 @@ from fractions import Fraction
 from typing import Sequence
 
 Row = list[Fraction]
+#: a sparse integer row, ``{column: value}`` with no zero value
+IntRow = dict[int, int]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[IntRow], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
     Sparse fraction-free Gauss-Jordan elimination on integer dict rows
-    ``{column: value}``: each row is first scaled by the lcm of its
-    denominators, which changes neither rank nor row space.  Columns are
-    taken left to right; the pivot is the sparsest remaining row with a
-    nonzero entry in the column, and only the remaining rows holding that
-    column are eliminated (``_eliminate``).  Back-substitution then clears
-    each pivot column above its pivot, and each pivot row is divided by its
-    pivot once, at the end.  The reduced rows are returned dense.  The RREF
-    is unique, so the result equals that of dense Gauss-Jordan elimination
-    over ``Fraction`` (the oracle ``dense_rref`` in ``tests/test_linalg.py``).
+    ``{column: value}``: a row with a ``Fraction`` entry is first scaled by
+    the lcm of its denominators, which changes neither rank nor row space; a
+    row of ``int`` entries is taken as it is.  Columns are taken left to
+    right; the pivot is the sparsest remaining row with a nonzero entry in
+    the column, and only the remaining rows holding that column are
+    eliminated (``_eliminate``).  Back-substitution then clears each pivot
+    column above its pivot.  Each returned row is an integer multiple of its
+    row of the reduced row echelon form: divided by its pivot entry it is
+    that row.  The form is unique, so the result equals, row by row, that of
+    dense Gauss-Jordan elimination over ``Fraction`` (the oracle
+    ``dense_rref`` in ``tests/test_linalg.py``).
     """
     if not rows:
         return [], []
@@ -52,11 +58,13 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     pending = []
     for r in rows:
         d = {c: v for c, v in enumerate(r) if v}
-        if d:
+        if not d:
+            continue
+        if any(type(v) is not int for v in d.values()):
             scale = math.lcm(*[v.denominator for v in d.values()])
-            pending.append({c: v.numerator * (scale // v.denominator)
-                            for c, v in d.items()})
-    reduced: list[dict[int, int]] = []
+            d = {c: v.numerator * (scale // v.denominator) for c, v in d.items()}
+        pending.append(d)
+    reduced: list[IntRow] = []
     pivots: list[int] = []
     for c in range(ncols):
         holders = [d for d in pending if c in d]
@@ -74,9 +82,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
         for i in range(j):
             if c in reduced[i]:
                 reduced[i] = _eliminate(reduced[i], c, prow)
-    zero = Fraction(0)
-    return [[Fraction(d[k], d[c]) if k in d else zero for k in range(ncols)]
-            for d, c in zip(reduced, pivots)], pivots
+    return reduced, pivots
 
 
 def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int]:
@@ -109,19 +115,29 @@ def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, i
     return row
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
-    """Basis of the right kernel of the matrix (one vector per free column)."""
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel of the matrix, one integer vector per free
+    column in column order.
+
+    The vector of free column f is the one of the reduced row echelon form,
+    1 at f and -a/p at the pivot column of each reduced row with entry a at
+    f and pivot entry p, times the lcm ``den`` of the denominators: ``den``
+    at f and -a*den/p at those pivot columns.  That is the vector
+    ``clear_denominators`` makes of the ``Fraction`` one.
+    """
     reduced, pivots = rref(rows) if rows else ([], [])
     pivot_set = set(pivots)
-    basis: list[Row] = []
+    basis: list[list[int]] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for prow, pcol in zip(reduced, pivots):
-            if prow[free]:
-                vec[pcol] = -prow[free]
+        hits = [(pcol, d[free], d[pcol]) for d, pcol in zip(reduced, pivots)
+                if free in d]
+        den = math.lcm(*[abs(p) // math.gcd(a, p) for _, a, p in hits])
+        vec = [0] * ncols
+        vec[free] = den
+        for pcol, a, p in hits:
+            vec[pcol] = -a * den // p
         basis.append(vec)
     return basis
 

@@ -96,6 +96,30 @@ def shift_saved_coefficients(path):
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def seed_h1_class_nullspace(monkeypatch, degree, size, seeded):
+    """Route the nullspace of one class matrix of H1t through
+    ``seeded(real, rows, ncols)``: ``kernel_H1`` eliminates one matrix per
+    class of the degree-m monomials with equal (e12 mod 2, e13 mod 2), and
+    the one at ``degree`` with ``size`` columns is seeded."""
+    real_on, real_nullspace = kernels._kernel_on, kernels.nullspace
+    seeding = []
+
+    def kernel_on(images, ks, polys):
+        seeding.append(images.degree == degree and ks == (1,) and len(polys) == size)
+        try:
+            return real_on(images, ks, polys)
+        finally:
+            seeding.pop()
+
+    def nullspace(rows, ncols):
+        if seeding and seeding[-1]:
+            return seeded(real_nullspace, rows, ncols)
+        return real_nullspace(rows, ncols)
+
+    monkeypatch.setattr(kernels, "_kernel_on", kernel_on)
+    monkeypatch.setattr(kernels, "nullspace", nullspace)
+
+
 class TestTableCommand:
     def test_build_and_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -303,14 +327,11 @@ class TestVerifyCommands:
         assert dims["dim_pair_12"] == 1 and dims["dim_triple"] == 0
 
     def test_kernel_falsification_keeps_later_checks(self, capsys, monkeypatch):
-        # drop one kernel vector at degree 6 only (28 monomials)
-        real = kernels.nullspace
-
-        def drop_one(rows, ncols):
-            basis = real(rows, ncols)
-            return basis[:-1] if ncols == 28 else basis
-
-        monkeypatch.setattr(kernels, "nullspace", drop_one)
+        # drop one kernel vector at degree 6 only, from the class of even
+        # (e12, e13), the one with 10 of the 28 monomials, which holds the
+        # whole kernel
+        seed_h1_class_nullspace(monkeypatch, 6, 10,
+                                lambda real, rows, ncols: real(rows, ncols)[:-1])
         code, report = run(capsys, "verify", "kernel", "--order", "12")
         assert code == 1
         checks = report["checks"]
@@ -333,17 +354,14 @@ class TestVerifyCommands:
         assert any(c["check"] == "H3-leading" for c in checks)
 
     def test_kernel_wrong_operator_entry_fails(self, capsys, monkeypatch):
-        # one wrong entry in the first operator's matrix at degree 4, the
-        # only matrix with one column per degree-4 monomial (15)
-        real = kernels.nullspace
+        # one wrong entry in the first operator's matrix at degree 4: the
+        # image of X23^4, in the kernel, gains a monomial that no other
+        # monomial of its class reaches, one more row in the matrix of the
+        # class of even (e12, e13), the one with 6 of the 15 monomials
+        def seeded(real, rows, ncols):
+            return real([*rows, [1] + [0] * (ncols - 1)], ncols)
 
-        def seeded(rows, ncols):
-            if ncols == 15:
-                rows = [list(row) for row in rows]
-                rows[0][0] += 1
-            return real(rows, ncols)
-
-        monkeypatch.setattr(kernels, "nullspace", seeded)
+        seed_h1_class_nullspace(monkeypatch, 4, 6, seeded)
         code, report = run(capsys, "verify", "kernel", "--order", "12")
         assert code == 1
         failed = [c for c in report["checks"] if c["status"] == "fail"]
@@ -843,6 +861,23 @@ class TestReportOnlyCommands:
                                   "equation 1 based at (1, 0, 1)")
         assert rec["value"]  # the nonzero residual of that equation
         assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
+    def test_conjecture_checks_the_fit_level_before_its_expansions(self, tmp_path,
+                                                                   capsys):
+        # a table both below the level of order 4 and off its recursions is
+        # refused on the level, as verify series and verify cauchy refuse it,
+        # before any expansion reads an entry
+        path, out = tmp_path / "t.json", tmp_path / "report.json"
+        run(capsys, "table", "--max-level", "8", "--out", str(path))
+        shift_saved_coefficients(path)
+        assert main(["conjecture", "--copies", "1", "--order", "4", "--max-level", "8",
+                     "--table", str(path), "--out", str(out), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and not out.exists()
+        assert captured.err == (
+            "error: table level 8 is below 10, the level conjecture needs: the "
+            "families of degree 4 are fitted on the labels through level 8 and "
+            "validated on at least 10 labels above it\n")
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_conjecture_on_unvalidated_families_is_operational_error(self, capsys,

@@ -15,8 +15,8 @@ from g2schur.kernels import (DegreeImages, _legendre_numerators, _monomials,
                              action_check, common_kernel, kernel_H1,
                              leading_term_check, triple_kernel, verify_kernel)
 from g2schur.laurent import LaurentPoly3
-from g2schur.linalg import nullspace, rref
 from g2schur.table import FalsificationError
+from tests.test_linalg import dense_nullspace, dense_rref
 from tests.test_univariate import recurrence_legendre
 
 mono = LaurentPoly3.monomial
@@ -87,7 +87,7 @@ def dense_span_contains(basis, *vecs):
     and each vec is reduced against the RREF in ``Fraction``; the oracle for
     the rank comparison.
     """
-    reduced, pivots = rref(basis)
+    reduced, pivots = dense_rref(basis)
     for vec in vecs:
         for prow, pcol in zip(reduced, pivots):
             f = vec[pcol]
@@ -113,7 +113,7 @@ def fraction_kernel_H1(m):
     targets = sorted({e for img in images for e in img})
     rows = [[img.get(t, Fraction(0)) for img in images] for t in targets]
     null = [LaurentPoly3(dict(zip(monomials, vec)))
-            for vec in nullspace(rows, len(monomials))]
+            for vec in dense_nullspace(rows, len(monomials))]
     claimed = [element(m, l, l) for l in range(m // 2 + 1)]
     if len(null) != len(claimed):
         raise FalsificationError(f"kernel dimension at degree {m}")
@@ -129,6 +129,19 @@ def fraction_kernel_H1(m):
                 raise FalsificationError(
                     f"diagonalization failed on P_({m},{k},{l})")
     return null
+
+
+def single_matrix_kernel_H1(images):
+    """The former elimination of ``kernel_H1``: one nullspace of H1t on all
+    the degree-m monomials at once, with no parity split; the oracle for the
+    eliminations by parity class of (e12, e13)."""
+    return kernels._kernel_on(images, (1,), [{e: 1} for e in images.monomials])
+
+
+def parity_class(polys):
+    """The one (e12 mod 2, e13 mod 2) of every monomial of ``polys``, else None."""
+    classes = {(e[0] % 2, e[1] % 2) for p in polys for e in p}
+    return classes.pop() if len(classes) == 1 else None
 
 
 class TestProductBasis:
@@ -214,6 +227,15 @@ class TestIntegerRoute:
         assert len(ours) == len(theirs) == m // 2 + 1
         assert dense_span_contains(theirs, *ours)
         assert dense_span_contains(ours, *theirs)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_parity_classes_give_the_single_matrix_basis(self, m):
+        # vector for vector, in the same order, the same integers
+        ours = kernel_H1(DegreeImages(m))
+        theirs = single_matrix_kernel_H1(DegreeImages(m))
+        assert ours == theirs
+        assert [max(v) for v in ours] == sorted(max(v) for v in ours)
+        assert all(type(c) is int for v in ours for c in v.values())
 
     @pytest.mark.parametrize("m", range(9))
     def test_span_contains_matches_dense(self, m):
@@ -387,6 +409,26 @@ class TestMutations:
         falsified = [c for c in checks if c["check"] == "falsification"]
         assert [c["degree"] for c in falsified] == list(range(5))
         assert all("differentiates X23" in c["witness"] for c in falsified)
+        assert cli_exit_code("verify", "kernel", "--order", "4") == 1
+
+    def test_h1_odd_shift_is_refused(self, monkeypatch):
+        # H1t + d^2/dX12 dX13, which moves X12 and X13 by -1: the parity
+        # classes of (e12, e13) would no longer be closed under H1t
+        real = homogeneous_component
+
+        def seeded(k, m):
+            op = real(k, m)
+            if k == 1:
+                op = HomogeneousOp(k, m, [*op.terms, (LaurentPoly3.one(), (1, 1, 0))])
+            return op
+
+        monkeypatch.setattr(kernels, "homogeneous_component", seeded)
+        checks = verify_kernel(4)
+        falsified = [c for c in checks if c["check"] == "falsification"]
+        assert [c["degree"] for c in falsified] == list(range(5))
+        assert all(c["witness"] == "H1t term (1) * d^[1, 1, 0] shifts exponents "
+                   "by [-1, -1, 0], an odd step" for c in falsified)
+        assert not any(c["check"] in ("kernel-H1", "kernel-dims") for c in checks)
         assert cli_exit_code("verify", "kernel", "--order", "4") == 1
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -580,20 +622,31 @@ class TestTripleKernel:
 
 
 class TestVerifyKernel:
-    def test_h1_eliminated_once_per_degree(self, monkeypatch):
-        # the pair and triple kernels reuse the kernel kernel_H1 verified
+    def test_h1_eliminated_once_per_parity_class_per_degree(self, monkeypatch):
+        # the pair and triple kernels reuse the kernel kernel_H1 verified;
+        # H1t is eliminated once on each class of the degree-m monomials with
+        # equal (e12 mod 2, e13 mod 2), each class whole
         real = kernels._kernel_on
-        degrees = []
+        eliminated = []
 
         def counted(images, ks, polys):
             if 1 in ks:
-                degrees.append(images.degree)
+                assert ks == (1,)
+                eliminated.append((images.degree, parity_class(polys), len(polys)))
             return real(images, ks, polys)
 
         monkeypatch.setattr(kernels, "_kernel_on", counted)
         checks = verify_kernel(12)
         assert all(c["status"] == "pass" for c in checks)
-        assert degrees == list(range(13))
+        expected = []
+        for m in range(13):
+            sizes = {}
+            for a, b, _ in _monomials(m):
+                sizes[(a % 2, b % 2)] = sizes.get((a % 2, b % 2), 0) + 1
+            expected.extend((m, cls, n) for cls, n in sizes.items())
+        assert eliminated == expected
+        assert [m for m, _, _ in eliminated] == [0, 1, 1, 1] + [
+            m for m in range(2, 13) for _ in range(4)]
 
     def test_h1_applied_to_the_base_elements_only(self, monkeypatch):
         # H1t is applied to m + 1 product-basis elements at degree m, the

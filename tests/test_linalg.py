@@ -49,6 +49,42 @@ def dense_rref(rows):
     return mat[:r], pivots
 
 
+def unit_pivot_rows(result, ncols):
+    """The rows of a ``rref`` result, each divided by its pivot entry and
+    made dense: the reduced row echelon form, as ``dense_rref`` gives it."""
+    reduced, pivots = result
+    return [[Fraction(d.get(k, 0), d[c]) for k in range(ncols)]
+            for d, c in zip(reduced, pivots)], pivots
+
+
+def assert_rref_matches_dense(rows):
+    """``rref`` returns nonzero ``int`` entries only, and its rows divided by
+    their pivots are those of ``dense_rref``."""
+    result = rref(rows)
+    assert all(type(v) is int and v for d in result[0] for v in d.values()), rows
+    ncols = len(rows[0]) if rows else 0
+    assert unit_pivot_rows(result, ncols) == dense_rref(rows), rows
+
+
+def dense_nullspace(rows, ncols):
+    """The ``Fraction`` nullspace read from ``dense_rref``: per free column,
+    1 there and -row[free] at the pivot column of each reduced row.
+
+    The former body of ``nullspace``; the oracle for its integer vectors.
+    """
+    reduced, pivots = dense_rref(rows) if rows else ([], [])
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for prow, pcol in zip(reduced, pivots):
+            vec[pcol] = -prow[free]
+        basis.append(vec)
+    return basis
+
+
 def mat_vec(rows, vec):
     return [sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0))
             for row in rows]
@@ -139,13 +175,19 @@ class TestSparseRref:
                 for density in (0.05, 0.2, 0.5, 1.0):
                     for fractional in (False, True):
                         rows = random_matrix(rng, nrows, ncols, density, fractional)
-                        assert rref(rows) == dense_rref(rows), rows
+                        assert_rref_matches_dense(rows)
 
-    def test_integer_input_gives_fraction_rows(self):
+    def test_integer_input_gives_integer_rows(self):
+        # fraction-free rows: each an integer multiple of its unit-pivot row
         rows = [[2, 4, 0], [0, 3, 1], [1, 0, 5]]
         reduced, pivots = rref(rows)
-        assert (reduced, pivots) == dense_rref(rows)
-        assert all(type(v) is Fraction for row in reduced for v in row)
+        assert pivots == [0, 1, 2]
+        assert all(set(d) == {c} for d, c in zip(reduced, pivots))
+        assert all(type(v) is int for d in reduced for v in d.values())
+        assert_rref_matches_dense(rows)
+        # a Fraction row is scaled to integers first
+        reduced, _ = rref([[Fraction(1, 2), Fraction(-2, 3)], [1, 0]])
+        assert all(type(v) is int for d in reduced for v in d.values())
 
     def test_zero_rows_and_columns(self):
         cases = [
@@ -158,13 +200,13 @@ class TestSparseRref:
             [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 0, 0], [Fraction(1, 3), 0, 1]],
         ]
         for rows in cases:
-            assert rref(rows) == dense_rref(rows), rows
+            assert_rref_matches_dense(rows)
         assert rref([[0, 0, 0], [0, 0, 0]]) == ([], [])
         assert rref([]) == ([], [])
 
     def test_kernel_operator_matrices(self):
         for m, ks, rows, _ in kernel_operator_matrices(8):
-            assert rref(rows) == dense_rref(rows), (m, ks)
+            assert_rref_matches_dense(rows)
 
     def test_seeded_integer_matrices_of_kernel_shape(self):
         # taller than wide, a few percent nonzero, plain ints whose pivots
@@ -177,7 +219,7 @@ class TestSparseRref:
             rows = [[rng.choice((-15, -6, -4, -1, 1, 2, 3, 10, 21))
                      if rng.random() < density else 0 for _ in range(ncols)]
                     for _ in range(nrows)]
-            assert rref(rows) == dense_rref(rows)
+            assert_rref_matches_dense(rows)
 
     def test_mixed_int_and_fraction_rows(self):
         # integer basis rows with Fraction vectors appended, as in the span
@@ -195,31 +237,42 @@ class TestSparseRref:
                         v = Fraction(v, rng.choice((1, 2, 3, 9, 14)))
                     row.append(v)
                 rows.append(row)
-            assert rref(rows) == dense_rref(rows), rows
+            assert_rref_matches_dense(rows)
 
     def test_kernel_suite_matrices_through_degree_8(self, monkeypatch):
-        # every matrix the kernel stages eliminate, captured on its way in
-        captured = []
-        real = linalg.rref
+        # every matrix the kernel stages eliminate, captured on its way in,
+        # and every nullspace they take, captured on its way out
+        captured, kernel_bases = [], []
+        real, real_nullspace = linalg.rref, kernels.nullspace
 
         def capture(rows):
             captured.append([list(r) for r in rows])
             return real(rows)
 
+        def capture_nullspace(rows, ncols):
+            basis = real_nullspace(rows, ncols)
+            kernel_bases.append((rows, ncols, basis))
+            return basis
+
         monkeypatch.setattr(linalg, "rref", capture)
         monkeypatch.setattr(kernels, "rref", capture)
+        monkeypatch.setattr(kernels, "nullspace", capture_nullspace)
         for m in range(9):
             images = kernels.DegreeImages(m)
             h1 = kernels.kernel_H1(images)
             for pair in ((1, 2), (1, 3)):
                 kernels.common_kernel(pair, images, h1)
             kernels.triple_kernel(images, h1)
-        assert len(captured) > 40
+        assert len(captured) > 40 and len(kernel_bases) > 40
         # the kernel suite eliminates integer rows only, the displayed pair
-        # vectors included
+        # vectors included, and gets integer rows and vectors back
         assert all(type(v) is int for rows in captured for r in rows for v in r)
         for rows in captured:
-            assert real(rows) == dense_rref(rows)
+            assert_rref_matches_dense(rows)
+        for rows, ncols, basis in kernel_bases:
+            assert all(type(v) is int for vec in basis for v in vec)
+            assert basis == [clear_denominators(v)[0]
+                             for v in dense_nullspace(rows, ncols)]
 
 
 class TestNullspace:
@@ -236,9 +289,25 @@ class TestNullspace:
             for vec in basis:
                 assert not any(mat_vec(rows, vec))
 
+    def test_vectors_are_the_cleared_fraction_vectors(self):
+        # each integer vector is its RREF vector over the lcm of its
+        # denominators, fractional and sign-changing pivots included
+        rng = random.Random(91)
+        cases = [(rows, ncols) for _, _, rows, ncols in kernel_operator_matrices(8)]
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 12)
+            cases.append((random_matrix(rng, nrows, ncols, rng.choice((0.1, 0.4, 1.0)),
+                                        rng.random() < 0.5), ncols))
+        cases.append(([[2, 3, -4, 0, 6], [0, -6, 4, 9, 0]], 5))
+        for rows, ncols in cases:
+            basis = nullspace(rows, ncols)
+            assert all(type(v) is int for vec in basis for v in vec)
+            assert basis == [clear_denominators(v)[0]
+                             for v in dense_nullspace(rows, ncols)], rows
+
     def test_empty_matrix_gives_unit_vectors(self):
         for n in (1, 4):
-            assert nullspace([], n) == [[Fraction(i == j) for j in range(n)]
+            assert nullspace([], n) == [[int(i == j) for j in range(n)]
                                         for i in range(n)]
 
 
