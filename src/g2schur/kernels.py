@@ -280,10 +280,10 @@ def kernel_H1(images: DegreeImages) -> list[Terms]:
     covers every P_(m,k,l): it is X23^(m-k-l) P_(k+l,k,l), and multiplying
     by X23 commutes with H1t, which is asserted first to have no
     X23-derivative term and to move every exponent by an even step, which
-    keeps each class closed under H1t.  All of it runs on integers: the monomials have
-    coefficient 1, and each basis element enters as its numerators over its
-    common denominator, which changes neither its span nor its eigenvalue
-    equation.
+    keeps each class closed under H1t.  All of it runs on integers: the
+    monomials have coefficient 1, and each basis element enters as its
+    numerators over its common denominator, which changes neither its span
+    nor its eigenvalue equation.
     """
     m = images.degree
     for coeff, deriv in images.ops[1].terms:
